@@ -1,15 +1,16 @@
-"""Minimal reverse-mode gradient engine over dense float64 tensors.
+"""Reverse-mode gradients of dense chains over float64 arrays.
 
-Supports exactly the primitives needed by the bias-free homogeneous
-architectures in this package: dense matmul, ReLU, LeakyReLU, and the
-square activation. Tapes are rebuilt on every forward call and are
-single-use; no graph caching, no Hessians.
+Every architecture in this package is a chain of bias-free dense
+layers and elementwise activations (ReLU, LeakyReLU, square). The
+forward pass records one small record per layer; the backward pass is
+a single loop over those records in reverse. A cache is rebuilt on
+every forward call; no graph caching, no Hessians.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,132 +72,95 @@ def subgradient_convention(primitive: str, z, alpha: float = 0.0):
     raise ValueError(f"no subgradient convention for primitive {primitive!r}")
 
 
-@dataclass
-class Node:
-    """One primitive op: its value, parent indices, and a local VJP.
+@dataclass(slots=True)
+class ForwardCache:
+    """What one forward pass leaves for the reverse loop.
 
-    vjp(adjoint, grad) returns the adjoint for each parent node and may
-    accumulate parameter gradients directly into the flat `grad` buffer.
+    `layers` holds one (kind, layer input, weight view or alpha, offset)
+    record per layer of the chain; `out` is the batch-shaped output,
+    (B,) when `squeeze` dropped a single output column, else (B, C).
     """
 
-    op: str
-    value: np.ndarray
-    parents: tuple[int, ...]
-    vjp: Callable[[np.ndarray, np.ndarray], tuple] | None
-
-
-@dataclass
-class Tape:
-    """Topologically ordered record of one forward pass."""
-
     param_count: int
-    nodes: list[Node] = field(default_factory=list)
+    layers: list
+    squeeze: bool
+    out: np.ndarray
 
-    def add(self, op: str, value: np.ndarray, parents: tuple[int, ...], vjp) -> int:
-        self.nodes.append(Node(op, value, parents, vjp))
-        return len(self.nodes) - 1
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.nodes[-1].value
-
-
-def _dense(tape: Tape, h_idx: int, weights: np.ndarray, offset: int) -> int:
-    h = tape.nodes[h_idx].value
-    if h.shape[1] != weights.shape[0]:
-        raise ShapeError("dense", f"inner dim {weights.shape[0]}", h.shape)
-    value = h @ weights
-    size = weights.size
-
-    def vjp(adj, grad):
-        grad[offset : offset + size] += (h.T @ adj).ravel()
-        return (adj @ weights.T,)
-
-    return tape.add("dense", value, (h_idx,), vjp)
+    def dense_adjoints(self, adj: np.ndarray):
+        """The reverse loop: walk the layers from the output adjoint `adj`
+        (shaped (B, C)) and yield (layer input, output adjoint, offset,
+        weight count) for every dense layer. The adjoint of the chain's
+        input is never formed."""
+        layers = self.layers
+        for i in range(len(layers) - 1, -1, -1):
+            kind, h, w, offset = layers[i]
+            if kind == "dense":
+                yield h, adj, offset, w.size
+                if i:
+                    adj = adj @ w.T
+            elif kind == "square":
+                adj = 2.0 * h * adj
+            else:
+                adj = subgradient_convention(kind, h, w) * adj
 
 
-def _activation(tape: Tape, h_idx: int, kind: str, alpha: float) -> int:
-    z = tape.nodes[h_idx].value
-    if kind == "relu":
-        value = np.maximum(z, 0.0)
-    elif kind == "leaky_relu":
-        value = np.where(z > 0.0, z, alpha * z)
-    elif kind == "square":
-        value = z * z
-    else:
-        raise ValueError(f"unknown activation {kind!r}")
-
-    def vjp(adj, grad):
-        if kind == "square":
-            return (2.0 * z * adj,)
-        return (subgradient_convention(kind, z, alpha) * adj,)
-
-    return tape.add(kind, value, (h_idx,), vjp)
-
-
-def forward(graph: Sequence, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
-    """Run the layer graph on input x, recording a tape.
+def forward(graph: Sequence, params: np.ndarray,
+            x) -> tuple[np.ndarray, ForwardCache]:
+    """Run the layer graph on input x, recording a per-layer cache.
 
     x may be a single sample (d,) or a batch (B, d); the output is
     (B, C) for C model outputs, squeezed to (B,) when C == 1 and to a
     scalar for a single sample of a single-output model.
     """
     params = np.asarray(params, dtype=np.float64)
-    X = as_array(x)
-    single = X.ndim == 1
+    h = as_array(x)
+    single = h.ndim == 1
     if single:
-        X = X[None, :]
-    tape = Tape(param_count=params.size)
-    idx = tape.add("input", X, (), None)
+        h = h[None, :]
+    layers = []
     for layer in graph:
-        if layer.kind == "dense":
-            if tape.nodes[idx].value.shape[1] != layer.in_dim:
-                raise ShapeError(
-                    "dense", f"input dim {layer.in_dim}", tape.nodes[idx].value.shape
-                )
+        kind = layer.kind
+        if kind == "dense":
+            if h.shape[1] != layer.in_dim:
+                raise ShapeError("dense", f"input dim {layer.in_dim}", h.shape)
             w = params[layer.offset : layer.offset + layer.in_dim * layer.out_dim]
             w = w.reshape(layer.in_dim, layer.out_dim)
-            idx = _dense(tape, idx, w, layer.offset)
+            layers.append((kind, h, w, layer.offset))
+            h = h @ w
+            continue
+        layers.append((kind, h, layer.alpha, layer.offset))
+        if kind == "relu":
+            h = np.maximum(h, 0.0)
+        elif kind == "leaky_relu":
+            h = np.where(h > 0.0, h, layer.alpha * h)
+        elif kind == "square":
+            h = h * h
         else:
-            idx = _activation(tape, idx, layer.kind, layer.alpha)
-    out = tape.nodes[idx].value
-    if out.shape[1] == 1:
-        def vjp(adj, grad):
-            return (adj[:, None],)
-
-        idx = tape.add("squeeze", out[:, 0], (idx,), vjp)
-        out = tape.nodes[idx].value
-    if not np.all(np.isfinite(out)):
+            raise ValueError(f"unknown activation {kind!r}")
+    squeeze = h.shape[1] == 1
+    if squeeze:
+        h = h[:, 0]
+    if not np.isfinite(h).all():
         raise NonFiniteError("forward pass produced non-finite output")
-    if single:
-        out = out[0]
-    return out, tape
+    cache = ForwardCache(params.size, layers, squeeze, h)
+    return (h[0] if single else h), cache
 
 
-def backward(tape: Tape, seed=1.0) -> np.ndarray:
+def backward(cache: ForwardCache, seed=1.0) -> np.ndarray:
     """Reverse accumulation: returns seed^T J as a flat parameter gradient.
 
     seed is a scalar or an array matching the registered output shape;
     per-sample and per-class weights enter here, so one batched backward
     yields any weighted combination of per-sample gradients.
     """
-    nodes = tape.nodes
-    out_value = nodes[-1].value
-    adjoints: list[np.ndarray | None] = [None] * len(nodes)
-    adjoints[-1] = np.broadcast_to(
-        np.asarray(seed, dtype=np.float64), out_value.shape
-    ).astype(np.float64)
-    grad = np.zeros(tape.param_count)
-    for i in range(len(nodes) - 1, -1, -1):
-        adj = adjoints[i]
-        if adj is None or nodes[i].vjp is None:
-            continue
-        contributions = nodes[i].vjp(adj, grad)
-        for parent, contrib in zip(nodes[i].parents, contributions):
-            if adjoints[parent] is None:
-                adjoints[parent] = np.array(contrib, dtype=np.float64)
-            else:
-                adjoints[parent] += contrib
-    if not np.all(np.isfinite(grad)):
+    adj = np.asarray(seed, dtype=np.float64)
+    if adj.shape != cache.out.shape:
+        adj = np.broadcast_to(adj, cache.out.shape).astype(np.float64)
+    if cache.squeeze:
+        adj = adj[:, None]
+    grad = np.zeros(cache.param_count)
+    for h, delta, offset, size in cache.dense_adjoints(adj):
+        grad[offset : offset + size] += (h.T @ delta).ravel()
+    if not np.isfinite(grad).all():
         raise NonFiniteError("backward pass produced non-finite gradient")
     return grad

@@ -99,13 +99,13 @@ def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     that the relative frame changes nothing but the arithmetic path.
     """
     q = effective_margins(model, theta, dataset)
-    phi, tape = model.forward(theta, dataset.X)
+    phi, cache = model.forward(theta, dataset.X)
     ell_prime = np.exp(-spec.f(q)) * spec.f_prime(q)
     if dataset.is_binary:
         seed = ell_prime * dataset.y / dataset.n
     else:
         raise NotImplementedError("direct path exercises binary models")
-    grad = -backward(tape, seed)
+    grad = -backward(cache, seed)
     return ParamVector(theta.data - eta * grad)
 
 
@@ -400,11 +400,6 @@ class S5Check:
 def check_s5(log_eta: float, x: float, mstate: GdMarginState) -> S5Check:
     log_ratio = log_eta - mstate.log_h(x)
     return S5Check(passed=log_ratio <= 0.0, log_ratio=log_ratio)
-
-
-def gd_smoothed_margin(mstate: GdMarginState, x: float,
-                       log_rho: float) -> float:
-    return math.exp(mstate.log_gamma_hat(x, log_rho))
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,

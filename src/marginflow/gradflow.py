@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
@@ -44,11 +43,24 @@ class PointEval:
         return math.log(self.g_norm) - self.x
 
 
+def _shifted_exp(a: np.ndarray, b=None) -> tuple[float, np.ndarray]:
+    """(a_max, b * exp(a - a_max)): the O(1) terms of log sum b e^a.
+
+    Inline log-sum-exp; scipy's `logsumexp` costs ~100-300us per call
+    on the short arrays of the flow's hot loop.
+    """
+    a_max = float(np.max(a))
+    terms = np.exp(a - a_max)
+    if b is not None:
+        terms *= b
+    return a_max, terms
+
+
 def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
                    spec: LossSpec) -> PointEval:
     """One forward plus one seeded backward; all exponents stay O(1)."""
     theta = as_params(theta)
-    phi, tape = model.forward(theta, dataset.X)
+    phi, cache = model.forward(theta, dataset.X)
     phi = np.atleast_1d(phi)
     if dataset.is_binary:
         q = dataset.y * phi
@@ -58,10 +70,9 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         q = np.min(gaps, axis=1)
         q_eff = soft_margins(gaps)
     fq = spec.f(q_eff)
-    m = float(np.min(fq))  # inline logsumexp; scipy's costs ~100us here
-    w = np.exp(m - fq)
-    x = m - math.log(float(np.sum(w)))
-    w *= math.exp(x - m)
+    neg_m, w = _shifted_exp(-fq)  # x = -LSE(-fq); w = exp(m - fq), m = min fq
+    x = -(neg_m + math.log(float(np.sum(w))))
+    w *= math.exp(x + neg_m)
     fp = spec.f_prime(q_eff)
     if dataset.is_binary:
         seed = w * fp * dataset.y
@@ -74,13 +85,16 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         mask[rows, dataset.y] = False
         seed[mask] = (-(w * fp)[:, None] * pi).ravel()
         seed[rows, dataset.y] = w * fp
-    G = backward(tape, seed)
-    g_norm = float(np.linalg.norm(G))
-    beta = float(theta.data @ G / (theta.rho * g_norm)) if g_norm > 0 else 0.0
+    G = backward(cache, seed)
+    g_norm = math.sqrt(G @ G)
+    rho = theta.rho
+    beta = 0.0  # theta = 0 or G = 0: no direction to compare
+    if rho > 0.0 and g_norm > 0.0:
+        beta = float(theta.data @ G / (rho * g_norm))
     return PointEval(
         x=x, q=q, q_eff=q_eff, weights=w, fprime=fp,
         V=float(np.sum(w * fp * q_eff)), G=G, g_norm=g_norm,
-        beta=beta, rho=theta.rho,
+        beta=beta, rho=rho,
     )
 
 
@@ -269,7 +283,14 @@ class LossUpperBound:
         h = (x_new - self.x_last) / subdiv
         weights = np.full(subdiv + 1, h)
         weights[0] = weights[-1] = h / 2.0
-        seg = float(logsumexp(fv, b=weights))
+        # the largest terms split off and the rest summed through log1p,
+        # as scipy.special.logsumexp does, so the bound's bits match it
+        f_max, terms = _shifted_exp(fv, weights)
+        top = fv == f_max
+        top_sum = np.sum(terms * top)
+        terms[top] = 0.0
+        rest = np.sum(terms) / top_sum
+        seg = float(np.log1p(rest) + np.log(top_sum) + f_max)
         self.log_G = float(np.logaddexp(self.log_G, seg))
         self.x_last = x_new
         return self.log_G

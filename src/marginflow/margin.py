@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .datasets import Dataset
-from .losses import LossDomainError, LossSpec
+from .losses import LossSpec
 from .models import HomogeneousModel, as_params
 
 
@@ -85,15 +85,6 @@ def smoothed_margin(theta, log_inv_loss: float, spec: LossSpec,
         raise ValueError("zero parameter vector has no normalized margin")
     spec.check_g_domain(log_inv_loss)
     return float(spec.g(log_inv_loss)) / rho**order_L
-
-
-def log_smoothed_margin(log_rho: float, log_inv_loss: float, spec: LossSpec,
-                        order_L: float) -> float:
-    """log gamma_tilde; the form used once rho^L overflows."""
-    g = float(spec.g(log_inv_loss))
-    if g <= 0.0:
-        raise LossDomainError("smoothed margin undefined at the separability edge")
-    return float(np.log(g)) - order_L * log_rho
 
 
 def smoothed_margin_multihomo(block_norms, k_exps, log_inv_loss: float,

@@ -7,12 +7,13 @@ with its own multi-homogeneity exponent k_i, and sum(k_i) == L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tape, backward, forward
+from .autodiff import ForwardCache, backward, forward
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,18 @@ class ParamVector:
     @property
     def rho(self) -> float:
         if self._rho is None:
-            self._rho = float(np.linalg.norm(self.data))
+            self._rho = math.sqrt(self.data @ self.data)
         return self._rho
 
     def unit(self) -> np.ndarray:
+        """theta / rho; the zero vector has no direction and maps to itself."""
+        if self.rho == 0.0:
+            return np.zeros_like(self.data)
         return self.data / self.rho
 
     def block_norm(self, block: Block) -> float:
-        return float(np.linalg.norm(self.data[block.start : block.stop]))
+        w = self.data[block.start : block.stop]
+        return math.sqrt(w @ w)
 
     def __len__(self) -> int:
         return self.data.size
@@ -84,7 +89,7 @@ class HomogeneousModel:
                 f"block exponents sum to {total}, expected order {self.order_L}"
             )
 
-    def forward(self, theta, x) -> tuple[np.ndarray, Tape]:
+    def forward(self, theta, x) -> tuple[np.ndarray, ForwardCache]:
         return forward(self.graph, as_params(theta).data, x)
 
     def output(self, theta, x) -> np.ndarray:
@@ -197,54 +202,37 @@ def homogeneity_check(model: HomogeneousModel, theta, x, alpha: float) -> float:
     return float(np.max(resid))
 
 
-def euler_residual(model: HomogeneousModel, theta, x) -> float:
-    """Residual of the Euler identity <theta, grad Phi> == L * Phi."""
+def _euler_worst(model: HomogeneousModel, theta, x, part: slice, k: float) -> float:
+    """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
+    over the outputs j, one one-hot seeded backward each."""
     theta = as_params(theta)
-    out, tape = model.forward(theta, x)
+    out, cache = model.forward(theta, x)
     out = np.atleast_1d(out)
     worst = 0.0
-    for j in range(out.size):
-        seed = np.zeros(out.size)
-        seed[j] = 1.0
-        grad = backward(tape, seed if out.size > 1 else 1.0)
-        resid = abs(float(theta.data @ grad) - model.order_L * out[j]) / (
-            1.0 + abs(out[j])
-        )
-        worst = max(worst, resid)
-        if out.size == 1:
-            break
+    for j, seed in enumerate(np.eye(out.size)):
+        grad = backward(cache, seed)
+        inner = float(theta.data[part] @ grad[part])
+        worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
     return worst
+
+
+def euler_residual(model: HomogeneousModel, theta, x) -> float:
+    """Residual of the Euler identity <theta, grad Phi> == L * Phi."""
+    return _euler_worst(model, theta, x, slice(None), model.order_L)
 
 
 def block_euler_residual(model: HomogeneousModel, theta, x, block_i: int) -> float:
     """Residual of the per-block identity <w_i, grad_{w_i} Phi> == k_i * Phi."""
     if not 0 <= block_i < len(model.blocks):
         raise IndexError(f"block index {block_i} out of range")
-    theta = as_params(theta)
     block = model.blocks[block_i]
-    out, tape = model.forward(theta, x)
-    out = np.atleast_1d(out)
-    worst = 0.0
-    for j in range(out.size):
-        seed = np.zeros(out.size)
-        seed[j] = 1.0
-        grad = backward(tape, seed if out.size > 1 else 1.0)
-        inner = float(theta.data[block.start : block.stop] @ grad[block.start : block.stop])
-        resid = abs(inner - block.k * out[j]) / (1.0 + abs(out[j]))
-        worst = max(worst, resid)
-        if out.size == 1:
-            break
-    return worst
+    return _euler_worst(model, theta, x, slice(block.start, block.stop), block.k)
 
 
 def preactivations(model: HomogeneousModel, theta, x) -> list[np.ndarray]:
     """Values entering each nonlinearity; used to avoid kink probes."""
-    _, tape = model.forward(theta, x)
-    pres = []
-    for i, node in enumerate(tape.nodes):
-        if node.op in ("relu", "leaky_relu"):
-            pres.append(tape.nodes[i - 1].value)
-    return pres
+    _, cache = model.forward(theta, x)
+    return [h for kind, h, _, _ in cache.layers if kind in ("relu", "leaky_relu")]
 
 
 def sample_smooth_probe(model: HomogeneousModel, theta, rng: np.random.Generator,
@@ -276,8 +264,8 @@ def per_sample_grads(model: HomogeneousModel, theta, X) -> np.ndarray:
         raise ValueError("per_sample_grads expects a single-output model")
     grads = np.empty((X.shape[0], model.param_count))
     for n in range(X.shape[0]):
-        _, tape = model.forward(theta, X[n])
-        grads[n] = backward(tape, 1.0)
+        _, cache = model.forward(theta, X[n])
+        grads[n] = backward(cache, 1.0)
     return grads
 
 
@@ -286,44 +274,16 @@ def per_sample_grad_norms(model: HomogeneousModel, theta, X) -> np.ndarray:
 
     Uses the layer structure directly: for a dense layer the per-sample
     weight gradient is an outer product, so its Frobenius norm factors
-    into activation norm times sensitivity norm.
+    into activation norm times sensitivity norm. The sensitivities come
+    from the backward pass's reverse loop, seeded with ones.
     """
-    theta = as_params(theta)
-    X = autodiff.as_array(X)
-    if X.ndim == 1:
-        X = X[None, :]
     if model.num_outputs != 1:
         raise ValueError("per_sample_grad_norms expects a single-output model")
-    # forward: record (weight matrix, layer input, pre-activation, act after)
-    records = []
-    h = X
-    pending = None
-    for layer in model.graph:
-        if layer.kind == "dense":
-            w = theta.data[
-                layer.offset : layer.offset + layer.in_dim * layer.out_dim
-            ].reshape(layer.in_dim, layer.out_dim)
-            z = h @ w
-            pending = [w, h, z, None]
-            records.append(pending)
-            h = z
-        else:
-            pending[3] = layer
-            if layer.kind == "square":
-                h = h * h
-            else:
-                h = np.where(h > 0.0, h, layer.alpha * h)
-    # backward: delta_i = dPhi/dz_i; weight grad for layer i is outer(h_in, delta)
-    delta = np.ones((X.shape[0], 1))
-    sq_norms = np.zeros(X.shape[0])
-    for w, h_in, z, act in reversed(records):
-        if act is not None:
-            if act.kind == "square":
-                delta = delta * (2.0 * z)
-            else:
-                delta = delta * autodiff.subgradient_convention(act.kind, z, act.alpha)
+    _, cache = forward(model.graph, as_params(theta).data, X)
+    n = cache.out.shape[0]
+    sq_norms = np.zeros(n)
+    for h_in, delta, _, _ in cache.dense_adjoints(np.ones((n, 1))):
         sq_norms += np.einsum("bi,bi->b", h_in, h_in) * np.einsum(
             "bo,bo->b", delta, delta
         )
-        delta = delta @ w.T
     return np.sqrt(sq_norms)

@@ -1,6 +1,6 @@
 """Independent oracles shared by the test suite.
 
-These deliberately avoid the package's tape machinery: gradients come
+These deliberately avoid the package's gradient engine: gradients come
 from central finite differences and forward values from a straight-line
 numpy evaluation, so agreement is evidence rather than tautology.
 """
@@ -20,7 +20,7 @@ def fd_grad(fun, theta, h=1e-5):
 
 
 def plain_forward(graph, theta, x):
-    """Loop-free-of-tape forward pass over a layer list."""
+    """Straight-line forward pass over a layer list, with no cache."""
     theta = np.asarray(theta, dtype=np.float64)
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     for layer in graph:
@@ -36,6 +36,26 @@ def plain_forward(graph, theta, x):
         else:
             raise ValueError(layer.kind)
     return h
+
+
+def plain_preactivations(graph, theta, x):
+    """Inputs of each ReLU / LeakyReLU, each recomputed from scratch by
+    running plain_forward on the graph truncated just before it."""
+    return [plain_forward(graph[:i], theta, x)
+            for i, layer in enumerate(graph)
+            if layer.kind in ("relu", "leaky_relu")]
+
+
+def seeded_fd_grad(graph, theta, X, seed):
+    """sum_n seed_n . d out(x_n) / d theta: the seed-weighted sum of per-row
+    central-difference gradients, one fd_grad per row and output."""
+    seed = np.asarray(seed, dtype=np.float64).reshape(len(X), -1)
+    total = np.zeros(np.size(theta))
+    for x, row in zip(X, seed):
+        for c, weight in enumerate(row):
+            total += weight * fd_grad(
+                lambda t: float(plain_forward(graph, t, x)[0, c]), theta)
+    return total
 
 
 def rel_err(a, b):

@@ -1,8 +1,9 @@
-"""Gradient engine vs finite differences and a tape-free forward pass."""
+"""Gradient engine vs finite differences and a cache-free forward pass."""
 
 import numpy as np
 import pytest
-from oracles import fd_grad, plain_forward, rel_err
+from oracles import (fd_grad, plain_forward, plain_preactivations, rel_err,
+                     seeded_fd_grad)
 
 from marginflow import autodiff, models
 
@@ -60,22 +61,28 @@ def test_gradients_match_finite_differences():
             continue
         theta = models.init_params(model, rng)
         x = models.sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
-        _, tape = model.forward(theta, x)
-        grad = autodiff.backward(tape)
+        _, cache = model.forward(theta, x)
+        grad = autodiff.backward(cache)
         ref = fd_grad(lambda t: float(model.output(t, x)), theta.data)
         assert rel_err(grad, ref) < 1e-7, model.name
 
 
 def test_seeded_backward_is_weighted_sum():
     rng = np.random.default_rng(4)
-    model = models.relu_mlp(4, [5])
-    theta = models.init_params(model, rng)
-    X = rng.standard_normal((6, 4))
-    weights = rng.standard_normal(6)
-    _, tape = model.forward(theta, X)
-    combined = autodiff.backward(tape, weights)
-    stacked = models.per_sample_grads(model, theta, X)
-    assert rel_err(combined, weights @ stacked) < 1e-13
+    for model in _model_zoo():
+        theta = models.init_params(model, rng)
+        X = np.array([models.sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
+                      for _ in range(6)])
+        # (N,) seed for one output, (N, C) for several
+        shape = (6,) if model.num_outputs == 1 else (6, model.num_outputs)
+        seed = rng.standard_normal(shape)
+        _, cache = model.forward(theta, X)
+        combined = autodiff.backward(cache, seed)
+        ref = seeded_fd_grad(model.graph, theta.data, X, seed)
+        assert rel_err(combined, ref) < 1e-7, model.name
+        if model.num_outputs == 1:
+            stacked = models.per_sample_grads(model, theta, X)
+            assert rel_err(combined, seed @ stacked) < 1e-13, model.name
 
 
 def test_multi_output_seed_selects_class():
@@ -86,8 +93,8 @@ def test_multi_output_seed_selects_class():
     for j in range(3):
         seed = np.zeros(3)
         seed[j] = 1.0
-        _, tape = model.forward(theta, x)
-        grad = autodiff.backward(tape, seed)
+        _, cache = model.forward(theta, x)
+        grad = autodiff.backward(cache, seed)
         ref = fd_grad(lambda t: float(model.output(t, x)[j]), theta.data)
         assert rel_err(grad, ref) < 1e-7
 
@@ -103,6 +110,29 @@ def test_nonfinite_forward_raises():
     model = models.linear(2)
     with pytest.raises(autodiff.NonFiniteError):
         model.forward(np.array([np.inf, 1.0]), np.ones(2))
+
+
+def test_nonfinite_seed_raises():
+    model = models.relu_mlp(3, [4])
+    theta = models.init_params(model, np.random.default_rng(6))
+    _, cache = model.forward(theta, np.ones((2, 3)))
+    with np.errstate(invalid="ignore"):  # inf * 0 at dead units
+        with pytest.raises(autodiff.NonFiniteError):
+            autodiff.backward(cache, np.array([1.0, np.nan]))
+        with pytest.raises(autodiff.NonFiniteError):
+            autodiff.backward(cache, np.inf)
+
+
+def test_preactivations_match_plain_forward():
+    rng = np.random.default_rng(7)
+    for model in _model_zoo():
+        theta = models.init_params(model, rng)
+        X = rng.standard_normal((5, model.input_dim))
+        got = models.preactivations(model, theta, X)
+        ref = plain_preactivations(model.graph, theta.data, X)
+        assert len(got) == len(ref), model.name
+        for pre, want in zip(got, ref):
+            assert rel_err(pre, want) < 1e-14, model.name
 
 
 def test_subgradient_convention_at_kink():

@@ -8,10 +8,12 @@ cross-checked by quadrature.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from marginflow import datasets, gradflow, losses, models
 
@@ -103,6 +105,33 @@ def test_zero_gradient_is_stationary():
     nxt, info = gradflow.flow_step(model, data, spec, state, dt_scaled=1.0)
     assert nxt is state
     assert info.dt == 0.0
+
+
+def test_zero_start_emits_no_warning():
+    spec = losses.get_loss("exp")
+    model = models.linear(2)
+    data = datasets.two_gaussians(n=6, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = gradflow.evaluate_point(model, np.zeros(2), data, spec)
+        assert ev.rho == 0.0 and ev.beta == 0.0 and ev.g_norm > 0.0
+        state = gradflow.init_flow(model, np.zeros(2), data, spec)
+        nxt, info = gradflow.flow_step(
+            model, data, spec, state, gradflow.propose_dt_scaled(ev, 1e-3),
+            step_tol=1e-3)
+    assert nxt.steps == 1 and nxt.theta.rho > 0.0
+    # the zero vector has no direction, so the step moves theta_hat by 1
+    assert info.delta_theta_hat == pytest.approx(1.0, abs=1e-12)
+
+
+def test_loss_upper_bound_update_is_trapezoid_lse():
+    spec = losses.get_loss("logistic")
+    bound = gradflow.LossUpperBound(spec, 2.0, 3.0, -1.0, t0=0.0)
+    v = np.linspace(3.0, 4.5, 9)
+    weights = np.full(9, 1.5 / 8)
+    weights[0] = weights[-1] = 1.5 / 16
+    ref = logsumexp(bound._log_integrand(v), b=weights)
+    assert bound.update(4.5, subdiv=8) == pytest.approx(ref, rel=1e-14)
 
 
 def test_flow_step_descent_cap_and_halving():
