@@ -29,34 +29,6 @@ class NonFiniteError(FloatingPointError):
     """Raised when a forward or backward pass produces non-finite values."""
 
 
-@dataclass
-class Tensor:
-    """Dense tensor: a shape plus a contiguous flat float64 buffer."""
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        if int(np.prod(self.shape)) != self.data.size:
-            raise ShapeError("tensor", self.shape, self.data.size)
-
-    @classmethod
-    def from_array(cls, arr) -> "Tensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape, arr.ravel())
-
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
-
-
-def as_array(x) -> np.ndarray:
-    """Coerce a Tensor or array-like to a float64 ndarray."""
-    if isinstance(x, Tensor):
-        return x.array()
-    return np.asarray(x, dtype=np.float64)
-
-
 def subgradient_convention(primitive: str, z, alpha: float = 0.0):
     """Fixed derivative selection for kinked primitives.
 
@@ -113,7 +85,7 @@ def forward(graph: Sequence, params: np.ndarray,
     scalar for a single sample of a single-output model.
     """
     params = np.asarray(params, dtype=np.float64)
-    h = as_array(x)
+    h = np.asarray(x, dtype=np.float64)
     single = h.ndim == 1
     if single:
         h = h[None, :]

@@ -15,9 +15,9 @@ import json
 import sys
 
 from .losses import get_loss, validate_b3
-from .rates import bounded_ratio_verdict, rate_ratios
-from .runner import (RunConfig, SCENARIOS, _jsonable, config_digest,
-                     kkt_report, load_config, run_scenario)
+from .runner import (KKT_FRACTIONS, RunConfig, SCENARIOS, _b3_as_dict,
+                     _jsonable, _summary, config_digest, kkt_report,
+                     load_config, run_scenario)
 
 
 def _add_config(p: argparse.ArgumentParser, required: bool = True):
@@ -75,14 +75,7 @@ def cmd_validate_loss(args) -> int:
     for name in args.loss:
         report = validate_b3(get_loss(name))
         ok = ok and report.ok
-        reports.append({
-            "loss": report.loss_name,
-            "ok": report.ok,
-            "clauses": [
-                {"clause": c.clause, "passed": c.passed, "worst": c.worst}
-                for c in report.clauses
-            ],
-        })
+        reports.append(_b3_as_dict(report))
     print(json.dumps(reports, indent=2, sort_keys=True))
     return 0 if ok else 1
 
@@ -92,14 +85,15 @@ def cmd_kkt_report(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     report = kkt_report(cfg, seed)
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    return 0
+    # a flow that stopped short of the last checkpoint is a failure
+    return 0 if len(report["kkt"]) == len(KKT_FRACTIONS) else 1
 
 
 def cmd_rates(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     result = SCENARIOS["rates"](cfg, seed)
-    print(json.dumps(_jsonable(result["summary"]), indent=2, sort_keys=True))
+    print(json.dumps(_summary(cfg, seed, result), indent=2, sort_keys=True))
     return 0 if not result["failures"] else 1
 
 

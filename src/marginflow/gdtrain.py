@@ -11,7 +11,7 @@ c = alpha * e^{a - x} and G = e^x (-grad loss) both order one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,43 +31,6 @@ R_DOWN = 2.0 ** (1.0 / 10.0)
 
 class ReframeError(RuntimeError):
     """Relative step left float range: refresh the frame anchor."""
-
-
-@dataclass(frozen=True)
-class RelativeLossFrame:
-    """Loss bookkeeping relative to the previous epoch's loss.
-
-    f_tilde is the log of the previous mean loss; eta_hat is the step
-    on the relative loss, equal to the scheduler's alpha. The physical
-    rate is eta = eta_hat * e^{-f_tilde}.
-    """
-
-    f_tilde: float
-    eta_hat: float
-    q_threshold: float = 30.0
-
-
-def relative_loss(model: HomogeneousModel, theta, batch: Dataset,
-                  frame: RelativeLossFrame, spec: LossSpec) -> float:
-    """Mean batch loss divided by e^{f_tilde}; finite while the loss
-    stays within ~e^{600} of the anchor.
-
-    For exponential-family f the ratio is summed exactly in log space.
-    For the logistic family the exact per-sample loss log1p(e^{-q}) is
-    used until every margin clears q_threshold, beyond which it equals
-    e^{-q} up to relative error e^{-q_threshold}.
-    """
-    q = effective_margins(model, theta, batch)
-    log_b = math.log(batch.n)
-    if spec.name == "exp" or np.all(q > frame.q_threshold):
-        fq = spec.f(q)
-        m = float(np.min(fq))
-        log_inv = m - math.log(float(np.sum(np.exp(m - fq))))
-        return math.exp(-log_inv - log_b - frame.f_tilde)
-    # some margin is still small, so the loss (hence e^{-f_tilde} after
-    # one epoch) is bounded away from the underflow regime
-    per_sample = np.logaddexp(0.0, -q)  # log1p(e^{-q}), all regimes
-    return float(np.sum(per_sample)) / batch.n * math.exp(-frame.f_tilde)
 
 
 def gd_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,

@@ -12,14 +12,16 @@ w = dt * exp(-x0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
 from .losses import LossSpec
-from .margin import score_gaps, soft_margins
+from .margin import (_inv_loss_weights, _shifted_exp, score_gaps,
+                     soft_margins)
 from .models import HomogeneousModel, ParamVector, as_params
 
 
@@ -43,19 +45,6 @@ class PointEval:
         return math.log(self.g_norm) - self.x
 
 
-def _shifted_exp(a: np.ndarray, b=None) -> tuple[float, np.ndarray]:
-    """(a_max, b * exp(a - a_max)): the O(1) terms of log sum b e^a.
-
-    Inline log-sum-exp; scipy's `logsumexp` costs ~100-300us per call
-    on the short arrays of the flow's hot loop.
-    """
-    a_max = float(np.max(a))
-    terms = np.exp(a - a_max)
-    if b is not None:
-        terms *= b
-    return a_max, terms
-
-
 def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
                    spec: LossSpec) -> PointEval:
     """One forward plus one seeded backward; all exponents stay O(1)."""
@@ -69,10 +58,7 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         gaps = score_gaps(phi, dataset.y)
         q = np.min(gaps, axis=1)
         q_eff = soft_margins(gaps)
-    fq = spec.f(q_eff)
-    neg_m, w = _shifted_exp(-fq)  # x = -LSE(-fq); w = exp(m - fq), m = min fq
-    x = -(neg_m + math.log(float(np.sum(w))))
-    w *= math.exp(x + neg_m)
+    x, w = _inv_loss_weights(spec.f(q_eff))
     fp = spec.f_prime(q_eff)
     if dataset.is_binary:
         seed = w * fp * dataset.y
@@ -302,6 +288,29 @@ class LossUpperBound:
         return self.log_G - self.log_rhs_scale - math.log(t - self.t0)
 
 
+def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
+                spec: LossSpec, *, step_tol: float = 1e-4,
+                max_steps: int = 200_000,
+                ) -> Iterator[tuple[FlowState, StepInfo | None]]:
+    """The flow's trajectory, one accepted step at a time.
+
+    Yields (state, None) for the start, then (state, info) after every
+    accepted `flow_step`. Ends at exact stationarity (zero gradient, so
+    no step is possible) or once `max_steps` steps have been taken;
+    callers stop it at their own targets.
+    """
+    state = init_flow(model, theta0, dataset, spec)
+    dt_scaled = propose_dt_scaled(state.ev, step_tol)
+    yield state, None
+    while state.steps < max_steps:
+        state, info = flow_step(model, dataset, spec, state, dt_scaled,
+                                step_tol=step_tol)
+        if info.dt_scaled == 0.0:
+            return  # exactly stationary
+        dt_scaled = info.next_dt_scaled
+        yield state, info
+
+
 def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
              *, target_log_inv_loss: float, step_tol: float = 1e-4,
              max_steps: int = 200_000, record_every: int = 1) -> dict:
@@ -311,8 +320,6 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     (activated after separation), and trajectory records suitable for
     serialization.
     """
-    state = init_flow(model, theta0, dataset, spec)
-    dt_scaled = propose_dt_scaled(state.ev, step_tol)
     records = []
     monitors = {
         "growth_residual": [],
@@ -341,20 +348,8 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
             rec["bar_gamma"] = rec["q_min"] / st.ev.rho**model.order_L
         records.append(rec)
 
-    if is_separated(state.ev, spec):
-        t_sep = state.t
-        bound = LossUpperBound(
-            spec, model.order_L, state.ev.x,
-            log_tilde_margin(state.ev, spec, model.order_L), state.t,
-        )
-    record(state)
-    while state.ev.x < target_log_inv_loss and state.steps < max_steps:
-        prev = state.ev
-        state, info = flow_step(model, dataset, spec, state, dt_scaled,
-                                step_tol=step_tol)
-        if info.dt_scaled == 0.0:
-            break  # exactly stationary
-        dt_scaled = info.next_dt_scaled
+    for state, info in flow_states(model, theta0, dataset, spec,
+                                   step_tol=step_tol, max_steps=max_steps):
         if t_sep is None and is_separated(state.ev, spec):
             t_sep = state.t
             bound = LossUpperBound(
@@ -377,6 +372,9 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                 monitors["upper_slack"].append(bound.slack(state.t))
         if state.steps % record_every == 0:
             record(state)
+        if state.ev.x >= target_log_inv_loss:
+            break
+        prev = state.ev
     if records[-1]["step"] != state.steps:
         record(state)
     return {

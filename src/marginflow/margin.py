@@ -7,10 +7,10 @@ float range stay representable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .datasets import Dataset
 from .losses import LossSpec
@@ -34,7 +34,8 @@ def score_gaps(phi: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def soft_margins(gaps: np.ndarray) -> np.ndarray:
     """q_tilde_n = -LSE_j(-s_nj), the soft-min over the per-class gaps."""
-    return -logsumexp(-gaps, axis=1)
+    s_min = np.min(gaps, axis=1)
+    return s_min - np.log(np.sum(np.exp(s_min[:, None] - gaps), axis=1))
 
 
 def sample_margins(model: HomogeneousModel, theta, dataset: Dataset) -> np.ndarray:
@@ -55,9 +56,34 @@ def effective_margins(model: HomogeneousModel, theta, dataset: Dataset) -> np.nd
     return soft_margins(score_gaps(phi, dataset.y))
 
 
+def _shifted_exp(a: np.ndarray, b=None) -> tuple[float, np.ndarray]:
+    """(a_max, b * exp(a - a_max)): the O(1) terms of log sum b e^a.
+
+    Inline log-sum-exp; scipy's `logsumexp` costs ~100-300us per call
+    on the short arrays of the flow's hot loop.
+    """
+    a_max = float(np.max(a))
+    terms = np.exp(a - a_max)
+    if b is not None:
+        terms *= b
+    return a_max, terms
+
+
+def _inv_loss_weights(fq: np.ndarray) -> tuple[float, np.ndarray]:
+    """(x, w) for loss = sum_n exp(-fq_n): x = -LSE(-fq), w = exp(x - fq).
+
+    The weights are formed as exp(m - fq) * exp(x - m) with m = min fq,
+    so every exponent stays O(1) however small the loss is.
+    """
+    neg_m, w = _shifted_exp(-fq)
+    x = -(neg_m + math.log(float(np.sum(w))))
+    w *= math.exp(x + neg_m)
+    return x, w
+
+
 def log_inv_loss_from_margins(spec: LossSpec, q_eff) -> float:
     """x = log(1/loss) for loss = sum_n exp(-f(q_n)); stable LSE path."""
-    return float(-logsumexp(-spec.f(np.asarray(q_eff, dtype=np.float64))))
+    return _inv_loss_weights(spec.f(np.asarray(q_eff, dtype=np.float64)))[0]
 
 
 def log_inv_loss(model: HomogeneousModel, theta, dataset: Dataset,
@@ -72,9 +98,7 @@ def loss_weights(spec: LossSpec, q_eff) -> tuple[float, np.ndarray]:
     these weights, which keeps all exponents O(1) regardless of how
     small the loss is.
     """
-    fq = spec.f(np.asarray(q_eff, dtype=np.float64))
-    x = float(-logsumexp(-fq))
-    return x, np.exp(x - fq)
+    return _inv_loss_weights(spec.f(np.asarray(q_eff, dtype=np.float64)))
 
 
 def smoothed_margin(theta, log_inv_loss: float, spec: LossSpec,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import ForwardCache, backward, forward
 
 
@@ -257,7 +256,7 @@ def per_sample_grads(model: HomogeneousModel, theta, X) -> np.ndarray:
     certificates; the training path never materializes this matrix.
     """
     theta = as_params(theta)
-    X = autodiff.as_array(X)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if model.num_outputs != 1:

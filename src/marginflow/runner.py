@@ -28,18 +28,18 @@ import numpy as np
 import yaml
 
 from .datasets import Dataset, from_rows, load_dataset, two_gaussians
-from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
-                      LrSchedulerState, loss_based_lr_epoch, train_gd)
-from .gradflow import (evaluate_point, flow_step, init_flow,
-                       log_tilde_margin, propose_dt_scaled, run_flow,
-                       run_hat)
+from .gdtrain import estimate_b_constants, gd_step, gd_step_direct, train_gd
+from .gradflow import (evaluate_point, flow_states, log_tilde_margin,
+                       run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import get_loss, validate_b3
 from .margin import effective_margins
-from .models import build_model, init_params
+from .models import as_params, build_model, init_params
 from .rates import bounded_ratio_verdict, rate_ratios
 
 LOG10 = math.log(10.0)
+# kkt-report checkpoints, as fractions of the target log(1/loss)
+KKT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 OPTIMIZERS = ("flow", "gd_const", "gd_loss_based")
 
 # fixed 8-point separable set used by the linear scenario; margin 0.8
@@ -225,6 +225,21 @@ def _b_constants_dict(b) -> dict | None:
             "n_sphere": b.n_sphere, "n_curvature": b.n_curvature}
 
 
+def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
+    """A scenario's own summary fields inside the common envelope: run
+    identity, the loss validation report, B-constants and failures."""
+    spec = result["spec"]
+    return _jsonable({
+        **result["summary"],
+        "scenario": cfg.scenario, "seed": seed,
+        "config_sha256": config_digest(cfg.raw),
+        "loss_validation": (None if spec is None
+                            else _b3_as_dict(validate_b3(spec))),
+        "b_constants": _b_constants_dict(result["b"]),
+        "failures": result["failures"],
+    })
+
+
 def _sample_b_constants(model, dataset, cfg: RunConfig, seed: int, witness):
     return estimate_b_constants(
         model, dataset, np.random.default_rng(seed + 10_007),
@@ -299,10 +314,6 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
     b = _sample_b_constants(model, ds, cfg, seed, state.theta) \
         if ds.is_binary else None
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": _b3_as_dict(validate_b3(spec)),
-        "b_constants": _b_constants_dict(b),
         "final": {
             "t": state.t, "steps": state.steps, "x": state.ev.x,
             "rho": state.ev.rho, "q_min": float(np.min(state.ev.q)),
@@ -314,10 +325,9 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
             "min_nu_slack": min(mon["nu_slack"], default=None),
             "min_upper_slack": min(mon["upper_slack"], default=None),
         },
-        "failures": failures,
     }
     return {"records": out["records"], "summary": summary,
-            "failures": failures, "csv": {}}
+            "failures": failures, "csv": {}, "spec": spec, "b": b}
 
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
@@ -368,22 +378,17 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
     ]:
         if worst > tol:
             failures.append(f"monitor {name} out of tolerance: {worst:.3e}")
-    mstate = res["margin_state"]
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": _b3_as_dict(validate_b3(spec)),
-        "b_constants": _b_constants_dict(mstate.b if mstate else None),
         "final": {
             "epochs": len(records), "x": res["ev"].x,
             "rho": res["ev"].rho, "alpha": res["scheduler"].alpha,
             "log_sum_eta": res["log_sum_eta"],
         },
         "margin_series_len": len(hats),
-        "failures": failures,
     }
+    mstate = res["margin_state"]
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}}
+            "csv": {}, "spec": spec, "b": mstate.b if mstate else None}
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
@@ -411,10 +416,6 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         b1=float(np.max(np.linalg.norm(ds.X, axis=1))))
     b = _sample_b_constants(model, ds, cfg, seed, state.theta)
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": _b3_as_dict(validate_b3(spec)),
-        "b_constants": _b_constants_dict(b),
         "svm_angle_gap": gap,
         "svm_margin": svm_margin,
         "kkt": {
@@ -424,10 +425,9 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
             "q_min": cert.q_min, "log_inv_loss": cert.log_inv_loss,
         },
         "final": {"t": state.t, "x": state.ev.x, "rho": state.ev.rho},
-        "failures": failures,
     }
     return {"records": out["records"], "summary": summary,
-            "failures": failures, "csv": {}}
+            "failures": failures, "csv": {}, "spec": spec, "b": b}
 
 
 def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
@@ -474,66 +474,47 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     b = _sample_b_constants(model, ds, cfg, seed, theta_final) \
         if ds.is_binary and model.num_outputs == 1 else None
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": _b3_as_dict(validate_b3(spec)),
-        "b_constants": _b_constants_dict(b),
         "rates": {
             "decades": diag.decades, "inconclusive": diag.inconclusive,
             "passed": verdict.passed, "factor_loss": verdict.factor_loss,
             "factor_rho": verdict.factor_rho, "window": verdict.window,
         },
-        "failures": failures,
     }
     csv = {"rates": (("log10_T", "ratio_loss", "ratio_rho"),
                      list(zip(diag.log10_T, diag.ratio_loss,
                               diag.ratio_rho)))}
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": csv}
+            "csv": csv, "spec": spec, "b": b}
 
 
-def frame_equivalence_check(model, ds, spec, theta0, alpha0: float,
-                            x_stop: float = 575.0,
-                            max_epochs: int = 200) -> dict:
-    """Run the anchored-frame loop and a plain float64 loop side by side.
+def frame_equivalence_check(model, ds, spec, theta0, records,
+                            x_stop: float = 575.0) -> dict:
+    """Replay a `train_gd` run's accepted epochs in the anchored frame
+    and through a plain float64 loop side by side.
 
-    Both use the same loss-based schedule; the float64 path is valid
-    while the loss stays above ~1e-250 (x_stop), which is exactly the
-    window where the two must agree.
+    The float64 path is valid while the loss stays above ~1e-250
+    (x_stop), which is exactly the window where the two must agree.
     """
-    theta_rel = theta0
-    theta_dir = theta0
-    sched = None
+    theta_rel = theta_dir = as_params(theta0)
     max_rel = 0.0
     epochs = 0
-    for _ in range(max_epochs):
+    x_reached = None
+    for rec in records:
         ev = evaluate_point(model, theta_rel, ds, spec)
-        if ev.x >= x_stop:
+        if ev.x >= x_stop or rec["flagged"]:
             break
-        if sched is None:
-            sched = LrSchedulerState(alpha=alpha0, last_log_inv_loss=ev.x)
-        anchor = ev.x
-
-        def train_fn(a, th=theta_rel, e=ev, anc=anchor):
-            return gd_step(model, ds, spec, th, a, anc, ev=e)[0]
-
-        def eval_fn(cand):
-            return evaluate_point(model, cand, ds, spec).x
-
-        sched, theta_rel, outcome = loss_based_lr_epoch(sched, train_fn,
-                                                        eval_fn)
-        if theta_rel is None:
-            break
+        theta_rel = gd_step(model, ds, spec, theta_rel, rec["alpha"], ev.x,
+                            ev=ev)[0]
         q = effective_margins(model, theta_dir, ds)
         mean_loss = float(np.mean(np.exp(-spec.f(q))))
         theta_dir = gd_step_direct(model, ds, spec, theta_dir,
-                                   outcome.alpha_used / mean_loss)
+                                   rec["alpha"] / mean_loss)
         rel = (np.linalg.norm(theta_rel.data - theta_dir.data)
                / np.linalg.norm(theta_dir.data))
         max_rel = max(max_rel, float(rel))
         epochs += 1
-    return {"max_rel": max_rel, "epochs": epochs,
-            "x_reached": sched.last_log_inv_loss if sched else None}
+        x_reached = rec["log_inv_loss"]
+    return {"max_rel": max_rel, "epochs": epochs, "x_reached": x_reached}
 
 
 def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
@@ -567,17 +548,12 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
     bad = _non_finite_fields(records)
     if bad:
         failures.append(f"non-finite record values: {bad[:3]}")
-    frame = frame_equivalence_check(model, ds, spec, theta0, cfg.alpha0)
+    frame = frame_equivalence_check(model, ds, spec, theta0, records)
     if frame["max_rel"] > 1e-8:
         failures.append(
             f"anchored and direct paths diverged: {frame['max_rel']:.2e}")
     alphas = [r["alpha"] for r in records]
-    mstate = res["margin_state"]
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": _b3_as_dict(validate_b3(spec)),
-        "b_constants": _b_constants_dict(mstate.b if mstate else None),
         "final": {
             "epochs": len(records), "log10_loss": final_log10,
             "x": res["ev"].x, "alpha_min": min(alphas),
@@ -585,10 +561,10 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
         },
         "flagged_epochs": res["flagged_epochs"],
         "frame_equivalence": frame,
-        "failures": failures,
     }
+    mstate = res["margin_state"]
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}}
+            "csv": {}, "spec": spec, "b": mstate.b if mstate else None}
 
 
 def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
@@ -614,19 +590,15 @@ def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
     if records[-1]["clamped"]:
         failures.append("integrator clamped the radius")
     summary = {
-        "scenario": cfg.scenario, "seed": seed,
-        "config_sha256": config_digest(cfg.raw),
-        "loss_validation": None,  # no classification loss in this scenario
-        "b_constants": None,
         "hat": {"psi_max": psi_max, "r_final": r_final,
                 "phi_gain": phi_gain, "records": len(records)},
-        "failures": failures,
     }
     csv = {"hat": (("t", "r", "phi", "psi", "rho"),
                    [(r["t"], r["r"], r["phi"], r["psi"], r["rho"])
                     for r in records])}
+    # no classification loss in this scenario
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": csv}
+            "csv": csv, "spec": None, "b": None}
 
 
 SCENARIOS = {
@@ -662,7 +634,7 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
     paths = []
     for s in seeds:
         result = fn(cfg, s)
-        summary = _jsonable(result["summary"])
+        summary = _summary(cfg, s, result)
         prefix = f"{cfg.scenario}-seed{s}"
         jsonl = out / f"{prefix}.jsonl"
         write_jsonl(jsonl, cfg, s, result["records"])
@@ -684,23 +656,29 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
 
 
 def kkt_report(cfg: RunConfig, seed: int) -> dict:
-    """Certificates at geometrically spaced checkpoints of a flow run."""
+    """Certificates at geometrically spaced checkpoints of a flow run.
+
+    A flow that stops (stationary, or out of steps) before a checkpoint
+    reports only the checkpoints it reached.
+    """
     model = _build_model(cfg, {"family": "linear", "input_dim": 2})
     ds = _build_dataset(cfg, lambda: from_rows(LINEAR_2D_ROWS,
                                                provenance="linear_2d"))
     spec = get_loss(cfg.loss)
     theta0 = (np.asarray(cfg.options["theta0"], dtype=np.float64)
               if "theta0" in cfg.options else _init(model, cfg, seed))
-    state = init_flow(model, theta0, ds, spec)
-    dt = propose_dt_scaled(state.ev, cfg.step_tol)
-    targets = [cfg.target_log_inv_loss * f for f in (0.125, 0.25, 0.5, 1.0)]
+    states = flow_states(model, theta0, ds, spec, step_tol=cfg.step_tol)
+    state, _ = next(states)
+    targets = [cfg.target_log_inv_loss * f for f in KKT_FRACTIONS]
     b1 = float(np.max(np.linalg.norm(ds.X, axis=1)))
     anchor = None
     checkpoints = []
     for x_target in targets:
-        while state.ev.x < x_target:
-            state, info = flow_step(model, ds, spec, state, dt, cfg.step_tol)
-            dt = info.next_dt_scaled
+        try:
+            while state.ev.x < x_target:
+                state, _ = next(states)
+        except StopIteration:
+            break  # stationary or out of steps before the target
         if anchor is None and float(np.min(state.ev.q)) > 0.0 \
                 and spec.g(state.ev.x) > 0.0:
             anchor = log_tilde_margin(state.ev, spec, model.order_L)

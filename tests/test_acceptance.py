@@ -15,8 +15,8 @@ import pytest
 
 from marginflow.datasets import from_rows, two_gaussians
 from marginflow.gdtrain import train_gd
-from marginflow.gradflow import (flow_step, init_flow, log_tilde_margin,
-                                 propose_dt_scaled, run_flow, run_hat)
+from marginflow.gradflow import (flow_states, log_tilde_margin, run_flow,
+                                 run_hat)
 from marginflow.kkt import (Beta2Accumulator, build_certificate,
                             direction_gap_to_svm, svm_oracle)
 from marginflow.losses import get_loss, validate_b3
@@ -33,16 +33,6 @@ LOGISTIC = get_loss("logistic")
 
 N_POINTS = 12
 FLOW_SEEDS = range(10)
-
-
-def _flow_to(model, ds, spec, theta0, x_target, step_tol=2e-3,
-             max_steps=50_000):
-    state = init_flow(model, theta0, ds, spec)
-    dt = propose_dt_scaled(state.ev, step_tol)
-    while state.ev.x < x_target and state.steps < max_steps:
-        state, info = flow_step(model, ds, spec, state, dt, step_tol)
-        dt = info.next_dt_scaled
-    return state
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +135,10 @@ def test_criterion_06_linear_svm_convergence():
     t0 = time.perf_counter()
     ds = from_rows(LINEAR_2D_ROWS, provenance="linear_2d")
     model = build_model("linear", 2)
-    state = _flow_to(model, ds, LOGISTIC, np.array([0.2, -0.1]), 200.0,
-                     step_tol=3e-3)
+    for state, _ in flow_states(model, np.array([0.2, -0.1]), ds, LOGISTIC,
+                                step_tol=3e-3, max_steps=50_000):
+        if state.ev.x >= 200.0:
+            break
     assert state.ev.x >= 200.0
     w_star, _ = svm_oracle(ds.X, ds.y)
     assert direction_gap_to_svm(state.theta, w_star) <= 0.02
@@ -203,13 +195,12 @@ def test_criterion_08_kkt_trends(flow_runs):
     ds = flow_runs["ds"]
     model = flow_runs["model"]
     theta0 = init_params(model, np.random.default_rng(0), scale=0.7)
-    state = init_flow(model, theta0, ds, EXP)
-    dt = propose_dt_scaled(state.ev, 2e-3)
+    states = flow_states(model, theta0, ds, EXP, step_tol=2e-3)
+    state, _ = next(states)
     anchor = None
     for x_target in (6.0, 12.0, 24.0):  # all past b_g = 0 for exp
         while state.ev.x < x_target:
-            state, info = flow_step(model, ds, EXP, state, dt, 2e-3)
-            dt = info.next_dt_scaled
+            state, _ = next(states)
         if anchor is None:
             anchor = log_tilde_margin(state.ev, EXP, model.order_L)
         cert = build_certificate(model, state.theta, ds, EXP, ev=state.ev,

@@ -142,10 +142,3 @@ def test_subgradient_convention_at_kink():
     assert np.array_equal(
         autodiff.subgradient_convention("relu", z), np.array([0.0, 0.0, 1.0])
     )
-
-
-def test_tensor_shape_validation():
-    t = autodiff.Tensor.from_array(np.arange(6.0).reshape(2, 3))
-    assert t.shape == (2, 3) and t.data.shape == (6,)
-    with pytest.raises(autodiff.ShapeError):
-        autodiff.Tensor((2, 2), np.arange(6.0))

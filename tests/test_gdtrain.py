@@ -7,14 +7,14 @@ import pytest
 
 from marginflow import datasets, losses, models
 from marginflow.gdtrain import (BConstants, GdMarginState, LrSchedulerState,
-                                PhiCurve, ReframeError, RelativeLossFrame,
-                                check_s5, estimate_b_constants, gd_step,
+                                PhiCurve, ReframeError, check_s5,
+                                estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
-                                loss_based_lr_epoch, relative_loss, train_gd)
+                                loss_based_lr_epoch, train_gd)
 from marginflow.gradflow import evaluate_point
 from marginflow.losses import LossDomainError
-from marginflow.margin import effective_margins
 from marginflow.models import ParamVector
+from marginflow.runner import frame_equivalence_check
 
 from oracles import LOGISTIC_PHI_CORRECTION
 
@@ -60,49 +60,6 @@ def test_gd_step_reframe_error():
     for bad in (1e-301, 1e301):
         with pytest.raises(ReframeError):
             gd_step(model, ds, EXP, theta0, bad, 0.0)
-
-
-# -------------------------------------------------------- relative loss
-
-def test_relative_loss_exp_is_exact_ratio():
-    model = models.linear(2)
-    ds = datasets.from_rows([[1.0, 0.0, 1], [0.5, 0.5, 1], [2.0, -1.0, -1]])
-    w = ParamVector(np.array([0.8, -0.4]))
-    q = effective_margins(model, w, ds)
-    mean_loss = float(np.mean(np.exp(-q)))
-    frame = RelativeLossFrame(f_tilde=math.log(mean_loss), eta_hat=0.1)
-    assert math.isclose(relative_loss(model, w, ds, frame, EXP), 1.0,
-                        rel_tol=1e-12)
-    shifted = RelativeLossFrame(f_tilde=math.log(mean_loss) + 0.7,
-                                eta_hat=0.1)
-    assert math.isclose(relative_loss(model, w, ds, shifted, EXP),
-                        math.exp(-0.7), rel_tol=1e-12)
-
-
-def test_relative_loss_branch_crossover():
-    # margins near 35 sit in both branches' comfort zone; forcing each
-    # branch via the threshold must agree to float accuracy
-    model = models.linear(2)
-    ds = datasets.from_rows([[35.0, 0.0, 1], [40.0, 1.0, 1]])
-    w = ParamVector(np.array([1.0, 0.0]))
-    f_tilde = math.log(math.exp(-35.0) / 2.0)
-    small_q = RelativeLossFrame(f_tilde=f_tilde, eta_hat=1.0, q_threshold=30.0)
-    large_q = RelativeLossFrame(f_tilde=f_tilde, eta_hat=1.0,
-                                q_threshold=100.0)
-    r1 = relative_loss(model, w, ds, small_q, LOGISTIC)
-    r2 = relative_loss(model, w, ds, large_q, LOGISTIC)
-    assert math.isclose(r1, r2, rel_tol=1e-10)
-
-
-def test_relative_loss_deep_anchor_unit_ratio():
-    # margin 100 with anchor log-loss -100: the ratio is 1 despite the
-    # loss itself being 4e-44 below float-denormal territory squared
-    model = models.linear(2)
-    ds = datasets.from_rows([[100.0, 0.0, 1]])
-    w = ParamVector(np.array([1.0, 0.0]))
-    frame = RelativeLossFrame(f_tilde=-100.0, eta_hat=1.0)
-    assert math.isclose(relative_loss(model, w, ds, frame, LOGISTIC), 1.0,
-                        rel_tol=1e-10)
 
 
 # ------------------------------------------------------------ scheduler
@@ -160,34 +117,11 @@ def test_scheduler_retry_exhaustion_flags_epoch():
 
 def test_relative_frame_matches_direct_float64():
     model, ds, theta0 = _toy()
-    theta_rel = theta0
-    sched = None
-    alphas = []
-    for _ in range(25):
-        ev = evaluate_point(model, theta_rel, ds, EXP)
-        if sched is None:
-            sched = LrSchedulerState(alpha=0.1, last_log_inv_loss=ev.x)
-        anchor = ev.x
-
-        def train_fn(a, th=theta_rel, e=ev, anc=anchor):
-            return gd_step(model, ds, EXP, th, a, anc, ev=e)[0]
-
-        def eval_fn(cand):
-            return evaluate_point(model, cand, ds, EXP).x
-
-        sched, theta_rel, out = loss_based_lr_epoch(sched, train_fn, eval_fn)
-        alphas.append(out.alpha_used)
-    assert sched.last_log_inv_loss < 575.0  # loss above 1e-250 throughout
-
-    theta_dir = theta0
-    for alpha in alphas:
-        q = effective_margins(model, theta_dir, ds)
-        mean_loss = float(np.mean(np.exp(-EXP.f(q))))
-        theta_dir = gd_step_direct(model, ds, EXP, theta_dir,
-                                   alpha / mean_loss)
-    rel = (np.linalg.norm(theta_rel.data - theta_dir.data)
-           / np.linalg.norm(theta_dir.data))
-    assert rel < 1e-8
+    res = train_gd(model, theta0, ds, EXP, epochs=25, s5_guard=False)
+    frame = frame_equivalence_check(model, ds, EXP, theta0, res["records"])
+    assert frame["epochs"] == 25
+    assert frame["x_reached"] < 575.0  # loss above 1e-250 throughout
+    assert frame["max_rel"] < 1e-8
 
 
 # ------------------------------------------------------------- phi curve

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginflow import datasets, losses, models
-from marginflow.gradflow import (evaluate_point, flow_step, init_flow,
-                                 log_tilde_margin, propose_dt_scaled)
+from marginflow.gradflow import flow_states, log_tilde_margin
 from marginflow.kkt import (Beta2Accumulator, KktCertificate,
                             NotSeparableError, build_certificate,
                             direction_gap_to_svm, feasible_scaling,
@@ -21,14 +20,13 @@ EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
 
 
-def _flow_to(model, ds, spec, theta0, x_target, step_tol=3e-3,
-             max_steps=50_000):
-    state = init_flow(model, theta0, ds, spec)
-    dt = propose_dt_scaled(state.ev, step_tol)
-    while state.ev.x < x_target:
-        state, info = flow_step(model, ds, spec, state, dt, step_tol)
-        dt = info.next_dt_scaled
-        assert state.steps < max_steps, "flow stalled before the target"
+def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3,
+              max_steps=50_000):
+    """The first flow state with log(1/loss) at or past x_target."""
+    states = flow_states(model, theta0, ds, spec, step_tol=step_tol,
+                         max_steps=max_steps)
+    state = next((s for s, _ in states if s.ev.x >= x_target), None)
+    assert state is not None, "flow stalled before the target"
     return state
 
 
@@ -50,7 +48,7 @@ def test_feasible_scaling_order_two_lands_on_boundary():
     model = models.relu_mlp(2, [4])
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    state = _flow_to(model, ds, EXP, theta, 8.0)
+    state = _state_at(model, ds, EXP, theta, 8.0)
     q_min = float(np.min(state.ev.q))
     # rescale so the worst margin is exactly 9: the scaling divides by 3
     theta9 = ParamVector(state.theta.data * (9.0 / q_min) ** 0.5)
@@ -104,7 +102,7 @@ def test_certificate_stationarity_residual_matches_multipliers():
     # must reproduce epsilon exactly
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1], [1.5, -2.0, 1]])
-    state = _flow_to(model, ds, LOGISTIC, np.array([0.4, 0.1]), 12.0)
+    state = _state_at(model, ds, LOGISTIC, np.array([0.4, 0.1]), 12.0)
     cert = build_certificate(model, state.theta, ds, LOGISTIC)
     combo = (ds.y[:, None] * ds.X * cert.lambdas[:, None]).sum(axis=0)
     resid = float(np.linalg.norm(cert.theta_scaled.data - combo))
@@ -115,7 +113,7 @@ def test_certificate_epsilon_routes_agree():
     model = models.relu_mlp(2, [4])
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    state = _flow_to(model, ds, EXP, theta0, 15.0)
+    state = _state_at(model, ds, EXP, theta0, 15.0)
     cert = build_certificate(model, state.theta, ds, EXP)
     assert cert.epsilon <= cert.epsilon_beta * (1.0 + 1e-9) + 1e-12
     assert math.isclose(cert.epsilon, cert.epsilon_beta,
@@ -128,16 +126,16 @@ def test_certificate_epsilon_routes_agree():
 def test_certificate_trend_and_bounds_two_point_linear():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
-    state = init_flow(model, np.array([0.3, 0.05]), ds, LOGISTIC)
-    dt = propose_dt_scaled(state.ev, 3e-3)
+    states = flow_states(model, np.array([0.3, 0.05]), ds, LOGISTIC,
+                         step_tol=3e-3)
+    state, _ = next(states)
     targets = [6.0, 12.0, 24.0, 48.0]
     b1 = float(np.max(np.linalg.norm(ds.X, axis=1)))
     anchor = None
     certs = []
     for x_target in targets:
         while state.ev.x < x_target:
-            state, info = flow_step(model, ds, LOGISTIC, state, dt, 3e-3)
-            dt = info.next_dt_scaled
+            state, _ = next(states)
         if anchor is None:
             anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
         certs.append(build_certificate(
@@ -160,15 +158,13 @@ def test_certificate_median_epsilon_halves():
     model = models.relu_mlp(2, [4])
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    state = _flow_to(model, ds, EXP, theta0, 2.0)
     eps = []
-    dt = propose_dt_scaled(state.ev, 3e-3)
-    while state.ev.x < 120.0:
-        state, info = flow_step(model, ds, EXP, state, dt, 3e-3)
-        dt = info.next_dt_scaled
-        if state.steps % 20 == 0:
+    for state, _ in flow_states(model, theta0, ds, EXP, step_tol=3e-3):
+        if state.ev.x >= 2.0 and state.steps % 20 == 0:
             eps.append(build_certificate(model, state.theta, ds, EXP,
                                          ev=state.ev).epsilon)
+        if state.ev.x >= 120.0:
+            break
     first, last = eps[: len(eps) // 2], eps[len(eps) // 2:]
     assert np.median(last) <= 0.5 * np.median(first)
 
@@ -177,11 +173,9 @@ def test_certificate_early_checkpoint_is_large_but_valid():
     model = models.relu_mlp(2, [4])
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    state = init_flow(model, theta0, ds, EXP)
-    dt = propose_dt_scaled(state.ev, 1e-3)
-    while float(np.min(state.ev.q)) <= 0.0:
-        state, info = flow_step(model, ds, EXP, state, dt, 1e-3)
-        dt = info.next_dt_scaled
+    state = next(s for s, _ in flow_states(model, theta0, ds, EXP,
+                                           step_tol=1e-3)
+                 if float(np.min(s.ev.q)) > 0.0)
     cert = build_certificate(model, state.theta, ds, EXP, ev=state.ev)
     assert math.isfinite(cert.epsilon) and cert.epsilon > 0.1
     assert np.all(np.isfinite(cert.lambdas))
@@ -202,7 +196,7 @@ def test_certificate_rejects_nonseparated_and_multiclass():
 def test_certificate_delta_bound_needs_b1_for_logistic():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
-    state = _flow_to(model, ds, LOGISTIC, np.array([0.3, 0.05]), 8.0)
+    state = _state_at(model, ds, LOGISTIC, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
     with pytest.raises(ValueError, match="b1"):
         build_certificate(model, state.theta, ds, LOGISTIC,
@@ -213,7 +207,7 @@ def test_certificate_exp_bounds_without_b1():
     # K = 1 kills the growth factor, so the exp loss needs no sphere sup
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
-    state = _flow_to(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
+    state = _state_at(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, EXP, model.order_L)
     cert = build_certificate(model, state.theta, ds, EXP,
                              log_tilde_t0=anchor)
@@ -227,14 +221,13 @@ def test_beta2_integral_bound_along_flow():
     model = models.relu_mlp(2, [4])
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    state = _flow_to(model, ds, EXP, theta0, 1.0, step_tol=1e-3)
+    states = flow_states(model, theta0, ds, EXP, step_tol=1e-3)
+    state = next(s for s, _ in states if s.ev.x >= 1.0)
     acc = Beta2Accumulator(order_L=model.order_L)
     log_tilde_start = log_tilde_margin(state.ev, EXP, model.order_L)
-    dt = propose_dt_scaled(state.ev, 1e-3)
     while state.ev.x < 40.0:
         prev = state.ev
-        state, info = flow_step(model, ds, EXP, state, dt, 1e-3)
-        dt = info.next_dt_scaled
+        state, _ = next(states)
         acc.update(prev.beta, math.log(state.ev.rho) - math.log(prev.rho))
     assert acc.total >= 0.0
     log_tilde_end = log_tilde_margin(state.ev, EXP, model.order_L)
@@ -304,7 +297,7 @@ def test_linear_flow_direction_approaches_svm():
     ds = datasets.from_rows([[1.5, 0.2, 1], [2.0, -1.0, 1], [0.9, 0.9, 1],
                              [-1.2, 0.1, -1], [-0.7, -1.5, -1],
                              [-2.0, 1.7, -1]])
-    state = _flow_to(model, ds, LOGISTIC, np.array([0.2, -0.1]), 200.0)
+    state = _state_at(model, ds, LOGISTIC, np.array([0.2, -0.1]), 200.0)
     w_star, _ = svm_oracle(ds.X, ds.y)
     assert direction_gap_to_svm(state.theta, w_star) <= 0.02
 
@@ -315,7 +308,7 @@ def test_deep_linear_effective_predictor_approaches_svm():
                              [-1.2, 0.1, -1], [-0.7, -1.5, -1],
                              [-2.0, 1.7, -1]])
     theta0 = models.init_params(model, np.random.default_rng(11), scale=0.8)
-    state = _flow_to(model, ds, LOGISTIC, theta0, 120.0)
+    state = _state_at(model, ds, LOGISTIC, theta0, 120.0)
     w_eff = np.array([float(model.output(state.theta, e))
                       for e in np.eye(2)])
     w_star, _ = svm_oracle(ds.X, ds.y)

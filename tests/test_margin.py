@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from marginflow import datasets, losses, margin, models
+from marginflow.gradflow import evaluate_point
 
 mp.mp.dps = 50
 
@@ -46,6 +48,31 @@ def test_soft_margin_below_hard_margin():
     q_tilde = margin.soft_margins(gaps)
     assert np.all(q_tilde <= q + 1e-12)
     assert np.all(gaps >= q[:, None] - 1e-12)
+
+
+def test_soft_margins_match_scipy_logsumexp():
+    rng = np.random.default_rng(7)
+    # widely spread gaps, from near-ties to differences of hundreds
+    gaps = 5.0 + rng.standard_normal((40, 4)) * np.array([0.01, 1.0, 30.0,
+                                                          300.0])
+    got = margin.soft_margins(gaps)
+    np.testing.assert_allclose(got, -logsumexp(-gaps, axis=1), rtol=1e-14)
+
+
+@pytest.mark.parametrize("num_outputs", [1, 3])
+def test_log_inv_loss_is_evaluate_point_x(num_outputs):
+    # both routes form x from the same f(q_eff) through the same helper,
+    # so they agree to the last bit, binary and multi-class alike
+    rng = np.random.default_rng(2)
+    model = models.relu_mlp(3, [5], num_outputs=num_outputs)
+    theta = models.init_params(model, rng)
+    X = rng.standard_normal((12, 3))
+    y = (np.where(X[:, 0] > 0.0, 1, -1) if num_outputs == 1
+         else rng.integers(0, 3, 12))
+    data = datasets.Dataset(X, y)
+    spec = losses.get_loss("logistic")
+    x = margin.log_inv_loss(model, theta, data, spec)
+    assert x == evaluate_point(model, theta, data, spec).x
 
 
 def test_log_inv_loss_single_and_symmetric():

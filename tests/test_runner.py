@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,20 @@ def test_cli_kkt_report(tmp_path, capsys):
     eps = [c["epsilon"] for c in report["kkt"]]
     assert len(eps) == 4
     assert eps == sorted(eps, reverse=True)  # certificates tighten
+
+
+def test_cli_kkt_report_stationary_start_exits(tmp_path, capsys):
+    # a ReLU net at theta = 0 has zero gradient: the flow cannot move,
+    # so the report ends at once with no checkpoint and a failing exit
+    p = tmp_path / "cfg.yaml"
+    p.write_text(json.dumps({
+        "scenario": "linear_logistic_2d",
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
+        "options": {"init_scale": 0.0}}))
+    t0 = time.perf_counter()
+    assert cli_main(["kkt-report", "--config", str(p)]) == 1
+    assert time.perf_counter() - t0 < 10.0
+    assert json.loads(capsys.readouterr().out)["kkt"] == []
 
 
 def test_cli_rates(tmp_path, capsys):
