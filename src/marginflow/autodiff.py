@@ -5,6 +5,10 @@ layers and elementwise activations (ReLU, LeakyReLU, square). The
 forward pass records one small record per layer; the backward pass is
 a single loop over those records in reverse. A cache is rebuilt on
 every forward call; no graph caching, no Hessians.
+
+The forward pass and the reverse loop also take a stack of S parameter
+vectors, shaped (S, P): every array then gains a leading member axis,
+and matmul broadcasts the shared input batch against the S weights.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def subgradient_convention(primitive: str, z, alpha: float = 0.0):
     """
     z = np.asarray(z, dtype=np.float64)
     if primitive == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
+        return z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
     if primitive == "leaky_relu":
         return np.where(z > 0.0, 1.0, alpha)
     raise ValueError(f"no subgradient convention for primitive {primitive!r}")
@@ -51,6 +55,9 @@ class ForwardCache:
     `layers` holds one (kind, layer input, weight view or alpha, offset)
     record per layer of the chain; `out` is the batch-shaped output,
     (B,) when `squeeze` dropped a single output column, else (B, C).
+    A forward over S stacked parameter vectors adds a leading member
+    axis to `out`, to every weight view and to every layer input but the
+    first, which is the shared batch.
     """
 
     param_count: int
@@ -60,16 +67,17 @@ class ForwardCache:
 
     def dense_adjoints(self, adj: np.ndarray):
         """The reverse loop: walk the layers from the output adjoint `adj`
-        (shaped (B, C)) and yield (layer input, output adjoint, offset,
-        weight count) for every dense layer. The adjoint of the chain's
-        input is never formed."""
+        (shaped (B, C), or (S, B, C) for a stacked forward) and yield
+        (layer input, output adjoint, offset, weight count of one member)
+        for every dense layer. The adjoint of the chain's input is never
+        formed."""
         layers = self.layers
         for i in range(len(layers) - 1, -1, -1):
             kind, h, w, offset = layers[i]
             if kind == "dense":
-                yield h, adj, offset, w.size
+                yield h, adj, offset, w.shape[-2] * w.shape[-1]
                 if i:
-                    adj = adj @ w.T
+                    adj = adj @ w.swapaxes(-1, -2)
             elif kind == "square":
                 adj = 2.0 * h * adj
             else:
@@ -82,9 +90,12 @@ def forward(graph: Sequence, params: np.ndarray,
 
     x may be a single sample (d,) or a batch (B, d); the output is
     (B, C) for C model outputs, squeezed to (B,) when C == 1 and to a
-    scalar for a single sample of a single-output model.
+    scalar for a single sample of a single-output model. params is one
+    flat vector (P,) or a stack (S, P); a stack runs every member on the
+    same x and prefixes the output with the member axis S.
     """
     params = np.asarray(params, dtype=np.float64)
+    lead = params.shape[:-1]  # () or (S,)
     h = np.asarray(x, dtype=np.float64)
     single = h.ndim == 1
     if single:
@@ -93,10 +104,10 @@ def forward(graph: Sequence, params: np.ndarray,
     for layer in graph:
         kind = layer.kind
         if kind == "dense":
-            if h.shape[1] != layer.in_dim:
+            if h.shape[-1] != layer.in_dim:
                 raise ShapeError("dense", f"input dim {layer.in_dim}", h.shape)
-            w = params[layer.offset : layer.offset + layer.in_dim * layer.out_dim]
-            w = w.reshape(layer.in_dim, layer.out_dim)
+            w = params[..., layer.offset : layer.offset + layer.in_dim * layer.out_dim]
+            w = w.reshape(lead + (layer.in_dim, layer.out_dim))
             layers.append((kind, h, w, layer.offset))
             h = h @ w
             continue
@@ -109,13 +120,15 @@ def forward(graph: Sequence, params: np.ndarray,
             h = h * h
         else:
             raise ValueError(f"unknown activation {kind!r}")
-    squeeze = h.shape[1] == 1
+    squeeze = h.shape[-1] == 1
     if squeeze:
-        h = h[:, 0]
+        h = h[..., 0]
     if not np.isfinite(h).all():
         raise NonFiniteError("forward pass produced non-finite output")
-    cache = ForwardCache(params.size, layers, squeeze, h)
-    return (h[0] if single else h), cache
+    cache = ForwardCache(params.shape[-1], layers, squeeze, h)
+    if single:
+        return (h[:, 0] if lead else h[0]), cache
+    return h, cache
 
 
 def backward(cache: ForwardCache, seed=1.0) -> np.ndarray:
@@ -123,9 +136,13 @@ def backward(cache: ForwardCache, seed=1.0) -> np.ndarray:
 
     seed is a scalar or an array matching the registered output shape;
     per-sample and per-class weights enter here, so one batched backward
-    yields any weighted combination of per-sample gradients.
+    yields any weighted combination of per-sample gradients. The cache
+    comes from a forward over one parameter vector. A non-finite seed
+    raises before any arithmetic.
     """
     adj = np.asarray(seed, dtype=np.float64)
+    if not np.isfinite(adj).all():
+        raise NonFiniteError("backward pass got a non-finite seed")
     if adj.shape != cache.out.shape:
         adj = np.broadcast_to(adj, cache.out.shape).astype(np.float64)
     if cache.squeeze:

@@ -246,36 +246,53 @@ class BConstants:
     n_curvature: int
 
 
+# estimate_b_constants stacks as many parameter vectors into one forward
+# as keep its widest layer near this many activations; larger stacks ran
+# slower and grew the peak memory.
+B_CHUNK_FLOATS = 2**14
+
+
 def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
                          rng: np.random.Generator, n_sphere: int = 10_000,
                          n_curvature: int = 1_000,
                          witness: ParamVector | None = None) -> BConstants:
+    """Sample B0, B1 (n_sphere unit directions) and B2 (n_curvature
+    central second differences along random unit directions).
+
+    Directions are drawn and evaluated a chunk at a time, one stacked
+    forward of about k members per chunk; the draws come from rng in the
+    same order as one direction (or one (theta, v) probe) at a time
+    would take them.
+    """
     if not dataset.is_binary:
         raise NotImplementedError("sphere constants assume binary margins")
     d = model.param_count
+    X, y = dataset.X, dataset.y
+    widest = max(layer.out_dim for layer in model.graph if layer.kind == "dense")
+    k = max(1, B_CHUNK_FLOATS // (dataset.n * widest))
     b0 = -math.inf
     b1 = 0.0
-    draws = rng.normal(size=(n_sphere, d))
-    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-    if witness is not None:
-        draws[0] = witness.unit()  # current direction is a known witness
-    for theta_hat in draws:
-        p = ParamVector(theta_hat)
-        phi, _ = model.forward(p, dataset.X)
-        b0 = max(b0, float(np.max(dataset.y * np.atleast_1d(phi))))
-        b1 = max(b1, float(np.max(per_sample_grad_norms(model, p, dataset.X))))
+    for start in range(0, n_sphere, k):
+        draws = rng.normal(size=(min(k, n_sphere - start), d))
+        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+        if start == 0 and witness is not None:
+            draws[0] = witness.unit()  # current direction is a known witness
+        phi, cache = model.forward(draws, X)
+        b0 = max(b0, float(np.max(y * phi)))
+        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
     h = 1e-4
     b2 = 0.0
-    for _ in range(n_curvature):
-        theta_hat = rng.normal(size=d)
-        theta_hat /= np.linalg.norm(theta_hat)
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        p0, _ = model.forward(ParamVector(theta_hat), dataset.X)
-        pp, _ = model.forward(ParamVector(theta_hat + h * v), dataset.X)
-        pm, _ = model.forward(ParamVector(theta_hat - h * v), dataset.X)
-        curv = np.abs(np.atleast_1d(pp) - 2.0 * np.atleast_1d(p0)
-                      + np.atleast_1d(pm)) / h**2
+    k = max(1, k // 3)  # a probe stacks three members
+    for start in range(0, n_curvature, k):
+        m = min(k, n_curvature - start)
+        pairs = rng.normal(size=(m, 2, d))  # (theta_hat, v) per probe
+        # each vector's norm as a dot product, as np.linalg.norm takes it
+        pairs /= np.sqrt(pairs[..., None, :] @ pairs[..., :, None])[..., 0]
+        theta_hat, v = pairs[:, 0], pairs[:, 1]
+        probes = np.concatenate([theta_hat, theta_hat + h * v, theta_hat - h * v])
+        out, _ = model.forward(probes, X)
+        p0, pp, pm = out.reshape(3, m, -1)
+        curv = np.abs(pp - 2.0 * p0 + pm) / h**2
         b2 = max(b2, float(np.max(curv)))
     return BConstants(b0=b0, b1=b1, b2=b2, n_sphere=n_sphere,
                       n_curvature=n_curvature)

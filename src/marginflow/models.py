@@ -268,8 +268,10 @@ def per_sample_grads(model: HomogeneousModel, theta, X) -> np.ndarray:
     return grads
 
 
-def per_sample_grad_norms(model: HomogeneousModel, theta, X) -> np.ndarray:
-    """Norms ||grad_theta Phi(theta; x_n)|| for a whole batch at once.
+def per_sample_grad_norms(model: HomogeneousModel, cache: ForwardCache) -> np.ndarray:
+    """Norms ||grad_theta Phi(theta; x_n)|| for every row of the batch that
+    `model.forward` recorded in `cache`: shaped (B,) like its output, or
+    (S, B) for a forward over S stacked parameter vectors.
 
     Uses the layer structure directly: for a dense layer the per-sample
     weight gradient is an outer product, so its Frobenius norm factors
@@ -278,11 +280,9 @@ def per_sample_grad_norms(model: HomogeneousModel, theta, X) -> np.ndarray:
     """
     if model.num_outputs != 1:
         raise ValueError("per_sample_grad_norms expects a single-output model")
-    _, cache = forward(model.graph, as_params(theta).data, X)
-    n = cache.out.shape[0]
-    sq_norms = np.zeros(n)
-    for h_in, delta, _, _ in cache.dense_adjoints(np.ones((n, 1))):
-        sq_norms += np.einsum("bi,bi->b", h_in, h_in) * np.einsum(
-            "bo,bo->b", delta, delta
+    sq_norms = np.zeros(cache.out.shape)
+    for h_in, delta, _, _ in cache.dense_adjoints(np.ones(cache.out.shape + (1,))):
+        sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
+            "...bo,...bo->...b", delta, delta
         )
     return np.sqrt(sq_norms)

@@ -5,6 +5,8 @@ from central finite differences and forward values from a straight-line
 numpy evaluation, so agreement is evidence rather than tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -56,6 +58,40 @@ def seeded_fd_grad(graph, theta, X, seed):
             total += weight * fd_grad(
                 lambda t: float(plain_forward(graph, t, x)[0, c]), theta)
     return total
+
+
+def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
+                         witness=None):
+    """(b0, b1, b2) sampled one direction at a time: the estimator as it
+    ran before estimate_b_constants drew and evaluated in chunks. Each
+    sphere direction and each curvature probe gets its own forward."""
+    from marginflow.models import ParamVector, per_sample_grad_norms
+
+    d = model.param_count
+    b0 = -math.inf
+    b1 = 0.0
+    draws = rng.normal(size=(n_sphere, d))
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    if witness is not None:
+        draws[0] = witness.unit()
+    for theta_hat in draws:
+        phi, cache = model.forward(ParamVector(theta_hat), dataset.X)
+        b0 = max(b0, float(np.max(dataset.y * np.atleast_1d(phi))))
+        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
+    h = 1e-4
+    b2 = 0.0
+    for _ in range(n_curvature):
+        theta_hat = rng.normal(size=d)
+        theta_hat /= np.linalg.norm(theta_hat)
+        v = rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        p0, _ = model.forward(ParamVector(theta_hat), dataset.X)
+        pp, _ = model.forward(ParamVector(theta_hat + h * v), dataset.X)
+        pm, _ = model.forward(ParamVector(theta_hat - h * v), dataset.X)
+        curv = np.abs(np.atleast_1d(pp) - 2.0 * np.atleast_1d(p0)
+                      + np.atleast_1d(pm)) / h**2
+        b2 = max(b2, float(np.max(curv)))
+    return b0, b1, b2
 
 
 def rel_err(a, b):

@@ -1,5 +1,7 @@
 """Gradient engine vs finite differences and a cache-free forward pass."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import (fd_grad, plain_forward, plain_preactivations, rel_err,
@@ -121,6 +123,56 @@ def test_nonfinite_seed_raises():
             autodiff.backward(cache, np.array([1.0, np.nan]))
         with pytest.raises(autodiff.NonFiniteError):
             autodiff.backward(cache, np.inf)
+
+
+def test_nonfinite_seed_raises_before_arithmetic():
+    # same dead-unit cache as above: inf * 0 there would warn first
+    model = models.relu_mlp(3, [4])
+    theta = models.init_params(model, np.random.default_rng(6))
+    _, cache = model.forward(theta, np.ones((2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (np.inf, -np.inf, np.array([1.0, np.nan])):
+            with pytest.raises(autodiff.NonFiniteError):
+                autodiff.backward(cache, seed)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_member_axis_matches_single_forwards():
+    rng = np.random.default_rng(8)
+    for model in _model_zoo():
+        stack = np.stack([models.init_params(model, rng).data for _ in range(4)])
+        X = rng.standard_normal((7, model.input_dim))
+        out, cache = autodiff.forward(model.graph, stack, X)
+        seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
+        adjoints = list(cache.dense_adjoints(seed))
+        norms = (models.per_sample_grad_norms(model, cache)
+                 if model.num_outputs == 1 else None)
+        one_x, _ = autodiff.forward(model.graph, stack, X[0])
+        for s, theta in enumerate(stack):
+            ref_out, ref = model.forward(theta, X)
+            assert _same_bytes(out[s], ref_out), model.name
+            assert _same_bytes(one_x[s], model.output(theta, X[0])), model.name
+            assert cache.param_count == ref.param_count, model.name
+            for (kind, h, w, off), (rkind, rh, rw, roff) in zip(
+                    cache.layers, ref.layers, strict=True):
+                assert (kind, off) == (rkind, roff), model.name
+                assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
+                assert _same_bytes(w[s], rw) if kind == "dense" else w == rw
+            ref_adjoints = list(ref.dense_adjoints(seed[s]))
+            assert len(adjoints) == len(ref_adjoints), model.name
+            for (h, delta, off, size), (rh, rdelta, roff, rsize) in zip(
+                    adjoints, ref_adjoints):
+                assert (off, size) == (roff, rsize), model.name
+                assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
+                assert _same_bytes(delta[s], rdelta), model.name
+            if norms is not None:
+                assert _same_bytes(norms[s],
+                                   models.per_sample_grad_norms(model, ref))
 
 
 def test_preactivations_match_plain_forward():

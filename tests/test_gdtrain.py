@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from marginflow import datasets, losses, models
+from marginflow import datasets, gdtrain, losses, models
 from marginflow.gdtrain import (BConstants, GdMarginState, LrSchedulerState,
                                 PhiCurve, ReframeError, check_s5,
                                 estimate_b_constants, gd_step,
@@ -16,7 +16,7 @@ from marginflow.losses import LossDomainError
 from marginflow.models import ParamVector
 from marginflow.runner import frame_equivalence_check
 
-from oracles import LOGISTIC_PHI_CORRECTION
+from oracles import LOGISTIC_PHI_CORRECTION, per_draw_b_constants
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -255,6 +255,36 @@ def test_b_constants_witness_direction():
     b = estimate_b_constants(model, ds, rng, n_sphere=2, n_curvature=1,
                              witness=witness)
     assert math.isclose(b.b0, 5.0, rel_tol=1e-12)
+
+
+def _b_constants_zoo():
+    return [
+        models.linear(3),
+        models.deep_linear(3, [4, 3]),
+        models.relu_mlp(3, [5, 4]),
+        models.leaky_relu_mlp(3, [5], alpha=0.1),
+        models.quadratic_mlp(3, [4]),
+    ]
+
+
+@pytest.mark.parametrize("model", _b_constants_zoo(), ids=lambda m: m.name)
+def test_b_constants_chunked_equal_per_draw(model):
+    ds = datasets.two_gaussians(20, 3, separation=2.0, seed=4)
+    widest = max(l.out_dim for l in model.graph if l.kind == "dense")
+    chunk = gdtrain.B_CHUNK_FLOATS // (ds.n * widest)
+    # sphere chunks of `chunk` directions, curvature chunks of chunk // 3
+    # probes: every size below but 1 ends in a partial chunk
+    assert chunk > 7 and (chunk + 1) % (chunk // 3)
+    witness = models.init_params(model, np.random.default_rng(9))
+    cases = [(2 * chunk + 3, chunk + 1, witness), (1, 1, None),
+             (1, 1, witness), (chunk + 7, 3, None)]
+    for seed, (n_sphere, n_curvature, wit) in enumerate(cases):
+        b = estimate_b_constants(model, ds, np.random.default_rng(seed),
+                                 n_sphere=n_sphere, n_curvature=n_curvature,
+                                 witness=wit)
+        ref = per_draw_b_constants(model, ds, np.random.default_rng(seed),
+                                   n_sphere, n_curvature, witness=wit)
+        assert (b.b0, b.b1, b.b2) == ref, (n_sphere, n_curvature, wit)
 
 
 def test_b_constants_reject_multiclass():

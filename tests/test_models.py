@@ -118,7 +118,8 @@ def test_per_sample_grad_norms_match_stacked():
         X = np.stack(
             [models.sample_smooth_probe(model, theta, rng) for _ in range(6)]
         )
-        fast = models.per_sample_grad_norms(model, theta, X)
+        _, cache = model.forward(theta, X)
+        fast = models.per_sample_grad_norms(model, cache)
         slow = np.linalg.norm(models.per_sample_grads(model, theta, X), axis=1)
         assert rel_err(fast, slow) < 1e-12, model.name
 
