@@ -11,7 +11,7 @@ c = alpha * e^{a - x} and G = e^x (-grad loss) both order one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -312,6 +312,9 @@ class GdMarginState:
     c_eta_provisional: bool
     log_gamma_hat0: float
     clamped: bool = False
+    # (x, log_kappa(x)) of the last call: every scheduler trial's guard
+    # cap, check_s5 and the grad_bound monitor ask at the epoch start x
+    _kappa: tuple = field(default=(None, None), repr=False, compare=False)
 
     def mu(self, x: float) -> float:
         return self.u0 / (2.0 * x)
@@ -320,7 +323,9 @@ class GdMarginState:
         return float(self.spec.g_prime(x) / self.spec.g(x))
 
     def log_kappa(self, x: float) -> float:
-        return log_kappa(self.spec, x, self.order_L)
+        if self._kappa[0] != x:
+            self._kappa = (x, log_kappa(self.spec, x, self.order_L))
+        return self._kappa[1]
 
     def log_h(self, x: float) -> float:
         """log of the (S5) learning-rate ceiling mu / (C_eta kappa)."""

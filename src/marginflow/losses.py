@@ -10,6 +10,7 @@ required once it would underflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,7 +44,7 @@ class LossSpec:
     b_g: float | None = None
     p: float | None = None
 
-    @property
+    @cached_property
     def f_at_bf(self) -> float:
         return float(self.f(self.b_f))
 
@@ -69,31 +70,14 @@ class LossSpec:
             )
 
 
-def lambda_from_log_inv_loss(spec: LossSpec, log_inv_loss) -> np.ndarray:
-    """lambda(x) = g'(x)/g(x) with x = log(1/loss), log-domain entry."""
-    x = _as_f64(log_inv_loss)
-    if np.any(x <= spec.f_at_bf):
-        raise LossDomainError(
-            f"{spec.name}: lambda needs log(1/loss) > f(b_f) = {spec.f_at_bf}"
-        )
-    return spec.g_prime(x) / spec.g(x)
-
-
-def lambda_of_loss(spec: LossSpec, loss_value: float) -> float:
-    """lambda(loss) = g'(log 1/loss)/g(log 1/loss); needs loss < ell(b_f)."""
-    if not 0.0 < loss_value < spec.separability_threshold:
-        raise LossDomainError(
-            f"{spec.name}: loss {loss_value} not below separability "
-            f"threshold {spec.separability_threshold}"
-        )
-    return float(lambda_from_log_inv_loss(spec, -np.log(loss_value)))
-
-
 # exponential loss: f = g = identity
 
 def make_exponential() -> LossSpec:
-    ident = lambda q: _as_f64(q) + 0.0
-    ones = lambda q: np.ones_like(_as_f64(q))
+    # a float stays a numpy scalar, so division by zero still warns
+    ident = lambda q: (np.float64(q) if isinstance(q, float)
+                       else _as_f64(q)) + 0.0
+    ones = lambda q: (np.float64(1.0) if isinstance(q, float)
+                      else np.ones_like(_as_f64(q)))
     return LossSpec(
         name="exp",
         f=ident,
@@ -137,15 +121,27 @@ def _logistic_f_prime(q):
 _LOGISTIC_F_AT_BF = float(-np.log(np.log(2.0)))
 
 
+def _logistic_series(u):
+    """u/2 + u^2/6 + u^3/24 = expm1(u)/u - 1 to third order, for x > 30."""
+    return u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
+
+
 def _logistic_g(x):
     """g(x) = -log(e^{e^{-x}} - 1) on [-log log 2, inf)."""
     x = _as_f64(x)
     u = np.exp(-np.minimum(x, 745.0))
     tail = x > 30.0
     # tail: -log(expm1(u)) = x - log1p(u/2 + u^2/6 + u^3/24)
-    series = x - np.log1p(u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
+    series = x - np.log1p(_logistic_series(u))
     direct = -np.log(np.expm1(np.where(tail, 1.0, u)))
     return np.where(tail, series, direct)
+
+
+def _logistic_g_scalar(x: float):
+    u = np.exp(-min(x, 745.0))  # min keeps a NaN x as np.minimum does
+    if x > 30.0:
+        return x - np.log1p(_logistic_series(u))
+    return -np.log(np.expm1(u))
 
 
 def _logistic_g_prime(x):
@@ -153,19 +149,40 @@ def _logistic_g_prime(x):
     x = _as_f64(x)
     u = np.exp(-np.minimum(x, 745.0))
     tail = x > 30.0
-    series = np.exp(u) / (1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
+    series = np.exp(u) / (1.0 + _logistic_series(u))
     direct = u * np.exp(u) / np.expm1(np.where(tail, 1.0, u))
     return np.where(tail, series, direct)
 
 
-def _with_domain_check(fn, f_at_bf, name):
+def _logistic_g_prime_scalar(x: float):
+    u = np.exp(-min(x, 745.0))
+    if x > 30.0:
+        return np.exp(u) / (1.0 + _logistic_series(u))
+    return u * np.exp(u) / np.expm1(u)
+
+
+def _with_domain_check(fn, scalar_fn, f_at_bf, name):
+    """fn behind the domain check x >= f(b_f) - 1e-9; NaN passes.
+
+    A float (np.float64 included) goes to scalar_fn, which computes
+    only the branch that fn's np.where would select, with the same
+    ufuncs in the same order, so both paths agree bit for bit
+    (tests/test_losses.py); a one-number call then skips the array
+    round trip that quadrature integrands pay on every evaluation.
+    """
+    lo = f_at_bf - 1e-9
+
     def checked(x):
-        x = _as_f64(x)
-        if np.any(x < f_at_bf - 1e-9):
-            raise LossDomainError(
-                f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}"
-            )
-        return fn(x)
+        if isinstance(x, float):
+            if not x < lo:
+                return scalar_fn(x)
+        else:
+            x = _as_f64(x)
+            if not np.any(x < lo):
+                return fn(x)
+        raise LossDomainError(
+            f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}"
+        )
 
     return checked
 
@@ -175,8 +192,10 @@ def make_logistic(name: str = "logistic") -> LossSpec:
         name=name,
         f=_logistic_f,
         f_prime=_logistic_f_prime,
-        g=_with_domain_check(_logistic_g, _LOGISTIC_F_AT_BF, name),
-        g_prime=_with_domain_check(_logistic_g_prime, _LOGISTIC_F_AT_BF, name),
+        g=_with_domain_check(_logistic_g, _logistic_g_scalar,
+                             _LOGISTIC_F_AT_BF, name),
+        g_prime=_with_domain_check(_logistic_g_prime, _logistic_g_prime_scalar,
+                                   _LOGISTIC_F_AT_BF, name),
         b_f=0.0,
         K=2.0,
         b_g=2.0,
@@ -194,19 +213,25 @@ def make_exp_cubed() -> LossSpec:
     f_prime = lambda q: 3.0 * _as_f64(q) ** 2
 
     def g(x):
-        return np.cbrt(np.maximum(_as_f64(x), 0.0))
+        return np.cbrt(np.maximum(x, 0.0))  # np.maximum keeps -0.0
 
     def g_prime(x):
-        x = np.maximum(_as_f64(x), 0.0)
+        x = np.maximum(x, 0.0)
         with np.errstate(divide="ignore"):
             return 1.0 / (3.0 * np.cbrt(x) ** 2)
+
+    def g_prime_scalar(x):
+        # an array's ** 2 squares by multiplication; a scalar's calls pow
+        c = np.cbrt(np.maximum(x, 0.0))
+        with np.errstate(divide="ignore"):
+            return 1.0 / (3.0 * (c * c))
 
     return LossSpec(
         name="exp_cubed",
         f=f,
         f_prime=f_prime,
-        g=_with_domain_check(g, 0.0, "exp_cubed"),
-        g_prime=_with_domain_check(g_prime, 0.0, "exp_cubed"),
+        g=_with_domain_check(g, g, 0.0, "exp_cubed"),
+        g_prime=_with_domain_check(g_prime, g_prime_scalar, 0.0, "exp_cubed"),
         b_f=0.0,
         K=4.0,
         b_g=1.0,

@@ -94,6 +94,33 @@ def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
     return b0, b1, b2
 
 
+def lambda_from_log_inv_loss(spec, log_inv_loss):
+    """lambda(x) = g'(x)/g(x) with x = log(1/loss), log-domain entry.
+
+    The argument goes to g and g' as an array (0-d for one number), so
+    this is lambda through the loss functions' array path."""
+    from marginflow.losses import LossDomainError
+
+    x = np.asarray(log_inv_loss, dtype=np.float64)
+    if np.any(x <= spec.f_at_bf):
+        raise LossDomainError(
+            f"{spec.name}: lambda needs log(1/loss) > f(b_f) = {spec.f_at_bf}"
+        )
+    return spec.g_prime(x) / spec.g(x)
+
+
+def lambda_of_loss(spec, loss_value):
+    """lambda(loss) = g'(log 1/loss)/g(log 1/loss); needs loss < ell(b_f)."""
+    from marginflow.losses import LossDomainError
+
+    if not 0.0 < loss_value < spec.separability_threshold:
+        raise LossDomainError(
+            f"{spec.name}: loss {loss_value} not below separability "
+            f"threshold {spec.separability_threshold}"
+        )
+    return float(lambda_from_log_inv_loss(spec, -np.log(loss_value)))
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -16,7 +16,8 @@ from marginflow.losses import LossDomainError
 from marginflow.models import ParamVector
 from marginflow.runner import frame_equivalence_check
 
-from oracles import LOGISTIC_PHI_CORRECTION, per_draw_b_constants
+from oracles import (LOGISTIC_PHI_CORRECTION, lambda_from_log_inv_loss,
+                     per_draw_b_constants)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -178,6 +179,27 @@ def test_phi_curve_correction_shape():
     assert ts[-1] > -3e-3
 
 
+class _ArrayPathCurve(PhiCurve):
+    """PhiCurve whose lambda hands g and g' 0-d arrays (the array path)."""
+
+    def _lam(self, u):
+        return lambda_from_log_inv_loss(self.spec, u)
+
+
+@pytest.mark.parametrize("name,u0", [("exp", 0.05), ("logistic", 0.6),
+                                     ("exp_cubed", 0.5)])
+def test_phi_curve_scalar_path_equals_array_path(name, u0):
+    # quad hands the integrands floats, which take the losses' scalar
+    # path; the increments must not move by a bit
+    spec = losses.get_loss(name)
+    curve, oracle = PhiCurve(spec, 2.0, u0), _ArrayPathCurve(spec, 2.0, u0)
+    assert curve.u_star == oracle.u_star > u0
+    s = curve.u_star
+    us = [u0, u0 + 0.3, (u0 + s) / 2.0, s + 0.5, s + 3.0, 40.0, 300.0]
+    assert [curve.correction(u) for u in us] == [oracle.correction(u)
+                                                 for u in us]
+
+
 def test_phi_curve_domain_errors():
     curve = PhiCurve(EXP, 2.0, 1.5)
     with pytest.raises(LossDomainError):
@@ -318,6 +340,36 @@ def test_train_gd_guarded_monitors(name, epochs):
     assert ms is not None and not ms.clamped and not ms.c_eta_provisional
     last = out["records"][-1]
     assert last["log_hat"] < last["log_tilde"]
+
+
+def test_log_kappa_once_per_epoch_start(monkeypatch):
+    # the guard cap of every scheduler trial, check_s5 and grad_bound all
+    # ask for kappa at the epoch start x; the grid runs once per such x
+    model, ds, theta0 = _toy()
+    kw = dict(epochs=60, alpha0=0.1, s5_guard=True, n_sphere=300,
+              n_curvature=50, seed=0)
+    xs = []
+
+    def counted(spec, x, order_L):
+        xs.append(x)
+        return log_kappa(spec, x, order_L)
+
+    monkeypatch.setattr(gdtrain, "log_kappa", counted)
+    cached = train_gd(model, theta0, ds, LOGISTIC, **kw)
+    once = list(xs)
+    starts = {evaluate_point(model, theta0, ds, LOGISTIC).x} | {
+        r["log_inv_loss"] for r in cached["records"]}
+    assert len(once) > 40 and len(set(once)) == len(once)
+    assert set(once) <= starts
+
+    xs.clear()
+    monkeypatch.setattr(GdMarginState, "log_kappa",
+                        lambda self, x: gdtrain.log_kappa(self.spec, x,
+                                                          self.order_L))
+    bypassed = train_gd(model, theta0, ds, LOGISTIC, **kw)
+    assert set(xs) == set(once) and len(xs) > 2 * len(once)
+    assert cached["records"] == bypassed["records"]
+    assert cached["monitors"] == bypassed["monitors"]
 
 
 def test_train_gd_unguarded_races_to_tiny_loss():

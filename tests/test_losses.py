@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from marginflow import losses
 
+from oracles import lambda_from_log_inv_loss, lambda_of_loss
+
 mp.mp.dps = 60
 
 
@@ -60,20 +62,67 @@ def test_log_domain_entry_points_stay_finite():
         spec = losses.get_loss(name)
         x = 2000.0
         assert np.isfinite(spec.g(x)) and np.isfinite(spec.g_prime(x))
-        assert np.isfinite(losses.lambda_from_log_inv_loss(spec, x))
+        assert np.isfinite(lambda_from_log_inv_loss(spec, x))
 
 
 def test_lambda_of_loss():
     exp = losses.make_exponential()
-    assert abs(losses.lambda_of_loss(exp, np.exp(-10.0)) - 0.1) < 1e-14
+    assert abs(lambda_of_loss(exp, np.exp(-10.0)) - 0.1) < 1e-14
     logi = losses.make_logistic()
     x = 200.0 * np.log(10.0)
-    lam = float(losses.lambda_from_log_inv_loss(logi, x))
+    lam = float(lambda_from_log_inv_loss(logi, x))
     assert abs(lam * x - 1.0) < 1e-3
     with pytest.raises(losses.LossDomainError):
-        losses.lambda_of_loss(exp, 1.0)
+        lambda_of_loss(exp, 1.0)
     with pytest.raises(losses.LossDomainError):
-        losses.lambda_of_loss(logi, logi.separability_threshold)
+        lambda_of_loss(logi, logi.separability_threshold)
+
+
+SCALAR_PATH_FAMILIES = ("exp", "logistic", "cross_entropy", "exp_cubed")
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the message of the LossDomainError it raised."""
+    try:
+        return np.float64(fn(x)).view(np.int64)
+    except losses.LossDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", SCALAR_PATH_FAMILIES)
+def test_scalar_path_bit_equal_to_array_path(name):
+    # a float (np.float64 included) takes the scalar branch; it must give
+    # the array path's bits, branch switches and domain slack included
+    spec = losses.get_loss(name)
+    fb = spec.f_at_bf
+    edges = [30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0),
+             745.0, 746.0, 1e300, fb, fb - 0.5e-9, np.nan]
+    if fb == 0.0:
+        edges += [0.0, -0.0]
+    xs = np.concatenate([fb + np.geomspace(1e-12, 1e6 - fb, 100_000),
+                         np.linspace(fb, 40.0, 20_000), edges])
+    for fn in (spec.g, spec.g_prime):
+        want = np.asarray(fn(xs), dtype=np.float64).view(np.int64)
+        for cast in (float, np.float64):
+            got = np.array([_outcome(fn, cast(v)) for v in xs])
+            bad = np.flatnonzero(got != want)
+            assert bad.size == 0, (fn, cast, xs[bad[:5]])
+        # below the slack both paths raise the same error (exp checks none)
+        for v in (fb - 2e-9, fb - 1.0, -1e300, -np.inf):
+            want = _outcome(fn, np.array(v))
+            assert _outcome(fn, v) == want == _outcome(fn, np.float64(v))
+            assert isinstance(want, str) or name == "exp"
+
+
+def test_f_at_bf_computed_once():
+    for name in SCALAR_PATH_FAMILIES:
+        spec = losses.get_loss(name)
+        calls = []
+        counted = losses.LossSpec(
+            name, lambda q: calls.append(q) or spec.f(q), spec.f_prime,
+            spec.g, spec.g_prime, spec.b_f)
+        assert counted.f_at_bf == float(spec.f(spec.b_f))
+        assert counted.f_at_bf == counted.f_at_bf and len(calls) == 1
 
 
 def test_g_domain_error_below_threshold():
