@@ -342,17 +342,13 @@ class GdMarginState:
         return val
 
 
-def make_margin_state(model: HomogeneousModel, theta: ParamVector,
-                      dataset: Dataset, spec: LossSpec, x0: float,
-                      rng: np.random.Generator, n_sphere: int = 10_000,
-                      n_curvature: int = 1_000) -> GdMarginState:
-    L = model.order_L
-    curve = PhiCurve(spec, L, x0)
-    rho0 = theta.rho
-    log_hat0 = curve.phi(x0) - L * math.log(rho0)
-    b = estimate_b_constants(model, dataset, rng, n_sphere=n_sphere,
-                             n_curvature=n_curvature, witness=theta)
-    gamma_hat0 = math.exp(log_hat0)
+class MarginStateError(ValueError):
+    """The margin anchor at the separated start leaves float64 range."""
+
+
+def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
+           x0: float, gamma_hat0: float) -> tuple[float, bool]:
+    """(C_eta, provisional): the (S5) step-size constant at t0."""
     m = min(gamma_hat0 ** (-2.0 + 2.0 / L), b.b0 ** (-2.0 + 2.0 / L))
     provisional = False
     if spec.name == "exp":
@@ -366,6 +362,29 @@ def make_margin_state(model: HomogeneousModel, theta: ParamVector,
         c_eta = (0.5 * b.b1
                  * (r * b.b1 + 2.0 ** (p + 1.0) / x0 * (p * b.b1 + b.b2))
                  * r * m)
+    return c_eta, provisional
+
+
+def make_margin_state(model: HomogeneousModel, theta: ParamVector,
+                      dataset: Dataset, spec: LossSpec, x0: float,
+                      rng: np.random.Generator, n_sphere: int = 10_000,
+                      n_curvature: int = 1_000) -> GdMarginState:
+    """Raises MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is
+    too small for C_eta to be formed in float64."""
+    L = model.order_L
+    curve = PhiCurve(spec, L, x0)
+    rho0 = theta.rho
+    log_hat0 = curve.phi(x0) - L * math.log(rho0)
+    b = estimate_b_constants(model, dataset, rng, n_sphere=n_sphere,
+                             n_curvature=n_curvature, witness=theta)
+    try:
+        c_eta, provisional = _c_eta(spec, L, b, rho0, x0,
+                                    math.exp(log_hat0))
+    except (ZeroDivisionError, OverflowError):
+        raise MarginStateError(
+            f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
+            f"gamma_hat0 underflows, so C_eta has no float64 value"
+        ) from None
     return GdMarginState(spec=spec, order_L=L, u0=x0, rho0=rho0,
                          phi_curve=curve, b=b, c_eta=c_eta,
                          c_eta_provisional=provisional,
@@ -399,7 +418,9 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     keeps alpha fixed (the physical rate still scales with 1/loss via
     the per-epoch anchor). Monitor series start at the first separated
     epoch; entries conditioned on (S5) are only appended when the step
-    passed check_s5.
+    passed check_s5. When the margin anchor cannot be formed at the first
+    separated epoch (MarginStateError), the run ends after that epoch and
+    "abort" holds the message; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -417,17 +438,24 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         "euler_gap": [],
     }
     flagged_epochs: list[int] = []
+    abort = None
 
     def maybe_separate(x: float):
-        nonlocal mstate, log_hat_prev
-        if mstate is None and x > spec.f_at_bf + 1e-12:
-            mstate = make_margin_state(model, theta, dataset, spec, x, rng,
-                                       n_sphere=n_sphere,
-                                       n_curvature=n_curvature)
+        nonlocal mstate, log_hat_prev, abort
+        if mstate is None and abort is None and x > spec.f_at_bf + 1e-12:
+            try:
+                mstate = make_margin_state(model, theta, dataset, spec, x,
+                                           rng, n_sphere=n_sphere,
+                                           n_curvature=n_curvature)
+            except MarginStateError as err:
+                abort = str(err)
+                return
             log_hat_prev = mstate.log_gamma_hat(x, math.log(theta.rho))
 
     maybe_separate(ev.x)
     for epoch in range(epochs):
+        if abort is not None:
+            break  # the monitors have no anchor: end the run here
         anchor_x = ev.x
         start_theta, start_ev = theta, ev
         attempt: dict = {}
@@ -551,4 +579,5 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         "margin_state": mstate,
         "flagged_epochs": flagged_epochs,
         "log_sum_eta": log_sum_eta,
+        "abort": abort,
     }

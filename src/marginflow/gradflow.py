@@ -25,20 +25,55 @@ from .margin import (_inv_loss_weights, _shifted_exp, score_gaps,
 from .models import HomogeneousModel, ParamVector, as_params
 
 
-@dataclass(frozen=True)
 class PointEval:
-    """Loss, margins, and scaled gradient at one parameter point."""
+    """Loss, margins, and scaled gradient at one parameter point.
 
-    x: float  # log(1/loss), sum convention
-    q: np.ndarray  # hard margins
-    q_eff: np.ndarray  # margins inside the loss (q_tilde for multi-class)
-    weights: np.ndarray  # softmax weights, sum to 1
-    fprime: np.ndarray  # f'(q_eff)
-    V: float  # sum_n w_n f'(q_n) q_n; nu = loss * V
-    G: np.ndarray  # exp(x) * (-grad loss)
-    g_norm: float
-    beta: float  # cosine(theta, -grad loss)
-    rho: float
+    The summaries V, g_norm, beta and rho are computed on first read:
+    the RK4 stages of a flow step read only x and G.
+    """
+
+    __slots__ = ("x", "q", "q_eff", "weights", "fprime", "G", "_theta",
+                 "_wfp", "_V", "_g_norm", "_beta")
+
+    def __init__(self, x: float, q: np.ndarray, q_eff: np.ndarray,
+                 weights: np.ndarray, fprime: np.ndarray, G: np.ndarray,
+                 theta: ParamVector, wfp: np.ndarray):
+        self.x = x  # log(1/loss), sum convention
+        self.q = q  # hard margins
+        self.q_eff = q_eff  # margins inside the loss (q_tilde multi-class)
+        self.weights = weights  # softmax weights, sum to 1
+        self.fprime = fprime  # f'(q_eff)
+        self.G = G  # exp(x) * (-grad loss)
+        self._theta = theta
+        self._wfp = wfp  # weights * fprime
+        self._V = self._g_norm = self._beta = None
+
+    @property
+    def V(self) -> float:
+        """sum_n w_n f'(q_n) q_n; nu = loss * V."""
+        if self._V is None:
+            self._V = float(np.sum(self._wfp * self.q_eff))
+        return self._V
+
+    @property
+    def g_norm(self) -> float:
+        if self._g_norm is None:
+            self._g_norm = math.sqrt(self.G @ self.G)
+        return self._g_norm
+
+    @property
+    def rho(self) -> float:
+        return self._theta.rho
+
+    @property
+    def beta(self) -> float:
+        """cosine(theta, -grad loss); 0 when theta = 0 or G = 0."""
+        if self._beta is None:
+            rho, g_norm = self.rho, self.g_norm
+            self._beta = 0.0
+            if rho > 0.0 and g_norm > 0.0:
+                self._beta = float(self._theta.data @ self.G / (rho * g_norm))
+        return self._beta
 
     @property
     def log_grad_norm(self) -> float:
@@ -60,8 +95,9 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         q_eff = soft_margins(gaps)
     x, w = _inv_loss_weights(spec.f(q_eff))
     fp = spec.f_prime(q_eff)
+    wfp = w * fp
     if dataset.is_binary:
-        seed = w * fp * dataset.y
+        seed = wfp * dataset.y
     else:
         # per-sample split of grad q_tilde over the competing classes
         pi = np.exp(q_eff[:, None] - score_gaps(phi, dataset.y))
@@ -69,19 +105,9 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         rows = np.arange(dataset.n)
         mask = np.ones(phi.shape, dtype=bool)
         mask[rows, dataset.y] = False
-        seed[mask] = (-(w * fp)[:, None] * pi).ravel()
-        seed[rows, dataset.y] = w * fp
-    G = backward(cache, seed)
-    g_norm = math.sqrt(G @ G)
-    rho = theta.rho
-    beta = 0.0  # theta = 0 or G = 0: no direction to compare
-    if rho > 0.0 and g_norm > 0.0:
-        beta = float(theta.data @ G / (rho * g_norm))
-    return PointEval(
-        x=x, q=q, q_eff=q_eff, weights=w, fprime=fp,
-        V=float(np.sum(w * fp * q_eff)), G=G, g_norm=g_norm,
-        beta=beta, rho=rho,
-    )
+        seed[mask] = (-wfp[:, None] * pi).ravel()
+        seed[rows, dataset.y] = wfp
+    return PointEval(x, q, q_eff, w, fp, backward(cache, seed), theta, wfp)
 
 
 def is_separated(ev: PointEval, spec: LossSpec) -> bool:
@@ -191,12 +217,13 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
     nxt = dt_scaled * math.exp(x0 - ev1.x) * gain
     dt = dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
+    d_hat = theta1.unit() - theta0.unit()
     info = StepInfo(
         dt=dt,
         dt_scaled=dt_scaled,
         next_dt_scaled=nxt,
         delta_rho_sq=float(2.0 * (theta0.data @ dtheta) + dtheta @ dtheta),
-        delta_theta_hat=float(np.linalg.norm(theta1.unit() - theta0.unit())),
+        delta_theta_hat=math.sqrt(d_hat @ d_hat),
         halvings=halvings,
     )
     return (
@@ -221,15 +248,14 @@ def weight_growth_residual(prev: PointEval, new: PointEval,
 
 
 def margin_rate_slack(prev: PointEval, new: PointEval, info: StepInfo,
-                      spec: LossSpec, order_L: float) -> float:
+                      d_log_tilde: float, order_L: float) -> float:
     """d log(tilde margin) minus its certified lower bound, per step.
 
-    The bound integrates L (d log rho/dt)^{-1} ||d theta_hat/dt||^2 by
-    the trapezoid rule, which telescopes to L ||delta theta_hat||^2 /
+    d_log_tilde is log_tilde_margin at `new` minus that at `prev`. The
+    bound integrates L (d log rho/dt)^{-1} ||d theta_hat/dt||^2 by the
+    trapezoid rule, which telescopes to L ||delta theta_hat||^2 /
     delta log rho over the step.
     """
-    d_log_tilde = (log_tilde_margin(new, spec, order_L)
-                   - log_tilde_margin(prev, spec, order_L))
     d_log_rho = math.log(new.rho) - math.log(prev.rho)
     if info.delta_theta_hat == 0.0:
         return d_log_tilde
@@ -332,6 +358,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     }
     bound = None
     t_sep = None
+    lt = None  # log tilde margin of the current state, once separated
 
     def record(st: FlowState):
         rec = {
@@ -344,32 +371,33 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
             "nu_rel": st.ev.V,
         }
         if t_sep is not None:
-            rec["log_tilde"] = log_tilde_margin(st.ev, spec, model.order_L)
+            rec["log_tilde"] = lt
             rec["bar_gamma"] = rec["q_min"] / st.ev.rho**model.order_L
         records.append(rec)
 
     for state, info in flow_states(model, theta0, dataset, spec,
                                    step_tol=step_tol, max_steps=max_steps):
+        prev_lt = lt
         if t_sep is None and is_separated(state.ev, spec):
             t_sep = state.t
-            bound = LossUpperBound(
-                spec, model.order_L, state.ev.x,
-                log_tilde_margin(state.ev, spec, model.order_L), state.t,
-            )
-        elif t_sep is not None and is_separated(prev, spec):
-            monitors["growth_residual"].append(
-                weight_growth_residual(prev, state.ev, info, model.order_L))
-            monitors["margin_slack"].append(
-                margin_rate_slack(prev, state.ev, info, spec, model.order_L))
-            monitors["nu_slack"].append(nu_lower_slack(state.ev, spec))
-            monitors["beta"].append(state.ev.beta)
             lt = log_tilde_margin(state.ev, spec, model.order_L)
-            monitors["log_tilde"].append(lt)
-            monitors["d_log_tilde"].append(
-                lt - log_tilde_margin(prev, spec, model.order_L))
-            if bound is not None and math.isfinite(state.t):
-                bound.update(state.ev.x)
-                monitors["upper_slack"].append(bound.slack(state.t))
+            bound = LossUpperBound(spec, model.order_L, state.ev.x, lt,
+                                   state.t)
+        elif t_sep is not None:
+            lt = log_tilde_margin(state.ev, spec, model.order_L)
+            if is_separated(prev, spec):
+                monitors["growth_residual"].append(
+                    weight_growth_residual(prev, state.ev, info,
+                                           model.order_L))
+                monitors["margin_slack"].append(margin_rate_slack(
+                    prev, state.ev, info, lt - prev_lt, model.order_L))
+                monitors["nu_slack"].append(nu_lower_slack(state.ev, spec))
+                monitors["beta"].append(state.ev.beta)
+                monitors["log_tilde"].append(lt)
+                monitors["d_log_tilde"].append(lt - prev_lt)
+                if bound is not None and math.isfinite(state.t):
+                    bound.update(state.ev.x)
+                    monitors["upper_slack"].append(bound.slack(state.t))
         if state.steps % record_every == 0:
             record(state)
         if state.ev.x >= target_log_inv_loss:
@@ -469,18 +497,22 @@ def _hat_rhs(r: float, psi: float, order_L: float,
 def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
              n_samples: int = 1, metric: str = "planar") -> HatState:
     """One RK4 step in rescaled time; clamps and flags if r exits (0,1)."""
-    y0 = np.array([state.r, state.psi, state.log_rho])
+    # float arithmetic, one component at a time, in the order of the
+    # vector form y0 + h * k; an oversized step overflows to inf and
+    # clamps below rather than raising
+    y0 = (state.r, state.psi, state.log_rho)
+    half = dsigma / 2
 
     def rhs(y):
-        return np.array(_hat_rhs(float(y[0]), float(y[1]), order_L, metric))
+        return _hat_rhs(y[0], y[1], order_L, metric)
 
-    with np.errstate(over="ignore"):  # oversized steps clamp, not raise
-        k1 = rhs(y0)
-        k2 = rhs(y0 + (dsigma / 2) * k1)
-        k3 = rhs(y0 + (dsigma / 2) * k2)
-        k4 = rhs(y0 + dsigma * k3)
-        y1 = y0 + (dsigma / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    r1, psi1, log_rho1 = float(y1[0]), float(y1[1]), float(y1[2])
+    k1 = rhs(y0)
+    k2 = rhs([y + half * k for y, k in zip(y0, k1)])
+    k3 = rhs([y + half * k for y, k in zip(y0, k2)])
+    k4 = rhs([y + dsigma * k for y, k in zip(y0, k3)])
+    r1, psi1, log_rho1 = (
+        y + (dsigma / 6.0) * (a + 2 * b + 2 * c + d)
+        for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
     clamped = False
     if not 0.0 < r1 < 1.0:
         r1 = min(max(r1, 1e-12), 1.0 - 1e-12)

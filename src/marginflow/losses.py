@@ -93,16 +93,21 @@ def make_exponential() -> LossSpec:
 
 # logistic loss: ell(q) = log(1 + e^{-q})
 
-def _logistic_softplus_neg(q):
-    """softplus(-q) = log(1 + e^{-q}), stable on all of R."""
-    q = _as_f64(q)
+def _logistic_softplus(q):
+    """(softplus(-q), u) with u = e^{-|q|}, stable on all of R.
+
+    softplus(-q) = log1p(u) - min(q, 0) takes the same bits as choosing
+    between log1p(u) and -q + log1p(u) on the sign of q.
+    """
     u = np.exp(-np.abs(q))
-    return np.where(q >= 0.0, np.log1p(u), -q + np.log1p(u))
+    return np.log1p(u) - np.minimum(q, 0.0), u
 
 
 def _logistic_f(q):
     q = _as_f64(q)
-    sp = _logistic_softplus_neg(q)
+    sp, _ = _logistic_softplus(q)
+    if sp.min(initial=np.inf) > 0.0:  # NaN fails: it takes the guard
+        return -np.log(sp)
     safe = sp > 0.0  # softplus(-q) underflows past q ~ 745 where f(q) = q
     return np.where(safe, -np.log(np.where(safe, sp, 1.0)), q)
 
@@ -111,9 +116,10 @@ def _logistic_f_prime(q):
     # f' = sigmoid(-q)/softplus(-q); both factors underflow together for
     # q > ~745 where the ratio tends to 1
     q = _as_f64(q)
-    u = np.exp(-np.abs(q))
-    sp = np.where(q >= 0.0, np.log1p(u), -q + np.log1p(u))
-    sig = np.where(q >= 0.0, u / (1.0 + u), 1.0 / (1.0 + u))
+    sp, u = _logistic_softplus(q)
+    sig = np.where(q >= 0.0, u, 1.0) / (1.0 + u)
+    if sp.min(initial=np.inf) > 0.0:
+        return sig / sp
     safe = sp > 0.0
     return np.where(safe, sig / np.where(safe, sp, 1.0), 1.0)
 

@@ -62,7 +62,7 @@ def _shifted_exp(a: np.ndarray, b=None) -> tuple[float, np.ndarray]:
     Inline log-sum-exp; scipy's `logsumexp` costs ~100-300us per call
     on the short arrays of the flow's hot loop.
     """
-    a_max = float(np.max(a))
+    a_max = float(a.max())
     terms = np.exp(a - a_max)
     if b is not None:
         terms *= b
@@ -76,7 +76,7 @@ def _inv_loss_weights(fq: np.ndarray) -> tuple[float, np.ndarray]:
     so every exponent stays O(1) however small the loss is.
     """
     neg_m, w = _shifted_exp(-fq)
-    x = -(neg_m + math.log(float(np.sum(w))))
+    x = -(neg_m + math.log(float(w.sum())))
     w *= math.exp(x + neg_m)
     return x, w
 

@@ -346,7 +346,7 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
         n_curvature=int(cfg.options.get("n_curvature", 500)),
     )
     records = res["records"]
-    failures = []
+    failures = [res["abort"]] if res["abort"] else []
     if res["flagged_epochs"]:
         failures.append(f"scheduler stalled at epochs {res['flagged_epochs']}")
     s5 = res["monitors"]["s5_log_ratio"]
@@ -445,6 +445,7 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
                        record_every=cfg.record_every)
         records = out["records"]
         theta_final = out["state"].theta
+        failures = []
     else:
         theta0 = _init(model, cfg, seed)
         res = train_gd(
@@ -456,11 +457,11 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
             seed=seed)
         records = [r for r in res["records"] if not r.get("flagged")]
         theta_final = res["theta"]
+        failures = [res["abort"]] if res["abort"] else []
     diag = rate_ratios(records, spec, model.order_L, ds.n)
     verdict = bounded_ratio_verdict(
         diag, window=float(cfg.options.get("window", 2.0)),
         bound_factor=float(cfg.options.get("bound_factor", 10.0)))
-    failures = []
     if verdict.inconclusive:
         failures.append(
             f"rate diagnostic inconclusive: {diag.decades:.2f} decades")
@@ -532,7 +533,7 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
                    alpha0=cfg.alpha0, mode="loss_based", s5_guard=False,
                    seed=seed)
     records = res["records"]
-    failures = []
+    failures = [res["abort"]] if res["abort"] else []
     target = float(cfg.options.get("log10_loss_target", -50.0))
     final_log10 = min(
         (r["log10_loss"] for r in records if "log10_loss" in r),
@@ -556,8 +557,8 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
     summary = {
         "final": {
             "epochs": len(records), "log10_loss": final_log10,
-            "x": res["ev"].x, "alpha_min": min(alphas),
-            "alpha_max": max(alphas),
+            "x": res["ev"].x, "alpha_min": min(alphas, default=None),
+            "alpha_max": max(alphas, default=None),
         },
         "flagged_epochs": res["flagged_epochs"],
         "frame_equivalence": frame,

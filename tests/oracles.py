@@ -121,6 +121,77 @@ def lambda_of_loss(spec, loss_value):
     return float(lambda_from_log_inv_loss(spec, -np.log(loss_value)))
 
 
+# Logistic f and f' as written before the shared softplus form: each
+# branch of np.where computed in full, log1p taken twice. The package's
+# versions must agree with these bit for bit.
+
+def _logistic_softplus_neg(q):
+    q = np.asarray(q, dtype=np.float64)
+    u = np.exp(-np.abs(q))
+    return np.where(q >= 0.0, np.log1p(u), -q + np.log1p(u))
+
+
+def logistic_f(q):
+    q = np.asarray(q, dtype=np.float64)
+    sp = _logistic_softplus_neg(q)
+    safe = sp > 0.0
+    return np.where(safe, -np.log(np.where(safe, sp, 1.0)), q)
+
+
+def logistic_f_prime(q):
+    q = np.asarray(q, dtype=np.float64)
+    u = np.exp(-np.abs(q))
+    sp = np.where(q >= 0.0, np.log1p(u), -q + np.log1p(u))
+    sig = np.where(q >= 0.0, u / (1.0 + u), 1.0 / (1.0 + u))
+    safe = sp > 0.0
+    return np.where(safe, sig / np.where(safe, sp, 1.0), 1.0)
+
+
+def eager_point_summaries(ev, theta):
+    """(V, g_norm, beta, rho) of a PointEval, each formed at once from
+    its fields by the expressions the flow's monitors are defined with."""
+    G = ev.G
+    V = float(np.sum(ev.weights * ev.fprime * ev.q_eff))
+    g_norm = math.sqrt(G @ G)
+    theta = np.asarray(theta, dtype=np.float64)
+    rho = math.sqrt(theta @ theta)
+    beta = 0.0
+    if rho > 0.0 and g_norm > 0.0:
+        beta = float(theta @ G / (rho * g_norm))
+    return V, g_norm, beta, rho
+
+
+def hat_step_array(state, dsigma, order_L=2.0, n_samples=1,
+                   metric="planar"):
+    """The hat's RK4 step on a three-element numpy state vector."""
+    from marginflow.gradflow import HatState, _hat_rhs, hat_value
+
+    y0 = np.array([state.r, state.psi, state.log_rho])
+
+    def rhs(y):
+        return np.array(_hat_rhs(float(y[0]), float(y[1]), order_L, metric))
+
+    with np.errstate(over="ignore"):
+        k1 = rhs(y0)
+        k2 = rhs(y0 + (dsigma / 2) * k1)
+        k3 = rhs(y0 + (dsigma / 2) * k2)
+        k4 = rhs(y0 + dsigma * k3)
+        y1 = y0 + (dsigma / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    r1, psi1, log_rho1 = float(y1[0]), float(y1[1]), float(y1[2])
+    clamped = False
+    if not 0.0 < r1 < 1.0:
+        r1 = min(max(r1, 1e-12), 1.0 - 1e-12)
+        clamped = True
+    h0 = math.exp(min(state.log_rho * order_L, 700.0)) * (
+        1.0 - hat_value(state.r, state.psi))
+    log_rate = (h0 - math.log(n_samples)
+                - (order_L - 2.0) * state.log_rho
+                + 1.0 / (1.0 - state.r**2))
+    t1 = state.t + dsigma * math.exp(log_rate) if log_rate < 700.0 else math.inf
+    return HatState(sigma=state.sigma + dsigma, t=t1, r=r1, psi=psi1,
+                    log_rho=log_rho1, clamped=clamped or state.clamped)
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from marginflow import datasets, gradflow, losses, models
 
-from oracles import fd_grad
+from oracles import eager_point_summaries, fd_grad, hat_step_array
 
 
 def _relu_logistic_setup():
@@ -56,13 +56,19 @@ def test_evaluate_point_gradient_binary_matches_fd():
     assert abs(np.sum(ev.weights) - 1.0) < 1e-12
 
 
-def test_evaluate_point_gradient_multiclass_matches_fd():
+def _three_class_setup():
     spec = losses.get_loss("cross_entropy")
     model = models.build_model("relu_mlp", input_dim=3, widths=[5],
                                num_outputs=3)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 3))
     data = datasets.Dataset(X, rng.integers(0, 3, size=6), "synthetic")
+    return spec, model, data
+
+
+def test_evaluate_point_gradient_multiclass_matches_fd():
+    spec, model, data = _three_class_setup()
+    X = data.X
     theta = _smooth_theta(model, X, seed_start=100)
     ev = gradflow.evaluate_point(model, theta, data, spec)
 
@@ -79,6 +85,64 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
     grad = fd_grad(total_loss, theta.data)
     scaled = math.exp(ev.x) * (-grad)
     assert np.linalg.norm(ev.G - scaled) <= 1e-5 * np.linalg.norm(scaled)
+
+
+def test_point_eval_lazy_summaries_equal_eager_oracle():
+    spec, model, _, data = _relu_logistic_setup()
+    cases = [(spec, model, data, models.init_params(
+        model, np.random.default_rng(s), scale=0.7).data) for s in range(6)]
+    cases.append((losses.get_loss("exp"), model, data, cases[0][3]))
+    spec3, model3, data3 = _three_class_setup()
+    cases += [(spec3, model3, data3, models.init_params(
+        model3, np.random.default_rng(s)).data) for s in range(6)]
+    cases.append((spec, models.linear(2), data, np.zeros(2)))  # beta = 0
+    for spec_, model_, data_, theta in cases:
+        ev = gradflow.evaluate_point(model_, theta.copy(), data_, spec_)
+        # read in an order the flow never uses: beta pulls rho and g_norm
+        got = (ev.beta, ev.V, ev.rho, ev.g_norm)
+        want = eager_point_summaries(ev, theta)
+        assert got == (want[2], want[0], want[3], want[1])
+        assert ev.log_grad_norm == math.log(want[1]) - ev.x
+
+
+def test_run_flow_one_log_tilde_per_state(monkeypatch):
+    spec, model, theta0, data = _relu_logistic_setup()
+    calls = []
+    real = gradflow.log_tilde_margin
+
+    def counted(ev, spec_, order_L):
+        calls.append(ev.x)
+        return real(ev, spec_, order_L)
+
+    monkeypatch.setattr(gradflow, "log_tilde_margin", counted)
+    res = gradflow.run_flow(model, theta0, data, spec,
+                            target_log_inv_loss=2.0, step_tol=2e-3)
+    recs = res["records"]
+    sep = [r for r in recs if "log_tilde" in r]
+    assert recs[0]["step"] == 0 and "log_tilde" not in recs[0]
+    assert 10 < len(sep) < len(recs)
+    # record_every = 1: one record and one log tilde per state from
+    # separation on, each taken at that state's x
+    assert calls == [r["log_inv_loss"] for r in sep]
+    lt = [r["log_tilde"] for r in sep]
+    mon = res["monitors"]
+    assert mon["log_tilde"] == lt[1:]
+    assert mon["d_log_tilde"] == [b - a for a, b in zip(lt, lt[1:])]
+
+
+def test_hat_step_equals_array_oracle():
+    for kwargs in ({}, {"order_L": 3.0, "n_samples": 4, "psi0": 0.3,
+                        "metric": "spherical", "r_stop": 0.9}):
+        recs = gradflow.run_hat(record_every=1, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gradflow, "hat_step", hat_step_array)
+            want = gradflow.run_hat(record_every=1, **kwargs)
+        assert len(recs) > 300 and recs == want
+    state = gradflow.HatState(sigma=0.0, t=0.0, r=0.9999, psi=0.0,
+                              log_rho=0.0)
+    for dsigma in (1e8, 1e-3):  # clamped, and an ordinary step
+        assert gradflow.hat_step(state, dsigma) \
+            == hat_step_array(state, dsigma)
 
 
 def test_flow_matches_single_sample_closed_form():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from marginflow import losses
 
-from oracles import lambda_from_log_inv_loss, lambda_of_loss
+from oracles import (lambda_from_log_inv_loss, lambda_of_loss, logistic_f,
+                     logistic_f_prime)
 
 mp.mp.dps = 60
 
@@ -123,6 +124,34 @@ def test_f_at_bf_computed_once():
             spec.g, spec.g_prime, spec.b_f)
         assert counted.f_at_bf == float(spec.f(spec.b_f))
         assert counted.f_at_bf == counted.f_at_bf and len(calls) == 1
+
+
+def test_logistic_f_and_f_prime_bit_equal_to_oracle():
+    # the shared-softplus form and its unguarded all-safe branch must
+    # give the bits of the two-branch np.where form, specials included
+    grid = np.linspace(-800.0, 800.0, 120_001)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 745.0, -745.0,
+                         746.0, -746.0, np.nextafter(745.0, 0.0), 1e-300,
+                         -1e-300, 5e-324, -5e-324])
+    for new, old in ((losses._logistic_f, logistic_f),
+                     (losses._logistic_f_prime, logistic_f_prime)):
+        for q in (grid, specials, np.concatenate([specials, grid])):
+            got = np.asarray(new(q)).view(np.int64)
+            assert np.array_equal(got, old(q).view(np.int64)), new
+        # chunks of 8 as the flow evaluates them: most are all-safe and
+        # take the direct return, those past |q| ~ 745 take the guard
+        chunks = grid[:-1].reshape(-1, 8)
+        fast = 0
+        for chunk in chunks:
+            got = np.asarray(new(chunk)).view(np.int64)
+            assert np.array_equal(got, old(chunk).view(np.int64)), chunk
+            fast += bool(np.all(losses._logistic_softplus(chunk)[0] > 0.0))
+        assert 0 < fast < len(chunks)
+        for v in specials:  # one number, as float and as a 0-d array
+            for arg in (float(v), np.array(v)):
+                assert np.float64(new(arg)).view(np.int64) \
+                    == np.float64(old(arg)).view(np.int64), (new, v)
+        assert new(np.array([])).shape == (0,)
 
 
 def test_g_domain_error_below_threshold():

@@ -257,6 +257,28 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_run_reports_underflowing_margin_anchor(tmp_path, capsys):
+    # logistic GD at this seed separates at x0 = 0.376 where phi(x0) is
+    # about -5638, so gamma_hat0 = e^{phi}/rho^L underflows to 0.0 and
+    # C_eta cannot be formed; the run ends with a named failure
+    p = tmp_path / "gd.yaml"
+    p.write_text(json.dumps({
+        "scenario": "gd_margin", "loss": "logistic",
+        "optimizer": "gd_loss_based", "alpha0": 0.05, "epochs": 400,
+        "seeds": [13]}))
+    rc = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out)
+    [failure] = report["failures"]
+    assert "log gamma_hat0 = -5" in failure and "x0 = 0.376" in failure
+    summary = json.loads(
+        (tmp_path / "o" / "gd_margin-seed13.summary.json").read_text())
+    assert summary["failures"] == [failure.removeprefix("seed 13: ")]
+    # the run stopped at the separating epoch instead of running on
+    assert summary["final"]["epochs"] < 400
+    assert summary["final"]["x"] > 0.3665 and summary["b_constants"] is None
+
+
 def test_cli_seed_override(tmp_path, capsys):
     raw = dict(FLOW_RAW)
     raw.pop("seed")
