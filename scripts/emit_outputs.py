@@ -1,24 +1,33 @@
-"""Write, or compare, everything the nine seed-0 benchmark jobs emit.
+"""Write, or compare, everything the benchmark jobs and a fixed corpus emit.
 
 Usage, from the repository root:
 
     python3 scripts/emit_outputs.py OUT
     python3 scripts/emit_outputs.py --compare A B
+    python3 scripts/emit_outputs.py --against REV OUT
 
 The first form runs every job of the four benchmark workloads
-(`perfbench/workloads.py` at seed 0, read only) through
-`marginflow.cli.main`, with the `marginflow` package of this checkout.
-Each job gets a directory OUT/<workload>/<job>/ holding its YAML config,
-every file it emits and its standard output (`stdout.txt`); OUT/emit.json
-records the absolute output root and each job's exit code.
+(`perfbench/workloads.py` at seed 0, read only) and every entry of
+`CORPUS` below through `marginflow.cli.main`, with the `marginflow`
+package of this checkout. Each benchmark job gets a directory
+OUT/<workload>/<job>/, each corpus entry OUT/corpus/<label>/, holding its
+YAML config, every file it emits and its standard output (`stdout.txt`);
+OUT/emit.json records the absolute output root and each job's exit code.
 
 The second form diffs two such trees and exits 1 on any difference:
 a file present in only one tree, a differing exit code, or differing
 bytes. Two things are allowed to differ: the `timestamp` field of each
 JSONL header (line 1), and the output root of each tree wherever it
-appears in a job's standard output. To check that a change leaves every
-emitted byte as it was, run the first form on a checkout of the parent
-commit and on the change, then compare the two trees.
+appears in a job's standard output.
+
+The third form checks that a change leaves every emitted byte as it
+was. It checks out REV (any git revision, e.g. the parent commit) in a
+temporary `git worktree`, emits REV's package into OUT/rev and this
+checkout's into OUT/checkout, each in a fresh interpreter, removes the
+worktree and compares the two trees. Both sides run this script's job
+list and corpus, so only the package differs. Temporary files go where
+`tempfile` puts them (TMPDIR). Byte comparisons hold on one machine
+only: another CPU may round numpy's vector math differently.
 """
 
 from __future__ import annotations
@@ -28,48 +37,119 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 MANIFEST = "emit.json"
 
+# three linearly separable classes at 0, 120 and 240 degrees
+THREE_CLASS_ROWS = [[2.0, 0.0, 0], [1.8, 0.4, 0], [-1.0, 1.7, 1],
+                    [-1.2, 1.5, 1], [-1.0, -1.7, 2], [-0.8, -1.9, 2]]
+# (verb, config) per label: the scenario, optimizer and verb branches
+# that the nine benchmark jobs leave out, each a few seconds at most
+CORPUS = {
+    "gd_const": ("run", {
+        "scenario": "gd_margin", "loss": "exp", "optimizer": "gd_const",
+        "model": {"family": "linear", "input_dim": 2},
+        "dataset": {"kind": "inline", "rows": [[2, 1, 1], [-1, 0.5, -1]]},
+        "alpha0": 0.3, "epochs": 150, "seeds": [0],
+        "options": {"n_sphere": 500, "n_curvature": 200}}),
+    # gamma_hat0 underflows at separation: a named abort
+    "gd_margin_abort": ("run", {
+        "scenario": "gd_margin", "loss": "logistic",
+        "optimizer": "gd_loss_based", "alpha0": 0.05, "epochs": 400,
+        "seeds": [13]}),
+    "rates_gd": ("run", {
+        "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
+        "alpha0": 0.1, "epochs": 600, "seeds": [1]}),
+    # the configured exp loss maps to logistic in this scenario
+    "linear_exp_mapping": ("run", {
+        "scenario": "linear_logistic_2d", "record_every": 10, "seeds": [0]}),
+    "flow_logistic": ("run", {
+        "scenario": "flow_margin", "loss": "logistic",
+        "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
+        "seeds": [1]}),
+    "flow_3class": ("run", {
+        "scenario": "flow_margin", "loss": "cross_entropy",
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6],
+                  "num_outputs": 3},
+        "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
+        "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
+        "seeds": [0]}),
+    "flow_deep_linear_exp_cubed": ("run", {
+        "scenario": "flow_margin", "loss": "exp_cubed",
+        "model": {"family": "deep_linear", "input_dim": 2, "widths": [3]},
+        "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
+        "seeds": [0]}),
+    # the spherical metric does not conserve the phase: fails its checks
+    "hat_spherical": ("run", {
+        "scenario": "mexican_hat", "record_every": 10, "seeds": [0],
+        "options": {"metric": "spherical"}}),
+    "deep_loss_short": ("run", {
+        "scenario": "deep_loss_50", "loss": "exp",
+        "optimizer": "gd_loss_based", "alpha0": 0.1, "epochs": 60,
+        "seeds": [0]}),
+    "kkt_theta0": ("kkt-report", {
+        "scenario": "linear_logistic_2d", "loss": "logistic",
+        "target_log_inv_loss": 24.0, "step_tol": 0.003, "seeds": [0],
+        "options": {"theta0": [0.2, -0.1]}}),
+    "kkt_init": ("kkt-report", {
+        "scenario": "linear_logistic_2d", "loss": "exp",
+        "target_log_inv_loss": 24.0, "step_tol": 0.003, "seeds": [3]}),
+    "rates_verb": ("rates", {
+        "scenario": "rates", "loss": "exp", "target_log_inv_loss": 18.0,
+        "step_tol": 0.002, "seeds": [1]}),
+    "hat_verb": ("hat", {
+        "scenario": "mexican_hat", "record_every": 20, "seeds": [0]}),
+}
 
-def emit(out: Path) -> int:
+
+def _run_job(cli, job_dir: Path, verb: str, config: dict):
+    """Run one command line in job_dir; its exit code, or what it raised."""
+    job_dir.mkdir(parents=True, exist_ok=True)
+    cfg_path = job_dir / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(config, sort_keys=True),
+                        encoding="utf-8")
+    argv = [verb, "--config", str(cfg_path)]
+    if verb in ("run", "hat"):
+        argv += ["--out", str(job_dir)]
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(argv)
+    except Exception as exc:  # recorded, so a compare sees it
+        rc = f"raised {type(exc).__name__}: {exc}"
+    (job_dir / "stdout.txt").write_text(buf.getvalue(), encoding="utf-8")
+    return rc
+
+
+def emit(out: Path, src: Path = ROOT / "src") -> int:
+    """Emit every job with the `marginflow` package found under src."""
     # the benchmark pins BLAS to one thread before numpy loads; so do
     # we, since a threaded reduction may round differently
     os.environ.update({v: "1" for v in (
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")})
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import yaml
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from workloads import WORKLOADS, workload_jobs
 
     import marginflow.cli as cli
 
     out = out.resolve()
+    jobs = {f"{workload}/{job.label}": (job.verb, job.config)
+            for workload in WORKLOADS
+            for job in workload_jobs(workload, SEED)}
+    jobs.update({f"corpus/{label}": entry for label, entry in CORPUS.items()})
     codes = {}
-    for workload in WORKLOADS:
-        for job in workload_jobs(workload, SEED):
-            job_dir = out / workload / job.label
-            job_dir.mkdir(parents=True, exist_ok=True)
-            cfg_path = job_dir / "config.yaml"
-            cfg_path.write_text(yaml.safe_dump(job.config, sort_keys=True),
-                                encoding="utf-8")
-            argv = [job.verb, "--config", str(cfg_path)]
-            if job.verb == "run":
-                argv += ["--out", str(job_dir)]
-            buf = io.StringIO()
-            try:
-                with contextlib.redirect_stdout(buf):
-                    rc = cli.main(argv)
-            except Exception as exc:  # recorded, so a compare sees it
-                rc = f"raised {type(exc).__name__}: {exc}"
-            (job_dir / "stdout.txt").write_text(buf.getvalue(),
-                                                encoding="utf-8")
-            codes[f"{workload}/{job.label}"] = rc
-            print(f"{workload}/{job.label}: {rc}")
+    for name, (verb, config) in jobs.items():
+        codes[name] = _run_job(cli, out / name, verb, config)
+        print(f"{name}: {codes[name]}")
     (out / MANIFEST).write_text(
         json.dumps({"root": str(out), "seed": SEED, "exit_codes": codes},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -118,12 +198,43 @@ def compare(a: Path, b: Path) -> int:
     return 1 if problems else 0
 
 
+def _emit_tree(src: Path, out: Path) -> None:
+    """Emit with the package under src, in a fresh interpreter, so the
+    two packages of a comparison never share one process."""
+    code = ("import sys; from pathlib import Path; "
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import emit_outputs; "
+            f"emit_outputs.emit(Path({str(out)!r}), Path({str(src)!r}))")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def against(rev: str, out: Path, emit_tree=_emit_tree,
+            repo: Path = ROOT) -> int:
+    """Emit REV, checked out in a temporary worktree of repo, and repo's
+    own checkout; then compare the two trees."""
+    git = ["git", "-C", str(repo), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run([*git, "add", "--detach", str(tree), rev],
+                       check=True, capture_output=True)
+        try:
+            emit_tree(tree / "src", out / "rev")
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)],
+                           check=True, capture_output=True)
+    emit_tree(repo / "src", out / "checkout")
+    return compare(out / "rev", out / "checkout")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("paths", nargs="+", type=Path,
                    help="OUT to emit, or A B with --compare")
-    p.add_argument("--compare", action="store_true",
-                   help="diff two emitted trees instead of emitting one")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--compare", action="store_true",
+                      help="diff two emitted trees instead of emitting one")
+    mode.add_argument("--against", metavar="REV",
+                      help="emit REV and this checkout into OUT, then diff")
     args = p.parse_args(argv)
     if args.compare:
         if len(args.paths) != 2:
@@ -131,6 +242,8 @@ def main(argv=None) -> int:
         return compare(*args.paths)
     if len(args.paths) != 1:
         p.error("emitting takes one output directory")
+    if args.against:
+        return against(args.against, args.paths[0])
     return emit(args.paths[0])
 
 

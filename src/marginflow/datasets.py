@@ -49,10 +49,6 @@ class Dataset:
     def input_dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        return 2 if self.is_binary else int(self.y.max()) + 1
-
 
 def two_gaussians(n: int = 16, dim: int = 2, separation: float = 3.0,
                   seed: int = 0) -> Dataset:

@@ -396,10 +396,6 @@ class S5Check:
     passed: bool
     log_ratio: float  # log(eta / H); negative is headroom
 
-    @property
-    def ratio(self) -> float:
-        return math.exp(min(self.log_ratio, 700.0))
-
 
 def check_s5(log_eta: float, x: float, mstate: GdMarginState) -> S5Check:
     log_ratio = log_eta - mstate.log_h(x)

@@ -75,10 +75,6 @@ class PointEval:
                 self._beta = float(self._theta.data @ self.G / (rho * g_norm))
         return self._beta
 
-    @property
-    def log_grad_norm(self) -> float:
-        return math.log(self.g_norm) - self.x
-
 
 def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
                    spec: LossSpec) -> PointEval:

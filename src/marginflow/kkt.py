@@ -34,15 +34,6 @@ class NotSeparableError(ValueError):
     """Raised when a nonpositive margin blocks the feasibility scaling."""
 
 
-def feasible_scaling(theta, q_min: float, order_L: float) -> ParamVector:
-    """Scale theta onto the constraint boundary: min margin becomes 1."""
-    if q_min <= 0.0:
-        raise NotSeparableError(
-            f"min margin {q_min} is not positive; no feasible rescaling")
-    theta = as_params(theta)
-    return ParamVector(theta.data / q_min ** (1.0 / order_L))
-
-
 @dataclass(frozen=True)
 class KktCertificate:
     """Approximate first-order optimality data at one checkpoint.
@@ -130,25 +121,6 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
     )
 
 
-@dataclass
-class Beta2Accumulator:
-    """Running discrete form of the alignment integral: the sum of
-    (beta^-2 - 1) dlog rho over steps is capped by the log-gain of the
-    smoothed margin divided by the order."""
-
-    order_L: float
-    total: float = 0.0
-
-    def update(self, beta: float, d_log_rho: float) -> None:
-        self.total += (beta ** -2.0 - 1.0) * d_log_rho
-
-    def bound_slack(self, log_tilde_start: float, log_tilde_end: float,
-                    tol: float = 1e-6) -> float:
-        """Nonnegative when the integral bound holds for this stretch."""
-        cap = (log_tilde_end - log_tilde_start) / self.order_L
-        return cap + tol - self.total
-
-
 # Hard-margin reference solver for the kernel view: with per-sample
 # feature vectors h_n (for networks, margin gradients at a frozen
 # direction), minimize ||w||^2/2 subject to y_n <w, h_n> >= 1.
@@ -185,32 +157,6 @@ def svm_oracle(features, labels, *, feas_tol: float = 1e-9,
     raise NotSeparableError(
         "no support subset satisfies KKT: data is not separable in "
         "feature space")
-
-
-def svm_dual_projected_gradient(features, labels, *, iters: int = 100_000,
-                                tol: float = 1e-14
-                                ) -> tuple[np.ndarray, float]:
-    """Independent route to the same optimum: projected gradient ascent
-    on the box-free dual max sum(mu) - mu' G mu / 2, mu >= 0."""
-    h = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.float64)
-    z = y[:, None] * h
-    gram = z @ z.T
-    step = 1.0 / float(np.linalg.norm(gram, 2))
-    mu = np.zeros(h.shape[0])
-    for _ in range(iters):
-        nxt = np.maximum(0.0, mu + step * (1.0 - gram @ mu))
-        if float(np.max(np.abs(nxt - mu))) < tol * max(1.0, float(np.max(nxt))):
-            mu = nxt
-            break
-        mu = nxt
-    w = z.T @ mu
-    worst = float(np.min(z @ w))
-    if worst < 0.5:  # dual diverges on infeasible data; catch it early
-        raise NotSeparableError(
-            f"dual iterate is far from feasibility (min margin {worst}); "
-            "data looks inseparable in feature space")
-    return w, 1.0 / float(np.linalg.norm(w))
 
 
 def direction_gap_to_svm(theta_final, svm_w) -> float:

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 
 class LossDomainError(ValueError):
@@ -48,26 +47,6 @@ class LossSpec:
     def f_at_bf(self) -> float:
         return float(self.f(self.b_f))
 
-    @property
-    def separability_threshold(self) -> float:
-        """Loss value ell(b_f); total loss below it forces all q_n > b_f."""
-        return float(np.exp(-self.f_at_bf))
-
-    def ell(self, q):
-        return np.exp(-self.f(q))
-
-    def ell_inv(self, v):
-        """Inverse of ell on (0, ell(b_f)]: returns q with ell(q) = v."""
-        v = _as_f64(v)
-        return self.g(-np.log(v))
-
-    def check_g_domain(self, x, slack: float = 1e-9):
-        x = _as_f64(x)
-        if np.any(x < self.f_at_bf - slack):
-            raise LossDomainError(
-                f"{self.name}: g evaluated at {np.min(x)} below f(b_f) = "
-                f"{self.f_at_bf}; separability not yet met"
-            )
 
 
 # exponential loss: f = g = identity
@@ -242,43 +221,6 @@ def make_exp_cubed() -> LossSpec:
         K=4.0,
         b_g=1.0,
         p=2.0,
-    )
-
-
-def make_custom(name: str, f: Callable, f_prime: Callable, b_f: float = 0.0,
-                K: float | None = None, b_g: float | None = None,
-                p: float | None = None) -> LossSpec:
-    """Wrap a user (f, f') pair; g is obtained by bracketed root finding.
-
-    Bisection tolerance 1e-12 relative. g' comes from the inverse rule
-    g'(x) = 1/f'(g(x)).
-    """
-    f_at_bf = float(f(b_f))
-
-    def g_scalar(x: float) -> float:
-        if x <= f_at_bf:
-            return float(b_f)
-        hi = max(b_f + 1.0, 1.0)
-        while f(hi) < x:
-            hi *= 2.0
-            if hi > 1e300:
-                raise LossDomainError(f"{name}: g({x}) bracket expansion failed")
-        return float(
-            optimize.brentq(lambda q: f(q) - x, b_f, hi, rtol=1e-12, maxiter=200)
-        )
-
-    def g(x):
-        x = _as_f64(x)
-        if np.any(x < f_at_bf - 1e-9):
-            raise LossDomainError(f"{name}: g below f(b_f) = {f_at_bf}")
-        return np.vectorize(g_scalar, otypes=[np.float64])(x) + 0.0
-
-    def g_prime(x):
-        return 1.0 / f_prime(g(x))
-
-    return LossSpec(
-        name=name, f=f, f_prime=f_prime, g=g, g_prime=g_prime,
-        b_f=b_f, K=K, b_g=b_g, p=p,
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ForwardCache, backward, forward
+from .autodiff import ForwardCache, forward
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class ParamVector:
         if self.rho == 0.0:
             return np.zeros_like(self.data)
         return self.data / self.rho
-
-    def block_norm(self, block: Block) -> float:
-        w = self.data[block.start : block.stop]
-        return math.sqrt(w @ w)
 
     def __len__(self) -> int:
         return self.data.size
@@ -186,86 +182,6 @@ def init_params(model: HomogeneousModel, rng: np.random.Generator,
             layer.in_dim
         )
     return ParamVector(scale * data)
-
-
-def homogeneity_check(model: HomogeneousModel, theta, x, alpha: float) -> float:
-    """Residual of Phi(alpha*theta; x) == alpha^L * Phi(theta; x).
-
-    alpha in [0.5, 2] is recommended to keep alpha^L well away from
-    overflow for deep quadratic nets.
-    """
-    theta = as_params(theta)
-    base = np.atleast_1d(model.output(theta, x))
-    scaled = np.atleast_1d(model.output(alpha * theta.data, x))
-    resid = np.abs(scaled - alpha**model.order_L * base) / (1.0 + np.abs(base))
-    return float(np.max(resid))
-
-
-def _euler_worst(model: HomogeneousModel, theta, x, part: slice, k: float) -> float:
-    """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
-    over the outputs j, one one-hot seeded backward each."""
-    theta = as_params(theta)
-    out, cache = model.forward(theta, x)
-    out = np.atleast_1d(out)
-    worst = 0.0
-    for j, seed in enumerate(np.eye(out.size)):
-        grad = backward(cache, seed)
-        inner = float(theta.data[part] @ grad[part])
-        worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
-    return worst
-
-
-def euler_residual(model: HomogeneousModel, theta, x) -> float:
-    """Residual of the Euler identity <theta, grad Phi> == L * Phi."""
-    return _euler_worst(model, theta, x, slice(None), model.order_L)
-
-
-def block_euler_residual(model: HomogeneousModel, theta, x, block_i: int) -> float:
-    """Residual of the per-block identity <w_i, grad_{w_i} Phi> == k_i * Phi."""
-    if not 0 <= block_i < len(model.blocks):
-        raise IndexError(f"block index {block_i} out of range")
-    block = model.blocks[block_i]
-    return _euler_worst(model, theta, x, slice(block.start, block.stop), block.k)
-
-
-def preactivations(model: HomogeneousModel, theta, x) -> list[np.ndarray]:
-    """Values entering each nonlinearity; used to avoid kink probes."""
-    _, cache = model.forward(theta, x)
-    return [h for kind, h, _, _ in cache.layers if kind in ("relu", "leaky_relu")]
-
-
-def sample_smooth_probe(model: HomogeneousModel, theta, rng: np.random.Generator,
-                        kink_tol: float = 1e-8, max_tries: int = 100) -> np.ndarray:
-    """Draw an input with every pre-activation magnitude above kink_tol.
-
-    The Euler identity only holds a.e.; re-sampling keeps validator
-    probes away from measure-zero kinks.
-    """
-    for _ in range(max_tries):
-        x = rng.standard_normal(model.input_dim)
-        pres = preactivations(model, theta, x)
-        if all(np.min(np.abs(p)) > kink_tol for p in pres) or not pres:
-            return x
-    raise RuntimeError("could not find a smooth probe point")
-
-
-def per_sample_grads(model: HomogeneousModel, theta, X) -> np.ndarray:
-    """Per-sample gradients of the scalar output, one backward per row.
-
-    Desk-scale helper (N <= a few dozen) for SVM features and KKT
-    certificates; the training path never materializes this matrix.
-    """
-    theta = as_params(theta)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if model.num_outputs != 1:
-        raise ValueError("per_sample_grads expects a single-output model")
-    grads = np.empty((X.shape[0], model.param_count))
-    for n in range(X.shape[0]):
-        _, cache = model.forward(theta, X[n])
-        grads[n] = backward(cache, 1.0)
-    return grads
 
 
 def per_sample_grad_norms(model: HomogeneousModel, cache: ForwardCache) -> np.ndarray:

@@ -20,17 +20,17 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .datasets import Dataset, from_rows, load_dataset, two_gaussians
+from .datasets import from_rows, load_dataset, two_gaussians
 from .gdtrain import estimate_b_constants, gd_step, gd_step_direct, train_gd
-from .gradflow import (evaluate_point, flow_states, log_tilde_margin,
-                       run_flow, run_hat)
+from .gradflow import (evaluate_point, flow_states, is_separated,
+                       log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import get_loss, validate_b3
 from .margin import effective_margins
@@ -190,21 +190,56 @@ def emit_plot_data(trajectory, cfg: RunConfig, out_dir: Path,
 
 # ------------------------------------------------------------ helpers
 
-def _build_dataset(cfg: RunConfig, default) -> Dataset:
-    if cfg.dataset is None:
-        return default() if callable(default) else default
-    return load_dataset(cfg.dataset)
+# (model fields, dataset factory) defaults that two scenarios share; a
+# config's `model` fields and `dataset` override them. The factories
+# look the builders up when called, so a rebinding (perfbench's span
+# tracer) reaches them.
+README_NET = ({"family": "relu_mlp", "input_dim": 2, "widths": [6]},
+              lambda: two_gaussians(12, 2, separation=3.0, seed=5))
+LINEAR_NET = ({"family": "linear", "input_dim": 2},
+              lambda: from_rows(LINEAR_2D_ROWS, provenance="linear_2d"))
 
 
-def _build_model(cfg: RunConfig, default: dict):
-    spec = dict(default)
-    spec.update(cfg.model or {})
-    return build_model(**spec)
+def _setup(cfg: RunConfig, seed: int, model_default: dict, dataset_default,
+           loss: str | None = None, theta0=None):
+    """(model, dataset, loss spec, theta0) of a scenario.
+
+    The config's `model` fields, `dataset` and `options.theta0` override
+    the defaults; `loss` replaces the configured loss name when given.
+    theta0 falls back to the seeded init.
+    """
+    model = build_model(**{**model_default, **(cfg.model or {})})
+    ds = (dataset_default() if cfg.dataset is None
+          else load_dataset(cfg.dataset))
+    theta0 = cfg.options.get("theta0", theta0)
+    theta0 = (np.asarray(theta0, dtype=np.float64) if theta0 is not None
+              else init_params(model, np.random.default_rng(seed),
+                               scale=float(cfg.options.get("init_scale", 0.7))))
+    return model, ds, get_loss(loss or cfg.loss), theta0
 
 
-def _init(model, cfg: RunConfig, seed: int):
-    scale = float(cfg.options.get("init_scale", 0.7))
-    return init_params(model, np.random.default_rng(seed), scale=scale)
+def _flow(cfg: RunConfig, model, ds, spec, theta0) -> dict:
+    return run_flow(model, theta0, ds, spec,
+                    target_log_inv_loss=cfg.target_log_inv_loss,
+                    step_tol=cfg.step_tol, record_every=cfg.record_every)
+
+
+# train_gd keywords that a config's options override, with their types
+GD_OPTIONS = {"s5_guard": bool, "guard_safety": float, "n_sphere": int,
+              "n_curvature": int}
+
+
+def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0,
+        **defaults) -> dict:
+    """train_gd with the scenario's keyword defaults, each overridden by
+    the option of the same name. The optimizer sets the mode unless the
+    defaults fix it."""
+    kw = {"mode": ("constant_alpha" if cfg.optimizer == "gd_const"
+                   else "loss_based"), **defaults}
+    kw.update((key, cast(cfg.options[key]))
+              for key, cast in GD_OPTIONS.items() if key in cfg.options)
+    return train_gd(model, theta0, ds, spec, epochs=cfg.epochs,
+                    alpha0=cfg.alpha0, seed=seed, **kw)
 
 
 def _b3_as_dict(report) -> dict:
@@ -218,24 +253,17 @@ def _b3_as_dict(report) -> dict:
     }
 
 
-def _b_constants_dict(b) -> dict | None:
-    if b is None:
-        return None
-    return {"b0": b.b0, "b1": b.b1, "b2": b.b2,
-            "n_sphere": b.n_sphere, "n_curvature": b.n_curvature}
-
-
 def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
     """A scenario's own summary fields inside the common envelope: run
     identity, the loss validation report, B-constants and failures."""
-    spec = result["spec"]
+    spec, b = result["spec"], result["b"]
     return _jsonable({
         **result["summary"],
         "scenario": cfg.scenario, "seed": seed,
         "config_sha256": config_digest(cfg.raw),
         "loss_validation": (None if spec is None
                             else _b3_as_dict(validate_b3(spec))),
-        "b_constants": _b_constants_dict(result["b"]),
+        "b_constants": None if b is None else asdict(b),
         "failures": result["failures"],
     })
 
@@ -247,17 +275,6 @@ def _sample_b_constants(model, dataset, cfg: RunConfig, seed: int, witness):
         n_curvature=int(cfg.options.get("n_curvature", 500)),
         witness=witness,
     )
-
-
-def _non_finite_fields(records) -> list[str]:
-    bad = []
-    for i, rec in enumerate(records):
-        for key, val in rec.items():
-            if isinstance(val, bool):
-                continue
-            if isinstance(val, (int, float)) and not math.isfinite(val):
-                bad.append(f"record {i} field {key} = {val}")
-    return bad
 
 
 def _sandwich_violations(records, order_L: float, n: int,
@@ -278,15 +295,8 @@ def _sandwich_violations(records, order_L: float, n: int,
 # ---------------------------------------------------------- scenarios
 
 def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
-    model = _build_model(cfg, {"family": "relu_mlp", "input_dim": 2,
-                               "widths": [6]})
-    ds = _build_dataset(
-        cfg, lambda: two_gaussians(12, 2, separation=3.0, seed=5))
-    spec = get_loss(cfg.loss)
-    theta0 = _init(model, cfg, seed)
-    out = run_flow(model, theta0, ds, spec,
-                   target_log_inv_loss=cfg.target_log_inv_loss,
-                   step_tol=cfg.step_tol, record_every=cfg.record_every)
+    model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
+    out = _flow(cfg, model, ds, spec, theta0)
     mon = out["monitors"]
     failures = []
     d_tilde = np.asarray(mon["d_log_tilde"])
@@ -298,14 +308,11 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
     if growth_frac < 0.95:
         failures.append(
             f"growth identity within 1e-3 on only {growth_frac:.1%} of steps")
-    if mon["nu_slack"] and min(mon["nu_slack"]) < -1e-9:
-        failures.append(f"nu lower bound violated: {min(mon['nu_slack'])}")
-    if mon["margin_slack"] and min(mon["margin_slack"]) < -1e-9:
-        failures.append(
-            f"margin rate bound violated: {min(mon['margin_slack'])}")
-    if mon["upper_slack"] and min(mon["upper_slack"]) < -1e-6:
-        failures.append(
-            f"loss upper bound violated: {min(mon['upper_slack'])}")
+    for key, bound, tol in [("nu_slack", "nu lower bound", 1e-9),
+                            ("margin_slack", "margin rate bound", 1e-9),
+                            ("upper_slack", "loss upper bound", 1e-6)]:
+        if mon[key] and min(mon[key]) < -tol:
+            failures.append(f"{bound} violated: {min(mon[key])}")
     if spec.name == "exp":
         bad = _sandwich_violations(out["records"], model.order_L, ds.n)
         if bad:
@@ -331,20 +338,9 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
-    model = _build_model(cfg, {"family": "relu_mlp", "input_dim": 2,
-                               "widths": [6]})
-    ds = _build_dataset(
-        cfg, lambda: two_gaussians(12, 2, separation=3.0, seed=5))
-    spec = get_loss(cfg.loss)
-    theta0 = _init(model, cfg, seed)
-    mode = "constant_alpha" if cfg.optimizer == "gd_const" else "loss_based"
-    res = train_gd(
-        model, theta0, ds, spec, epochs=cfg.epochs, alpha0=cfg.alpha0,
-        mode=mode, s5_guard=bool(cfg.options.get("s5_guard", True)),
-        guard_safety=float(cfg.options.get("guard_safety", 0.5)), seed=seed,
-        n_sphere=int(cfg.options.get("n_sphere", 2_000)),
-        n_curvature=int(cfg.options.get("n_curvature", 500)),
-    )
+    model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
+    res = _gd(cfg, seed, model, ds, spec, theta0, s5_guard=True,
+              guard_safety=0.5, n_sphere=2_000, n_curvature=500)
     records = res["records"]
     failures = [res["abort"]] if res["abort"] else []
     if res["flagged_epochs"]:
@@ -392,38 +388,45 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
-    model = _build_model(cfg, {"family": "linear", "input_dim": 2})
-    ds = _build_dataset(cfg, lambda: from_rows(LINEAR_2D_ROWS,
-                                               provenance="linear_2d"))
-    spec = get_loss(cfg.loss if cfg.loss != "exp" else "logistic")
-    theta0 = np.asarray(
-        cfg.options.get("theta0", [0.2, -0.1]), dtype=np.float64)
-    out = run_flow(model, theta0, ds, spec,
-                   target_log_inv_loss=cfg.target_log_inv_loss,
-                   step_tol=cfg.step_tol, record_every=cfg.record_every)
+    model, ds, spec, theta0 = _setup(
+        cfg, seed, *LINEAR_NET,
+        loss=cfg.loss if cfg.loss != "exp" else "logistic",
+        theta0=[0.2, -0.1])
+    out = _flow(cfg, model, ds, spec, theta0)
     state = out["state"]
-    w_star, svm_margin = svm_oracle(ds.X, ds.y)
-    gap = direction_gap_to_svm(state.theta, w_star)
     failures = []
-    gap_max = float(cfg.options.get("svm_gap_max", 0.02))
-    if gap > gap_max:
-        failures.append(f"direction gap {gap:.4f} rad exceeds {gap_max}")
-    anchored = [r for r in out["records"]
-                if math.isfinite(r.get("log_tilde", -math.inf))]
-    cert = build_certificate(
-        model, state.theta, ds, spec, ev=state.ev,
-        log_tilde_t0=anchored[0]["log_tilde"] if anchored else None,
-        b1=float(np.max(np.linalg.norm(ds.X, axis=1))))
-    b = _sample_b_constants(model, ds, cfg, seed, state.theta)
-    summary = {
-        "svm_angle_gap": gap,
-        "svm_margin": svm_margin,
-        "kkt": {
+    gap = svm_margin = None
+    try:
+        w_star, svm_margin = svm_oracle(ds.X, ds.y)
+    except ValueError as err:  # over the enumeration size, or inseparable
+        failures.append(f"no SVM reference: {err}")
+    else:
+        gap = direction_gap_to_svm(state.theta, w_star)
+        gap_max = float(cfg.options.get("svm_gap_max", 0.02))
+        if gap > gap_max:
+            failures.append(f"direction gap {gap:.4f} rad exceeds {gap_max}")
+    kkt = None
+    if is_separated(state.ev, spec):
+        anchored = [r for r in out["records"]
+                    if math.isfinite(r.get("log_tilde", -math.inf))]
+        cert = build_certificate(
+            model, state.theta, ds, spec, ev=state.ev,
+            log_tilde_t0=anchored[0]["log_tilde"] if anchored else None,
+            b1=float(np.max(np.linalg.norm(ds.X, axis=1))))
+        kkt = {
             "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
             "delta": cert.delta, "beta": cert.beta,
             "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
             "q_min": cert.q_min, "log_inv_loss": cert.log_inv_loss,
-        },
+        }
+    else:
+        failures.append(
+            f"no KKT certificate: not separated at x = {state.ev.x}")
+    b = _sample_b_constants(model, ds, cfg, seed, state.theta)
+    summary = {
+        "svm_angle_gap": gap,
+        "svm_margin": svm_margin,
+        "kkt": kkt,
         "final": {"t": state.t, "x": state.ev.x, "rho": state.ev.rho},
     }
     return {"records": out["records"], "summary": summary,
@@ -431,30 +434,17 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
-    model = _build_model(cfg, {"family": "relu_mlp", "input_dim": 2,
-                               "widths": [4]})
-    ds = _build_dataset(
-        cfg, lambda: two_gaussians(8, 2, separation=3.0, seed=5))
-    spec = get_loss(cfg.loss)
+    model, ds, spec, theta0 = _setup(
+        cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
+        lambda: two_gaussians(8, 2, separation=3.0, seed=5))
     if cfg.optimizer == "flow":
-        theta0 = (np.asarray(cfg.options["theta0"], dtype=np.float64)
-                  if "theta0" in cfg.options else _init(model, cfg, seed))
-        out = run_flow(model, theta0, ds, spec,
-                       target_log_inv_loss=cfg.target_log_inv_loss,
-                       step_tol=cfg.step_tol,
-                       record_every=cfg.record_every)
+        out = _flow(cfg, model, ds, spec, theta0)
         records = out["records"]
         theta_final = out["state"].theta
         failures = []
     else:
-        theta0 = _init(model, cfg, seed)
-        res = train_gd(
-            model, theta0, ds, spec, epochs=cfg.epochs, alpha0=cfg.alpha0,
-            mode=("constant_alpha" if cfg.optimizer == "gd_const"
-                  else "loss_based"),
-            s5_guard=bool(cfg.options.get("s5_guard", True)),
-            guard_safety=float(cfg.options.get("guard_safety", 0.9)),
-            seed=seed)
+        res = _gd(cfg, seed, model, ds, spec, theta0, s5_guard=True,
+                  guard_safety=0.9)
         records = [r for r in res["records"] if not r.get("flagged")]
         theta_final = res["theta"]
         failures = [res["abort"]] if res["abort"] else []
@@ -519,19 +509,15 @@ def frame_equivalence_check(model, ds, spec, theta0, records,
 
 
 def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
-    model = _build_model(cfg, {"family": "relu_mlp", "input_dim": 2,
-                               "widths": [12]})
     # separation 4.0 with this seed is linearly separable (checked via
     # the projected-gradient dual); overlapping clusters stall GD on a
     # subdifferential crease long before the loss target
-    ds = _build_dataset(
-        cfg, lambda: two_gaussians(50, 2, separation=4.0,
-                                   seed=int(cfg.options.get("data_seed", 10))))
-    spec = get_loss(cfg.loss)
-    theta0 = _init(model, cfg, seed)
-    res = train_gd(model, theta0, ds, spec, epochs=cfg.epochs,
-                   alpha0=cfg.alpha0, mode="loss_based", s5_guard=False,
-                   seed=seed)
+    model, ds, spec, theta0 = _setup(
+        cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
+        lambda: two_gaussians(50, 2, separation=4.0,
+                              seed=int(cfg.options.get("data_seed", 10))))
+    res = _gd(cfg, seed, model, ds, spec, theta0, mode="loss_based",
+              s5_guard=False)
     records = res["records"]
     failures = [res["abort"]] if res["abort"] else []
     target = float(cfg.options.get("log10_loss_target", -50.0))
@@ -546,7 +532,10 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
         if res["flagged_epochs"]:
             failures.append(
                 f"scheduler stalled at epochs {res['flagged_epochs']}")
-    bad = _non_finite_fields(records)
+    bad = [f"record {i} field {key} = {val}"
+           for i, rec in enumerate(records) for key, val in rec.items()
+           if isinstance(val, (int, float)) and not isinstance(val, bool)
+           and not math.isfinite(val)]
     if bad:
         failures.append(f"non-finite record values: {bad[:3]}")
     frame = frame_equivalence_check(model, ds, spec, theta0, records)
@@ -659,29 +648,32 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
 def kkt_report(cfg: RunConfig, seed: int) -> dict:
     """Certificates at geometrically spaced checkpoints of a flow run.
 
-    A flow that stops (stationary, or out of steps) before a checkpoint
-    reports only the checkpoints it reached.
+    A checkpoint is certified only once the run is separated, (B4). One
+    that the flow reaches before that, or never reaches (it stopped,
+    stationary or out of steps), is left out and named in `failures`, a
+    key present only when a checkpoint is missing.
     """
-    model = _build_model(cfg, {"family": "linear", "input_dim": 2})
-    ds = _build_dataset(cfg, lambda: from_rows(LINEAR_2D_ROWS,
-                                               provenance="linear_2d"))
-    spec = get_loss(cfg.loss)
-    theta0 = (np.asarray(cfg.options["theta0"], dtype=np.float64)
-              if "theta0" in cfg.options else _init(model, cfg, seed))
+    model, ds, spec, theta0 = _setup(cfg, seed, *LINEAR_NET)
     states = flow_states(model, theta0, ds, spec, step_tol=cfg.step_tol)
     state, _ = next(states)
     targets = [cfg.target_log_inv_loss * f for f in KKT_FRACTIONS]
     b1 = float(np.max(np.linalg.norm(ds.X, axis=1)))
     anchor = None
     checkpoints = []
+    failures = []
     for x_target in targets:
         try:
             while state.ev.x < x_target:
                 state, _ = next(states)
         except StopIteration:
-            break  # stationary or out of steps before the target
-        if anchor is None and float(np.min(state.ev.q)) > 0.0 \
-                and spec.g(state.ev.x) > 0.0:
+            failures.append(f"flow stopped at x = {state.ev.x} before "
+                            f"checkpoint x >= {x_target}")
+            break
+        if not is_separated(state.ev, spec):
+            failures.append(f"checkpoint x >= {x_target}: not separated "
+                            f"at x = {state.ev.x}")
+            continue
+        if anchor is None:
             anchor = log_tilde_margin(state.ev, spec, model.order_L)
         cert = build_certificate(model, state.theta, ds, spec, ev=state.ev,
                                  log_tilde_t0=anchor, b1=b1)
@@ -692,9 +684,12 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
             "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
             "lambdas": cert.lambdas,
         })
-    return {
+    report = {
         "config_sha256": config_digest(cfg.raw),
         "seed": seed,
         "loss": spec.name,
         "kkt": checkpoints,
     }
+    if failures:
+        report["failures"] = failures
+    return report

@@ -1,13 +1,25 @@
-"""Independent oracles shared by the test suite.
+"""Independent oracles and reference helpers shared by the test suite.
 
-These deliberately avoid the package's gradient engine: gradients come
-from central finite differences and forward values from a straight-line
-numpy evaluation, so agreement is evidence rather than tautology.
+The finite-difference gradients and the straight-line forward pass
+avoid the package's gradient engine, so agreement with them is evidence
+rather than tautology. The Euler-identity and scaling residuals, the
+per-row gradients and the kink-free probes run the engine one sample
+at a time; the margin sandwich, the alignment-integral accumulator, the
+projected-gradient SVM dual and the root-finding loss wrapper are second
+routes to quantities the package computes another way.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+
+from marginflow.autodiff import backward
+from marginflow.gradflow import HatState, _hat_rhs, hat_value
+from marginflow.kkt import NotSeparableError
+from marginflow.losses import LossDomainError, LossSpec
+from marginflow.models import ParamVector, as_params, per_sample_grad_norms
 
 
 def fd_grad(fun, theta, h=1e-5):
@@ -65,8 +77,6 @@ def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
     """(b0, b1, b2) sampled one direction at a time: the estimator as it
     ran before estimate_b_constants drew and evaluated in chunks. Each
     sphere direction and each curvature probe gets its own forward."""
-    from marginflow.models import ParamVector, per_sample_grad_norms
-
     d = model.param_count
     b0 = -math.inf
     b1 = 0.0
@@ -99,8 +109,6 @@ def lambda_from_log_inv_loss(spec, log_inv_loss):
 
     The argument goes to g and g' as an array (0-d for one number), so
     this is lambda through the loss functions' array path."""
-    from marginflow.losses import LossDomainError
-
     x = np.asarray(log_inv_loss, dtype=np.float64)
     if np.any(x <= spec.f_at_bf):
         raise LossDomainError(
@@ -111,12 +119,11 @@ def lambda_from_log_inv_loss(spec, log_inv_loss):
 
 def lambda_of_loss(spec, loss_value):
     """lambda(loss) = g'(log 1/loss)/g(log 1/loss); needs loss < ell(b_f)."""
-    from marginflow.losses import LossDomainError
-
-    if not 0.0 < loss_value < spec.separability_threshold:
+    threshold = math.exp(-spec.f_at_bf)  # ell(b_f)
+    if not 0.0 < loss_value < threshold:
         raise LossDomainError(
             f"{spec.name}: loss {loss_value} not below separability "
-            f"threshold {spec.separability_threshold}"
+            f"threshold {threshold}"
         )
     return float(lambda_from_log_inv_loss(spec, -np.log(loss_value)))
 
@@ -164,8 +171,6 @@ def eager_point_summaries(ev, theta):
 def hat_step_array(state, dsigma, order_L=2.0, n_samples=1,
                    metric="planar"):
     """The hat's RK4 step on a three-element numpy state vector."""
-    from marginflow.gradflow import HatState, _hat_rhs, hat_value
-
     y0 = np.array([state.r, state.psi, state.log_rho])
 
     def rhs(y):
@@ -220,3 +225,176 @@ LOGISTIC_PHI_CORRECTION = [
     (1.0, 1.0, 10.0, -0.10500024804910636),
     (1.0, 1.0, 60.0, -0.016805555555555556),
 ]
+
+
+# Homogeneity self-checks, one sample and one output at a time.
+
+def homogeneity_check(model, theta, x, alpha):
+    """Residual of Phi(alpha*theta; x) == alpha^L * Phi(theta; x).
+
+    alpha in [0.5, 2] is recommended to keep alpha^L well away from
+    overflow for deep quadratic nets.
+    """
+    theta = as_params(theta)
+    base = np.atleast_1d(model.output(theta, x))
+    scaled = np.atleast_1d(model.output(alpha * theta.data, x))
+    resid = np.abs(scaled - alpha**model.order_L * base) / (1.0 + np.abs(base))
+    return float(np.max(resid))
+
+
+def _euler_worst(model, theta, x, part, k):
+    """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
+    over the outputs j, one one-hot seeded backward each."""
+    theta = as_params(theta)
+    out, cache = model.forward(theta, x)
+    out = np.atleast_1d(out)
+    worst = 0.0
+    for j, seed in enumerate(np.eye(out.size)):
+        grad = backward(cache, seed)
+        inner = float(theta.data[part] @ grad[part])
+        worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
+    return worst
+
+
+def euler_residual(model, theta, x):
+    """Residual of the Euler identity <theta, grad Phi> == L * Phi."""
+    return _euler_worst(model, theta, x, slice(None), model.order_L)
+
+
+def block_euler_residual(model, theta, x, block_i):
+    """Residual of the per-block identity <w_i, grad_{w_i} Phi> == k_i * Phi."""
+    if not 0 <= block_i < len(model.blocks):
+        raise IndexError(f"block index {block_i} out of range")
+    block = model.blocks[block_i]
+    return _euler_worst(model, theta, x, slice(block.start, block.stop), block.k)
+
+
+def preactivations(model, theta, x):
+    """Values entering each nonlinearity; used to avoid kink probes."""
+    _, cache = model.forward(theta, x)
+    return [h for kind, h, _, _ in cache.layers if kind in ("relu", "leaky_relu")]
+
+
+def sample_smooth_probe(model, theta, rng, kink_tol=1e-8, max_tries=100):
+    """Draw an input with every pre-activation magnitude above kink_tol.
+
+    The Euler identity only holds a.e.; re-sampling keeps validator
+    probes away from measure-zero kinks.
+    """
+    for _ in range(max_tries):
+        x = rng.standard_normal(model.input_dim)
+        pres = preactivations(model, theta, x)
+        if all(np.min(np.abs(p)) > kink_tol for p in pres) or not pres:
+            return x
+    raise RuntimeError("could not find a smooth probe point")
+
+
+def per_sample_grads(model, theta, X):
+    """Per-sample gradients of the scalar output, one backward per row."""
+    theta = as_params(theta)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if model.num_outputs != 1:
+        raise ValueError("per_sample_grads expects a single-output model")
+    grads = np.empty((X.shape[0], model.param_count))
+    for n in range(X.shape[0]):
+        _, cache = model.forward(theta, X[n])
+        grads[n] = backward(cache, 1.0)
+    return grads
+
+
+def margin_sandwich(spec, q_min, log_inv_loss, rho, order_L, n_samples):
+    """Certified bracket (low, high) around gamma_tilde, high = gamma_bar.
+
+    Mean-value form: gamma_bar - gamma_tilde = g'(xi) * gap / rho^L for
+    some xi between max(f(b_f), f(q_min) - log N) and f(q_min), with
+    gap <= log N. The unknown xi is replaced by the supremum of g' over
+    that interval, sampled at 33 points; g' is monotone for every
+    built-in family, so the endpoint grid attains the sup.
+    """
+    high = float(q_min) / rho**order_L
+    if n_samples <= 1:
+        return high, high
+    log_n = float(np.log(n_samples))
+    f_qmin = float(spec.f(q_min))
+    lo_end = max(spec.f_at_bf, f_qmin - log_n)
+    with np.errstate(divide="ignore"):
+        sup_gp = float(np.max(spec.g_prime(np.linspace(lo_end, f_qmin, 33))))
+    return high - sup_gp * log_n / rho**order_L, high
+
+
+@dataclass
+class Beta2Accumulator:
+    """Running discrete form of the alignment integral: the sum of
+    (beta^-2 - 1) dlog rho over steps is capped by the log-gain of the
+    smoothed margin divided by the order."""
+
+    order_L: float
+    total: float = 0.0
+
+    def update(self, beta, d_log_rho):
+        self.total += (beta ** -2.0 - 1.0) * d_log_rho
+
+    def bound_slack(self, log_tilde_start, log_tilde_end, tol=1e-6):
+        """Nonnegative when the integral bound holds for this stretch."""
+        cap = (log_tilde_end - log_tilde_start) / self.order_L
+        return cap + tol - self.total
+
+
+def svm_dual_projected_gradient(features, labels, *, iters=100_000,
+                                tol=1e-14):
+    """Independent route to the SVM oracle's optimum: projected gradient
+    ascent on the box-free dual max sum(mu) - mu' G mu / 2, mu >= 0."""
+    h = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.float64)
+    z = y[:, None] * h
+    gram = z @ z.T
+    step = 1.0 / float(np.linalg.norm(gram, 2))
+    mu = np.zeros(h.shape[0])
+    for _ in range(iters):
+        nxt = np.maximum(0.0, mu + step * (1.0 - gram @ mu))
+        if float(np.max(np.abs(nxt - mu))) < tol * max(1.0, float(np.max(nxt))):
+            mu = nxt
+            break
+        mu = nxt
+    w = z.T @ mu
+    worst = float(np.min(z @ w))
+    if worst < 0.5:  # dual diverges on infeasible data; catch it early
+        raise NotSeparableError(
+            f"dual iterate is far from feasibility (min margin {worst}); "
+            "data looks inseparable in feature space")
+    return w, 1.0 / float(np.linalg.norm(w))
+
+
+def make_custom(name, f, f_prime, b_f=0.0, K=None, b_g=None, p=None):
+    """Wrap a user (f, f') pair; g is obtained by bracketed root finding.
+
+    Bisection tolerance 1e-12 relative. g' comes from the inverse rule
+    g'(x) = 1/f'(g(x)).
+    """
+    f_at_bf = float(f(b_f))
+
+    def g_scalar(x):
+        if x <= f_at_bf:
+            return float(b_f)
+        hi = max(b_f + 1.0, 1.0)
+        while f(hi) < x:
+            hi *= 2.0
+            if hi > 1e300:
+                raise LossDomainError(f"{name}: g({x}) bracket expansion failed")
+        return float(brentq(lambda q: f(q) - x, b_f, hi, rtol=1e-12, maxiter=200))
+
+    def g(x):
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(x < f_at_bf - 1e-9):
+            raise LossDomainError(f"{name}: g below f(b_f) = {f_at_bf}")
+        return np.vectorize(g_scalar, otypes=[np.float64])(x) + 0.0
+
+    def g_prime(x):
+        return 1.0 / f_prime(g(x))
+
+    return LossSpec(
+        name=name, f=f, f_prime=f_prime, g=g, g_prime=g_prime,
+        b_f=b_f, K=K, b_g=b_g, p=p,
+    )

@@ -17,16 +17,16 @@ from marginflow.datasets import from_rows, two_gaussians
 from marginflow.gdtrain import train_gd
 from marginflow.gradflow import (flow_states, log_tilde_margin, run_flow,
                                  run_hat)
-from marginflow.kkt import (Beta2Accumulator, build_certificate,
-                            direction_gap_to_svm, svm_oracle)
+from marginflow.kkt import (build_certificate, direction_gap_to_svm,
+                            svm_oracle)
 from marginflow.losses import get_loss, validate_b3
-from marginflow.models import (build_model, euler_residual,
-                               homogeneity_check, init_params,
-                               per_sample_grads, sample_smooth_probe)
+from marginflow.models import build_model, init_params
 from marginflow.rates import bounded_ratio_verdict, rate_ratios
 from marginflow.runner import LINEAR_2D_ROWS, RunConfig, run_scenario
 
-from oracles import fd_grad, rel_err
+from oracles import (Beta2Accumulator, euler_residual, fd_grad,
+                     homogeneity_check, per_sample_grads, rel_err,
+                     sample_smooth_probe)
 
 EXP = get_loss("exp")
 LOGISTIC = get_loss("logistic")
@@ -243,5 +243,5 @@ def test_criterion_11_loss_validators():
     assert validate_b3(EXP).ok
     report = validate_b3(LOGISTIC)
     assert report.ok, report.failures()
-    assert abs(LOGISTIC.separability_threshold - math.log(2.0)) <= 1e-12
+    assert abs(math.exp(-LOGISTIC.f_at_bf) - math.log(2.0)) <= 1e-12
     assert abs(float(LOGISTIC.g_prime(40.0)) - 1.0) <= 1e-10

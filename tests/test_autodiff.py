@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (fd_grad, plain_forward, plain_preactivations, rel_err,
-                     seeded_fd_grad)
+from oracles import (fd_grad, per_sample_grads, plain_forward,
+                     plain_preactivations, preactivations, rel_err,
+                     sample_smooth_probe, seeded_fd_grad)
 
 from marginflow import autodiff, models
 
@@ -62,7 +63,7 @@ def test_gradients_match_finite_differences():
         if model.num_outputs != 1:
             continue
         theta = models.init_params(model, rng)
-        x = models.sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
+        x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
         _, cache = model.forward(theta, x)
         grad = autodiff.backward(cache)
         ref = fd_grad(lambda t: float(model.output(t, x)), theta.data)
@@ -73,7 +74,7 @@ def test_seeded_backward_is_weighted_sum():
     rng = np.random.default_rng(4)
     for model in _model_zoo():
         theta = models.init_params(model, rng)
-        X = np.array([models.sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
+        X = np.array([sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
                       for _ in range(6)])
         # (N,) seed for one output, (N, C) for several
         shape = (6,) if model.num_outputs == 1 else (6, model.num_outputs)
@@ -83,7 +84,7 @@ def test_seeded_backward_is_weighted_sum():
         ref = seeded_fd_grad(model.graph, theta.data, X, seed)
         assert rel_err(combined, ref) < 1e-7, model.name
         if model.num_outputs == 1:
-            stacked = models.per_sample_grads(model, theta, X)
+            stacked = per_sample_grads(model, theta, X)
             assert rel_err(combined, seed @ stacked) < 1e-13, model.name
 
 
@@ -91,7 +92,7 @@ def test_multi_output_seed_selects_class():
     rng = np.random.default_rng(5)
     model = models.relu_mlp(4, [5], num_outputs=3)
     theta = models.init_params(model, rng)
-    x = models.sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
+    x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
     for j in range(3):
         seed = np.zeros(3)
         seed[j] = 1.0
@@ -180,7 +181,7 @@ def test_preactivations_match_plain_forward():
     for model in _model_zoo():
         theta = models.init_params(model, rng)
         X = rng.standard_normal((5, model.input_dim))
-        got = models.preactivations(model, theta, X)
+        got = preactivations(model, theta, X)
         ref = plain_preactivations(model.graph, theta.data, X)
         assert len(got) == len(ref), model.name
         for pre, want in zip(got, ref):

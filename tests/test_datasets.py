@@ -17,13 +17,12 @@ def test_dataset_coerces_and_exposes_shape():
     ds = Dataset([[1, 2], [3, 4], [5, 6]], [1, -1, 1])
     assert ds.X.dtype == np.float64 and ds.y.dtype == np.int64
     assert (ds.n, ds.input_dim) == (3, 2)
-    assert ds.is_binary and ds.num_classes == 2
+    assert ds.is_binary
 
 
 def test_dataset_multiclass_labels():
     ds = Dataset(np.zeros((4, 2)), [0, 2, 1, 2])
     assert not ds.is_binary
-    assert ds.num_classes == 3
 
 
 def test_dataset_rejects_bad_shapes_and_labels():

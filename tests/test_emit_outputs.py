@@ -1,7 +1,10 @@
-"""scripts/emit_outputs.py --compare: what it ignores and what it flags."""
+"""scripts/emit_outputs.py: what --compare ignores and flags, and the
+worktree plumbing of --against, with a stub in place of the emitter."""
 
 import importlib.util
 import json
+import subprocess
+import tempfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "emit_outputs.py"
@@ -52,3 +55,41 @@ def test_compare_flags_bytes_missing_files_and_exit_codes(tmp_path, capsys):
     assert "exit codes differ" in out
     assert f"only in {a}: flow_small/flow_margin.0/flow_margin-seed0-loss.csv" \
         in out
+
+
+def _git(repo: Path, *args) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_against_emits_rev_from_a_temporary_worktree(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "value.txt").write_text("1.5")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "commit", "-q", "-m", "base")
+    seen = []
+
+    def stub(src, out):
+        seen.append(src)
+        _tree(out, "t0", value=(src / "value.txt").read_text())
+
+    assert emit_outputs.against("HEAD", tmp_path / "same", emit_tree=stub,
+                                repo=repo) == 0
+    assert "3 files in both trees, 0 differences" in capsys.readouterr().out
+    # REV came from a worktree outside the checkout, removed afterwards
+    assert seen[1] == repo / "src" and not seen[0].is_relative_to(repo)
+    assert not seen[0].exists()
+    assert len(_git(repo, "worktree", "list").splitlines()) == 1
+
+    # an uncommitted change in the checkout shows against HEAD
+    (repo / "src" / "value.txt").write_text("1.5000000000000002")
+    assert emit_outputs.against("HEAD", tmp_path / "changed", emit_tree=stub,
+                                repo=repo) == 1
+    assert "differs: flow_small/flow_margin.0/flow_margin-seed0.jsonl" \
+        in capsys.readouterr().out
+    assert len(_git(repo, "worktree", "list").splitlines()) == 1

@@ -252,7 +252,7 @@ def test_check_s5_examples():
     assert at_cap.passed and abs(at_cap.log_ratio) < 1e-10
     doubled = check_s5(log_h + math.log(2.0), 100.0, ms)
     assert not doubled.passed
-    assert math.isclose(doubled.ratio, 2.0, rel_tol=1e-9)
+    assert math.isclose(math.exp(doubled.log_ratio), 2.0, rel_tol=1e-9)
 
 
 # ----------------------------------------------------------- B constants

@@ -17,7 +17,8 @@ from scipy.special import logsumexp
 
 from marginflow import datasets, gradflow, losses, models
 
-from oracles import eager_point_summaries, fd_grad, hat_step_array
+from oracles import (eager_point_summaries, fd_grad, hat_step_array,
+                     preactivations)
 
 
 def _relu_logistic_setup():
@@ -34,7 +35,7 @@ def _smooth_theta(model, X, seed_start=0):
         theta = models.init_params(model, np.random.default_rng(seed))
         worst = min(
             float(np.min(np.abs(p)))
-            for x in X for p in models.preactivations(model, theta, x))
+            for x in X for p in preactivations(model, theta, x))
         if worst > 1e-2:
             return theta
     raise AssertionError("no smooth parameter draw found")
@@ -48,7 +49,7 @@ def test_evaluate_point_gradient_binary_matches_fd():
     def total_loss(th):
         q = np.array([float(model.output(models.ParamVector(th), x))
                       for x in data.X]) * data.y
-        return float(np.sum(spec.ell(q)))
+        return float(np.sum(np.exp(-spec.f(q))))
 
     grad = fd_grad(total_loss, theta0.data)
     scaled = math.exp(ev.x) * (-grad)
@@ -79,7 +80,7 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
         for n in range(6):
             s = out[n, data.y[n]] - np.delete(out[n], data.y[n])
             q_t = -float(np.log(np.sum(np.exp(-s))))
-            losses_n.append(float(spec.ell(q_t)))
+            losses_n.append(float(np.exp(-spec.f(q_t))))
         return float(np.sum(losses_n))
 
     grad = fd_grad(total_loss, theta.data)
@@ -102,7 +103,6 @@ def test_point_eval_lazy_summaries_equal_eager_oracle():
         got = (ev.beta, ev.V, ev.rho, ev.g_norm)
         want = eager_point_summaries(ev, theta)
         assert got == (want[2], want[0], want[3], want[1])
-        assert ev.log_grad_norm == math.log(want[1]) - ev.x
 
 
 def test_run_flow_one_log_tilde_per_state(monkeypatch):

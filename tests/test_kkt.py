@@ -1,4 +1,9 @@
-"""Feasibility scaling, approximate-KKT certificates, and the SVM oracle."""
+"""Feasibility scaling, approximate-KKT certificates, and the SVM oracle.
+
+The scaling onto the constraint boundary is the certificate's
+`theta_scaled`; the projected-gradient dual and the alignment-integral
+accumulator are test oracles (tests/oracles.py).
+"""
 
 import math
 
@@ -9,12 +14,12 @@ from hypothesis import strategies as st
 
 from marginflow import datasets, losses, models
 from marginflow.gradflow import flow_states, log_tilde_margin
-from marginflow.kkt import (Beta2Accumulator, KktCertificate,
-                            NotSeparableError, build_certificate,
-                            direction_gap_to_svm, feasible_scaling,
-                            svm_dual_projected_gradient, svm_oracle)
+from marginflow.kkt import (NotSeparableError, build_certificate,
+                            direction_gap_to_svm, svm_oracle)
 from marginflow.margin import effective_margins
 from marginflow.models import ParamVector
+
+from oracles import Beta2Accumulator, svm_dual_projected_gradient
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -32,15 +37,22 @@ def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3,
 
 # ---------------------------------------------------------- scaling
 
+def _scaled(model, theta, rows, spec=EXP):
+    """The certificate's rescaling of theta on the inline dataset rows."""
+    cert = build_certificate(model, theta, datasets.from_rows(rows), spec)
+    return cert.theta_scaled
+
+
 def test_feasible_scaling_identity_at_unit_margin():
-    w = ParamVector(np.array([0.3, -1.2, 0.5]))
-    scaled = feasible_scaling(w, 1.0, 2.0)
+    # order 2: the margin (x . w) * v of the one sample is 0.5 * 2 * 1 = 1
+    w = ParamVector(np.array([0.3, -1.2, 0.5, 1.0]))
+    scaled = _scaled(models.deep_linear(3, [1]), w, [[0.0, 0.0, 2.0, 1]])
     np.testing.assert_array_equal(scaled.data, w.data)
 
 
 def test_feasible_scaling_linear():
     w = ParamVector(np.array([2.0, -6.0]))
-    scaled = feasible_scaling(w, 4.0, 1.0)
+    scaled = _scaled(models.linear(2), w, [[2.0, 0.0, 1]])  # q_min = 4
     np.testing.assert_allclose(scaled.data, [0.5, -1.5], rtol=1e-15)
 
 
@@ -50,9 +62,9 @@ def test_feasible_scaling_order_two_lands_on_boundary():
     theta = models.init_params(model, np.random.default_rng(3), scale=0.7)
     state = _state_at(model, ds, EXP, theta, 8.0)
     q_min = float(np.min(state.ev.q))
-    # rescale so the worst margin is exactly 9: the scaling divides by 3
+    # rescale so the worst margin is 9: the scaling divides by 3
     theta9 = ParamVector(state.theta.data * (9.0 / q_min) ** 0.5)
-    scaled = feasible_scaling(theta9, 9.0, 2.0)
+    scaled = build_certificate(model, theta9, ds, EXP).theta_scaled
     np.testing.assert_allclose(scaled.data, theta9.data / 3.0, rtol=1e-15)
     q_scaled = effective_margins(model, scaled, ds)
     assert abs(float(np.min(q_scaled)) - 1.0) < 1e-9
@@ -61,7 +73,7 @@ def test_feasible_scaling_order_two_lands_on_boundary():
 @pytest.mark.parametrize("q_min", [0.0, -2.5])
 def test_feasible_scaling_rejects_nonseparated(q_min):
     with pytest.raises(NotSeparableError):
-        feasible_scaling(np.ones(3), q_min, 2.0)
+        _scaled(models.linear(1), np.ones(1), [[q_min, 1], [5.0, 1]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,8 +86,7 @@ def test_feasible_scaling_linear_margin_is_one(w, shift):
     model = models.linear(2)
     y = 1 if w[0] > 0 else -1
     ds = datasets.from_rows([[shift, 0.0, y]])
-    q_min = float(effective_margins(model, w, ds)[0])
-    scaled = feasible_scaling(w, q_min, 1.0)
+    scaled = build_certificate(model, np.array(w), ds, EXP).theta_scaled
     q_new = float(effective_margins(model, scaled, ds)[0])
     assert math.isclose(q_new, 1.0, rel_tol=1e-12)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from marginflow import losses
 
 from oracles import (lambda_from_log_inv_loss, lambda_of_loss, logistic_f,
-                     logistic_f_prime)
+                     logistic_f_prime, make_custom)
 
 mp.mp.dps = 60
 
@@ -26,15 +26,15 @@ def test_exponential_identities():
     spec = losses.make_exponential()
     assert spec.f(3.0) == 3.0
     assert spec.g(3.0) == 3.0
-    assert spec.separability_threshold == 1.0
-    assert float(spec.ell(0.0)) == 1.0
-    assert abs(float(spec.ell_inv(np.exp(-5.0))) - 5.0) < 1e-12
+    assert np.exp(-spec.f_at_bf) == 1.0  # the separability threshold ell(b_f)
+    assert float(np.exp(-spec.f(0.0))) == 1.0
+    assert abs(float(spec.g(-np.log(np.exp(-5.0)))) - 5.0) < 1e-12
     assert spec.f_prime(7.0) == 1.0 and spec.g_prime(7.0) == 1.0
 
 
 def test_logistic_threshold_and_gprime_tail():
     spec = losses.make_logistic()
-    assert abs(spec.separability_threshold - np.log(2.0)) < 1e-12
+    assert abs(np.exp(-spec.f_at_bf) - np.log(2.0)) < 1e-12
     assert abs(float(spec.g_prime(40.0)) - 1.0) < 1e-10
     assert abs(float(spec.g(spec.f(1.0))) - 1.0) < 1e-10
 
@@ -76,7 +76,7 @@ def test_lambda_of_loss():
     with pytest.raises(losses.LossDomainError):
         lambda_of_loss(exp, 1.0)
     with pytest.raises(losses.LossDomainError):
-        lambda_of_loss(logi, logi.separability_threshold)
+        lambda_of_loss(logi, np.exp(-logi.f_at_bf))
 
 
 SCALAR_PATH_FAMILIES = ("exp", "logistic", "cross_entropy", "exp_cubed")
@@ -168,7 +168,7 @@ def test_validate_b3_builtin_families():
 
 def test_validate_b3_catches_polynomial_tail():
     # f(q) = log(1+q) has f'(q)q -> 1, so the divergence clause must fail
-    bad = losses.make_custom(
+    bad = make_custom(
         "poly_tail", lambda q: np.log1p(np.maximum(q, 0.0)),
         lambda q: 1.0 / (1.0 + np.maximum(q, 0.0)),
     )
@@ -193,7 +193,7 @@ def test_exp_cubed_constants():
 
 
 def test_custom_loss_bisection_inverse():
-    quad = losses.make_custom("exp_sq", lambda q: np.asarray(q, float) ** 2,
+    quad = make_custom("exp_sq", lambda q: np.asarray(q, float) ** 2,
                               lambda q: 2.0 * np.asarray(q, float))
     assert abs(float(quad.g(4.0)) - 2.0) < 1e-11
     assert abs(float(quad.g_prime(4.0)) - 0.25) < 1e-10

@@ -1,4 +1,11 @@
-"""Margin definitions, log-space loss, and the sandwich bracket."""
+"""Margin definitions, log-space loss, and the sandwich bracket.
+
+The hard margins, x = log(1/loss), the loss weights and the smoothed
+margin are checked where the package produces them: `evaluate_point`,
+`margin._inv_loss_weights` and `gradflow.log_tilde_margin`.
+"""
+
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +15,16 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from marginflow import datasets, losses, margin, models
-from marginflow.gradflow import evaluate_point
+from marginflow.gradflow import evaluate_point, log_tilde_margin
+
+from oracles import margin_sandwich
 
 mp.mp.dps = 50
+
+
+def _x_and_weights(spec, q_eff):
+    """(x, w) from the producer evaluate_point uses, on given margins."""
+    return margin._inv_loss_weights(spec.f(np.asarray(q_eff, dtype=np.float64)))
 
 
 def _setup(seed=0, n=8, loss="exp"):
@@ -25,7 +39,7 @@ def test_sample_margins_binary_sign():
     model = models.linear(2)
     theta = np.array([1.0, 0.0])
     data = datasets.Dataset(np.array([[2.0, 0.0], [2.0, 0.0]]), np.array([1, -1]))
-    q = margin.sample_margins(model, theta, data)
+    q = evaluate_point(model, theta, data, losses.get_loss("exp")).q
     assert np.allclose(q, [2.0, -2.0])
 
 
@@ -34,6 +48,11 @@ def test_sample_margins_multiclass_gap():
     gaps = margin.score_gaps(phi, np.array([0]))
     assert np.allclose(gaps, [[4.0, 2.0]])
     assert np.allclose(np.min(gaps, axis=1), [2.0])
+    # the same scores from a one-input linear model: q is the worst gap
+    model = models.linear(1, num_outputs=3)
+    data = datasets.Dataset(np.array([[1.0]]), np.array([0]))
+    ev = evaluate_point(model, phi[0], data, losses.get_loss("cross_entropy"))
+    assert np.allclose(ev.q, [2.0])
 
 
 def test_soft_margin_below_hard_margin():
@@ -61,8 +80,9 @@ def test_soft_margins_match_scipy_logsumexp():
 
 @pytest.mark.parametrize("num_outputs", [1, 3])
 def test_log_inv_loss_is_evaluate_point_x(num_outputs):
-    # both routes form x from the same f(q_eff) through the same helper,
-    # so they agree to the last bit, binary and multi-class alike
+    # x from effective_margins, the margins GD and the frame check read,
+    # and evaluate_point's x go through the same producer, so they agree
+    # to the last bit, binary and multi-class alike
     rng = np.random.default_rng(2)
     model = models.relu_mlp(3, [5], num_outputs=num_outputs)
     theta = models.init_params(model, rng)
@@ -71,29 +91,33 @@ def test_log_inv_loss_is_evaluate_point_x(num_outputs):
          else rng.integers(0, 3, 12))
     data = datasets.Dataset(X, y)
     spec = losses.get_loss("logistic")
-    x = margin.log_inv_loss(model, theta, data, spec)
+    x, _ = _x_and_weights(spec, margin.effective_margins(model, theta, data))
     assert x == evaluate_point(model, theta, data, spec).x
 
 
 def test_log_inv_loss_single_and_symmetric():
     spec = losses.make_exponential()
-    assert abs(margin.log_inv_loss_from_margins(spec, [5.0]) - 5.0) < 1e-12
+    assert abs(_x_and_weights(spec, [5.0])[0] - 5.0) < 1e-12
     qs = np.full(7, 3.0)
-    assert abs(margin.log_inv_loss_from_margins(spec, qs) - (3.0 - np.log(7))) < 1e-12
+    assert abs(_x_and_weights(spec, qs)[0] - (3.0 - np.log(7))) < 1e-12
 
 
 def test_log_inv_loss_matches_compensated_oracle():
     spec = losses.make_logistic()
     qs = np.array([2.0, 3.0])
     ref = -mp.log(mp.fsum(mp.log(1 + mp.e**(-mp.mpf(q))) for q in qs))
-    got = margin.log_inv_loss_from_margins(spec, qs)
+    got, _ = _x_and_weights(spec, qs)
     assert abs(got - float(ref)) < 1e-12
 
 
 def test_loss_weights_sum_to_one_even_deep():
-    spec = losses.make_exponential()
-    qs = np.array([2000.0, 2000.5, 2001.0])  # loss ~ e^{-2000}
-    x, w = margin.loss_weights(spec, qs)
+    spec = losses.get_loss("exp")
+    model = models.linear(1)
+    data = datasets.Dataset(np.array([[4000.0], [4001.0], [4002.0]]),
+                            np.array([1, 1, 1]))
+    # margins 2000, 2000.5 and 2001: loss ~ e^{-2000}
+    ev = evaluate_point(model, np.array([0.5]), data, spec)
+    x, w = ev.x, ev.weights
     assert np.isfinite(x) and x > 1999.0
     assert abs(w.sum() - 1.0) < 1e-12
     assert np.all(w > 0.0)
@@ -102,52 +126,36 @@ def test_loss_weights_sum_to_one_even_deep():
 def test_smoothed_margin_exp_single_sample_equals_bar():
     model, theta, _, spec = _setup()
     data = datasets.Dataset(np.array([[1.0, 0.5, -0.2]]), np.array([1]))
-    q = margin.sample_margins(model, theta, data)
-    if q[0] <= 0:
+    ev = evaluate_point(model, theta, data, spec)
+    if ev.q[0] <= 0:
         theta = models.ParamVector(-theta.data)
-        q = margin.sample_margins(model, theta, data)
-    x = margin.log_inv_loss(model, theta, data, spec)
-    tilde = margin.smoothed_margin(theta, x, spec, model.order_L)
-    bar = q[0] / theta.rho**model.order_L
+        ev = evaluate_point(model, theta, data, spec)
+    tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
+    bar = ev.q[0] / theta.rho**model.order_L
     assert abs(tilde - bar) < 1e-12 * max(1.0, abs(bar))
 
 
 def test_smoothed_margin_logistic_closed_form():
     # loss 0.1, rho 2, L 2: gamma_tilde = -log(e^{0.1} - 1)/4
     spec = losses.make_logistic()
-    theta = models.ParamVector(np.array([2.0, 0.0]))
-    x = -np.log(0.1)
+    point = SimpleNamespace(x=-np.log(0.1), rho=2.0)
     expected = -np.log(np.expm1(0.1)) / 4.0
-    assert abs(margin.smoothed_margin(theta, x, spec, 2.0) - expected) < 1e-12
+    assert abs(np.exp(log_tilde_margin(point, spec, 2.0)) - expected) < 1e-12
 
 
 def test_smoothed_margin_domain_error_before_separation():
     spec = losses.make_logistic()
-    theta = models.ParamVector(np.ones(3))
+    point = SimpleNamespace(x=0.1, rho=np.sqrt(3.0))
     with pytest.raises(losses.LossDomainError):
-        margin.smoothed_margin(theta, 0.1, spec, 2.0)
-
-
-def test_multihomo_matches_single_block_and_rescaling():
-    spec = losses.make_exponential()
-    x = 12.0
-    theta = models.ParamVector(np.array([3.0, 4.0]))
-    single = margin.smoothed_margin(theta, x, spec, 2.0)
-    multi = margin.smoothed_margin_multihomo([5.0], [2.0], x, spec)
-    assert abs(single - multi) < 1e-12
-    base = margin.smoothed_margin_multihomo([2.0, 3.0], [1.0, 2.0], x, spec)
-    scaled = margin.smoothed_margin_multihomo([4.0, 3.0], [1.0, 2.0], x, spec)
-    assert abs(scaled - base / 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        margin.smoothed_margin_multihomo([0.0, 1.0], [1.0, 1.0], x, spec)
+        log_tilde_margin(point, spec, 2.0)
 
 
 def test_sandwich_exp_form_and_single_sample():
     spec = losses.make_exponential()
-    low, high = margin.margin_sandwich(spec, 9.0, 8.0, 2.0, 2.0, 10)
+    low, high = margin_sandwich(spec, 9.0, 8.0, 2.0, 2.0, 10)
     assert abs(high - 9.0 / 4.0) < 1e-12
     assert abs(low - (9.0 - np.log(10.0)) / 4.0) < 1e-12
-    low1, high1 = margin.margin_sandwich(spec, 9.0, 9.0, 2.0, 2.0, 1)
+    low1, high1 = margin_sandwich(spec, 9.0, 9.0, 2.0, 2.0, 1)
     assert low1 == high1
 
 
@@ -155,7 +163,7 @@ def test_sandwich_logistic_deep_bracket_width():
     spec = losses.make_logistic()
     q_min, n, rho, L = 50.0, 10, 2.0, 2.0
     x = float(spec.f(q_min)) - 0.5 * np.log(n)
-    low, high = margin.margin_sandwich(spec, q_min, x, rho, L, n)
+    low, high = margin_sandwich(spec, q_min, x, rho, L, n)
     assert high - low <= 1.01 * np.log(n) / rho**L
 
 
@@ -169,24 +177,13 @@ def test_sandwich_brackets_tilde_property(seed, loss):
     # point the weights at the positive-class mean, scaled to separate
     direction = (data.X * data.y[:, None]).mean(axis=0)
     theta = models.ParamVector(6.0 * direction / np.linalg.norm(direction))
-    q = margin.sample_margins(model, theta, data)
-    x = margin.log_inv_loss_from_margins(spec, q)
-    if x <= spec.f_at_bf + 0.05:
+    ev = evaluate_point(model, theta, data, spec)
+    if ev.x <= spec.f_at_bf + 0.05:
         return  # summed loss not yet below ell(b_f); property is vacuous
-    report = margin.evaluate_margins(model, theta, data, spec)
-    assert report.sandwich_low <= report.tilde_gamma + 1e-12
-    assert report.tilde_gamma <= report.bar_gamma + 1e-12
-
-
-def test_evaluate_margins_report_fields():
-    model = models.linear(2)
-    data = datasets.two_gaussians(n=8, dim=2, separation=6.0, seed=1)
-    spec = losses.make_exponential()
-    theta = models.ParamVector(np.array([5.0, 0.0]))
-    q = margin.sample_margins(model, theta, data)
-    assert np.min(q) > 0.5  # construction separates along the first axis
-    report = margin.evaluate_margins(model, theta, data, spec)
-    assert report.q_min == np.min(report.q)
-    rec = report.to_record()
-    assert set(rec) == {"q_min", "rho", "log_inv_loss", "bar_gamma",
-                        "tilde_gamma", "sandwich_low"}
+    # the sandwich lemma speaks about the margins inside the loss
+    low, bar = margin_sandwich(spec, float(np.min(ev.q_eff)), ev.x, ev.rho,
+                               model.order_L, data.n)
+    assert bar == float(np.min(ev.q)) / ev.rho**model.order_L
+    tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
+    assert low <= tilde + 1e-12
+    assert tilde <= bar + 1e-12

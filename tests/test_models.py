@@ -1,10 +1,16 @@
-"""Homogeneity structure: scaling law, Euler identities, grad helpers."""
+"""Homogeneity structure: scaling law, Euler identities, grad helpers.
+
+The residual and per-row gradient helpers are test oracles
+(tests/oracles.py) that run the engine one sample at a time.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fd_grad, rel_err
+from oracles import (block_euler_residual, euler_residual, fd_grad,
+                     homogeneity_check, per_sample_grads, preactivations,
+                     rel_err, sample_smooth_probe)
 
 from marginflow import models
 
@@ -37,7 +43,7 @@ def test_homogeneity_residual_small():
         for _ in range(5):
             x = rng.standard_normal(model.input_dim)
             alpha = float(rng.uniform(0.5, 2.0))
-            assert models.homogeneity_check(model, theta, x, alpha) < 1e-10, model.name
+            assert homogeneity_check(model, theta, x, alpha) < 1e-10, model.name
 
 
 @settings(max_examples=30, deadline=None)
@@ -47,32 +53,32 @@ def test_homogeneity_property_relu(alpha, seed):
     model = models.relu_mlp(3, [4])
     theta = models.init_params(model, rng)
     x = rng.standard_normal(3)
-    assert models.homogeneity_check(model, theta, x, alpha) < 1e-9
+    assert homogeneity_check(model, theta, x, alpha) < 1e-9
 
 
 def test_euler_identity():
     rng = np.random.default_rng(11)
     for model in _zoo():
         theta = models.init_params(model, rng)
-        x = models.sample_smooth_probe(model, theta, rng)
-        assert models.euler_residual(model, theta, x) < 1e-10, model.name
+        x = sample_smooth_probe(model, theta, rng)
+        assert euler_residual(model, theta, x) < 1e-10, model.name
 
 
 def test_block_euler_identity():
     rng = np.random.default_rng(12)
     for model in _zoo():
         theta = models.init_params(model, rng)
-        x = models.sample_smooth_probe(model, theta, rng)
+        x = sample_smooth_probe(model, theta, rng)
         for i in range(len(model.blocks)):
-            assert models.block_euler_residual(model, theta, x, i) < 1e-10, model.name
+            assert block_euler_residual(model, theta, x, i) < 1e-10, model.name
 
 
 def test_multi_output_euler():
     rng = np.random.default_rng(13)
     model = models.relu_mlp(4, [5], num_outputs=3)
     theta = models.init_params(model, rng)
-    x = models.sample_smooth_probe(model, theta, rng)
-    assert models.euler_residual(model, theta, x) < 1e-10
+    x = sample_smooth_probe(model, theta, rng)
+    assert euler_residual(model, theta, x) < 1e-10
 
 
 def test_init_is_deterministic():
@@ -95,8 +101,8 @@ def test_smooth_probe_avoids_kinks():
     rng = np.random.default_rng(14)
     model = models.relu_mlp(4, [8, 8])
     theta = models.init_params(model, rng)
-    x = models.sample_smooth_probe(model, theta, rng, kink_tol=1e-4)
-    for pre in models.preactivations(model, theta, x):
+    x = sample_smooth_probe(model, theta, rng, kink_tol=1e-4)
+    for pre in preactivations(model, theta, x):
         assert np.min(np.abs(pre)) > 1e-4
 
 
@@ -105,7 +111,7 @@ def test_per_sample_grads_match_fd():
     model = models.quadratic_mlp(3, [4])
     theta = models.init_params(model, rng)
     X = rng.standard_normal((4, 3))
-    grads = models.per_sample_grads(model, theta, X)
+    grads = per_sample_grads(model, theta, X)
     for n in range(4):
         ref = fd_grad(lambda t: float(model.output(t, X[n])), theta.data)
         assert rel_err(grads[n], ref) < 1e-7
@@ -116,11 +122,11 @@ def test_per_sample_grad_norms_match_stacked():
     for model in _zoo():
         theta = models.init_params(model, rng)
         X = np.stack(
-            [models.sample_smooth_probe(model, theta, rng) for _ in range(6)]
+            [sample_smooth_probe(model, theta, rng) for _ in range(6)]
         )
         _, cache = model.forward(theta, X)
         fast = models.per_sample_grad_norms(model, cache)
-        slow = np.linalg.norm(models.per_sample_grads(model, theta, X), axis=1)
+        slow = np.linalg.norm(per_sample_grads(model, theta, X), axis=1)
         assert rel_err(fast, slow) < 1e-12, model.name
 
 

@@ -347,3 +347,56 @@ def test_cli_hat_default_config(tmp_path, capsys):
     assert cli_main(["hat", "--out", str(tmp_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["hat"]["r_final"] > 0.99
+
+
+# ------------------------------------------ named failures, not raises
+
+def _cli_json(tmp_path, capsys, verb, raw):
+    p = tmp_path / "cfg.yaml"
+    p.write_text(json.dumps(raw))
+    argv = [verb, "--config", str(p)]
+    if verb == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    code = cli_main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_linear_logistic_past_oracle_size_names_missing_svm(tmp_path, capsys):
+    # 40 points are past the enumeration oracle's 32
+    code, report = _cli_json(tmp_path, capsys, "run", {
+        "scenario": "linear_logistic_2d", "seed": 0,
+        "dataset": {"kind": "two_gaussians", "n": 40, "separation": 6.0,
+                    "seed": 5}})
+    assert code == 1
+    assert report["failures"] == [
+        "seed 0: no SVM reference: enumeration oracle is desk-scale; "
+        "got 40 > 32"]
+
+
+# a start with q_min = -1.11 whose x already exceeds the target: the
+# flow takes no step, so the final point is not separated
+UNSEPARATED_END = {
+    "scenario": "linear_logistic_2d", "loss": "logistic", "seed": 0,
+    "target_log_inv_loss": -5.0, "options": {"theta0": [-0.5, 0.2]}}
+
+
+def test_linear_logistic_unseparated_end_names_missing_certificate(
+        tmp_path, capsys):
+    code, report = _cli_json(tmp_path, capsys, "run", UNSEPARATED_END)
+    assert code == 1
+    assert report["failures"][-1].startswith(
+        "seed 0: no KKT certificate: not separated at x = -2.20")
+    summary = json.loads(
+        (tmp_path / "out" / "linear_logistic_2d-seed0.summary.json")
+        .read_text())
+    assert summary["kkt"] is None
+
+
+def test_cli_kkt_report_skips_unseparated_checkpoints(tmp_path, capsys):
+    # every checkpoint target lies below f(b_f): none can be certified
+    code, report = _cli_json(tmp_path, capsys, "kkt-report", UNSEPARATED_END)
+    assert code == 1
+    assert report["kkt"] == []
+    assert len(report["failures"]) == 4
+    assert report["failures"][0].startswith(
+        "checkpoint x >= -0.625: not separated at x = -0.62")
