@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .autodiff import backward
 from .datasets import Dataset
@@ -168,8 +166,16 @@ class PhiCurve:
             if hi > u0 + 200.0:
                 raise RuntimeError("F(u) failed to recover; loss family "
                                    "violates the single-dip assumption")
+        from scipy.optimize import brentq  # see _quad
         return float(brentq(lambda u: self._log_F(u) - self._log_f0, lo, hi,
                             xtol=1e-13, rtol=1e-15))
+
+    @staticmethod
+    def _quad(fn, a: float, b: float) -> float:
+        # scipy is imported where PhiCurve first needs it, so the runs
+        # that never build one, every flow run among them, never load it
+        from scipy.integrate import quad
+        return quad(fn, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
 
     def _tail_integrand(self, u):
         lam = self._lam(u)
@@ -180,15 +186,12 @@ class PhiCurve:
         return self._lam(u) - math.exp(log_m - u)
 
     def _tail(self, U: float) -> float:
-        val, _ = quad(self._tail_integrand, U, np.inf,
-                      epsabs=1e-13, epsrel=1e-12, limit=400)
-        return val
+        return self._quad(self._tail_integrand, U, np.inf)
 
     def _t_full(self, U: float) -> float:
         if U >= self.u_star:
             return self._tail(U)
-        dip, _ = quad(self._dip_integrand, U, self.u_star,
-                      epsabs=1e-13, epsrel=1e-12, limit=400)
+        dip = self._quad(self._dip_integrand, U, self.u_star)
         return dip + self._tail(self.u_star)
 
     def correction(self, u: float) -> float:
@@ -205,17 +208,12 @@ class PhiCurve:
             # removed mass int_{cache}^{u} iota is accumulated exactly once
             a, b = self._cache_u, u
             if b <= self.u_star:
-                seg, _ = quad(self._dip_integrand, a, b,
-                              epsabs=1e-13, epsrel=1e-12, limit=400)
+                seg = self._quad(self._dip_integrand, a, b)
             elif a >= self.u_star:
-                seg, _ = quad(self._tail_integrand, a, b,
-                              epsabs=1e-13, epsrel=1e-12, limit=400)
+                seg = self._quad(self._tail_integrand, a, b)
             else:
-                s1, _ = quad(self._dip_integrand, a, self.u_star,
-                             epsabs=1e-13, epsrel=1e-12, limit=400)
-                s2, _ = quad(self._tail_integrand, self.u_star, b,
-                             epsabs=1e-13, epsrel=1e-12, limit=400)
-                seg = s1 + s2
+                seg = (self._quad(self._dip_integrand, a, self.u_star)
+                       + self._quad(self._tail_integrand, self.u_star, b))
             t = self._cache_t - seg
         self._cache_u, self._cache_t = u, t
         return t

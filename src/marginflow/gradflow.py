@@ -20,8 +20,7 @@ import numpy as np
 from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
 from .losses import LossSpec
-from .margin import (_inv_loss_weights, _shifted_exp, score_gaps,
-                     soft_margins)
+from .margin import _inv_loss_weights, score_gaps, soft_margins
 from .models import HomogeneousModel, ParamVector, as_params
 
 
@@ -118,12 +117,12 @@ def log_tilde_margin(ev: PointEval, spec: LossSpec, order_L: float) -> float:
     return math.log(g) - order_L * math.log(ev.rho)
 
 
-def nu_lower_slack(ev: PointEval, spec: LossSpec) -> float:
-    """log V - log(g/g')(x); nonnegative once separated."""
-    bound = float(spec.g(ev.x) / spec.g_prime(ev.x))
-    if bound <= 0.0:
-        return math.inf
-    return math.log(ev.V) - math.log(bound)
+def nu_lower_slack(xs: np.ndarray, vs, spec: LossSpec) -> list[float]:
+    """log V - log(g/g')(x) per state; nonnegative once separated."""
+    bounds = (spec.g(xs) / spec.g_prime(xs)).tolist()
+    # scalar math.log: numpy's log differs from it in the last bit
+    return [math.inf if b <= 0.0 else math.log(v) - math.log(b)
+            for v, b in zip(vs, bounds)]
 
 
 @dataclass(frozen=True)
@@ -260,13 +259,27 @@ def margin_rate_slack(prev: PointEval, new: PointEval, info: StepInfo,
     return d_log_tilde - order_L * info.delta_theta_hat**2 / d_log_rho
 
 
+def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of 9, in the order np.sum adds 9 numbers.
+
+    The grids of `LossUpperBound.update` are column-major, as
+    np.linspace(axis=1) returns them, and np.sum(axis=1) adds such rows
+    left to right, which differs in the last bit.
+    """
+    c = a.T
+    return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])) \
+        + c[8]
+
+
 class LossUpperBound:
     """Accumulates log G(1/loss) for the certified time bound.
 
     G(z) = int_{1/loss(t0)}^{z} g'(log u)^2 / g(log u)^{2-2/L} du,
     integrated in v = log u coordinates where the integrand is
-    exp(v + 2 log g'(v) - (2 - 2/L) log g(v)). The running value is
-    kept in log space because G grows like 1/loss itself.
+    exp(v + 2 log g'(v) - (2 - 2/L) log g(v)), by the trapezoid rule on
+    8 subintervals per segment between successive new maxima of x. The
+    running value is kept in log space because G grows like 1/loss
+    itself.
     """
 
     def __init__(self, spec: LossSpec, order_L: float, x0: float,
@@ -283,31 +296,65 @@ class LossUpperBound:
         return (v + 2.0 * np.log(self.spec.g_prime(v))
                 - (2.0 - 2.0 / self.order_L) * np.log(self.spec.g(v)))
 
-    def update(self, x_new: float, subdiv: int = 8) -> float:
-        if x_new <= self.x_last:
-            return self.log_G
-        v = np.linspace(self.x_last, x_new, subdiv + 1)
-        fv = self._log_integrand(v)
-        h = (x_new - self.x_last) / subdiv
-        weights = np.full(subdiv + 1, h)
-        weights[0] = weights[-1] = h / 2.0
-        # the largest terms split off and the rest summed through log1p,
-        # as scipy.special.logsumexp does, so the bound's bits match it
-        f_max, terms = _shifted_exp(fv, weights)
-        top = fv == f_max
-        top_sum = np.sum(terms * top)
-        terms[top] = 0.0
-        rest = np.sum(terms) / top_sum
-        seg = float(np.log1p(rest) + np.log(top_sum) + f_max)
-        self.log_G = float(np.logaddexp(self.log_G, seg))
-        self.x_last = x_new
-        return self.log_G
+    def update(self, xs: np.ndarray) -> np.ndarray:
+        """Running log G after each x of `xs`, carried across calls.
 
-    def slack(self, t: float) -> float:
-        """log G(1/loss(t)) - log(L^2 tilde0^{2/L} (t - t0)); >= 0 expected."""
-        if t <= self.t0:
-            return math.inf
-        return self.log_G - self.log_rhs_scale - math.log(t - self.t0)
+        An x not above every earlier x adds nothing. Each segment's
+        weighted log-sum-exp splits off its largest terms and sums the
+        rest through log1p, as scipy.special.logsumexp does.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        top_x = np.maximum.accumulate(np.concatenate(([self.x_last], xs)))
+        grows = xs > top_x[:-1]
+        a, b = top_x[:-1][grows], xs[grows]
+        v = np.linspace(a, b, 9, axis=1)
+        fv = self._log_integrand(v)
+        h = (b - a) / 8.0
+        weights = np.repeat(h[:, None], 9, axis=1)
+        weights[:, [0, -1]] = (h / 2.0)[:, None]
+        f_max = fv.max(axis=1)
+        terms = np.exp(fv - f_max[:, None])
+        terms *= weights
+        top = fv == f_max[:, None]
+        top_sum = _pairwise_row_sum(terms * top)
+        terms[top] = 0.0
+        rest = _pairwise_row_sum(terms) / top_sum
+        seg = np.log1p(rest) + np.log(top_sum) + f_max
+        running = np.logaddexp.accumulate(np.concatenate(([self.log_G], seg)))
+        self.log_G = float(running[-1])
+        self.x_last = float(top_x[-1])
+        return running[np.cumsum(grows)]
+
+    def slack(self, log_G: np.ndarray, ts: np.ndarray) -> list[float]:
+        """log G(1/loss(t)) - log(L^2 tilde0^{2/L} (t - t0)) per state;
+        >= 0 expected."""
+        return [math.inf if t <= self.t0
+                else lg - self.log_rhs_scale - math.log(t - self.t0)
+                for lg, t in zip(log_G.tolist(), ts.tolist())]
+
+
+# states per array pass of the bound monitors; bounds the (chunk, 9)
+# integrand grids of a long run
+MONITOR_CHUNK = 4096
+
+
+def _bound_monitors(monitors: dict, bound: LossUpperBound, spec: LossSpec,
+                    xs: list, vs: list, ts: list) -> None:
+    """Append the nu and loss upper bound slacks of the separated states
+    (x, V, t) to `monitors`, MONITOR_CHUNK states per array pass.
+
+    Both bounds are checks on the finished trajectory, so `run_flow`
+    computes them after its step loop. The loss upper bound skips
+    states whose t has overflowed to inf.
+    """
+    for i in range(0, len(xs), MONITOR_CHUNK):
+        x = np.array(xs[i:i + MONITOR_CHUNK])
+        t = np.array(ts[i:i + MONITOR_CHUNK])
+        monitors["nu_slack"] += nu_lower_slack(x, vs[i:i + MONITOR_CHUNK],
+                                               spec)
+        finite = np.isfinite(t)
+        monitors["upper_slack"] += bound.slack(bound.update(x[finite]),
+                                               t[finite])
 
 
 def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -355,6 +402,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     bound = None
     t_sep = None
     lt = None  # log tilde margin of the current state, once separated
+    xs, vs, ts = [], [], []  # separated states for the bound monitors
 
     def record(st: FlowState):
         rec = {
@@ -387,13 +435,12 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                                            model.order_L))
                 monitors["margin_slack"].append(margin_rate_slack(
                     prev, state.ev, info, lt - prev_lt, model.order_L))
-                monitors["nu_slack"].append(nu_lower_slack(state.ev, spec))
                 monitors["beta"].append(state.ev.beta)
                 monitors["log_tilde"].append(lt)
                 monitors["d_log_tilde"].append(lt - prev_lt)
-                if bound is not None and math.isfinite(state.t):
-                    bound.update(state.ev.x)
-                    monitors["upper_slack"].append(bound.slack(state.t))
+                xs.append(state.ev.x)
+                vs.append(state.ev.V)
+                ts.append(state.t)
         if state.steps % record_every == 0:
             record(state)
         if state.ev.x >= target_log_inv_loss:
@@ -401,6 +448,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         prev = state.ev
     if records[-1]["step"] != state.steps:
         record(state)
+    _bound_monitors(monitors, bound, spec, xs, vs, ts)
     return {
         "state": state,
         "records": records,

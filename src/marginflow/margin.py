@@ -44,26 +44,17 @@ def effective_margins(model: HomogeneousModel, theta, dataset: Dataset) -> np.nd
     return soft_margins(score_gaps(phi, dataset.y))
 
 
-def _shifted_exp(a: np.ndarray, b=None) -> tuple[float, np.ndarray]:
-    """(a_max, b * exp(a - a_max)): the O(1) terms of log sum b e^a.
-
-    Inline log-sum-exp; scipy's `logsumexp` costs ~100-300us per call
-    on the short arrays of the flow's hot loop.
-    """
-    a_max = float(a.max())
-    terms = np.exp(a - a_max)
-    if b is not None:
-        terms *= b
-    return a_max, terms
-
-
 def _inv_loss_weights(fq: np.ndarray) -> tuple[float, np.ndarray]:
     """(x, w) for loss = sum_n exp(-fq_n): x = -LSE(-fq), w = exp(x - fq).
 
     The weights are formed as exp(m - fq) * exp(x - m) with m = min fq,
-    so every exponent stays O(1) however small the loss is.
+    so every exponent stays O(1) however small the loss is. The
+    log-sum-exp is inline: scipy's `logsumexp` costs ~100-300us per
+    call on the short arrays of the flow's hot loop.
     """
-    neg_m, w = _shifted_exp(-fq)
+    neg_fq = -fq
+    neg_m = float(neg_fq.max())
+    w = np.exp(neg_fq - neg_m)
     x = -(neg_m + math.log(float(w.sum())))
     w *= math.exp(x + neg_m)
     return x, w

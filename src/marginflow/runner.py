@@ -448,6 +448,9 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
         records = [r for r in res["records"] if not r.get("flagged")]
         theta_final = res["theta"]
         failures = [res["abort"]] if res["abort"] else []
+        if res["flagged_epochs"]:
+            failures.append(
+                f"scheduler stalled at epochs {res['flagged_epochs']}")
     diag = rate_ratios(records, spec, model.order_L, ds.n)
     verdict = bounded_ratio_verdict(
         diag, window=float(cfg.options.get("window", 2.0)),

@@ -6,13 +6,17 @@ rather than tautology. The Euler-identity and scaling residuals, the
 per-row gradients and the kink-free probes run the engine one sample
 at a time; the margin sandwich, the alignment-integral accumulator, the
 projected-gradient SVM dual and the root-finding loss wrapper are second
-routes to quantities the package computes another way.
+routes to quantities the package computes another way. The stepwise
+bound monitors evaluate the flow's nu and loss upper bounds one state
+at a time, as the package's batched monitors must reproduce bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import yaml
 from scipy.optimize import brentq
 
 from marginflow.autodiff import backward
@@ -20,6 +24,15 @@ from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.models import ParamVector, as_params, per_sample_grad_norms
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flow_config():
+    """The example run config of README.md, as a mapping."""
+    text = README.read_text(encoding="utf-8")
+    return yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
 
 
 def fd_grad(fun, theta, h=1e-5):
@@ -398,3 +411,58 @@ def make_custom(name, f, f_prime, b_f=0.0, K=None, b_g=None, p=None):
         name=name, f=f, f_prime=f_prime, g=g, g_prime=g_prime,
         b_f=b_f, K=K, b_g=b_g, p=p,
     )
+
+
+# The flow's bound monitors one state at a time, nu through scalar
+# g/g' calls: the batched gradflow versions must reproduce these bits.
+
+def stepwise_nu_lower_slack(x, V, spec):
+    """log V - log(g/g')(x) at one state."""
+    bound = float(spec.g(x) / spec.g_prime(x))
+    if bound <= 0.0:
+        return math.inf
+    return math.log(V) - math.log(bound)
+
+
+class StepwiseLossUpperBound:
+    """log G(1/loss) accumulated one segment per call."""
+
+    def __init__(self, spec, order_L, x0, log_tilde0, t0):
+        self.spec = spec
+        self.order_L = order_L
+        self.x_last = x0
+        self.log_G = -math.inf
+        self.t0 = t0
+        self.log_rhs_scale = (2.0 * math.log(order_L)
+                              + (2.0 / order_L) * log_tilde0)
+
+    def _log_integrand(self, v):
+        return (v + 2.0 * np.log(self.spec.g_prime(v))
+                - (2.0 - 2.0 / self.order_L) * np.log(self.spec.g(v)))
+
+    def update(self, x_new, subdiv=8):
+        if x_new <= self.x_last:
+            return self.log_G
+        v = np.linspace(self.x_last, x_new, subdiv + 1)
+        fv = self._log_integrand(v)
+        h = (x_new - self.x_last) / subdiv
+        weights = np.full(subdiv + 1, h)
+        weights[0] = weights[-1] = h / 2.0
+        # the largest terms split off and the rest summed through log1p,
+        # as scipy.special.logsumexp does
+        f_max = float(fv.max())
+        terms = np.exp(fv - f_max)
+        terms *= weights
+        top = fv == f_max
+        top_sum = np.sum(terms * top)
+        terms[top] = 0.0
+        rest = np.sum(terms) / top_sum
+        seg = float(np.log1p(rest) + np.log(top_sum) + f_max)
+        self.log_G = float(np.logaddexp(self.log_G, seg))
+        self.x_last = x_new
+        return self.log_G
+
+    def slack(self, t):
+        if t <= self.t0:
+            return math.inf
+        return self.log_G - self.log_rhs_scale - math.log(t - self.t0)

@@ -15,10 +15,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from marginflow import datasets, gradflow, losses, models
+from marginflow import datasets, gradflow, losses, models, runner
 
-from oracles import (eager_point_summaries, fd_grad, hat_step_array,
-                     preactivations)
+from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
+                     hat_step_array, preactivations, readme_flow_config,
+                     stepwise_nu_lower_slack)
 
 
 def _relu_logistic_setup():
@@ -195,7 +196,106 @@ def test_loss_upper_bound_update_is_trapezoid_lse():
     weights = np.full(9, 1.5 / 8)
     weights[0] = weights[-1] = 1.5 / 16
     ref = logsumexp(bound._log_integrand(v), b=weights)
-    assert bound.update(4.5, subdiv=8) == pytest.approx(ref, rel=1e-14)
+    [val] = bound.update([4.5])
+    assert val == pytest.approx(ref, rel=1e-14)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_pairwise_row_sum_matches_np_sum_bits():
+    # precondition of the batched bound: its row sums add in np.sum's
+    # order for 9 terms, in either memory layout (the bound's grids are
+    # column-major, where np.sum(axis=1) adds left to right)
+    rng = np.random.default_rng(0)
+    rows = rng.random((5000, 9)) * 10.0 ** rng.uniform(-20.0, 5.0, (5000, 9))
+    rows[::7, 3] = 0.0
+    expect = [np.sum(row) for row in rows]
+    for layout in (rows, np.asfortranarray(rows)):
+        assert np.array_equal(_bits(gradflow._pairwise_row_sum(layout)),
+                              _bits(expect))
+
+
+def _x_sequence(rng, x0, n):
+    """Mostly growing x with repeats, drops below the running max and
+    tiny steps, like a flow's accepted states."""
+    xs = x0 + np.cumsum(rng.exponential(0.05, n) * rng.choice(
+        [1.0, 1.0, 1.0, 0.0, -1.0, 1e-12], n))
+    xs[10:13] = xs[9]  # exact repeats
+    return xs
+
+
+@pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
+@pytest.mark.parametrize("order_L", [1.0, 2.0, 3.0])
+def test_batched_loss_upper_bound_bits_match_stepwise(loss, order_L):
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(int(order_L) + 7 * len(loss))
+    x0 = spec.f_at_bf + 0.3
+    xs = _x_sequence(rng, x0, 600)
+    oracle = StepwiseLossUpperBound(spec, order_L, x0, -0.7, t0=0.5)
+    expect = [oracle.update(float(x)) for x in xs]
+    batched = gradflow.LossUpperBound(spec, order_L, x0, -0.7, t0=0.5)
+    # two calls: the state carried over a chunk boundary
+    got = np.concatenate([batched.update(xs[:257]), batched.update(xs[257:])])
+    assert np.array_equal(_bits(got), _bits(expect))
+    assert batched.x_last == oracle.x_last
+    assert _bits(batched.log_G) == _bits(oracle.log_G)
+
+
+@pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
+def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
+    # several chunks, and t overflowing to inf for the last states
+    monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 64)
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(3)
+    x0 = spec.f_at_bf + 0.2
+    xs = _x_sequence(rng, x0, 300)
+    vs = rng.uniform(0.5, 40.0, xs.size)
+    ts = 1.0 + np.cumsum(rng.exponential(1.0, xs.size))
+    ts[-40:] = math.inf
+    bound = gradflow.LossUpperBound(spec, 2.0, x0, -0.4, t0=1.0)
+    mon = {"nu_slack": [], "upper_slack": []}
+    gradflow._bound_monitors(mon, bound, spec, list(xs), list(vs), list(ts))
+    oracle = StepwiseLossUpperBound(spec, 2.0, x0, -0.4, t0=1.0)
+    nu, upper = [], []
+    for x, v, t in zip(xs.tolist(), vs.tolist(), ts.tolist()):
+        nu.append(stepwise_nu_lower_slack(x, v, spec))
+        if math.isfinite(t):
+            oracle.update(x)
+            upper.append(oracle.slack(t))
+    assert len(upper) == xs.size - 40
+    assert np.array_equal(_bits(mon["nu_slack"]), _bits(nu))
+    assert np.array_equal(_bits(mon["upper_slack"]), _bits(upper))
+
+
+def test_run_flow_bound_monitors_match_stepwise_replay():
+    cfg = runner.RunConfig.from_dict(readme_flow_config())
+    model, ds, spec, theta0 = runner._setup(cfg, 0, *runner.README_NET)
+    res = gradflow.run_flow(model, theta0, ds, spec,
+                            target_log_inv_loss=cfg.target_log_inv_loss,
+                            step_tol=cfg.step_tol,
+                            record_every=cfg.record_every)
+    # the monitors as the step loop computed them, state by state
+    nu, upper = [], []
+    bound = prev = None
+    for state, _ in gradflow.flow_states(model, theta0, ds, spec,
+                                         step_tol=cfg.step_tol):
+        if bound is None and gradflow.is_separated(state.ev, spec):
+            lt = gradflow.log_tilde_margin(state.ev, spec, model.order_L)
+            bound = StepwiseLossUpperBound(spec, model.order_L, state.ev.x,
+                                           lt, state.t)
+        elif bound is not None and gradflow.is_separated(prev, spec):
+            nu.append(stepwise_nu_lower_slack(state.ev.x, state.ev.V, spec))
+            if math.isfinite(state.t):
+                bound.update(state.ev.x)
+                upper.append(bound.slack(state.t))
+        if state.ev.x >= cfg.target_log_inv_loss:
+            break
+        prev = state.ev
+    assert len(upper) > 1000
+    assert np.array_equal(_bits(res["monitors"]["nu_slack"]), _bits(nu))
+    assert np.array_equal(_bits(res["monitors"]["upper_slack"]), _bits(upper))
 
 
 def test_flow_step_descent_cap_and_halving():
@@ -257,13 +357,12 @@ def test_loss_upper_bound_quadrature_refinement():
     spec = losses.get_loss("logistic")
     xs = np.linspace(1.0, 40.0, 300)
     coarse = gradflow.LossUpperBound(spec, 2.0, xs[0], -1.0, t0=0.0)
-    fine = gradflow.LossUpperBound(spec, 2.0, xs[0], -1.0, t0=0.0)
-    prev = -math.inf
+    fine = StepwiseLossUpperBound(spec, 2.0, xs[0], -1.0, t0=0.0)
+    vals = coarse.update(xs[1:])
     for x in xs[1:]:
-        val = coarse.update(x, subdiv=8)
         fine.update(x, subdiv=80)
-        assert val >= prev  # integrand is positive
-        prev = val
+    # the integrand is positive
+    assert np.all(np.diff(np.concatenate(([-math.inf], vals))) >= 0.0)
     # trapezoid error is second order: subdiv 8 sits ~2e-5 from subdiv 80
     assert coarse.log_G == pytest.approx(fine.log_G, abs=5e-5)
 

@@ -2,15 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (RunConfig, config_digest, emit_plot_data,
-                               load_config, run_scenario, write_csv,
-                               write_jsonl)
+from marginflow.runner import (SCENARIOS, RunConfig, config_digest,
+                               emit_plot_data, load_config, run_scenario,
+                               write_csv, write_jsonl)
+
+from oracles import readme_flow_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FLOW_RAW = {
     "scenario": "flow_margin", "loss": "exp",
@@ -294,6 +302,26 @@ def test_cli_seed_override(tmp_path, capsys):
     assert (tmp_path / "o" / "flow_margin-seed7.jsonl").exists()
 
 
+def test_cli_flow_run_loads_no_scipy(tmp_path):
+    # importing scipy is most of a process start; only PhiCurve needs it
+    cfg = tmp_path / "flow.yaml"
+    cfg.write_text(json.dumps(readme_flow_config()))
+    script = ("import json, sys\n"
+              "from marginflow import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.startswith('scipy'))))\n"
+              "sys.exit(rc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(cfg),
+         "--seed", "0", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_cli_validate_loss(capsys):
     assert cli_main(["validate-loss", "--loss", "exp", "logistic"]) == 0
     reports = json.loads(capsys.readouterr().out)
@@ -350,6 +378,17 @@ def test_cli_hat_default_config(tmp_path, capsys):
 
 
 # ------------------------------------------ named failures, not raises
+
+def test_rates_on_gd_names_scheduler_stall():
+    # a dead-ReLU start (||G|| ~ 7.6e-15): the scheduler grows alpha to
+    # ~3e10 and train_gd flags epoch 222, which the verdict leaves out
+    cfg = RunConfig.from_dict({
+        "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
+        "alpha0": 0.1, "epochs": 300, "seed": 0})
+    assert SCENARIOS["rates"](cfg, 0)["failures"] == [
+        "scheduler stalled at epochs [222]",
+        "rate diagnostic inconclusive: 0.00 decades"]
+
 
 def _cli_json(tmp_path, capsys, verb, raw):
     p = tmp_path / "cfg.yaml"
