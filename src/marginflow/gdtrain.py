@@ -2,16 +2,16 @@
 
 Late-phase GD drives the loss to e^{-hundreds}, so the raw quantities
 (loss, gradient, learning rate) leave float64 range. Everything is
-carried in a relative frame anchored once per epoch: with anchor a =
-log(1/loss) at the last epoch end, the scheduler's alpha is exactly
-the relative step, and the update reads theta' = theta + c G with
-c = alpha * e^{a - x} and G = e^x (-grad loss) both order one.
+carried in the relative frame of the epoch start: with x = log(1/loss)
+and G = e^x (-grad loss) there, both order one, the loss-based step
+theta' = theta - eta grad loss with eta = alpha / loss reads exactly
+theta' = theta + alpha G.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,99 +19,69 @@ from .autodiff import backward
 from .datasets import Dataset
 from .gradflow import PointEval, evaluate_point
 from .losses import LossDomainError, LossSpec
-from .margin import effective_margins
 from .models import (HomogeneousModel, ParamVector, as_params,
                      per_sample_grad_norms)
 
 R_UP = 2.0 ** (1.0 / 5.0)
 R_DOWN = 2.0 ** (1.0 / 10.0)
+# shrinks of alpha before the schedule abandons an epoch
+MAX_RETRIES = 60
 
 
 class ReframeError(RuntimeError):
-    """Relative step left float range: refresh the frame anchor."""
+    """Relative step left float range."""
 
 
-def gd_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
-            theta: ParamVector, eta_hat: float, anchor_x: float,
-            ev: PointEval | None = None) -> tuple[ParamVector, PointEval, float]:
-    """One descent step theta' = theta + c G, c = eta_hat e^{a - x}.
-
-    Exactly theta - eta grad(mean loss) for eta = eta_hat / mean loss
-    at the anchor. Returns the new parameters, the evaluation at the
-    starting point, and the applied scaled step c.
-    """
-    if eta_hat != 0.0 and not 1e-300 <= eta_hat <= 1e300:
-        raise ReframeError(
-            f"eta_hat={eta_hat} outside [1e-300, 1e300]; refresh the "
-            "frame anchor to the current loss")
-    if ev is None:
-        ev = evaluate_point(model, theta, dataset, spec)
-    c = eta_hat * math.exp(min(anchor_x - ev.x, 700.0))
-    if c == 0.0:
-        return theta, ev, 0.0
-    return ParamVector(theta.data + c * ev.G), ev, c
+def gd_step(theta: ParamVector, ev: PointEval, alpha: float) -> ParamVector:
+    """One descent step theta' = theta + alpha G from ev, the evaluation
+    at theta: exactly theta - eta grad(loss) for eta = alpha / loss."""
+    if alpha == 0.0:
+        return theta
+    if not 1e-300 <= alpha <= 1e300:
+        raise ReframeError(f"alpha={alpha} outside [1e-300, 1e300]")
+    return ParamVector(theta.data + alpha * ev.G)
 
 
 def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
-                   theta: ParamVector, eta: float) -> ParamVector:
-    """theta - eta grad(mean loss) through plain float64, no frame.
+                   theta: ParamVector, alpha: float) -> ParamVector:
+    """theta - eta grad(mean loss), eta = alpha / mean loss, through
+    plain float64 and one forward, no frame.
 
     Only valid while the mean loss stays above ~1e-290; used to check
     that the relative frame changes nothing but the arithmetic path.
     """
-    q = effective_margins(model, theta, dataset)
-    phi, cache = model.forward(theta, dataset.X)
-    ell_prime = np.exp(-spec.f(q)) * spec.f_prime(q)
-    if dataset.is_binary:
-        seed = ell_prime * dataset.y / dataset.n
-    else:
+    if not dataset.is_binary:
         raise NotImplementedError("direct path exercises binary models")
-    grad = -backward(cache, seed)
+    phi, cache = model.forward(theta, dataset.X)
+    q = dataset.y * phi
+    loss = np.exp(-spec.f(q))
+    eta = alpha / float(np.mean(loss))
+    grad = -backward(cache, loss * spec.f_prime(q) * dataset.y / dataset.n)
     return ParamVector(theta.data - eta * grad)
-
-
-@dataclass(frozen=True)
-class LrSchedulerState:
-    """Loss-based relative learning rate with up/down factors."""
-
-    alpha: float
-    last_log_inv_loss: float
-    r_up: float = R_UP
-    r_down: float = R_DOWN
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must stay positive")
 
 
 @dataclass(frozen=True)
 class EpochOutcome:
     retries: int
     flagged: bool
-    alpha_used: float
 
 
-def loss_based_lr_epoch(state: LrSchedulerState, train_fn, eval_fn,
-                        max_retries: int = 60):
+def loss_based_lr_epoch(alpha: float, x_start: float, trial):
     """One epoch of the accept-or-retry loss-based schedule.
 
-    train_fn(alpha) runs an epoch from the stored starting point and
-    returns candidate parameters; eval_fn(theta) returns log(1/loss).
-    On improvement the step is kept and alpha grows by r_up; otherwise
-    alpha shrinks by r_down and the epoch is retrained, up to
-    max_retries, after which the epoch is abandoned and flagged.
+    trial(alpha) runs the epoch from its starting point, where
+    log(1/loss) = x_start, and returns (x, candidate) with x the
+    log(1/loss) it reached. On improvement the candidate is kept and
+    alpha grows by R_UP; otherwise alpha shrinks by R_DOWN and the epoch
+    is retried, up to MAX_RETRIES times, after which it is abandoned and
+    flagged. Returns (next alpha, candidate or None, EpochOutcome).
     """
-    alpha = state.alpha
-    for retry in range(max_retries + 1):
-        candidate = train_fn(alpha)
-        new_x = eval_fn(candidate)
-        if new_x > state.last_log_inv_loss:
-            new_state = replace(state, alpha=alpha * state.r_up,
-                                last_log_inv_loss=new_x)
-            return new_state, candidate, EpochOutcome(retry, False, alpha)
-        alpha /= state.r_down
-    return (replace(state, alpha=alpha), None,
-            EpochOutcome(max_retries + 1, True, alpha))
+    for retry in range(MAX_RETRIES + 1):
+        x, candidate = trial(alpha)
+        if x > x_start:
+            return alpha * R_UP, candidate, EpochOutcome(retry, False)
+        alpha /= R_DOWN
+    return alpha, None, EpochOutcome(MAX_RETRIES + 1, True)
 
 
 # GD margin gamma_hat = e^{phi(loss)} / rho^L. phi is a fixed curve
@@ -310,8 +280,8 @@ class GdMarginState:
     c_eta_provisional: bool
     log_gamma_hat0: float
     clamped: bool = False
-    # (x, log_kappa(x)) of the last call: every scheduler trial's guard
-    # cap, check_s5 and the grad_bound monitor ask at the epoch start x
+    # (x, log_kappa(x)) of the last call: an epoch's guard cap, its (S5)
+    # log ratio and its grad_bound monitor all ask at the epoch start x
     _kappa: tuple = field(default=(None, None), repr=False, compare=False)
 
     def mu(self, x: float) -> float:
@@ -389,39 +359,30 @@ def make_margin_state(model: HomogeneousModel, theta: ParamVector,
                          log_gamma_hat0=log_hat0)
 
 
-@dataclass(frozen=True)
-class S5Check:
-    passed: bool
-    log_ratio: float  # log(eta / H); negative is headroom
-
-
-def check_s5(log_eta: float, x: float, mstate: GdMarginState) -> S5Check:
-    log_ratio = log_eta - mstate.log_h(x)
-    return S5Check(passed=log_ratio <= 0.0, log_ratio=log_ratio)
-
-
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
              spec: LossSpec, *, epochs: int, alpha0: float = 0.1,
              mode: str = "loss_based", s5_guard: bool = False,
              guard_safety: float = 0.5, seed: int = 0,
-             n_sphere: int = 10_000, n_curvature: int = 1_000,
-             max_retries: int = 60) -> dict:
+             n_sphere: int = 10_000, n_curvature: int = 1_000) -> dict:
     """Full-batch GD with the loss-based schedule and margin monitors.
 
     mode "loss_based" runs the accept-or-retry schedule; "constant_alpha"
-    keeps alpha fixed (the physical rate still scales with 1/loss via
-    the per-epoch anchor). Monitor series start at the first separated
-    epoch; entries conditioned on (S5) are only appended when the step
-    passed check_s5. When the margin anchor cannot be formed at the first
-    separated epoch (MarginStateError), the run ends after that epoch and
-    "abort" holds the message; otherwise "abort" is None.
+    keeps alpha fixed (the physical rate still scales with 1/loss, since
+    every step is taken in the frame of its epoch start). Monitor series
+    start at the first separated epoch; entries conditioned on (S5) are
+    only appended when the step's log(eta / H) is not positive. When the
+    margin anchor cannot be formed at the first separated epoch
+    (MarginStateError), the run ends after that epoch and "abort" holds
+    the message; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
+    if alpha0 <= 0.0:
+        raise ValueError("alpha must stay positive")
     rng = np.random.default_rng(seed)
     theta = as_params(theta0)
     ev = evaluate_point(model, theta, dataset, spec)
-    sched = LrSchedulerState(alpha=alpha0, last_log_inv_loss=ev.x)
+    alpha = alpha0
     mstate: GdMarginState | None = None
     log_hat_prev = None
     log_sum_eta = -math.inf
@@ -450,57 +411,42 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     for epoch in range(epochs):
         if abort is not None:
             break  # the monitors have no anchor: end the run here
-        anchor_x = ev.x
-        start_theta, start_ev = theta, ev
-        attempt: dict = {}
+        start_theta, prev_ev = theta, ev
+        cap = math.inf
+        if s5_guard and mstate is not None:
+            cap = guard_safety * math.exp(mstate.log_h(ev.x) - ev.x)
 
-        def train_fn(alpha):
-            a = alpha
-            if s5_guard and mstate is not None:
-                cap = guard_safety * math.exp(
-                    mstate.log_h(start_ev.x) - anchor_x)
-                a = min(a, cap)
-            cand, _, c = gd_step(model, dataset, spec, start_theta, a,
-                                 anchor_x, ev=start_ev)
-            attempt["alpha"] = a
-            attempt["c"] = c
-            attempt["theta"] = cand
-            return cand
-
-        def eval_fn(cand):
-            attempt["ev"] = evaluate_point(model, cand, dataset, spec)
-            return attempt["ev"].x
+        def trial(a):
+            a = min(a, cap)
+            cand = gd_step(start_theta, prev_ev, a)
+            cand_ev = evaluate_point(model, cand, dataset, spec)
+            return cand_ev.x, (cand, cand_ev, a)
 
         if mode == "loss_based":
-            sched, accepted, outcome = loss_based_lr_epoch(
-                sched, train_fn, eval_fn, max_retries=max_retries)
+            alpha, accepted, outcome = loss_based_lr_epoch(alpha, ev.x, trial)
             if outcome.flagged:
                 flagged_epochs.append(epoch)
                 records.append({"epoch": epoch, "flagged": True,
-                                "alpha": sched.alpha,
+                                "alpha": alpha,
                                 "retries": outcome.retries,
                                 "log_inv_loss": ev.x})
                 break
         else:
-            accepted = train_fn(sched.alpha)
-            new_x = eval_fn(accepted)
-            outcome = EpochOutcome(0, False, sched.alpha)
-            sched = replace(sched, last_log_inv_loss=new_x)
+            accepted = trial(alpha)[1]
+            outcome = EpochOutcome(0, False)
 
-        theta = attempt["theta"]
-        prev_ev, ev = start_ev, attempt["ev"]
-        c = attempt["c"]
-        log_eta = math.log(attempt["alpha"]) + anchor_x
+        theta, ev, c = accepted
+        log_eta = math.log(c) + prev_ev.x
         log_sum_eta = float(np.logaddexp(log_sum_eta, log_eta))
         maybe_separate(ev.x)
 
-        s5 = None
+        s5 = None  # log(eta / H), the (S5) ratio; negative is headroom
         # past x ~ 1e6 the ulp of log-scale quantities swamps the monitor
         # tolerances; the unguarded schedule can race far beyond that
         if (mstate is not None and prev_ev.x >= mstate.u0 - 1e-12
                 and ev.x <= 1e6):
-            s5 = check_s5(log_eta, prev_ev.x, mstate)
-            monitors["s5_log_ratio"].append(s5.log_ratio)
+            s5 = log_eta - mstate.log_h(prev_ev.x)
+            monitors["s5_log_ratio"].append(s5)
             theta_dot_g = float(start_theta.data @ prev_ev.G)
             drho2 = theta.rho**2 - start_theta.rho**2
             predicted = 2.0 * c * theta_dot_g + c**2 * prev_ev.g_norm**2
@@ -513,7 +459,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                 (drho2 - 2.0 * c * model.order_L * prev_ev.V) / scale)
             lam = mstate.lam(prev_ev.x)
             mu = mstate.mu(prev_ev.x)
-            if s5.passed:
+            if s5 <= 0.0:
                 monitors["p2_upper"].append(
                     (2.0 * c * theta_dot_g
                      * (1.0 + lam * mu / model.order_L) - drho2) / scale)
@@ -529,7 +475,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                 if log_hat_prev is not None:
                     d_hat = log_hat - log_hat_prev
                     monitors["d_log_hat"].append(d_hat)
-                    if s5.passed:
+                    if s5 <= 0.0:
                         u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
                             * start_theta.data
                         rhs = (model.order_L * prev_ev.rho**2
@@ -543,7 +489,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
 
         rec = {
             "epoch": epoch,
-            "alpha": attempt["alpha"],
+            "alpha": c,
             "retries": outcome.retries,
             "flagged": False,
             "log_inv_loss": ev.x,
@@ -562,12 +508,12 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                 rec["log_hat"] = log_hat_prev
             rec["bar_gamma"] = rec["q_min"] / theta.rho**model.order_L
         if s5 is not None:
-            rec["s5_log_ratio"] = s5.log_ratio
+            rec["s5_log_ratio"] = s5
         records.append(rec)
     return {
         "theta": theta,
         "ev": ev,
-        "scheduler": sched,
+        "alpha": alpha,
         "records": records,
         "monitors": monitors,
         "margin_state": mstate,

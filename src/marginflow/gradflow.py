@@ -32,11 +32,11 @@ class PointEval:
     """
 
     __slots__ = ("x", "q", "q_eff", "weights", "fprime", "G", "_theta",
-                 "_wfp", "_V", "_g_norm", "_beta")
+                 "_wfp", "_qv", "_V", "_g_norm", "_beta")
 
     def __init__(self, x: float, q: np.ndarray, q_eff: np.ndarray,
                  weights: np.ndarray, fprime: np.ndarray, G: np.ndarray,
-                 theta: ParamVector, wfp: np.ndarray):
+                 theta: ParamVector, wfp: np.ndarray, qv: np.ndarray):
         self.x = x  # log(1/loss), sum convention
         self.q = q  # hard margins
         self.q_eff = q_eff  # margins inside the loss (q_tilde multi-class)
@@ -45,13 +45,16 @@ class PointEval:
         self.G = G  # exp(x) * (-grad loss)
         self._theta = theta
         self._wfp = wfp  # weights * fprime
+        self._qv = qv  # <theta, grad q_eff> / L per sample
         self._V = self._g_norm = self._beta = None
 
     @property
     def V(self) -> float:
-        """sum_n w_n f'(q_n) q_n; nu = loss * V."""
+        """sum_n w_n f'(q_n) <theta, grad q_n> / L, so that <theta, G> =
+        L V; nu = loss * V. Binary margins are L-homogeneous and the
+        inner term is q_n itself."""
         if self._V is None:
-            self._V = float(np.sum(self._wfp * self.q_eff))
+            self._V = float(np.sum(self._wfp * self._qv))
         return self._V
 
     @property
@@ -93,16 +96,20 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
     wfp = w * fp
     if dataset.is_binary:
         seed = wfp * dataset.y
+        qv = q_eff
     else:
-        # per-sample split of grad q_tilde over the competing classes
-        pi = np.exp(q_eff[:, None] - score_gaps(phi, dataset.y))
+        # per-sample split of grad q_tilde over the competing classes;
+        # each gap is L-homogeneous, so <theta, grad q_tilde> = L pi . s
+        pi = np.exp(q_eff[:, None] - gaps)
+        qv = np.sum(pi * gaps, axis=1)
         seed = np.zeros(phi.shape)
         rows = np.arange(dataset.n)
         mask = np.ones(phi.shape, dtype=bool)
         mask[rows, dataset.y] = False
         seed[mask] = (-wfp[:, None] * pi).ravel()
         seed[rows, dataset.y] = wfp
-    return PointEval(x, q, q_eff, w, fp, backward(cache, seed), theta, wfp)
+    return PointEval(x, q, q_eff, w, fp, backward(cache, seed), theta, wfp,
+                     qv)
 
 
 def is_separated(ev: PointEval, spec: LossSpec) -> bool:

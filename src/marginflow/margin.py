@@ -11,14 +11,6 @@ import math
 
 import numpy as np
 
-from .datasets import Dataset
-from .models import HomogeneousModel
-
-
-def scores(model: HomogeneousModel, theta, X) -> np.ndarray:
-    out = model.output(theta, X)
-    return np.atleast_1d(out)
-
 
 def score_gaps(phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Multi-class gaps s_nj = Phi_{y_n} - Phi_j for j != y_n, as (N, C-1)."""
@@ -34,14 +26,6 @@ def soft_margins(gaps: np.ndarray) -> np.ndarray:
     """q_tilde_n = -LSE_j(-s_nj), the soft-min over the per-class gaps."""
     s_min = np.min(gaps, axis=1)
     return s_min - np.log(np.sum(np.exp(s_min[:, None] - gaps), axis=1))
-
-
-def effective_margins(model: HomogeneousModel, theta, dataset: Dataset) -> np.ndarray:
-    """Margins the loss actually sums over: q binary, q_tilde multi-class."""
-    phi = scores(model, theta, dataset.X)
-    if dataset.is_binary:
-        return dataset.y * phi
-    return soft_margins(score_gaps(phi, dataset.y))
 
 
 def _inv_loss_weights(fq: np.ndarray) -> tuple[float, np.ndarray]:

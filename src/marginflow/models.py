@@ -87,10 +87,6 @@ class HomogeneousModel:
     def forward(self, theta, x) -> tuple[np.ndarray, ForwardCache]:
         return forward(self.graph, as_params(theta).data, x)
 
-    def output(self, theta, x) -> np.ndarray:
-        out, _ = self.forward(theta, x)
-        return out
-
 
 def _dense_chain(name: str, dims: list[int], activation: str | None,
                  alpha: float = 0.0, block_ks=None) -> HomogeneousModel:

@@ -33,7 +33,6 @@ from .gradflow import (evaluate_point, flow_states, is_separated,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import get_loss, validate_b3
-from .margin import effective_margins
 from .models import as_params, build_model, init_params
 from .rates import bounded_ratio_verdict, rate_ratios
 
@@ -84,15 +83,23 @@ class RunConfig:
             seeds = [seeds]
         # the output directory is the one env-var override
         out_dir = os.environ.get("MARGINFLOW_OUT", raw.get("out_dir", "runs"))
+        alpha0 = float(raw.get("alpha0", 0.1))
+        step_tol = float(raw.get("step_tol", 2e-3))
+        record_every = int(raw.get("record_every", 1))
+        for key, ok, need in [
+                ("alpha0", alpha0 > 0.0, "positive"),
+                ("step_tol", 0.0 < step_tol < math.inf, "positive and finite"),
+                ("record_every", record_every >= 1, "at least 1")]:
+            if not ok:
+                raise ValueError(f"{key} must be {need}, got {raw[key]!r}")
         return cls(
             raw=raw, scenario=scenario, model=raw.get("model"),
             loss=raw.get("loss", "exp"), dataset=raw.get("dataset"),
-            optimizer=optimizer, alpha0=float(raw.get("alpha0", 0.1)),
+            optimizer=optimizer, alpha0=alpha0,
             epochs=int(raw.get("epochs", 200)),
             target_log_inv_loss=float(raw.get("target_log_inv_loss", 30.0)),
-            step_tol=float(raw.get("step_tol", 2e-3)),
-            seeds=tuple(int(s) for s in seeds),
-            record_every=int(raw.get("record_every", 1)),
+            step_tol=step_tol, seeds=tuple(int(s) for s in seeds),
+            record_every=record_every,
             out_dir=out_dir, options=dict(raw.get("options", {})),
         )
 
@@ -377,7 +384,7 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
     summary = {
         "final": {
             "epochs": len(records), "x": res["ev"].x,
-            "rho": res["ev"].rho, "alpha": res["scheduler"].alpha,
+            "rho": res["ev"].rho, "alpha": res["alpha"],
             "log_sum_eta": res["log_sum_eta"],
         },
         "margin_series_len": len(hats),
@@ -483,7 +490,7 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
 
 def frame_equivalence_check(model, ds, spec, theta0, records,
                             x_stop: float = 575.0) -> dict:
-    """Replay a `train_gd` run's accepted epochs in the anchored frame
+    """Replay a `train_gd` run's accepted epochs in the relative frame
     and through a plain float64 loop side by side.
 
     The float64 path is valid while the loss stays above ~1e-250
@@ -497,12 +504,8 @@ def frame_equivalence_check(model, ds, spec, theta0, records,
         ev = evaluate_point(model, theta_rel, ds, spec)
         if ev.x >= x_stop or rec["flagged"]:
             break
-        theta_rel = gd_step(model, ds, spec, theta_rel, rec["alpha"], ev.x,
-                            ev=ev)[0]
-        q = effective_margins(model, theta_dir, ds)
-        mean_loss = float(np.mean(np.exp(-spec.f(q))))
-        theta_dir = gd_step_direct(model, ds, spec, theta_dir,
-                                   rec["alpha"] / mean_loss)
+        theta_rel = gd_step(theta_rel, ev, rec["alpha"])
+        theta_dir = gd_step_direct(model, ds, spec, theta_dir, rec["alpha"])
         rel = (np.linalg.norm(theta_rel.data - theta_dir.data)
                / np.linalg.norm(theta_dir.data))
         max_rel = max(max_rel, float(rel))

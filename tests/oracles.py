@@ -2,13 +2,15 @@
 
 The finite-difference gradients and the straight-line forward pass
 avoid the package's gradient engine, so agreement with them is evidence
-rather than tautology. The Euler-identity and scaling residuals, the
-per-row gradients and the kink-free probes run the engine one sample
-at a time; the margin sandwich, the alignment-integral accumulator, the
-projected-gradient SVM dual and the root-finding loss wrapper are second
-routes to quantities the package computes another way. The stepwise
-bound monitors evaluate the flow's nu and loss upper bounds one state
-at a time, as the package's batched monitors must reproduce bit for bit.
+rather than tautology. The effective margins take their own forward
+pass for the tests that check the margins of a given point. The
+Euler-identity and scaling residuals, the per-row gradients and the
+kink-free probes run the engine one sample at a time; the margin
+sandwich, the alignment-integral accumulator, the projected-gradient SVM
+dual and the root-finding loss wrapper are second routes to quantities
+the package computes another way. The stepwise bound monitors evaluate
+the flow's nu and loss upper bounds one state at a time, as the
+package's batched monitors must reproduce bit for bit.
 """
 
 import math
@@ -23,6 +25,7 @@ from marginflow.autodiff import backward
 from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
+from marginflow.margin import score_gaps, soft_margins
 from marginflow.models import ParamVector, as_params, per_sample_grad_norms
 
 
@@ -167,11 +170,16 @@ def logistic_f_prime(q):
     return np.where(safe, sig / np.where(safe, sp, 1.0), 1.0)
 
 
-def eager_point_summaries(ev, theta):
+def eager_point_summaries(ev, theta, gaps=None):
     """(V, g_norm, beta, rho) of a PointEval, each formed at once from
-    its fields by the expressions the flow's monitors are defined with."""
+    its fields by the expressions the flow's monitors are defined with.
+    A multi-class point also needs its (N, C-1) score gaps s: there V
+    weighs each sample's gaps by its soft-min split exp(q_tilde - s)."""
     G = ev.G
-    V = float(np.sum(ev.weights * ev.fprime * ev.q_eff))
+    qv = ev.q_eff
+    if gaps is not None:
+        qv = np.sum(np.exp(ev.q_eff[:, None] - gaps) * gaps, axis=1)
+    V = float(np.sum(ev.weights * ev.fprime * qv))
     g_norm = math.sqrt(G @ G)
     theta = np.asarray(theta, dtype=np.float64)
     rho = math.sqrt(theta @ theta)
@@ -240,6 +248,15 @@ LOGISTIC_PHI_CORRECTION = [
 ]
 
 
+def effective_margins(model, theta, dataset):
+    """Margins the loss sums over, from one forward: q binary, q_tilde
+    multi-class."""
+    phi = np.atleast_1d(model.forward(theta, dataset.X)[0])
+    if dataset.is_binary:
+        return dataset.y * phi
+    return soft_margins(score_gaps(phi, dataset.y))
+
+
 # Homogeneity self-checks, one sample and one output at a time.
 
 def homogeneity_check(model, theta, x, alpha):
@@ -249,8 +266,8 @@ def homogeneity_check(model, theta, x, alpha):
     overflow for deep quadratic nets.
     """
     theta = as_params(theta)
-    base = np.atleast_1d(model.output(theta, x))
-    scaled = np.atleast_1d(model.output(alpha * theta.data, x))
+    base = np.atleast_1d(model.forward(theta, x)[0])
+    scaled = np.atleast_1d(model.forward(alpha * theta.data, x)[0])
     resid = np.abs(scaled - alpha**model.order_L * base) / (1.0 + np.abs(base))
     return float(np.max(resid))
 

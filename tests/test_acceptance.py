@@ -120,7 +120,8 @@ def test_criterion_04_validators_and_fd_gradients():
         for _ in range(100):
             x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
             analytic = per_sample_grads(model, theta, x)[0]
-            numeric = fd_grad(lambda t: float(model.output(t, x)), theta.data)
+            numeric = fd_grad(lambda t: float(model.forward(t, x)[0]),
+                              theta.data)
             assert rel_err(analytic, numeric) <= 1e-5
 
 

@@ -53,7 +53,8 @@ def test_batched_equals_per_sample():
     theta = models.init_params(model, rng)
     X = rng.standard_normal((5, 3))
     batched, _ = model.forward(theta, X)
-    singles = np.array([float(model.output(theta, X[n])) for n in range(5)])
+    singles = np.array([float(model.forward(theta, X[n])[0])
+                        for n in range(5)])
     assert rel_err(batched, singles) < 1e-14
 
 
@@ -66,7 +67,7 @@ def test_gradients_match_finite_differences():
         x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
         _, cache = model.forward(theta, x)
         grad = autodiff.backward(cache)
-        ref = fd_grad(lambda t: float(model.output(t, x)), theta.data)
+        ref = fd_grad(lambda t: float(model.forward(t, x)[0]), theta.data)
         assert rel_err(grad, ref) < 1e-7, model.name
 
 
@@ -98,7 +99,7 @@ def test_multi_output_seed_selects_class():
         seed[j] = 1.0
         _, cache = model.forward(theta, x)
         grad = autodiff.backward(cache, seed)
-        ref = fd_grad(lambda t: float(model.output(t, x)[j]), theta.data)
+        ref = fd_grad(lambda t: float(model.forward(t, x)[0][j]), theta.data)
         assert rel_err(grad, ref) < 1e-7
 
 
@@ -157,7 +158,8 @@ def test_member_axis_matches_single_forwards():
         for s, theta in enumerate(stack):
             ref_out, ref = model.forward(theta, X)
             assert _same_bytes(out[s], ref_out), model.name
-            assert _same_bytes(one_x[s], model.output(theta, X[0])), model.name
+            assert _same_bytes(one_x[s], model.forward(theta, X[0])[0]), \
+                model.name
             assert cache.param_count == ref.param_count, model.name
             for (kind, h, w, off), (rkind, rh, rw, roff) in zip(
                     cache.layers, ref.layers, strict=True):

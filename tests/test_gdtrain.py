@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from marginflow import datasets, gdtrain, losses, models
-from marginflow.gdtrain import (BConstants, GdMarginState, LrSchedulerState,
-                                PhiCurve, ReframeError, check_s5,
-                                estimate_b_constants, gd_step,
+from marginflow.gdtrain import (BConstants, GdMarginState, PhiCurve,
+                                ReframeError, estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
                                 loss_based_lr_epoch, train_gd)
 from marginflow.gradflow import evaluate_point
@@ -34,84 +33,80 @@ def _toy():
 
 def test_gd_step_by_hand():
     # single sample x=(1,2), y=+1, w=(0.1,-0.2): grad of exp loss is
-    # -e^{-q} y x, and with the anchor at the current loss the update
-    # is exactly w + eta_hat * (1, 2)
+    # -e^{-q} y x, and in the frame of the current loss the update is
+    # exactly w + alpha * (1, 2)
     model = models.linear(2)
     ds = datasets.from_rows([[1.0, 2.0, 1]])
     w = ParamVector(np.array([0.1, -0.2]))
     ev = evaluate_point(model, w, ds, EXP)
     assert math.isclose(ev.x, -0.3, rel_tol=1e-15)
-    w2, _, c = gd_step(model, ds, EXP, w, 0.05, ev.x)
-    assert c == 0.05
+    w2 = gd_step(w, ev, 0.05)
     np.testing.assert_allclose(w2.data, [0.15, -0.1], rtol=1e-15)
-    # same step through the plain float64 route, eta = eta_hat / loss
-    w3 = gd_step_direct(model, ds, EXP, w, 0.05 / math.exp(-ev.x))
+    # same step through the plain float64 route, eta = alpha / loss
+    w3 = gd_step_direct(model, ds, EXP, w, 0.05)
     np.testing.assert_allclose(w3.data, w2.data, rtol=1e-14)
 
 
 def test_gd_step_zero_keeps_theta():
     model, ds, theta0 = _toy()
-    w2, _, c = gd_step(model, ds, EXP, theta0, 0.0, 1.3)
-    assert c == 0.0
+    w2 = gd_step(theta0, evaluate_point(model, theta0, ds, EXP), 0.0)
     assert w2 is theta0
 
 
 def test_gd_step_reframe_error():
     model, ds, theta0 = _toy()
+    ev = evaluate_point(model, theta0, ds, EXP)
     for bad in (1e-301, 1e301):
         with pytest.raises(ReframeError):
-            gd_step(model, ds, EXP, theta0, bad, 0.0)
+            gd_step(theta0, ev, bad)
 
 
 # ------------------------------------------------------------ scheduler
 
 def test_scheduler_grows_on_improvement():
-    state = LrSchedulerState(alpha=0.1, last_log_inv_loss=0.0)
-    x = [0.0]
+    alpha, x = 0.1, 0.0
 
-    def train_fn(alpha):
-        return alpha
-
-    def eval_fn(theta):
-        x[0] += 1.0
-        return x[0]
+    def trial(a):
+        return x + 1.0, a
 
     for _ in range(5):
-        state, cand, out = loss_based_lr_epoch(state, train_fn, eval_fn)
+        alpha, cand, out = loss_based_lr_epoch(alpha, x, trial)
         assert not out.flagged and out.retries == 0
+        x += 1.0
     # r_up^5 doubles alpha exactly
-    assert math.isclose(state.alpha, 0.2, rel_tol=1e-12)
+    assert math.isclose(alpha, 0.2, rel_tol=1e-12)
 
 
 def test_scheduler_shrink_then_accept():
     alpha0 = 0.1
-    state = LrSchedulerState(alpha=alpha0, last_log_inv_loss=1.0)
     tried = []
 
-    def train_fn(alpha):
+    def trial(alpha):
         tried.append(alpha)
-        return alpha
+        # the first attempt worsens
+        return (2.0 if alpha < alpha0 else 0.5), alpha
 
-    def eval_fn(alpha_used):
-        return 2.0 if alpha_used < alpha0 else 0.5  # first attempt worsens
-
-    state, cand, out = loss_based_lr_epoch(state, train_fn, eval_fn)
+    alpha, cand, out = loss_based_lr_epoch(alpha0, 1.0, trial)
     assert out.retries == 1 and not out.flagged
-    assert math.isclose(out.alpha_used, alpha0 / 2 ** 0.1, rel_tol=1e-12)
+    assert cand == tried[-1]
+    assert math.isclose(tried[-1], alpha0 / 2 ** 0.1, rel_tol=1e-12)
     # net alpha across the epoch: one shrink, one grow
-    assert math.isclose(state.alpha, alpha0 * 2 ** (1 / 5 - 1 / 10),
+    assert math.isclose(alpha, alpha0 * 2 ** (1 / 5 - 1 / 10),
                         rel_tol=1e-12)
-    assert state.last_log_inv_loss == 2.0
 
 
 def test_scheduler_retry_exhaustion_flags_epoch():
-    state = LrSchedulerState(alpha=0.1, last_log_inv_loss=1.0)
-    state2, cand, out = loss_based_lr_epoch(
-        state, lambda a: a, lambda t: 1.0, max_retries=60)
+    alpha, cand, out = loss_based_lr_epoch(0.1, 1.0, lambda a: (1.0, a))
     assert out.flagged and cand is None
-    assert out.retries == 61
-    assert math.isclose(state2.alpha, 0.1 / 2 ** (61 / 10), rel_tol=1e-12)
-    assert state2.last_log_inv_loss == 1.0
+    assert out.retries == gdtrain.MAX_RETRIES + 1 == 61
+    assert math.isclose(alpha, 0.1 / 2 ** (61 / 10), rel_tol=1e-12)
+
+
+def test_train_gd_rejects_nonpositive_alpha0():
+    model, ds, theta0 = _toy()
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="alpha must stay positive"):
+            train_gd(model, theta0, ds, EXP, epochs=1, alpha0=bad)
 
 
 # ------------------------------------------------------ frame equivalence
@@ -242,17 +237,19 @@ def _manual_margin_state(c_eta=2.0):
 
 
 def test_check_s5_examples():
+    # the (S5) check is the log ratio log(eta) - log H(x); negative is
+    # headroom
     ms = _manual_margin_state()
     # closed-form ceiling at log-loss -100, L=2:
     # log H = log(u0/200) - log C_eta - (log kappa = -100 + log 100)
     log_h = math.log(1.0 / 200.0) - math.log(2.0) + 100.0 - math.log(100.0)
     assert abs(ms.log_h(100.0) - log_h) < 1e-10
-    assert check_s5(-1000.0, 100.0, ms).passed  # eta -> 0 always passes
-    at_cap = check_s5(log_h, 100.0, ms)
-    assert at_cap.passed and abs(at_cap.log_ratio) < 1e-10
-    doubled = check_s5(log_h + math.log(2.0), 100.0, ms)
-    assert not doubled.passed
-    assert math.isclose(math.exp(doubled.log_ratio), 2.0, rel_tol=1e-9)
+    assert -1000.0 - ms.log_h(100.0) <= 0.0  # eta -> 0 always passes
+    at_cap = log_h - ms.log_h(100.0)
+    assert at_cap <= 0.0 and abs(at_cap) < 1e-10
+    doubled = log_h + math.log(2.0) - ms.log_h(100.0)
+    assert doubled > 0.0
+    assert math.isclose(math.exp(doubled), 2.0, rel_tol=1e-9)
 
 
 # ----------------------------------------------------------- B constants
@@ -343,8 +340,8 @@ def test_train_gd_guarded_monitors(name, epochs):
 
 
 def test_log_kappa_once_per_epoch_start(monkeypatch):
-    # the guard cap of every scheduler trial, check_s5 and grad_bound all
-    # ask for kappa at the epoch start x; the grid runs once per such x
+    # an epoch's guard cap, (S5) log ratio and grad_bound all ask for
+    # kappa at the epoch start x; the grid runs once per such x
     model, ds, theta0 = _toy()
     kw = dict(epochs=60, alpha0=0.1, s5_guard=True, n_sphere=300,
               n_curvature=50, seed=0)

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from marginflow import datasets, gradflow, losses, models, runner
+from marginflow.margin import score_gaps
 
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
                      hat_step_array, preactivations, readme_flow_config,
@@ -48,7 +49,7 @@ def test_evaluate_point_gradient_binary_matches_fd():
     ev = gradflow.evaluate_point(model, theta0, data, spec)
 
     def total_loss(th):
-        q = np.array([float(model.output(models.ParamVector(th), x))
+        q = np.array([float(model.forward(models.ParamVector(th), x)[0])
                       for x in data.X]) * data.y
         return float(np.sum(np.exp(-spec.f(q))))
 
@@ -75,8 +76,9 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
     ev = gradflow.evaluate_point(model, theta, data, spec)
 
     def total_loss(th):
-        out = np.stack([np.atleast_1d(model.output(models.ParamVector(th), x))
-                        for x in X])
+        out = np.stack([
+            np.atleast_1d(model.forward(models.ParamVector(th), x)[0])
+            for x in X])
         losses_n = []
         for n in range(6):
             s = out[n, data.y[n]] - np.delete(out[n], data.y[n])
@@ -87,6 +89,24 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
     grad = fd_grad(total_loss, theta.data)
     scaled = math.exp(ev.x) * (-grad)
     assert np.linalg.norm(ev.G - scaled) <= 1e-5 * np.linalg.norm(scaled)
+
+
+def test_multiclass_v_satisfies_euler_identity():
+    # each score gap is L-homogeneous, so <theta, G> = L V must hold for
+    # the soft-min margin too; a V of sum w f'(q_tilde) q_tilde missed it
+    # by a relative 1.3 to 7.7 on this net (the rows of the 3-class
+    # corpus entry: classes at 0, 120 and 240 degrees)
+    rows = [[2.0, 0.0, 0], [1.8, 0.4, 0], [-1.0, 1.7, 1], [-1.2, 1.5, 1],
+            [-1.0, -1.7, 2], [-0.8, -1.9, 2]]
+    data = datasets.from_rows(rows)
+    model = models.relu_mlp(2, [6], num_outputs=3)
+    spec = losses.get_loss("cross_entropy")
+    for seed in range(3):
+        theta = models.init_params(model, np.random.default_rng(seed),
+                                   scale=0.7)
+        ev = gradflow.evaluate_point(model, theta, data, spec)
+        lhs = float(theta.data @ ev.G) / model.order_L
+        assert abs(lhs - ev.V) <= 1e-12 * abs(lhs), seed
 
 
 def test_point_eval_lazy_summaries_equal_eager_oracle():
@@ -102,7 +122,9 @@ def test_point_eval_lazy_summaries_equal_eager_oracle():
         ev = gradflow.evaluate_point(model_, theta.copy(), data_, spec_)
         # read in an order the flow never uses: beta pulls rho and g_norm
         got = (ev.beta, ev.V, ev.rho, ev.g_norm)
-        want = eager_point_summaries(ev, theta)
+        gaps = None if data_.is_binary else score_gaps(
+            model_.forward(theta, data_.X)[0], data_.y)
+        want = eager_point_summaries(ev, theta, gaps)
         assert got == (want[2], want[0], want[3], want[1])
 
 

@@ -16,10 +16,10 @@ from marginflow import datasets, losses, models
 from marginflow.gradflow import flow_states, log_tilde_margin
 from marginflow.kkt import (NotSeparableError, build_certificate,
                             direction_gap_to_svm, svm_oracle)
-from marginflow.margin import effective_margins
 from marginflow.models import ParamVector
 
-from oracles import Beta2Accumulator, svm_dual_projected_gradient
+from oracles import (Beta2Accumulator, effective_margins,
+                     svm_dual_projected_gradient)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -320,7 +320,7 @@ def test_deep_linear_effective_predictor_approaches_svm():
                              [-2.0, 1.7, -1]])
     theta0 = models.init_params(model, np.random.default_rng(11), scale=0.8)
     state = _state_at(model, ds, LOGISTIC, theta0, 120.0)
-    w_eff = np.array([float(model.output(state.theta, e))
+    w_eff = np.array([float(model.forward(state.theta, e)[0])
                       for e in np.eye(2)])
     w_star, _ = svm_oracle(ds.X, ds.y)
     assert direction_gap_to_svm(w_eff, w_star) <= 0.05

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 from marginflow import datasets, losses, margin, models
 from marginflow.gradflow import evaluate_point, log_tilde_margin
 
-from oracles import margin_sandwich
+from oracles import effective_margins, margin_sandwich
 
 mp.mp.dps = 50
 
@@ -61,7 +61,7 @@ def test_soft_margin_below_hard_margin():
     theta = models.init_params(model, rng)
     data = datasets.Dataset(rng.standard_normal((12, 4)),
                             rng.integers(0, 3, 12))
-    phi = margin.scores(model, theta, data.X)
+    phi, _ = model.forward(theta, data.X)
     gaps = margin.score_gaps(phi, data.y)
     q = np.min(gaps, axis=1)
     q_tilde = margin.soft_margins(gaps)
@@ -80,9 +80,9 @@ def test_soft_margins_match_scipy_logsumexp():
 
 @pytest.mark.parametrize("num_outputs", [1, 3])
 def test_log_inv_loss_is_evaluate_point_x(num_outputs):
-    # x from effective_margins, the margins GD and the frame check read,
-    # and evaluate_point's x go through the same producer, so they agree
-    # to the last bit, binary and multi-class alike
+    # x from the margins of a separate forward and evaluate_point's x go
+    # through the same producer, so they agree to the last bit, binary
+    # and multi-class alike
     rng = np.random.default_rng(2)
     model = models.relu_mlp(3, [5], num_outputs=num_outputs)
     theta = models.init_params(model, rng)
@@ -91,7 +91,7 @@ def test_log_inv_loss_is_evaluate_point_x(num_outputs):
          else rng.integers(0, 3, 12))
     data = datasets.Dataset(X, y)
     spec = losses.get_loss("logistic")
-    x, _ = _x_and_weights(spec, margin.effective_margins(model, theta, data))
+    x, _ = _x_and_weights(spec, effective_margins(model, theta, data))
     assert x == evaluate_point(model, theta, data, spec).x
 
 

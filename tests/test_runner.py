@@ -1,5 +1,6 @@
 """Scenario harness: configs, sinks, determinism, and the CLI verbs."""
 
+import importlib.util
 import json
 import math
 import os
@@ -18,7 +19,8 @@ from marginflow.runner import (SCENARIOS, RunConfig, config_digest,
 
 from oracles import readme_flow_config
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 FLOW_RAW = {
     "scenario": "flow_margin", "loss": "exp",
@@ -51,6 +53,17 @@ def test_config_rejects_unknown_names(tmp_path):
     p.write_text("- a\n- b\n")
     with pytest.raises(ValueError, match="must be a mapping"):
         load_config(p)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("record_every", 0), ("record_every", -3), ("step_tol", 0.0),
+    ("step_tol", -1e-3), ("step_tol", float("inf")), ("step_tol", float("nan")),
+    ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", float("nan"))])
+def test_config_rejects_out_of_range_numbers(key, value):
+    # before, record_every 0 raised ZeroDivisionError mid-run, step_tol 0
+    # took no step and exited 0, and a negative step_tol ended in FlowAbort
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({"scenario": "flow_margin", key: value})
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -378,6 +391,44 @@ def test_cli_hat_default_config(tmp_path, capsys):
 
 
 # ------------------------------------------ named failures, not raises
+
+def test_flow_margin_trains_quadratic_mlp_on_xor(tmp_path):
+    # the square-activation family end to end (order L = 3): separates
+    # the jittered XOR set and reaches x = 10 (in 2,825 steps on x86-64
+    # with numpy 2.4; the step count may move with the rounding of
+    # another CPU or BLAS, so only its order is checked)
+    cfg = RunConfig.from_dict({
+        "scenario": "flow_margin", "loss": "exp",
+        "model": {"family": "quadratic_mlp", "input_dim": 2, "widths": [4]},
+        "dataset": {"kind": "xor", "n": 8, "jitter": 0.1, "seed": 0},
+        "step_tol": 0.003, "target_log_inv_loss": 10.0, "seeds": [0]})
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.ok, out.failures
+    final = out.summaries[0]["final"]
+    assert final["x"] >= 10.0 and final["q_min"] > 0.0
+    assert final["steps"] < 5000
+    assert out.summaries[0]["monitor_stats"]["growth_within_tol_frac"] == 1.0
+
+
+def _corpus_config(label):
+    """The config of one entry of scripts/emit_outputs.py's corpus."""
+    spec = importlib.util.spec_from_file_location(
+        "emit_outputs", ROOT / "scripts" / "emit_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CORPUS[label][1]
+
+
+def test_flow_3class_corpus_entry_passes(tmp_path):
+    # multi-class flow: with V the Euler term of the soft-min margins the
+    # growth identity holds on every step and the nu bound has slack
+    cfg = RunConfig.from_dict(_corpus_config("flow_3class"))
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.ok, out.failures
+    stats = out.summaries[0]["monitor_stats"]
+    assert stats["growth_within_tol_frac"] == 1.0
+    assert stats["min_nu_slack"] > 0.0
+
 
 def test_rates_on_gd_names_scheduler_stall():
     # a dead-ReLU start (||G|| ~ 7.6e-15): the scheduler grows alpha to
