@@ -1,10 +1,14 @@
 """Reverse-mode gradients of dense chains over float64 arrays.
 
 Every architecture in this package is a chain of bias-free dense
-layers and elementwise activations (ReLU, LeakyReLU, square). The
-forward pass records one small record per layer; the backward pass is
-a single loop over those records in reverse. A cache is rebuilt on
-every forward call; no graph caching, no Hessians.
+layers, each followed by at most one elementwise activation (ReLU,
+LeakyReLU, square). `compile_chain` turns a layer graph into a plan
+once per model; the forward pass runs that plan and records one small
+record per dense layer, and the backward pass is a single loop over
+those records in reverse. No graph is built per call, no Hessians.
+
+Finiteness checks reduce with `np.logical_and.reduce`, which skips the
+Python wrapper of `ndarray.all` on these short, hot arrays.
 
 The forward pass and the reverse loop also take a stack of S parameter
 vectors, shaped (S, P): every array then gains a leading member axis,
@@ -33,60 +37,84 @@ class NonFiniteError(FloatingPointError):
     """Raised when a forward or backward pass produces non-finite values."""
 
 
-def subgradient_convention(primitive: str, z, alpha: float = 0.0):
-    """Fixed derivative selection for kinked primitives.
+def subgradient_convention(primitive: str, alpha: float = 0.0):
+    """Derivative rule of a kinked primitive, as a function of its input z.
 
     ReLU uses derivative 0 at z == 0; LeakyReLU uses the negative-side
-    slope alpha at z == 0. This is the single source of truth used by
-    the backward rules, so runs are reproducible at kinks.
+    slope alpha at z == 0. The compiled plans take their backward rules
+    from here, so runs are reproducible at kinks.
     """
-    z = np.asarray(z, dtype=np.float64)
     if primitive == "relu":
-        return z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
+        return lambda z: z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
     if primitive == "leaky_relu":
-        return np.where(z > 0.0, 1.0, alpha)
+        return lambda z: np.where(z > 0.0, 1.0, alpha)
     raise ValueError(f"no subgradient convention for primitive {primitive!r}")
+
+
+def _activation(kind: str, alpha: float):
+    """(forward op, derivative rule) of one elementwise activation."""
+    if kind == "relu":
+        return (lambda h: np.maximum(h, 0.0)), subgradient_convention(kind)
+    if kind == "leaky_relu":
+        return ((lambda h: np.where(h > 0.0, h, alpha * h)),
+                subgradient_convention(kind, alpha))
+    if kind == "square":
+        return (lambda h: h * h), (lambda z: 2.0 * z)
+    raise ValueError(f"unknown activation {kind!r}")
+
+
+def compile_chain(graph: Sequence) -> tuple:
+    """The plan `forward` runs: one (start, stop, (in_dim, out_dim),
+    activation, derivative rule) entry per dense layer, the last two
+    None when no activation follows the layer."""
+    plan = []
+    for layer in graph:
+        if layer.kind == "dense":
+            stop = layer.offset + layer.in_dim * layer.out_dim
+            plan.append([layer.offset, stop, (layer.in_dim, layer.out_dim),
+                         None, None])
+        else:
+            plan[-1][3:] = _activation(layer.kind, layer.alpha)
+    return tuple(map(tuple, plan))
 
 
 @dataclass(slots=True)
 class ForwardCache:
     """What one forward pass leaves for the reverse loop.
 
-    `layers` holds one (kind, layer input, weight view or alpha, offset)
-    record per layer of the chain; `out` is the batch-shaped output,
-    (B,) when `squeeze` dropped a single output column, else (B, C).
-    A forward over S stacked parameter vectors adds a leading member
-    axis to `out`, to every weight view and to every layer input but the
-    first, which is the shared batch.
+    `records` holds one (layer input, weight view, pre-activation output,
+    start, stop, derivative rule) record per dense layer; `out` is the
+    batch-shaped output, (B,) when `squeeze` dropped a single output
+    column, else (B, C). A forward over S stacked parameter vectors adds
+    a leading member axis to `out`, to every weight view and to every
+    layer input but the first, which is the shared batch.
     """
 
     param_count: int
-    layers: list
+    records: list
     squeeze: bool
     out: np.ndarray
 
-    def dense_adjoints(self, adj: np.ndarray):
+    def adjoints(self, adj: np.ndarray) -> list:
         """The reverse loop: walk the layers from the output adjoint `adj`
-        (shaped (B, C), or (S, B, C) for a stacked forward) and yield
-        (layer input, output adjoint, offset, weight count of one member)
-        for every dense layer. The adjoint of the chain's input is never
+        (shaped (B, C), or (S, B, C) for a stacked forward) and return
+        (layer input, output adjoint, start, stop) for every dense layer,
+        the last layer first. The adjoint of the chain's input is never
         formed."""
-        layers = self.layers
-        for i in range(len(layers) - 1, -1, -1):
-            kind, h, w, offset = layers[i]
-            if kind == "dense":
-                yield h, adj, offset, w.shape[-2] * w.shape[-1]
-                if i:
-                    adj = adj @ w.swapaxes(-1, -2)
-            elif kind == "square":
-                adj = 2.0 * h * adj
-            else:
-                adj = subgradient_convention(kind, h, w) * adj
+        out = []
+        for i in range(len(self.records) - 1, -1, -1):
+            h, w, z, start, stop, rule = self.records[i]
+            if rule is not None:
+                adj = rule(z) * adj
+            out.append((h, adj, start, stop))
+            if i:
+                adj = adj @ w.swapaxes(-1, -2)
+        return out
 
 
-def forward(graph: Sequence, params: np.ndarray,
+def forward(plan: tuple, params: np.ndarray,
             x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the layer graph on input x, recording a per-layer cache.
+    """Run a compiled plan on input x, recording a per-layer cache.
 
     x may be a single sample (d,) or a batch (B, d); the output is
     (B, C) for C model outputs, squeezed to (B,) when C == 1 and to a
@@ -100,32 +128,20 @@ def forward(graph: Sequence, params: np.ndarray,
     single = h.ndim == 1
     if single:
         h = h[None, :]
-    layers = []
-    for layer in graph:
-        kind = layer.kind
-        if kind == "dense":
-            if h.shape[-1] != layer.in_dim:
-                raise ShapeError("dense", f"input dim {layer.in_dim}", h.shape)
-            w = params[..., layer.offset : layer.offset + layer.in_dim * layer.out_dim]
-            w = w.reshape(lead + (layer.in_dim, layer.out_dim))
-            layers.append((kind, h, w, layer.offset))
-            h = h @ w
-            continue
-        layers.append((kind, h, layer.alpha, layer.offset))
-        if kind == "relu":
-            h = np.maximum(h, 0.0)
-        elif kind == "leaky_relu":
-            h = np.where(h > 0.0, h, layer.alpha * h)
-        elif kind == "square":
-            h = h * h
-        else:
-            raise ValueError(f"unknown activation {kind!r}")
+    records = []
+    for start, stop, shape, act, rule in plan:
+        if h.shape[-1] != shape[0]:
+            raise ShapeError("dense", f"input dim {shape[0]}", h.shape)
+        w = params[..., start:stop].reshape(lead + shape)
+        z = h @ w
+        records.append((h, w, z, start, stop, rule))
+        h = z if act is None else act(z)
     squeeze = h.shape[-1] == 1
     if squeeze:
         h = h[..., 0]
-    if not np.isfinite(h).all():
+    if not np.logical_and.reduce(np.isfinite(h), axis=None):
         raise NonFiniteError("forward pass produced non-finite output")
-    cache = ForwardCache(params.shape[-1], layers, squeeze, h)
+    cache = ForwardCache(params.shape[-1], records, squeeze, h)
     if single:
         return (h[:, 0] if lead else h[0]), cache
     return h, cache
@@ -141,15 +157,15 @@ def backward(cache: ForwardCache, seed=1.0) -> np.ndarray:
     raises before any arithmetic.
     """
     adj = np.asarray(seed, dtype=np.float64)
-    if not np.isfinite(adj).all():
+    if not np.logical_and.reduce(np.isfinite(adj), axis=None):
         raise NonFiniteError("backward pass got a non-finite seed")
     if adj.shape != cache.out.shape:
         adj = np.broadcast_to(adj, cache.out.shape).astype(np.float64)
     if cache.squeeze:
         adj = adj[:, None]
     grad = np.zeros(cache.param_count)
-    for h, delta, offset, size in cache.dense_adjoints(adj):
-        grad[offset : offset + size] += (h.T @ delta).ravel()
-    if not np.isfinite(grad).all():
+    for h, delta, start, stop in cache.adjoints(adj):
+        grad[start:stop] += (h.T @ delta).ravel()
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise NonFiniteError("backward pass produced non-finite gradient")
     return grad

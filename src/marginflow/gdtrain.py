@@ -53,10 +53,11 @@ def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     if not dataset.is_binary:
         raise NotImplementedError("direct path exercises binary models")
     phi, cache = model.forward(theta, dataset.X)
-    q = dataset.y * phi
-    loss = np.exp(-spec.f(q))
+    q = dataset.y_float * phi
+    fq, fp = spec.f_pair(q)
+    loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
-    grad = -backward(cache, loss * spec.f_prime(q) * dataset.y / dataset.n)
+    grad = -backward(cache, loss * fp * dataset.y_float / dataset.n)
     return ParamVector(theta.data - eta * grad)
 
 
@@ -416,11 +417,15 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         if s5_guard and mstate is not None:
             cap = guard_safety * math.exp(mstate.log_h(ev.x) - ev.x)
 
+        last = None  # once alpha passes the cap, retries repeat a step
+
         def trial(a):
+            nonlocal last
             a = min(a, cap)
-            cand = gd_step(start_theta, prev_ev, a)
-            cand_ev = evaluate_point(model, cand, dataset, spec)
-            return cand_ev.x, (cand, cand_ev, a)
+            if last is None or last[2] != a:
+                cand = gd_step(start_theta, prev_ev, a)
+                last = (cand, evaluate_point(model, cand, dataset, spec), a)
+            return last[1].x, last
 
         if mode == "loss_based":
             alpha, accepted, outcome = loss_based_lr_epoch(alpha, ev.x, trial)

@@ -83,19 +83,18 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
     """One forward plus one seeded backward; all exponents stay O(1)."""
     theta = as_params(theta)
     phi, cache = model.forward(theta, dataset.X)
-    phi = np.atleast_1d(phi)
     if dataset.is_binary:
-        q = dataset.y * phi
-        q_eff = q
+        q = q_eff = dataset.y_float * phi
     else:
-        gaps = score_gaps(phi, dataset.y)
+        on, off = dataset.label_masks(phi.shape[1])
+        gaps = score_gaps(phi, on, off)
         q = np.min(gaps, axis=1)
         q_eff = soft_margins(gaps)
-    x, w = _inv_loss_weights(spec.f(q_eff))
-    fp = spec.f_prime(q_eff)
+    fq, fp = spec.f_pair(q_eff)
+    x, w = _inv_loss_weights(fq)
     wfp = w * fp
     if dataset.is_binary:
-        seed = wfp * dataset.y
+        seed = wfp * dataset.y_float
         qv = q_eff
     else:
         # per-sample split of grad q_tilde over the competing classes;
@@ -103,11 +102,8 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         pi = np.exp(q_eff[:, None] - gaps)
         qv = np.sum(pi * gaps, axis=1)
         seed = np.zeros(phi.shape)
-        rows = np.arange(dataset.n)
-        mask = np.ones(phi.shape, dtype=bool)
-        mask[rows, dataset.y] = False
-        seed[mask] = (-wfp[:, None] * pi).ravel()
-        seed[rows, dataset.y] = wfp
+        seed[off] = (-wfp[:, None] * pi).ravel()
+        seed[on] = wfp
     return PointEval(x, q, q_eff, w, fp, backward(cache, seed), theta, wfp,
                      qv)
 

@@ -29,7 +29,9 @@ class LossSpec:
     """One loss family; immutable and freely shareable across workers.
 
     f and f_prime are defined on all of R; g and g_prime only on
-    [f(b_f), inf), the range where f is invertible. K, b_g, p are the
+    [f(b_f), inf), the range where f is invertible. f_pair(q) returns
+    (f(q), f'(q)) bit for bit, sharing their common work; a spec built
+    without one calls f and f_prime. K, b_g, p are the
     tail-comparability constants; None when not established.
     """
 
@@ -42,6 +44,12 @@ class LossSpec:
     K: float | None = None
     b_g: float | None = None
     p: float | None = None
+    f_pair: Callable | None = None
+
+    def __post_init__(self):
+        if self.f_pair is None:
+            f, f_prime = self.f, self.f_prime
+            object.__setattr__(self, "f_pair", lambda q: (f(q), f_prime(q)))
 
     @cached_property
     def f_at_bf(self) -> float:
@@ -82,25 +90,21 @@ def _logistic_softplus(q):
     return np.log1p(u) - np.minimum(q, 0.0), u
 
 
-def _logistic_f(q):
-    q = _as_f64(q)
-    sp, _ = _logistic_softplus(q)
-    if sp.min(initial=np.inf) > 0.0:  # NaN fails: it takes the guard
-        return -np.log(sp)
-    safe = sp > 0.0  # softplus(-q) underflows past q ~ 745 where f(q) = q
-    return np.where(safe, -np.log(np.where(safe, sp, 1.0)), q)
+def _logistic_f_pair(q):
+    """(f(q), f'(q)) from one softplus: f = -log softplus(-q) and
+    f' = sigmoid(-q)/softplus(-q).
 
-
-def _logistic_f_prime(q):
-    # f' = sigmoid(-q)/softplus(-q); both factors underflow together for
-    # q > ~745 where the ratio tends to 1
+    softplus(-q) underflows past q ~ 745, where f(q) = q; sigmoid(-q)
+    underflows with it and the ratio f' tends to 1.
+    """
     q = _as_f64(q)
     sp, u = _logistic_softplus(q)
     sig = np.where(q >= 0.0, u, 1.0) / (1.0 + u)
-    if sp.min(initial=np.inf) > 0.0:
-        return sig / sp
+    if np.minimum.reduce(sp, axis=None, initial=np.inf) > 0.0:  # NaN: guard
+        return -np.log(sp), sig / sp
     safe = sp > 0.0
-    return np.where(safe, sig / np.where(safe, sp, 1.0), 1.0)
+    sp = np.where(safe, sp, 1.0)
+    return np.where(safe, -np.log(sp), q), np.where(safe, sig / sp, 1.0)
 
 
 _LOGISTIC_F_AT_BF = float(-np.log(np.log(2.0)))
@@ -175,8 +179,8 @@ def _with_domain_check(fn, scalar_fn, f_at_bf, name):
 def make_logistic(name: str = "logistic") -> LossSpec:
     return LossSpec(
         name=name,
-        f=_logistic_f,
-        f_prime=_logistic_f_prime,
+        f=lambda q: _logistic_f_pair(q)[0],
+        f_prime=lambda q: _logistic_f_pair(q)[1],
         g=_with_domain_check(_logistic_g, _logistic_g_scalar,
                              _LOGISTIC_F_AT_BF, name),
         g_prime=_with_domain_check(_logistic_g_prime, _logistic_g_prime_scalar,
@@ -185,6 +189,7 @@ def make_logistic(name: str = "logistic") -> LossSpec:
         K=2.0,
         b_g=2.0,
         p=1.0,
+        f_pair=_logistic_f_pair,
     )
 
 

@@ -8,11 +8,11 @@ with its own multi-homogeneity exponent k_i, and sum(k_i) == L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ForwardCache, forward
+from .autodiff import ForwardCache, compile_chain, forward
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,14 @@ class Block:
 
 
 class ParamVector:
-    """Flat float64 parameter vector with a cached Euclidean norm."""
+    """Flat float64 parameter vector with a cached Euclidean norm and
+    direction."""
 
-    __slots__ = ("data", "_rho")
+    __slots__ = ("data", "_rho", "_unit")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._rho = None
+        self._rho = self._unit = None
 
     @property
     def rho(self) -> float:
@@ -50,10 +51,12 @@ class ParamVector:
         return self._rho
 
     def unit(self) -> np.ndarray:
-        """theta / rho; the zero vector has no direction and maps to itself."""
-        if self.rho == 0.0:
-            return np.zeros_like(self.data)
-        return self.data / self.rho
+        """theta / rho, computed once and shared by every caller; the zero
+        vector has no direction and maps to itself."""
+        if self._unit is None:
+            self._unit = (np.zeros_like(self.data) if self.rho == 0.0
+                          else self.data / self.rho)
+        return self._unit
 
     def __len__(self) -> int:
         return self.data.size
@@ -76,8 +79,10 @@ class HomogeneousModel:
     input_dim: int
     num_outputs: int
     param_count: int
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "plan", compile_chain(self.graph))
         total = sum(b.k for b in self.blocks)
         if abs(total - self.order_L) > 1e-12:
             raise ValueError(
@@ -85,7 +90,7 @@ class HomogeneousModel:
             )
 
     def forward(self, theta, x) -> tuple[np.ndarray, ForwardCache]:
-        return forward(self.graph, as_params(theta).data, x)
+        return forward(self.plan, as_params(theta).data, x)
 
 
 def _dense_chain(name: str, dims: list[int], activation: str | None,
@@ -193,7 +198,7 @@ def per_sample_grad_norms(model: HomogeneousModel, cache: ForwardCache) -> np.nd
     if model.num_outputs != 1:
         raise ValueError("per_sample_grad_norms expects a single-output model")
     sq_norms = np.zeros(cache.out.shape)
-    for h_in, delta, _, _ in cache.dense_adjoints(np.ones(cache.out.shape + (1,))):
+    for h_in, delta, _, _ in cache.adjoints(np.ones(cache.out.shape + (1,))):
         sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
             "...bo,...bo->...b", delta, delta
         )

@@ -10,7 +10,10 @@ sandwich, the alignment-integral accumulator, the projected-gradient SVM
 dual and the root-finding loss wrapper are second routes to quantities
 the package computes another way. The stepwise bound monitors evaluate
 the flow's nu and loss upper bounds one state at a time, as the
-package's batched monitors must reproduce bit for bit.
+package's batched monitors must reproduce bit for bit. The layer-walk
+kernel and the two-call point evaluation are the dense-chain forward,
+backward and `evaluate_point` as they were before the compiled plan;
+the package must reproduce their bits too.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
-from marginflow.autodiff import backward
+from marginflow.autodiff import NonFiniteError, ShapeError, backward
 from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
@@ -254,7 +257,7 @@ def effective_margins(model, theta, dataset):
     phi = np.atleast_1d(model.forward(theta, dataset.X)[0])
     if dataset.is_binary:
         return dataset.y * phi
-    return soft_margins(score_gaps(phi, dataset.y))
+    return soft_margins(score_gaps(phi, *dataset.label_masks(phi.shape[1])))
 
 
 # Homogeneity self-checks, one sample and one output at a time.
@@ -300,9 +303,16 @@ def block_euler_residual(model, theta, x, block_i):
 
 
 def preactivations(model, theta, x):
-    """Values entering each nonlinearity; used to avoid kink probes."""
+    """Values entering each kinked nonlinearity; used to avoid kink probes."""
     _, cache = model.forward(theta, x)
-    return [h for kind, h, _, _ in cache.layers if kind in ("relu", "leaky_relu")]
+    outputs = iter(z for _, _, z, *_ in cache.records)  # one per dense layer
+    pre = []
+    for layer in model.graph:
+        if layer.kind == "dense":
+            z = next(outputs)
+        elif layer.kind in ("relu", "leaky_relu"):
+            pre.append(z)
+    return pre
 
 
 def sample_smooth_probe(model, theta, rng, kink_tol=1e-8, max_tries=100):
@@ -483,3 +493,146 @@ class StepwiseLossUpperBound:
         if t <= self.t0:
             return math.inf
         return self.log_G - self.log_rhs_scale - math.log(t - self.t0)
+
+
+# The dense-chain kernel and the point evaluation as written before the
+# compiled plan: the graph's layers are dispatched on their kind at every
+# call, f and f' come from two loss calls (the two-branch logistic forms
+# above), and the class masks are built per call.
+
+def _layer_walk_derivative(kind, z, alpha):
+    z = np.asarray(z, dtype=np.float64)
+    if kind == "relu":
+        return z > 0.0
+    if kind == "leaky_relu":
+        return np.where(z > 0.0, 1.0, alpha)
+    raise ValueError(kind)
+
+
+def _layer_walk_adjoints(layers, adj):
+    for i in range(len(layers) - 1, -1, -1):
+        kind, h, w, offset = layers[i]
+        if kind == "dense":
+            yield h, adj, offset, w.shape[-2] * w.shape[-1]
+            if i:
+                adj = adj @ w.swapaxes(-1, -2)
+        elif kind == "square":
+            adj = 2.0 * h * adj
+        else:
+            adj = _layer_walk_derivative(kind, h, w) * adj
+
+
+def layer_walk_forward(graph, params, x):
+    """(out, cache) of the forward pass over `graph` itself; the cache is
+    (param count, one (kind, input, weight view or alpha, offset) record
+    per layer, squeeze, out)."""
+    params = np.asarray(params, dtype=np.float64)
+    lead = params.shape[:-1]
+    h = np.asarray(x, dtype=np.float64)
+    single = h.ndim == 1
+    if single:
+        h = h[None, :]
+    layers = []
+    for layer in graph:
+        kind = layer.kind
+        if kind == "dense":
+            if h.shape[-1] != layer.in_dim:
+                raise ShapeError("dense", f"input dim {layer.in_dim}", h.shape)
+            w = params[..., layer.offset:layer.offset
+                       + layer.in_dim * layer.out_dim]
+            w = w.reshape(lead + (layer.in_dim, layer.out_dim))
+            layers.append((kind, h, w, layer.offset))
+            h = h @ w
+            continue
+        layers.append((kind, h, layer.alpha, layer.offset))
+        if kind == "relu":
+            h = np.maximum(h, 0.0)
+        elif kind == "leaky_relu":
+            h = np.where(h > 0.0, h, layer.alpha * h)
+        elif kind == "square":
+            h = h * h
+        else:
+            raise ValueError(f"unknown activation {kind!r}")
+    squeeze = h.shape[-1] == 1
+    if squeeze:
+        h = h[..., 0]
+    if not np.isfinite(h).all():
+        raise NonFiniteError("forward pass produced non-finite output")
+    cache = (params.shape[-1], layers, squeeze, h)
+    if single:
+        return (h[:, 0] if lead else h[0]), cache
+    return h, cache
+
+
+def layer_walk_backward(cache, seed=1.0):
+    param_count, layers, squeeze, out = cache
+    adj = np.asarray(seed, dtype=np.float64)
+    if not np.isfinite(adj).all():
+        raise NonFiniteError("backward pass got a non-finite seed")
+    if adj.shape != out.shape:
+        adj = np.broadcast_to(adj, out.shape).astype(np.float64)
+    if squeeze:
+        adj = adj[:, None]
+    grad = np.zeros(param_count)
+    for h, delta, offset, size in _layer_walk_adjoints(layers, adj):
+        grad[offset:offset + size] += (h.T @ delta).ravel()
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("backward pass produced non-finite gradient")
+    return grad
+
+
+def layer_walk_grad_norms(cache):
+    """per_sample_grad_norms from a layer_walk_forward cache."""
+    _, layers, _, out = cache
+    sq_norms = np.zeros(out.shape)
+    for h_in, delta, _, _ in _layer_walk_adjoints(layers,
+                                                  np.ones(out.shape + (1,))):
+        sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
+            "...bo,...bo->...b", delta, delta)
+    return np.sqrt(sq_norms)
+
+
+def _two_call_inv_loss_weights(fq):
+    neg_fq = -fq
+    neg_m = float(neg_fq.max())
+    w = np.exp(neg_fq - neg_m)
+    x = -(neg_m + math.log(float(w.sum())))
+    w *= math.exp(x + neg_m)
+    return x, w
+
+
+def two_call_point(model, theta, dataset, spec):
+    """(x, q, weights, fprime, G, V) of `evaluate_point`, computed the
+    way it was before the compiled plan and the f/f' pair."""
+    if spec.name in ("logistic", "cross_entropy"):
+        f, f_prime = logistic_f, logistic_f_prime
+    else:
+        f, f_prime = spec.f, spec.f_prime
+    theta = as_params(theta)
+    phi, cache = layer_walk_forward(model.graph, theta.data, dataset.X)
+    phi = np.atleast_1d(phi)
+    y = dataset.y
+    if dataset.is_binary:
+        q = q_eff = y * phi
+    else:
+        n, c = phi.shape
+        rows = np.arange(n)
+        mask = np.ones((n, c), dtype=bool)
+        mask[rows, y] = False
+        gaps = phi[rows, y][:, None] - phi[mask].reshape(n, c - 1)
+        q = np.min(gaps, axis=1)
+        q_eff = soft_margins(gaps)
+    x, w = _two_call_inv_loss_weights(f(q_eff))
+    fp = f_prime(q_eff)
+    wfp = w * fp
+    if dataset.is_binary:
+        seed = wfp * y
+        qv = q_eff
+    else:
+        pi = np.exp(q_eff[:, None] - gaps)
+        qv = np.sum(pi * gaps, axis=1)
+        seed = np.zeros(phi.shape)
+        seed[mask] = (-wfp[:, None] * pi).ravel()
+        seed[rows, y] = wfp
+    G = layer_walk_backward(cache, seed)
+    return x, q, w, fp, G, float(np.sum(wfp * qv))

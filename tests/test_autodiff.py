@@ -149,28 +149,28 @@ def test_member_axis_matches_single_forwards():
     for model in _model_zoo():
         stack = np.stack([models.init_params(model, rng).data for _ in range(4)])
         X = rng.standard_normal((7, model.input_dim))
-        out, cache = autodiff.forward(model.graph, stack, X)
+        out, cache = autodiff.forward(model.plan, stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
-        adjoints = list(cache.dense_adjoints(seed))
+        adjoints = cache.adjoints(seed)
         norms = (models.per_sample_grad_norms(model, cache)
                  if model.num_outputs == 1 else None)
-        one_x, _ = autodiff.forward(model.graph, stack, X[0])
+        one_x, _ = autodiff.forward(model.plan, stack, X[0])
         for s, theta in enumerate(stack):
             ref_out, ref = model.forward(theta, X)
             assert _same_bytes(out[s], ref_out), model.name
             assert _same_bytes(one_x[s], model.forward(theta, X[0])[0]), \
                 model.name
             assert cache.param_count == ref.param_count, model.name
-            for (kind, h, w, off), (rkind, rh, rw, roff) in zip(
-                    cache.layers, ref.layers, strict=True):
-                assert (kind, off) == (rkind, roff), model.name
+            for (h, w, z, *rest), (rh, rw, rz, *ref_rest) in zip(
+                    cache.records, ref.records, strict=True):
+                assert rest == ref_rest, model.name
                 assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
-                assert _same_bytes(w[s], rw) if kind == "dense" else w == rw
-            ref_adjoints = list(ref.dense_adjoints(seed[s]))
+                assert _same_bytes(w[s], rw) and _same_bytes(z[s], rz)
+            ref_adjoints = ref.adjoints(seed[s])
             assert len(adjoints) == len(ref_adjoints), model.name
-            for (h, delta, off, size), (rh, rdelta, roff, rsize) in zip(
+            for (h, delta, start, stop), (rh, rdelta, rstart, rstop) in zip(
                     adjoints, ref_adjoints):
-                assert (off, size) == (roff, rsize), model.name
+                assert (start, stop) == (rstart, rstop), model.name
                 assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
                 assert _same_bytes(delta[s], rdelta), model.name
             if norms is not None:
@@ -190,10 +190,29 @@ def test_preactivations_match_plain_forward():
             assert rel_err(pre, want) < 1e-14, model.name
 
 
+def test_compile_chain_plan_per_dense_layer():
+    plan = models.relu_mlp(4, [6, 5]).plan
+    assert [entry[:3] for entry in plan] == [
+        (0, 24, (4, 6)), (24, 54, (6, 5)), (54, 59, (5, 1))]
+    assert plan[-1][3:] == (None, None)
+    z = np.array([-1.0, 0.0, 2.0])
+    for _, _, _, act, rule in plan[:-1]:
+        assert np.array_equal(act(z), [0.0, 0.0, 2.0])
+        assert np.array_equal(rule(z), [False, False, True])  # 0 at the kink
+    _, _, _, act, rule = models.leaky_relu_mlp(2, [3], alpha=0.25).plan[0]
+    assert np.array_equal(act(z), [-0.25, 0.0, 2.0])
+    assert np.array_equal(rule(z), [0.25, 0.25, 1.0])
+    _, _, _, act, rule = models.quadratic_mlp(2, [3]).plan[0]
+    assert np.array_equal(act(z), [1.0, 0.0, 4.0])
+    assert np.array_equal(rule(z), [-2.0, 0.0, 4.0])
+    assert all(entry[3:] == (None, None)
+               for entry in models.deep_linear(2, [3, 3]).plan)
+
+
 def test_subgradient_convention_at_kink():
-    assert autodiff.subgradient_convention("relu", 0.0) == 0.0
-    assert autodiff.subgradient_convention("leaky_relu", 0.0, alpha=0.25) == 0.25
+    assert autodiff.subgradient_convention("relu")(0.0) == 0.0
+    assert autodiff.subgradient_convention("leaky_relu", alpha=0.25)(0.0) == 0.25
     z = np.array([-1.0, 0.0, 2.0])
     assert np.array_equal(
-        autodiff.subgradient_convention("relu", z), np.array([0.0, 0.0, 1.0])
+        autodiff.subgradient_convention("relu")(z), np.array([0.0, 0.0, 1.0])
     )

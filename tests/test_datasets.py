@@ -25,6 +25,17 @@ def test_dataset_multiclass_labels():
     assert not ds.is_binary
 
 
+def test_dataset_label_masks_built_once_per_class_count():
+    ds = Dataset(np.zeros((4, 2)), [0, 2, 1, 2])
+    on, off = ds.label_masks(3)
+    assert np.array_equal(on, np.eye(3, dtype=bool)[[0, 2, 1, 2]])
+    assert np.array_equal(off, ~on)
+    assert all(a is b for a, b in zip(ds.label_masks(3), (on, off)))
+    assert ds.label_masks(4)[0].shape == (4, 4)  # more outputs than labels
+    assert ds.y_float.dtype == np.float64
+    assert np.array_equal(ds.y_float, [0.0, 2.0, 1.0, 2.0])
+
+
 def test_dataset_rejects_bad_shapes_and_labels():
     with pytest.raises(ValueError, match="N, d"):
         Dataset(np.zeros(3), [1, -1, 1])

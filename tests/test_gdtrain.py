@@ -369,6 +369,36 @@ def test_log_kappa_once_per_epoch_start(monkeypatch):
     assert cached["monitors"] == bypassed["monitors"]
 
 
+def test_guarded_retries_evaluate_each_step_once(monkeypatch):
+    # the logistic gd_margin scenario at init seed 11: the scheduler's
+    # alpha has passed the (S5) cap, so every retry of epoch 16 takes the
+    # same capped step; that point is evaluated once, not 61 times
+    model = models.relu_mlp(2, [6])
+    ds = datasets.two_gaussians(12, 2, separation=3.0, seed=5)
+    theta0 = models.init_params(model, np.random.default_rng(11), scale=0.7)
+    steps, evals = [], []
+
+    def step(theta, ev, alpha):
+        steps.append(alpha)
+        return gd_step(theta, ev, alpha)
+
+    def evaluate(*args):
+        evals.append(args[1])
+        return evaluate_point(*args)
+
+    monkeypatch.setattr(gdtrain, "gd_step", step)
+    monkeypatch.setattr(gdtrain, "evaluate_point", evaluate)
+    out = train_gd(model, theta0, ds, LOGISTIC, epochs=400, alpha0=0.05,
+                   s5_guard=True, guard_safety=0.5, seed=11, n_sphere=2_000,
+                   n_curvature=500)
+    assert out["flagged_epochs"] == [16]
+    assert [r["retries"] for r in out["records"]] == [0] * 16 + [61]
+    assert out["alpha"].hex() == "0x1.b6ff97d080a53p-8"
+    # one start plus one step per epoch, each step a distinct size
+    assert len(steps) == len(set(steps)) == 17
+    assert len(evals) == 18
+
+
 def test_train_gd_unguarded_races_to_tiny_loss():
     model, ds, theta0 = _toy()
     out = train_gd(model, theta0, ds, EXP, epochs=120, alpha0=0.1,

@@ -15,12 +15,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from marginflow import datasets, gradflow, losses, models, runner
+from marginflow import autodiff, datasets, gradflow, losses, models, runner
 from marginflow.margin import score_gaps
 
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
-                     hat_step_array, preactivations, readme_flow_config,
-                     stepwise_nu_lower_slack)
+                     hat_step_array, layer_walk_forward, layer_walk_grad_norms,
+                     preactivations, readme_flow_config,
+                     stepwise_nu_lower_slack, two_call_point)
 
 
 def _relu_logistic_setup():
@@ -109,6 +110,60 @@ def test_multiclass_v_satisfies_euler_identity():
         assert abs(lhs - ev.V) <= 1e-12 * abs(lhs), seed
 
 
+def _shape_bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.view(np.int64).tolist()
+
+
+def _point_outcome(fn, *args):
+    """The bits of every array fn returns, or the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (autodiff.NonFiniteError, losses.LossDomainError) as err:
+        return type(err)
+    if isinstance(out, gradflow.PointEval):
+        out = (out.x, out.q, out.weights, out.fprime, out.G, out.V)
+    return [_shape_bits(a) for a in out]
+
+
+@pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
+def test_evaluate_point_bits_match_layer_walk_oracle(loss):
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(21)
+    base = datasets.two_gaussians(10, 3, separation=3.0, seed=4)
+    # a zero row puts every first-layer unit at its kink
+    data = datasets.Dataset(np.vstack([base.X, np.zeros(3)]),
+                            np.append(base.y, 1))
+    cases = [(m, data, spec) for m in (
+        models.linear(3), models.deep_linear(3, [4, 3]),
+        models.relu_mlp(3, [6]), models.leaky_relu_mlp(3, [5], alpha=0.1),
+        models.quadratic_mlp(3, [4]))]
+    if loss == "logistic":
+        three = datasets.Dataset(data.X, np.arange(11) % 3)
+        cases.append((models.relu_mlp(3, [6], num_outputs=3), three,
+                      losses.get_loss("cross_entropy")))
+    raised = 0
+    for model, data_, spec_ in cases:
+        # the logistic guard branch (softplus underflow) needs |q| > 745
+        for scale in (0.3, 1.0, 30.0, 1e3, 1e60, 1e120, 1e200):
+            theta = models.init_params(model, rng, scale=scale).data
+            got = _point_outcome(gradflow.evaluate_point, model, theta, data_,
+                           spec_)
+            assert got == _point_outcome(two_call_point, model, theta, data_,
+                                   spec_), (model.name, scale)
+            raised += got is autodiff.NonFiniteError
+        stack = np.stack([models.init_params(model, rng).data
+                          for _ in range(4)])
+        out, cache = autodiff.forward(model.plan, stack, data_.X)
+        ref_out, ref_cache = layer_walk_forward(model.graph, stack, data_.X)
+        assert _shape_bits(out) == _shape_bits(ref_out), model.name
+        if model.num_outputs == 1:
+            assert _shape_bits(models.per_sample_grad_norms(model, cache)) == \
+                _shape_bits(layer_walk_grad_norms(ref_cache)), model.name
+    assert raised >= len(cases)
+
+
 def test_point_eval_lazy_summaries_equal_eager_oracle():
     spec, model, _, data = _relu_logistic_setup()
     cases = [(spec, model, data, models.init_params(
@@ -123,7 +178,8 @@ def test_point_eval_lazy_summaries_equal_eager_oracle():
         # read in an order the flow never uses: beta pulls rho and g_norm
         got = (ev.beta, ev.V, ev.rho, ev.g_norm)
         gaps = None if data_.is_binary else score_gaps(
-            model_.forward(theta, data_.X)[0], data_.y)
+            model_.forward(theta, data_.X)[0],
+            *data_.label_masks(model_.num_outputs))
         want = eager_point_summaries(ev, theta, gaps)
         assert got == (want[2], want[0], want[3], want[1])
 

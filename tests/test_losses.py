@@ -133,9 +133,11 @@ def test_logistic_f_and_f_prime_bit_equal_to_oracle():
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 745.0, -745.0,
                          746.0, -746.0, np.nextafter(745.0, 0.0), 1e-300,
                          -1e-300, 5e-324, -5e-324])
-    for new, old in ((losses._logistic_f, logistic_f),
-                     (losses._logistic_f_prime, logistic_f_prime)):
-        for q in (grid, specials, np.concatenate([specials, grid])):
+    spec = losses.get_loss("logistic")
+    for new, old in ((spec.f, logistic_f), (spec.f_prime, logistic_f_prime)):
+        # f and f' are the two halves of the one-softplus pair
+        for q in (grid, specials, np.concatenate([specials, grid]),
+                  grid[:-1].reshape(-1, 8)):
             got = np.asarray(new(q)).view(np.int64)
             assert np.array_equal(got, old(q).view(np.int64)), new
         # chunks of 8 as the flow evaluates them: most are all-safe and
