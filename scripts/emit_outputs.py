@@ -107,6 +107,14 @@ CORPUS = {
         "step_tol": 0.002, "seeds": [1]}),
     "hat_verb": ("hat", {
         "scenario": "mexican_hat", "record_every": 20, "seeds": [0]}),
+    # rejected at load: a misspelled option, an optimizer the scenario
+    # does not run; the manifest records each message
+    "rejected_option": ("run", {
+        "scenario": "gd_margin", "loss": "exp", "epochs": 20, "seeds": [0],
+        "options": {"n_spere": 10}}),
+    "rejected_optimizer": ("run", {
+        "scenario": "deep_loss_50", "loss": "exp", "optimizer": "gd_const",
+        "epochs": 20, "seeds": [0]}),
 }
 
 

@@ -50,8 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
+def _load(args, scenario: str | None = None) -> RunConfig:
     cfg = load_config(args.config)
+    if scenario is not None and cfg.scenario != scenario:
+        raise SystemExit(f"{args.verb} expects a {scenario} config")
     return cfg
 
 
@@ -81,7 +83,7 @@ def cmd_validate_loss(args) -> int:
 
 
 def cmd_kkt_report(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, "linear_logistic_2d")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     report = kkt_report(cfg, seed)
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
@@ -90,7 +92,7 @@ def cmd_kkt_report(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, "rates")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     result = SCENARIOS["rates"](cfg, seed)
     print(json.dumps(_summary(cfg, seed, result), indent=2, sort_keys=True))
@@ -99,9 +101,7 @@ def cmd_rates(args) -> int:
 
 def cmd_hat(args) -> int:
     if args.config:
-        cfg = _load(args)
-        if cfg.scenario != "mexican_hat":
-            raise SystemExit("hat expects a mexican_hat config")
+        cfg = _load(args, "mexican_hat")
     else:
         cfg = RunConfig.from_dict({"scenario": "mexican_hat"})
     seed = args.seed if args.seed is not None else cfg.seeds[0]

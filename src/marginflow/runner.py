@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,7 +39,23 @@ from .rates import bounded_ratio_verdict, rate_ratios
 LOG10 = math.log(10.0)
 # kkt-report checkpoints, as fractions of the target log(1/loss)
 KKT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
-OPTIMIZERS = ("flow", "gd_const", "gd_loss_based")
+# per scenario, the optimizers it runs (the first is its default), each
+# with the options that run reads and their defaults; a given option
+# must have its default's type (an int may stand for a float)
+_FLOW = {"theta0": None, "init_scale": 0.7, "n_sphere": 2_000,
+         "n_curvature": 500}
+_GD = {**_FLOW, "s5_guard": True, "guard_safety": 0.5}
+_GD_10K = {**_GD, "n_sphere": 10_000, "n_curvature": 1_000}
+SCENARIO_OPTIONS = {
+    "flow_margin": {"flow": _FLOW},
+    "gd_margin": dict.fromkeys(("gd_loss_based", "gd_const"), _GD),
+    "linear_logistic_2d": {"flow": _FLOW},
+    "rates": {"flow": _FLOW, **dict.fromkeys(
+        ("gd_loss_based", "gd_const"), {**_GD_10K, "guard_safety": 0.9})},
+    "deep_loss_50": {"gd_loss_based": {**_GD_10K, "s5_guard": False}},
+    "mexican_hat": {"flow": {"r_stop": 0.992, "metric": "planar",
+                             "r_final_min": 0.99, "phi_gain_min": 4*math.pi}},
+}
 
 # fixed 8-point separable set used by the linear scenario; margin 0.8
 # along the first axis
@@ -74,10 +90,23 @@ class RunConfig:
         if scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}")
-        optimizer = raw.get("optimizer", "flow")
-        if optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"unknown optimizer {optimizer!r}; have {OPTIMIZERS}")
+        runs = SCENARIO_OPTIONS[scenario]
+        optimizer = raw.get("optimizer", next(iter(runs)))
+        given = raw.get("options") or {}
+        top = {f.name for f in fields(cls)} - {"raw"} | {"seed"}
+        for what, keys, have in [
+                ("config key", raw, top),
+                ("optimizer", [optimizer], runs),
+                (f"{optimizer} option", given, runs.get(optimizer, {}))]:
+            unknown = sorted(set(keys) - set(have))
+            if unknown:
+                raise ValueError(f"unknown {what} {unknown[0]!r} for "
+                                 f"{scenario}; have {sorted(have)}")
+        for key, v in given.items():
+            t = type(runs[optimizer][key])
+            if t is not type(None) and type(v) not in (t, {float: int}.get(t)):
+                raise ValueError(
+                    f"option {key!r} must be a {t.__name__}, got {v!r}")
         seeds = raw.get("seeds", [raw.get("seed", 0)])
         if isinstance(seeds, int):
             seeds = [seeds]
@@ -100,7 +129,9 @@ class RunConfig:
             target_log_inv_loss=float(raw.get("target_log_inv_loss", 30.0)),
             step_tol=step_tol, seeds=tuple(int(s) for s in seeds),
             record_every=record_every,
-            out_dir=out_dir, options=dict(raw.get("options", {})),
+            out_dir=out_dir, options={
+                k: given.get(k) if d is None else type(d)(given.get(k, d))
+                for k, d in runs[optimizer].items()},
         )
 
 
@@ -218,10 +249,15 @@ def _setup(cfg: RunConfig, seed: int, model_default: dict, dataset_default,
     model = build_model(**{**model_default, **(cfg.model or {})})
     ds = (dataset_default() if cfg.dataset is None
           else load_dataset(cfg.dataset))
-    theta0 = cfg.options.get("theta0", theta0)
+    need = 1 if ds.is_binary else int(ds.y.max()) + 1
+    if model.num_outputs < need or ds.is_binary and model.num_outputs > 1:
+        raise ValueError(f"model has num_outputs = {model.num_outputs}; "
+                         f"the dataset's labels need {need}")
+    opts = cfg.options
+    theta0 = opts["theta0"] if opts["theta0"] is not None else theta0
     theta0 = (np.asarray(theta0, dtype=np.float64) if theta0 is not None
               else init_params(model, np.random.default_rng(seed),
-                               scale=float(cfg.options.get("init_scale", 0.7))))
+                               scale=opts["init_scale"]))
     return model, ds, get_loss(loss or cfg.loss), theta0
 
 
@@ -231,22 +267,14 @@ def _flow(cfg: RunConfig, model, ds, spec, theta0) -> dict:
                     step_tol=cfg.step_tol, record_every=cfg.record_every)
 
 
-# train_gd keywords that a config's options override, with their types
-GD_OPTIONS = {"s5_guard": bool, "guard_safety": float, "n_sphere": int,
-              "n_curvature": int}
-
-
-def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0,
-        **defaults) -> dict:
-    """train_gd with the scenario's keyword defaults, each overridden by
-    the option of the same name. The optimizer sets the mode unless the
-    defaults fix it."""
-    kw = {"mode": ("constant_alpha" if cfg.optimizer == "gd_const"
-                   else "loss_based"), **defaults}
-    kw.update((key, cast(cfg.options[key]))
-              for key, cast in GD_OPTIONS.items() if key in cfg.options)
-    return train_gd(model, theta0, ds, spec, epochs=cfg.epochs,
-                    alpha0=cfg.alpha0, seed=seed, **kw)
+def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0) -> dict:
+    opts = cfg.options
+    return train_gd(
+        model, theta0, ds, spec, epochs=cfg.epochs, alpha0=cfg.alpha0,
+        seed=seed, mode=("constant_alpha" if cfg.optimizer == "gd_const"
+                         else "loss_based"),
+        s5_guard=opts["s5_guard"], guard_safety=opts["guard_safety"],
+        n_sphere=opts["n_sphere"], n_curvature=opts["n_curvature"])
 
 
 def _b3_as_dict(report) -> dict:
@@ -278,8 +306,8 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
 def _sample_b_constants(model, dataset, cfg: RunConfig, seed: int, witness):
     return estimate_b_constants(
         model, dataset, np.random.default_rng(seed + 10_007),
-        n_sphere=int(cfg.options.get("n_sphere", 2_000)),
-        n_curvature=int(cfg.options.get("n_curvature", 500)),
+        n_sphere=cfg.options["n_sphere"],
+        n_curvature=cfg.options["n_curvature"],
         witness=witness,
     )
 
@@ -346,8 +374,7 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
     model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
-    res = _gd(cfg, seed, model, ds, spec, theta0, s5_guard=True,
-              guard_safety=0.5, n_sphere=2_000, n_curvature=500)
+    res = _gd(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
     failures = [res["abort"]] if res["abort"] else []
     if res["flagged_epochs"]:
@@ -409,9 +436,8 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         failures.append(f"no SVM reference: {err}")
     else:
         gap = direction_gap_to_svm(state.theta, w_star)
-        gap_max = float(cfg.options.get("svm_gap_max", 0.02))
-        if gap > gap_max:
-            failures.append(f"direction gap {gap:.4f} rad exceeds {gap_max}")
+        if gap > 0.02:
+            failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
     kkt = None
     if is_separated(state.ev, spec):
         anchored = [r for r in out["records"]
@@ -447,21 +473,19 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     if cfg.optimizer == "flow":
         out = _flow(cfg, model, ds, spec, theta0)
         records = out["records"]
-        theta_final = out["state"].theta
+        b = _sample_b_constants(model, ds, cfg, seed, out["state"].theta) \
+            if ds.is_binary else None
         failures = []
     else:
-        res = _gd(cfg, seed, model, ds, spec, theta0, s5_guard=True,
-                  guard_safety=0.9)
+        res = _gd(cfg, seed, model, ds, spec, theta0)
         records = [r for r in res["records"] if not r.get("flagged")]
-        theta_final = res["theta"]
+        b = res["margin_state"].b if res["margin_state"] else None
         failures = [res["abort"]] if res["abort"] else []
         if res["flagged_epochs"]:
             failures.append(
                 f"scheduler stalled at epochs {res['flagged_epochs']}")
     diag = rate_ratios(records, spec, model.order_L, ds.n)
-    verdict = bounded_ratio_verdict(
-        diag, window=float(cfg.options.get("window", 2.0)),
-        bound_factor=float(cfg.options.get("bound_factor", 10.0)))
+    verdict = bounded_ratio_verdict(diag)
     if verdict.inconclusive:
         failures.append(
             f"rate diagnostic inconclusive: {diag.decades:.2f} decades")
@@ -472,8 +496,6 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     sep = [r["rho"] for r in records if r.get("q_min", 0.0) > 0.0]
     if any(b < a for a, b in zip(sep, sep[1:])):
         failures.append("weight norm decreased after separation")
-    b = _sample_b_constants(model, ds, cfg, seed, theta_final) \
-        if ds.is_binary and model.num_outputs == 1 else None
     summary = {
         "rates": {
             "decades": diag.decades, "inconclusive": diag.inconclusive,
@@ -520,17 +542,14 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
     # subdifferential crease long before the loss target
     model, ds, spec, theta0 = _setup(
         cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
-        lambda: two_gaussians(50, 2, separation=4.0,
-                              seed=int(cfg.options.get("data_seed", 10))))
-    res = _gd(cfg, seed, model, ds, spec, theta0, mode="loss_based",
-              s5_guard=False)
+        lambda: two_gaussians(50, 2, separation=4.0, seed=10))
+    res = _gd(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
     failures = [res["abort"]] if res["abort"] else []
-    target = float(cfg.options.get("log10_loss_target", -50.0))
     final_log10 = min(
         (r["log10_loss"] for r in records if "log10_loss" in r),
         default=0.0)
-    if final_log10 > target:
+    if final_log10 > -50.0:
         failures.append(
             f"loss only reached 1e{final_log10:.0f} in {len(records)} epochs")
         # a pre-target stall is the interesting diagnostic; racing far
@@ -564,24 +583,18 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
-    opts = cfg.options
-    records = run_hat(
-        order_L=float(opts.get("order_L", 2.0)),
-        n_samples=int(opts.get("n_samples", 1)),
-        r0=float(opts.get("r0", 0.5)), psi0=float(opts.get("psi0", 0.0)),
-        r_stop=float(opts.get("r_stop", 0.992)),
-        metric=str(opts.get("metric", "planar")),
-        record_every=cfg.record_every,
-    )
+    records = run_hat(r_stop=cfg.options["r_stop"],
+                      metric=cfg.options["metric"],
+                      record_every=cfg.record_every)
     psi_max = max(abs(r["psi"]) for r in records)
     phi_gain = records[-1]["phi"] - records[0]["phi"]
     r_final = records[-1]["r"]
     failures = []
-    if psi_max > float(opts.get("psi_max", 1e-3)):
+    if psi_max > 1e-3:
         failures.append(f"spiral phase drifted to |psi| = {psi_max:.2e}")
-    if r_final <= float(opts.get("r_final_min", 0.99)):
+    if r_final <= cfg.options["r_final_min"]:
         failures.append(f"radius stalled at {r_final:.4f}")
-    if phi_gain < float(opts.get("phi_gain_min", 4.0 * math.pi)):
+    if phi_gain < cfg.options["phi_gain_min"]:
         failures.append(f"angle advanced only {phi_gain:.2f} rad")
     if records[-1]["clamped"]:
         failures.append("integrator clamped the radius")

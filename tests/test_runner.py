@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (SCENARIOS, RunConfig, config_digest,
+from marginflow.runner import (SCENARIOS, RunConfig, _setup, config_digest,
                                emit_plot_data, load_config, run_scenario,
                                write_csv, write_jsonl)
 
@@ -64,6 +64,85 @@ def test_config_rejects_out_of_range_numbers(key, value):
     # took no step and exited 0, and a negative step_tol ended in FlowAbort
     with pytest.raises(ValueError, match=key):
         RunConfig.from_dict({"scenario": "flow_margin", key: value})
+
+
+def _emit_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "emit_outputs", ROOT / "scripts" / "emit_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
+    # every config the repo ships: the README example, the emit corpus
+    # (less its two entries that are rejected on purpose) and the
+    # benchmark jobs at seed 0
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS, workload_jobs
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    shipped = [readme_flow_config()]
+    shipped += [cfg for label, (_, cfg) in _emit_outputs().CORPUS.items()
+                if not label.startswith("rejected_")]
+    shipped += [job.config for name in WORKLOADS
+                for job in workload_jobs(name, 0)]
+    for raw in shipped:
+        RunConfig.from_dict(raw)
+    # a key that no run reads is rejected at load, before any file is
+    # written, and the message names it
+    for key, raw in [
+            ("target_log_inv_los", {"scenario": "flow_margin",
+                                    "target_log_inv_los": 3.0}),
+            ("n_spere", {"scenario": "gd_margin",
+                         "options": {"n_spere": 10}}),
+            ("s5_guard", {"scenario": "flow_margin",
+                          "options": {"s5_guard": False}}),
+            ("s5_guard", {"scenario": "rates", "options": {"s5_guard": True}}),
+            ("gd_loss_based", {"scenario": "flow_margin",
+                               "optimizer": "gd_loss_based"}),
+            ("gd_const", {"scenario": "deep_loss_50",
+                          "optimizer": "gd_const"}),
+            # a value must have its default's type, not be cast to it
+            ("s5_guard", {"scenario": "gd_margin",
+                          "options": {"s5_guard": "false"}}),
+            ("n_sphere", {"scenario": "gd_margin",
+                          "options": {"n_sphere": 2500.9}}),
+            ("init_scale", {"scenario": "flow_margin",
+                            "options": {"init_scale": True}})]:
+        p = tmp_path / "bad.yaml"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=key):
+            cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+    # a verb of one scenario takes only that scenario's config: the
+    # options of another scenario's run are not the ones it reads
+    p.write_text(json.dumps({"scenario": "mexican_hat"}))
+    for verb in ("kkt-report", "rates"):
+        with pytest.raises(SystemExit, match=f"{verb} expects"):
+            cli_main([verb, "--config", str(p)])
+    # the model's outputs must match the labels: before, these escaped
+    # as a numpy broadcast error and an IndexError from label_masks
+    net = {"family": "relu_mlp", "input_dim": 2, "widths": [6]}
+    three_class = {"kind": "inline", "rows": [[2.0, 0.0, 0], [-1.0, 1.7, 1],
+                                               [-1.0, -1.7, 2]]}
+    for model, dataset, match in [
+            ({**net, "num_outputs": 2}, None, "num_outputs = 2.*need 1"),
+            (net, three_class, "num_outputs = 1.*need 3")]:
+        cfg = RunConfig.from_dict({"scenario": "flow_margin", "model": model,
+                                   "dataset": dataset})
+        with pytest.raises(ValueError, match=match):
+            run_scenario(cfg, out_dir=tmp_path / "o")
+    # an int stands for a float option; a multi-class model may have more
+    # outputs than the labels present
+    cfg = RunConfig.from_dict({"scenario": "flow_margin",
+                               "model": {**net, "num_outputs": 4},
+                               "dataset": three_class,
+                               "options": {"init_scale": 1}})
+    assert cfg.options["init_scale"] == 1.0
+    model, ds, _, theta0 = _setup(cfg, 0, net, None)
+    assert model.num_outputs == 4 and theta0.data.shape == (model.param_count,)
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -410,19 +489,10 @@ def test_flow_margin_trains_quadratic_mlp_on_xor(tmp_path):
     assert out.summaries[0]["monitor_stats"]["growth_within_tol_frac"] == 1.0
 
 
-def _corpus_config(label):
-    """The config of one entry of scripts/emit_outputs.py's corpus."""
-    spec = importlib.util.spec_from_file_location(
-        "emit_outputs", ROOT / "scripts" / "emit_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CORPUS[label][1]
-
-
 def test_flow_3class_corpus_entry_passes(tmp_path):
     # multi-class flow: with V the Euler term of the soft-min margins the
     # growth identity holds on every step and the nu bound has slack
-    cfg = RunConfig.from_dict(_corpus_config("flow_3class"))
+    cfg = RunConfig.from_dict(_emit_outputs().CORPUS["flow_3class"][1])
     out = run_scenario(cfg, out_dir=tmp_path)
     assert out.ok, out.failures
     stats = out.summaries[0]["monitor_stats"]
