@@ -18,7 +18,10 @@ The second form diffs two such trees and exits 1 on any difference:
 a file present in only one tree, a differing exit code, or differing
 bytes. Two things are allowed to differ: the `timestamp` field of each
 JSONL header (line 1), and the output root of each tree wherever it
-appears in a job's standard output.
+appears in a job's standard output. Under each differing JSON or JSONL
+file (and JSON standard output) it lists the dotted keys that moved,
+each with the largest relative difference of its numbers, so a change
+that moves outputs on purpose can quote its tolerance.
 
 The third form checks that a change leaves every emitted byte as it
 was. It checks out REV (any git revision, e.g. the parent commit) in a
@@ -181,6 +184,57 @@ def _normalised(path: Path, rel: str, root: str) -> bytes:
     return data
 
 
+def _leaves(v, key=""):
+    """(dotted key, value) for each scalar in a parsed JSON value."""
+    if isinstance(v, (dict, list)):
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        for k, x in items:
+            yield from _leaves(x, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, v
+
+
+def _rel_diff(x, y) -> float:
+    if x == y:
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale < float("inf") else float("inf")
+
+
+def _moved(la: list[bytes], lb: list[bytes], rel: str) -> list[str]:
+    """What moved between two JSON files (or JSONL, line by line): per
+    dotted key, the largest relative difference of its numbers, or
+    "changed" where a non-number changed or a key is on one side only.
+    JSONL keys leave out the line, so a key counts every record. Other
+    files, and text that is not JSON, give nothing."""
+    if rel.endswith(".jsonl"):
+        docs = list(zip(la, lb))
+        if len(la) != len(lb):
+            docs.append((f'{{"lines": {len(la)}}}', f'{{"lines": {len(lb)}}}'))
+    elif rel.endswith((".json", "stdout.txt")):
+        docs = [(b"\n".join(la), b"\n".join(lb))]
+    else:
+        return []
+    worst: dict[str, float | str] = {}
+    missing = object()
+    try:
+        for da, db in docs:
+            va, vb = (dict(_leaves(json.loads(d))) for d in (da, db))
+            for key in va.keys() | vb.keys():
+                x, y = va.get(key, missing), vb.get(key, missing)
+                numbers = all(isinstance(v, (int, float))
+                              and not isinstance(v, bool) for v in (x, y))
+                if numbers and worst.get(key) != "changed":
+                    worst[key] = max(worst.get(key, 0.0), _rel_diff(x, y))
+                elif x != y or type(x) is not type(y):
+                    worst[key] = "changed"
+    except ValueError:  # not JSON
+        return []
+    return [f"{key}: " + (d if d == "changed"
+                          else f"largest relative difference {d:.3e}")
+            for key, d in sorted(worst.items()) if d]
+
+
 def compare(a: Path, b: Path) -> int:
     man_a = json.loads((a / MANIFEST).read_text(encoding="utf-8"))
     man_b = json.loads((b / MANIFEST).read_text(encoding="utf-8"))
@@ -199,7 +253,8 @@ def compare(a: Path, b: Path) -> int:
             la, lb = da.splitlines(), db.splitlines()
             line = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y),
                         min(len(la), len(lb)))
-            problems.append(f"differs: {rel} (first at line {line + 1})")
+            problems.append(f"differs: {rel} (first at line {line + 1})"
+                            + "".join(f"\n  {m}" for m in _moved(la, lb, rel)))
     for msg in problems:
         print(msg)
     print(f"{len(common)} files in both trees, {len(problems)} differences")

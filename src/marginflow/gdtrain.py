@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
 from .gradflow import PointEval, evaluate_point
 from .losses import LossDomainError, LossSpec
-from .models import (HomogeneousModel, ParamVector, as_params,
-                     per_sample_grad_norms)
+from .models import HomogeneousModel, ParamVector, as_params
 
 R_UP = 2.0 ** (1.0 / 5.0)
 R_DOWN = 2.0 ** (1.0 / 10.0)
@@ -204,9 +203,9 @@ def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
 
 @dataclass(frozen=True)
 class BConstants:
-    """Sampled estimates of the unit-sphere suprema of the margin, its
-    gradient norm, and its curvature. Sampling undershoots a true sup,
-    so downstream step-size checks are conservative-by-sampling."""
+    """Unit-sphere suprema of the margin, its gradient norm and its
+    curvature. b0 and b1 are exact (sphere_sups); b2 is sampled, and a
+    sample can only undershoot a supremum."""
 
     b0: float  # sup q_n over the sphere
     b1: float  # sup ||grad q_n||
@@ -215,43 +214,59 @@ class BConstants:
     n_curvature: int
 
 
-# estimate_b_constants stacks as many parameter vectors into one forward
-# as keep its widest layer near this many activations; larger stacks ran
-# slower and grew the peak memory.
+def sphere_sups(model: HomogeneousModel, X: np.ndarray) -> tuple[float, float]:
+    """(B0, B1): the sups over unit-norm theta and the rows x of X of
+    |Phi(theta; x)| and ||grad_theta Phi(theta; x)||, in closed form.
+
+    With h_0 = x, h_b = s(W_b h_{b-1}) and n_b = ||W_b||_F, every
+    activation has |s(z)| <= g|z|^r and |s'(z)| <= r g|z|^(r-1) per unit
+    (r = 2 for a square, else 1; gain g = max(1, |alpha|)). Unrolled,
+    |Phi| <= M = G ||x||^p prod_b n_b^k_b, with k_b the declared block
+    exponents, p = k_1 and G the product of the gains; the backward
+    recursion gives ||dPhi/dW_b|| = ||delta_b|| ||h_{b-1}|| <= k_b M/n_b.
+    Split block b into k_b slots of value s = n_b^2 / k_b: L slots that
+    sum to ||theta||^2 = 1. With P = prod_b k_b^k_b, AM-GM and Maclaurin
+    give prod_b n_b^(2 k_b) = P prod s <= P L^-L and
+    prod_b n_b^(2 k_b) sum_b k_b^2 / n_b^2 = P e_{L-1}(s) <= P L^(2-L),
+    both tight at s = 1/L. So B0 = G max ||x||^p prod_b (k_b/L)^(k_b/2)
+    and B1 = L B0: max ||x|| L^(-L/2) and max ||x|| L^(1-L/2) when every
+    k_b = 1. A one-unit-wide net with n_b^2 = k_b / L along the longest
+    x, signed so that y Phi = |Phi|, attains both, so they are also the
+    sups of the margin q = y Phi.
+    """
+    ks = [b.k for b in model.blocks]
+    L = model.order_L
+    gain = math.prod(max(1.0, abs(layer.alpha)) for layer in model.graph
+                     if layer.kind != "dense")
+    x_max = float(np.max(np.linalg.norm(X, axis=1)))
+    b0 = gain * x_max ** ks[0] * math.prod((k / L) ** (k / 2) for k in ks)
+    return b0, L * b0
+
+
+# estimate_b_constants stacks as many probes into one forward as keep its
+# widest layer near this many activations (larger stacks ran slower and
+# grew the peak memory), and draws at most this many normals at once
 B_CHUNK_FLOATS = 2**14
 
 
 def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
                          rng: np.random.Generator, n_sphere: int = 10_000,
-                         n_curvature: int = 1_000,
-                         witness: ParamVector | None = None) -> BConstants:
-    """Sample B0, B1 (n_sphere unit directions) and B2 (n_curvature
-    central second differences along random unit directions).
-
-    Directions are drawn and evaluated a chunk at a time, one stacked
-    forward of about k members per chunk; the draws come from rng in the
-    same order as one direction (or one (theta, v) probe) at a time
-    would take them.
-    """
+                         n_curvature: int = 1_000) -> BConstants:
+    """B0 and B1 from sphere_sups; B2 the largest of n_curvature central
+    second differences, along and from random unit vectors."""
     if not dataset.is_binary:
         raise NotImplementedError("sphere constants assume binary margins")
     d = model.param_count
-    X, y = dataset.X, dataset.y
+    b0, b1 = sphere_sups(model, dataset.X)
+    # the n_sphere * d normals that once sampled B0 and B1 are drawn and
+    # dropped, so B2 keeps its bits, until perfbench/reference.json
+    # (pinned on that B2) is refreshed
+    for start in range(0, n_sphere * d, B_CHUNK_FLOATS):
+        rng.normal(size=min(B_CHUNK_FLOATS, n_sphere * d - start))
     widest = max(layer.out_dim for layer in model.graph if layer.kind == "dense")
-    k = max(1, B_CHUNK_FLOATS // (dataset.n * widest))
-    b0 = -math.inf
-    b1 = 0.0
-    for start in range(0, n_sphere, k):
-        draws = rng.normal(size=(min(k, n_sphere - start), d))
-        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-        if start == 0 and witness is not None:
-            draws[0] = witness.unit()  # current direction is a known witness
-        phi, cache = model.forward(draws, X)
-        b0 = max(b0, float(np.max(y * phi)))
-        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
+    k = max(1, B_CHUNK_FLOATS // (dataset.n * widest) // 3)  # 3 per probe
     h = 1e-4
     b2 = 0.0
-    k = max(1, k // 3)  # a probe stacks three members
     for start in range(0, n_curvature, k):
         m = min(k, n_curvature - start)
         pairs = rng.normal(size=(m, 2, d))  # (theta_hat, v) per probe
@@ -259,7 +274,7 @@ def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
         pairs /= np.sqrt(pairs[..., None, :] @ pairs[..., :, None])[..., 0]
         theta_hat, v = pairs[:, 0], pairs[:, 1]
         probes = np.concatenate([theta_hat, theta_hat + h * v, theta_hat - h * v])
-        out, _ = model.forward(probes, X)
+        out, _ = model.forward(probes, dataset.X)
         p0, pp, pm = out.reshape(3, m, -1)
         curv = np.abs(pp - 2.0 * p0 + pm) / h**2
         b2 = max(b2, float(np.max(curv)))
@@ -345,7 +360,7 @@ def make_margin_state(model: HomogeneousModel, theta: ParamVector,
     rho0 = theta.rho
     log_hat0 = curve.phi(x0) - L * math.log(rho0)
     b = estimate_b_constants(model, dataset, rng, n_sphere=n_sphere,
-                             n_curvature=n_curvature, witness=theta)
+                             n_curvature=n_curvature)
     try:
         c_eta, provisional = _c_eta(spec, L, b, rho0, x0,
                                     math.exp(log_hat0))
@@ -371,10 +386,11 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     keeps alpha fixed (the physical rate still scales with 1/loss, since
     every step is taken in the frame of its epoch start). Monitor series
     start at the first separated epoch; entries conditioned on (S5) are
-    only appended when the step's log(eta / H) is not positive. When the
-    margin anchor cannot be formed at the first separated epoch
-    (MarginStateError), the run ends after that epoch and "abort" holds
-    the message; otherwise "abort" is None.
+    only appended when the step's log(eta / H) is not positive. A step
+    whose forward pass overflows is a rejected trial. The run ends with
+    the message in "abort" when the margin anchor cannot be formed at
+    the first separated epoch (MarginStateError), or when a constant-alpha
+    step overflows; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -424,8 +440,11 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             a = min(a, cap)
             if last is None or last[2] != a:
                 cand = gd_step(start_theta, prev_ev, a)
-                last = (cand, evaluate_point(model, cand, dataset, spec), a)
-            return last[1].x, last
+                try:
+                    last = (cand, evaluate_point(model, cand, dataset, spec), a)
+                except NonFiniteError:  # overflowed: a rejected trial
+                    last = (cand, None, a)
+            return (-math.inf if last[1] is None else last[1].x), last
 
         if mode == "loss_based":
             alpha, accepted, outcome = loss_based_lr_epoch(alpha, ev.x, trial)
@@ -439,6 +458,9 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         else:
             accepted = trial(alpha)[1]
             outcome = EpochOutcome(0, False)
+            if accepted[1] is None:
+                abort = f"alpha = {alpha:.6g} overflowed at epoch {epoch}"
+                break
 
         theta, ev, c = accepted
         log_eta = math.log(c) + prev_ev.x

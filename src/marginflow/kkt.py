@@ -70,7 +70,7 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
     divided by the gradient norm, with w_n the unit-sum loss weights;
     every exponential factor cancels inside the ratio. Passing the log
     of the smoothed margin at the first separated time (and, when the
-    loss needs it, the sampled sup of the margin gradient over the unit
+    loss needs it, the sup b1 of the margin gradient over the unit
     sphere) also fills in the predicted epsilon and delta ceilings.
     """
     theta = as_params(theta)
@@ -106,7 +106,7 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
             else:
                 if b1 is None:
                     raise ValueError(
-                        "delta ceiling needs the sampled gradient sup b1 "
+                        "delta ceiling needs the gradient sup b1 "
                         f"for {spec.name} (loss-ratio constant K > 1)")
                 growth = (b1 / tilde0) ** math.log2(spec.K)
             c2 = (2.0 * math.e * dataset.n * spec.K ** 2

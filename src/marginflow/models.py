@@ -184,22 +184,3 @@ def init_params(model: HomogeneousModel, rng: np.random.Generator,
         )
     return ParamVector(scale * data)
 
-
-def per_sample_grad_norms(model: HomogeneousModel, cache: ForwardCache) -> np.ndarray:
-    """Norms ||grad_theta Phi(theta; x_n)|| for every row of the batch that
-    `model.forward` recorded in `cache`: shaped (B,) like its output, or
-    (S, B) for a forward over S stacked parameter vectors.
-
-    Uses the layer structure directly: for a dense layer the per-sample
-    weight gradient is an outer product, so its Frobenius norm factors
-    into activation norm times sensitivity norm. The sensitivities come
-    from the backward pass's reverse loop, seeded with ones.
-    """
-    if model.num_outputs != 1:
-        raise ValueError("per_sample_grad_norms expects a single-output model")
-    sq_norms = np.zeros(cache.out.shape)
-    for h_in, delta, _, _ in cache.adjoints(np.ones(cache.out.shape + (1,))):
-        sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
-            "...bo,...bo->...b", delta, delta
-        )
-    return np.sqrt(sq_norms)

@@ -28,7 +28,8 @@ import numpy as np
 import yaml
 
 from .datasets import from_rows, load_dataset, two_gaussians
-from .gdtrain import estimate_b_constants, gd_step, gd_step_direct, train_gd
+from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
+                      sphere_sups, train_gd)
 from .gradflow import (evaluate_point, flow_states, is_separated,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
@@ -157,11 +158,7 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def write_jsonl(path: Path, cfg: RunConfig, seed: int, records) -> None:
@@ -171,10 +168,13 @@ def write_jsonl(path: Path, cfg: RunConfig, seed: int, records) -> None:
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    # json.dumps(sort_keys=True) builds this encoder per call; records
+    # hold Python scalars and np.float64, a float encoded by its repr
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonable(header), sort_keys=True) + "\n")
+        fh.write(encode(_jsonable(header)) + "\n")
         for rec in records:
-            fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+            fh.write(encode(rec) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -303,13 +303,11 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
     })
 
 
-def _sample_b_constants(model, dataset, cfg: RunConfig, seed: int, witness):
-    return estimate_b_constants(
-        model, dataset, np.random.default_rng(seed + 10_007),
-        n_sphere=cfg.options["n_sphere"],
-        n_curvature=cfg.options["n_curvature"],
-        witness=witness,
-    )
+def _b_constants(model, dataset, cfg: RunConfig, seed: int):
+    opts = cfg.options
+    return estimate_b_constants(model, dataset,
+                                np.random.default_rng(seed + 10_007),
+                                opts["n_sphere"], opts["n_curvature"])
 
 
 def _sandwich_violations(records, order_L: float, n: int,
@@ -353,8 +351,7 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
         if bad:
             failures.append(f"margin sandwich violated at {bad} checkpoints")
     state = out["state"]
-    b = _sample_b_constants(model, ds, cfg, seed, state.theta) \
-        if ds.is_binary else None
+    b = _b_constants(model, ds, cfg, seed) if ds.is_binary else None
     summary = {
         "final": {
             "t": state.t, "steps": state.steps, "x": state.ev.x,
@@ -439,13 +436,13 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         if gap > 0.02:
             failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
     kkt = None
+    b = _b_constants(model, ds, cfg, seed)
     if is_separated(state.ev, spec):
         anchored = [r for r in out["records"]
                     if math.isfinite(r.get("log_tilde", -math.inf))]
         cert = build_certificate(
-            model, state.theta, ds, spec, ev=state.ev,
-            log_tilde_t0=anchored[0]["log_tilde"] if anchored else None,
-            b1=float(np.max(np.linalg.norm(ds.X, axis=1))))
+            model, state.theta, ds, spec, ev=state.ev, b1=b.b1,
+            log_tilde_t0=anchored[0]["log_tilde"] if anchored else None)
         kkt = {
             "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
             "delta": cert.delta, "beta": cert.beta,
@@ -455,7 +452,6 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
     else:
         failures.append(
             f"no KKT certificate: not separated at x = {state.ev.x}")
-    b = _sample_b_constants(model, ds, cfg, seed, state.theta)
     summary = {
         "svm_angle_gap": gap,
         "svm_margin": svm_margin,
@@ -473,8 +469,7 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     if cfg.optimizer == "flow":
         out = _flow(cfg, model, ds, spec, theta0)
         records = out["records"]
-        b = _sample_b_constants(model, ds, cfg, seed, out["state"].theta) \
-            if ds.is_binary else None
+        b = _b_constants(model, ds, cfg, seed) if ds.is_binary else None
         failures = []
     else:
         res = _gd(cfg, seed, model, ds, spec, theta0)
@@ -676,7 +671,7 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
     states = flow_states(model, theta0, ds, spec, step_tol=cfg.step_tol)
     state, _ = next(states)
     targets = [cfg.target_log_inv_loss * f for f in KKT_FRACTIONS]
-    b1 = float(np.max(np.linalg.norm(ds.X, axis=1)))
+    b1 = sphere_sups(model, ds.X)[1]
     anchor = None
     checkpoints = []
     failures = []

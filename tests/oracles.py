@@ -13,7 +13,10 @@ the flow's nu and loss upper bounds one state at a time, as the
 package's batched monitors must reproduce bit for bit. The layer-walk
 kernel and the two-call point evaluation are the dense-chain forward,
 backward and `evaluate_point` as they were before the compiled plan;
-the package must reproduce their bits too.
+the package must reproduce their bits too. The sphere sampler, with its
+per-sample gradient norms, is how B0 and B1 were taken before they had
+closed forms: the closed forms must bound it, and meet it at the
+rank-one net.
 """
 
 import math
@@ -29,7 +32,7 @@ from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.margin import score_gaps, soft_margins
-from marginflow.models import ParamVector, as_params, per_sample_grad_norms
+from marginflow.models import ParamVector, as_params
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,22 +94,55 @@ def seeded_fd_grad(graph, theta, X, seed):
     return total
 
 
+def per_sample_grad_norms(model, cache):
+    """Norms ||grad_theta Phi(theta; x_n)|| for every row of the batch that
+    `model.forward` recorded in `cache`: shaped (B,) like its output, or
+    (S, B) for a forward over S stacked parameter vectors.
+
+    Uses the layer structure directly: for a dense layer the per-sample
+    weight gradient is an outer product, so its Frobenius norm factors
+    into activation norm times sensitivity norm. The sensitivities come
+    from the backward pass's reverse loop, seeded with ones.
+    """
+    if model.num_outputs != 1:
+        raise ValueError("per_sample_grad_norms expects a single-output model")
+    sq_norms = np.zeros(cache.out.shape)
+    for h_in, delta, _, _ in cache.adjoints(np.ones(cache.out.shape + (1,))):
+        sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
+            "...bo,...bo->...b", delta, delta
+        )
+    return np.sqrt(sq_norms)
+
+
+def sampled_sphere_sups(model, dataset, rng, n_sphere, witness=None,
+                        chunk=64):
+    """(b0, b1) sampled: the largest margin y Phi and gradient norm over
+    n_sphere random unit directions, `chunk` of them stacked per
+    forward, the first replaced by the direction of witness when given.
+    This is how estimate_b_constants once took B0 and B1; a sample can
+    only undershoot the closed-form sups."""
+    d = model.param_count
+    b0 = -math.inf
+    b1 = 0.0
+    for start in range(0, n_sphere, chunk):
+        draws = rng.normal(size=(min(chunk, n_sphere - start), d))
+        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+        if start == 0 and witness is not None:
+            draws[0] = as_params(witness).unit()
+        phi, cache = model.forward(draws, dataset.X)
+        b0 = max(b0, float(np.max(dataset.y * phi)))
+        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
+    return b0, b1
+
+
 def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
                          witness=None):
     """(b0, b1, b2) sampled one direction at a time: the estimator as it
     ran before estimate_b_constants drew and evaluated in chunks. Each
     sphere direction and each curvature probe gets its own forward."""
+    b0, b1 = sampled_sphere_sups(model, dataset, rng, n_sphere, witness,
+                                 chunk=1)
     d = model.param_count
-    b0 = -math.inf
-    b1 = 0.0
-    draws = rng.normal(size=(n_sphere, d))
-    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-    if witness is not None:
-        draws[0] = witness.unit()
-    for theta_hat in draws:
-        phi, cache = model.forward(ParamVector(theta_hat), dataset.X)
-        b0 = max(b0, float(np.max(dataset.y * np.atleast_1d(phi))))
-        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
     h = 1e-4
     b2 = 0.0
     for _ in range(n_curvature):
@@ -121,6 +157,24 @@ def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
                       + np.atleast_1d(pm)) / h**2
         b2 = max(b2, float(np.max(curv)))
     return b0, b1, b2
+
+
+def rank_one_net(model, x, y):
+    """The unit-norm net that attains the closed-form sups at x: one unit
+    wide, block b scaled to squared norm k_b / L, the first block along
+    x and the last signed so that y Phi(x) > 0."""
+    theta = np.zeros(model.param_count)
+    dense = [layer for layer in model.graph if layer.kind == "dense"]
+    for layer, block in zip(dense, model.blocks, strict=True):
+        w = np.zeros((layer.in_dim, layer.out_dim))
+        if layer is dense[0]:
+            w[:, 0] = x / np.linalg.norm(x)
+        else:
+            w[0, 0] = 1.0
+        theta[block.start:block.stop] = (
+            math.sqrt(block.k / model.order_L) * w).ravel()
+    theta[model.blocks[-1].start:model.blocks[-1].stop] *= y
+    return theta
 
 
 def lambda_from_log_inv_loss(spec, log_inv_loss):

@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (fd_grad, per_sample_grads, plain_forward,
-                     plain_preactivations, preactivations, rel_err,
-                     sample_smooth_probe, seeded_fd_grad)
+from oracles import (fd_grad, per_sample_grad_norms, per_sample_grads,
+                     plain_forward, plain_preactivations, preactivations,
+                     rel_err, sample_smooth_probe, seeded_fd_grad)
 
 from marginflow import autodiff, models
 
@@ -152,7 +152,7 @@ def test_member_axis_matches_single_forwards():
         out, cache = autodiff.forward(model.plan, stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
         adjoints = cache.adjoints(seed)
-        norms = (models.per_sample_grad_norms(model, cache)
+        norms = (per_sample_grad_norms(model, cache)
                  if model.num_outputs == 1 else None)
         one_x, _ = autodiff.forward(model.plan, stack, X[0])
         for s, theta in enumerate(stack):
@@ -175,7 +175,7 @@ def test_member_axis_matches_single_forwards():
                 assert _same_bytes(delta[s], rdelta), model.name
             if norms is not None:
                 assert _same_bytes(norms[s],
-                                   models.per_sample_grad_norms(model, ref))
+                                   per_sample_grad_norms(model, ref))
 
 
 def test_preactivations_match_plain_forward():

@@ -57,6 +57,25 @@ def test_compare_flags_bytes_missing_files_and_exit_codes(tmp_path, capsys):
         in out
 
 
+
+def test_compare_lists_the_keys_that_moved(tmp_path, capsys):
+    a = _tree(tmp_path / "a", "t0")
+    b = _tree(tmp_path / "b", "t0", value="1.65")
+    for root, b0, failures in [(a, 1.0, []), (b, 1.25, ["x short"])]:
+        (root / "flow_small" / "flow_margin.0" / "s.summary.json").write_text(
+            json.dumps({"b_constants": {"b0": b0, "b2": 3.0},
+                        "failures": failures}))
+    assert emit_outputs.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "flow_margin-seed0.jsonl (first at line 2)\n" \
+        "  x: largest relative difference 9.091e-02\n" in out
+    assert "s.summary.json (first at line 1)\n" \
+        "  b_constants.b0: largest relative difference 2.000e-01\n" \
+        "  failures.0: changed\n" in out
+    assert "b2" not in out
+    # a CSV names no keys
+    assert "flow_margin-seed0-loss.csv (first at line 2)\ndiffers" in out
+
 def _git(repo: Path, *args) -> str:
     return subprocess.run(["git", "-C", str(repo), *args], check=True,
                           capture_output=True, text=True).stdout

