@@ -68,6 +68,11 @@ CORPUS = {
         "scenario": "gd_margin", "loss": "logistic",
         "optimizer": "gd_loss_based", "alpha0": 0.05, "epochs": 400,
         "seeds": [13]}),
+    # unguarded loss-based GD until a step overflows the forward pass:
+    # rejected trials, a scheduler stall, rho past 1e154
+    "gd_overflow": ("run", {
+        "scenario": "gd_margin", "loss": "exp", "alpha0": 0.1,
+        "epochs": 3000, "seeds": [0], "options": {"s5_guard": False}}),
     "rates_gd": ("run", {
         "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
         "alpha0": 0.1, "epochs": 600, "seeds": [1]}),

@@ -2,10 +2,12 @@
 
 Every architecture in this package is a chain of bias-free dense
 layers, each followed by at most one elementwise activation (ReLU,
-LeakyReLU, square). `compile_chain` turns a layer graph into a plan
-once per model; the forward pass runs that plan and records one small
-record per dense layer, and the backward pass is a single loop over
-those records in reverse. No graph is built per call, no Hessians.
+LeakyReLU, square), described by the model's block table (`models.Block`):
+each dense layer's slice bounds and shape, and the forward op and
+derivative rule of the activation after it. The forward pass walks that
+table and records one small record per dense layer, and the backward
+pass is a single loop over those records in reverse. No graph is built
+per call, no Hessians.
 
 Finiteness checks reduce with `np.logical_and.reduce`, which skips the
 Python wrapper of `ndarray.all` on these short, hot arrays.
@@ -18,7 +20,6 @@ and matmul broadcasts the shared input batch against the S weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,45 +38,22 @@ class NonFiniteError(FloatingPointError):
     """Raised when a forward or backward pass produces non-finite values."""
 
 
-def subgradient_convention(primitive: str, alpha: float = 0.0):
-    """Derivative rule of a kinked primitive, as a function of its input z.
+def activation(kind: str, alpha: float = 0.0):
+    """(forward op, derivative rule) of one elementwise activation, each
+    a function of the pre-activation z.
 
-    ReLU uses derivative 0 at z == 0; LeakyReLU uses the negative-side
-    slope alpha at z == 0. The compiled plans take their backward rules
-    from here, so runs are reproducible at kinks.
+    ReLU's rule is 0 at z == 0 and LeakyReLU's is the negative-side
+    slope alpha there, so runs are reproducible at kinks.
     """
-    if primitive == "relu":
-        return lambda z: z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
-    if primitive == "leaky_relu":
-        return lambda z: np.where(z > 0.0, 1.0, alpha)
-    raise ValueError(f"no subgradient convention for primitive {primitive!r}")
-
-
-def _activation(kind: str, alpha: float):
-    """(forward op, derivative rule) of one elementwise activation."""
     if kind == "relu":
-        return (lambda h: np.maximum(h, 0.0)), subgradient_convention(kind)
+        # a boolean mask multiplies as 1.0 / 0.0
+        return (lambda z: np.maximum(z, 0.0)), (lambda z: z > 0.0)
     if kind == "leaky_relu":
-        return ((lambda h: np.where(h > 0.0, h, alpha * h)),
-                subgradient_convention(kind, alpha))
+        return ((lambda z: np.where(z > 0.0, z, alpha * z)),
+                (lambda z: np.where(z > 0.0, 1.0, alpha)))
     if kind == "square":
-        return (lambda h: h * h), (lambda z: 2.0 * z)
+        return (lambda z: z * z), (lambda z: 2.0 * z)
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def compile_chain(graph: Sequence) -> tuple:
-    """The plan `forward` runs: one (start, stop, (in_dim, out_dim),
-    activation, derivative rule) entry per dense layer, the last two
-    None when no activation follows the layer."""
-    plan = []
-    for layer in graph:
-        if layer.kind == "dense":
-            stop = layer.offset + layer.in_dim * layer.out_dim
-            plan.append([layer.offset, stop, (layer.in_dim, layer.out_dim),
-                         None, None])
-        else:
-            plan[-1][3:] = _activation(layer.kind, layer.alpha)
-    return tuple(map(tuple, plan))
 
 
 @dataclass(slots=True)
@@ -112,9 +90,9 @@ class ForwardCache:
         return out
 
 
-def forward(plan: tuple, params: np.ndarray,
+def forward(blocks: tuple, params: np.ndarray,
             x) -> tuple[np.ndarray, ForwardCache]:
-    """Run a compiled plan on input x, recording a per-layer cache.
+    """Run a block table on input x, recording a per-layer cache.
 
     x may be a single sample (d,) or a batch (B, d); the output is
     (B, C) for C model outputs, squeezed to (B,) when C == 1 and to a
@@ -129,7 +107,7 @@ def forward(plan: tuple, params: np.ndarray,
     if single:
         h = h[None, :]
     records = []
-    for start, stop, shape, act, rule in plan:
+    for start, stop, shape, _, act, rule in blocks:
         if h.shape[-1] != shape[0]:
             raise ShapeError("dense", f"input dim {shape[0]}", h.shape)
         w = params[..., start:stop].reshape(lead + shape)

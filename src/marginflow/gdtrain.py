@@ -17,9 +17,9 @@ import numpy as np
 
 from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
-from .gradflow import PointEval, evaluate_point
+from .gradflow import PointEval, _bar_gamma, evaluate_point
 from .losses import LossDomainError, LossSpec
-from .models import HomogeneousModel, ParamVector, as_params
+from .models import HomogeneousModel
 
 R_UP = 2.0 ** (1.0 / 5.0)
 R_DOWN = 2.0 ** (1.0 / 10.0)
@@ -31,18 +31,18 @@ class ReframeError(RuntimeError):
     """Relative step left float range."""
 
 
-def gd_step(theta: ParamVector, ev: PointEval, alpha: float) -> ParamVector:
+def gd_step(ev: PointEval, alpha: float) -> np.ndarray:
     """One descent step theta' = theta + alpha G from ev, the evaluation
     at theta: exactly theta - eta grad(loss) for eta = alpha / loss."""
     if alpha == 0.0:
-        return theta
+        return ev.theta
     if not 1e-300 <= alpha <= 1e300:
         raise ReframeError(f"alpha={alpha} outside [1e-300, 1e300]")
-    return ParamVector(theta.data + alpha * ev.G)
+    return ev.theta + alpha * ev.G
 
 
 def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
-                   theta: ParamVector, alpha: float) -> ParamVector:
+                   theta: np.ndarray, alpha: float) -> np.ndarray:
     """theta - eta grad(mean loss), eta = alpha / mean loss, through
     plain float64 and one forward, no frame.
 
@@ -57,7 +57,7 @@ def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
     grad = -backward(cache, loss * fp * dataset.y_float / dataset.n)
-    return ParamVector(theta.data - eta * grad)
+    return theta - eta * grad
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,8 @@ def sphere_sups(model: HomogeneousModel, X: np.ndarray) -> tuple[float, float]:
     """
     ks = [b.k for b in model.blocks]
     L = model.order_L
-    gain = math.prod(max(1.0, abs(layer.alpha)) for layer in model.graph
-                     if layer.kind != "dense")
+    gain = math.prod(max(1.0, abs(model.alpha)) for b in model.blocks
+                     if b.act is not None)
     x_max = float(np.max(np.linalg.norm(X, axis=1)))
     b0 = gain * x_max ** ks[0] * math.prod((k / L) ** (k / 2) for k in ks)
     return b0, L * b0
@@ -263,7 +263,7 @@ def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
     # (pinned on that B2) is refreshed
     for start in range(0, n_sphere * d, B_CHUNK_FLOATS):
         rng.normal(size=min(B_CHUNK_FLOATS, n_sphere * d - start))
-    widest = max(layer.out_dim for layer in model.graph if layer.kind == "dense")
+    widest = max(b.shape[1] for b in model.blocks)
     k = max(1, B_CHUNK_FLOATS // (dataset.n * widest) // 3)  # 3 per probe
     h = 1e-4
     b2 = 0.0
@@ -349,15 +349,16 @@ def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
     return c_eta, provisional
 
 
-def make_margin_state(model: HomogeneousModel, theta: ParamVector,
-                      dataset: Dataset, spec: LossSpec, x0: float,
+def make_margin_state(model: HomogeneousModel, ev: PointEval,
+                      dataset: Dataset, spec: LossSpec,
                       rng: np.random.Generator, n_sphere: int = 10_000,
                       n_curvature: int = 1_000) -> GdMarginState:
-    """Raises MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is
-    too small for C_eta to be formed in float64."""
+    """The margin anchor at ev, the first separated evaluation. Raises
+    MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is too small
+    for C_eta to be formed in float64."""
     L = model.order_L
+    x0, rho0 = ev.x, ev.rho
     curve = PhiCurve(spec, L, x0)
-    rho0 = theta.rho
     log_hat0 = curve.phi(x0) - L * math.log(rho0)
     b = estimate_b_constants(model, dataset, rng, n_sphere=n_sphere,
                              n_curvature=n_curvature)
@@ -397,8 +398,8 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     if alpha0 <= 0.0:
         raise ValueError("alpha must stay positive")
     rng = np.random.default_rng(seed)
-    theta = as_params(theta0)
-    ev = evaluate_point(model, theta, dataset, spec)
+    ev = evaluate_point(model, np.asarray(theta0, dtype=np.float64), dataset,
+                        spec)
     alpha = alpha0
     mstate: GdMarginState | None = None
     log_hat_prev = None
@@ -412,23 +413,23 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     flagged_epochs: list[int] = []
     abort = None
 
-    def maybe_separate(x: float):
+    def maybe_separate():
         nonlocal mstate, log_hat_prev, abort
-        if mstate is None and abort is None and x > spec.f_at_bf + 1e-12:
+        if mstate is None and abort is None and ev.x > spec.f_at_bf + 1e-12:
             try:
-                mstate = make_margin_state(model, theta, dataset, spec, x,
-                                           rng, n_sphere=n_sphere,
+                mstate = make_margin_state(model, ev, dataset, spec, rng,
+                                           n_sphere=n_sphere,
                                            n_curvature=n_curvature)
             except MarginStateError as err:
                 abort = str(err)
                 return
-            log_hat_prev = mstate.log_gamma_hat(x, math.log(theta.rho))
+            log_hat_prev = mstate.log_gamma_hat(ev.x, math.log(ev.rho))
 
-    maybe_separate(ev.x)
+    maybe_separate()
     for epoch in range(epochs):
         if abort is not None:
             break  # the monitors have no anchor: end the run here
-        start_theta, prev_ev = theta, ev
+        prev_ev = ev
         cap = math.inf
         if s5_guard and mstate is not None:
             cap = guard_safety * math.exp(mstate.log_h(ev.x) - ev.x)
@@ -438,13 +439,13 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         def trial(a):
             nonlocal last
             a = min(a, cap)
-            if last is None or last[2] != a:
-                cand = gd_step(start_theta, prev_ev, a)
+            if last is None or last[1] != a:
                 try:
-                    last = (cand, evaluate_point(model, cand, dataset, spec), a)
+                    last = (evaluate_point(model, gd_step(prev_ev, a),
+                                           dataset, spec), a)
                 except NonFiniteError:  # overflowed: a rejected trial
-                    last = (cand, None, a)
-            return (-math.inf if last[1] is None else last[1].x), last
+                    last = (None, a)
+            return (-math.inf if last[0] is None else last[0].x), last
 
         if mode == "loss_based":
             alpha, accepted, outcome = loss_based_lr_epoch(alpha, ev.x, trial)
@@ -458,14 +459,14 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         else:
             accepted = trial(alpha)[1]
             outcome = EpochOutcome(0, False)
-            if accepted[1] is None:
+            if accepted[0] is None:
                 abort = f"alpha = {alpha:.6g} overflowed at epoch {epoch}"
                 break
 
-        theta, ev, c = accepted
+        ev, c = accepted
         log_eta = math.log(c) + prev_ev.x
         log_sum_eta = float(np.logaddexp(log_sum_eta, log_eta))
-        maybe_separate(ev.x)
+        maybe_separate()
 
         s5 = None  # log(eta / H), the (S5) ratio; negative is headroom
         # past x ~ 1e6 the ulp of log-scale quantities swamps the monitor
@@ -474,8 +475,8 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                 and ev.x <= 1e6):
             s5 = log_eta - mstate.log_h(prev_ev.x)
             monitors["s5_log_ratio"].append(s5)
-            theta_dot_g = float(start_theta.data @ prev_ev.G)
-            drho2 = theta.rho**2 - start_theta.rho**2
+            theta_dot_g = float(prev_ev.theta @ prev_ev.G)
+            drho2 = ev.rho**2 - prev_ev.rho**2
             predicted = 2.0 * c * theta_dot_g + c**2 * prev_ev.g_norm**2
             scale = max(abs(drho2), abs(predicted), 1e-300)
             monitors["rho_identity"].append(abs(drho2 - predicted) / scale)
@@ -498,17 +499,16 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                     math.log(2.0 * mstate.c_eta) + mstate.log_kappa(prev_ev.x)
                     - (2.0 * math.log(prev_ev.g_norm) - prev_ev.x))
             if ev.x >= mstate.u0 - 1e-12:  # constant mode can move back up
-                log_hat = mstate.log_gamma_hat(ev.x, math.log(theta.rho))
+                log_hat = mstate.log_gamma_hat(ev.x, math.log(ev.rho))
                 if log_hat_prev is not None:
                     d_hat = log_hat - log_hat_prev
                     monitors["d_log_hat"].append(d_hat)
                     if s5 <= 0.0:
                         u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
-                            * start_theta.data
+                            * prev_ev.theta
                         rhs = (model.order_L * prev_ev.rho**2
                                * float(u_g @ u_g) / theta_dot_g**2
-                               * (math.log(theta.rho)
-                                  - math.log(start_theta.rho)))
+                               * (math.log(ev.rho) - math.log(prev_ev.rho)))
                         monitors["p4_slack"].append(d_hat - rhs)
                 log_hat_prev = log_hat
             else:
@@ -521,7 +521,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             "flagged": False,
             "log_inv_loss": ev.x,
             "log10_loss": -ev.x / math.log(10.0),
-            "rho": theta.rho,
+            "rho": ev.rho,
             "q_min": float(np.min(ev.q)),
             "log_sum_eta": log_sum_eta,
             "beta": ev.beta,
@@ -530,15 +530,15 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             g_val = float(spec.g(ev.x))
             if g_val > 0.0:
                 rec["log_tilde"] = (math.log(g_val)
-                                    - model.order_L * math.log(theta.rho))
+                                    - model.order_L * math.log(ev.rho))
             if log_hat_prev is not None:
                 rec["log_hat"] = log_hat_prev
-            rec["bar_gamma"] = rec["q_min"] / theta.rho**model.order_L
+            rec["bar_gamma"] = _bar_gamma(rec["q_min"], ev.rho,
+                                          model.order_L)
         if s5 is not None:
             rec["s5_log_ratio"] = s5
         records.append(rec)
     return {
-        "theta": theta,
         "ev": ev,
         "alpha": alpha,
         "records": records,

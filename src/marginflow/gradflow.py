@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,32 +22,33 @@ from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
 from .losses import LossSpec
 from .margin import _inv_loss_weights, score_gaps, soft_margins
-from .models import HomogeneousModel, ParamVector, as_params
+from .models import HomogeneousModel
 
 
 class PointEval:
-    """Loss, margins, and scaled gradient at one parameter point.
+    """Loss, margins, and scaled gradient at one parameter point theta,
+    a flat float64 array.
 
-    The summaries V, g_norm, beta and rho are computed on first read:
-    the RK4 stages of a flow step read only x and G.
+    The summaries V, g_norm, beta, rho and unit are computed on first
+    read: the RK4 stages of a flow step read only x and G.
     """
 
-    __slots__ = ("x", "q", "q_eff", "weights", "fprime", "G", "_theta",
-                 "_wfp", "_qv", "_V", "_g_norm", "_beta")
+    __slots__ = ("x", "q", "q_eff", "weights", "fprime", "G", "theta",
+                 "_wfp", "_qv", "_V", "_g_norm", "_beta", "_rho", "_unit")
 
     def __init__(self, x: float, q: np.ndarray, q_eff: np.ndarray,
                  weights: np.ndarray, fprime: np.ndarray, G: np.ndarray,
-                 theta: ParamVector, wfp: np.ndarray, qv: np.ndarray):
+                 theta: np.ndarray, wfp: np.ndarray, qv: np.ndarray):
         self.x = x  # log(1/loss), sum convention
         self.q = q  # hard margins
         self.q_eff = q_eff  # margins inside the loss (q_tilde multi-class)
         self.weights = weights  # softmax weights, sum to 1
         self.fprime = fprime  # f'(q_eff)
         self.G = G  # exp(x) * (-grad loss)
-        self._theta = theta
+        self.theta = theta
         self._wfp = wfp  # weights * fprime
         self._qv = qv  # <theta, grad q_eff> / L per sample
-        self._V = self._g_norm = self._beta = None
+        self._V = self._g_norm = self._beta = self._rho = self._unit = None
 
     @property
     def V(self) -> float:
@@ -65,7 +67,25 @@ class PointEval:
 
     @property
     def rho(self) -> float:
-        return self._theta.rho
+        """||theta||; where theta @ theta overflows, the norm is taken
+        again with theta scaled by its largest |entry|."""
+        if self._rho is None:
+            with np.errstate(over="ignore"):
+                self._rho = math.sqrt(self.theta @ self.theta)
+            if self._rho == math.inf:
+                m = float(np.max(np.abs(self.theta)))
+                u = self.theta / m
+                self._rho = m * math.sqrt(u @ u)
+        return self._rho
+
+    @property
+    def unit(self) -> np.ndarray:
+        """theta / rho; the zero vector has no direction and maps to
+        itself."""
+        if self._unit is None:
+            self._unit = (np.zeros_like(self.theta) if self.rho == 0.0
+                          else self.theta / self.rho)
+        return self._unit
 
     @property
     def beta(self) -> float:
@@ -74,14 +94,14 @@ class PointEval:
             rho, g_norm = self.rho, self.g_norm
             self._beta = 0.0
             if rho > 0.0 and g_norm > 0.0:
-                self._beta = float(self._theta.data @ self.G / (rho * g_norm))
+                self._beta = float(self.theta @ self.G / (rho * g_norm))
         return self._beta
 
 
 def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
                    spec: LossSpec) -> PointEval:
-    """One forward plus one seeded backward; all exponents stay O(1)."""
-    theta = as_params(theta)
+    """One forward plus one seeded backward at the float64 array theta;
+    all exponents stay O(1)."""
     phi, cache = model.forward(theta, dataset.X)
     if dataset.is_binary:
         q = q_eff = dataset.y_float * phi
@@ -128,17 +148,14 @@ def nu_lower_slack(xs: np.ndarray, vs, spec: LossSpec) -> list[float]:
             for v, b in zip(vs, bounds)]
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     t: float
-    theta: ParamVector
-    ev: PointEval
+    ev: PointEval  # the evaluation at theta(t)
     steps: int = 0
     rejects: int = 0
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     dt: float  # physical time advanced (may overflow to inf late on)
     dt_scaled: float  # dt * exp(-x0), the controlled quantity
     next_dt_scaled: float  # proposal for the following step
@@ -153,9 +170,19 @@ class FlowAbort(RuntimeError):
 
 def init_flow(model: HomogeneousModel, theta0, dataset: Dataset,
               spec: LossSpec) -> FlowState:
-    theta0 = as_params(theta0)
-    return FlowState(t=0.0, theta=theta0,
-                     ev=evaluate_point(model, theta0, dataset, spec))
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    return FlowState(0.0, evaluate_point(model, theta0, dataset, spec))
+
+
+def _bar_gamma(q_min: float, rho: float, order_L: float) -> float:
+    """q_min / rho^L, taken in log space where rho^L overflows a float."""
+    try:
+        return q_min / rho**order_L
+    except OverflowError:
+        if q_min == 0.0:
+            return 0.0
+        return math.copysign(
+            math.exp(math.log(abs(q_min)) - order_L * math.log(rho)), q_min)
 
 
 def propose_dt_scaled(ev: PointEval, step_tol: float) -> float:
@@ -178,25 +205,24 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     ev0 = state.ev
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
         return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    theta0 = state.theta
+    theta0 = ev0.theta
     x0 = ev0.x
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
     while True:
         try:
             k1 = ev0.G
-            e2 = evaluate_point(model, theta0.data + (dt_scaled / 2) * k1,
+            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * k1,
                                 dataset, spec)
             k2 = math.exp(min(x0 - e2.x, 50.0)) * e2.G
-            e3 = evaluate_point(model, theta0.data + (dt_scaled / 2) * k2,
+            e3 = evaluate_point(model, theta0 + (dt_scaled / 2) * k2,
                                 dataset, spec)
             k3 = math.exp(min(x0 - e3.x, 50.0)) * e3.G
-            e4 = evaluate_point(model, theta0.data + dt_scaled * k3,
+            e4 = evaluate_point(model, theta0 + dt_scaled * k3,
                                 dataset, spec)
             k4 = math.exp(min(x0 - e4.x, 50.0)) * e4.G
             dtheta = (dt_scaled / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            theta1 = ParamVector(theta0.data + dtheta)
-            ev1 = evaluate_point(model, theta1, dataset, spec)
+            ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
             dx = ev1.x - x0
             ok = abs(dx) <= cap and dx >= -1e-9
         except NonFiniteError:
@@ -215,20 +241,12 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
     nxt = dt_scaled * math.exp(x0 - ev1.x) * gain
     dt = dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
-    d_hat = theta1.unit() - theta0.unit()
-    info = StepInfo(
-        dt=dt,
-        dt_scaled=dt_scaled,
-        next_dt_scaled=nxt,
-        delta_rho_sq=float(2.0 * (theta0.data @ dtheta) + dtheta @ dtheta),
-        delta_theta_hat=math.sqrt(d_hat @ d_hat),
-        halvings=halvings,
-    )
-    return (
-        FlowState(t=state.t + dt, theta=theta1, ev=ev1,
-                  steps=state.steps + 1, rejects=state.rejects + halvings),
-        info,
-    )
+    d_hat = ev1.unit - ev0.unit
+    info = StepInfo(dt, dt_scaled, nxt,
+                    float(2.0 * (theta0 @ dtheta) + dtheta @ dtheta),
+                    math.sqrt(d_hat @ d_hat), halvings)
+    return (FlowState(state.t + dt, ev1, state.steps + 1,
+                      state.rejects + halvings), info)
 
 
 def weight_growth_residual(prev: PointEval, new: PointEval,
@@ -419,7 +437,8 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         }
         if t_sep is not None:
             rec["log_tilde"] = lt
-            rec["bar_gamma"] = rec["q_min"] / st.ev.rho**model.order_L
+            rec["bar_gamma"] = _bar_gamma(rec["q_min"], st.ev.rho,
+                                          model.order_L)
         records.append(rec)
 
     for state, info in flow_states(model, theta0, dataset, spec,

@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import Dataset
 from .gradflow import PointEval, evaluate_point
 from .losses import LossSpec
-from .models import HomogeneousModel, ParamVector, as_params
+from .models import HomogeneousModel
 
 
 class NotSeparableError(ValueError):
@@ -45,7 +45,7 @@ class KktCertificate:
     the first separated time), present when the anchor data was given.
     """
 
-    theta_scaled: ParamVector
+    theta_scaled: np.ndarray
     lambdas: np.ndarray
     epsilon: float
     epsilon_beta: float
@@ -56,8 +56,6 @@ class KktCertificate:
     log_inv_loss: float
     eps_bound: float | None
     delta_bound: float | None
-    big_k: float | None
-    b_g: float | None
 
 
 def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
@@ -73,7 +71,7 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
     loss needs it, the sup b1 of the margin gradient over the unit
     sphere) also fills in the predicted epsilon and delta ceilings.
     """
-    theta = as_params(theta)
+    theta = np.asarray(theta, dtype=np.float64)
     if not dataset.is_binary:
         raise NotImplementedError(
             "certificate multipliers assume binary hard margins")
@@ -91,7 +89,7 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
     lambdas = (q_min ** (1.0 - 2.0 / order_L) * ev.rho
                * ev.weights * ev.fprime / ev.g_norm)
     unit_g = ev.G / ev.g_norm
-    epsilon = float(np.linalg.norm(theta.data - ev.rho * unit_g)) / scale
+    epsilon = float(np.linalg.norm(theta - ev.rho * unit_g)) / scale
     epsilon_beta = ev.rho * math.sqrt(max(2.0 - 2.0 * ev.beta, 0.0)) / scale
     delta = float(np.max(lambdas * (ev.q / q_min - 1.0)))
     eps_bound = None
@@ -113,11 +111,10 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
                   / (order_L * tilde0 ** (2.0 / order_L)) * growth)
             delta_bound = c2 / ev.x
     return KktCertificate(
-        theta_scaled=ParamVector(theta.data / scale), lambdas=lambdas,
+        theta_scaled=theta / scale, lambdas=lambdas,
         epsilon=epsilon, epsilon_beta=epsilon_beta, delta=delta,
         beta=ev.beta, q_min=q_min, rho=ev.rho, log_inv_loss=ev.x,
         eps_bound=eps_bound, delta_bound=delta_bound,
-        big_k=spec.K, b_g=spec.b_g,
     )
 
 
@@ -162,8 +159,7 @@ def svm_oracle(features, labels, *, feas_tol: float = 1e-9,
 def direction_gap_to_svm(theta_final, svm_w) -> float:
     """Angle in radians between the trained direction and the reference
     max-margin direction."""
-    u = np.asarray(getattr(theta_final, "data", theta_final),
-                   dtype=np.float64)
+    u = np.asarray(theta_final, dtype=np.float64)
     v = np.asarray(svm_w, dtype=np.float64)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)

@@ -1,122 +1,85 @@
 """Homogeneous architectures with declared homogeneity structure.
 
-Every built-in model is bias-free, so the network output scales as
-Phi(c * theta; x) = c^L Phi(theta; x). Each dense layer forms a block
-with its own multi-homogeneity exponent k_i, and sum(k_i) == L.
+Every built-in model is a bias-free dense chain, so the network output
+scales as Phi(c * theta; x) = c^L Phi(theta; x). Each dense layer is one
+`Block` of theta with its own multi-homogeneity exponent k_b, and
+sum(k_b) == L. Parameters are flat float64 arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ForwardCache, compile_chain, forward
+from .autodiff import ForwardCache, activation, forward
 
 
-@dataclass(frozen=True)
-class Layer:
-    kind: str  # "dense" | "relu" | "leaky_relu" | "square"
-    in_dim: int = 0
-    out_dim: int = 0
-    offset: int = 0  # start of the weight slice in the flat parameter vector
-    alpha: float = 0.0  # LeakyReLU negative-side slope
+class Block(NamedTuple):
+    """One dense layer: the slice [start, stop) of theta, reshaped to
+    `shape` = (in_dim, out_dim), its exponent k, and the forward op and
+    derivative rule of the activation after it (None after the last
+    layer and throughout a linear chain)."""
 
-
-@dataclass(frozen=True)
-class Block:
-    """A parameter slice with its multi-homogeneity exponent k_i."""
-
-    name: str
     start: int
     stop: int
+    shape: tuple[int, int]
     k: float
-
-
-class ParamVector:
-    """Flat float64 parameter vector with a cached Euclidean norm and
-    direction."""
-
-    __slots__ = ("data", "_rho", "_unit")
-
-    def __init__(self, data):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._rho = self._unit = None
-
-    @property
-    def rho(self) -> float:
-        if self._rho is None:
-            self._rho = math.sqrt(self.data @ self.data)
-        return self._rho
-
-    def unit(self) -> np.ndarray:
-        """theta / rho, computed once and shared by every caller; the zero
-        vector has no direction and maps to itself."""
-        if self._unit is None:
-            self._unit = (np.zeros_like(self.data) if self.rho == 0.0
-                          else self.data / self.rho)
-        return self._unit
-
-    def __len__(self) -> int:
-        return self.data.size
-
-
-def as_params(theta) -> ParamVector:
-    if isinstance(theta, ParamVector):
-        return theta
-    return ParamVector(theta)
+    act: object
+    rule: object
 
 
 @dataclass(frozen=True)
 class HomogeneousModel:
-    """Architecture description consumed by the autodiff engine."""
+    """A dense chain as its block table; `activation` names the kind
+    between the layers (None for a linear chain), `alpha` is the
+    LeakyReLU negative-side slope."""
 
     name: str
-    graph: tuple[Layer, ...]
-    order_L: float
     blocks: tuple[Block, ...]
-    input_dim: int
-    num_outputs: int
-    param_count: int
-    plan: tuple = field(init=False, repr=False, compare=False)
+    activation: str | None
+    alpha: float
+    order_L: float
 
     def __post_init__(self):
-        object.__setattr__(self, "plan", compile_chain(self.graph))
         total = sum(b.k for b in self.blocks)
         if abs(total - self.order_L) > 1e-12:
             raise ValueError(
                 f"block exponents sum to {total}, expected order {self.order_L}"
             )
 
+    @property
+    def input_dim(self) -> int:
+        return self.blocks[0].shape[0]
+
+    @property
+    def num_outputs(self) -> int:
+        return self.blocks[-1].shape[1]
+
+    @property
+    def param_count(self) -> int:
+        return self.blocks[-1].stop
+
     def forward(self, theta, x) -> tuple[np.ndarray, ForwardCache]:
-        return forward(self.plan, as_params(theta).data, x)
+        return forward(self.blocks, theta, x)
 
 
-def _dense_chain(name: str, dims: list[int], activation: str | None,
+def _dense_chain(name: str, dims: list[int], kind: str | None,
                  alpha: float = 0.0, block_ks=None) -> HomogeneousModel:
-    layers = []
+    op, rule = (None, None) if kind is None else activation(kind, alpha)
     blocks = []
-    offset = 0
+    start = 0
     n_dense = len(dims) - 1
     for i in range(n_dense):
-        layers.append(Layer("dense", dims[i], dims[i + 1], offset))
-        size = dims[i] * dims[i + 1]
+        stop = start + dims[i] * dims[i + 1]
         k = 1.0 if block_ks is None else block_ks[i]
-        blocks.append(Block(f"dense{i}", offset, offset + size, k))
-        offset += size
-        if activation is not None and i < n_dense - 1:
-            layers.append(Layer(activation, alpha=alpha))
-    order = sum(b.k for b in blocks)
-    return HomogeneousModel(
-        name=name,
-        graph=tuple(layers),
-        order_L=order,
-        blocks=tuple(blocks),
-        input_dim=dims[0],
-        num_outputs=dims[-1],
-        param_count=offset,
-    )
+        inner = i < n_dense - 1
+        blocks.append(Block(start, stop, (dims[i], dims[i + 1]), k,
+                            op if inner else None, rule if inner else None))
+        start = stop
+    return HomogeneousModel(name, tuple(blocks), kind, alpha,
+                            sum(b.k for b in blocks))
 
 
 def linear(input_dim: int, num_outputs: int = 1) -> HomogeneousModel:
@@ -172,15 +135,10 @@ def build_model(family: str, input_dim: int, widths=None, alpha: float = 0.1,
 
 
 def init_params(model: HomogeneousModel, rng: np.random.Generator,
-                scale: float = 1.0) -> ParamVector:
+                scale: float = 1.0) -> np.ndarray:
     """Seeded Gaussian init, per-layer 1/sqrt(fan_in) scaling."""
     data = np.empty(model.param_count)
-    for layer in model.graph:
-        if layer.kind != "dense":
-            continue
-        size = layer.in_dim * layer.out_dim
-        data[layer.offset : layer.offset + size] = rng.standard_normal(size) / np.sqrt(
-            layer.in_dim
-        )
-    return ParamVector(scale * data)
-
+    for b in model.blocks:
+        data[b.start:b.stop] = (rng.standard_normal(b.stop - b.start)
+                                / np.sqrt(b.shape[0]))
+    return scale * data

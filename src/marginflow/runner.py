@@ -34,7 +34,7 @@ from .gradflow import (evaluate_point, flow_states, is_separated,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import get_loss, validate_b3
-from .models import as_params, build_model, init_params
+from .models import build_model, init_params
 from .rates import bounded_ratio_verdict, rate_ratios
 
 LOG10 = math.log(10.0)
@@ -432,7 +432,7 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
     except ValueError as err:  # over the enumeration size, or inseparable
         failures.append(f"no SVM reference: {err}")
     else:
-        gap = direction_gap_to_svm(state.theta, w_star)
+        gap = direction_gap_to_svm(state.ev.theta, w_star)
         if gap > 0.02:
             failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
     kkt = None
@@ -441,7 +441,7 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         anchored = [r for r in out["records"]
                     if math.isfinite(r.get("log_tilde", -math.inf))]
         cert = build_certificate(
-            model, state.theta, ds, spec, ev=state.ev, b1=b.b1,
+            model, state.ev.theta, ds, spec, ev=state.ev, b1=b.b1,
             log_tilde_t0=anchored[0]["log_tilde"] if anchored else None)
         kkt = {
             "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
@@ -513,7 +513,7 @@ def frame_equivalence_check(model, ds, spec, theta0, records,
     The float64 path is valid while the loss stays above ~1e-250
     (x_stop), which is exactly the window where the two must agree.
     """
-    theta_rel = theta_dir = as_params(theta0)
+    theta_rel = theta_dir = theta0
     max_rel = 0.0
     epochs = 0
     x_reached = None
@@ -521,10 +521,10 @@ def frame_equivalence_check(model, ds, spec, theta0, records,
         ev = evaluate_point(model, theta_rel, ds, spec)
         if ev.x >= x_stop or rec["flagged"]:
             break
-        theta_rel = gd_step(theta_rel, ev, rec["alpha"])
+        theta_rel = gd_step(ev, rec["alpha"])
         theta_dir = gd_step_direct(model, ds, spec, theta_dir, rec["alpha"])
-        rel = (np.linalg.norm(theta_rel.data - theta_dir.data)
-               / np.linalg.norm(theta_dir.data))
+        rel = (np.linalg.norm(theta_rel - theta_dir)
+               / np.linalg.norm(theta_dir))
         max_rel = max(max_rel, float(rel))
         epochs += 1
         x_reached = rec["log_inv_loss"]
@@ -689,7 +689,7 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
             continue
         if anchor is None:
             anchor = log_tilde_margin(state.ev, spec, model.order_L)
-        cert = build_certificate(model, state.theta, ds, spec, ev=state.ev,
+        cert = build_certificate(model, state.ev.theta, ds, spec, ev=state.ev,
                                  log_tilde_t0=anchor, b1=b1)
         checkpoints.append({
             "x": cert.log_inv_loss, "epsilon": cert.epsilon,

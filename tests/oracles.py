@@ -12,11 +12,13 @@ the package computes another way. The stepwise bound monitors evaluate
 the flow's nu and loss upper bounds one state at a time, as the
 package's batched monitors must reproduce bit for bit. The layer-walk
 kernel and the two-call point evaluation are the dense-chain forward,
-backward and `evaluate_point` as they were before the compiled plan;
-the package must reproduce their bits too. The sphere sampler, with its
-per-sample gradient norms, is how B0 and B1 were taken before they had
-closed forms: the closed forms must bound it, and meet it at the
-rank-one net.
+backward and `evaluate_point` written over a layer list of their own
+(`layers_of`, rebuilt from a model's blocks, activation kind and slope,
+with each activation coded here rather than taken from the blocks),
+with f and f' from two loss calls; the package must reproduce their
+bits too. The sphere sampler, with its per-sample gradient norms, is
+how B0 and B1 were taken before they had closed forms: the closed
+forms must bound it, and meet it at the rank-one net.
 """
 
 import math
@@ -32,7 +34,6 @@ from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.margin import score_gaps, soft_margins
-from marginflow.models import ParamVector, as_params
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,6 +54,35 @@ def fd_grad(fun, theta, h=1e-5):
         e[i] = h
         g[i] = (fun(theta + e) - fun(theta - e)) / (2.0 * h)
     return g
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One entry of a test-side layer list: a dense layer with its
+    weight slice, or an elementwise activation."""
+
+    kind: str  # "dense" | "relu" | "leaky_relu" | "square"
+    in_dim: int = 0
+    out_dim: int = 0
+    offset: int = 0  # start of the weight slice in the flat parameters
+    alpha: float = 0.0  # LeakyReLU negative-side slope
+
+
+def layers_of(model):
+    """The model's chain as a layer list: each block a dense layer, each
+    inner block followed by the model's activation."""
+    layers = []
+    for i, block in enumerate(model.blocks):
+        layers.append(Layer("dense", *block.shape, block.start))
+        if model.activation is not None and i < len(model.blocks) - 1:
+            layers.append(Layer(model.activation, alpha=model.alpha))
+    return tuple(layers)
+
+
+def unit(theta):
+    """theta / ||theta||, the norm taken as sqrt(theta @ theta)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return theta / math.sqrt(theta @ theta)
 
 
 def plain_forward(graph, theta, x):
@@ -128,7 +158,7 @@ def sampled_sphere_sups(model, dataset, rng, n_sphere, witness=None,
         draws = rng.normal(size=(min(chunk, n_sphere - start), d))
         draws /= np.linalg.norm(draws, axis=1, keepdims=True)
         if start == 0 and witness is not None:
-            draws[0] = as_params(witness).unit()
+            draws[0] = unit(witness)
         phi, cache = model.forward(draws, dataset.X)
         b0 = max(b0, float(np.max(dataset.y * phi)))
         b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
@@ -150,9 +180,9 @@ def per_draw_b_constants(model, dataset, rng, n_sphere, n_curvature,
         theta_hat /= np.linalg.norm(theta_hat)
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
-        p0, _ = model.forward(ParamVector(theta_hat), dataset.X)
-        pp, _ = model.forward(ParamVector(theta_hat + h * v), dataset.X)
-        pm, _ = model.forward(ParamVector(theta_hat - h * v), dataset.X)
+        p0, _ = model.forward(theta_hat, dataset.X)
+        pp, _ = model.forward(theta_hat + h * v, dataset.X)
+        pm, _ = model.forward(theta_hat - h * v, dataset.X)
         curv = np.abs(np.atleast_1d(pp) - 2.0 * np.atleast_1d(p0)
                       + np.atleast_1d(pm)) / h**2
         b2 = max(b2, float(np.max(curv)))
@@ -164,7 +194,7 @@ def rank_one_net(model, x, y):
     wide, block b scaled to squared norm k_b / L, the first block along
     x and the last signed so that y Phi(x) > 0."""
     theta = np.zeros(model.param_count)
-    dense = [layer for layer in model.graph if layer.kind == "dense"]
+    dense = [layer for layer in layers_of(model) if layer.kind == "dense"]
     for layer, block in zip(dense, model.blocks, strict=True):
         w = np.zeros((layer.in_dim, layer.out_dim))
         if layer is dense[0]:
@@ -322,9 +352,9 @@ def homogeneity_check(model, theta, x, alpha):
     alpha in [0.5, 2] is recommended to keep alpha^L well away from
     overflow for deep quadratic nets.
     """
-    theta = as_params(theta)
+    theta = np.asarray(theta, dtype=np.float64)
     base = np.atleast_1d(model.forward(theta, x)[0])
-    scaled = np.atleast_1d(model.forward(alpha * theta.data, x)[0])
+    scaled = np.atleast_1d(model.forward(alpha * theta, x)[0])
     resid = np.abs(scaled - alpha**model.order_L * base) / (1.0 + np.abs(base))
     return float(np.max(resid))
 
@@ -332,13 +362,13 @@ def homogeneity_check(model, theta, x, alpha):
 def _euler_worst(model, theta, x, part, k):
     """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
     over the outputs j, one one-hot seeded backward each."""
-    theta = as_params(theta)
+    theta = np.asarray(theta, dtype=np.float64)
     out, cache = model.forward(theta, x)
     out = np.atleast_1d(out)
     worst = 0.0
     for j, seed in enumerate(np.eye(out.size)):
         grad = backward(cache, seed)
-        inner = float(theta.data[part] @ grad[part])
+        inner = float(theta[part] @ grad[part])
         worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
     return worst
 
@@ -361,7 +391,7 @@ def preactivations(model, theta, x):
     _, cache = model.forward(theta, x)
     outputs = iter(z for _, _, z, *_ in cache.records)  # one per dense layer
     pre = []
-    for layer in model.graph:
+    for layer in layers_of(model):
         if layer.kind == "dense":
             z = next(outputs)
         elif layer.kind in ("relu", "leaky_relu"):
@@ -385,7 +415,6 @@ def sample_smooth_probe(model, theta, rng, kink_tol=1e-8, max_tries=100):
 
 def per_sample_grads(model, theta, X):
     """Per-sample gradients of the scalar output, one backward per row."""
-    theta = as_params(theta)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -549,9 +578,9 @@ class StepwiseLossUpperBound:
         return self.log_G - self.log_rhs_scale - math.log(t - self.t0)
 
 
-# The dense-chain kernel and the point evaluation as written before the
-# compiled plan: the graph's layers are dispatched on their kind at every
-# call, f and f' come from two loss calls (the two-branch logistic forms
+# The dense-chain kernel and the point evaluation over a layer list
+# (`layers_of`): the layers are dispatched on their kind at every call,
+# f and f' come from two loss calls (the two-branch logistic forms
 # above), and the class masks are built per call.
 
 def _layer_walk_derivative(kind, z, alpha):
@@ -656,14 +685,13 @@ def _two_call_inv_loss_weights(fq):
 
 
 def two_call_point(model, theta, dataset, spec):
-    """(x, q, weights, fprime, G, V) of `evaluate_point`, computed the
-    way it was before the compiled plan and the f/f' pair."""
+    """(x, q, weights, fprime, G, V) of `evaluate_point`, computed over
+    the layer list with f and f' from two loss calls."""
     if spec.name in ("logistic", "cross_entropy"):
         f, f_prime = logistic_f, logistic_f_prime
     else:
         f, f_prime = spec.f, spec.f_prime
-    theta = as_params(theta)
-    phi, cache = layer_walk_forward(model.graph, theta.data, dataset.X)
+    phi, cache = layer_walk_forward(layers_of(model), theta, dataset.X)
     phi = np.atleast_1d(phi)
     y = dataset.y
     if dataset.is_binary:

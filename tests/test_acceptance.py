@@ -121,7 +121,7 @@ def test_criterion_04_validators_and_fd_gradients():
             x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
             analytic = per_sample_grads(model, theta, x)[0]
             numeric = fd_grad(lambda t: float(model.forward(t, x)[0]),
-                              theta.data)
+                              theta)
             assert rel_err(analytic, numeric) <= 1e-5
 
 
@@ -142,7 +142,7 @@ def test_criterion_06_linear_svm_convergence():
             break
     assert state.ev.x >= 200.0
     w_star, _ = svm_oracle(ds.X, ds.y)
-    assert direction_gap_to_svm(state.theta, w_star) <= 0.02
+    assert direction_gap_to_svm(state.ev.theta, w_star) <= 0.02
     assert time.perf_counter() - t0 <= 30.0
 
 
@@ -204,7 +204,7 @@ def test_criterion_08_kkt_trends(flow_runs):
             state, _ = next(states)
         if anchor is None:
             anchor = log_tilde_margin(state.ev, EXP, model.order_L)
-        cert = build_certificate(model, state.theta, ds, EXP, ev=state.ev,
+        cert = build_certificate(model, state.ev.theta, ds, EXP, ev=state.ev,
                                  log_tilde_t0=anchor)
         assert cert.delta <= cert.delta_bound
 

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (fd_grad, per_sample_grad_norms, per_sample_grads,
-                     plain_forward, plain_preactivations, preactivations,
-                     rel_err, sample_smooth_probe, seeded_fd_grad)
+from oracles import (fd_grad, layers_of, per_sample_grad_norms,
+                     per_sample_grads, plain_forward, plain_preactivations,
+                     preactivations, rel_err, sample_smooth_probe,
+                     seeded_fd_grad)
 
 from marginflow import autodiff, models
 
@@ -28,7 +29,7 @@ def test_forward_matches_plain_numpy():
         theta = models.init_params(model, rng)
         X = rng.standard_normal((7, model.input_dim))
         out, _ = model.forward(theta, X)
-        ref = plain_forward(model.graph, theta.data, X)
+        ref = plain_forward(layers_of(model), theta, X)
         if model.num_outputs == 1:
             ref = ref[:, 0]
         assert rel_err(out, ref) < 1e-14
@@ -67,7 +68,7 @@ def test_gradients_match_finite_differences():
         x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
         _, cache = model.forward(theta, x)
         grad = autodiff.backward(cache)
-        ref = fd_grad(lambda t: float(model.forward(t, x)[0]), theta.data)
+        ref = fd_grad(lambda t: float(model.forward(t, x)[0]), theta)
         assert rel_err(grad, ref) < 1e-7, model.name
 
 
@@ -82,7 +83,7 @@ def test_seeded_backward_is_weighted_sum():
         seed = rng.standard_normal(shape)
         _, cache = model.forward(theta, X)
         combined = autodiff.backward(cache, seed)
-        ref = seeded_fd_grad(model.graph, theta.data, X, seed)
+        ref = seeded_fd_grad(layers_of(model), theta, X, seed)
         assert rel_err(combined, ref) < 1e-7, model.name
         if model.num_outputs == 1:
             stacked = per_sample_grads(model, theta, X)
@@ -99,7 +100,7 @@ def test_multi_output_seed_selects_class():
         seed[j] = 1.0
         _, cache = model.forward(theta, x)
         grad = autodiff.backward(cache, seed)
-        ref = fd_grad(lambda t: float(model.forward(t, x)[0][j]), theta.data)
+        ref = fd_grad(lambda t: float(model.forward(t, x)[0][j]), theta)
         assert rel_err(grad, ref) < 1e-7
 
 
@@ -147,14 +148,14 @@ def _same_bytes(a, b):
 def test_member_axis_matches_single_forwards():
     rng = np.random.default_rng(8)
     for model in _model_zoo():
-        stack = np.stack([models.init_params(model, rng).data for _ in range(4)])
+        stack = np.stack([models.init_params(model, rng) for _ in range(4)])
         X = rng.standard_normal((7, model.input_dim))
-        out, cache = autodiff.forward(model.plan, stack, X)
+        out, cache = autodiff.forward(model.blocks, stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
         adjoints = cache.adjoints(seed)
         norms = (per_sample_grad_norms(model, cache)
                  if model.num_outputs == 1 else None)
-        one_x, _ = autodiff.forward(model.plan, stack, X[0])
+        one_x, _ = autodiff.forward(model.blocks, stack, X[0])
         for s, theta in enumerate(stack):
             ref_out, ref = model.forward(theta, X)
             assert _same_bytes(out[s], ref_out), model.name
@@ -184,35 +185,37 @@ def test_preactivations_match_plain_forward():
         theta = models.init_params(model, rng)
         X = rng.standard_normal((5, model.input_dim))
         got = preactivations(model, theta, X)
-        ref = plain_preactivations(model.graph, theta.data, X)
+        ref = plain_preactivations(layers_of(model), theta, X)
         assert len(got) == len(ref), model.name
         for pre, want in zip(got, ref):
             assert rel_err(pre, want) < 1e-14, model.name
 
 
-def test_compile_chain_plan_per_dense_layer():
-    plan = models.relu_mlp(4, [6, 5]).plan
-    assert [entry[:3] for entry in plan] == [
-        (0, 24, (4, 6)), (24, 54, (6, 5)), (54, 59, (5, 1))]
-    assert plan[-1][3:] == (None, None)
+def test_block_table_per_dense_layer():
+    blocks = models.relu_mlp(4, [6, 5]).blocks
+    assert [b[:4] for b in blocks] == [
+        (0, 24, (4, 6), 1.0), (24, 54, (6, 5), 1.0), (54, 59, (5, 1), 1.0)]
+    assert (blocks[-1].act, blocks[-1].rule) == (None, None)
     z = np.array([-1.0, 0.0, 2.0])
-    for _, _, _, act, rule in plan[:-1]:
-        assert np.array_equal(act(z), [0.0, 0.0, 2.0])
-        assert np.array_equal(rule(z), [False, False, True])  # 0 at the kink
-    _, _, _, act, rule = models.leaky_relu_mlp(2, [3], alpha=0.25).plan[0]
-    assert np.array_equal(act(z), [-0.25, 0.0, 2.0])
-    assert np.array_equal(rule(z), [0.25, 0.25, 1.0])
-    _, _, _, act, rule = models.quadratic_mlp(2, [3]).plan[0]
-    assert np.array_equal(act(z), [1.0, 0.0, 4.0])
-    assert np.array_equal(rule(z), [-2.0, 0.0, 4.0])
-    assert all(entry[3:] == (None, None)
-               for entry in models.deep_linear(2, [3, 3]).plan)
+    for b in blocks[:-1]:
+        assert np.array_equal(b.act(z), [0.0, 0.0, 2.0])
+        assert np.array_equal(b.rule(z), [False, False, True])  # 0 at the kink
+    b = models.leaky_relu_mlp(2, [3], alpha=0.25).blocks[0]
+    assert np.array_equal(b.act(z), [-0.25, 0.0, 2.0])
+    assert np.array_equal(b.rule(z), [0.25, 0.25, 1.0])
+    b = models.quadratic_mlp(2, [3]).blocks[0]
+    assert np.array_equal(b.act(z), [1.0, 0.0, 4.0])
+    assert np.array_equal(b.rule(z), [-2.0, 0.0, 4.0])
+    assert all((b.act, b.rule) == (None, None)
+               for b in models.deep_linear(2, [3, 3]).blocks)
 
 
-def test_subgradient_convention_at_kink():
-    assert autodiff.subgradient_convention("relu")(0.0) == 0.0
-    assert autodiff.subgradient_convention("leaky_relu", alpha=0.25)(0.0) == 0.25
+def test_activation_rules_at_kink():
+    _, relu = autodiff.activation("relu")
+    _, leaky = autodiff.activation("leaky_relu", alpha=0.25)
+    assert relu(0.0) == 0.0
+    assert leaky(0.0) == 0.25
     z = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(
-        autodiff.subgradient_convention("relu")(z), np.array([0.0, 0.0, 1.0])
-    )
+    assert np.array_equal(relu(z), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="unknown activation"):
+        autodiff.activation("tanh")

@@ -12,7 +12,6 @@ from marginflow.gdtrain import (BConstants, GdMarginState, PhiCurve,
                                 loss_based_lr_epoch, sphere_sups, train_gd)
 from marginflow.gradflow import evaluate_point
 from marginflow.losses import LossDomainError
-from marginflow.models import ParamVector
 from marginflow.runner import frame_equivalence_check
 
 from oracles import (LOGISTIC_PHI_CORRECTION, lambda_from_log_inv_loss,
@@ -37,19 +36,19 @@ def test_gd_step_by_hand():
     # exactly w + alpha * (1, 2)
     model = models.linear(2)
     ds = datasets.from_rows([[1.0, 2.0, 1]])
-    w = ParamVector(np.array([0.1, -0.2]))
+    w = np.array([0.1, -0.2])
     ev = evaluate_point(model, w, ds, EXP)
     assert math.isclose(ev.x, -0.3, rel_tol=1e-15)
-    w2 = gd_step(w, ev, 0.05)
-    np.testing.assert_allclose(w2.data, [0.15, -0.1], rtol=1e-15)
+    w2 = gd_step(ev, 0.05)
+    np.testing.assert_allclose(w2, [0.15, -0.1], rtol=1e-15)
     # same step through the plain float64 route, eta = alpha / loss
     w3 = gd_step_direct(model, ds, EXP, w, 0.05)
-    np.testing.assert_allclose(w3.data, w2.data, rtol=1e-14)
+    np.testing.assert_allclose(w3, w2, rtol=1e-14)
 
 
 def test_gd_step_zero_keeps_theta():
     model, ds, theta0 = _toy()
-    w2 = gd_step(theta0, evaluate_point(model, theta0, ds, EXP), 0.0)
+    w2 = gd_step(evaluate_point(model, theta0, ds, EXP), 0.0)
     assert w2 is theta0
 
 
@@ -58,7 +57,7 @@ def test_gd_step_reframe_error():
     ev = evaluate_point(model, theta0, ds, EXP)
     for bad in (1e-301, 1e301):
         with pytest.raises(ReframeError):
-            gd_step(theta0, ev, bad)
+            gd_step(ev, bad)
 
 
 # ------------------------------------------------------------ scheduler
@@ -271,7 +270,7 @@ def test_b_constants_witness_direction():
     # direction of a linear model, and undershoots it otherwise
     model = models.linear(2)
     ds = datasets.from_rows([[3.0, 4.0, 1]])
-    witness = ParamVector(np.array([0.6, 0.8]))
+    witness = np.array([0.6, 0.8])
     assert sphere_sups(model, ds.X) == (5.0, 5.0)
     b0, _ = sampled_sphere_sups(model, ds, np.random.default_rng(0), 2,
                                 witness=witness)
@@ -297,7 +296,7 @@ def _zoo_data():
 @pytest.mark.parametrize("model", _b_constants_zoo(), ids=lambda m: m.name)
 def test_b_constants_chunked_equal_per_draw(model):
     ds = _zoo_data()
-    widest = max(l.out_dim for l in model.graph if l.kind == "dense")
+    widest = max(b.shape[1] for b in model.blocks)
     chunk = gdtrain.B_CHUNK_FLOATS // (ds.n * widest)
     # curvature probes stack chunk // 3 per forward, so the first case
     # ends its probes in a partial chunk; the last burns its sphere
@@ -442,9 +441,9 @@ def test_guarded_retries_evaluate_each_step_once(monkeypatch):
     theta0 = models.init_params(model, np.random.default_rng(11), scale=0.7)
     steps, evals = [], []
 
-    def step(theta, ev, alpha):
+    def step(ev, alpha):
         steps.append(alpha)
-        return gd_step(theta, ev, alpha)
+        return gd_step(ev, alpha)
 
     def evaluate(*args):
         evals.append(args[1])
@@ -488,7 +487,7 @@ def test_train_gd_gamma_hat_clamp_flag():
     # force a rounding-scale overshoot: the value clamps silently
     ms.phi_curve.correction = lambda u: 5e-13
     ev = out["ev"]
-    log_rho = math.log(out["theta"].rho)
+    log_rho = math.log(ev.rho)
     clamped_val = ms.log_gamma_hat(ev.x, log_rho)
     assert clamped_val == (math.log(float(EXP.g(ev.x)))
                            - ms.order_L * log_rho)
@@ -518,6 +517,5 @@ def test_train_gd_deterministic():
     runs = [train_gd(model, theta0, ds, EXP, epochs=60, alpha0=0.1,
                      s5_guard=True, n_sphere=300, n_curvature=50, seed=7)
             for _ in range(2)]
-    np.testing.assert_array_equal(runs[0]["theta"].data,
-                                  runs[1]["theta"].data)
+    np.testing.assert_array_equal(runs[0]["ev"].theta, runs[1]["ev"].theta)
     assert runs[0]["records"][-1] == runs[1]["records"][-1]

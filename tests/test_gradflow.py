@@ -20,8 +20,9 @@ from marginflow.margin import score_gaps
 
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
                      hat_step_array, layer_walk_forward, layer_walk_grad_norms,
-                     per_sample_grad_norms, preactivations, readme_flow_config,
-                     stepwise_nu_lower_slack, two_call_point)
+                     layers_of, per_sample_grad_norms, preactivations,
+                     readme_flow_config, stepwise_nu_lower_slack,
+                     two_call_point)
 
 
 def _relu_logistic_setup():
@@ -50,11 +51,11 @@ def test_evaluate_point_gradient_binary_matches_fd():
     ev = gradflow.evaluate_point(model, theta0, data, spec)
 
     def total_loss(th):
-        q = np.array([float(model.forward(models.ParamVector(th), x)[0])
+        q = np.array([float(model.forward(th, x)[0])
                       for x in data.X]) * data.y
         return float(np.sum(np.exp(-spec.f(q))))
 
-    grad = fd_grad(total_loss, theta0.data)
+    grad = fd_grad(total_loss, theta0)
     scaled = math.exp(ev.x) * (-grad)
     assert np.linalg.norm(ev.G - scaled) <= 1e-5 * np.linalg.norm(scaled)
     assert abs(np.sum(ev.weights) - 1.0) < 1e-12
@@ -78,7 +79,7 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
 
     def total_loss(th):
         out = np.stack([
-            np.atleast_1d(model.forward(models.ParamVector(th), x)[0])
+            np.atleast_1d(model.forward(th, x)[0])
             for x in X])
         losses_n = []
         for n in range(6):
@@ -87,7 +88,7 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
             losses_n.append(float(np.exp(-spec.f(q_t))))
         return float(np.sum(losses_n))
 
-    grad = fd_grad(total_loss, theta.data)
+    grad = fd_grad(total_loss, theta)
     scaled = math.exp(ev.x) * (-grad)
     assert np.linalg.norm(ev.G - scaled) <= 1e-5 * np.linalg.norm(scaled)
 
@@ -106,7 +107,7 @@ def test_multiclass_v_satisfies_euler_identity():
         theta = models.init_params(model, np.random.default_rng(seed),
                                    scale=0.7)
         ev = gradflow.evaluate_point(model, theta, data, spec)
-        lhs = float(theta.data @ ev.G) / model.order_L
+        lhs = float(theta @ ev.G) / model.order_L
         assert abs(lhs - ev.V) <= 1e-12 * abs(lhs), seed
 
 
@@ -147,16 +148,17 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
     for model, data_, spec_ in cases:
         # the logistic guard branch (softplus underflow) needs |q| > 745
         for scale in (0.3, 1.0, 30.0, 1e3, 1e60, 1e120, 1e200):
-            theta = models.init_params(model, rng, scale=scale).data
+            theta = models.init_params(model, rng, scale=scale)
             got = _point_outcome(gradflow.evaluate_point, model, theta, data_,
                            spec_)
             assert got == _point_outcome(two_call_point, model, theta, data_,
                                    spec_), (model.name, scale)
             raised += got is autodiff.NonFiniteError
-        stack = np.stack([models.init_params(model, rng).data
+        stack = np.stack([models.init_params(model, rng)
                           for _ in range(4)])
-        out, cache = autodiff.forward(model.plan, stack, data_.X)
-        ref_out, ref_cache = layer_walk_forward(model.graph, stack, data_.X)
+        out, cache = autodiff.forward(model.blocks, stack, data_.X)
+        ref_out, ref_cache = layer_walk_forward(layers_of(model), stack,
+                                                data_.X)
         assert _shape_bits(out) == _shape_bits(ref_out), model.name
         if model.num_outputs == 1:
             assert _shape_bits(per_sample_grad_norms(model, cache)) == \
@@ -167,11 +169,11 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
 def test_point_eval_lazy_summaries_equal_eager_oracle():
     spec, model, _, data = _relu_logistic_setup()
     cases = [(spec, model, data, models.init_params(
-        model, np.random.default_rng(s), scale=0.7).data) for s in range(6)]
+        model, np.random.default_rng(s), scale=0.7)) for s in range(6)]
     cases.append((losses.get_loss("exp"), model, data, cases[0][3]))
     spec3, model3, data3 = _three_class_setup()
     cases += [(spec3, model3, data3, models.init_params(
-        model3, np.random.default_rng(s)).data) for s in range(6)]
+        model3, np.random.default_rng(s))) for s in range(6)]
     cases.append((spec, models.linear(2), data, np.zeros(2)))  # beta = 0
     for spec_, model_, data_, theta in cases:
         ev = gradflow.evaluate_point(model_, theta.copy(), data_, spec_)
@@ -234,7 +236,7 @@ def test_flow_matches_single_sample_closed_form():
     q_exact = math.log(math.exp(1.5) + 9.0 * st.t)
     assert abs(st.ev.q[0] - q_exact) <= 1e-6 * q_exact
     # gradient never rotates, so the direction is frozen at x / ||x||
-    assert np.linalg.norm(st.theta.unit() - np.array([1.0, 0.0])) <= 1e-12
+    assert np.linalg.norm(st.ev.unit - np.array([1.0, 0.0])) <= 1e-12
     assert st.ev.beta == pytest.approx(1.0, abs=1e-12)
 
 
@@ -262,7 +264,7 @@ def test_zero_start_emits_no_warning():
         nxt, info = gradflow.flow_step(
             model, data, spec, state, gradflow.propose_dt_scaled(ev, 1e-3),
             step_tol=1e-3)
-    assert nxt.steps == 1 and nxt.theta.rho > 0.0
+    assert nxt.steps == 1 and nxt.ev.rho > 0.0
     # the zero vector has no direction, so the step moves theta_hat by 1
     assert info.delta_theta_hat == pytest.approx(1.0, abs=1e-12)
 
@@ -382,14 +384,14 @@ def test_flow_step_descent_cap_and_halving():
     tol = 1e-3
     dt = gradflow.propose_dt_scaled(state.ev, tol)
     for _ in range(40):
-        x0 = state.ev.x
+        x0, rho0 = state.ev.x, state.ev.rho
         state, info = gradflow.flow_step(model, data, spec, state, dt,
                                          step_tol=tol)
         dx = state.ev.x - x0
         assert dx >= -1e-9
         assert abs(dx) <= tol * max(1.0, abs(x0)) * (1.0 + 1e-12)
         assert info.delta_rho_sq == pytest.approx(
-            state.theta.rho**2 - state.ev.rho**2 + info.delta_rho_sq, rel=1e-9)
+            state.ev.rho**2 - rho0**2, rel=1e-9)
         dt = info.next_dt_scaled
     # a grossly oversized proposal must be halved, not accepted
     big = dt * 1e8

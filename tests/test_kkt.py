@@ -16,7 +16,6 @@ from marginflow import datasets, losses, models
 from marginflow.gradflow import flow_states, log_tilde_margin
 from marginflow.kkt import (NotSeparableError, build_certificate,
                             direction_gap_to_svm, svm_oracle)
-from marginflow.models import ParamVector
 
 from oracles import (Beta2Accumulator, effective_margins,
                      svm_dual_projected_gradient)
@@ -45,15 +44,15 @@ def _scaled(model, theta, rows, spec=EXP):
 
 def test_feasible_scaling_identity_at_unit_margin():
     # order 2: the margin (x . w) * v of the one sample is 0.5 * 2 * 1 = 1
-    w = ParamVector(np.array([0.3, -1.2, 0.5, 1.0]))
+    w = np.array([0.3, -1.2, 0.5, 1.0])
     scaled = _scaled(models.deep_linear(3, [1]), w, [[0.0, 0.0, 2.0, 1]])
-    np.testing.assert_array_equal(scaled.data, w.data)
+    np.testing.assert_array_equal(scaled, w)
 
 
 def test_feasible_scaling_linear():
-    w = ParamVector(np.array([2.0, -6.0]))
+    w = np.array([2.0, -6.0])
     scaled = _scaled(models.linear(2), w, [[2.0, 0.0, 1]])  # q_min = 4
-    np.testing.assert_allclose(scaled.data, [0.5, -1.5], rtol=1e-15)
+    np.testing.assert_allclose(scaled, [0.5, -1.5], rtol=1e-15)
 
 
 def test_feasible_scaling_order_two_lands_on_boundary():
@@ -63,9 +62,9 @@ def test_feasible_scaling_order_two_lands_on_boundary():
     state = _state_at(model, ds, EXP, theta, 8.0)
     q_min = float(np.min(state.ev.q))
     # rescale so the worst margin is 9: the scaling divides by 3
-    theta9 = ParamVector(state.theta.data * (9.0 / q_min) ** 0.5)
+    theta9 = state.ev.theta * (9.0 / q_min) ** 0.5
     scaled = build_certificate(model, theta9, ds, EXP).theta_scaled
-    np.testing.assert_allclose(scaled.data, theta9.data / 3.0, rtol=1e-15)
+    np.testing.assert_allclose(scaled, theta9 / 3.0, rtol=1e-15)
     q_scaled = effective_margins(model, scaled, ds)
     assert abs(float(np.min(q_scaled)) - 1.0) < 1e-9
 
@@ -97,7 +96,7 @@ def test_certificate_perfectly_aligned_single_sample():
     # theta along y * x_hat makes the direction exactly stationary
     model = models.linear(2)
     ds = datasets.from_rows([[3.0, 4.0, 1]])
-    w = ParamVector(np.array([0.6, 0.8]) * 0.9)
+    w = np.array([0.6, 0.8]) * 0.9
     cert = build_certificate(model, w, ds, EXP)
     assert cert.beta > 1.0 - 1e-14
     assert cert.epsilon <= 1e-10
@@ -114,9 +113,9 @@ def test_certificate_stationarity_residual_matches_multipliers():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1], [1.5, -2.0, 1]])
     state = _state_at(model, ds, LOGISTIC, np.array([0.4, 0.1]), 12.0)
-    cert = build_certificate(model, state.theta, ds, LOGISTIC)
+    cert = build_certificate(model, state.ev.theta, ds, LOGISTIC)
     combo = (ds.y[:, None] * ds.X * cert.lambdas[:, None]).sum(axis=0)
-    resid = float(np.linalg.norm(cert.theta_scaled.data - combo))
+    resid = float(np.linalg.norm(cert.theta_scaled - combo))
     assert math.isclose(resid, cert.epsilon, rel_tol=1e-10, abs_tol=1e-12)
 
 
@@ -125,7 +124,7 @@ def test_certificate_epsilon_routes_agree():
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
     state = _state_at(model, ds, EXP, theta0, 15.0)
-    cert = build_certificate(model, state.theta, ds, EXP)
+    cert = build_certificate(model, state.ev.theta, ds, EXP)
     assert cert.epsilon <= cert.epsilon_beta * (1.0 + 1e-9) + 1e-12
     assert math.isclose(cert.epsilon, cert.epsilon_beta,
                         rel_tol=1e-6, abs_tol=1e-9)
@@ -150,15 +149,15 @@ def test_certificate_trend_and_bounds_two_point_linear():
         if anchor is None:
             anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
         certs.append(build_certificate(
-            model, state.theta, ds, LOGISTIC, ev=state.ev,
+            model, state.ev.theta, ds, LOGISTIC, ev=state.ev,
             log_tilde_t0=anchor, b1=b1))
     eps = [c.epsilon for c in certs]
     assert all(a > b for a, b in zip(eps, eps[1:]))
     for cert in certs:
         assert cert.eps_bound is not None
         assert cert.epsilon <= cert.eps_bound + 1e-12
-        assert cert.big_k == 2.0 and cert.b_g == 2.0
-        assert cert.log_inv_loss >= cert.b_g
+        assert LOGISTIC.K == 2.0 and LOGISTIC.b_g == 2.0
+        assert cert.log_inv_loss >= LOGISTIC.b_g
         assert cert.delta_bound is not None
         assert cert.delta <= cert.delta_bound
     # complementarity residual also shrinks with the loss exponent
@@ -172,7 +171,7 @@ def test_certificate_median_epsilon_halves():
     eps = []
     for state, _ in flow_states(model, theta0, ds, EXP, step_tol=3e-3):
         if state.ev.x >= 2.0 and state.steps % 20 == 0:
-            eps.append(build_certificate(model, state.theta, ds, EXP,
+            eps.append(build_certificate(model, state.ev.theta, ds, EXP,
                                          ev=state.ev).epsilon)
         if state.ev.x >= 120.0:
             break
@@ -187,7 +186,7 @@ def test_certificate_early_checkpoint_is_large_but_valid():
     state = next(s for s, _ in flow_states(model, theta0, ds, EXP,
                                            step_tol=1e-3)
                  if float(np.min(s.ev.q)) > 0.0)
-    cert = build_certificate(model, state.theta, ds, EXP, ev=state.ev)
+    cert = build_certificate(model, state.ev.theta, ds, EXP, ev=state.ev)
     assert math.isfinite(cert.epsilon) and cert.epsilon > 0.1
     assert np.all(np.isfinite(cert.lambdas))
 
@@ -210,7 +209,7 @@ def test_certificate_delta_bound_needs_b1_for_logistic():
     state = _state_at(model, ds, LOGISTIC, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
     with pytest.raises(ValueError, match="b1"):
-        build_certificate(model, state.theta, ds, LOGISTIC,
+        build_certificate(model, state.ev.theta, ds, LOGISTIC,
                           log_tilde_t0=anchor)
 
 
@@ -220,7 +219,7 @@ def test_certificate_exp_bounds_without_b1():
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     state = _state_at(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, EXP, model.order_L)
-    cert = build_certificate(model, state.theta, ds, EXP,
+    cert = build_certificate(model, state.ev.theta, ds, EXP,
                              log_tilde_t0=anchor)
     assert cert.delta_bound is not None
     assert cert.delta <= cert.delta_bound
@@ -310,7 +309,7 @@ def test_linear_flow_direction_approaches_svm():
                              [-2.0, 1.7, -1]])
     state = _state_at(model, ds, LOGISTIC, np.array([0.2, -0.1]), 200.0)
     w_star, _ = svm_oracle(ds.X, ds.y)
-    assert direction_gap_to_svm(state.theta, w_star) <= 0.02
+    assert direction_gap_to_svm(state.ev.theta, w_star) <= 0.02
 
 
 def test_deep_linear_effective_predictor_approaches_svm():
@@ -320,7 +319,7 @@ def test_deep_linear_effective_predictor_approaches_svm():
                              [-2.0, 1.7, -1]])
     theta0 = models.init_params(model, np.random.default_rng(11), scale=0.8)
     state = _state_at(model, ds, LOGISTIC, theta0, 120.0)
-    w_eff = np.array([float(model.forward(state.theta, e)[0])
+    w_eff = np.array([float(model.forward(state.ev.theta, e)[0])
                       for e in np.eye(2)])
     w_star, _ = svm_oracle(ds.X, ds.y)
     assert direction_gap_to_svm(w_eff, w_star) <= 0.05

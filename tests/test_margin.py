@@ -128,10 +128,10 @@ def test_smoothed_margin_exp_single_sample_equals_bar():
     data = datasets.Dataset(np.array([[1.0, 0.5, -0.2]]), np.array([1]))
     ev = evaluate_point(model, theta, data, spec)
     if ev.q[0] <= 0:
-        theta = models.ParamVector(-theta.data)
+        theta = -theta
         ev = evaluate_point(model, theta, data, spec)
     tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
-    bar = ev.q[0] / theta.rho**model.order_L
+    bar = ev.q[0] / ev.rho**model.order_L
     assert abs(tilde - bar) < 1e-12 * max(1.0, abs(bar))
 
 
@@ -176,7 +176,7 @@ def test_sandwich_brackets_tilde_property(seed, loss):
     spec = losses.get_loss(loss)
     # point the weights at the positive-class mean, scaled to separate
     direction = (data.X * data.y[:, None]).mean(axis=0)
-    theta = models.ParamVector(6.0 * direction / np.linalg.norm(direction))
+    theta = 6.0 * direction / np.linalg.norm(direction)
     ev = evaluate_point(model, theta, data, spec)
     if ev.x <= spec.f_at_bf + 0.05:
         return  # summed loss not yet below ell(b_f); property is vacuous

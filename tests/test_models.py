@@ -4,6 +4,9 @@ The residual and per-row gradient helpers are test oracles
 (tests/oracles.py) that run the engine one sample at a time.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,8 @@ from oracles import (block_euler_residual, euler_residual, fd_grad,
                      per_sample_grads, preactivations, rel_err,
                      sample_smooth_probe)
 
-from marginflow import models
+from marginflow import datasets, losses, models
+from marginflow.gradflow import evaluate_point
 
 
 def _zoo():
@@ -86,16 +90,51 @@ def test_init_is_deterministic():
     model = models.relu_mlp(4, [5])
     a = models.init_params(model, np.random.default_rng(42))
     b = models.init_params(model, np.random.default_rng(42))
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = models.init_params(model, np.random.default_rng(43))
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
-def test_param_vector_norm_cache():
-    p = models.ParamVector(np.array([3.0, 4.0]))
-    assert p.rho == 5.0
-    assert np.allclose(p.unit(), [0.6, 0.8])
-    assert len(p) == 2
+@pytest.mark.parametrize("dims", [[4, 1], [3, 5, 4, 1], [4, 6, 5, 2]])
+def test_blocks_tile_the_parameters(dims):
+    d, widths, c = dims[0], dims[1:-1], dims[-1]
+    for model in [models.build_model(family, d, widths, num_outputs=c)
+                  for family in ("deep_linear", "relu_mlp",
+                                 "leaky_relu_mlp", "quadratic_mlp")
+                  ] + ([models.linear(d, c)] if not widths else []):
+        blocks = model.blocks
+        assert [b.shape for b in blocks] == list(zip(dims, dims[1:]))
+        assert blocks[0].start == 0, model.name
+        for b, nxt in zip(blocks, blocks[1:]):
+            assert b.stop == nxt.start, model.name
+        for b in blocks:
+            assert b.stop - b.start == b.shape[0] * b.shape[1], model.name
+        assert (model.input_dim, model.num_outputs, model.param_count) == (
+            d, c, blocks[-1].stop), model.name
+        assert model.param_count == sum(a * b for a, b in zip(dims, dims[1:]))
+        has_act = model.activation is not None
+        assert [b.act is not None for b in blocks] == \
+            [has_act] * (len(blocks) - 1) + [False], model.name
+
+
+def test_point_eval_rho_and_unit():
+    spec = losses.get_loss("exp")
+    model = models.linear(2)
+    ds = datasets.from_rows([[1.0, 0.0, 1]])
+    ev = evaluate_point(model, np.array([3.0, 4.0]), ds, spec)
+    assert ev.rho == 5.0 and ev.rho is ev.rho
+    assert np.allclose(ev.unit, [0.6, 0.8]) and ev.unit is ev.unit
+    zero = evaluate_point(model, np.zeros(2), ds, spec)
+    assert zero.rho == 0.0 and np.array_equal(zero.unit, [0.0, 0.0])
+    # theta @ theta overflows although every entry is finite: the norm is
+    # taken again on theta / max |theta_i|, with no warning
+    ds = datasets.from_rows([[1e-170, 0.0, 1]])
+    big = np.array([3e160, 4e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = evaluate_point(model, big, ds, spec)
+        assert math.isclose(ev.rho, 5e160, rel_tol=1e-15)
+        assert np.allclose(ev.unit, [0.6, 0.8], rtol=1e-15)
 
 
 def test_smooth_probe_avoids_kinks():
@@ -114,7 +153,7 @@ def test_per_sample_grads_match_fd():
     X = rng.standard_normal((4, 3))
     grads = per_sample_grads(model, theta, X)
     for n in range(4):
-        ref = fd_grad(lambda t: float(model.forward(t, X[n])[0]), theta.data)
+        ref = fd_grad(lambda t: float(model.forward(t, X[n])[0]), theta)
         assert rel_err(grads[n], ref) < 1e-7
 
 
@@ -142,10 +181,8 @@ def test_block_exponent_mismatch_rejected():
     with pytest.raises(ValueError):
         models.HomogeneousModel(
             name="bad",
-            graph=(models.Layer("dense", 2, 1, 0),),
+            blocks=(models.Block(0, 2, (2, 1), 1.0, None, None),),
+            activation=None,
+            alpha=0.0,
             order_L=2.0,
-            blocks=(models.Block("w", 0, 2, 1.0),),
-            input_dim=2,
-            num_outputs=1,
-            param_count=2,
         )

@@ -142,7 +142,7 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
                                "options": {"init_scale": 1}})
     assert cfg.options["init_scale"] == 1.0
     model, ds, _, theta0 = _setup(cfg, 0, net, None)
-    assert model.num_outputs == 4 and theta0.data.shape == (model.param_count,)
+    assert model.num_outputs == 4 and theta0.shape == (model.param_count,)
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -349,6 +349,9 @@ def test_gd_step_that_overflows_is_a_rejected_trial(tmp_path):
         "epochs": 3000, "seed": 0, "options": {"s5_guard": False}})
     out = run_scenario(cfg, out_dir=tmp_path)
     assert out.failures and out.summaries[0]["final"]["epochs"] <= 3000
+    # every entry of theta is finite, and so is its norm, though
+    # theta @ theta overflows (rho ~ 1.9e154)
+    assert math.isfinite(out.summaries[0]["final"]["rho"])
     # at a constant alpha the overflowing step ends the run, named
     cfg = RunConfig.from_dict({
         "scenario": "gd_margin", "loss": "exp", "optimizer": "gd_const",
