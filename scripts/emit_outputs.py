@@ -90,6 +90,14 @@ CORPUS = {
         "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
         "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
         "seeds": [0]}),
+    # multi-class descent: no B-constants, so no (S5) margin state and a
+    # named failure
+    "gd_3class": ("run", {
+        "scenario": "gd_margin", "loss": "cross_entropy",
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6],
+                  "num_outputs": 3},
+        "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
+        "epochs": 60, "seeds": [0]}),
     "flow_deep_linear_exp_cubed": ("run", {
         "scenario": "flow_margin", "loss": "exp_cubed",
         "model": {"family": "deep_linear", "input_dim": 2, "widths": [3]},

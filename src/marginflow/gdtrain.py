@@ -17,7 +17,8 @@ import numpy as np
 
 from .autodiff import NonFiniteError, backward
 from .datasets import Dataset
-from .gradflow import PointEval, _bar_gamma, evaluate_point
+from .gradflow import (PointEval, _bar_gamma, evaluate_point, is_separated,
+                       log_tilde_margin)
 from .losses import LossDomainError, LossSpec
 from .models import HomogeneousModel
 
@@ -289,12 +290,10 @@ class GdMarginState:
     spec: LossSpec
     order_L: float
     u0: float
-    rho0: float
     phi_curve: PhiCurve
     b: BConstants
     c_eta: float
     c_eta_provisional: bool
-    log_gamma_hat0: float
     clamped: bool = False
     # (x, log_kappa(x)) of the last call: an epoch's guard cap, its (S5)
     # log ratio and its grad_bound monitor all ask at the epoch start x
@@ -349,19 +348,15 @@ def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
     return c_eta, provisional
 
 
-def make_margin_state(model: HomogeneousModel, ev: PointEval,
-                      dataset: Dataset, spec: LossSpec,
-                      rng: np.random.Generator, n_sphere: int = 10_000,
-                      n_curvature: int = 1_000) -> GdMarginState:
-    """The margin anchor at ev, the first separated evaluation. Raises
-    MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is too small
-    for C_eta to be formed in float64."""
+def make_margin_state(model: HomogeneousModel, ev: PointEval, spec: LossSpec,
+                      b: BConstants) -> GdMarginState:
+    """The margin anchor at ev, the first separated evaluation, on the
+    run's B-constants b. Raises MarginStateError when gamma_hat0 =
+    e^{phi(x0)} / rho0^L is too small for C_eta to be formed in float64."""
     L = model.order_L
     x0, rho0 = ev.x, ev.rho
     curve = PhiCurve(spec, L, x0)
     log_hat0 = curve.phi(x0) - L * math.log(rho0)
-    b = estimate_b_constants(model, dataset, rng, n_sphere=n_sphere,
-                             n_curvature=n_curvature)
     try:
         c_eta, provisional = _c_eta(spec, L, b, rho0, x0,
                                     math.exp(log_hat0))
@@ -370,24 +365,24 @@ def make_margin_state(model: HomogeneousModel, ev: PointEval,
             f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
             f"gamma_hat0 underflows, so C_eta has no float64 value"
         ) from None
-    return GdMarginState(spec=spec, order_L=L, u0=x0, rho0=rho0,
-                         phi_curve=curve, b=b, c_eta=c_eta,
-                         c_eta_provisional=provisional,
-                         log_gamma_hat0=log_hat0)
+    return GdMarginState(spec=spec, order_L=L, u0=x0, phi_curve=curve, b=b,
+                         c_eta=c_eta, c_eta_provisional=provisional)
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
-             spec: LossSpec, *, epochs: int, alpha0: float = 0.1,
-             mode: str = "loss_based", s5_guard: bool = False,
-             guard_safety: float = 0.5, seed: int = 0,
-             n_sphere: int = 10_000, n_curvature: int = 1_000) -> dict:
+             spec: LossSpec, b: BConstants | None, *, epochs: int,
+             alpha0: float = 0.1, mode: str = "loss_based",
+             s5_guard: bool = False, guard_safety: float = 0.5) -> dict:
     """Full-batch GD with the loss-based schedule and margin monitors.
 
     mode "loss_based" runs the accept-or-retry schedule; "constant_alpha"
     keeps alpha fixed (the physical rate still scales with 1/loss, since
-    every step is taken in the frame of its epoch start). Monitor series
-    start at the first separated epoch; entries conditioned on (S5) are
-    only appended when the step's log(eta / H) is not positive. A step
+    every step is taken in the frame of its epoch start). The margin
+    state is anchored at the first separated epoch on the B-constants b;
+    with b None (labels other than -1/+1) none is formed, so the run has
+    no (S5) guard and no monitors. Monitor series start at the first
+    separated epoch; entries conditioned on (S5) are only appended when
+    the step's log(eta / H) is not positive. A step
     whose forward pass overflows is a rejected trial. The run ends with
     the message in "abort" when the margin anchor cannot be formed at
     the first separated epoch (MarginStateError), or when a constant-alpha
@@ -397,7 +392,6 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         raise ValueError(f"unknown mode {mode!r}")
     if alpha0 <= 0.0:
         raise ValueError("alpha must stay positive")
-    rng = np.random.default_rng(seed)
     ev = evaluate_point(model, np.asarray(theta0, dtype=np.float64), dataset,
                         spec)
     alpha = alpha0
@@ -407,19 +401,17 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     records: list[dict] = []
     monitors: dict[str, list] = {
         "rho_identity": [], "p2_lower": [], "p2_upper": [], "p3_slack": [],
-        "p4_slack": [], "d_log_hat": [], "grad_bound": [], "s5_log_ratio": [],
-        "euler_gap": [],
+        "p4_slack": [], "grad_bound": [], "s5_log_ratio": [], "euler_gap": [],
     }
     flagged_epochs: list[int] = []
     abort = None
 
     def maybe_separate():
         nonlocal mstate, log_hat_prev, abort
-        if mstate is None and abort is None and ev.x > spec.f_at_bf + 1e-12:
+        if (mstate is None and abort is None and b is not None
+                and ev.x > spec.f_at_bf + 1e-12):
             try:
-                mstate = make_margin_state(model, ev, dataset, spec, rng,
-                                           n_sphere=n_sphere,
-                                           n_curvature=n_curvature)
+                mstate = make_margin_state(model, ev, spec, b)
             except MarginStateError as err:
                 abort = str(err)
                 return
@@ -500,16 +492,13 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                     - (2.0 * math.log(prev_ev.g_norm) - prev_ev.x))
             if ev.x >= mstate.u0 - 1e-12:  # constant mode can move back up
                 log_hat = mstate.log_gamma_hat(ev.x, math.log(ev.rho))
-                if log_hat_prev is not None:
-                    d_hat = log_hat - log_hat_prev
-                    monitors["d_log_hat"].append(d_hat)
-                    if s5 <= 0.0:
-                        u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
-                            * prev_ev.theta
-                        rhs = (model.order_L * prev_ev.rho**2
-                               * float(u_g @ u_g) / theta_dot_g**2
-                               * (math.log(ev.rho) - math.log(prev_ev.rho)))
-                        monitors["p4_slack"].append(d_hat - rhs)
+                if log_hat_prev is not None and s5 <= 0.0:
+                    u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
+                        * prev_ev.theta
+                    rhs = (model.order_L * prev_ev.rho**2
+                           * float(u_g @ u_g) / theta_dot_g**2
+                           * (math.log(ev.rho) - math.log(prev_ev.rho)))
+                    monitors["p4_slack"].append(log_hat - log_hat_prev - rhs)
                 log_hat_prev = log_hat
             else:
                 log_hat_prev = None
@@ -526,11 +515,10 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             "log_sum_eta": log_sum_eta,
             "beta": ev.beta,
         }
-        if mstate is not None and ev.x > spec.f_at_bf:
-            g_val = float(spec.g(ev.x))
-            if g_val > 0.0:
-                rec["log_tilde"] = (math.log(g_val)
-                                    - model.order_L * math.log(ev.rho))
+        if mstate is not None and is_separated(ev, spec):
+            log_tilde = log_tilde_margin(ev, spec, model.order_L)
+            if log_tilde > -math.inf:
+                rec["log_tilde"] = log_tilde
             if log_hat_prev is not None:
                 rec["log_hat"] = log_hat_prev
             rec["bar_gamma"] = _bar_gamma(rec["q_min"], ev.rho,

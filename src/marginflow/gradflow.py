@@ -415,13 +415,10 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         "growth_residual": [],
         "margin_slack": [],
         "nu_slack": [],
-        "beta": [],
         "d_log_tilde": [],
-        "log_tilde": [],
         "upper_slack": [],
     }
     bound = None
-    t_sep = None
     lt = None  # log tilde margin of the current state, once separated
     xs, vs, ts = [], [], []  # separated states for the bound monitors
 
@@ -435,7 +432,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
             "beta": st.ev.beta,
             "nu_rel": st.ev.V,
         }
-        if t_sep is not None:
+        if lt is not None:
             rec["log_tilde"] = lt
             rec["bar_gamma"] = _bar_gamma(rec["q_min"], st.ev.rho,
                                           model.order_L)
@@ -444,12 +441,11 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     for state, info in flow_states(model, theta0, dataset, spec,
                                    step_tol=step_tol, max_steps=max_steps):
         prev_lt = lt
-        if t_sep is None and is_separated(state.ev, spec):
-            t_sep = state.t
+        if lt is None and is_separated(state.ev, spec):
             lt = log_tilde_margin(state.ev, spec, model.order_L)
             bound = LossUpperBound(spec, model.order_L, state.ev.x, lt,
                                    state.t)
-        elif t_sep is not None:
+        elif lt is not None:
             lt = log_tilde_margin(state.ev, spec, model.order_L)
             if is_separated(prev, spec):
                 monitors["growth_residual"].append(
@@ -457,8 +453,6 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                                            model.order_L))
                 monitors["margin_slack"].append(margin_rate_slack(
                     prev, state.ev, info, lt - prev_lt, model.order_L))
-                monitors["beta"].append(state.ev.beta)
-                monitors["log_tilde"].append(lt)
                 monitors["d_log_tilde"].append(lt - prev_lt)
                 xs.append(state.ev.x)
                 vs.append(state.ev.V)
@@ -475,7 +469,6 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         "state": state,
         "records": records,
         "monitors": monitors,
-        "t_sep": t_sep,
     }
 
 

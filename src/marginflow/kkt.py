@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .gradflow import PointEval, evaluate_point
+from .gradflow import PointEval
 from .losses import LossSpec
 from .models import HomogeneousModel
 
@@ -58,11 +58,11 @@ class KktCertificate:
     delta_bound: float | None
 
 
-def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
-                      spec: LossSpec, *, ev: PointEval | None = None,
+def build_certificate(model: HomogeneousModel, ev: PointEval,
+                      dataset: Dataset, spec: LossSpec, *,
                       log_tilde_t0: float | None = None,
                       b1: float | None = None) -> KktCertificate:
-    """Certificate at theta with multipliers read off the loss gradient.
+    """Certificate at ev.theta with multipliers read off the loss gradient.
 
     The multiplier for sample n is q_min^{1-2/L} rho w_n f'(q_n)
     divided by the gradient norm, with w_n the unit-sum loss weights;
@@ -71,12 +71,10 @@ def build_certificate(model: HomogeneousModel, theta, dataset: Dataset,
     loss needs it, the sup b1 of the margin gradient over the unit
     sphere) also fills in the predicted epsilon and delta ceilings.
     """
-    theta = np.asarray(theta, dtype=np.float64)
     if not dataset.is_binary:
         raise NotImplementedError(
             "certificate multipliers assume binary hard margins")
-    if ev is None:
-        ev = evaluate_point(model, theta, dataset, spec)
+    theta = ev.theta
     q_min = float(np.min(ev.q))
     if q_min <= 0.0:
         raise NotSeparableError(

@@ -43,19 +43,17 @@ KKT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 # per scenario, the optimizers it runs (the first is its default), each
 # with the options that run reads and their defaults; a given option
 # must have its default's type (an int may stand for a float)
-_FLOW = {"theta0": None, "init_scale": 0.7, "n_sphere": 2_000,
-         "n_curvature": 500}
-_GD = {**_FLOW, "s5_guard": True, "guard_safety": 0.5}
+_FLOW = {"theta0": None, "n_sphere": 2_000, "n_curvature": 500}
+_GD = {**_FLOW, "s5_guard": True}
 _GD_10K = {**_GD, "n_sphere": 10_000, "n_curvature": 1_000}
 SCENARIO_OPTIONS = {
     "flow_margin": {"flow": _FLOW},
     "gd_margin": dict.fromkeys(("gd_loss_based", "gd_const"), _GD),
     "linear_logistic_2d": {"flow": _FLOW},
-    "rates": {"flow": _FLOW, **dict.fromkeys(
-        ("gd_loss_based", "gd_const"), {**_GD_10K, "guard_safety": 0.9})},
+    "rates": {"flow": _FLOW,
+              **dict.fromkeys(("gd_loss_based", "gd_const"), _GD_10K)},
     "deep_loss_50": {"gd_loss_based": {**_GD_10K, "s5_guard": False}},
-    "mexican_hat": {"flow": {"r_stop": 0.992, "metric": "planar",
-                             "r_final_min": 0.99, "phi_gain_min": 4*math.pi}},
+    "mexican_hat": {"flow": {"metric": "planar", "phi_gain_min": 4*math.pi}},
 }
 
 # fixed 8-point separable set used by the linear scenario; margin 0.8
@@ -244,7 +242,7 @@ def _setup(cfg: RunConfig, seed: int, model_default: dict, dataset_default,
 
     The config's `model` fields, `dataset` and `options.theta0` override
     the defaults; `loss` replaces the configured loss name when given.
-    theta0 falls back to the seeded init.
+    theta0 falls back to the seeded init at scale 0.7.
     """
     model = build_model(**{**model_default, **(cfg.model or {})})
     ds = (dataset_default() if cfg.dataset is None
@@ -253,11 +251,10 @@ def _setup(cfg: RunConfig, seed: int, model_default: dict, dataset_default,
     if model.num_outputs < need or ds.is_binary and model.num_outputs > 1:
         raise ValueError(f"model has num_outputs = {model.num_outputs}; "
                          f"the dataset's labels need {need}")
-    opts = cfg.options
-    theta0 = opts["theta0"] if opts["theta0"] is not None else theta0
+    if cfg.options["theta0"] is not None:
+        theta0 = cfg.options["theta0"]
     theta0 = (np.asarray(theta0, dtype=np.float64) if theta0 is not None
-              else init_params(model, np.random.default_rng(seed),
-                               scale=opts["init_scale"]))
+              else init_params(model, np.random.default_rng(seed), scale=0.7))
     return model, ds, get_loss(loss or cfg.loss), theta0
 
 
@@ -267,14 +264,22 @@ def _flow(cfg: RunConfig, model, ds, spec, theta0) -> dict:
                     step_tol=cfg.step_tol, record_every=cfg.record_every)
 
 
-def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0) -> dict:
-    opts = cfg.options
-    return train_gd(
-        model, theta0, ds, spec, epochs=cfg.epochs, alpha0=cfg.alpha0,
-        seed=seed, mode=("constant_alpha" if cfg.optimizer == "gd_const"
-                         else "loss_based"),
-        s5_guard=opts["s5_guard"], guard_safety=opts["guard_safety"],
-        n_sphere=opts["n_sphere"], n_curvature=opts["n_curvature"])
+def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0):
+    """(train_gd result, B-constants, failures): a descent run on the
+    runner's B-constants, and its abort and missing margin state."""
+    b = _b_constants(model, ds, cfg, seed)
+    res = train_gd(
+        model, theta0, ds, spec, b, epochs=cfg.epochs, alpha0=cfg.alpha0,
+        mode=("constant_alpha" if cfg.optimizer == "gd_const"
+              else "loss_based"),
+        s5_guard=cfg.options["s5_guard"],
+        # the share of the (S5) step size a guarded step may take
+        guard_safety=0.9 if cfg.scenario == "rates" else 0.5)
+    failures = [res["abort"]] if res["abort"] else []
+    if b is None:
+        failures.append(
+            "no (S5) margin state: the B-constants need binary labels")
+    return res, b, failures
 
 
 def _b3_as_dict(report) -> dict:
@@ -304,9 +309,19 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
 
 
 def _b_constants(model, dataset, cfg: RunConfig, seed: int):
+    """The run's B-constants, drawn once before it starts; None for
+    labels other than -1/+1.
+
+    Descent draws from the seed itself and the flow from seed + 10_007:
+    perfbench/reference.json pins the gd_margin x on the B2 of that
+    stream, through C_eta.
+    """
+    if not dataset.is_binary:
+        return None
     opts = cfg.options
-    return estimate_b_constants(model, dataset,
-                                np.random.default_rng(seed + 10_007),
+    if cfg.optimizer == "flow":
+        seed += 10_007
+    return estimate_b_constants(model, dataset, np.random.default_rng(seed),
                                 opts["n_sphere"], opts["n_curvature"])
 
 
@@ -351,7 +366,7 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
         if bad:
             failures.append(f"margin sandwich violated at {bad} checkpoints")
     state = out["state"]
-    b = _b_constants(model, ds, cfg, seed) if ds.is_binary else None
+    b = _b_constants(model, ds, cfg, seed)
     summary = {
         "final": {
             "t": state.t, "steps": state.steps, "x": state.ev.x,
@@ -371,9 +386,8 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
     model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
-    res = _gd(cfg, seed, model, ds, spec, theta0)
+    res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
-    failures = [res["abort"]] if res["abort"] else []
     if res["flagged_epochs"]:
         failures.append(f"scheduler stalled at epochs {res['flagged_epochs']}")
     s5 = res["monitors"]["s5_log_ratio"]
@@ -413,9 +427,8 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
         },
         "margin_series_len": len(hats),
     }
-    mstate = res["margin_state"]
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}, "spec": spec, "b": mstate.b if mstate else None}
+            "csv": {}, "spec": spec, "b": b}
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
@@ -441,7 +454,7 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         anchored = [r for r in out["records"]
                     if math.isfinite(r.get("log_tilde", -math.inf))]
         cert = build_certificate(
-            model, state.ev.theta, ds, spec, ev=state.ev, b1=b.b1,
+            model, state.ev, ds, spec, b1=b and b.b1,
             log_tilde_t0=anchored[0]["log_tilde"] if anchored else None)
         kkt = {
             "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
@@ -469,13 +482,11 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     if cfg.optimizer == "flow":
         out = _flow(cfg, model, ds, spec, theta0)
         records = out["records"]
-        b = _b_constants(model, ds, cfg, seed) if ds.is_binary else None
+        b = _b_constants(model, ds, cfg, seed)
         failures = []
     else:
-        res = _gd(cfg, seed, model, ds, spec, theta0)
+        res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
         records = [r for r in res["records"] if not r.get("flagged")]
-        b = res["margin_state"].b if res["margin_state"] else None
-        failures = [res["abort"]] if res["abort"] else []
         if res["flagged_epochs"]:
             failures.append(
                 f"scheduler stalled at epochs {res['flagged_epochs']}")
@@ -538,9 +549,8 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
     model, ds, spec, theta0 = _setup(
         cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
         lambda: two_gaussians(50, 2, separation=4.0, seed=10))
-    res = _gd(cfg, seed, model, ds, spec, theta0)
+    res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
-    failures = [res["abort"]] if res["abort"] else []
     final_log10 = min(
         (r["log10_loss"] for r in records if "log10_loss" in r),
         default=0.0)
@@ -572,14 +582,12 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
         "flagged_epochs": res["flagged_epochs"],
         "frame_equivalence": frame,
     }
-    mstate = res["margin_state"]
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}, "spec": spec, "b": mstate.b if mstate else None}
+            "csv": {}, "spec": spec, "b": b}
 
 
 def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
-    records = run_hat(r_stop=cfg.options["r_stop"],
-                      metric=cfg.options["metric"],
+    records = run_hat(metric=cfg.options["metric"],
                       record_every=cfg.record_every)
     psi_max = max(abs(r["psi"]) for r in records)
     phi_gain = records[-1]["phi"] - records[0]["phi"]
@@ -587,7 +595,7 @@ def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
     failures = []
     if psi_max > 1e-3:
         failures.append(f"spiral phase drifted to |psi| = {psi_max:.2e}")
-    if r_final <= cfg.options["r_final_min"]:
+    if r_final <= 0.99:
         failures.append(f"radius stalled at {r_final:.4f}")
     if phi_gain < cfg.options["phi_gain_min"]:
         failures.append(f"angle advanced only {phi_gain:.2f} rad")
@@ -689,7 +697,7 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
             continue
         if anchor is None:
             anchor = log_tilde_margin(state.ev, spec, model.order_L)
-        cert = build_certificate(model, state.ev.theta, ds, spec, ev=state.ev,
+        cert = build_certificate(model, state.ev, ds, spec,
                                  log_tilde_t0=anchor, b1=b1)
         checkpoints.append({
             "x": cert.log_inv_loss, "epsilon": cert.epsilon,

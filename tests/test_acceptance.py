@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from marginflow.datasets import from_rows, two_gaussians
-from marginflow.gdtrain import train_gd
+from marginflow.gdtrain import estimate_b_constants, train_gd
 from marginflow.gradflow import (flow_states, log_tilde_margin, run_flow,
                                  run_hat)
 from marginflow.kkt import (build_certificate, direction_gap_to_svm,
@@ -65,9 +65,9 @@ def test_criterion_02_gd_margin_monotone_and_ordered():
     ds = two_gaussians(N_POINTS, 2, separation=3.0, seed=5)
     model = build_model("relu_mlp", 2, [6])
     theta0 = init_params(model, np.random.default_rng(1), scale=0.7)
-    res = train_gd(model, theta0, ds, EXP, epochs=400, alpha0=0.05,
-                   mode="loss_based", s5_guard=True, guard_safety=0.5,
-                   seed=1, n_sphere=2_000, n_curvature=500)
+    b = estimate_b_constants(model, ds, np.random.default_rng(1), 2_000, 500)
+    res = train_gd(model, theta0, ds, EXP, b, epochs=400, alpha0=0.05,
+                   mode="loss_based", s5_guard=True, guard_safety=0.5)
     assert not res["flagged_epochs"]
     s5 = res["monitors"]["s5_log_ratio"]
     assert len(s5) > 300 and max(s5) <= 1e-12  # (S5) passes every epoch
@@ -162,9 +162,10 @@ def test_criterion_07_rates_bounded_for_both_orders():
     # L = 1: step-capped descent on a linear model
     ds1 = from_rows([[2, 1, 1], [-1, 0.5, -1]])
     lin = build_model("linear", 2)
-    res = train_gd(lin, np.array([0.3, 0.05]), ds1, EXP, epochs=1_000,
+    b = estimate_b_constants(lin, ds1, np.random.default_rng(0))
+    res = train_gd(lin, np.array([0.3, 0.05]), ds1, EXP, b, epochs=1_000,
                    alpha0=1.0, mode="loss_based", s5_guard=True,
-                   guard_safety=0.9, seed=0)
+                   guard_safety=0.9)
     diag1 = rate_ratios(res["records"], EXP, lin.order_L, ds1.n)
     assert diag1.decades >= 3.0
     verdict1 = bounded_ratio_verdict(diag1, window=2.0, bound_factor=10.0)
@@ -176,7 +177,8 @@ def test_criterion_08_kkt_trends(flow_runs):
     L = flow_runs["model"].order_L
     # beta median rises from the first quarter to the last on every run
     for out in flow_runs["outs"]:
-        beta = out["monitors"]["beta"]
+        # the states past the first separated one, as the monitors take
+        beta = [r["beta"] for r in out["records"] if "log_tilde" in r][1:]
         q = len(beta) // 4
         assert np.median(beta[-q:]) > np.median(beta[:q])
 
@@ -204,7 +206,7 @@ def test_criterion_08_kkt_trends(flow_runs):
             state, _ = next(states)
         if anchor is None:
             anchor = log_tilde_margin(state.ev, EXP, model.order_L)
-        cert = build_certificate(model, state.ev.theta, ds, EXP, ev=state.ev,
+        cert = build_certificate(model, state.ev, ds, EXP,
                                  log_tilde_t0=anchor)
         assert cert.delta <= cert.delta_bound
 

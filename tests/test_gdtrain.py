@@ -28,6 +28,12 @@ def _toy():
     return model, ds, theta0
 
 
+def _b(model, ds, seed=0, n_sphere=10_000, n_curvature=1_000):
+    """The B-constants a run at this seed and these draws passes in."""
+    return estimate_b_constants(model, ds, np.random.default_rng(seed),
+                                n_sphere, n_curvature)
+
+
 # ---------------------------------------------------------------- steps
 
 def test_gd_step_by_hand():
@@ -105,14 +111,15 @@ def test_train_gd_rejects_nonpositive_alpha0():
     model, ds, theta0 = _toy()
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="alpha must stay positive"):
-            train_gd(model, theta0, ds, EXP, epochs=1, alpha0=bad)
+            train_gd(model, theta0, ds, EXP, None, epochs=1, alpha0=bad)
 
 
 # ------------------------------------------------------ frame equivalence
 
 def test_relative_frame_matches_direct_float64():
     model, ds, theta0 = _toy()
-    res = train_gd(model, theta0, ds, EXP, epochs=25, s5_guard=False)
+    res = train_gd(model, theta0, ds, EXP, _b(model, ds), epochs=25,
+                   s5_guard=False)
     frame = frame_equivalence_check(model, ds, EXP, theta0, res["records"])
     assert frame["epochs"] == 25
     assert frame["x_reached"] < 575.0  # loss above 1e-250 throughout
@@ -229,10 +236,9 @@ def test_log_kappa_matches_scalar_optimizer():
 
 def _manual_margin_state(c_eta=2.0):
     curve = PhiCurve(EXP, 2.0, 1.0)
-    return GdMarginState(spec=EXP, order_L=2.0, u0=1.0, rho0=1.0,
-                         phi_curve=curve, b=BConstants(1, 1, 1, 0, 0),
-                         c_eta=c_eta, c_eta_provisional=False,
-                         log_gamma_hat0=curve.phi(1.0))
+    return GdMarginState(spec=EXP, order_L=2.0, u0=1.0, phi_curve=curve,
+                         b=BConstants(1, 1, 1, 0, 0), c_eta=c_eta,
+                         c_eta_provisional=False)
 
 
 def test_check_s5_examples():
@@ -382,8 +388,8 @@ def test_b_constants_reject_multiclass():
 def test_train_gd_guarded_monitors(name, epochs):
     model, ds, theta0 = _toy()
     spec = losses.get_loss(name)
-    out = train_gd(model, theta0, ds, spec, epochs=epochs, alpha0=0.1,
-                   s5_guard=True, n_sphere=1500, n_curvature=200, seed=0)
+    out = train_gd(model, theta0, ds, spec, _b(model, ds, 0, 1500, 200),
+                   epochs=epochs, alpha0=0.1, s5_guard=True)
     mon = out["monitors"]
     assert not out["flagged_epochs"]
     assert len(mon["p3_slack"]) > 50
@@ -393,7 +399,8 @@ def test_train_gd_guarded_monitors(name, epochs):
     assert min(mon["p2_upper"]) > -1e-9
     assert min(mon["p3_slack"]) > -1e-9
     assert min(mon["p4_slack"]) > -1e-10
-    assert min(mon["d_log_hat"]) > -1e-10  # gamma_hat never decreases
+    hats = [r["log_hat"] for r in out["records"] if "log_hat" in r]
+    assert min(b - a for a, b in zip(hats, hats[1:])) > -1e-10  # never falls
     assert min(mon["grad_bound"]) > -1e-9
     assert max(mon["s5_log_ratio"]) <= math.log(0.5) + 1e-9
     ms = out["margin_state"]
@@ -406,8 +413,8 @@ def test_log_kappa_once_per_epoch_start(monkeypatch):
     # an epoch's guard cap, (S5) log ratio and grad_bound all ask for
     # kappa at the epoch start x; the grid runs once per such x
     model, ds, theta0 = _toy()
-    kw = dict(epochs=60, alpha0=0.1, s5_guard=True, n_sphere=300,
-              n_curvature=50, seed=0)
+    kw = dict(b=_b(model, ds, 0, 300, 50), epochs=60, alpha0=0.1,
+              s5_guard=True)
     xs = []
 
     def counted(spec, x, order_L):
@@ -451,9 +458,8 @@ def test_guarded_retries_evaluate_each_step_once(monkeypatch):
 
     monkeypatch.setattr(gdtrain, "gd_step", step)
     monkeypatch.setattr(gdtrain, "evaluate_point", evaluate)
-    out = train_gd(model, theta0, ds, LOGISTIC, epochs=400, alpha0=0.05,
-                   s5_guard=True, guard_safety=0.5, seed=11, n_sphere=2_000,
-                   n_curvature=500)
+    out = train_gd(model, theta0, ds, LOGISTIC, _b(model, ds, 11, 2_000, 500),
+                   epochs=400, alpha0=0.05, s5_guard=True, guard_safety=0.5)
     assert out["flagged_epochs"] == [16]
     assert [r["retries"] for r in out["records"]] == [0] * 16 + [61]
     assert out["alpha"].hex() == "0x1.b6ff97d080a53p-8"
@@ -464,8 +470,8 @@ def test_guarded_retries_evaluate_each_step_once(monkeypatch):
 
 def test_train_gd_unguarded_races_to_tiny_loss():
     model, ds, theta0 = _toy()
-    out = train_gd(model, theta0, ds, EXP, epochs=120, alpha0=0.1,
-                   n_sphere=500, n_curvature=50, seed=0)
+    out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 500, 50),
+                   epochs=120, alpha0=0.1)
     last = out["records"][-1]
     assert last["log10_loss"] < -500.0
     assert not out["flagged_epochs"]
@@ -480,8 +486,8 @@ def test_train_gd_unguarded_races_to_tiny_loss():
 
 def test_train_gd_gamma_hat_clamp_flag():
     model, ds, theta0 = _toy()
-    out = train_gd(model, theta0, ds, EXP, epochs=40, alpha0=0.1,
-                   s5_guard=True, n_sphere=300, n_curvature=50, seed=0)
+    out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
+                   epochs=40, alpha0=0.1, s5_guard=True)
     ms = out["margin_state"]
     assert not ms.clamped
     # force a rounding-scale overshoot: the value clamps silently
@@ -500,8 +506,8 @@ def test_train_gd_gamma_hat_clamp_flag():
 
 def test_train_gd_constant_alpha_mode():
     model, ds, theta0 = _toy()
-    out = train_gd(model, theta0, ds, EXP, epochs=30, alpha0=0.02,
-                   mode="constant_alpha", n_sphere=300, n_curvature=50)
+    out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
+                   epochs=30, alpha0=0.02, mode="constant_alpha")
     assert all(r["alpha"] == 0.02 for r in out["records"])
     assert out["records"][-1]["log_inv_loss"] > out["records"][0]["log_inv_loss"]
 
@@ -509,13 +515,13 @@ def test_train_gd_constant_alpha_mode():
 def test_train_gd_rejects_unknown_mode():
     model, ds, theta0 = _toy()
     with pytest.raises(ValueError):
-        train_gd(model, theta0, ds, EXP, epochs=1, mode="cyclic")
+        train_gd(model, theta0, ds, EXP, None, epochs=1, mode="cyclic")
 
 
 def test_train_gd_deterministic():
     model, ds, theta0 = _toy()
-    runs = [train_gd(model, theta0, ds, EXP, epochs=60, alpha0=0.1,
-                     s5_guard=True, n_sphere=300, n_curvature=50, seed=7)
+    runs = [train_gd(model, theta0, ds, EXP, _b(model, ds, 7, 300, 50),
+                     epochs=60, alpha0=0.1, s5_guard=True)
             for _ in range(2)]
     np.testing.assert_array_equal(runs[0]["ev"].theta, runs[1]["ev"].theta)
     assert runs[0]["records"][-1] == runs[1]["records"][-1]

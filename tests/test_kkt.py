@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginflow import datasets, losses, models
-from marginflow.gradflow import flow_states, log_tilde_margin
+from marginflow.gradflow import evaluate_point, flow_states, log_tilde_margin
 from marginflow.kkt import (NotSeparableError, build_certificate,
                             direction_gap_to_svm, svm_oracle)
 
@@ -36,10 +36,15 @@ def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3,
 
 # ---------------------------------------------------------- scaling
 
+def _cert(model, theta, ds, spec=EXP):
+    """The certificate at theta, evaluated on ds."""
+    return build_certificate(model, evaluate_point(model, theta, ds, spec),
+                             ds, spec)
+
+
 def _scaled(model, theta, rows, spec=EXP):
     """The certificate's rescaling of theta on the inline dataset rows."""
-    cert = build_certificate(model, theta, datasets.from_rows(rows), spec)
-    return cert.theta_scaled
+    return _cert(model, theta, datasets.from_rows(rows), spec).theta_scaled
 
 
 def test_feasible_scaling_identity_at_unit_margin():
@@ -63,7 +68,7 @@ def test_feasible_scaling_order_two_lands_on_boundary():
     q_min = float(np.min(state.ev.q))
     # rescale so the worst margin is 9: the scaling divides by 3
     theta9 = state.ev.theta * (9.0 / q_min) ** 0.5
-    scaled = build_certificate(model, theta9, ds, EXP).theta_scaled
+    scaled = _cert(model, theta9, ds).theta_scaled
     np.testing.assert_allclose(scaled, theta9 / 3.0, rtol=1e-15)
     q_scaled = effective_margins(model, scaled, ds)
     assert abs(float(np.min(q_scaled)) - 1.0) < 1e-9
@@ -85,7 +90,7 @@ def test_feasible_scaling_linear_margin_is_one(w, shift):
     model = models.linear(2)
     y = 1 if w[0] > 0 else -1
     ds = datasets.from_rows([[shift, 0.0, y]])
-    scaled = build_certificate(model, np.array(w), ds, EXP).theta_scaled
+    scaled = _cert(model, np.array(w), ds).theta_scaled
     q_new = float(effective_margins(model, scaled, ds)[0])
     assert math.isclose(q_new, 1.0, rel_tol=1e-12)
 
@@ -97,7 +102,7 @@ def test_certificate_perfectly_aligned_single_sample():
     model = models.linear(2)
     ds = datasets.from_rows([[3.0, 4.0, 1]])
     w = np.array([0.6, 0.8]) * 0.9
-    cert = build_certificate(model, w, ds, EXP)
+    cert = _cert(model, w, ds)
     assert cert.beta > 1.0 - 1e-14
     assert cert.epsilon <= 1e-10
     assert cert.epsilon_beta <= 1e-7
@@ -113,7 +118,7 @@ def test_certificate_stationarity_residual_matches_multipliers():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1], [1.5, -2.0, 1]])
     state = _state_at(model, ds, LOGISTIC, np.array([0.4, 0.1]), 12.0)
-    cert = build_certificate(model, state.ev.theta, ds, LOGISTIC)
+    cert = build_certificate(model, state.ev, ds, LOGISTIC)
     combo = (ds.y[:, None] * ds.X * cert.lambdas[:, None]).sum(axis=0)
     resid = float(np.linalg.norm(cert.theta_scaled - combo))
     assert math.isclose(resid, cert.epsilon, rel_tol=1e-10, abs_tol=1e-12)
@@ -124,7 +129,7 @@ def test_certificate_epsilon_routes_agree():
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
     state = _state_at(model, ds, EXP, theta0, 15.0)
-    cert = build_certificate(model, state.ev.theta, ds, EXP)
+    cert = build_certificate(model, state.ev, ds, EXP)
     assert cert.epsilon <= cert.epsilon_beta * (1.0 + 1e-9) + 1e-12
     assert math.isclose(cert.epsilon, cert.epsilon_beta,
                         rel_tol=1e-6, abs_tol=1e-9)
@@ -149,8 +154,7 @@ def test_certificate_trend_and_bounds_two_point_linear():
         if anchor is None:
             anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
         certs.append(build_certificate(
-            model, state.ev.theta, ds, LOGISTIC, ev=state.ev,
-            log_tilde_t0=anchor, b1=b1))
+            model, state.ev, ds, LOGISTIC, log_tilde_t0=anchor, b1=b1))
     eps = [c.epsilon for c in certs]
     assert all(a > b for a, b in zip(eps, eps[1:]))
     for cert in certs:
@@ -171,8 +175,7 @@ def test_certificate_median_epsilon_halves():
     eps = []
     for state, _ in flow_states(model, theta0, ds, EXP, step_tol=3e-3):
         if state.ev.x >= 2.0 and state.steps % 20 == 0:
-            eps.append(build_certificate(model, state.ev.theta, ds, EXP,
-                                         ev=state.ev).epsilon)
+            eps.append(build_certificate(model, state.ev, ds, EXP).epsilon)
         if state.ev.x >= 120.0:
             break
     first, last = eps[: len(eps) // 2], eps[len(eps) // 2:]
@@ -186,7 +189,7 @@ def test_certificate_early_checkpoint_is_large_but_valid():
     state = next(s for s, _ in flow_states(model, theta0, ds, EXP,
                                            step_tol=1e-3)
                  if float(np.min(s.ev.q)) > 0.0)
-    cert = build_certificate(model, state.ev.theta, ds, EXP, ev=state.ev)
+    cert = build_certificate(model, state.ev, ds, EXP)
     assert math.isfinite(cert.epsilon) and cert.epsilon > 0.1
     assert np.all(np.isfinite(cert.lambdas))
 
@@ -195,12 +198,12 @@ def test_certificate_rejects_nonseparated_and_multiclass():
     model = models.linear(2)
     ds = datasets.from_rows([[1.0, 0.0, 1], [0.5, 0.0, -1]])
     with pytest.raises(NotSeparableError):
-        build_certificate(model, np.array([1.0, 0.0]), ds, EXP)
+        _cert(model, np.array([1.0, 0.0]), ds)
     multi = datasets.Dataset(np.eye(3), np.array([0, 1, 2]))
     wide = models.linear(3, num_outputs=3)
     theta = models.init_params(wide, np.random.default_rng(0))
     with pytest.raises(NotImplementedError):
-        build_certificate(wide, theta, multi, EXP)
+        _cert(wide, theta, multi)
 
 
 def test_certificate_delta_bound_needs_b1_for_logistic():
@@ -209,8 +212,7 @@ def test_certificate_delta_bound_needs_b1_for_logistic():
     state = _state_at(model, ds, LOGISTIC, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
     with pytest.raises(ValueError, match="b1"):
-        build_certificate(model, state.ev.theta, ds, LOGISTIC,
-                          log_tilde_t0=anchor)
+        build_certificate(model, state.ev, ds, LOGISTIC, log_tilde_t0=anchor)
 
 
 def test_certificate_exp_bounds_without_b1():
@@ -219,8 +221,7 @@ def test_certificate_exp_bounds_without_b1():
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     state = _state_at(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, EXP, model.order_L)
-    cert = build_certificate(model, state.ev.theta, ds, EXP,
-                             log_tilde_t0=anchor)
+    cert = build_certificate(model, state.ev, ds, EXP, log_tilde_t0=anchor)
     assert cert.delta_bound is not None
     assert cert.delta <= cert.delta_bound
 

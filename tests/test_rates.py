@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marginflow import datasets, losses, models
-from marginflow.gdtrain import train_gd
+from marginflow.gdtrain import estimate_b_constants, train_gd
 from marginflow.gradflow import run_flow
 from marginflow.rates import bounded_ratio_verdict, rate_ratios
 
@@ -150,8 +150,9 @@ def test_guarded_descent_rate_bounded():
     # on the predicted schedule; far larger steps would not
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
-    res = train_gd(model, np.array([0.3, 0.05]), ds, EXP, epochs=1000,
-                   alpha0=1.0, s5_guard=True, guard_safety=0.9, seed=0)
+    b = estimate_b_constants(model, ds, np.random.default_rng(0))
+    res = train_gd(model, np.array([0.3, 0.05]), ds, EXP, b, epochs=1000,
+                   alpha0=1.0, s5_guard=True, guard_safety=0.9)
     diag = rate_ratios(res["records"], EXP, model.order_L, ds.n)
     assert diag.decades >= 3.0
     verdict = bounded_ratio_verdict(diag)

@@ -1,5 +1,6 @@
 """Scenario harness: configs, sinks, determinism, and the CLI verbs."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (SCENARIOS, RunConfig, _setup, config_digest,
-                               emit_plot_data, load_config, run_scenario,
-                               write_csv, write_jsonl)
+from marginflow.runner import (SCENARIO_OPTIONS, SCENARIOS, RunConfig, _setup,
+                               config_digest, emit_plot_data, load_config,
+                               run_scenario, write_csv, write_jsonl)
 
 from oracles import readme_flow_config
 
@@ -74,10 +75,10 @@ def _emit_outputs():
     return module
 
 
-def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
-    # every config the repo ships: the README example, the emit corpus
-    # (less its two entries that are rejected on purpose) and the
-    # benchmark jobs at seed 0
+def _shipped_configs() -> list[dict]:
+    """Every run config the repo ships: the README example, the emit
+    corpus (less its two entries that are rejected on purpose) and the
+    benchmark jobs at seed 0."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from workloads import WORKLOADS, workload_jobs
@@ -88,7 +89,11 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
                 if not label.startswith("rejected_")]
     shipped += [job.config for name in WORKLOADS
                 for job in workload_jobs(name, 0)]
-    for raw in shipped:
+    return shipped
+
+
+def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
+    for raw in _shipped_configs():
         RunConfig.from_dict(raw)
     # a key that no run reads is rejected at load, before any file is
     # written, and the message names it
@@ -109,8 +114,8 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
                           "options": {"s5_guard": "false"}}),
             ("n_sphere", {"scenario": "gd_margin",
                           "options": {"n_sphere": 2500.9}}),
-            ("init_scale", {"scenario": "flow_margin",
-                            "options": {"init_scale": True}})]:
+            ("phi_gain_min", {"scenario": "mexican_hat",
+                              "options": {"phi_gain_min": True}})]:
         p = tmp_path / "bad.yaml"
         p.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=key):
@@ -136,13 +141,32 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
             run_scenario(cfg, out_dir=tmp_path / "o")
     # an int stands for a float option; a multi-class model may have more
     # outputs than the labels present
+    cfg = RunConfig.from_dict({"scenario": "mexican_hat",
+                               "options": {"phi_gain_min": 1}})
+    assert cfg.options["phi_gain_min"] == 1.0
     cfg = RunConfig.from_dict({"scenario": "flow_margin",
                                "model": {**net, "num_outputs": 4},
-                               "dataset": three_class,
-                               "options": {"init_scale": 1}})
-    assert cfg.options["init_scale"] == 1.0
+                               "dataset": three_class})
     model, ds, _, theta0 = _setup(cfg, 0, net, None)
     assert model.num_outputs == 4 and theta0.shape == (model.param_count,)
+
+
+def test_every_option_is_set_by_a_shipped_config():
+    # an option that no shipped config sets is a constant: the shipped
+    # configs and the benchmark self-tests' `options` literals (read as
+    # source, not run) must between them set every option
+    keys = set().union(*(raw.get("options", {})
+                         for raw in _shipped_configs()))
+    source = (ROOT / "perfbench" / "tests" / "test_bench.py").read_text(
+        encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys |= {key.value for k, v in zip(node.keys, node.values)
+                     if isinstance(k, ast.Constant) and k.value == "options"
+                     and isinstance(v, ast.Dict) for key in v.keys}
+    declared = {key for runs in SCENARIO_OPTIONS.values()
+                for options in runs.values() for key in options}
+    assert sorted(declared - keys) == []
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -289,11 +313,10 @@ def test_mexican_hat_scenario_csv_columns(tmp_path):
 
 
 def test_scenario_failure_is_reported_not_raised(tmp_path):
-    # unreachable radius forces the angle-gain check to fail
+    # an unreachable angle gain forces its check to fail
     cfg = RunConfig.from_dict({
         "scenario": "mexican_hat", "seed": 0,
-        "options": {"r_stop": 0.6, "r_final_min": 0.99,
-                    "phi_gain_min": 1e9}})
+        "options": {"phi_gain_min": 1e9}})
     out = run_scenario(cfg, out_dir=tmp_path)
     assert not out.ok
     assert any("angle" in f or "radius" in f for f in out.failures)
@@ -374,7 +397,7 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(json.dumps({
         "scenario": "mexican_hat", "seed": 0,
-        "options": {"r_stop": 0.6, "phi_gain_min": 1e9}}))
+        "options": {"phi_gain_min": 1e9}}))
     rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "b")])
     assert rc == 1
 
@@ -398,7 +421,9 @@ def test_cli_run_reports_underflowing_margin_anchor(tmp_path, capsys):
     assert summary["failures"] == [failure.removeprefix("seed 13: ")]
     # the run stopped at the separating epoch instead of running on
     assert summary["final"]["epochs"] < 400
-    assert summary["final"]["x"] > 0.3665 and summary["b_constants"] is None
+    assert summary["final"]["x"] > 0.3665
+    # it reports the B-constants it drew before it started
+    assert summary["b_constants"]["n_sphere"] == 2_000
 
 
 def test_cli_seed_override(tmp_path, capsys):
@@ -464,7 +489,7 @@ def test_cli_kkt_report_stationary_start_exits(tmp_path, capsys):
     p.write_text(json.dumps({
         "scenario": "linear_logistic_2d",
         "model": {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
-        "options": {"init_scale": 0.0}}))
+        "options": {"theta0": [0.0] * 12}}))
     t0 = time.perf_counter()
     assert cli_main(["kkt-report", "--config", str(p)]) == 1
     assert time.perf_counter() - t0 < 10.0
@@ -478,8 +503,7 @@ def test_cli_rates(tmp_path, capsys):
         "model": {"family": "linear", "input_dim": 2},
         "dataset": {"kind": "inline", "rows": [[2, 1, 1], [-1, 0.5, -1]]},
         "alpha0": 1.0, "epochs": 600, "seed": 0,
-        "options": {"s5_guard": True, "guard_safety": 0.9,
-                    "theta0": [0.3, 0.05]}}))
+        "options": {"s5_guard": True, "theta0": [0.3, 0.05]}}))
     assert cli_main(["rates", "--config", str(p)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["rates"]["passed"]
@@ -520,6 +544,17 @@ def test_flow_3class_corpus_entry_passes(tmp_path):
     stats = out.summaries[0]["monitor_stats"]
     assert stats["growth_within_tol_frac"] == 1.0
     assert stats["min_nu_slack"] > 0.0
+
+
+def test_gd_3class_corpus_entry_names_missing_margin_state(tmp_path):
+    # multi-class descent has no B-constants and so no (S5) margin state:
+    # it runs its epochs unguarded and fails by name instead of raising
+    cfg = RunConfig.from_dict(_emit_outputs().CORPUS["gd_3class"][1])
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.failures == ["seed 0: no (S5) margin state: the "
+                            "B-constants need binary labels"]
+    assert out.summaries[0]["b_constants"] is None
+    assert out.summaries[0]["final"]["epochs"] == cfg.epochs
 
 
 def test_rates_on_gd_names_scheduler_stall():
