@@ -76,7 +76,7 @@ CORPUS = {
     "rates_gd": ("run", {
         "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
         "alpha0": 0.1, "epochs": 600, "seeds": [1]}),
-    # the configured exp loss maps to logistic in this scenario
+    # no loss key: the scenario's default loss, logistic
     "linear_exp_mapping": ("run", {
         "scenario": "linear_logistic_2d", "record_every": 10, "seeds": [0]}),
     "flow_logistic": ("run", {
@@ -87,6 +87,13 @@ CORPUS = {
         "scenario": "flow_margin", "loss": "cross_entropy",
         "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6],
                   "num_outputs": 3},
+        "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
+        "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
+        "seeds": [0]}),
+    # class labels: no SVM reference and no certificate, both named
+    "linear_3class": ("run", {
+        "scenario": "linear_logistic_2d", "loss": "cross_entropy",
+        "model": {"family": "linear", "input_dim": 2, "num_outputs": 3},
         "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
         "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
         "seeds": [0]}),

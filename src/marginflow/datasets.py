@@ -58,10 +58,6 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.X.shape[1]
-
 
 def two_gaussians(n: int = 16, dim: int = 2, separation: float = 3.0,
                   seed: int = 0) -> Dataset:

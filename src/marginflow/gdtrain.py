@@ -156,14 +156,13 @@ class PhiCurve:
         log_m = max(self._log_f0, self._log_F(u))
         return self._lam(u) - math.exp(log_m - u)
 
-    def _tail(self, U: float) -> float:
-        return self._quad(self._tail_integrand, U, np.inf)
-
-    def _t_full(self, U: float) -> float:
-        if U >= self.u_star:
-            return self._tail(U)
-        dip = self._quad(self._dip_integrand, U, self.u_star)
-        return dip + self._tail(self.u_star)
+    def _removed(self, a: float, b: float) -> float:
+        """int_a^b iota for a <= b: the dip integrand below u_star, the
+        tail integrand above; an empty piece is not integrated."""
+        m = min(max(a, self.u_star), b)
+        dip = self._quad(self._dip_integrand, a, m) if a < m else 0.0
+        return dip + (self._quad(self._tail_integrand, m, b) if m < b
+                      else 0.0)
 
     def correction(self, u: float) -> float:
         """T(u) <= 0; the log-gap between gamma_hat and tilde margin."""
@@ -172,20 +171,12 @@ class PhiCurve:
                 f"phi evaluated at u={u} above the anchor loss (u0={self.u0})")
         u = max(u, self.u0)
         if self._cache_u is None or u < self._cache_u:
-            t = self._t_full(u)
+            t = self._removed(u, np.inf)
         elif u == self._cache_u:
             return self._cache_t
         else:
             # removed mass int_{cache}^{u} iota is accumulated exactly once
-            a, b = self._cache_u, u
-            if b <= self.u_star:
-                seg = self._quad(self._dip_integrand, a, b)
-            elif a >= self.u_star:
-                seg = self._quad(self._tail_integrand, a, b)
-            else:
-                seg = (self._quad(self._dip_integrand, a, self.u_star)
-                       + self._quad(self._tail_integrand, self.u_star, b))
-            t = self._cache_t - seg
+            t = self._cache_t - self._removed(self._cache_u, u)
         self._cache_u, self._cache_t = u, t
         return t
 

@@ -407,8 +407,9 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     """Drive the flow until x reaches the target; collect per-step series.
 
     Returns a dict with the final state, per-step monitor series
-    (activated after separation), and trajectory records suitable for
-    serialization.
+    (activated after separation), trajectory records suitable for
+    serialization, and `log_tilde0`, the certificate anchor: the first
+    finite log smoothed margin of a separated state, else None.
     """
     records = []
     monitors = {
@@ -420,6 +421,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     }
     bound = None
     lt = None  # log tilde margin of the current state, once separated
+    log_tilde0 = None
     xs, vs, ts = [], [], []  # separated states for the bound monitors
 
     def record(st: FlowState):
@@ -457,6 +459,9 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                 xs.append(state.ev.x)
                 vs.append(state.ev.V)
                 ts.append(state.t)
+        if (log_tilde0 is None and lt is not None and math.isfinite(lt)
+                and is_separated(state.ev, spec)):
+            log_tilde0 = lt
         if state.steps % record_every == 0:
             record(state)
         if state.ev.x >= target_log_inv_loss:
@@ -469,6 +474,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         "state": state,
         "records": records,
         "monitors": monitors,
+        "log_tilde0": log_tilde0,
     }
 
 

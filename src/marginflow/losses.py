@@ -250,7 +250,6 @@ class ClauseResult:
     clause: str
     passed: bool
     worst: float
-    where: tuple
 
 
 @dataclass(frozen=True)
@@ -262,53 +261,35 @@ class B3Report:
     def ok(self) -> bool:
         return all(c.passed for c in self.clauses)
 
-    def failures(self) -> list[ClauseResult]:
-        return [c for c in self.clauses if not c.passed]
-
-
-def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 10_000) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
 
 def validate_b3(spec: LossSpec, grid: np.ndarray | None = None,
                 divergence_bound: float = 100.0) -> B3Report:
     """Grid checks of the loss-family assumptions; failures are reported,
     never raised."""
     if grid is None:
-        grid = default_grid()
+        grid = np.geomspace(1e-3, 1e3, 10_000)
     q = spec.b_f + np.asarray(grid, dtype=np.float64)
     clauses = []
 
     fp = spec.f_prime(q)
-    i = int(np.argmin(fp))
-    clauses.append(
-        ClauseResult("f_prime_positive", bool(np.all(fp > 0.0)),
-                     float(fp[i]), (float(q[i]),))
-    )
+    clauses.append(ClauseResult("f_prime_positive", bool(np.all(fp > 0.0)),
+                                float(np.min(fp))))
 
     fq = fp * q
     diffs = np.diff(fq)
     # non-decreasing up to relative rounding slack
     tol = -1e-12 * np.maximum(np.abs(fq[:-1]), 1.0)
     j = int(np.argmin(diffs - tol))
-    clauses.append(
-        ClauseResult("fq_nondecreasing", bool(np.all(diffs >= tol)),
-                     float(diffs[j]), (float(q[j]), float(q[j + 1])))
-    )
-
-    clauses.append(
-        ClauseResult("fq_diverges", bool(fq[-1] > divergence_bound),
-                     float(fq[-1]), (float(q[-1]),))
-    )
+    clauses.append(ClauseResult("fq_nondecreasing",
+                                bool(np.all(diffs >= tol)), float(diffs[j])))
+    clauses.append(ClauseResult("fq_diverges", bool(fq[-1] > divergence_bound),
+                                float(fq[-1])))
 
     qr = np.linspace(spec.b_f + 0.1, 50.0, 500)
     back = spec.g(spec.f(qr))
     rel = np.abs(back - qr) / np.maximum(np.abs(qr), 1.0)
-    k = int(np.argmax(rel))
-    clauses.append(
-        ClauseResult("g_roundtrip", bool(np.max(rel) <= 1e-10),
-                     float(rel[k]), (float(qr[k]),))
-    )
+    clauses.append(ClauseResult("g_roundtrip", bool(np.max(rel) <= 1e-10),
+                                float(np.max(rel))))
 
     if spec.K is not None and spec.b_g is not None:
         clauses.append(_check_b34(spec))
@@ -322,14 +303,9 @@ def _check_b34(spec: LossSpec) -> ClauseResult:
     xs = np.geomspace(max(spec.b_g, 1e-6) + 1e-9, 600.0, 200)
     ts = np.linspace(0.5, 0.999, 40)
     worst = -np.inf
-    where = ()
     for t in ts:
         r1 = spec.g_prime(xs) / (spec.K * spec.g_prime(t * xs))
         ys = spec.g(xs)
         r2 = spec.f_prime(ys) / (spec.K * spec.f_prime(t * ys))
-        r = np.maximum(r1, r2)
-        i = int(np.argmax(r))
-        if r[i] > worst:
-            worst = float(r[i])
-            where = (float(xs[i]), float(t))
-    return ClauseResult("b34_tail_comparability", worst <= 1.0 + 1e-12, worst, where)
+        worst = max(worst, float(np.max(np.maximum(r1, r2))))
+    return ClauseResult("b34_tail_comparability", worst <= 1.0 + 1e-12, worst)

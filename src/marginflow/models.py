@@ -50,10 +50,6 @@ class HomogeneousModel:
             )
 
     @property
-    def input_dim(self) -> int:
-        return self.blocks[0].shape[0]
-
-    @property
     def num_outputs(self) -> int:
         return self.blocks[-1].shape[1]
 

@@ -40,28 +40,48 @@ from .rates import bounded_ratio_verdict, rate_ratios
 LOG10 = math.log(10.0)
 # kkt-report checkpoints, as fractions of the target log(1/loss)
 KKT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
-# per scenario, the optimizers it runs (the first is its default), each
-# with the options that run reads and their defaults; a given option
-# must have its default's type (an int may stand for a float)
-_FLOW = {"theta0": None, "n_sphere": 2_000, "n_curvature": 500}
-_GD = {**_FLOW, "s5_guard": True}
-_GD_10K = {**_GD, "n_sphere": 10_000, "n_curvature": 1_000}
-SCENARIO_OPTIONS = {
-    "flow_margin": {"flow": _FLOW},
-    "gd_margin": dict.fromkeys(("gd_loss_based", "gd_const"), _GD),
-    "linear_logistic_2d": {"flow": _FLOW},
-    "rates": {"flow": _FLOW,
-              **dict.fromkeys(("gd_loss_based", "gd_const"), _GD_10K)},
-    "deep_loss_50": {"gd_loss_based": {**_GD_10K, "s5_guard": False}},
-    "mexican_hat": {"flow": {"metric": "planar", "phi_gain_min": 4*math.pi}},
-}
-
 # fixed 8-point separable set used by the linear scenario; margin 0.8
 # along the first axis
 LINEAR_2D_ROWS = [
     [2.2, 0.3, 1], [1.4, 1.1, 1], [1.9, -0.8, 1], [0.8, 0.9, 1],
     [-1.7, 0.4, -1], [-1.1, -1.0, -1], [-2.3, -0.5, -1], [-0.9, 0.8, -1],
 ]
+
+# per scenario, one row: (model fields, dataset factory, loss, runs).
+# A config's `model` fields, `dataset` and `loss` override the first
+# three. The factories look the builders up when called, so a rebinding
+# (perfbench's span tracer) reaches them. `runs` maps the optimizers
+# the scenario runs (the first is its default) to the options that run
+# reads and their defaults; a given option must have its default's type
+# (an int may stand for a float).
+_FLOW = {"theta0": None, "n_sphere": 2_000, "n_curvature": 500}
+_GD = {**_FLOW, "s5_guard": True}
+_GD_10K = {**_GD, "n_sphere": 10_000, "n_curvature": 1_000}
+_README = ({"family": "relu_mlp", "input_dim": 2, "widths": [6]},
+           lambda: two_gaussians(12, 2, separation=3.0, seed=5), "exp")
+SETUPS = {
+    "flow_margin": (*_README, {"flow": _FLOW}),
+    "gd_margin": (*_README, dict.fromkeys(("gd_loss_based", "gd_const"), _GD)),
+    "linear_logistic_2d": (
+        {"family": "linear", "input_dim": 2},
+        lambda: from_rows(LINEAR_2D_ROWS, provenance="linear_2d"),
+        "logistic", {"flow": _FLOW}),
+    "rates": (
+        {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
+        lambda: two_gaussians(8, 2, separation=3.0, seed=5), "exp",
+        {"flow": _FLOW,
+         **dict.fromkeys(("gd_loss_based", "gd_const"), _GD_10K)}),
+    # separation 4.0 with this seed is linearly separable (checked via
+    # the projected-gradient dual); overlapping clusters stall GD on a
+    # subdifferential crease long before the loss target
+    "deep_loss_50": (
+        {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
+        lambda: two_gaussians(50, 2, separation=4.0, seed=10), "exp",
+        {"gd_loss_based": {**_GD_10K, "s5_guard": False}}),
+    # no model, data or loss: the rotating construction is its own flow
+    "mexican_hat": (None, None, None, {"flow": {
+        "metric": "planar", "phi_gain_min": 4 * math.pi}}),
+}
 
 
 @dataclass(frozen=True)
@@ -71,7 +91,7 @@ class RunConfig:
     raw: dict
     scenario: str
     model: dict | None
-    loss: str
+    loss: str | None
     dataset: object | None
     optimizer: str
     alpha0: float
@@ -86,10 +106,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         scenario = raw.get("scenario")
-        if scenario not in SCENARIOS:
+        if scenario not in SETUPS:
             raise ValueError(
-                f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}")
-        runs = SCENARIO_OPTIONS[scenario]
+                f"unknown scenario {scenario!r}; have {sorted(SETUPS)}")
+        *_, loss, runs = SETUPS[scenario]
         optimizer = raw.get("optimizer", next(iter(runs)))
         given = raw.get("options") or {}
         top = {f.name for f in fields(cls)} - {"raw"} | {"seed"}
@@ -122,7 +142,7 @@ class RunConfig:
                 raise ValueError(f"{key} must be {need}, got {raw[key]!r}")
         return cls(
             raw=raw, scenario=scenario, model=raw.get("model"),
-            loss=raw.get("loss", "exp"), dataset=raw.get("dataset"),
+            loss=raw.get("loss", loss), dataset=raw.get("dataset"),
             optimizer=optimizer, alpha0=alpha0,
             epochs=int(raw.get("epochs", 200)),
             target_log_inv_loss=float(raw.get("target_log_inv_loss", 30.0)),
@@ -226,48 +246,44 @@ def emit_plot_data(trajectory, cfg: RunConfig, out_dir: Path,
 
 # ------------------------------------------------------------ helpers
 
-# (model fields, dataset factory) defaults that two scenarios share; a
-# config's `model` fields and `dataset` override them. The factories
-# look the builders up when called, so a rebinding (perfbench's span
-# tracer) reaches them.
-README_NET = ({"family": "relu_mlp", "input_dim": 2, "widths": [6]},
-              lambda: two_gaussians(12, 2, separation=3.0, seed=5))
-LINEAR_NET = ({"family": "linear", "input_dim": 2},
-              lambda: from_rows(LINEAR_2D_ROWS, provenance="linear_2d"))
-
-
-def _setup(cfg: RunConfig, seed: int, model_default: dict, dataset_default,
-           loss: str | None = None, theta0=None):
-    """(model, dataset, loss spec, theta0) of a scenario.
-
-    The config's `model` fields, `dataset` and `options.theta0` override
-    the defaults; `loss` replaces the configured loss name when given.
-    theta0 falls back to the seeded init at scale 0.7.
-    """
-    model = build_model(**{**model_default, **(cfg.model or {})})
-    ds = (dataset_default() if cfg.dataset is None
-          else load_dataset(cfg.dataset))
+def _setup(cfg: RunConfig, seed: int):
+    """(model, dataset, loss spec, theta0) of a scenario's SETUPS row
+    under the config's overrides; theta0 is `options.theta0`, else the
+    seeded init at scale 0.7."""
+    model_fields, dataset, _, _ = SETUPS[cfg.scenario]
+    model = build_model(**{**model_fields, **(cfg.model or {})})
+    ds = dataset() if cfg.dataset is None else load_dataset(cfg.dataset)
     need = 1 if ds.is_binary else int(ds.y.max()) + 1
     if model.num_outputs < need or ds.is_binary and model.num_outputs > 1:
         raise ValueError(f"model has num_outputs = {model.num_outputs}; "
                          f"the dataset's labels need {need}")
-    if cfg.options["theta0"] is not None:
-        theta0 = cfg.options["theta0"]
+    theta0 = cfg.options["theta0"]
     theta0 = (np.asarray(theta0, dtype=np.float64) if theta0 is not None
               else init_params(model, np.random.default_rng(seed), scale=0.7))
-    return model, ds, get_loss(loss or cfg.loss), theta0
+    return model, ds, get_loss(cfg.loss), theta0
 
 
-def _flow(cfg: RunConfig, model, ds, spec, theta0) -> dict:
-    return run_flow(model, theta0, ds, spec,
-                    target_log_inv_loss=cfg.target_log_inv_loss,
-                    step_tol=cfg.step_tol, record_every=cfg.record_every)
+def _drive(cfg: RunConfig, seed: int, model, ds, spec, theta0):
+    """(result, B-constants, failures) of the configured optimizer's run:
+    `run_flow`'s result, or `train_gd`'s with its abort and missing
+    margin state as failures.
 
-
-def _gd(cfg: RunConfig, seed: int, model, ds, spec, theta0):
-    """(train_gd result, B-constants, failures): a descent run on the
-    runner's B-constants, and its abort and missing margin state."""
-    b = _b_constants(model, ds, cfg, seed)
+    The B-constants are drawn before the run starts, None for labels
+    other than -1/+1. Descent draws from the seed itself and the flow
+    from seed + 10_007: perfbench/reference.json pins the gd_margin x on
+    the B2 of that stream, through C_eta.
+    """
+    flow = cfg.optimizer == "flow"
+    b = None
+    if ds.is_binary:
+        rng = np.random.default_rng(seed + 10_007 if flow else seed)
+        b = estimate_b_constants(model, ds, rng, cfg.options["n_sphere"],
+                                 cfg.options["n_curvature"])
+    if flow:
+        return run_flow(model, theta0, ds, spec,
+                        target_log_inv_loss=cfg.target_log_inv_loss,
+                        step_tol=cfg.step_tol,
+                        record_every=cfg.record_every), b, []
     res = train_gd(
         model, theta0, ds, spec, b, epochs=cfg.epochs, alpha0=cfg.alpha0,
         mode=("constant_alpha" if cfg.optimizer == "gd_const"
@@ -308,23 +324,6 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
     })
 
 
-def _b_constants(model, dataset, cfg: RunConfig, seed: int):
-    """The run's B-constants, drawn once before it starts; None for
-    labels other than -1/+1.
-
-    Descent draws from the seed itself and the flow from seed + 10_007:
-    perfbench/reference.json pins the gd_margin x on the B2 of that
-    stream, through C_eta.
-    """
-    if not dataset.is_binary:
-        return None
-    opts = cfg.options
-    if cfg.optimizer == "flow":
-        seed += 10_007
-    return estimate_b_constants(model, dataset, np.random.default_rng(seed),
-                                opts["n_sphere"], opts["n_curvature"])
-
-
 def _sandwich_violations(records, order_L: float, n: int,
                          tol: float = 1e-12) -> int:
     """Count checkpoints violating bar - log(N)/rho^L <= tilde <= bar."""
@@ -343,10 +342,9 @@ def _sandwich_violations(records, order_L: float, n: int,
 # ---------------------------------------------------------- scenarios
 
 def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
-    model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
-    out = _flow(cfg, model, ds, spec, theta0)
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    out, b, failures = _drive(cfg, seed, model, ds, spec, theta0)
     mon = out["monitors"]
-    failures = []
     d_tilde = np.asarray(mon["d_log_tilde"])
     if d_tilde.size and float(d_tilde.min()) < math.log1p(-1e-6):
         failures.append(
@@ -366,7 +364,6 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
         if bad:
             failures.append(f"margin sandwich violated at {bad} checkpoints")
     state = out["state"]
-    b = _b_constants(model, ds, cfg, seed)
     summary = {
         "final": {
             "t": state.t, "steps": state.steps, "x": state.ev.x,
@@ -385,8 +382,8 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
-    model, ds, spec, theta0 = _setup(cfg, seed, *README_NET)
-    res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    res, b, failures = _drive(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
     if res["flagged_epochs"]:
         failures.append(f"scheduler stalled at epochs {res['flagged_epochs']}")
@@ -432,39 +429,34 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
-    model, ds, spec, theta0 = _setup(
-        cfg, seed, *LINEAR_NET,
-        loss=cfg.loss if cfg.loss != "exp" else "logistic",
-        theta0=[0.2, -0.1])
-    out = _flow(cfg, model, ds, spec, theta0)
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    out, b, failures = _drive(cfg, seed, model, ds, spec, theta0)
     state = out["state"]
-    failures = []
-    gap = svm_margin = None
-    try:
-        w_star, svm_margin = svm_oracle(ds.X, ds.y)
-    except ValueError as err:  # over the enumeration size, or inseparable
-        failures.append(f"no SVM reference: {err}")
+    gap = svm_margin = kkt = None
+    if not ds.is_binary:
+        failures += [f"no {what}: the labels are not -1/+1"
+                     for what in ("SVM reference", "KKT certificate")]
     else:
-        gap = direction_gap_to_svm(state.ev.theta, w_star)
-        if gap > 0.02:
-            failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
-    kkt = None
-    b = _b_constants(model, ds, cfg, seed)
-    if is_separated(state.ev, spec):
-        anchored = [r for r in out["records"]
-                    if math.isfinite(r.get("log_tilde", -math.inf))]
-        cert = build_certificate(
-            model, state.ev, ds, spec, b1=b and b.b1,
-            log_tilde_t0=anchored[0]["log_tilde"] if anchored else None)
-        kkt = {
-            "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
-            "delta": cert.delta, "beta": cert.beta,
-            "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
-            "q_min": cert.q_min, "log_inv_loss": cert.log_inv_loss,
-        }
-    else:
-        failures.append(
-            f"no KKT certificate: not separated at x = {state.ev.x}")
+        try:
+            w_star, svm_margin = svm_oracle(ds.X, ds.y)
+        except ValueError as err:  # over the enumeration size, or inseparable
+            failures.append(f"no SVM reference: {err}")
+        else:
+            gap = direction_gap_to_svm(state.ev.theta, w_star)
+            if gap > 0.02:
+                failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
+        if is_separated(state.ev, spec):
+            cert = build_certificate(model, state.ev, ds, spec, b1=b.b1,
+                                     log_tilde_t0=out["log_tilde0"])
+            kkt = {
+                "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
+                "delta": cert.delta, "beta": cert.beta,
+                "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
+                "q_min": cert.q_min, "log_inv_loss": cert.log_inv_loss,
+            }
+        else:
+            failures.append(
+                f"no KKT certificate: not separated at x = {state.ev.x}")
     summary = {
         "svm_angle_gap": gap,
         "svm_margin": svm_margin,
@@ -476,20 +468,12 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
-    model, ds, spec, theta0 = _setup(
-        cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
-        lambda: two_gaussians(8, 2, separation=3.0, seed=5))
-    if cfg.optimizer == "flow":
-        out = _flow(cfg, model, ds, spec, theta0)
-        records = out["records"]
-        b = _b_constants(model, ds, cfg, seed)
-        failures = []
-    else:
-        res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
-        records = [r for r in res["records"] if not r.get("flagged")]
-        if res["flagged_epochs"]:
-            failures.append(
-                f"scheduler stalled at epochs {res['flagged_epochs']}")
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    out, b, failures = _drive(cfg, seed, model, ds, spec, theta0)
+    # a flow record is never flagged, and a flow run has no epochs
+    records = [r for r in out["records"] if not r.get("flagged")]
+    if out.get("flagged_epochs"):
+        failures.append(f"scheduler stalled at epochs {out['flagged_epochs']}")
     diag = rate_ratios(records, spec, model.order_L, ds.n)
     verdict = bounded_ratio_verdict(diag)
     if verdict.inconclusive:
@@ -543,13 +527,8 @@ def frame_equivalence_check(model, ds, spec, theta0, records,
 
 
 def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
-    # separation 4.0 with this seed is linearly separable (checked via
-    # the projected-gradient dual); overlapping clusters stall GD on a
-    # subdifferential crease long before the loss target
-    model, ds, spec, theta0 = _setup(
-        cfg, seed, {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
-        lambda: two_gaussians(50, 2, separation=4.0, seed=10))
-    res, b, failures = _gd(cfg, seed, model, ds, spec, theta0)
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    res, b, failures = _drive(cfg, seed, model, ds, spec, theta0)
     records = res["records"]
     final_log10 = min(
         (r["log10_loss"] for r in records if "log10_loss" in r),
@@ -670,48 +649,49 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
 def kkt_report(cfg: RunConfig, seed: int) -> dict:
     """Certificates at geometrically spaced checkpoints of a flow run.
 
-    A checkpoint is certified only once the run is separated, (B4). One
+    The run is `run`'s on the same config, and the bounds are anchored
+    as there, at the first separated state, the start included. A
+    checkpoint is certified only once the run is separated, (B4). One
     that the flow reaches before that, or never reaches (it stopped,
     stationary or out of steps), is left out and named in `failures`, a
-    key present only when a checkpoint is missing.
+    key present only when a checkpoint is missing; labels other than
+    -1/+1 get no certificate, and that failure.
     """
-    model, ds, spec, theta0 = _setup(cfg, seed, *LINEAR_NET)
-    states = flow_states(model, theta0, ds, spec, step_tol=cfg.step_tol)
-    state, _ = next(states)
-    targets = [cfg.target_log_inv_loss * f for f in KKT_FRACTIONS]
+    model, ds, spec, theta0 = _setup(cfg, seed)
+    report = {"config_sha256": config_digest(cfg.raw), "seed": seed,
+              "loss": spec.name, "kkt": []}
+    if not ds.is_binary:
+        report["failures"] = ["no KKT certificate: the labels are not -1/+1"]
+        return report
     b1 = sphere_sups(model, ds.X)[1]
-    anchor = None
-    checkpoints = []
+    anchor = None  # as run_flow's log_tilde0
     failures = []
-    for x_target in targets:
-        try:
-            while state.ev.x < x_target:
-                state, _ = next(states)
-        except StopIteration:
-            failures.append(f"flow stopped at x = {state.ev.x} before "
-                            f"checkpoint x >= {x_target}")
+    targets = [cfg.target_log_inv_loss * f for f in KKT_FRACTIONS]
+    for state, _ in flow_states(model, theta0, ds, spec,
+                                step_tol=cfg.step_tol):
+        if anchor is None and is_separated(state.ev, spec):
+            lt = log_tilde_margin(state.ev, spec, model.order_L)
+            anchor = lt if math.isfinite(lt) else None
+        while targets and state.ev.x >= targets[0]:
+            x_target = targets.pop(0)
+            if not is_separated(state.ev, spec):
+                failures.append(f"checkpoint x >= {x_target}: not separated "
+                                f"at x = {state.ev.x}")
+            else:
+                cert = build_certificate(model, state.ev, ds, spec,
+                                         log_tilde_t0=anchor, b1=b1)
+                report["kkt"].append({
+                    "x": cert.log_inv_loss, "epsilon": cert.epsilon,
+                    "epsilon_beta": cert.epsilon_beta, "delta": cert.delta,
+                    "beta": cert.beta, "q_min": cert.q_min, "rho": cert.rho,
+                    "eps_bound": cert.eps_bound,
+                    "delta_bound": cert.delta_bound, "lambdas": cert.lambdas,
+                })
+        if not targets:
             break
-        if not is_separated(state.ev, spec):
-            failures.append(f"checkpoint x >= {x_target}: not separated "
-                            f"at x = {state.ev.x}")
-            continue
-        if anchor is None:
-            anchor = log_tilde_margin(state.ev, spec, model.order_L)
-        cert = build_certificate(model, state.ev, ds, spec,
-                                 log_tilde_t0=anchor, b1=b1)
-        checkpoints.append({
-            "x": cert.log_inv_loss, "epsilon": cert.epsilon,
-            "epsilon_beta": cert.epsilon_beta, "delta": cert.delta,
-            "beta": cert.beta, "q_min": cert.q_min, "rho": cert.rho,
-            "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
-            "lambdas": cert.lambdas,
-        })
-    report = {
-        "config_sha256": config_digest(cfg.raw),
-        "seed": seed,
-        "loss": spec.name,
-        "kkt": checkpoints,
-    }
+    else:
+        failures.append(f"flow stopped at x = {state.ev.x} before "
+                        f"checkpoint x >= {targets[0]}")
     if failures:
         report["failures"] = failures
     return report

@@ -406,7 +406,7 @@ def sample_smooth_probe(model, theta, rng, kink_tol=1e-8, max_tries=100):
     probes away from measure-zero kinks.
     """
     for _ in range(max_tries):
-        x = rng.standard_normal(model.input_dim)
+        x = rng.standard_normal(model.blocks[0].shape[0])
         pres = preactivations(model, theta, x)
         if all(np.min(np.abs(p)) > kink_tol for p in pres) or not pres:
             return x

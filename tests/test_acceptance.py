@@ -245,6 +245,6 @@ def test_criterion_10_mexican_hat_circles_without_converging():
 def test_criterion_11_loss_validators():
     assert validate_b3(EXP).ok
     report = validate_b3(LOGISTIC)
-    assert report.ok, report.failures()
+    assert report.ok, [c for c in report.clauses if not c.passed]
     assert abs(math.exp(-LOGISTIC.f_at_bf) - math.log(2.0)) <= 1e-12
     assert abs(float(LOGISTIC.g_prime(40.0)) - 1.0) <= 1e-10

@@ -27,7 +27,7 @@ def test_forward_matches_plain_numpy():
     rng = np.random.default_rng(0)
     for model in _model_zoo():
         theta = models.init_params(model, rng)
-        X = rng.standard_normal((7, model.input_dim))
+        X = rng.standard_normal((7, model.blocks[0].shape[0]))
         out, _ = model.forward(theta, X)
         ref = plain_forward(layers_of(model), theta, X)
         if model.num_outputs == 1:
@@ -149,7 +149,7 @@ def test_member_axis_matches_single_forwards():
     rng = np.random.default_rng(8)
     for model in _model_zoo():
         stack = np.stack([models.init_params(model, rng) for _ in range(4)])
-        X = rng.standard_normal((7, model.input_dim))
+        X = rng.standard_normal((7, model.blocks[0].shape[0]))
         out, cache = autodiff.forward(model.blocks, stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
         adjoints = cache.adjoints(seed)
@@ -183,7 +183,7 @@ def test_preactivations_match_plain_forward():
     rng = np.random.default_rng(7)
     for model in _model_zoo():
         theta = models.init_params(model, rng)
-        X = rng.standard_normal((5, model.input_dim))
+        X = rng.standard_normal((5, model.blocks[0].shape[0]))
         got = preactivations(model, theta, X)
         ref = plain_preactivations(layers_of(model), theta, X)
         assert len(got) == len(ref), model.name

@@ -16,7 +16,7 @@ from marginflow.datasets import (Dataset, IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS,
 def test_dataset_coerces_and_exposes_shape():
     ds = Dataset([[1, 2], [3, 4], [5, 6]], [1, -1, 1])
     assert ds.X.dtype == np.float64 and ds.y.dtype == np.int64
-    assert (ds.n, ds.input_dim) == (3, 2)
+    assert (ds.n, ds.X.shape[1]) == (3, 2)
     assert ds.is_binary
 
 
@@ -59,7 +59,7 @@ def test_two_gaussians_deterministic_and_balanced():
 
 def test_xor_points_labels_match_quadrants():
     ds = xor_points(4)
-    assert ds.n == 4 and ds.input_dim == 2
+    assert ds.n == 4 and ds.X.shape[1] == 2
     assert np.array_equal(ds.y, np.sign(ds.X[:, 0] * ds.X[:, 1]))
 
 

@@ -349,7 +349,7 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
 
 def test_run_flow_bound_monitors_match_stepwise_replay():
     cfg = runner.RunConfig.from_dict(readme_flow_config())
-    model, ds, spec, theta0 = runner._setup(cfg, 0, *runner.README_NET)
+    model, ds, spec, theta0 = runner._setup(cfg, 0)
     res = gradflow.run_flow(model, theta0, ds, spec,
                             target_log_inv_loss=cfg.target_log_inv_loss,
                             step_tol=cfg.step_tol,

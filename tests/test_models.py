@@ -46,7 +46,7 @@ def test_homogeneity_residual_small():
     for model in _zoo():
         theta = models.init_params(model, rng)
         for _ in range(5):
-            x = rng.standard_normal(model.input_dim)
+            x = rng.standard_normal(model.blocks[0].shape[0])
             alpha = float(rng.uniform(0.5, 2.0))
             assert homogeneity_check(model, theta, x, alpha) < 1e-10, model.name
 
@@ -109,8 +109,8 @@ def test_blocks_tile_the_parameters(dims):
             assert b.stop == nxt.start, model.name
         for b in blocks:
             assert b.stop - b.start == b.shape[0] * b.shape[1], model.name
-        assert (model.input_dim, model.num_outputs, model.param_count) == (
-            d, c, blocks[-1].stop), model.name
+        assert (blocks[0].shape[0], model.num_outputs,
+                model.param_count) == (d, c, blocks[-1].stop), model.name
         assert model.param_count == sum(a * b for a, b in zip(dims, dims[1:]))
         has_act = model.activation is not None
         assert [b.act is not None for b in blocks] == \

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (SCENARIO_OPTIONS, SCENARIOS, RunConfig, _setup,
+from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _setup,
                                config_digest, emit_plot_data, load_config,
                                run_scenario, write_csv, write_jsonl)
 
@@ -147,7 +147,7 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
     cfg = RunConfig.from_dict({"scenario": "flow_margin",
                                "model": {**net, "num_outputs": 4},
                                "dataset": three_class})
-    model, ds, _, theta0 = _setup(cfg, 0, net, None)
+    model, ds, _, theta0 = _setup(cfg, 0)
     assert model.num_outputs == 4 and theta0.shape == (model.param_count,)
 
 
@@ -164,7 +164,7 @@ def test_every_option_is_set_by_a_shipped_config():
             keys |= {key.value for k, v in zip(node.keys, node.values)
                      if isinstance(k, ast.Constant) and k.value == "options"
                      and isinstance(v, ast.Dict) for key in v.keys}
-    declared = {key for runs in SCENARIO_OPTIONS.values()
+    declared = {key for *_, runs in SETUPS.values()
                 for options in runs.values() for key in options}
     assert sorted(declared - keys) == []
 
@@ -588,6 +588,57 @@ def test_linear_logistic_past_oracle_size_names_missing_svm(tmp_path, capsys):
     assert report["failures"] == [
         "seed 0: no SVM reference: enumeration oracle is desk-scale; "
         "got 40 > 32"]
+
+
+# the linear scenario's own defaults: the logistic loss, the seeded init
+LINEAR_24 = {"scenario": "linear_logistic_2d", "target_log_inv_loss": 24.0,
+             "step_tol": 0.003, "record_every": 10, "seeds": [0]}
+
+
+def test_run_and_kkt_report_of_one_config_give_one_certificate(
+        tmp_path, capsys):
+    # both read the scenario's defaults and anchor the bounds at the
+    # first separated state; before, `run` swapped in its own start and
+    # anchored at the first recorded separated state, and `kkt-report`
+    # kept exp and anchored at its first separated checkpoint
+    code, report = _cli_json(tmp_path, capsys, "kkt-report", LINEAR_24)
+    assert code == 0 and report["loss"] == "logistic"
+    out = run_scenario(RunConfig.from_dict(LINEAR_24), out_dir=tmp_path)
+    assert out.ok, out.failures
+    kkt, last = out.summaries[0]["kkt"], report["kkt"][-1]
+    for key in ("epsilon", "delta", "q_min", "eps_bound", "delta_bound"):
+        assert kkt[key] == last[key], key
+
+
+def test_linear_run_honours_an_explicit_exp_loss(tmp_path):
+    cfg = RunConfig.from_dict({**LINEAR_24, "loss": "exp"})
+    out = run_scenario(cfg, out_dir=tmp_path)
+    assert out.summaries[0]["loss_validation"]["loss"] == "exp"
+
+
+def test_linear_certificate_bounds_do_not_depend_on_record_every(tmp_path):
+    kkts = [run_scenario(RunConfig.from_dict({**LINEAR_24, "record_every": k}),
+                         out_dir=tmp_path / str(k)).summaries[0]["kkt"]
+            for k in (1, 10)]
+    assert kkts[0]["delta_bound"] == kkts[1]["delta_bound"]
+    assert kkts[0]["eps_bound"] == kkts[1]["eps_bound"]
+
+
+def test_linear_3class_corpus_entry_names_missing_references(
+        tmp_path, capsys):
+    # class labels are no -1/+1 signs: the SVM reference and the
+    # certificate are skipped by name; before, the fixed two-entry start
+    # could not be reshaped for three outputs
+    raw = _emit_outputs().CORPUS["linear_3class"][1]
+    out = run_scenario(RunConfig.from_dict(raw), out_dir=tmp_path)
+    assert out.failures == [
+        "seed 0: no SVM reference: the labels are not -1/+1",
+        "seed 0: no KKT certificate: the labels are not -1/+1"]
+    assert out.summaries[0]["kkt"] is None
+    code, report = _cli_json(tmp_path, capsys, "kkt-report", raw)
+    assert code == 1 and report["kkt"] == []
+    assert report["failures"] == [
+        "no KKT certificate: the labels are not -1/+1"]
 
 
 # a start with q_min = -1.11 whose x already exceeds the target: the
