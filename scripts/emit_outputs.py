@@ -130,6 +130,9 @@ CORPUS = {
         "step_tol": 0.002, "seeds": [1]}),
     "hat_verb": ("hat", {
         "scenario": "mexican_hat", "record_every": 20, "seeds": [0]}),
+    # not a run config: the losses that `validate-loss --loss` checks
+    "validate_loss": ("validate-loss", {
+        "loss": ["exp", "logistic", "cross_entropy", "exp_cubed"]}),
     # rejected at load: a misspelled option, an optimizer the scenario
     # does not run; the manifest records each message
     "rejected_option": ("run", {
@@ -147,7 +150,10 @@ def _run_job(cli, job_dir: Path, verb: str, config: dict):
     cfg_path = job_dir / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(config, sort_keys=True),
                         encoding="utf-8")
-    argv = [verb, "--config", str(cfg_path)]
+    if verb == "validate-loss":
+        argv = [verb, "--loss", *config["loss"]]
+    else:
+        argv = [verb, "--config", str(cfg_path)]
     if verb in ("run", "hat"):
         argv += ["--out", str(job_dir)]
     buf = io.StringIO()

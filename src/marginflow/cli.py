@@ -15,9 +15,9 @@ import json
 import sys
 
 from .losses import get_loss, validate_b3
-from .runner import (KKT_FRACTIONS, RunConfig, SCENARIOS, _b3_as_dict,
-                     _jsonable, _summary, config_digest, kkt_report,
-                     load_config, run_scenario)
+from .runner import (KKT_FRACTIONS, RunConfig, SCENARIOS, _jsonable,
+                     _summary, config_digest, kkt_report, load_config,
+                     run_scenario)
 
 
 def _add_config(p: argparse.ArgumentParser, required: bool = True):
@@ -72,14 +72,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_loss(args) -> int:
-    reports = []
-    ok = True
-    for name in args.loss:
-        report = validate_b3(get_loss(name))
-        ok = ok and report.ok
-        reports.append(_b3_as_dict(report))
+    reports = [validate_b3(get_loss(name)) for name in args.loss]
     print(json.dumps(reports, indent=2, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if all(r["ok"] for r in reports) else 1
 
 
 def cmd_kkt_report(args) -> int:

@@ -282,9 +282,7 @@ class GdMarginState:
     order_L: float
     u0: float
     phi_curve: PhiCurve
-    b: BConstants
     c_eta: float
-    c_eta_provisional: bool
     clamped: bool = False
     # (x, log_kappa(x)) of the last call: an epoch's guard cap, its (S5)
     # log ratio and its grad_bound monitor all ask at the epoch start x
@@ -321,22 +319,16 @@ class MarginStateError(ValueError):
 
 
 def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
-           x0: float, gamma_hat0: float) -> tuple[float, bool]:
-    """(C_eta, provisional): the (S5) step-size constant at t0."""
+           x0: float, gamma_hat0: float) -> float:
+    """C_eta, the (S5) step-size constant at t0."""
     m = min(gamma_hat0 ** (-2.0 + 2.0 / L), b.b0 ** (-2.0 + 2.0 / L))
-    provisional = False
     if spec.name == "exp":
-        c_eta = 0.5 * (b.b1**2 + rho0 ** (-L) * b.b2) * m
-    else:
-        p = spec.p
-        if p is None:
-            p = 1.0  # custom loss without a tail exponent: flag the result
-            provisional = True
-        r = (b.b0 / gamma_hat0) ** p
-        c_eta = (0.5 * b.b1
-                 * (r * b.b1 + 2.0 ** (p + 1.0) / x0 * (p * b.b1 + b.b2))
-                 * r * m)
-    return c_eta, provisional
+        return 0.5 * (b.b1**2 + rho0 ** (-L) * b.b2) * m
+    p = spec.p
+    r = (b.b0 / gamma_hat0) ** p
+    return (0.5 * b.b1
+            * (r * b.b1 + 2.0 ** (p + 1.0) / x0 * (p * b.b1 + b.b2))
+            * r * m)
 
 
 def make_margin_state(model: HomogeneousModel, ev: PointEval, spec: LossSpec,
@@ -349,15 +341,14 @@ def make_margin_state(model: HomogeneousModel, ev: PointEval, spec: LossSpec,
     curve = PhiCurve(spec, L, x0)
     log_hat0 = curve.phi(x0) - L * math.log(rho0)
     try:
-        c_eta, provisional = _c_eta(spec, L, b, rho0, x0,
-                                    math.exp(log_hat0))
+        c_eta = _c_eta(spec, L, b, rho0, x0, math.exp(log_hat0))
     except (ZeroDivisionError, OverflowError):
         raise MarginStateError(
             f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
             f"gamma_hat0 underflows, so C_eta has no float64 value"
         ) from None
-    return GdMarginState(spec=spec, order_L=L, u0=x0, phi_curve=curve, b=b,
-                         c_eta=c_eta, c_eta_provisional=provisional)
+    return GdMarginState(spec=spec, order_L=L, u0=x0, phi_curve=curve,
+                         c_eta=c_eta)
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,

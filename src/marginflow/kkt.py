@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,47 +33,28 @@ class NotSeparableError(ValueError):
     """Raised when a nonpositive margin blocks the feasibility scaling."""
 
 
-@dataclass(frozen=True)
-class KktCertificate:
-    """Approximate first-order optimality data at one checkpoint.
-
-    epsilon bounds the stationarity gap of the rescaled point, delta
-    the worst complementarity product. epsilon_beta recomputes epsilon
-    through the alignment cosine; the two must agree to rounding.
-    eps_bound and delta_bound are the predicted ceilings (anchored at
-    the first separated time), present when the anchor data was given.
-    """
-
-    theta_scaled: np.ndarray
-    lambdas: np.ndarray
-    epsilon: float
-    epsilon_beta: float
-    delta: float
-    beta: float
-    q_min: float
-    rho: float
-    log_inv_loss: float
-    eps_bound: float | None
-    delta_bound: float | None
-
-
 def build_certificate(model: HomogeneousModel, ev: PointEval,
                       dataset: Dataset, spec: LossSpec, *,
                       log_tilde_t0: float | None = None,
-                      b1: float | None = None) -> KktCertificate:
-    """Certificate at ev.theta with multipliers read off the loss gradient.
+                      b1: float | None = None) -> dict:
+    """Approximate first-order optimality data at ev.theta, as a dict.
 
-    The multiplier for sample n is q_min^{1-2/L} rho w_n f'(q_n)
-    divided by the gradient norm, with w_n the unit-sum loss weights;
-    every exponential factor cancels inside the ratio. Passing the log
-    of the smoothed margin at the first separated time (and, when the
-    loss needs it, the sup b1 of the margin gradient over the unit
-    sphere) also fills in the predicted epsilon and delta ceilings.
+    `epsilon` bounds the stationarity gap of the point rescaled onto the
+    unit-margin boundary, `delta` the worst complementarity product of
+    the multipliers `lambdas`; `epsilon_beta` recomputes epsilon from
+    the gap between the unit direction and the unit gradient, and the
+    two must agree to rounding. `beta`, `q_min`, `rho` and
+    `log_inv_loss` describe the checkpoint. The multiplier for sample n
+    is q_min^{1-2/L} rho w_n f'(q_n) divided by the gradient norm, with
+    w_n the unit-sum loss weights; every exponential factor cancels
+    inside the ratio. Passing the log of the smoothed margin at the
+    first separated time (and, when the loss needs it, the sup b1 of the
+    margin gradient over the unit sphere) fills in the predicted
+    ceilings `eps_bound` and `delta_bound`, else None.
     """
     if not dataset.is_binary:
         raise NotImplementedError(
             "certificate multipliers assume binary hard margins")
-    theta = ev.theta
     q_min = float(np.min(ev.q))
     if q_min <= 0.0:
         raise NotSeparableError(
@@ -87,15 +67,15 @@ def build_certificate(model: HomogeneousModel, ev: PointEval,
     lambdas = (q_min ** (1.0 - 2.0 / order_L) * ev.rho
                * ev.weights * ev.fprime / ev.g_norm)
     unit_g = ev.G / ev.g_norm
-    epsilon = float(np.linalg.norm(theta - ev.rho * unit_g)) / scale
-    epsilon_beta = ev.rho * math.sqrt(max(2.0 - 2.0 * ev.beta, 0.0)) / scale
-    delta = float(np.max(lambdas * (ev.q / q_min - 1.0)))
-    eps_bound = None
-    delta_bound = None
+    # 1 - beta as half the squared gap of the unit vectors: unlike
+    # 1 - beta itself it keeps its digits once beta rounds to 1
+    gap = ev.unit - unit_g
+    one_minus_beta = 0.5 * float(gap @ gap)
+    eps_bound = delta_bound = None
     if log_tilde_t0 is not None:
         tilde0 = math.exp(log_tilde_t0)
         eps_bound = (math.sqrt(2.0) / tilde0 ** (1.0 / order_L)
-                     * math.sqrt(max(1.0 - ev.beta, 0.0)))
+                     * math.sqrt(one_minus_beta))
         if spec.K is not None and spec.b_g is not None and ev.x >= spec.b_g:
             if spec.K == 1.0:
                 growth = 1.0
@@ -108,12 +88,15 @@ def build_certificate(model: HomogeneousModel, ev: PointEval,
             c2 = (2.0 * math.e * dataset.n * spec.K ** 2
                   / (order_L * tilde0 ** (2.0 / order_L)) * growth)
             delta_bound = c2 / ev.x
-    return KktCertificate(
-        theta_scaled=theta / scale, lambdas=lambdas,
-        epsilon=epsilon, epsilon_beta=epsilon_beta, delta=delta,
-        beta=ev.beta, q_min=q_min, rho=ev.rho, log_inv_loss=ev.x,
-        eps_bound=eps_bound, delta_bound=delta_bound,
-    )
+    return {
+        "lambdas": lambdas,
+        "epsilon": float(np.linalg.norm(ev.theta - ev.rho * unit_g)) / scale,
+        "epsilon_beta": ev.rho * math.sqrt(2.0 * one_minus_beta) / scale,
+        "delta": float(np.max(lambdas * (ev.q / q_min - 1.0))),
+        "beta": ev.beta, "q_min": q_min, "rho": ev.rho,
+        "log_inv_loss": ev.x,
+        "eps_bound": eps_bound, "delta_bound": delta_bound,
+    }
 
 
 # Hard-margin reference solver for the kernel view: with per-sample

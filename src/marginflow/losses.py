@@ -206,12 +206,8 @@ def make_exp_cubed() -> LossSpec:
         return np.cbrt(np.maximum(x, 0.0))  # np.maximum keeps -0.0
 
     def g_prime(x):
-        x = np.maximum(x, 0.0)
-        with np.errstate(divide="ignore"):
-            return 1.0 / (3.0 * np.cbrt(x) ** 2)
-
-    def g_prime_scalar(x):
-        # an array's ** 2 squares by multiplication; a scalar's calls pow
+        # c * c: a scalar's ** 2 calls pow, an array's squares by
+        # multiplication, so both paths give the same bits
         c = np.cbrt(np.maximum(x, 0.0))
         with np.errstate(divide="ignore"):
             return 1.0 / (3.0 * (c * c))
@@ -221,7 +217,7 @@ def make_exp_cubed() -> LossSpec:
         f=f,
         f_prime=f_prime,
         g=_with_domain_check(g, g, 0.0, "exp_cubed"),
-        g_prime=_with_domain_check(g_prime, g_prime_scalar, 0.0, "exp_cubed"),
+        g_prime=_with_domain_check(g_prime, g_prime, 0.0, "exp_cubed"),
         b_f=0.0,
         K=4.0,
         b_g=1.0,
@@ -245,59 +241,46 @@ def get_loss(name: str) -> LossSpec:
 
 # assumption validators
 
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    passed: bool
-    worst: float
-
-
-@dataclass(frozen=True)
-class B3Report:
-    loss_name: str
-    clauses: tuple[ClauseResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-
 def validate_b3(spec: LossSpec, grid: np.ndarray | None = None,
-                divergence_bound: float = 100.0) -> B3Report:
-    """Grid checks of the loss-family assumptions; failures are reported,
-    never raised."""
+                divergence_bound: float = 100.0) -> dict:
+    """Grid checks of the loss-family assumptions as the dict {"loss",
+    "ok", "clauses"}: one {"clause", "passed", "worst"} per check, with
+    `worst` the value held against its bound, and `ok` iff all passed.
+    Failures are reported, never raised."""
     if grid is None:
         grid = np.geomspace(1e-3, 1e3, 10_000)
     q = spec.b_f + np.asarray(grid, dtype=np.float64)
     clauses = []
 
     fp = spec.f_prime(q)
-    clauses.append(ClauseResult("f_prime_positive", bool(np.all(fp > 0.0)),
-                                float(np.min(fp))))
+    clauses.append(_clause("f_prime_positive", np.all(fp > 0.0), np.min(fp)))
 
     fq = fp * q
     diffs = np.diff(fq)
     # non-decreasing up to relative rounding slack
     tol = -1e-12 * np.maximum(np.abs(fq[:-1]), 1.0)
     j = int(np.argmin(diffs - tol))
-    clauses.append(ClauseResult("fq_nondecreasing",
-                                bool(np.all(diffs >= tol)), float(diffs[j])))
-    clauses.append(ClauseResult("fq_diverges", bool(fq[-1] > divergence_bound),
-                                float(fq[-1])))
+    clauses.append(_clause("fq_nondecreasing", np.all(diffs >= tol),
+                           diffs[j]))
+    clauses.append(_clause("fq_diverges", fq[-1] > divergence_bound, fq[-1]))
 
     qr = np.linspace(spec.b_f + 0.1, 50.0, 500)
     back = spec.g(spec.f(qr))
     rel = np.abs(back - qr) / np.maximum(np.abs(qr), 1.0)
-    clauses.append(ClauseResult("g_roundtrip", bool(np.max(rel) <= 1e-10),
-                                float(np.max(rel))))
+    clauses.append(_clause("g_roundtrip", np.max(rel) <= 1e-10, np.max(rel)))
 
     if spec.K is not None and spec.b_g is not None:
         clauses.append(_check_b34(spec))
 
-    return B3Report(loss_name=spec.name, clauses=tuple(clauses))
+    return {"loss": spec.name, "ok": all(c["passed"] for c in clauses),
+            "clauses": clauses}
 
 
-def _check_b34(spec: LossSpec) -> ClauseResult:
+def _clause(name: str, passed, worst) -> dict:
+    return {"clause": name, "passed": bool(passed), "worst": float(worst)}
+
+
+def _check_b34(spec: LossSpec) -> dict:
     """Tail comparability: g'(x) <= K g'(tx) and f'(y) <= K f'(ty) for
     t in [1/2, 1), x > b_g, y > g(b_g)."""
     xs = np.geomspace(max(spec.b_g, 1e-6) + 1e-9, 600.0, 200)
@@ -308,4 +291,4 @@ def _check_b34(spec: LossSpec) -> ClauseResult:
         ys = spec.g(xs)
         r2 = spec.f_prime(ys) / (spec.K * spec.f_prime(t * ys))
         worst = max(worst, float(np.max(np.maximum(r1, r2))))
-    return ClauseResult("b34_tail_comparability", worst <= 1.0 + 1e-12, worst)
+    return _clause("b34_tail_comparability", worst <= 1.0 + 1e-12, worst)

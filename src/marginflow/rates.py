@@ -13,43 +13,12 @@ ratios themselves stay O(1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LossSpec
 
 LOG10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class RateDiagnostic:
-    """Ratio series against the predicted shapes, on a log10 T axis.
-
-    T itself is kept for plotting but may overflow to inf on long
-    descent runs; log10_T is the authoritative axis. decades measures
-    the span past the burn-in cut; runs under three decades are marked
-    inconclusive and should not be judged.
-    """
-
-    T: np.ndarray
-    log10_T: np.ndarray
-    ratio_loss: np.ndarray
-    ratio_rho: np.ndarray
-    log_ratio_loss: np.ndarray
-    log_ratio_rho: np.ndarray
-    decades: float
-    inconclusive: bool
-
-
-@dataclass(frozen=True)
-class RateVerdict:
-    passed: bool
-    inconclusive: bool
-    factor_loss: float
-    factor_rho: float
-    window: float
-    bound_factor: float
 
 
 def _log_T_of(rec) -> float:
@@ -64,13 +33,16 @@ def _log_T_of(rec) -> float:
 
 
 def rate_ratios(trajectory, spec: LossSpec, order_L: float,
-                n_samples: int) -> RateDiagnostic:
-    """Measured-over-predicted ratio series for one trajectory.
+                n_samples: int) -> dict:
+    """Measured-over-predicted ratio series for one trajectory, as a dict.
 
     Records before the burn-in cut are dropped: the cut is the first
     time log(1/loss) reaches 2 log N, past which every sample is
-    individually well classified and the tail theory applies. The
-    remaining span must cover three decades of T to be conclusive.
+    individually well classified and the tail theory applies. The series
+    `ratio_loss`, `ratio_rho` and their logs `log_ratio_loss` and
+    `log_ratio_rho` run on the axis `log10_T` (T itself may overflow on
+    long descent runs). `decades` is the span past the cut; under three,
+    `inconclusive` is true and the run should not be judged.
     """
     log_T = np.array([_log_T_of(rec) for rec in trajectory])
     x = np.array([rec["log_inv_loss"] for rec in trajectory])
@@ -89,36 +61,36 @@ def rate_ratios(trajectory, spec: LossSpec, order_L: float,
     # off-regime runs (steps far beyond the certified window) can push
     # the ratios out of float range; inf is the honest value there
     with np.errstate(over="ignore"):
-        T = np.exp(log_T)
         ratio_loss = np.exp(log_ratio_loss)
         ratio_rho = np.exp(log_ratio_rho)
-    return RateDiagnostic(
-        T=T, log10_T=log_T / LOG10,
-        ratio_loss=ratio_loss, ratio_rho=ratio_rho,
-        log_ratio_loss=log_ratio_loss, log_ratio_rho=log_ratio_rho,
-        decades=decades, inconclusive=decades < 3.0,
-    )
+    return {"log10_T": log_T / LOG10,
+            "ratio_loss": ratio_loss, "ratio_rho": ratio_rho,
+            "log_ratio_loss": log_ratio_loss, "log_ratio_rho": log_ratio_rho,
+            "decades": decades, "inconclusive": decades < 3.0}
 
 
-def bounded_ratio_verdict(diag: RateDiagnostic, window: float = 2.0,
-                          bound_factor: float = 10.0) -> RateVerdict:
-    """Pass iff both ratio series vary by at most bound_factor over the
-    final `window` decades of T. An inconclusive diagnostic (or a
-    window wider than its span) never passes."""
-    if diag.inconclusive or window > diag.decades:
-        return RateVerdict(passed=False, inconclusive=True,
-                           factor_loss=math.nan, factor_rho=math.nan,
-                           window=window, bound_factor=bound_factor)
-    tail = diag.log10_T >= diag.log10_T[-1] - window
+def bounded_ratio_verdict(diag: dict, window: float = 2.0,
+                          bound_factor: float = 10.0) -> dict:
+    """A dict: `passed` iff both ratio series of `diag` vary by at most
+    bound_factor over the final `window` decades of T, the spread
+    factors `factor_loss` and `factor_rho`, and the two arguments. An
+    inconclusive diagnostic, or a window wider than its span, gives an
+    `inconclusive` verdict with NaN factors, which never passes."""
+    inconclusive = diag["inconclusive"] or window > diag["decades"]
+    factor_loss = factor_rho = math.nan
+    if not inconclusive:
+        log10_T = diag["log10_T"]
+        tail = log10_T >= log10_T[-1] - window
 
-    def spread(log_series):
-        width = float(np.max(log_series) - np.min(log_series))
-        return math.inf if width > 700.0 else math.exp(width)
+        def spread(log_series):
+            width = float(np.max(log_series) - np.min(log_series))
+            return math.inf if width > 700.0 else math.exp(width)
 
-    factor_loss = spread(diag.log_ratio_loss[tail])
-    factor_rho = spread(diag.log_ratio_rho[tail])
-    return RateVerdict(
-        passed=factor_loss <= bound_factor and factor_rho <= bound_factor,
-        inconclusive=False, factor_loss=factor_loss, factor_rho=factor_rho,
-        window=window, bound_factor=bound_factor,
-    )
+        factor_loss = spread(diag["log_ratio_loss"][tail])
+        factor_rho = spread(diag["log_ratio_rho"][tail])
+    # a NaN factor compares false
+    return {"passed": factor_loss <= bound_factor
+            and factor_rho <= bound_factor,
+            "inconclusive": inconclusive, "factor_loss": factor_loss,
+            "factor_rho": factor_rho, "window": window,
+            "bound_factor": bound_factor}

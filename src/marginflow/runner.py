@@ -298,17 +298,6 @@ def _drive(cfg: RunConfig, seed: int, model, ds, spec, theta0):
     return res, b, failures
 
 
-def _b3_as_dict(report) -> dict:
-    return {
-        "loss": report.loss_name,
-        "ok": report.ok,
-        "clauses": [
-            {"clause": c.clause, "passed": c.passed, "worst": c.worst}
-            for c in report.clauses
-        ],
-    }
-
-
 def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
     """A scenario's own summary fields inside the common envelope: run
     identity, the loss validation report, B-constants and failures."""
@@ -317,8 +306,7 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
         **result["summary"],
         "scenario": cfg.scenario, "seed": seed,
         "config_sha256": config_digest(cfg.raw),
-        "loss_validation": (None if spec is None
-                            else _b3_as_dict(validate_b3(spec))),
+        "loss_validation": None if spec is None else validate_b3(spec),
         "b_constants": None if b is None else asdict(b),
         "failures": result["failures"],
     })
@@ -446,14 +434,9 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
             if gap > 0.02:
                 failures.append(f"direction gap {gap:.4f} rad exceeds 0.02")
         if is_separated(state.ev, spec):
-            cert = build_certificate(model, state.ev, ds, spec, b1=b.b1,
-                                     log_tilde_t0=out["log_tilde0"])
-            kkt = {
-                "epsilon": cert.epsilon, "epsilon_beta": cert.epsilon_beta,
-                "delta": cert.delta, "beta": cert.beta,
-                "eps_bound": cert.eps_bound, "delta_bound": cert.delta_bound,
-                "q_min": cert.q_min, "log_inv_loss": cert.log_inv_loss,
-            }
+            kkt = build_certificate(model, state.ev, ds, spec, b1=b.b1,
+                                    log_tilde_t0=out["log_tilde0"])
+            del kkt["lambdas"], kkt["rho"]
         else:
             failures.append(
                 f"no KKT certificate: not separated at x = {state.ev.x}")
@@ -476,26 +459,20 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
         failures.append(f"scheduler stalled at epochs {out['flagged_epochs']}")
     diag = rate_ratios(records, spec, model.order_L, ds.n)
     verdict = bounded_ratio_verdict(diag)
-    if verdict.inconclusive:
+    if verdict["inconclusive"]:
         failures.append(
-            f"rate diagnostic inconclusive: {diag.decades:.2f} decades")
-    elif not verdict.passed:
-        failures.append(
-            f"ratio factors {verdict.factor_loss:.2f}/{verdict.factor_rho:.2f}"
-            f" exceed {verdict.bound_factor}")
+            f"rate diagnostic inconclusive: {diag['decades']:.2f} decades")
+    elif not verdict["passed"]:
+        failures.append(f"ratio factors {verdict['factor_loss']:.2f}/"
+                        f"{verdict['factor_rho']:.2f} exceed "
+                        f"{verdict['bound_factor']}")
     sep = [r["rho"] for r in records if r.get("q_min", 0.0) > 0.0]
     if any(b < a for a, b in zip(sep, sep[1:])):
         failures.append("weight norm decreased after separation")
-    summary = {
-        "rates": {
-            "decades": diag.decades, "inconclusive": diag.inconclusive,
-            "passed": verdict.passed, "factor_loss": verdict.factor_loss,
-            "factor_rho": verdict.factor_rho, "window": verdict.window,
-        },
-    }
-    csv = {"rates": (("log10_T", "ratio_loss", "ratio_rho"),
-                     list(zip(diag.log10_T, diag.ratio_loss,
-                              diag.ratio_rho)))}
+    del verdict["bound_factor"]
+    summary = {"rates": {"decades": diag["decades"], **verdict}}
+    columns = ("log10_T", "ratio_loss", "ratio_rho")
+    csv = {"rates": (columns, list(zip(*(diag[c] for c in columns))))}
     return {"records": records, "summary": summary, "failures": failures,
             "csv": csv, "spec": spec, "b": b}
 
@@ -680,13 +657,8 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
             else:
                 cert = build_certificate(model, state.ev, ds, spec,
                                          log_tilde_t0=anchor, b1=b1)
-                report["kkt"].append({
-                    "x": cert.log_inv_loss, "epsilon": cert.epsilon,
-                    "epsilon_beta": cert.epsilon_beta, "delta": cert.delta,
-                    "beta": cert.beta, "q_min": cert.q_min, "rho": cert.rho,
-                    "eps_bound": cert.eps_bound,
-                    "delta_bound": cert.delta_bound, "lambdas": cert.lambdas,
-                })
+                cert["x"] = cert.pop("log_inv_loss")
+                report["kkt"].append(cert)
         if not targets:
             break
     else:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from marginflow import datasets, gdtrain, losses, models
-from marginflow.gdtrain import (BConstants, GdMarginState, PhiCurve,
-                                ReframeError, estimate_b_constants, gd_step,
+from marginflow.gdtrain import (GdMarginState, PhiCurve, ReframeError,
+                                estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
                                 loss_based_lr_epoch, sphere_sups, train_gd)
 from marginflow.gradflow import evaluate_point
@@ -237,8 +237,7 @@ def test_log_kappa_matches_scalar_optimizer():
 def _manual_margin_state(c_eta=2.0):
     curve = PhiCurve(EXP, 2.0, 1.0)
     return GdMarginState(spec=EXP, order_L=2.0, u0=1.0, phi_curve=curve,
-                         b=BConstants(1, 1, 1, 0, 0), c_eta=c_eta,
-                         c_eta_provisional=False)
+                         c_eta=c_eta)
 
 
 def test_check_s5_examples():
@@ -404,7 +403,7 @@ def test_train_gd_guarded_monitors(name, epochs):
     assert min(mon["grad_bound"]) > -1e-9
     assert max(mon["s5_log_ratio"]) <= math.log(0.5) + 1e-9
     ms = out["margin_state"]
-    assert ms is not None and not ms.clamped and not ms.c_eta_provisional
+    assert ms is not None and not ms.clamped
     last = out["records"][-1]
     assert last["log_hat"] < last["log_tilde"]
 

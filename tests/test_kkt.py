@@ -1,8 +1,8 @@
 """Feasibility scaling, approximate-KKT certificates, and the SVM oracle.
 
-The scaling onto the constraint boundary is the certificate's
-`theta_scaled`; the projected-gradient dual and the alignment-integral
-accumulator are test oracles (tests/oracles.py).
+The scaling onto the constraint boundary divides theta by the
+certificate's q_min^{1/L}; the projected-gradient dual and the
+alignment-integral accumulator are test oracles (tests/oracles.py).
 """
 
 import math
@@ -42,9 +42,16 @@ def _cert(model, theta, ds, spec=EXP):
                              ds, spec)
 
 
+def _theta_scaled(model, theta, cert):
+    """theta rescaled onto the unit-margin boundary: divided by
+    q_min^{1/L}, as the certificate's epsilon measures it."""
+    return theta / cert["q_min"] ** (1.0 / model.order_L)
+
+
 def _scaled(model, theta, rows, spec=EXP):
     """The certificate's rescaling of theta on the inline dataset rows."""
-    return _cert(model, theta, datasets.from_rows(rows), spec).theta_scaled
+    cert = _cert(model, theta, datasets.from_rows(rows), spec)
+    return _theta_scaled(model, theta, cert)
 
 
 def test_feasible_scaling_identity_at_unit_margin():
@@ -68,7 +75,7 @@ def test_feasible_scaling_order_two_lands_on_boundary():
     q_min = float(np.min(state.ev.q))
     # rescale so the worst margin is 9: the scaling divides by 3
     theta9 = state.ev.theta * (9.0 / q_min) ** 0.5
-    scaled = _cert(model, theta9, ds).theta_scaled
+    scaled = _theta_scaled(model, theta9, _cert(model, theta9, ds))
     np.testing.assert_allclose(scaled, theta9 / 3.0, rtol=1e-15)
     q_scaled = effective_margins(model, scaled, ds)
     assert abs(float(np.min(q_scaled)) - 1.0) < 1e-9
@@ -90,7 +97,8 @@ def test_feasible_scaling_linear_margin_is_one(w, shift):
     model = models.linear(2)
     y = 1 if w[0] > 0 else -1
     ds = datasets.from_rows([[shift, 0.0, y]])
-    scaled = _cert(model, np.array(w), ds).theta_scaled
+    theta = np.array(w)
+    scaled = _theta_scaled(model, theta, _cert(model, theta, ds))
     q_new = float(effective_margins(model, scaled, ds)[0])
     assert math.isclose(q_new, 1.0, rel_tol=1e-12)
 
@@ -103,12 +111,12 @@ def test_certificate_perfectly_aligned_single_sample():
     ds = datasets.from_rows([[3.0, 4.0, 1]])
     w = np.array([0.6, 0.8]) * 0.9
     cert = _cert(model, w, ds)
-    assert cert.beta > 1.0 - 1e-14
-    assert cert.epsilon <= 1e-10
-    assert cert.epsilon_beta <= 1e-7
-    assert cert.delta == 0.0
-    assert cert.lambdas.shape == (1,)
-    assert cert.lambdas[0] > 0.0
+    assert cert["beta"] > 1.0 - 1e-14
+    assert cert["epsilon"] <= 1e-10
+    assert cert["epsilon_beta"] <= 1e-7
+    assert cert["delta"] == 0.0
+    assert cert["lambdas"].shape == (1,)
+    assert cert["lambdas"][0] > 0.0
 
 
 def test_certificate_stationarity_residual_matches_multipliers():
@@ -119,9 +127,10 @@ def test_certificate_stationarity_residual_matches_multipliers():
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1], [1.5, -2.0, 1]])
     state = _state_at(model, ds, LOGISTIC, np.array([0.4, 0.1]), 12.0)
     cert = build_certificate(model, state.ev, ds, LOGISTIC)
-    combo = (ds.y[:, None] * ds.X * cert.lambdas[:, None]).sum(axis=0)
-    resid = float(np.linalg.norm(cert.theta_scaled - combo))
-    assert math.isclose(resid, cert.epsilon, rel_tol=1e-10, abs_tol=1e-12)
+    combo = (ds.y[:, None] * ds.X * cert["lambdas"][:, None]).sum(axis=0)
+    scaled = _theta_scaled(model, state.ev.theta, cert)
+    resid = float(np.linalg.norm(scaled - combo))
+    assert math.isclose(resid, cert["epsilon"], rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_certificate_epsilon_routes_agree():
@@ -130,11 +139,12 @@ def test_certificate_epsilon_routes_agree():
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
     state = _state_at(model, ds, EXP, theta0, 15.0)
     cert = build_certificate(model, state.ev, ds, EXP)
-    assert cert.epsilon <= cert.epsilon_beta * (1.0 + 1e-9) + 1e-12
-    assert math.isclose(cert.epsilon, cert.epsilon_beta,
+    assert cert["epsilon"] <= cert["epsilon_beta"] * (1.0 + 1e-9) + 1e-12
+    assert math.isclose(cert["epsilon"], cert["epsilon_beta"],
                         rel_tol=1e-6, abs_tol=1e-9)
-    assert np.all(cert.lambdas >= 0.0)
-    q_scaled = effective_margins(model, cert.theta_scaled, ds)
+    assert np.all(cert["lambdas"] >= 0.0)
+    scaled = _theta_scaled(model, state.ev.theta, cert)
+    q_scaled = effective_margins(model, scaled, ds)
     assert float(np.min(q_scaled)) >= 1.0 - 1e-9
 
 
@@ -155,17 +165,17 @@ def test_certificate_trend_and_bounds_two_point_linear():
             anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
         certs.append(build_certificate(
             model, state.ev, ds, LOGISTIC, log_tilde_t0=anchor, b1=b1))
-    eps = [c.epsilon for c in certs]
+    eps = [c["epsilon"] for c in certs]
     assert all(a > b for a, b in zip(eps, eps[1:]))
     for cert in certs:
-        assert cert.eps_bound is not None
-        assert cert.epsilon <= cert.eps_bound + 1e-12
+        assert cert["eps_bound"] is not None
+        assert cert["epsilon"] <= cert["eps_bound"] + 1e-12
         assert LOGISTIC.K == 2.0 and LOGISTIC.b_g == 2.0
-        assert cert.log_inv_loss >= LOGISTIC.b_g
-        assert cert.delta_bound is not None
-        assert cert.delta <= cert.delta_bound
+        assert cert["log_inv_loss"] >= LOGISTIC.b_g
+        assert cert["delta_bound"] is not None
+        assert cert["delta"] <= cert["delta_bound"]
     # complementarity residual also shrinks with the loss exponent
-    assert certs[-1].delta < certs[0].delta
+    assert certs[-1]["delta"] < certs[0]["delta"]
 
 
 def test_certificate_median_epsilon_halves():
@@ -175,7 +185,7 @@ def test_certificate_median_epsilon_halves():
     eps = []
     for state, _ in flow_states(model, theta0, ds, EXP, step_tol=3e-3):
         if state.ev.x >= 2.0 and state.steps % 20 == 0:
-            eps.append(build_certificate(model, state.ev, ds, EXP).epsilon)
+            eps.append(build_certificate(model, state.ev, ds, EXP)["epsilon"])
         if state.ev.x >= 120.0:
             break
     first, last = eps[: len(eps) // 2], eps[len(eps) // 2:]
@@ -190,8 +200,8 @@ def test_certificate_early_checkpoint_is_large_but_valid():
                                            step_tol=1e-3)
                  if float(np.min(s.ev.q)) > 0.0)
     cert = build_certificate(model, state.ev, ds, EXP)
-    assert math.isfinite(cert.epsilon) and cert.epsilon > 0.1
-    assert np.all(np.isfinite(cert.lambdas))
+    assert math.isfinite(cert["epsilon"]) and cert["epsilon"] > 0.1
+    assert np.all(np.isfinite(cert["lambdas"]))
 
 
 def test_certificate_rejects_nonseparated_and_multiclass():
@@ -222,8 +232,8 @@ def test_certificate_exp_bounds_without_b1():
     state = _state_at(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
     anchor = log_tilde_margin(state.ev, EXP, model.order_L)
     cert = build_certificate(model, state.ev, ds, EXP, log_tilde_t0=anchor)
-    assert cert.delta_bound is not None
-    assert cert.delta <= cert.delta_bound
+    assert cert["delta_bound"] is not None
+    assert cert["delta"] <= cert["delta_bound"]
 
 
 # -------------------------------------------------- alignment integral

@@ -165,7 +165,8 @@ def test_g_domain_error_below_threshold():
 def test_validate_b3_builtin_families():
     for name in ("exp", "logistic", "exp_cubed"):
         report = losses.validate_b3(losses.get_loss(name))
-        assert report.ok, (name, [c for c in report.clauses if not c.passed])
+        assert report["ok"], (name, [c for c in report["clauses"]
+                              if not c["passed"]])
 
 
 def test_validate_b3_catches_polynomial_tail():
@@ -175,9 +176,9 @@ def test_validate_b3_catches_polynomial_tail():
         lambda q: 1.0 / (1.0 + np.maximum(q, 0.0)),
     )
     report = losses.validate_b3(bad)
-    assert not report.ok
-    assert any(c.clause == "fq_diverges"
-               for c in report.clauses if not c.passed)
+    assert not report["ok"]
+    assert any(c["clause"] == "fq_diverges"
+               for c in report["clauses"] if not c["passed"])
 
 
 def test_b34_ratio_window_logistic():

@@ -28,13 +28,13 @@ def test_exact_constant_synthetic():
     T = np.logspace(1.0, 7.0, 400)
     log_T = np.log(T)
     diag = rate_ratios(_records(T, log_T, log_T), EXP, 1.0, n_samples=2)
-    assert not diag.inconclusive
-    np.testing.assert_allclose(diag.ratio_loss, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(diag.ratio_rho, 1.0, rtol=1e-12)
+    assert not diag["inconclusive"]
+    np.testing.assert_allclose(diag["ratio_loss"], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(diag["ratio_rho"], 1.0, rtol=1e-12)
     verdict = bounded_ratio_verdict(diag)
-    assert verdict.passed
-    assert math.isclose(verdict.factor_loss, 1.0, rel_tol=1e-12)
-    assert math.isclose(verdict.factor_rho, 1.0, rel_tol=1e-12)
+    assert verdict["passed"]
+    assert math.isclose(verdict["factor_loss"], 1.0, rel_tol=1e-12)
+    assert math.isclose(verdict["factor_rho"], 1.0, rel_tol=1e-12)
 
 
 def test_exp_family_reduction():
@@ -45,7 +45,7 @@ def test_exp_family_reduction():
     order_L = 2.0
     diag = rate_ratios(_records(T, x, np.sqrt(log_T)), EXP, order_L, 2)
     manual = np.exp(-x) * T * log_T ** (2.0 - 2.0 / order_L)
-    np.testing.assert_allclose(diag.ratio_loss, manual, rtol=1e-10)
+    np.testing.assert_allclose(diag["ratio_loss"], manual, rtol=1e-10)
 
 
 def test_drifting_ratio_factor_matches_endpoints():
@@ -56,29 +56,29 @@ def test_drifting_ratio_factor_matches_endpoints():
     x = log_T - np.log(log_T)
     diag = rate_ratios(_records(T, x, log_T), EXP, 1.0, n_samples=2)
     verdict = bounded_ratio_verdict(diag, window=3.0)
-    assert verdict.passed
-    assert math.isclose(verdict.factor_loss,
+    assert verdict["passed"]
+    assert math.isclose(verdict["factor_loss"],
                         math.log(1e7) / math.log(1e4), rel_tol=5e-3)
     strict = bounded_ratio_verdict(diag, window=3.0, bound_factor=1.5)
-    assert not strict.passed and not strict.inconclusive
+    assert not strict["passed"] and not strict["inconclusive"]
 
 
 def test_short_span_is_inconclusive():
     T = np.logspace(1.0, 2.5, 50)
     log_T = np.log(T)
     diag = rate_ratios(_records(T, log_T, log_T), EXP, 1.0, n_samples=2)
-    assert diag.inconclusive
+    assert diag["inconclusive"]
     verdict = bounded_ratio_verdict(diag)
-    assert not verdict.passed and verdict.inconclusive
-    assert math.isnan(verdict.factor_loss)
+    assert not verdict["passed"] and verdict["inconclusive"]
+    assert math.isnan(verdict["factor_loss"])
 
 
 def test_window_wider_than_span_is_inconclusive():
     T = np.logspace(1.0, 5.0, 100)
     log_T = np.log(T)
     diag = rate_ratios(_records(T, log_T, log_T), EXP, 1.0, n_samples=2)
-    assert not diag.inconclusive
-    assert bounded_ratio_verdict(diag, window=6.0).inconclusive
+    assert not diag["inconclusive"]
+    assert bounded_ratio_verdict(diag, window=6.0)["inconclusive"]
 
 
 def test_burn_in_cut_drops_early_records():
@@ -86,8 +86,8 @@ def test_burn_in_cut_drops_early_records():
     log_T = np.log(T)
     n = 50  # threshold 2 log 50 ~ 7.8 discards the first decades
     diag = rate_ratios(_records(T, log_T, log_T), EXP, 1.0, n_samples=n)
-    assert np.min(diag.log10_T) >= 2.0 * math.log(n) / math.log(10.0) - 1e-9
-    assert diag.T.size < len(T)
+    assert np.min(diag["log10_T"]) >= 2.0 * math.log(n) / math.log(10.0) - 1e-9
+    assert diag["log10_T"].size < len(T)
 
 
 def test_records_without_time_axis_rejected():
@@ -110,11 +110,11 @@ def relu_flow():
 def test_relu_flow_rate_bounded(relu_flow):
     model, ds, out = relu_flow
     diag = rate_ratios(out["records"], EXP, model.order_L, ds.n)
-    assert diag.decades >= 3.0
-    assert np.all(np.isfinite(diag.ratio_loss))
-    assert np.all(diag.ratio_loss > 0.0) and np.all(diag.ratio_rho > 0.0)
+    assert diag["decades"] >= 3.0
+    assert np.all(np.isfinite(diag["ratio_loss"]))
+    assert np.all(diag["ratio_loss"] > 0.0) and np.all(diag["ratio_rho"] > 0.0)
     verdict = bounded_ratio_verdict(diag)
-    assert verdict.passed and verdict.factor_loss <= 10.0
+    assert verdict["passed"] and verdict["factor_loss"] <= 10.0
 
 
 def test_rho_monotone_after_separation(relu_flow):
@@ -129,7 +129,7 @@ def test_rho_ratio_within_factor_four(relu_flow):
     model, ds, out = relu_flow
     diag = rate_ratios(out["records"], EXP, model.order_L, ds.n)
     verdict = bounded_ratio_verdict(diag, window=2.0)
-    assert verdict.factor_rho <= 4.0
+    assert verdict["factor_rho"] <= 4.0
 
 
 def test_linear_logistic_matches_inverse_time():
@@ -141,8 +141,8 @@ def test_linear_logistic_matches_inverse_time():
     diag = rate_ratios(out["records"], LOGISTIC, model.order_L, ds.n)
     rec = out["records"][-1]
     plain = math.exp(-rec["log_inv_loss"]) * rec["t"]
-    assert math.isclose(diag.ratio_loss[-1], plain, rel_tol=1e-6)
-    assert bounded_ratio_verdict(diag).passed
+    assert math.isclose(diag["ratio_loss"][-1], plain, rel_tol=1e-6)
+    assert bounded_ratio_verdict(diag)["passed"]
 
 
 def test_guarded_descent_rate_bounded():
@@ -154,7 +154,7 @@ def test_guarded_descent_rate_bounded():
     res = train_gd(model, np.array([0.3, 0.05]), ds, EXP, b, epochs=1000,
                    alpha0=1.0, s5_guard=True, guard_safety=0.9)
     diag = rate_ratios(res["records"], EXP, model.order_L, ds.n)
-    assert diag.decades >= 3.0
+    assert diag["decades"] >= 3.0
     verdict = bounded_ratio_verdict(diag)
-    assert verdict.passed
-    assert verdict.factor_loss <= 10.0 and verdict.factor_rho <= 4.0
+    assert verdict["passed"]
+    assert verdict["factor_loss"] <= 10.0 and verdict["factor_rho"] <= 4.0

@@ -77,7 +77,8 @@ def _emit_outputs():
 
 def _shipped_configs() -> list[dict]:
     """Every run config the repo ships: the README example, the emit
-    corpus (less its two entries that are rejected on purpose) and the
+    corpus (less its two entries that are rejected on purpose and its
+    `validate-loss` entry, which names losses and no run) and the
     benchmark jobs at seed 0."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -85,8 +86,9 @@ def _shipped_configs() -> list[dict]:
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     shipped = [readme_flow_config()]
-    shipped += [cfg for label, (_, cfg) in _emit_outputs().CORPUS.items()
-                if not label.startswith("rejected_")]
+    shipped += [cfg for label, (verb, cfg) in _emit_outputs().CORPUS.items()
+                if not label.startswith("rejected_")
+                and verb != "validate-loss"]
     shipped += [job.config for name in WORKLOADS
                 for job in workload_jobs(name, 0)]
     return shipped
@@ -496,14 +498,18 @@ def test_cli_kkt_report_stationary_start_exits(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kkt"] == []
 
 
+# guarded descent on two points: conclusive rates in 600 epochs
+RATES_GD = {
+    "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
+    "model": {"family": "linear", "input_dim": 2},
+    "dataset": {"kind": "inline", "rows": [[2, 1, 1], [-1, 0.5, -1]]},
+    "alpha0": 1.0, "epochs": 600, "seed": 0,
+    "options": {"s5_guard": True, "theta0": [0.3, 0.05]}}
+
+
 def test_cli_rates(tmp_path, capsys):
     p = tmp_path / "cfg.yaml"
-    p.write_text(json.dumps({
-        "scenario": "rates", "loss": "exp", "optimizer": "gd_loss_based",
-        "model": {"family": "linear", "input_dim": 2},
-        "dataset": {"kind": "inline", "rows": [[2, 1, 1], [-1, 0.5, -1]]},
-        "alpha0": 1.0, "epochs": 600, "seed": 0,
-        "options": {"s5_guard": True, "theta0": [0.3, 0.05]}}))
+    p.write_text(json.dumps(RATES_GD))
     assert cli_main(["rates", "--config", str(p)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["rates"]["passed"]
@@ -608,6 +614,47 @@ def test_run_and_kkt_report_of_one_config_give_one_certificate(
     kkt, last = out.summaries[0]["kkt"], report["kkt"][-1]
     for key in ("epsilon", "delta", "q_min", "eps_bound", "delta_bound"):
         assert kkt[key] == last[key], key
+
+
+def test_certificate_ceilings_hold_once_beta_rounds_to_one(tmp_path, capsys):
+    # the certify_linear workload's kkt-report, from the unjittered
+    # start: at x = 60.07 beta rounds to 1.0, where a 1 - beta taken
+    # from beta itself read 0 and put eps_bound and epsilon_beta at 0.0
+    # under a positive epsilon
+    code, report = _cli_json(tmp_path, capsys, "kkt-report", {
+        "scenario": "linear_logistic_2d", "loss": "logistic", "seeds": [0],
+        "options": {"theta0": [0.2, -0.1]}, "target_log_inv_loss": 60.0,
+        "step_tol": 0.003})
+    assert code == 0 and report["kkt"][-1]["beta"] == 1.0
+    for cert in report["kkt"]:
+        assert 0.0 < cert["epsilon"] <= cert["eps_bound"], cert["x"]
+        assert cert["epsilon_beta"] > 0.0, cert["x"]
+
+
+def test_printed_key_sets(tmp_path, capsys):
+    # the printed results are plain dicts built where they are computed,
+    # so a misspelled key would reach the output unnoticed
+    summary = run_scenario(RunConfig.from_dict(LINEAR_24),
+                           out_dir=tmp_path).summaries[0]
+    validation = summary["loss_validation"]
+    assert sorted(validation) == ["clauses", "loss", "ok"]
+    for clause in validation["clauses"]:
+        assert sorted(clause) == ["clause", "passed", "worst"]
+    assert sorted(summary["kkt"]) == [
+        "beta", "delta", "delta_bound", "eps_bound", "epsilon",
+        "epsilon_beta", "log_inv_loss", "q_min"]
+    _, report = _cli_json(tmp_path, capsys, "kkt-report", LINEAR_24)
+    assert len(report["kkt"]) == 4
+    for cert in report["kkt"]:
+        assert sorted(cert) == [
+            "beta", "delta", "delta_bound", "eps_bound", "epsilon",
+            "epsilon_beta", "lambdas", "q_min", "rho", "x"]
+    rates = run_scenario(RunConfig.from_dict(RATES_GD), out_dir=tmp_path)
+    assert sorted(rates.summaries[0]["rates"]) == [
+        "decades", "factor_loss", "factor_rho", "inconclusive", "passed",
+        "window"]
+    csv = (tmp_path / "rates-seed0-rates.csv").read_text().splitlines()
+    assert csv[1] == "log10_T,ratio_loss,ratio_rho"
 
 
 def test_linear_run_honours_an_explicit_exp_loss(tmp_path):
