@@ -134,13 +134,18 @@ CORPUS = {
     "validate_loss": ("validate-loss", {
         "loss": ["exp", "logistic", "cross_entropy", "exp_cubed"]}),
     # rejected at load: a misspelled option, an optimizer the scenario
-    # does not run; the manifest records each message
+    # does not run, a key the run does not read, a value not of its
+    # default's type; the manifest records each message
     "rejected_option": ("run", {
         "scenario": "gd_margin", "loss": "exp", "epochs": 20, "seeds": [0],
         "options": {"n_spere": 10}}),
     "rejected_optimizer": ("run", {
         "scenario": "deep_loss_50", "loss": "exp", "optimizer": "gd_const",
         "epochs": 20, "seeds": [0]}),
+    "rejected_unread_key": ("run", {
+        "scenario": "flow_margin", "alpha0": 0.5, "seeds": [0]}),
+    "rejected_cast": ("run", {
+        "scenario": "gd_margin", "epochs": 10.9, "seeds": [0]}),
 }
 
 

@@ -50,15 +50,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, scenario: str | None = None) -> RunConfig:
-    cfg = load_config(args.config)
+def _load(args, scenario: str | None = None) -> tuple[RunConfig, int]:
+    """The config (the scenario's defaults without --config) and the
+    seed of a one-seed verb: --seed, else the first configured seed."""
+    cfg = (load_config(args.config) if args.config
+           else RunConfig.from_dict({"scenario": scenario}))
     if scenario is not None and cfg.scenario != scenario:
         raise SystemExit(f"{args.verb} expects a {scenario} config")
-    return cfg
+    return cfg, cfg.seeds[0] if args.seed is None else args.seed
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg, _ = _load(args)
     outcome = run_scenario(cfg, seed=args.seed, out_dir=args.out)
     report = {
         "scenario": cfg.scenario,
@@ -78,8 +81,7 @@ def cmd_validate_loss(args) -> int:
 
 
 def cmd_kkt_report(args) -> int:
-    cfg = _load(args, "linear_logistic_2d")
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    cfg, seed = _load(args, "linear_logistic_2d")
     report = kkt_report(cfg, seed)
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     # a flow that stopped short of the last checkpoint is a failure
@@ -87,19 +89,14 @@ def cmd_kkt_report(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = _load(args, "rates")
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    cfg, seed = _load(args, "rates")
     result = SCENARIOS["rates"](cfg, seed)
     print(json.dumps(_summary(cfg, seed, result), indent=2, sort_keys=True))
     return 0 if not result["failures"] else 1
 
 
 def cmd_hat(args) -> int:
-    if args.config:
-        cfg = _load(args, "mexican_hat")
-    else:
-        cfg = RunConfig.from_dict({"scenario": "mexican_hat"})
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    cfg, seed = _load(args, "mexican_hat")
     outcome = run_scenario(cfg, seed=seed, out_dir=args.out)
     print(json.dumps(_jsonable(outcome.summaries[0]), indent=2,
                      sort_keys=True))

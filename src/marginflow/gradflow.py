@@ -149,15 +149,13 @@ def nu_lower_slack(xs: np.ndarray, vs, spec: LossSpec) -> list[float]:
 
 
 class FlowState(NamedTuple):
-    t: float
+    t: float  # physical time; overflows to inf late on
     ev: PointEval  # the evaluation at theta(t)
     steps: int = 0
-    rejects: int = 0
 
 
 class StepInfo(NamedTuple):
-    dt: float  # physical time advanced (may overflow to inf late on)
-    dt_scaled: float  # dt * exp(-x0), the controlled quantity
+    dt_scaled: float  # dt * exp(-x0), the controlled quantity; 0 if stationary
     next_dt_scaled: float  # proposal for the following step
     delta_rho_sq: float  # rho1^2 - rho0^2, cancellation-free
     delta_theta_hat: float  # ||theta_hat1 - theta_hat0||
@@ -204,7 +202,7 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     """
     ev0 = state.ev
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
-        return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
     theta0 = ev0.theta
     x0 = ev0.x
     cap = step_tol * max(1.0, abs(x0))
@@ -242,11 +240,10 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     nxt = dt_scaled * math.exp(x0 - ev1.x) * gain
     dt = dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
     d_hat = ev1.unit - ev0.unit
-    info = StepInfo(dt, dt_scaled, nxt,
+    info = StepInfo(dt_scaled, nxt,
                     float(2.0 * (theta0 @ dtheta) + dtheta @ dtheta),
                     math.sqrt(d_hat @ d_hat), halvings)
-    return (FlowState(state.t + dt, ev1, state.steps + 1,
-                      state.rejects + halvings), info)
+    return FlowState(state.t + dt, ev1, state.steps + 1), info
 
 
 def weight_growth_residual(prev: PointEval, new: PointEval,

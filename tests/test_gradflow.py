@@ -247,7 +247,7 @@ def test_zero_gradient_is_stationary():
     assert state.ev.g_norm == 0.0
     nxt, info = gradflow.flow_step(model, data, spec, state, dt_scaled=1.0)
     assert nxt is state
-    assert info.dt == 0.0
+    assert info.dt_scaled == 0.0
 
 
 def test_zero_start_emits_no_warning():
@@ -350,15 +350,16 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
 def test_run_flow_bound_monitors_match_stepwise_replay():
     cfg = runner.RunConfig.from_dict(readme_flow_config())
     model, ds, spec, theta0 = runner._setup(cfg, 0)
+    o = cfg.options
     res = gradflow.run_flow(model, theta0, ds, spec,
-                            target_log_inv_loss=cfg.target_log_inv_loss,
-                            step_tol=cfg.step_tol,
-                            record_every=cfg.record_every)
+                            target_log_inv_loss=o["target_log_inv_loss"],
+                            step_tol=o["step_tol"],
+                            record_every=o["record_every"])
     # the monitors as the step loop computed them, state by state
     nu, upper = [], []
     bound = prev = None
     for state, _ in gradflow.flow_states(model, theta0, ds, spec,
-                                         step_tol=cfg.step_tol):
+                                         step_tol=o["step_tol"]):
         if bound is None and gradflow.is_separated(state.ev, spec):
             lt = gradflow.log_tilde_margin(state.ev, spec, model.order_L)
             bound = StepwiseLossUpperBound(spec, model.order_L, state.ev.x,
@@ -368,7 +369,7 @@ def test_run_flow_bound_monitors_match_stepwise_replay():
             if math.isfinite(state.t):
                 bound.update(state.ev.x)
                 upper.append(bound.slack(state.t))
-        if state.ev.x >= cfg.target_log_inv_loss:
+        if state.ev.x >= o["target_log_inv_loss"]:
             break
         prev = state.ev
     assert len(upper) > 1000

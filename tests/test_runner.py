@@ -39,7 +39,7 @@ def test_config_round_trip_yaml_and_json(tmp_path):
     cfg = load_config(yml)
     assert cfg.scenario == "mexican_hat"
     assert cfg.seeds == (1, 2)
-    assert cfg.record_every == 5
+    assert cfg.options["record_every"] == 5
     jsn = tmp_path / "run.json"
     jsn.write_text(json.dumps({"scenario": "mexican_hat", "seed": 3}))
     assert load_config(jsn).seeds == (3,)
@@ -57,14 +57,22 @@ def test_config_rejects_unknown_names(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("record_every", 0), ("record_every", -3), ("step_tol", 0.0),
-    ("step_tol", -1e-3), ("step_tol", float("inf")), ("step_tol", float("nan")),
-    ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", float("nan"))])
+    ("record_every", 0), ("record_every", -3), ("record_every", 2.7),
+    ("record_every", True), ("step_tol", 0.0), ("step_tol", -1e-3),
+    ("step_tol", float("inf")), ("step_tol", float("nan")),
+    ("step_tol", "0.002"), ("target_log_inv_loss", float("nan")),
+    ("target_log_inv_loss", float("inf")), ("target_log_inv_loss", "nan"),
+    ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", float("nan")),
+    ("epochs", 10.9), ("epochs", 0), ("epochs", "20"), ("seeds", [0.7]),
+    ("seeds", []), ("seeds", 3), ("seed", 0.7)])
 def test_config_rejects_out_of_range_numbers(key, value):
     # before, record_every 0 raised ZeroDivisionError mid-run, step_tol 0
-    # took no step and exited 0, and a negative step_tol ended in FlowAbort
+    # took no step and exited 0, and a negative step_tol ended in FlowAbort;
+    # epochs 10.9 ran 10 epochs, seeds [0.7] ran seed 0, and a NaN target
+    # ran the flow to its step cap. alpha0 and epochs are descent keys.
+    scenario = "gd_margin" if key in ("alpha0", "epochs") else "flow_margin"
     with pytest.raises(ValueError, match=key):
-        RunConfig.from_dict({"scenario": "flow_margin", key: value})
+        RunConfig.from_dict({"scenario": scenario, key: value})
 
 
 def _emit_outputs():
@@ -77,7 +85,7 @@ def _emit_outputs():
 
 def _shipped_configs() -> list[dict]:
     """Every run config the repo ships: the README example, the emit
-    corpus (less its two entries that are rejected on purpose and its
+    corpus (less its entries that are rejected on purpose and its
     `validate-loss` entry, which names losses and no run) and the
     benchmark jobs at seed 0."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -107,6 +115,19 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
             ("s5_guard", {"scenario": "flow_margin",
                           "options": {"s5_guard": False}}),
             ("s5_guard", {"scenario": "rates", "options": {"s5_guard": True}}),
+            # a top-level key that the run does not read
+            ("alpha0", {"scenario": "flow_margin", "alpha0": 0.5}),
+            ("epochs", {"scenario": "flow_margin", "epochs": 20}),
+            ("step_tol", {"scenario": "gd_margin", "step_tol": 0.002}),
+            ("target_log_inv_loss", {"scenario": "gd_margin",
+                                     "target_log_inv_loss": 5.0}),
+            ("record_every", {"scenario": "gd_margin", "record_every": 10}),
+            ("model", {"scenario": "mexican_hat",
+                       "model": {"family": "linear", "input_dim": 2}}),
+            ("loss", {"scenario": "mexican_hat", "loss": "exp"}),
+            ("dataset", {"scenario": "mexican_hat",
+                         "dataset": {"kind": "xor", "n": 8}}),
+            ("seed", {"scenario": "flow_margin", "seed": 1, "seeds": [0]}),
             ("gd_loss_based", {"scenario": "flow_margin",
                                "optimizer": "gd_loss_based"}),
             ("gd_const", {"scenario": "deep_loss_50",
@@ -154,10 +175,10 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
 
 
 def test_every_option_is_set_by_a_shipped_config():
-    # an option that no shipped config sets is a constant: the shipped
-    # configs and the benchmark self-tests' `options` literals (read as
-    # source, not run) must between them set every option
-    keys = set().union(*(raw.get("options", {})
+    # a run key or option that no shipped config sets is a constant: the
+    # shipped configs and the benchmark self-tests' `options` literals
+    # (read as source, not run) must between them set every one
+    keys = set().union(*(raw.keys() | raw.get("options", {}).keys()
                          for raw in _shipped_configs()))
     source = (ROOT / "perfbench" / "tests" / "test_bench.py").read_text(
         encoding="utf-8")
@@ -166,9 +187,45 @@ def test_every_option_is_set_by_a_shipped_config():
             keys |= {key.value for k, v in zip(node.keys, node.values)
                      if isinstance(k, ast.Constant) and k.value == "options"
                      and isinstance(v, ast.Dict) for key in v.keys}
-    declared = {key for *_, runs in SETUPS.values()
-                for options in runs.values() for key in options}
+    declared = {key for *_, runs in SETUPS.values() for run in runs.values()
+                for key in [*run, *run["options"]]}
     assert sorted(declared - keys) == []
+
+
+def _have(raw: dict) -> list[str]:
+    """The keys named by the rejection of raw's unknown key."""
+    with pytest.raises(ValueError, match="unknown") as err:
+        RunConfig.from_dict(raw)
+    return ast.literal_eval(str(err.value).split("; have ")[1])
+
+
+def test_accepted_keys_per_run():
+    # each (scenario, optimizer): the top-level keys and the options a
+    # config may set, which are exactly the keys the run reads
+    shared = ["optimizer", "options", "out_dir", "scenario", "seed", "seeds"]
+    data = ["dataset", "loss", "model"]
+    flow = ["record_every", "step_tol", "target_log_inv_loss"]
+    gd = ["alpha0", "epochs"]
+    samples = ["n_curvature", "n_sphere", "theta0"]
+    flow_run = (sorted(shared + data + flow), samples)
+    gd_run = (sorted(shared + data + gd), sorted(samples + ["s5_guard"]))
+    accepted = {(scenario, optimizer): (
+        _have({"scenario": scenario, "optimizer": optimizer, "?": 0}),
+        _have({"scenario": scenario, "optimizer": optimizer,
+               "options": {"?": 0}}))
+        for scenario, (*_, runs) in SETUPS.items() for optimizer in runs}
+    assert accepted == {
+        ("flow_margin", "flow"): flow_run,
+        ("gd_margin", "gd_loss_based"): gd_run,
+        ("gd_margin", "gd_const"): gd_run,
+        ("linear_logistic_2d", "flow"): flow_run,
+        ("rates", "flow"): flow_run,
+        ("rates", "gd_loss_based"): gd_run,
+        ("rates", "gd_const"): gd_run,
+        ("deep_loss_50", "gd_loss_based"): gd_run,
+        ("mexican_hat", "flow"): (sorted(shared + ["record_every"]),
+                                  ["metric", "phi_gain_min"]),
+    }
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -560,7 +617,7 @@ def test_gd_3class_corpus_entry_names_missing_margin_state(tmp_path):
     assert out.failures == ["seed 0: no (S5) margin state: the "
                             "B-constants need binary labels"]
     assert out.summaries[0]["b_constants"] is None
-    assert out.summaries[0]["final"]["epochs"] == cfg.epochs
+    assert out.summaries[0]["final"]["epochs"] == cfg.options["epochs"]
 
 
 def test_rates_on_gd_names_scheduler_stall():
