@@ -11,7 +11,7 @@ theta' = theta + alpha G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,79 +90,98 @@ def loss_based_lr_epoch(alpha: float, x_start: float, trial):
 # the first separated epoch; it damps log g(x) just enough to absorb
 # the second-order discretization error allowed by (S5).
 
+# 10-point Gauss-Legendre on [-1, 1]: nodes +-_X, weights _W (A&S 25.4.30)
+_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+               0.8650633666889845, 0.9739065285171717])
+_W = np.array([0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+               0.1494513491505806, 0.06667134430868814])
+_X, _W = np.r_[-_X[::-1], _X], np.r_[_W[::-1], _W]
+_NODES = np.concatenate([_X, 0.5 * (_X - 1.0), 0.5 * (_X + 1.0)])
+_WEIGHTS = np.kron([[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]], _W[:, None])
+
+
+def _integrate(fn, a: float, b: float) -> float:
+    """int_a^b fn for an fn of arrays, 0 when b <= a; b = inf is mapped
+    by u = a + t / (1 - t). A piece is kept once its Gauss sums on itself
+    and on its halves agree within its share of max(1e-13, 1e-12 |I|)
+    (QUADPACK's tolerances); the rest are bisected, up to 400 pieces."""
+    if not a < b:
+        return 0.0
+    if b == math.inf:
+        fn, a, b = (lambda t, f=fn, a=a: f(a + t / (1.0 - t))
+                    / (1.0 - t) ** 2), 0.0, 1.0
+    lo, half, kept, pieces = np.array([a]), np.array([0.5 * (b - a)]), 0.0, 1
+    while True:  # every piece's 30 nodes in one call of fn
+        mid = lo + half
+        coarse, fine = half * (fn(mid[:, None] + half[:, None] * _NODES)
+                               @ _WEIGHTS).T
+        tol = max(1e-13, 1e-12 * abs(kept + fine.sum())) / (b - a)
+        ok = np.abs(fine - coarse) <= 2.0 * tol * half
+        kept += fine[ok].sum()
+        pieces += np.count_nonzero(~ok)
+        if ok.all() or pieces > 400:
+            return float(kept + fine[~ok].sum())
+        lo, half = np.r_[lo[~ok], mid[~ok]], np.tile(half[~ok] / 2, 2)
+
+
 class PhiCurve:
     """phi(u) = log g(u) + T(u) in u = log(1/loss) coordinates.
 
     T(U) = int_U^inf (lambda(u) - e^{-u} M(u)) du where M is the
     running max of F(u) = e^u lambda(u) (1 + 2(1 + lambda/L) mu(u)),
     lambda = g'/g and mu(u) = u0/(2u). F dips at most once before
-    climbing like e^u, so M is max(F(u0), F(u)) up to the recovery
-    point u_star and equals F beyond; past u_star the integrand
-    reduces to -2 lambda mu (1 + lambda/L). Increments are accumulated
-    so successive evaluations at growing u stay exactly consistent.
+    climbing like e^u, so M is F(u0) up to the recovery point u_star
+    and equals F beyond; past u_star the integrand reduces to
+    -2 lambda mu (1 + lambda/L). Increments are accumulated so
+    successive evaluations at growing u stay exactly consistent.
     """
 
     def __init__(self, spec: LossSpec, order_L: float, u0: float):
         if u0 <= spec.f_at_bf:
             raise LossDomainError(
                 f"anchor log(1/loss) = {u0} not separated for {spec.name}")
-        self.spec = spec
-        self.order_L = float(order_L)
-        self.u0 = float(u0)
+        self.spec, self.order_L, self.u0 = spec, float(order_L), float(u0)
         self._log_f0 = self._log_F(self.u0)
         self.u_star = self._find_recovery()
-        self._cache_u = None
-        self._cache_t = None
+        self._cache_u = self._cache_t = None
 
     def _lam(self, u):
         return self.spec.g_prime(u) / self.spec.g(u)
 
-    def _mu(self, u):
+    def mu(self, u):
         return self.u0 / (2.0 * u)
 
     def _log_F(self, u):
         lam = self._lam(u)
-        return float(u + np.log(lam)
-                     + np.log1p(2.0 * (1.0 + lam / self.order_L) * self._mu(u)))
+        return (u + np.log(lam)
+                + np.log1p(2.0 * (1.0 + lam / self.order_L) * self.mu(u)))
 
     def _find_recovery(self) -> float:
-        u0 = self.u0
-        h = 1e-6 * max(1.0, u0)
-        if self._log_F(u0 + h) >= self._log_f0:
-            return u0  # F climbs from the start; M == F everywhere
-        lo = u0
-        hi = u0 + 1.0
-        while self._log_F(hi) < self._log_f0:
-            lo, hi = hi, hi + 1.0
-            if hi > u0 + 200.0:
-                raise RuntimeError("F(u) failed to recover; loss family "
-                                   "violates the single-dip assumption")
-        from scipy.optimize import brentq  # see _quad
-        return float(brentq(lambda u: self._log_F(u) - self._log_f0, lo, hi,
-                            xtol=1e-13, rtol=1e-15))
-
-    @staticmethod
-    def _quad(fn, a: float, b: float) -> float:
-        # scipy is imported where PhiCurve first needs it, so the runs
-        # that never build one, every flow run among them, never load it
-        from scipy.integrate import quad
-        return quad(fn, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+        """u_star, where F regains F(u0), by bisection; u0 if F never dips."""
+        f0 = self._log_f0
+        lo, hi = self.u0 + 1e-6 * max(1.0, self.u0), self.u0 + 200.0
+        if self._log_F(lo) >= f0:
+            return self.u0  # F climbs from the start; M == F everywhere
+        if self._log_F(hi) < f0:
+            raise RuntimeError("F(u) failed to recover; loss family "
+                               "violates the single-dip assumption")
+        while hi - lo > 1e-13 + 1e-15 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self._log_F(mid) < f0 else (lo, mid)
+        return 0.5 * (lo + hi)
 
     def _tail_integrand(self, u):
         lam = self._lam(u)
-        return -2.0 * lam * self._mu(u) * (1.0 + lam / self.order_L)
+        return -2.0 * lam * self.mu(u) * (1.0 + lam / self.order_L)
 
     def _dip_integrand(self, u):
-        log_m = max(self._log_f0, self._log_F(u))
-        return self._lam(u) - math.exp(log_m - u)
+        return self._lam(u) - np.exp(self._log_f0 - u)
 
     def _removed(self, a: float, b: float) -> float:
-        """int_a^b iota for a <= b: the dip integrand below u_star, the
-        tail integrand above; an empty piece is not integrated."""
+        """int_a^b iota: the dip integrand below u_star, the tail above."""
         m = min(max(a, self.u_star), b)
-        dip = self._quad(self._dip_integrand, a, m) if a < m else 0.0
-        return dip + (self._quad(self._tail_integrand, m, b) if m < b
-                      else 0.0)
+        return (_integrate(self._dip_integrand, a, m)
+                + _integrate(self._tail_integrand, m, b))
 
     def correction(self, u: float) -> float:
         """T(u) <= 0; the log-gap between gamma_hat and tilde margin."""
@@ -179,9 +198,6 @@ class PhiCurve:
             t = self._cache_t - self._removed(self._cache_u, u)
         self._cache_u, self._cache_t = u, t
         return t
-
-    def phi(self, u: float) -> float:
-        return float(np.log(self.spec.g(u))) + self.correction(u)
 
 
 def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
@@ -274,25 +290,13 @@ def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
                       n_curvature=n_curvature)
 
 
-@dataclass
-class GdMarginState:
-    """Everything anchored at the first separated epoch t0."""
+class GdMarginState(PhiCurve):
+    """The margin curve at t0 and C_eta, set by make_margin_state."""
 
-    spec: LossSpec
-    order_L: float
-    u0: float
-    phi_curve: PhiCurve
-    c_eta: float
-    clamped: bool = False
+    clamped = False
     # (x, log_kappa(x)) of the last call: an epoch's guard cap, its (S5)
     # log ratio and its grad_bound monitor all ask at the epoch start x
-    _kappa: tuple = field(default=(None, None), repr=False, compare=False)
-
-    def mu(self, x: float) -> float:
-        return self.u0 / (2.0 * x)
-
-    def lam(self, x: float) -> float:
-        return float(self.spec.g_prime(x) / self.spec.g(x))
+    _kappa = (None, None)
 
     def log_kappa(self, x: float) -> float:
         if self._kappa[0] != x:
@@ -305,8 +309,9 @@ class GdMarginState:
 
     def log_gamma_hat(self, x: float, log_rho: float) -> float:
         """log(e^{phi} / rho^L), clamped under the smoothed margin."""
-        val = self.phi_curve.phi(x) - self.order_L * log_rho
-        log_tilde = float(np.log(self.spec.g(x))) - self.order_L * log_rho
+        log_g = float(np.log(self.spec.g(x)))
+        val = log_g + self.correction(x) - self.order_L * log_rho
+        log_tilde = log_g - self.order_L * log_rho
         if val > log_tilde:
             if val - log_tilde > 1e-12:
                 self.clamped = True
@@ -336,19 +341,17 @@ def make_margin_state(model: HomogeneousModel, ev: PointEval, spec: LossSpec,
     """The margin anchor at ev, the first separated evaluation, on the
     run's B-constants b. Raises MarginStateError when gamma_hat0 =
     e^{phi(x0)} / rho0^L is too small for C_eta to be formed in float64."""
-    L = model.order_L
-    x0, rho0 = ev.x, ev.rho
-    curve = PhiCurve(spec, L, x0)
-    log_hat0 = curve.phi(x0) - L * math.log(rho0)
+    L, x0, rho0 = model.order_L, ev.x, ev.rho
+    state = GdMarginState(spec, L, x0)
+    log_hat0 = state.log_gamma_hat(x0, math.log(rho0))  # T(x0) < 0: no clamp
     try:
-        c_eta = _c_eta(spec, L, b, rho0, x0, math.exp(log_hat0))
+        state.c_eta = _c_eta(spec, L, b, rho0, x0, math.exp(log_hat0))
     except (ZeroDivisionError, OverflowError):
         raise MarginStateError(
             f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
             f"gamma_hat0 underflows, so C_eta has no float64 value"
         ) from None
-    return GdMarginState(spec=spec, order_L=L, u0=x0, phi_curve=curve,
-                         c_eta=c_eta)
+    return state
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -364,11 +367,11 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     with b None (labels other than -1/+1) none is formed, so the run has
     no (S5) guard and no monitors. Monitor series start at the first
     separated epoch; entries conditioned on (S5) are only appended when
-    the step's log(eta / H) is not positive. A step
-    whose forward pass overflows is a rejected trial. The run ends with
-    the message in "abort" when the margin anchor cannot be formed at
-    the first separated epoch (MarginStateError), or when a constant-alpha
-    step overflows; otherwise "abort" is None.
+    the step's log(eta / H) is not positive. A step whose forward pass
+    overflows is a rejected trial. The run ends with the message in
+    "abort" when the margin anchor cannot be formed at the first
+    separated epoch (MarginStateError), or when a constant-alpha step
+    overflows; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -459,7 +462,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                 gap / max(abs(theta_dot_g) / model.order_L, 1e-300))
             monitors["p2_lower"].append(
                 (drho2 - 2.0 * c * model.order_L * prev_ev.V) / scale)
-            lam = mstate.lam(prev_ev.x)
+            lam = float(mstate._lam(prev_ev.x))
             mu = mstate.mu(prev_ev.x)
             if s5 <= 0.0:
                 monitors["p2_upper"].append(

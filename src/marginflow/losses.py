@@ -156,8 +156,8 @@ def _with_domain_check(fn, scalar_fn, f_at_bf, name):
     A float (np.float64 included) goes to scalar_fn, which computes
     only the branch that fn's np.where would select, with the same
     ufuncs in the same order, so both paths agree bit for bit
-    (tests/test_losses.py); a one-number call then skips the array
-    round trip that quadrature integrands pay on every evaluation.
+    (tests/test_losses.py); a one-number call, such as a flow state's
+    smoothed margin or a bisection step, then skips the array round trip.
     """
     lo = f_at_bf - 1e-9
 

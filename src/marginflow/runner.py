@@ -122,11 +122,11 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         scenario = raw.get("scenario")
-        if scenario not in SETUPS:
+        if type(scenario) is not str or scenario not in SETUPS:
             raise ValueError(
                 f"unknown scenario {scenario!r}; have {sorted(SETUPS)}")
         model, _, loss, runs = SETUPS[scenario]
-        optimizer = raw.get("optimizer", next(iter(runs)))
+        optimizer = str(raw.get("optimizer", next(iter(runs))))
         _read({optimizer: None}, dict.fromkeys(runs), "optimizer", scenario)
         # the keys every run reads, and a row with a model its overrides
         shared = {"scenario": None, "optimizer": None, "seed": 0,

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import yaml
 from scipy.optimize import brentq
@@ -333,6 +334,30 @@ LOGISTIC_PHI_CORRECTION = [
     (1.0, 1.0, 10.0, -0.10500024804910636),
     (1.0, 1.0, 60.0, -0.016805555555555556),
 ]
+
+
+def _mp_logistic_lambda(u):
+    e = mp.exp(-u)
+    return e * mp.exp(e) / (mp.expm1(e) * -mp.log(mp.expm1(e)))
+
+
+# lambda(u) = g'(u)/g(u) per family, in mpmath from the closed forms:
+# g = u (exp), u^(1/3) (exp_cubed), -log(expm1(e^-u)) (logistic)
+MP_LAMBDA = {"exp": lambda u: 1 / u, "exp_cubed": lambda u: 1 / (3 * u),
+             "logistic": _mp_logistic_lambda}
+
+
+def recovery_point(spec, order_L, u0, hi):
+    """u_star in (u0, hi], where F(u) = e^u lambda (1 + (1 + lambda/L)
+    u0/u) climbs back to F(u0), by scipy's brentq. The bracket starts at
+    u0 + 1e-6 max(1, u0), off the anchor, where log F - log F(u0) is
+    exactly 0 and brentq would return u0 itself."""
+    def log_f(u):
+        lam = float(lambda_from_log_inv_loss(spec, u))
+        return u + math.log(lam) + math.log1p((1.0 + lam / order_L) * u0 / u)
+
+    return brentq(lambda u: log_f(u) - log_f(u0), u0 + 1e-6 * max(1.0, u0),
+                  hi, xtol=1e-15)
 
 
 def effective_margins(model, theta, dataset):

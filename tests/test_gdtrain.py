@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from marginflow import datasets, gdtrain, losses, models
 from marginflow.gdtrain import (GdMarginState, PhiCurve, ReframeError,
@@ -14,8 +16,9 @@ from marginflow.gradflow import evaluate_point
 from marginflow.losses import LossDomainError
 from marginflow.runner import frame_equivalence_check
 
-from oracles import (LOGISTIC_PHI_CORRECTION, lambda_from_log_inv_loss,
-                     per_draw_b_constants, rank_one_net, sampled_sphere_sups)
+from oracles import (LOGISTIC_PHI_CORRECTION, MP_LAMBDA,
+                     lambda_from_log_inv_loss, per_draw_b_constants,
+                     rank_one_net, recovery_point, sampled_sphere_sups)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -150,9 +153,13 @@ def test_phi_curve_exp_closed_form(order_L, u0):
 
 
 def test_phi_curve_exp_recovery_point():
-    # shallow anchor dips (recovery beyond u0); deep anchor does not
+    # both anchors dip: F(u0) is regained past u0 + 1 from u0 = 0.05 and
+    # within one unit from u0 = 1.5, where a bracket that starts at the
+    # anchor itself (log F - log F(u0) exactly 0 there) returned u0
     assert PhiCurve(EXP, 2.0, 0.05).u_star > 7.0
-    assert PhiCurve(EXP, 2.0, 1.5).u_star == 1.5
+    u_star = recovery_point(EXP, 2.0, 1.5, 2.5)
+    assert abs(u_star - 1.8420260631899623) < 1e-12
+    assert abs(PhiCurve(EXP, 2.0, 1.5).u_star - u_star) < 1e-12
 
 
 def test_phi_curve_logistic_frozen_oracle():
@@ -190,8 +197,8 @@ class _ArrayPathCurve(PhiCurve):
 @pytest.mark.parametrize("name,u0", [("exp", 0.05), ("logistic", 0.6),
                                      ("exp_cubed", 0.5)])
 def test_phi_curve_scalar_path_equals_array_path(name, u0):
-    # quad hands the integrands floats, which take the losses' scalar
-    # path; the increments must not move by a bit
+    # the bisection hands log F floats, which take the losses' scalar
+    # path; neither u_star nor the increments may move by a bit
     spec = losses.get_loss(name)
     curve, oracle = PhiCurve(spec, 2.0, u0), _ArrayPathCurve(spec, 2.0, u0)
     assert curve.u_star == oracle.u_star > u0
@@ -199,6 +206,45 @@ def test_phi_curve_scalar_path_equals_array_path(name, u0):
     us = [u0, u0 + 0.3, (u0 + s) / 2.0, s + 0.5, s + 3.0, 40.0, 300.0]
     assert [curve.correction(u) for u in us] == [oracle.correction(u)
                                                  for u in us]
+
+
+# (family, anchor u0) pairs whose F dips, so both integrands have a range
+DIPPING = [("exp", 0.05), ("exp", 0.7), ("logistic", 0.6),
+           ("logistic", 1.5), ("exp_cubed", 0.5)]
+
+
+@pytest.mark.parametrize("order_L", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("name,u0", DIPPING)
+def test_integrate_matches_quad_and_mpmath(name, u0, order_L):
+    # the adaptive Gauss rule against scipy's QUADPACK quad on the same
+    # float integrands and mpmath's tanh-sinh quad on 30-digit ones
+    curve = PhiCurve(losses.get_loss(name), order_L, u0)
+    s, f0, lam = curve.u_star, mp.mpf(curve._log_f0), MP_LAMBDA[name]
+    pieces = [
+        (curve._dip_integrand, lambda u: lam(u) - mp.exp(f0 - u),
+         [(u0, s), (u0, (u0 + s) / 2), ((u0 + s) / 2, s)]),
+        (curve._tail_integrand,
+         lambda u: -lam(u) * u0 / u * (1 + lam(u) / order_L),
+         [(s, s + 0.5), (s, s + 30.0), (s, np.inf), (60.0, np.inf)])]
+    for fn, mp_fn, ranges in pieces:
+        for a, b in ranges:
+            got = gdtrain._integrate(fn, a, b)
+            ref = quad(fn, a, b, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+            assert abs(got - ref) <= 1e-12 * abs(ref), (a, b)
+            with mp.workdps(30):
+                ref = float(mp.quad(mp_fn, [a, b]))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (a, b)
+    # an empty or reversed range integrates to exactly 0
+    for a, b in [(s, s), (s + 1.0, s), (np.inf, np.inf)]:
+        assert gdtrain._integrate(curve._tail_integrand, a, b) == 0.0
+
+
+@pytest.mark.parametrize("order_L", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("name,u0", DIPPING)
+def test_recovery_point_matches_brentq(name, u0, order_L):
+    spec = losses.get_loss(name)
+    got = PhiCurve(spec, order_L, u0).u_star
+    assert abs(got - recovery_point(spec, order_L, u0, u0 + 200.0)) < 1e-12
 
 
 def test_phi_curve_domain_errors():
@@ -235,9 +281,9 @@ def test_log_kappa_matches_scalar_optimizer():
 
 
 def _manual_margin_state(c_eta=2.0):
-    curve = PhiCurve(EXP, 2.0, 1.0)
-    return GdMarginState(spec=EXP, order_L=2.0, u0=1.0, phi_curve=curve,
-                         c_eta=c_eta)
+    ms = GdMarginState(EXP, 2.0, 1.0)
+    ms.c_eta = c_eta
+    return ms
 
 
 def test_check_s5_examples():
@@ -490,7 +536,7 @@ def test_train_gd_gamma_hat_clamp_flag():
     ms = out["margin_state"]
     assert not ms.clamped
     # force a rounding-scale overshoot: the value clamps silently
-    ms.phi_curve.correction = lambda u: 5e-13
+    ms.correction = lambda u: 5e-13
     ev = out["ev"]
     log_rho = math.log(ev.rho)
     clamped_val = ms.log_gamma_hat(ev.x, log_rho)
@@ -498,7 +544,7 @@ def test_train_gd_gamma_hat_clamp_flag():
                            - ms.order_L * log_rho)
     assert not ms.clamped
     # a larger violation raises the flag
-    ms.phi_curve.correction = lambda u: 1e-9
+    ms.correction = lambda u: 1e-9
     ms.log_gamma_hat(ev.x, log_rho)
     assert ms.clamped
 

@@ -50,6 +50,11 @@ def test_config_rejects_unknown_names(tmp_path):
         RunConfig.from_dict({"scenario": "warp_drive"})
     with pytest.raises(ValueError, match="unknown optimizer"):
         RunConfig.from_dict({"scenario": "rates", "optimizer": "adam"})
+    # list values name their key, not an unhashable-type TypeError
+    with pytest.raises(ValueError, match="unknown scenario"):
+        RunConfig.from_dict({"scenario": ["flow_margin"]})
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        RunConfig.from_dict({"scenario": "flow_margin", "optimizer": ["flow"]})
     p = tmp_path / "list.yaml"
     p.write_text("- a\n- b\n")
     with pytest.raises(ValueError, match="must be a mapping"):
@@ -500,10 +505,15 @@ def test_cli_seed_override(tmp_path, capsys):
     assert (tmp_path / "o" / "flow_margin-seed7.jsonl").exists()
 
 
-def test_cli_flow_run_loads_no_scipy(tmp_path):
-    # importing scipy is most of a process start; only PhiCurve needs it
-    cfg = tmp_path / "flow.yaml"
-    cfg.write_text(json.dumps(readme_flow_config()))
+@pytest.mark.parametrize("config", [
+    readme_flow_config(),
+    {"scenario": "gd_margin", "loss": "logistic", "alpha0": 0.05,
+     "epochs": 30}], ids=["readme_flow", "gd_margin_logistic"])
+def test_cli_flow_run_loads_no_scipy(tmp_path, config):
+    # importing scipy is most of a process start, and no run needs it:
+    # the guarded GD run separates, so it builds its margin curve
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(json.dumps(config))
     script = ("import json, sys\n"
               "from marginflow import cli\n"
               "rc = cli.main(sys.argv[1:])\n"
