@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward
+from .autodiff import NonFiniteError, backward, walk
 from .datasets import Dataset
 from .gradflow import (PointEval, _bar_gamma, evaluate_point, is_separated,
                        log_tilde_margin)
@@ -52,12 +52,13 @@ def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     """
     if not dataset.is_binary:
         raise NotImplementedError("direct path exercises binary models")
-    phi, cache = model.forward(theta, dataset.X)
-    q = dataset.y_float * phi
+    phi, records = walk(model.blocks, theta, dataset.X)
+    q = dataset.y_float * phi[:, 0]
     fq, fp = spec.f_pair(q)
     loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
-    grad = -backward(cache, loss * fp * dataset.y_float / dataset.n)
+    seed = loss * fp * dataset.y_float / dataset.n
+    grad = -backward(model.blocks, records, seed.reshape(-1, 1))
     return theta - eta * grad
 
 
@@ -146,7 +147,8 @@ class PhiCurve:
         self._cache_u = self._cache_t = None
 
     def _lam(self, u):
-        return self.spec.g_prime(u) / self.spec.g(u)
+        g, g_prime = self.spec.g_pair(u)
+        return g_prime / g
 
     def mu(self, u):
         return self.u0 / (2.0 * u)

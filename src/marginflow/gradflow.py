@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward
+from .autodiff import NonFiniteError, backward, walk
 from .datasets import Dataset
 from .losses import LossSpec
 from .margin import _inv_loss_weights, score_gaps, soft_margins
@@ -98,13 +98,15 @@ class PointEval:
         return self._beta
 
 
-def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
-                   spec: LossSpec) -> PointEval:
-    """One forward plus one seeded backward at the float64 array theta;
-    all exponents stay O(1)."""
-    phi, cache = model.forward(theta, dataset.X)
+def evaluate_point(model: HomogeneousModel, theta: np.ndarray,
+                   dataset: Dataset, spec: LossSpec) -> PointEval:
+    """One pass over the block table at the flat float64 array theta:
+    the forward walk, one `f_pair` call and one seeded backward; all
+    exponents stay O(1)."""
+    blocks = model.blocks
+    phi, records = walk(blocks, theta, dataset.X)
     if dataset.is_binary:
-        q = q_eff = dataset.y_float * phi
+        q = q_eff = dataset.y_float * phi[:, 0]
     else:
         on, off = dataset.label_masks(phi.shape[1])
         gaps = score_gaps(phi, on, off)
@@ -114,7 +116,8 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
     x, w = _inv_loss_weights(fq)
     wfp = w * fp
     if dataset.is_binary:
-        seed = wfp * dataset.y_float
+        # matmul takes the stride-0 [:, None] view up to 0.7 us slower
+        seed = (wfp * dataset.y_float).reshape(-1, 1)
         qv = q_eff
     else:
         # per-sample split of grad q_tilde over the competing classes;
@@ -124,8 +127,8 @@ def evaluate_point(model: HomogeneousModel, theta, dataset: Dataset,
         seed = np.zeros(phi.shape)
         seed[off] = (-wfp[:, None] * pi).ravel()
         seed[on] = wfp
-    return PointEval(x, q, q_eff, w, fp, backward(cache, seed), theta, wfp,
-                     qv)
+    return PointEval(x, q, q_eff, w, fp, backward(blocks, records, seed),
+                     theta, wfp, qv)
 
 
 def is_separated(ev: PointEval, spec: LossSpec) -> bool:

@@ -30,9 +30,10 @@ class LossSpec:
 
     f and f_prime are defined on all of R; g and g_prime only on
     [f(b_f), inf), the range where f is invertible. f_pair(q) returns
-    (f(q), f'(q)) bit for bit, sharing their common work; a spec built
-    without one calls f and f_prime. K, b_g, p are the
-    tail-comparability constants; None when not established.
+    (f(q), f'(q)) and g_pair(x) (g(x), g'(x)) bit for bit, sharing their
+    common work; a spec built without one calls the two functions. K,
+    b_g, p are the tail-comparability constants; None when not
+    established.
     """
 
     name: str
@@ -45,16 +46,18 @@ class LossSpec:
     b_g: float | None = None
     p: float | None = None
     f_pair: Callable | None = None
+    g_pair: Callable | None = None
 
     def __post_init__(self):
-        if self.f_pair is None:
-            f, f_prime = self.f, self.f_prime
-            object.__setattr__(self, "f_pair", lambda q: (f(q), f_prime(q)))
+        for pair, a, b in (("f_pair", self.f, self.f_prime),
+                           ("g_pair", self.g, self.g_prime)):
+            if getattr(self, pair) is None:
+                object.__setattr__(self, pair,
+                                   lambda v, a=a, b=b: (a(v), b(v)))
 
     @cached_property
     def f_at_bf(self) -> float:
         return float(self.f(self.b_f))
-
 
 
 # exponential loss: f = g = identity
@@ -65,30 +68,11 @@ def make_exponential() -> LossSpec:
                        else _as_f64(q)) + 0.0
     ones = lambda q: (np.float64(1.0) if isinstance(q, float)
                       else np.ones_like(_as_f64(q)))
-    return LossSpec(
-        name="exp",
-        f=ident,
-        f_prime=ones,
-        g=ident,
-        g_prime=ones,
-        b_f=0.0,
-        K=1.0,
-        b_g=0.0,
-        p=0.0,
-    )
+    return LossSpec(name="exp", f=ident, f_prime=ones, g=ident, g_prime=ones,
+                    b_f=0.0, K=1.0, b_g=0.0, p=0.0)
 
 
 # logistic loss: ell(q) = log(1 + e^{-q})
-
-def _logistic_softplus(q):
-    """(softplus(-q), u) with u = e^{-|q|}, stable on all of R.
-
-    softplus(-q) = log1p(u) - min(q, 0) takes the same bits as choosing
-    between log1p(u) and -q + log1p(u) on the sign of q.
-    """
-    u = np.exp(-np.abs(q))
-    return np.log1p(u) - np.minimum(q, 0.0), u
-
 
 def _logistic_f_pair(q):
     """(f(q), f'(q)) from one softplus: f = -log softplus(-q) and
@@ -98,9 +82,19 @@ def _logistic_f_pair(q):
     underflows with it and the ratio f' tends to 1.
     """
     q = _as_f64(q)
-    sp, u = _logistic_softplus(q)
-    sig = np.where(q >= 0.0, u, 1.0) / (1.0 + u)
-    if np.minimum.reduce(sp, axis=None, initial=np.inf) > 0.0:  # NaN: guard
+    # a byte scan of the mask for a False: a third of a ufunc reduction
+    if 0 not in (q >= 0.0).tobytes():
+        # separated margins: |q| = q and min(q, 0) = 0, so the one-sided
+        # forms take the bits of the two-sided ones (NaN takes those)
+        u = np.exp(-q)
+        sp, sig = np.log1p(u), u / (1.0 + u)
+    else:
+        # u = e^{-|q|}; log1p(u) - min(q, 0) takes the bits of choosing
+        # between log1p(u) and -q + log1p(u) on the sign of q
+        u = np.exp(-np.abs(q))
+        sp = np.log1p(u) - np.minimum(q, 0.0)
+        sig = np.where(q >= 0.0, u, 1.0) / (1.0 + u)
+    if 0 not in (sp > 0.0).tobytes():  # NaN: guard
         return -np.log(sp), sig / sp
     safe = sp > 0.0
     sp = np.where(safe, sp, 1.0)
@@ -150,6 +144,20 @@ def _logistic_g_prime_scalar(x: float):
     return u * np.exp(u) / np.expm1(u)
 
 
+def _logistic_g_pair(x):
+    """(g(x), g'(x)), sharing u, the tail mask, the series and expm1, by
+    the ufuncs of `_logistic_g` and `_logistic_g_prime` in their order;
+    those stay apart, as holding these terms raises their peak memory."""
+    x = _as_f64(x)
+    u = np.exp(-np.minimum(x, 745.0))
+    tail = x > 30.0
+    series = _logistic_series(u)
+    em1 = np.expm1(np.where(tail, 1.0, u))
+    e = np.exp(u)
+    return (np.where(tail, x - np.log1p(series), -np.log(em1)),
+            np.where(tail, e / (1.0 + series), u * e / em1))
+
+
 def _with_domain_check(fn, scalar_fn, f_at_bf, name):
     """fn behind the domain check x >= f(b_f) - 1e-9; NaN passes.
 
@@ -185,6 +193,10 @@ def make_logistic(name: str = "logistic") -> LossSpec:
                              _LOGISTIC_F_AT_BF, name),
         g_prime=_with_domain_check(_logistic_g_prime, _logistic_g_prime_scalar,
                                    _LOGISTIC_F_AT_BF, name),
+        g_pair=_with_domain_check(
+            _logistic_g_pair, lambda x: (_logistic_g_scalar(x),
+                                         _logistic_g_prime_scalar(x)),
+            _LOGISTIC_F_AT_BF, name),
         b_f=0.0,
         K=2.0,
         b_g=2.0,

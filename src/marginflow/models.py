@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ForwardCache, activation, forward
+from .autodiff import activation, forward
 
 
 class Block(NamedTuple):
@@ -57,7 +57,7 @@ class HomogeneousModel:
     def param_count(self) -> int:
         return self.blocks[-1].stop
 
-    def forward(self, theta, x) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, theta, x) -> tuple[np.ndarray, list]:
         return forward(self.blocks, theta, x)
 
 

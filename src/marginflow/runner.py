@@ -143,6 +143,15 @@ class RunConfig:
                     f"{key} must be {'positive and ' * pos}finite, got {v!r}")
         options.update(_read(top["options"], run["options"],
                              f"{optimizer} option", scenario))
+        theta0 = options.get("theta0")
+        if theta0 is not None:
+            count = build_model(**{**model, **(raw.get("model") or {})}
+                                ).param_count
+            if type(theta0) is not list or len(theta0) != count or not all(
+                    type(v) in (int, float) and math.isfinite(v)
+                    for v in theta0):
+                raise ValueError(f"theta0 must be a list of {count} finite "
+                                 f"numbers, got {theta0!r}")
         seeds = top["seeds"] if "seeds" in raw else [top["seed"]]
         if ("seed" in raw and "seeds" in raw or not seeds
                 or any(type(s) is not int for s in seeds)):

@@ -30,7 +30,8 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
-from marginflow.autodiff import NonFiniteError, ShapeError, backward
+from marginflow.autodiff import (NonFiniteError, ShapeError, adjoints,
+                                 backward)
 from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
@@ -125,10 +126,10 @@ def seeded_fd_grad(graph, theta, X, seed):
     return total
 
 
-def per_sample_grad_norms(model, cache):
+def per_sample_grad_norms(model, records):
     """Norms ||grad_theta Phi(theta; x_n)|| for every row of the batch that
-    `model.forward` recorded in `cache`: shaped (B,) like its output, or
-    (S, B) for a forward over S stacked parameter vectors.
+    `model.forward` recorded in `records`: shaped (B,) like its output,
+    or (S, B) for a forward over S stacked parameter vectors.
 
     Uses the layer structure directly: for a dense layer the per-sample
     weight gradient is an outer product, so its Frobenius norm factors
@@ -137,8 +138,9 @@ def per_sample_grad_norms(model, cache):
     """
     if model.num_outputs != 1:
         raise ValueError("per_sample_grad_norms expects a single-output model")
-    sq_norms = np.zeros(cache.out.shape)
-    for h_in, delta, _, _ in cache.adjoints(np.ones(cache.out.shape + (1,))):
+    out_shape = records[-1][2].shape  # the unsqueezed (..., B, 1)
+    sq_norms = np.zeros(out_shape[:-1])
+    for h_in, delta, _ in adjoints(model.blocks, records, np.ones(out_shape)):
         sq_norms += np.einsum("...bi,...bi->...b", h_in, h_in) * np.einsum(
             "...bo,...bo->...b", delta, delta
         )
@@ -160,9 +162,9 @@ def sampled_sphere_sups(model, dataset, rng, n_sphere, witness=None,
         draws /= np.linalg.norm(draws, axis=1, keepdims=True)
         if start == 0 and witness is not None:
             draws[0] = unit(witness)
-        phi, cache = model.forward(draws, dataset.X)
+        phi, records = model.forward(draws, dataset.X)
         b0 = max(b0, float(np.max(dataset.y * phi)))
-        b1 = max(b1, float(np.max(per_sample_grad_norms(model, cache))))
+        b1 = max(b1, float(np.max(per_sample_grad_norms(model, records))))
     return b0, b1
 
 
@@ -236,7 +238,7 @@ def lambda_of_loss(spec, loss_value):
 # branch of np.where computed in full, log1p taken twice. The package's
 # versions must agree with these bit for bit.
 
-def _logistic_softplus_neg(q):
+def logistic_softplus_neg(q):
     q = np.asarray(q, dtype=np.float64)
     u = np.exp(-np.abs(q))
     return np.where(q >= 0.0, np.log1p(u), -q + np.log1p(u))
@@ -244,7 +246,7 @@ def _logistic_softplus_neg(q):
 
 def logistic_f(q):
     q = np.asarray(q, dtype=np.float64)
-    sp = _logistic_softplus_neg(q)
+    sp = logistic_softplus_neg(q)
     safe = sp > 0.0
     return np.where(safe, -np.log(np.where(safe, sp, 1.0)), q)
 
@@ -388,11 +390,11 @@ def _euler_worst(model, theta, x, part, k):
     """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
     over the outputs j, one one-hot seeded backward each."""
     theta = np.asarray(theta, dtype=np.float64)
-    out, cache = model.forward(theta, x)
+    out, records = model.forward(theta, x)
     out = np.atleast_1d(out)
     worst = 0.0
     for j, seed in enumerate(np.eye(out.size)):
-        grad = backward(cache, seed)
+        grad = backward(model.blocks, records, seed[None])
         inner = float(theta[part] @ grad[part])
         worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
     return worst
@@ -413,8 +415,8 @@ def block_euler_residual(model, theta, x, block_i):
 
 def preactivations(model, theta, x):
     """Values entering each kinked nonlinearity; used to avoid kink probes."""
-    _, cache = model.forward(theta, x)
-    outputs = iter(z for _, _, z, *_ in cache.records)  # one per dense layer
+    _, records = model.forward(theta, x)
+    outputs = iter(z for _, _, z in records)  # one per dense layer
     pre = []
     for layer in layers_of(model):
         if layer.kind == "dense":
@@ -447,8 +449,8 @@ def per_sample_grads(model, theta, X):
         raise ValueError("per_sample_grads expects a single-output model")
     grads = np.empty((X.shape[0], model.param_count))
     for n in range(X.shape[0]):
-        _, cache = model.forward(theta, X[n])
-        grads[n] = backward(cache, 1.0)
+        _, records = model.forward(theta, X[n])
+        grads[n] = backward(model.blocks, records, np.ones((1, 1)))
     return grads
 
 
@@ -645,7 +647,8 @@ def layer_walk_forward(graph, params, x):
         kind = layer.kind
         if kind == "dense":
             if h.shape[-1] != layer.in_dim:
-                raise ShapeError("dense", f"input dim {layer.in_dim}", h.shape)
+                raise ShapeError(f"op 'dense': expected input dim "
+                                 f"{layer.in_dim}, got {h.shape}")
             w = params[..., layer.offset:layer.offset
                        + layer.in_dim * layer.out_dim]
             w = w.reshape(lead + (layer.in_dim, layer.out_dim))

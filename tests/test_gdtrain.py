@@ -1,5 +1,6 @@
 """Descent loop, loss-based schedule, and GD margin certificates."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -206,6 +207,33 @@ def test_phi_curve_scalar_path_equals_array_path(name, u0):
     us = [u0, u0 + 0.3, (u0 + s) / 2.0, s + 0.5, s + 3.0, 40.0, 300.0]
     assert [curve.correction(u) for u in us] == [oracle.correction(u)
                                                  for u in us]
+
+
+def test_logistic_g_pair_is_g_prime_over_g_bit_for_bit():
+    # lambda = g'/g from one pass over a correction walk's nodes, and at
+    # the floats the GD monitors and the bisection hand it
+    nodes = []
+    real = LOGISTIC.g_pair
+
+    def recorded(u):
+        nodes.append(np.array(u))
+        return real(u)
+
+    curve = PhiCurve(dataclasses.replace(LOGISTIC, g_pair=recorded), 2.0, 0.6)
+    for u in np.linspace(0.6, 40.0, 60):
+        curve.correction(float(u))
+    arrays = [u for u in nodes if u.ndim]
+    assert len(arrays) > 50 and len(nodes) > len(arrays)
+    for u in nodes:
+        arg = u if u.ndim else float(u)
+        g, g_prime = LOGISTIC.g_pair(arg)
+        assert np.array_equal(np.asarray(g).view(np.int64),
+                              np.asarray(LOGISTIC.g(arg)).view(np.int64))
+        assert np.array_equal(
+            np.asarray(g_prime / g).view(np.int64),
+            np.asarray(LOGISTIC.g_prime(arg) / LOGISTIC.g(arg)).view(np.int64))
+    with pytest.raises(LossDomainError):
+        LOGISTIC.g_pair(0.2)  # below f(b_f), as g and g' raise
 
 
 # (family, anchor u0) pairs whose F dips, so both integrands have a range

@@ -166,6 +166,70 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
     assert raised >= len(cases)
 
 
+def _nonfinite_points():
+    """(id, model, theta, data, spec, message) for each NonFiniteError
+    of evaluate_point, binary and 3-class: an output that overflows, a
+    seed past float range (f' = 3q^2 of exp_cubed, or its inf - inf
+    weights) from a finite output, and a gradient that overflows from a
+    finite seed (huge last-layer weights times large inputs)."""
+    xb = np.array([[1.0, 2.0], [2.0, 1.0], [-1.0, -2.0], [-2.0, -1.0]])
+    x3 = np.array([[2.0, 0.1], [1.8, 0.4], [-1.0, 1.7], [-1.2, 1.5],
+                   [-1.0, -1.7], [-0.8, -1.9]])
+    binary = datasets.Dataset(xb, [1, 1, -1, -1])
+    three = datasets.Dataset(x3, [0, 0, 1, 1, 2, 2])
+    relu, relu3 = models.relu_mlp(2, [3]), models.relu_mlp(2, [3], 3)
+    lin, lin3 = models.deep_linear(2, [3]), models.deep_linear(2, [3], 3)
+    exp, cubed, ce = (losses.get_loss(n)
+                      for n in ("exp", "exp_cubed", "cross_entropy"))
+    forward = "forward pass produced non-finite output"
+    seed = "backward pass got a non-finite seed"
+    grad = "backward pass produced non-finite gradient"
+    # phi = 0 at these weights, but the first layer's adjoint is ~1e300
+    tiny = np.full(6, 1e-300)
+    w2 = 1e300 * np.array([1.0, -1.0, 0.0])
+    w23 = 1e300 * np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [0, 0, 0]])
+    return [
+        ("forward", relu, np.full(9, 1e200), binary, exp, forward),
+        ("forward_3class", relu3, 1e200 * np.r_[np.ones(6), [1, 2, 3] * 3],
+         three, ce, forward),
+        ("seed", relu, np.full(9, 1e80), binary, cubed, seed),
+        ("seed_3class", relu3, 1e80 * models.init_params(
+            relu3, np.random.default_rng(0)), three, cubed, seed),
+        ("gradient", lin, np.r_[tiny, w2],
+         datasets.Dataset(1e9 * xb, binary.y), exp, grad),
+        ("gradient_3class", lin3, np.r_[tiny, w23.ravel()],
+         datasets.Dataset(1e9 * x3, three.y), ce, grad),
+    ]
+
+
+@pytest.mark.parametrize("case", _nonfinite_points(), ids=lambda c: c[0])
+def test_nonfinite_evaluation_raises_and_is_a_rejected_trial(case,
+                                                             monkeypatch):
+    _, model, theta, data, spec, message = case
+    with np.errstate(all="ignore"):
+        with pytest.raises(autodiff.NonFiniteError, match=message):
+            gradflow.evaluate_point(model, theta, data, spec)
+    # the same error from the first RK4 stage of a step: one halving
+    real = gradflow.evaluate_point
+    calls = []
+
+    def first_stage_fails(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            with np.errstate(all="ignore"):
+                return real(model, theta, data, spec)
+        return real(*args)
+
+    spec_, model_, theta0, data_ = _relu_logistic_setup()
+    state = gradflow.init_flow(model_, theta0, data_, spec_)
+    dt = gradflow.propose_dt_scaled(state.ev, 2e-3)
+    monkeypatch.setattr(gradflow, "evaluate_point", first_stage_fails)
+    _, info = gradflow.flow_step(model_, data_, spec_, state, dt,
+                                 step_tol=2e-3)
+    assert info.halvings == 1 and info.dt_scaled == dt / 2
+    assert len(calls) == 1 + 4  # the failed stage, then one full trial
+
+
 def test_point_eval_lazy_summaries_equal_eager_oracle():
     spec, model, _, data = _relu_logistic_setup()
     cases = [(spec, model, data, models.init_params(

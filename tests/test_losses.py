@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from marginflow import losses
 
 from oracles import (lambda_from_log_inv_loss, lambda_of_loss, logistic_f,
-                     logistic_f_prime, make_custom)
+                     logistic_f_prime, logistic_softplus_neg, make_custom)
 
 mp.mp.dps = 60
 
@@ -147,13 +147,45 @@ def test_logistic_f_and_f_prime_bit_equal_to_oracle():
         for chunk in chunks:
             got = np.asarray(new(chunk)).view(np.int64)
             assert np.array_equal(got, old(chunk).view(np.int64)), chunk
-            fast += bool(np.all(losses._logistic_softplus(chunk)[0] > 0.0))
+            fast += bool(np.all(logistic_softplus_neg(chunk) > 0.0))
         assert 0 < fast < len(chunks)
         for v in specials:  # one number, as float and as a 0-d array
             for arg in (float(v), np.array(v)):
                 assert np.float64(new(arg)).view(np.int64) \
                     == np.float64(old(arg)).view(np.int64), (new, v)
         assert new(np.array([])).shape == (0,)
+
+
+def test_logistic_one_sided_path_keeps_the_bits(monkeypatch):
+    # min q >= 0, every separated state, takes u = e^{-q} and log1p(u)
+    # directly; one negative entry sends the same values down the
+    # two-sided path (u = e^{-|q|}, log1p(u) - min(q, 0))
+    abs_calls = []
+    real_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda q: abs_calls.append(1)
+                        or real_abs(q))
+
+    def bits(q):
+        del abs_calls[:]
+        f, fp = losses._logistic_f_pair(np.array(q))
+        return f.view(np.int64), fp.view(np.int64), bool(abs_calls)
+
+    for v in (0.0, -0.0, 1e-300, 30.0, 745.0, 746.0, 1e308, np.nan):
+        f1, fp1, two_sided = bits([v, v])
+        assert two_sided == (v != v)  # NaN fails min q >= 0
+        f2, fp2, two_sided = bits([v, -1.0])
+        assert two_sided
+        assert f1[0] == f2[0] and fp1[0] == fp2[0], v
+    mixed = np.array([3.0, -2.0, 0.0, 800.0, -0.0, 1e-300, -745.5, 40.0,
+                      746.0, -1e-300])
+    f, fp, two_sided = bits(mixed)
+    assert two_sided
+    assert np.array_equal(f, logistic_f(mixed).view(np.int64))
+    assert np.array_equal(fp, logistic_f_prime(mixed).view(np.int64))
+    sep = mixed >= 0.0
+    f1, fp1, two_sided = bits(mixed[sep])
+    assert not two_sided
+    assert np.array_equal(f1, f[sep]) and np.array_equal(fp1, fp[sep])
 
 
 def test_g_domain_error_below_threshold():

@@ -164,8 +164,8 @@ def test_per_sample_grad_norms_match_stacked():
         X = np.stack(
             [sample_smooth_probe(model, theta, rng) for _ in range(6)]
         )
-        _, cache = model.forward(theta, X)
-        fast = per_sample_grad_norms(model, cache)
+        _, records = model.forward(theta, X)
+        fast = per_sample_grad_norms(model, records)
         slow = np.linalg.norm(per_sample_grads(model, theta, X), axis=1)
         assert rel_err(fast, slow) < 1e-12, model.name
 

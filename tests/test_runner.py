@@ -80,6 +80,35 @@ def test_config_rejects_out_of_range_numbers(key, value):
         RunConfig.from_dict({"scenario": scenario, key: value})
 
 
+@pytest.mark.parametrize("theta0", [[0.1], "abc"], ids=["short", "string"])
+def test_cli_rejects_bad_theta0_before_writing(tmp_path, theta0):
+    # before, [0.1] failed in numpy's reshape to (2, 6) and "abc" in float
+    # conversion, both after the output directory was made, and neither
+    # error named theta0
+    p = tmp_path / "bad.yaml"
+    p.write_text(json.dumps({"scenario": "flow_margin",
+                             "options": {"theta0": theta0}}))
+    with pytest.raises(ValueError, match="theta0"):
+        cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_checks_theta0_against_the_model():
+    net = {"family": "relu_mlp", "input_dim": 2, "widths": [4]}  # 12
+    for theta0 in ([0.1] * 11 + [math.nan], [0.1] * 11 + [-math.inf],
+                   [0.1] * 11 + ["0.1"], [True] * 12, [[0.1] * 12],
+                   (0.1,) * 12, 0.1, [0.1] * 18, [0.1] * 13):
+        with pytest.raises(ValueError, match="theta0 must be a list of 12"):
+            RunConfig.from_dict({"scenario": "flow_margin", "model": net,
+                                 "options": {"theta0": theta0}})
+    # ints stand for floats; the default model takes 18 parameters
+    cfg = RunConfig.from_dict({"scenario": "flow_margin", "model": net,
+                               "options": {"theta0": [1] * 12}})
+    assert _setup(cfg, 0)[3].tolist() == [1.0] * 12
+    RunConfig.from_dict({"scenario": "gd_margin",
+                         "options": {"theta0": [0.1] * 18}})
+
+
 def _emit_outputs():
     spec = importlib.util.spec_from_file_location(
         "emit_outputs", ROOT / "scripts" / "emit_outputs.py")
