@@ -146,6 +146,18 @@ CORPUS = {
         "scenario": "flow_margin", "alpha0": 0.5, "seeds": [0]}),
     "rejected_cast": ("run", {
         "scenario": "gd_margin", "epochs": 10.9, "seeds": [0]}),
+    # rejected at load, as sections are read against their builders: a
+    # dataset key, a model key, and a key that the family does not read
+    "rejected_dataset_key": ("run", {
+        "scenario": "flow_margin", "seeds": [0],
+        "dataset": {"kind": "two_gaussians", "n": 12, "bogus": 1}}),
+    "rejected_model_key": ("run", {
+        "scenario": "flow_margin", "seeds": [0],
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6],
+                  "bogus": 1}}),
+    "rejected_family_key": ("run", {
+        "scenario": "flow_margin", "seeds": [0],
+        "model": {"family": "linear", "input_dim": 2, "widths": [6]}}),
 }
 
 

@@ -11,6 +11,7 @@ Verbs:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -112,7 +113,16 @@ COMMANDS = {
 }
 
 
+# glibc's M_TRIM_THRESHOLD: by default it hands 128 KiB of free heap top
+# back to the system, and a wide flow step frees about a megabyte of
+# arrays, so without a hole that large each evaluation faults them in
+M_TRIM_THRESHOLD = -1
+
+
 def main(argv=None) -> int:
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(M_TRIM_THRESHOLD, 64 << 20)
     args = build_parser().parse_args(argv)
     return COMMANDS[args.verb](args)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,17 +94,17 @@ def ring(n: int = 16, inner: float = 0.5, outer: float = 2.0,
     return Dataset(X, y, provenance=f"ring(n={n},seed={seed})")
 
 
-def from_rows(rows, provenance: str = "inline") -> Dataset:
+def from_rows(rows: list) -> Dataset:
     """Rows of [x_1, ..., x_d, label]."""
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("need rows of at least one feature plus a label")
-    return Dataset(arr[:, :-1], arr[:, -1].astype(np.int64), provenance)
+    return Dataset(arr[:, :-1], arr[:, -1].astype(np.int64), "inline")
 
 
-def from_csv(path) -> Dataset:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    return from_rows(rows, provenance=f"csv:{path}")
+def from_csv(path: str) -> Dataset:
+    ds = from_rows(np.loadtxt(path, delimiter=",", ndmin=2))
+    return replace(ds, provenance=f"csv:{path}")
 
 
 def read_idx(path) -> np.ndarray:
@@ -133,14 +133,19 @@ def read_idx(path) -> np.ndarray:
     return np.frombuffer(blob[header:], dtype=np.uint8).reshape(dims)
 
 
-def from_idx(images_path, labels_path, count: int | None = None,
-             classes: tuple[int, int] | None = None) -> Dataset:
+def from_idx(images_path: str, labels_path: str, count: int | None = None,
+             classes: list[int] | None = None) -> Dataset:
     """IDX image/label pair; pixels scaled into [0, 1] by 1/255.
 
-    classes=(a, b) restricts to two digits mapped to -1/+1; otherwise
+    classes=[a, b] restricts to two digits mapped to -1/+1; otherwise
     all labels are kept as class indices. count takes the first rows
     after filtering, keeping ingestion deterministic.
     """
+    if classes is not None and (not isinstance(classes, (list, tuple))
+                                or [type(c) for c in classes] != [int, int]):
+        raise ValueError(f"classes must be two ints, got {classes!r}")
+    if count is not None and (type(count) is not int or count < 1):
+        raise ValueError(f"count must be a positive int, got {count!r}")
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -160,24 +165,16 @@ def from_idx(images_path, labels_path, count: int | None = None,
     return Dataset(X, y, provenance=f"idx:{images_path}")
 
 
+# a config's dataset `kind`, by builder; its parameters are the other keys
+KINDS = {"csv": from_csv, "inline": from_rows, "idx": from_idx,
+         "two_gaussians": two_gaussians, "xor": xor_points, "ring": ring}
+
+
 def load_dataset(source) -> Dataset:
     """Build a dataset from a config source: path string or kind dict."""
     if isinstance(source, str):
         return from_csv(source)
     kind = source.get("kind")
-    opts = {k: v for k, v in source.items() if k != "kind"}
-    if kind == "csv":
-        return from_csv(opts["path"])
-    if kind == "inline":
-        return from_rows(opts["rows"])
-    if kind == "two_gaussians":
-        return two_gaussians(**opts)
-    if kind == "xor":
-        return xor_points(**opts)
-    if kind == "ring":
-        return ring(**opts)
-    if kind == "idx":
-        if "classes" in opts and opts["classes"] is not None:
-            opts["classes"] = tuple(opts["classes"])
-        return from_idx(**opts)
-    raise ValueError(f"unknown dataset source kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown dataset source kind {kind!r}")
+    return KINDS[kind](**{k: v for k, v in source.items() if k != "kind"})

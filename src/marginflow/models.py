@@ -63,6 +63,9 @@ class HomogeneousModel:
 
 def _dense_chain(name: str, dims: list[int], kind: str | None,
                  alpha: float = 0.0, block_ks=None) -> HomogeneousModel:
+    if any(not isinstance(d, (int, np.integer)) or d < 1 for d in dims):
+        raise ValueError(f"model dims [input_dim, *widths, num_outputs] "
+                         f"must be positive ints, got {dims}")
     op, rule = (None, None) if kind is None else activation(kind, alpha)
     blocks = []
     start = 0
@@ -109,7 +112,8 @@ def quadratic_mlp(input_dim: int, widths: list[int], num_outputs: int = 1) -> Ho
     return _dense_chain("quadratic_mlp", dims, "square", block_ks=block_ks)
 
 
-_FAMILIES = {
+# a config's model `family`, by builder; its parameters are the other keys
+FAMILIES = {
     "linear": linear,
     "deep_linear": deep_linear,
     "relu_mlp": relu_mlp,
@@ -118,16 +122,11 @@ _FAMILIES = {
 }
 
 
-def build_model(family: str, input_dim: int, widths=None, alpha: float = 0.1,
-                num_outputs: int = 1) -> HomogeneousModel:
-    """Build a model from run-config fields."""
-    if family not in _FAMILIES:
+def build_model(family: str, *args, **kwargs) -> HomogeneousModel:
+    """The model that `family`'s builder makes of the other arguments."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    if family == "linear":
-        return linear(input_dim, num_outputs)
-    if family == "leaky_relu_mlp":
-        return leaky_relu_mlp(input_dim, list(widths), alpha, num_outputs)
-    return _FAMILIES[family](input_dim, list(widths), num_outputs)
+    return FAMILIES[family](*args, **kwargs)
 
 
 def init_params(model: HomogeneousModel, rng: np.random.Generator,

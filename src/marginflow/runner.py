@@ -17,6 +17,7 @@ execute them sequentially, which is plenty at desk scale.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -27,14 +28,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .datasets import from_rows, load_dataset, two_gaussians
+from .datasets import KINDS, Dataset, load_dataset
 from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
                       sphere_sups, train_gd)
 from .gradflow import (evaluate_point, flow_states, is_separated,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
-from .losses import get_loss, validate_b3
-from .models import build_model, init_params
+from .losses import LossSpec, get_loss, validate_b3
+from .models import FAMILIES, HomogeneousModel, build_model, init_params
 from .rates import bounded_ratio_verdict, rate_ratios
 
 LOG10 = math.log(10.0)
@@ -47,12 +48,11 @@ LINEAR_2D_ROWS = [
     [-1.7, 0.4, -1], [-1.1, -1.0, -1], [-2.3, -0.5, -1], [-0.9, 0.8, -1],
 ]
 
-# per scenario, one row: (model fields, dataset factory, loss, runs).
-# A config's `model` fields, `dataset` and `loss` override the first
-# three. The factories look the builders up when called, so a rebinding
-# (perfbench's span tracer) reaches them. `runs` maps the optimizers
-# the scenario runs (the first is its default) to each key that run
-# reads, with its default; the run's options are under "options".
+# per scenario, one row: (model, dataset, loss, runs). A config's
+# `model`, `dataset` and `loss` each replace the row's whole, and all
+# three are built at load. `runs` maps the optimizers the scenario runs
+# (the first is its default) to each key that run reads, with its
+# default; the run's options are under "options".
 _SAMPLES = {"theta0": None, "n_sphere": 2_000, "n_curvature": 500}
 _FLOW = {"target_log_inv_loss": 30.0, "step_tol": 2e-3, "record_every": 1,
          "options": _SAMPLES}
@@ -60,17 +60,17 @@ _GD = {"alpha0": 0.1, "epochs": 200, "options": {**_SAMPLES, "s5_guard": True}}
 _GD_10K = {**_GD, "options": {**_GD["options"], "n_sphere": 10_000,
                               "n_curvature": 1_000}}
 _README = ({"family": "relu_mlp", "input_dim": 2, "widths": [6]},
-           lambda: two_gaussians(12, 2, separation=3.0, seed=5), "exp")
+           {"kind": "two_gaussians", "n": 12, "seed": 5}, "exp")
 SETUPS = {
     "flow_margin": (*_README, {"flow": _FLOW}),
     "gd_margin": (*_README, dict.fromkeys(("gd_loss_based", "gd_const"), _GD)),
     "linear_logistic_2d": (
         {"family": "linear", "input_dim": 2},
-        lambda: from_rows(LINEAR_2D_ROWS, provenance="linear_2d"),
-        "logistic", {"flow": _FLOW}),
+        {"kind": "inline", "rows": LINEAR_2D_ROWS}, "logistic",
+        {"flow": _FLOW}),
     "rates": (
         {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
-        lambda: two_gaussians(8, 2, separation=3.0, seed=5), "exp",
+        {"kind": "two_gaussians", "n": 8, "seed": 5}, "exp",
         {"flow": _FLOW,
          **dict.fromkeys(("gd_loss_based", "gd_const"), _GD_10K)}),
     # separation 4.0 with this seed is linearly separable (checked via
@@ -78,8 +78,8 @@ SETUPS = {
     # subdifferential crease long before the loss target
     "deep_loss_50": (
         {"family": "relu_mlp", "input_dim": 2, "widths": [12]},
-        lambda: two_gaussians(50, 2, separation=4.0, seed=10), "exp",
-        {"gd_loss_based": {**_GD_10K, "options": {
+        {"kind": "two_gaussians", "n": 50, "separation": 4.0, "seed": 10},
+        "exp", {"gd_loss_based": {**_GD_10K, "options": {
             **_GD_10K["options"], "s5_guard": False}}}),
     # no model, data or loss: the rotating construction is its own flow
     "mexican_hat": (None, None, None, {"flow": {"record_every": 1, "options": {
@@ -87,33 +87,52 @@ SETUPS = {
 }
 
 
-def _read(given: dict, table: dict, what: str, scenario: str) -> dict:
+def _read(given: dict, table: dict, what: str, where: str) -> dict:
     """`table` with `given`'s values for its defaults; a key outside it,
-    or a value not of its default's type (an int may stand for a float,
-    and a None default takes any value), raises a ValueError naming it."""
+    a key whose default is a type but missing from `given`, or a value
+    not of its default's type (an int may stand for a float, and a None
+    default takes any value) raises a ValueError naming it."""
     unknown = sorted(set(given) - set(table))
     if unknown:
-        raise ValueError(f"unknown {what} {unknown[0]!r} for {scenario}; "
+        raise ValueError(f"unknown {what} {unknown[0]!r} for {where}; "
                          f"have {sorted(table)}")
-    for key, v in given.items():
-        t = type(table[key])
+    out = {}
+    for key, d in table.items():
+        t = d if isinstance(d, type) else type(d)
+        if t is d and key not in given:
+            raise ValueError(f"{what} {key!r} is required for {where}")
+        v = given.get(key, d)
         if t is not type(None) and type(v) not in (t, {float: int}.get(t)):
             raise ValueError(
                 f"{what} {key!r} must be a {t.__name__}, got {v!r}")
-    return {k: given.get(k) if d is None else type(d)(given.get(k, d))
-            for k, d in table.items()}
+        out[key] = v if t is type(None) else t(v)
+    return out
+
+
+def _section(section, name: str, builders: dict, what: str) -> dict:
+    """`section` read against the builder in `builders` that its key
+    `name` picks: the builder's parameters, with their defaults, or with
+    their annotated types where they have none, are its other keys."""
+    pick = str(section.get(name)) if type(section) is dict else repr(section)
+    _read({pick: None}, dict.fromkeys(builders), f"{what} {name}",
+          "the config")
+    params = inspect.signature(builders[pick], eval_str=True).parameters
+    table = {k: getattr(p.annotation, "__origin__", p.annotation)
+             if p.default is p.empty else p.default for k, p in params.items()}
+    rest = {k: v for k, v in section.items() if k != name}
+    return {name: pick, **_read(rest, table, f"{what} key", f"{name} {pick}")}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration; `raw` is the file content verbatim, and
+    """Parsed run configuration: `raw` is the file content verbatim, and
     `options` maps each key of the run's `SETUPS` table to its value."""
 
     raw: dict
     scenario: str
-    model: dict | None
-    loss: str | None
-    dataset: object | None
+    model: HomogeneousModel | None
+    loss: LossSpec | None
+    dataset: Dataset | None
     optimizer: str
     seeds: tuple[int, ...]
     out_dir: str
@@ -121,17 +140,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        scenario = raw.get("scenario")
-        if type(scenario) is not str or scenario not in SETUPS:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; have {sorted(SETUPS)}")
-        model, _, loss, runs = SETUPS[scenario]
+        scenario = str(raw.get("scenario"))
+        _read({scenario: None}, dict.fromkeys(SETUPS), "scenario",
+              "the config")
+        model, dataset, loss, runs = SETUPS[scenario]
         optimizer = str(raw.get("optimizer", next(iter(runs))))
         _read({optimizer: None}, dict.fromkeys(runs), "optimizer", scenario)
-        # the keys every run reads, and a row with a model its overrides
+        # the keys every run reads, and a row with a model its sections
         shared = {"scenario": None, "optimizer": None, "seed": 0,
                   "seeds": [0], "out_dir": "runs",
-                  **dict.fromkeys(("model", "loss", "dataset") * bool(model))}
+                  **({"model": None, "dataset": None, "loss": loss}
+                     if model else {})}
         run = runs[optimizer]
         top = _read(raw, {**shared, **run}, "config key", scenario)
         options = {k: top[k] for k in run if k != "options"}
@@ -143,24 +162,36 @@ class RunConfig:
                     f"{key} must be {'positive and ' * pos}finite, got {v!r}")
         options.update(_read(top["options"], run["options"],
                              f"{optimizer} option", scenario))
+        if model:
+            # null keeps the row's section; a dataset string is a CSV path
+            data = dataset if top["dataset"] is None else top["dataset"]
+            net = model if top["model"] is None else top["model"]
+            model = build_model(**_section(net, "family", FAMILIES, "model"))
+            dataset = load_dataset(data if type(data) is str else _section(
+                data, "kind", KINDS, "dataset"))
+            if (width := model.blocks[0].shape[0]) != dataset.X.shape[1]:
+                raise ValueError(f"model has input_dim = {width}; the "
+                                 f"dataset has {dataset.X.shape[1]} features")
+            need = 1 if dataset.is_binary else int(dataset.y.max()) + 1
+            if (c := model.num_outputs) < need or dataset.is_binary and c > 1:
+                raise ValueError(f"model has num_outputs = {c}; the "
+                                 f"dataset's labels need {need}")
+            loss = get_loss(top["loss"])
         theta0 = options.get("theta0")
-        if theta0 is not None:
-            count = build_model(**{**model, **(raw.get("model") or {})}
-                                ).param_count
-            if type(theta0) is not list or len(theta0) != count or not all(
-                    type(v) in (int, float) and math.isfinite(v)
-                    for v in theta0):
-                raise ValueError(f"theta0 must be a list of {count} finite "
-                                 f"numbers, got {theta0!r}")
+        if theta0 is not None and (
+                type(theta0) is not list or len(theta0) != model.param_count
+                or not all(type(v) in (int, float) and math.isfinite(v)
+                           for v in theta0)):
+            raise ValueError(f"theta0 must be a list of {model.param_count} "
+                             f"finite numbers, got {theta0!r}")
         seeds = top["seeds"] if "seeds" in raw else [top["seed"]]
         if ("seed" in raw and "seeds" in raw or not seeds
                 or any(type(s) is not int for s in seeds)):
             raise ValueError("give seed (an int) or seeds (a non-empty list "
                              f"of ints), not both; got seeds {seeds!r}")
         return cls(
-            raw=raw, scenario=scenario, model=raw.get("model"),
-            loss=raw.get("loss", loss), dataset=raw.get("dataset"),
-            optimizer=optimizer, seeds=tuple(seeds),
+            raw=raw, scenario=scenario, model=model, loss=loss,
+            dataset=dataset, optimizer=optimizer, seeds=tuple(seeds),
             # the output directory is the one env-var override
             out_dir=os.environ.get("MARGINFLOW_OUT", top["out_dir"]),
             options=options)
@@ -259,20 +290,13 @@ def emit_plot_data(trajectory, cfg: RunConfig, out_dir: Path,
 # ------------------------------------------------------------ helpers
 
 def _setup(cfg: RunConfig, seed: int):
-    """(model, dataset, loss spec, theta0) of a scenario's SETUPS row
-    under the config's overrides; theta0 is `options.theta0`, else the
-    seeded init at scale 0.7."""
-    model_fields, dataset, _, _ = SETUPS[cfg.scenario]
-    model = build_model(**{**model_fields, **(cfg.model or {})})
-    ds = dataset() if cfg.dataset is None else load_dataset(cfg.dataset)
-    need = 1 if ds.is_binary else int(ds.y.max()) + 1
-    if model.num_outputs < need or ds.is_binary and model.num_outputs > 1:
-        raise ValueError(f"model has num_outputs = {model.num_outputs}; "
-                         f"the dataset's labels need {need}")
+    """(model, dataset, loss spec, theta0) of the config; theta0 is
+    `options.theta0`, else the seeded init at scale 0.7."""
     theta0 = cfg.options["theta0"]
     theta0 = (np.asarray(theta0, dtype=np.float64) if theta0 is not None
-              else init_params(model, np.random.default_rng(seed), scale=0.7))
-    return model, ds, get_loss(cfg.loss), theta0
+              else init_params(cfg.model, np.random.default_rng(seed),
+                               scale=0.7))
+    return cfg.model, cfg.dataset, cfg.loss, theta0
 
 
 def _drive(cfg: RunConfig, seed: int, model, ds, spec, theta0):
@@ -315,12 +339,12 @@ def _drive(cfg: RunConfig, seed: int, model, ds, spec, theta0):
 def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
     """A scenario's own summary fields inside the common envelope: run
     identity, the loss validation report, B-constants and failures."""
-    spec, b = result["spec"], result["b"]
+    b = result["b"]
     return _jsonable({
         **result["summary"],
         "scenario": cfg.scenario, "seed": seed,
         "config_sha256": config_digest(cfg.raw),
-        "loss_validation": None if spec is None else validate_b3(spec),
+        "loss_validation": None if cfg.loss is None else validate_b3(cfg.loss),
         "b_constants": None if b is None else asdict(b),
         "failures": result["failures"],
     })
@@ -380,7 +404,7 @@ def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
         },
     }
     return {"records": out["records"], "summary": summary,
-            "failures": failures, "csv": {}, "spec": spec, "b": b}
+            "failures": failures, "csv": {}, "b": b}
 
 
 def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
@@ -427,7 +451,7 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
         "margin_series_len": len(hats),
     }
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}, "spec": spec, "b": b}
+            "csv": {}, "b": b}
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
@@ -461,7 +485,7 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
         "final": {"t": state.t, "x": state.ev.x, "rho": state.ev.rho},
     }
     return {"records": out["records"], "summary": summary,
-            "failures": failures, "csv": {}, "spec": spec, "b": b}
+            "failures": failures, "csv": {}, "b": b}
 
 
 def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
@@ -488,7 +512,7 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
     columns = ("log10_T", "ratio_loss", "ratio_rho")
     csv = {"rates": (columns, list(zip(*(diag[c] for c in columns))))}
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": csv, "spec": spec, "b": b}
+            "csv": csv, "b": b}
 
 
 def frame_equivalence_check(model, ds, spec, theta0, records,
@@ -553,7 +577,7 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
         "frame_equivalence": frame,
     }
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": {}, "spec": spec, "b": b}
+            "csv": {}, "b": b}
 
 
 def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
@@ -578,9 +602,8 @@ def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
     csv = {"hat": (("t", "r", "phi", "psi", "rho"),
                    [(r["t"], r["r"], r["phi"], r["psi"], r["rho"])
                     for r in records])}
-    # no classification loss in this scenario
     return {"records": records, "summary": summary, "failures": failures,
-            "csv": csv, "spec": None, "b": None}
+            "csv": csv, "b": None}
 
 
 SCENARIOS = {

@@ -102,15 +102,15 @@ def test_criterion_03_sandwich_every_checkpoint(flow_runs):
 
 def test_criterion_04_validators_and_fd_gradients():
     families = [
-        ("linear", None),
-        ("deep_linear", [3, 3]),
-        ("relu_mlp", [6]),
-        ("leaky_relu_mlp", [5]),
-        ("quadratic_mlp", [4]),
+        ("linear", ()),
+        ("deep_linear", ([3, 3],)),
+        ("relu_mlp", ([6],)),
+        ("leaky_relu_mlp", ([5],)),
+        ("quadratic_mlp", ([4],)),
     ]
     rng = np.random.default_rng(11)
     for family, widths in families:
-        model = build_model(family, 2, widths)
+        model = build_model(family, 2, *widths)
         theta = init_params(model, rng)
         for _ in range(100):
             x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
@@ -134,7 +134,7 @@ def test_criterion_05_weight_growth_identity(flow_runs):
 
 def test_criterion_06_linear_svm_convergence():
     t0 = time.perf_counter()
-    ds = from_rows(LINEAR_2D_ROWS, provenance="linear_2d")
+    ds = from_rows(LINEAR_2D_ROWS)
     model = build_model("linear", 2)
     for state, _ in flow_states(model, np.array([0.2, -0.1]), ds, LOGISTIC,
                                 step_tol=3e-3, max_steps=50_000):

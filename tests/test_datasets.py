@@ -1,10 +1,12 @@
 """Dataset container, synthetic generators, CSV, and IDX parsing."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from marginflow.cli import main as cli_main
 from marginflow.datasets import (Dataset, IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS,
                                  IdxFormatError, from_csv, from_idx,
                                  from_rows, load_dataset, read_idx, ring,
@@ -209,6 +211,41 @@ def test_load_dataset_idx_kind(tmp_path):
         "classes": [0, 1],
     })
     assert ds.is_binary and ds.n == 4
+
+
+def test_idx_pair_runs_through_the_cli(tmp_path):
+    # digits 3 and 8 as -1/+1, a 5 filtered out; the README's IDX keys
+    pixels = np.zeros((5, 2, 2), dtype=np.uint8)
+    pixels[[0, 2], 0, 0] = 200
+    pixels[[1, 3], 1, 1] = 250
+    pixels[4] = 90
+    labels = np.array([3, 8, 3, 8, 5], dtype=np.uint8)
+    config = tmp_path / "idx.yaml"
+    config.write_text(json.dumps({
+        "scenario": "flow_margin", "loss": "logistic",
+        "model": {"family": "linear", "input_dim": 4},
+        "dataset": {"kind": "idx",
+                    "images_path": str(_idx_images(tmp_path, pixels)),
+                    "labels_path": str(_idx_labels(tmp_path, labels)),
+                    "classes": [3, 8]},
+        "target_log_inv_loss": 5.0, "step_tol": 0.003, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "flow_margin-seed0.summary.json").read_text())
+    assert summary["failures"] == [] and summary["final"]["x"] >= 5.0
+
+
+@pytest.mark.parametrize("classes", [[3], [3, 8, 1], [3.0, 8], "38", 3])
+def test_from_idx_rejects_classes_other_than_two_ints(tmp_path, classes):
+    with pytest.raises(ValueError, match="classes must be two ints"):
+        from_idx(tmp_path / "imgs", tmp_path / "labels", classes=classes)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, "2"])
+def test_from_idx_rejects_counts_other_than_positive_ints(tmp_path, count):
+    # before, -1 dropped the last row and "2" raised a TypeError
+    with pytest.raises(ValueError, match="count must be a positive int"):
+        from_idx(tmp_path / "imgs", tmp_path / "labels", count=count)
 
 
 def test_load_dataset_unknown_kind():

@@ -291,7 +291,7 @@ def test_hat_step_equals_array_oracle():
 def test_flow_matches_single_sample_closed_form():
     spec = losses.get_loss("exp")
     model = models.build_model("linear", input_dim=2)
-    data = datasets.from_rows([[3.0, 0.0, 1.0]], "oracle")
+    data = datasets.from_rows([[3.0, 0.0, 1.0]])
     res = gradflow.run_flow(model, np.array([0.5, 0.0]), data, spec,
                             target_log_inv_loss=30.0, step_tol=1e-3)
     st = res["state"]
@@ -306,7 +306,7 @@ def test_zero_gradient_is_stationary():
     spec = losses.get_loss("exp")
     model = models.build_model("linear", input_dim=2)
     # one sample each label on the same input: gradients cancel at w.x=0
-    data = datasets.from_rows([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]], "tie")
+    data = datasets.from_rows([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
     state = gradflow.init_flow(model, np.array([0.0, 1.0]), data, spec)
     assert state.ev.g_norm == 0.0
     nxt, info = gradflow.flow_step(model, data, spec, state, dt_scaled=1.0)

@@ -184,18 +184,18 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
     for verb in ("kkt-report", "rates"):
         with pytest.raises(SystemExit, match=f"{verb} expects"):
             cli_main([verb, "--config", str(p)])
-    # the model's outputs must match the labels: before, these escaped
-    # as a numpy broadcast error and an IndexError from label_masks
+    # the model's outputs must match the labels, checked at load: before,
+    # these escaped as a numpy broadcast error and an IndexError from
+    # label_masks
     net = {"family": "relu_mlp", "input_dim": 2, "widths": [6]}
     three_class = {"kind": "inline", "rows": [[2.0, 0.0, 0], [-1.0, 1.7, 1],
                                                [-1.0, -1.7, 2]]}
     for model, dataset, match in [
             ({**net, "num_outputs": 2}, None, "num_outputs = 2.*need 1"),
             (net, three_class, "num_outputs = 1.*need 3")]:
-        cfg = RunConfig.from_dict({"scenario": "flow_margin", "model": model,
-                                   "dataset": dataset})
         with pytest.raises(ValueError, match=match):
-            run_scenario(cfg, out_dir=tmp_path / "o")
+            RunConfig.from_dict({"scenario": "flow_margin", "model": model,
+                                 "dataset": dataset})
     # an int stands for a float option; a multi-class model may have more
     # outputs than the labels present
     cfg = RunConfig.from_dict({"scenario": "mexican_hat",
@@ -206,6 +206,46 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
                                "dataset": three_class})
     model, ds, _, theta0 = _setup(cfg, 0)
     assert model.num_outputs == 4 and theta0.shape == (model.param_count,)
+
+
+_README_MODEL = {"family": "relu_mlp", "input_dim": 2, "widths": [6]}
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    # the IDX keys are images_path and labels_path
+    ("dataset", "images", {"dataset": {
+        "kind": "idx", "images": "PATH", "labels": "PATH",
+        "classes": [3, 8]}}),
+    ("dataset", "bogus", {"dataset": {"kind": "two_gaussians", "n": 12,
+                                      "bogus": 1}}),
+    ("dataset", "kind 'nope'", {"dataset": {"kind": "nope"}}),
+    ("model", "bogus", {"model": {**_README_MODEL, "bogus": 1}}),
+    ("model", "widths", {"model": {**_README_MODEL, "widths": 6}}),
+    ("model", "input_dim", {"model": {**_README_MODEL, "input_dim": 3}}),
+    ("loss", "nope", {"loss": "nope"}),
+    # keys the family does not read
+    ("model", "widths", {"model": {"family": "linear", "input_dim": 2,
+                                   "widths": [6]}}),
+    ("model", "alpha", {"model": {**_README_MODEL, "alpha": 0.2}}),
+    # a key without a default in the builder's signature must be given
+    ("model", "widths' is required", {"model": {"family": "relu_mlp",
+                                                "input_dim": 2}}),
+    # before, a zero width ran a model with no parameters and reported no
+    # failure, and 2.5 raised a TypeError mid-run
+    ("model", "widths", {"model": {**_README_MODEL, "widths": [0]}}),
+    ("model", "widths", {"model": {**_README_MODEL, "widths": [2.5]}}),
+], ids=["idx_readme_keys", "dataset_key", "dataset_kind", "model_key",
+        "widths_int", "input_dim", "loss", "widths_on_linear",
+        "alpha_on_relu", "widths_missing", "width_zero", "width_float"])
+def test_bad_sections_are_rejected_at_load(tmp_path, section, key, raw):
+    # before, the keys the family does not read were dropped silently,
+    # and the rest raised mid-run, from _setup or the first forward,
+    # after the output directory was made
+    p = tmp_path / "bad.yaml"
+    p.write_text(json.dumps({"scenario": "flow_margin", **raw}))
+    with pytest.raises(ValueError, match=f"{section} .*{key}"):
+        cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_option_is_set_by_a_shipped_config():
