@@ -6,9 +6,8 @@ LeakyReLU, square), described by the model's block table (`models.Block`):
 each dense layer's slice bounds and shape, and the forward op and
 derivative rule of the activation after it. `walk` runs that table and
 keeps one (layer input, weight view, pre-activation) record per dense
-layer; `adjoints` is the one reverse loop over those records, and
-`backward` sums its layer terms into a flat gradient. No graph is built
-per call, no Hessians. `walk` and `adjoints` also take a stack of S
+layer; `backward` walks those records back into a flat gradient. No
+graph is built per call, no Hessians. `walk` also takes a stack of S
 parameter vectors, shaped (S, P): every array then gains a leading
 member axis, and matmul broadcasts the shared input batch against the S
 weights. Finiteness checks scan the bytes of the `np.isfinite` mask for
@@ -89,31 +88,23 @@ def forward(blocks: tuple, params, x) -> tuple[np.ndarray, list]:
     return out, records
 
 
-def adjoints(blocks: tuple, records: list, adj: np.ndarray):
-    """The reverse loop: from the adjoint `adj` of the output of `walk`,
-    yield (layer input, adjoint of the layer's pre-activation z, block)
-    per dense layer, the last first; the input's adjoint is never formed."""
-    for i in range(len(blocks) - 1, -1, -1):
-        h, w, z = records[i]
-        block = blocks[i]
-        if block.rule is not None:
-            adj = block.rule(z) * adj
-        yield h, adj, block
-        if i:
-            adj = adj @ w.swapaxes(-1, -2)
-
-
 def backward(blocks: tuple, records: list, seed: np.ndarray) -> np.ndarray:
     """seed^T J as a flat parameter gradient, for the float64 (N, C)
     adjoint `seed` of a `walk` over one parameter vector: per-sample and
     per-class weights enter here, so one batched backward yields any
     weighted sum of per-sample gradients. A non-finite seed raises
-    before any arithmetic."""
+    before any arithmetic; the input's adjoint is never formed."""
     if not _all_finite(seed):
         raise NonFiniteError("backward pass got a non-finite seed")
-    grad = np.zeros(blocks[-1].stop)
-    for h, delta, b in adjoints(blocks, records, seed):
-        grad[b.start:b.stop] += (h.T @ delta).ravel()
+    adj, parts = seed, []
+    for i in range(len(blocks) - 1, -1, -1):
+        h, w, z = records[i]
+        if blocks[i].rule is not None:
+            adj = blocks[i].rule(z) * adj
+        parts.append((h.T @ adj).ravel())
+        if i:
+            adj = np.dot(adj, w.T)  # matmul's (N, 1) @ (1, n) is slow
+    grad = np.concatenate(parts[::-1]) + 0.0  # -0.0 to 0.0, as zeros + it
     if not _all_finite(grad):
         raise NonFiniteError("backward pass produced non-finite gradient")
     return grad

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,13 +203,36 @@ class PhiCurve:
         return t
 
 
-def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
-    """log of the local-smoothness scale sup_{u >= x} e^{-u} u^{2-2/L}
-    / g'(u)^2, by grid search; the e^{-u} factor kills the tail."""
-    us = np.linspace(x, x + 60.0, 2400)
-    vals = (-us + (2.0 - 2.0 / order_L) * np.log(us)
+def _log_kappa_h(spec: LossSpec, us: np.ndarray, order_L: float):
+    return (-us + (2.0 - 2.0 / order_L) * np.log(us)
             - 2.0 * np.log(spec.g_prime(us)))
-    return float(np.max(vals))
+
+
+@lru_cache(maxsize=64)
+def _kappa_peak(spec: LossSpec, order_L: float) -> float:
+    """u_kappa to 1e-13: h at 64 inner points, then in the best's gaps."""
+    lo, hi = spec.f_at_bf, spec.f_at_bf + 60.0
+    while hi - lo > 1e-13 * (1.0 + abs(hi)):
+        us = np.linspace(lo, hi, 66)
+        i = int(np.argmax(_log_kappa_h(spec, us[1:-1], order_L)))
+        lo, hi = us[i], us[i + 2]
+    return float(0.5 * (lo + hi))
+
+
+def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
+    """log of the (S5) smoothness scale sup_{u >= x} e^{-u} u^c / g'(u)^2,
+    c = 2 - 2/L: h(max(x, u_kappa)), h(u) = -u + c log u - 2 log g'(u).
+
+    h is concave: h' = -1 + c/u - 2 (log g')' falls for L >= 1 (c >= 0),
+    as the last term does: 0 for exp (g' = 1), so u_kappa = c; 4/(3u) for
+    exp_cubed (g' = u^(-2/3)/3), so u_kappa = c + 4/3; 2(1 - v/(e^v - 1)),
+    v = e^-u, for logistic and cross_entropy (g' = v e^v/(e^v - 1)), which
+    falls as v does, so u_kappa is the root of h', or f(b_f) where h' < 0
+    (L = 1). `_kappa_peak` searches [f(b_f), f(b_f) + 60] once per (spec, L)
+    and never takes h at an end, where exp at L = 1 has 0 log 0; h is taken
+    by array ufuncs, as numpy's scalar ones can differ in the last bit."""
+    us = np.array([max(x, _kappa_peak(spec, order_L))])
+    return float(_log_kappa_h(spec, us, order_L)[0])
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def log_tilde_margin(ev: PointEval, spec: LossSpec, order_L: float) -> float:
 
 def nu_lower_slack(xs: np.ndarray, vs, spec: LossSpec) -> list[float]:
     """log V - log(g/g')(x) per state; nonnegative once separated."""
-    bounds = (spec.g(xs) / spec.g_prime(xs)).tolist()
+    bounds = np.divide(*spec.g_pair(xs)).tolist()
     # scalar math.log: numpy's log differs from it in the last bit
     return [math.inf if b <= 0.0 else math.log(v) - math.log(b)
             for v, b in zip(vs, bounds)]
@@ -314,8 +314,9 @@ class LossUpperBound:
                               + (2.0 / order_L) * log_tilde0)
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
-        return (v + 2.0 * np.log(self.spec.g_prime(v))
-                - (2.0 - 2.0 / self.order_L) * np.log(self.spec.g(v)))
+        g, g_prime = self.spec.g_pair(v)
+        return (v + 2.0 * np.log(g_prime)
+                - (2.0 - 2.0 / self.order_L) * np.log(g))
 
     def update(self, xs: np.ndarray) -> np.ndarray:
         """Running log G after each x of `xs`, carried across calls.
@@ -356,7 +357,7 @@ class LossUpperBound:
 
 # states per array pass of the bound monitors; bounds the (chunk, 9)
 # integrand grids of a long run
-MONITOR_CHUNK = 4096
+MONITOR_CHUNK = 512
 
 
 def _bound_monitors(monitors: dict, bound: LossUpperBound, spec: LossSpec,

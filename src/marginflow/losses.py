@@ -109,32 +109,11 @@ def _logistic_series(u):
     return u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
 
 
-def _logistic_g(x):
-    """g(x) = -log(e^{e^{-x}} - 1) on [-log log 2, inf)."""
-    x = _as_f64(x)
-    u = np.exp(-np.minimum(x, 745.0))
-    tail = x > 30.0
-    # tail: -log(expm1(u)) = x - log1p(u/2 + u^2/6 + u^3/24)
-    series = x - np.log1p(_logistic_series(u))
-    direct = -np.log(np.expm1(np.where(tail, 1.0, u)))
-    return np.where(tail, series, direct)
-
-
 def _logistic_g_scalar(x: float):
     u = np.exp(-min(x, 745.0))  # min keeps a NaN x as np.minimum does
     if x > 30.0:
         return x - np.log1p(_logistic_series(u))
     return -np.log(np.expm1(u))
-
-
-def _logistic_g_prime(x):
-    """g'(x) = u e^u / (e^u - 1) with u = e^{-x}; decreasing, limit 1."""
-    x = _as_f64(x)
-    u = np.exp(-np.minimum(x, 745.0))
-    tail = x > 30.0
-    series = np.exp(u) / (1.0 + _logistic_series(u))
-    direct = u * np.exp(u) / np.expm1(np.where(tail, 1.0, u))
-    return np.where(tail, series, direct)
 
 
 def _logistic_g_prime_scalar(x: float):
@@ -145,9 +124,9 @@ def _logistic_g_prime_scalar(x: float):
 
 
 def _logistic_g_pair(x):
-    """(g(x), g'(x)), sharing u, the tail mask, the series and expm1, by
-    the ufuncs of `_logistic_g` and `_logistic_g_prime` in their order;
-    those stay apart, as holding these terms raises their peak memory."""
+    """(g(x), g'(x)) with g(x) = -log(e^{e^{-x}} - 1) on [-log log 2, inf)
+    and g'(x) = u e^u / (e^u - 1), u = e^{-x}, which falls to 1; past
+    x = 30, -log(expm1(u)) = x - log1p(u/2 + u^2/6 + u^3/24)."""
     x = _as_f64(x)
     u = np.exp(-np.minimum(x, 745.0))
     tail = x > 30.0
@@ -189,9 +168,10 @@ def make_logistic(name: str = "logistic") -> LossSpec:
         name=name,
         f=lambda q: _logistic_f_pair(q)[0],
         f_prime=lambda q: _logistic_f_pair(q)[1],
-        g=_with_domain_check(_logistic_g, _logistic_g_scalar,
-                             _LOGISTIC_F_AT_BF, name),
-        g_prime=_with_domain_check(_logistic_g_prime, _logistic_g_prime_scalar,
+        g=_with_domain_check(lambda x: _logistic_g_pair(x)[0],
+                             _logistic_g_scalar, _LOGISTIC_F_AT_BF, name),
+        g_prime=_with_domain_check(lambda x: _logistic_g_pair(x)[1],
+                                   _logistic_g_prime_scalar,
                                    _LOGISTIC_F_AT_BF, name),
         g_pair=_with_domain_check(
             _logistic_g_pair, lambda x: (_logistic_g_scalar(x),

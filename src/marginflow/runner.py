@@ -167,8 +167,12 @@ class RunConfig:
             data = dataset if top["dataset"] is None else top["dataset"]
             net = model if top["model"] is None else top["model"]
             model = build_model(**_section(net, "family", FAMILIES, "model"))
-            dataset = load_dataset(data if type(data) is str else _section(
-                data, "kind", KINDS, "dataset"))
+            data = _section({"kind": "csv", "path": data} if type(data) is str
+                            else data, "kind", KINDS, "dataset")
+            for key in ("path", "images_path", "labels_path"):
+                if key in data and not os.path.isfile(data[key]):
+                    raise ValueError(f"dataset {key!r}: no file {data[key]!r}")
+            dataset = load_dataset(data)
             if (width := model.blocks[0].shape[0]) != dataset.X.shape[1]:
                 raise ValueError(f"model has input_dim = {width}; the "
                                  f"dataset has {dataset.X.shape[1]} features")

@@ -18,7 +18,11 @@ with each activation coded here rather than taken from the blocks),
 with f and f' from two loss calls; the package must reproduce their
 bits too. The sphere sampler, with its per-sample gradient norms, is
 how B0 and B1 were taken before they had closed forms: the closed
-forms must bound it, and meet it at the rank-one net.
+forms must bound it, and meet it at the rank-one net. `adjoints` is the
+reverse loop of the block table as a generator, on a stack of parameter
+vectors too, and `adjoint_grad` sums its layer terms into zeros, one
+slice-add per block: the flat gradient that `backward` must reproduce
+bit for bit.
 """
 
 import math
@@ -30,8 +34,7 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
-from marginflow.autodiff import (NonFiniteError, ShapeError, adjoints,
-                                 backward)
+from marginflow.autodiff import NonFiniteError, ShapeError, backward
 from marginflow.gradflow import HatState, _hat_rhs, hat_value
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
@@ -124,6 +127,28 @@ def seeded_fd_grad(graph, theta, X, seed):
             total += weight * fd_grad(
                 lambda t: float(plain_forward(graph, t, x)[0, c]), theta)
     return total
+
+
+def adjoints(blocks, records, adj):
+    """From the adjoint `adj` of the output of `walk`, yield (layer input,
+    adjoint of the layer's pre-activation z, block) per dense layer, the
+    last first; with a leading member axis for a stacked walk."""
+    for i in range(len(blocks) - 1, -1, -1):
+        h, w, z = records[i]
+        block = blocks[i]
+        if block.rule is not None:
+            adj = block.rule(z) * adj
+        yield h, adj, block
+        if i:
+            adj = adj @ w.swapaxes(-1, -2)
+
+
+def adjoint_grad(blocks, records, seed):
+    """seed^T J from `adjoints`: zeros plus one slice-add per block."""
+    grad = np.zeros(blocks[-1].stop)
+    for h, delta, b in adjoints(blocks, records, seed):
+        grad[b.start:b.stop] += (h.T @ delta).ravel()
+    return grad
 
 
 def per_sample_grad_norms(model, records):

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (fd_grad, layers_of, per_sample_grad_norms,
-                     per_sample_grads, plain_forward, plain_preactivations,
-                     preactivations, rel_err, sample_smooth_probe,
-                     seeded_fd_grad)
+from oracles import (adjoint_grad, adjoints, fd_grad, layers_of,
+                     per_sample_grad_norms, per_sample_grads, plain_forward,
+                     plain_preactivations, preactivations, rel_err,
+                     sample_smooth_probe, seeded_fd_grad)
 
 from marginflow import autodiff, models
 
@@ -155,7 +155,7 @@ def test_member_axis_matches_single_forwards():
         X = rng.standard_normal((7, model.blocks[0].shape[0]))
         out, records = autodiff.forward(model.blocks, stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
-        adjoints = list(autodiff.adjoints(model.blocks, records, seed))
+        stacked = list(adjoints(model.blocks, records, seed))
         norms = (per_sample_grad_norms(model, records)
                  if model.num_outputs == 1 else None)
         one_x, _ = autodiff.forward(model.blocks, stack, X[0])
@@ -167,16 +167,40 @@ def test_member_axis_matches_single_forwards():
             for (h, w, z), (rh, rw, rz) in zip(records, ref, strict=True):
                 assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
                 assert _same_bytes(w[s], rw) and _same_bytes(z[s], rz)
-            ref_adjoints = list(autodiff.adjoints(model.blocks, ref, seed[s]))
-            assert len(adjoints) == len(ref_adjoints), model.name
+            ref_adjoints = list(adjoints(model.blocks, ref, seed[s]))
+            assert len(stacked) == len(ref_adjoints), model.name
             for (h, delta, block), (rh, rdelta, rblock) in zip(
-                    adjoints, ref_adjoints):
+                    stacked, ref_adjoints):
                 assert block is rblock, model.name
                 assert _same_bytes(h if h.ndim == rh.ndim else h[s], rh)
                 assert _same_bytes(delta[s], rdelta), model.name
             if norms is not None:
                 assert _same_bytes(norms[s],
                                    per_sample_grad_norms(model, ref))
+
+
+def test_backward_bits_match_adjoint_oracle():
+    # every family, binary and 3-class, and the 192-sample [48, 48] net
+    # whose (192, 1) @ (1, 48) last-layer product takes np.dot; a zero
+    # seed and a one-row batch are where the sign of a zero could differ
+    rng = np.random.default_rng(9)
+    nets = [(build(3, *widths, num_outputs=c), 7)
+            for build, widths in [(models.linear, ()),
+                                  (models.deep_linear, ([5, 4],)),
+                                  (models.relu_mlp, ([6, 5],)),
+                                  (models.leaky_relu_mlp, ([5],)),
+                                  (models.quadratic_mlp, ([4],))]
+            for c in (1, 3)]
+    nets += [(models.relu_mlp(2, [48, 48]), 192), (models.relu_mlp(3, [4]), 1)]
+    for model, n in nets:
+        theta = models.init_params(model, rng)
+        X = rng.standard_normal((n, model.blocks[0].shape[0]))
+        out, records = autodiff.walk(model.blocks, theta, X)
+        for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
+                     -np.abs(rng.standard_normal(out.shape))):
+            got = autodiff.backward(model.blocks, records, seed)
+            assert _same_bytes(got, adjoint_grad(model.blocks, records,
+                                                 seed)), model.name
 
 
 def test_preactivations_match_plain_forward():

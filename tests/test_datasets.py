@@ -235,6 +235,29 @@ def test_idx_pair_runs_through_the_cli(tmp_path):
     assert summary["failures"] == [] and summary["final"]["x"] >= 5.0
 
 
+@pytest.mark.parametrize("missing", ["csv", "csv_string", "images_path",
+                                     "labels_path"])
+def test_missing_dataset_file_is_rejected_at_load(tmp_path, missing):
+    # before, np.loadtxt and read_idx raised a FileNotFoundError that
+    # named no config key; the load fails before the output directory
+    gone = str(tmp_path / "nonexistent")
+    idx = {"kind": "idx", "classes": [3, 8],
+           "images_path": str(_idx_images(tmp_path, np.zeros((2, 2, 2)))),
+           "labels_path": str(_idx_labels(tmp_path, np.array([3, 8])))}
+    key = "path" if missing.startswith("csv") else missing
+    dataset = {"csv": {"kind": "csv", "path": gone},
+               "csv_string": gone}.get(missing, {**idx, key: gone})
+    config = tmp_path / "bad.yaml"
+    config.write_text(json.dumps({
+        "scenario": "flow_margin", "model": {"family": "linear",
+                                             "input_dim": 4},
+        "dataset": dataset}))
+    with pytest.raises(ValueError, match=f"dataset '{key}': no file '"):
+        cli_main(["run", "--config", str(config),
+                  "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("classes", [[3], [3, 8, 1], [3.0, 8], "38", 3])
 def test_from_idx_rejects_classes_other_than_two_ints(tmp_path, classes):
     with pytest.raises(ValueError, match="classes must be two ints"):

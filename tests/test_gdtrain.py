@@ -294,6 +294,28 @@ def test_log_kappa_exp_closed_form():
     assert abs(log_kappa(EXP, 0.05, 2.0) - (-1.0)) < 1e-3
 
 
+@pytest.mark.parametrize("name", sorted(losses._REGISTRY))
+def test_log_kappa_is_the_sup_from_its_turning_point(name):
+    # against the max of a 200,001-point grid on [x, x + 60]: never below
+    # it (a few ulps of slack, both being h near its flat top), above it
+    # by at most 1e-6 (the grid steps over the peak), and from the
+    # turning point u_kappa on exactly h(x), the grid's first point
+    spec = losses.get_loss(name)
+    for L in (1, 2, 3, 7):
+        peak = gdtrain._kappa_peak(spec, L)
+        c = 2.0 - 2.0 / L
+        for x in spec.f_at_bf + np.r_[np.geomspace(1e-6, 3.5, 10),
+                                      np.linspace(4.0, 59.0, 4)]:
+            x = float(x)
+            us = np.linspace(x, x + 60.0, 200_001)
+            h = -us + c * np.log(us) - 2.0 * np.log(spec.g_prime(us))
+            got = log_kappa(spec, x, L)
+            assert float(np.max(h)) - 1e-14 <= got <= np.max(h) + 1e-6, \
+                (name, L, x)
+            if x >= peak:
+                assert got == h[0], (name, L, x)
+
+
 def test_log_kappa_matches_scalar_optimizer():
     from scipy.optimize import minimize_scalar
 
