@@ -98,13 +98,18 @@ def backward(blocks: tuple, records: list, seed: np.ndarray) -> np.ndarray:
         raise NonFiniteError("backward pass got a non-finite seed")
     adj, parts = seed, []
     for i in range(len(blocks) - 1, -1, -1):
+        rule = blocks[i].rule
         h, w, z = records[i]
-        if blocks[i].rule is not None:
-            adj = blocks[i].rule(z) * adj
-        parts.append((h.T @ adj).ravel())
+        if rule is not None:
+            adj = rule(z) * adj
+        # ndarray.dot skips matmul's ufunc dispatch; it keeps matmul's
+        # bits on a C-contiguous h, not on a strided batch (a column slice)
+        parts.append((h.T.dot(adj) if h.flags.c_contiguous
+                      else h.T @ adj).ravel())
         if i:
-            adj = np.dot(adj, w.T)  # matmul's (N, 1) @ (1, n) is slow
-    grad = np.concatenate(parts[::-1]) + 0.0  # -0.0 to 0.0, as zeros + it
+            adj = adj.dot(w.T)
+    # + 0.0 turns -0.0 into 0.0, as zeros + it does
+    grad = (np.concatenate(parts[::-1]) if len(parts) > 1 else parts[0]) + 0.0
     if not _all_finite(grad):
         raise NonFiniteError("backward pass produced non-finite gradient")
     return grad

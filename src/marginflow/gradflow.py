@@ -56,7 +56,7 @@ class PointEval:
         L V; nu = loss * V. Binary margins are L-homogeneous and the
         inner term is q_n itself."""
         if self._V is None:
-            self._V = float(np.sum(self._wfp * self._qv))
+            self._V = float(np.add.reduce(self._wfp * self._qv))
         return self._V
 
     @property
@@ -94,7 +94,7 @@ class PointEval:
             rho, g_norm = self.rho, self.g_norm
             self._beta = 0.0
             if rho > 0.0 and g_norm > 0.0:
-                self._beta = float(self.theta @ self.G / (rho * g_norm))
+                self._beta = float(self.theta @ self.G) / (rho * g_norm)
         return self._beta
 
 
@@ -206,23 +206,26 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     ev0 = state.ev
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
         return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
-    theta0 = ev0.theta
-    x0 = ev0.x
+    theta0, x0 = ev0.theta, ev0.x
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
     while True:
         try:
-            k1 = ev0.G
-            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * k1,
+            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * ev0.G,
                                 dataset, spec)
-            k2 = math.exp(min(x0 - e2.x, 50.0)) * e2.G
-            e3 = evaluate_point(model, theta0 + (dt_scaled / 2) * k2,
+            # u = 2k: a doubled factor and a halved dt keep the k form's bits
+            u2 = (2.0 * math.exp(min(x0 - e2.x, 50.0))) * e2.G
+            e3 = evaluate_point(model, theta0 + (dt_scaled / 4) * u2,
                                 dataset, spec)
-            k3 = math.exp(min(x0 - e3.x, 50.0)) * e3.G
-            e4 = evaluate_point(model, theta0 + dt_scaled * k3,
+            u3 = (2.0 * math.exp(min(x0 - e3.x, 50.0))) * e3.G
+            e4 = evaluate_point(model, theta0 + (dt_scaled / 2) * u3,
                                 dataset, spec)
-            k4 = math.exp(min(x0 - e4.x, 50.0)) * e4.G
-            dtheta = (dt_scaled / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # ((k1 + 2k2) + 2k3) + k4, in u2's buffer: k1 is ev0.G
+            dtheta = u2
+            dtheta += ev0.G
+            dtheta += u3
+            dtheta += math.exp(min(x0 - e4.x, 50.0)) * e4.G
+            dtheta *= dt_scaled / 6.0
             ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
             dx = ev1.x - x0
             ok = abs(dx) <= cap and dx >= -1e-9
@@ -233,19 +236,18 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
             break
         halvings += 1
         if halvings > max_halvings:
-            raise FlowAbort(
-                f"step rejected {max_halvings} times at t={state.t}, "
-                f"x={x0}, last dx={dx}"
-            )
+            raise FlowAbort(f"step rejected {max_halvings} times at "
+                            f"t={state.t}, x={x0}, last dx={dx}")
         dt_scaled /= 2.0
     # re-anchor the scale to the new x; steer |dx| toward 0.6 * cap
     gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
     nxt = dt_scaled * math.exp(x0 - ev1.x) * gain
     dt = dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
     d_hat = ev1.unit - ev0.unit
-    info = StepInfo(dt_scaled, nxt,
-                    float(2.0 * (theta0 @ dtheta) + dtheta @ dtheta),
-                    math.sqrt(d_hat @ d_hat), halvings)
+    # ndarray.dot: the bits of @ on 1-d arrays, without its ufunc dispatch
+    drho_sq = 2.0 * float(theta0.dot(dtheta)) + float(dtheta.dot(dtheta))
+    info = StepInfo(dt_scaled, nxt, drho_sq, math.sqrt(d_hat.dot(d_hat)),
+                    halvings)
     return FlowState(state.t + dt, ev1, state.steps + 1), info
 
 
@@ -413,13 +415,8 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     finite log smoothed margin of a separated state, else None.
     """
     records = []
-    monitors = {
-        "growth_residual": [],
-        "margin_slack": [],
-        "nu_slack": [],
-        "d_log_tilde": [],
-        "upper_slack": [],
-    }
+    monitors = {k: [] for k in ("growth_residual", "margin_slack",
+                                "nu_slack", "d_log_tilde", "upper_slack")}
     bound = None
     lt = None  # log tilde margin of the current state, once separated
     log_tilde0 = None
@@ -431,7 +428,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
             "step": st.steps,
             "log_inv_loss": st.ev.x,
             "rho": st.ev.rho,
-            "q_min": float(np.min(st.ev.q)),
+            "q_min": float(np.minimum.reduce(st.ev.q)),
             "beta": st.ev.beta,
             "nu_rel": st.ev.V,
         }

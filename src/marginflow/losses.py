@@ -62,14 +62,22 @@ class LossSpec:
 
 # exponential loss: f = g = identity
 
+def _exp_pair(q):
+    """(q + 0.0, ones): f and f', and g and g', from one call; a float
+    gives numpy scalars, so division by zero still warns."""
+    if isinstance(q, float):
+        return np.float64(q) + 0.0, np.float64(1.0)
+    q = _as_f64(q)
+    ones = np.empty(q.shape)
+    ones.fill(1.0)  # half the time of np.ones, a Python-level function
+    return q + 0.0, ones
+
+
 def make_exponential() -> LossSpec:
-    # a float stays a numpy scalar, so division by zero still warns
-    ident = lambda q: (np.float64(q) if isinstance(q, float)
-                       else _as_f64(q)) + 0.0
-    ones = lambda q: (np.float64(1.0) if isinstance(q, float)
-                      else np.ones_like(_as_f64(q)))
+    ident, ones = (lambda q: _exp_pair(q)[0]), (lambda q: _exp_pair(q)[1])
     return LossSpec(name="exp", f=ident, f_prime=ones, g=ident, g_prime=ones,
-                    b_f=0.0, K=1.0, b_g=0.0, p=0.0)
+                    b_f=0.0, K=1.0, b_g=0.0, p=0.0, f_pair=_exp_pair,
+                    g_pair=_exp_pair)
 
 
 # logistic loss: ell(q) = log(1 + e^{-q})
@@ -157,8 +165,7 @@ def _with_domain_check(fn, scalar_fn, f_at_bf, name):
             if not np.any(x < lo):
                 return fn(x)
         raise LossDomainError(
-            f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}"
-        )
+            f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}")
 
     return checked
 
@@ -177,12 +184,7 @@ def make_logistic(name: str = "logistic") -> LossSpec:
             _logistic_g_pair, lambda x: (_logistic_g_scalar(x),
                                          _logistic_g_prime_scalar(x)),
             _LOGISTIC_F_AT_BF, name),
-        b_f=0.0,
-        K=2.0,
-        b_g=2.0,
-        p=1.0,
-        f_pair=_logistic_f_pair,
-    )
+        b_f=0.0, K=2.0, b_g=2.0, p=1.0, f_pair=_logistic_f_pair)
 
 
 # cubed-exponent loss: ell(q) = e^{-q^3}; in-family with b_f = 0.
@@ -205,16 +207,10 @@ def make_exp_cubed() -> LossSpec:
             return 1.0 / (3.0 * (c * c))
 
     return LossSpec(
-        name="exp_cubed",
-        f=f,
-        f_prime=f_prime,
+        name="exp_cubed", f=f, f_prime=f_prime,
         g=_with_domain_check(g, g, 0.0, "exp_cubed"),
         g_prime=_with_domain_check(g_prime, g_prime, 0.0, "exp_cubed"),
-        b_f=0.0,
-        K=4.0,
-        b_g=1.0,
-        p=2.0,
-    )
+        b_f=0.0, K=4.0, b_g=1.0, p=2.0)
 
 
 _REGISTRY = {

@@ -22,7 +22,10 @@ forms must bound it, and meet it at the rank-one net. `adjoints` is the
 reverse loop of the block table as a generator, on a stack of parameter
 vectors too, and `adjoint_grad` sums its layer terms into zeros, one
 slice-add per block: the flat gradient that `backward` must reproduce
-bit for bit.
+bit for bit. `rk4_flow_step` is the adaptive RK4 step in its textbook k
+form, every array formed afresh and the step's summaries as numpy
+scalars, with the same evaluations and controller: the states and step
+records that `flow_step` must reproduce bit for bit.
 """
 
 import math
@@ -35,7 +38,8 @@ import yaml
 from scipy.optimize import brentq
 
 from marginflow.autodiff import NonFiniteError, ShapeError, backward
-from marginflow.gradflow import HatState, _hat_rhs, hat_value
+from marginflow.gradflow import (FlowAbort, FlowState, HatState, StepInfo,
+                                 _hat_rhs, evaluate_point, hat_value)
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.margin import score_gaps, soft_margins
@@ -141,6 +145,54 @@ def adjoints(blocks, records, adj):
         yield h, adj, block
         if i:
             adj = adj @ w.swapaxes(-1, -2)
+
+
+def rk4_flow_step(model, dataset, spec, state, dt_scaled, step_tol,
+                  max_halvings=60):
+    """(FlowState, StepInfo) of one adaptive RK4 step from `state`: stage
+    points theta0 + (dt/2) k1, theta0 + (dt/2) k2 and theta0 + dt k3,
+    the increment (dt/6) (k1 + 2.0*k2 + 2.0*k3 + k4), delta rho^2 =
+    2 theta0.dtheta + dtheta.dtheta and ||unit1 - unit0||; a trial that
+    moves x = log(1/loss) by more than step_tol * max(1, |x|), lowers it
+    by more than 1e-9 or meets a non-finite value halves dt."""
+    ev0 = state.ev
+    if ev0.g_norm == 0.0 or dt_scaled == 0.0:
+        return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
+    theta0, x0 = ev0.theta, ev0.x
+    cap = step_tol * max(1.0, abs(x0))
+    halvings = 0
+    while True:
+        try:
+            k1 = ev0.G
+            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * k1,
+                                dataset, spec)
+            k2 = math.exp(min(x0 - e2.x, 50.0)) * e2.G
+            e3 = evaluate_point(model, theta0 + (dt_scaled / 2) * k2,
+                                dataset, spec)
+            k3 = math.exp(min(x0 - e3.x, 50.0)) * e3.G
+            e4 = evaluate_point(model, theta0 + dt_scaled * k3,
+                                dataset, spec)
+            k4 = math.exp(min(x0 - e4.x, 50.0)) * e4.G
+            dtheta = (dt_scaled / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
+            dx = ev1.x - x0
+            ok = abs(dx) <= cap and dx >= -1e-9
+        except NonFiniteError:
+            ok, dx = False, math.nan
+        if ok:
+            break
+        halvings += 1
+        if halvings > max_halvings:
+            raise FlowAbort(f"step rejected {max_halvings} times")
+        dt_scaled /= 2.0
+    gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
+    nxt = dt_scaled * math.exp(x0 - ev1.x) * gain
+    dt = dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
+    d_hat = ev1.unit - ev0.unit
+    info = StepInfo(dt_scaled, nxt,
+                    float(2.0 * (theta0 @ dtheta) + dtheta @ dtheta),
+                    math.sqrt(d_hat @ d_hat), halvings)
+    return FlowState(state.t + dt, ev1, state.steps + 1), info
 
 
 def adjoint_grad(blocks, records, seed):

@@ -181,8 +181,10 @@ def test_member_axis_matches_single_forwards():
 
 def test_backward_bits_match_adjoint_oracle():
     # every family, binary and 3-class, and the 192-sample [48, 48] net
-    # whose (192, 1) @ (1, 48) last-layer product takes np.dot; a zero
-    # seed and a one-row batch are where the sign of a zero could differ
+    # whose (192, 1) @ (1, 48) last-layer product takes ndarray.dot; a
+    # zero seed and a one-row batch are where the sign of a zero could
+    # differ; a column slice of a wider batch and a Fortran-ordered one
+    # are where ndarray.dot and matmul round apart
     rng = np.random.default_rng(9)
     nets = [(build(3, *widths, num_outputs=c), 7)
             for build, widths in [(models.linear, ()),
@@ -194,13 +196,16 @@ def test_backward_bits_match_adjoint_oracle():
     nets += [(models.relu_mlp(2, [48, 48]), 192), (models.relu_mlp(3, [4]), 1)]
     for model, n in nets:
         theta = models.init_params(model, rng)
-        X = rng.standard_normal((n, model.blocks[0].shape[0]))
-        out, records = autodiff.walk(model.blocks, theta, X)
-        for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
-                     -np.abs(rng.standard_normal(out.shape))):
-            got = autodiff.backward(model.blocks, records, seed)
-            assert _same_bytes(got, adjoint_grad(model.blocks, records,
-                                                 seed)), model.name
+        d = model.blocks[0].shape[0]
+        wide = rng.standard_normal((n, d + 2))
+        for X in (rng.standard_normal((n, d)), wide[:, 1:-1],
+                  np.asfortranarray(wide[:, 2:])):
+            out, records = autodiff.walk(model.blocks, theta, X)
+            for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
+                         -np.abs(rng.standard_normal(out.shape))):
+                got = autodiff.backward(model.blocks, records, seed)
+                assert _same_bytes(got, adjoint_grad(
+                    model.blocks, records, seed)), (model.name, X.strides)
 
 
 def test_preactivations_match_plain_forward():

@@ -21,8 +21,8 @@ from marginflow.margin import score_gaps
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
                      hat_step_array, layer_walk_forward, layer_walk_grad_norms,
                      layers_of, per_sample_grad_norms, preactivations,
-                     readme_flow_config, stepwise_nu_lower_slack,
-                     two_call_point)
+                     readme_flow_config, rk4_flow_step,
+                     stepwise_nu_lower_slack, two_call_point)
 
 
 def _relu_logistic_setup():
@@ -463,6 +463,59 @@ def test_flow_step_descent_cap_and_halving():
     with pytest.raises(gradflow.FlowAbort):
         gradflow.flow_step(model, data, spec, state, big, step_tol=tol,
                            max_halvings=1)
+
+
+def _step_bits(state, info):
+    """Bits of theta, x and t of a state and of the float fields of its
+    step record, and the record's halvings."""
+    return (state.ev.theta.view(np.int64).tolist(),
+            _bits([state.ev.x, state.t, *info[:4]]).tolist(), info.halvings)
+
+
+_STEP_FAMILIES = {
+    "linear": lambda c: models.linear(3, c),
+    "deep_linear": lambda c: models.deep_linear(3, [4, 3], c),
+    "relu_mlp": lambda c: models.relu_mlp(3, [5], c),
+    "leaky_relu_mlp": lambda c: models.leaky_relu_mlp(3, [5], 0.1, c),
+    "quadratic_mlp": lambda c: models.quadratic_mlp(3, [3], c),
+}
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("loss", ["exp", "logistic"])
+@pytest.mark.parametrize("family", sorted(_STEP_FAMILIES))
+def test_flow_step_bits_match_rk4_oracle(family, loss, classes):
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(11)
+    labels = np.arange(12) % classes
+    X = rng.normal(size=(12, 3)) + 2.0 * np.eye(3)[labels]
+    if classes == 2:
+        labels = 2 * labels - 1
+    data = datasets.Dataset(X, labels)
+    model = _STEP_FAMILIES[family](1 if classes == 2 else classes)
+    theta0 = models.init_params(model, rng, scale=0.7)
+    tol = 2e-3
+    prev, prev_G, steps = None, None, 0
+    for state, info in gradflow.flow_states(model, theta0, data, spec,
+                                            step_tol=tol, max_steps=200):
+        if info is not None:
+            # the step reads ev0.G as k1 and must leave it as it was
+            assert np.array_equal(prev.ev.G.view(np.int64), prev_G)
+            want = rk4_flow_step(model, data, spec, prev, prev_dt, tol)
+            assert _step_bits(state, info) == _step_bits(*want), state.steps
+            steps += 1
+        prev, prev_G = state, state.ev.G.view(np.int64).copy()
+        prev_dt = (gradflow.propose_dt_scaled(state.ev, tol) if info is None
+                   else info.next_dt_scaled)
+    assert steps == 200
+    # a proposal 1e6 times too large is halved, on both sides alike
+    with np.errstate(all="ignore"):
+        got = gradflow.flow_step(model, data, spec, prev, prev_dt * 1e6,
+                                 step_tol=tol)
+        want = rk4_flow_step(model, data, spec, prev, prev_dt * 1e6, tol)
+    assert np.array_equal(prev.ev.G.view(np.int64), prev_G)
+    assert got[1].halvings > 0
+    assert _step_bits(*got) == _step_bits(*want)
 
 
 def test_flow_monitors_relu_logistic():

@@ -115,6 +115,33 @@ def test_scalar_path_bit_equal_to_array_path(name):
             assert isinstance(want, str) or name == "exp"
 
 
+def _typed_bits(pair, q):
+    """Type, dtype, shape and bytes of each half of pair(q), or the
+    message of the domain error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            halves = pair(q)
+    except losses.LossDomainError as err:
+        return str(err)
+    return [(type(a), np.asarray(a).dtype, np.shape(a),
+             np.asarray(a).tobytes()) for a in halves]
+
+
+@pytest.mark.parametrize("name", sorted(losses._REGISTRY))
+def test_pairs_bits_match_the_two_functions(name):
+    # the LossSpec contract, for the one-call pairs and the wrapper alike
+    spec = losses.get_loss(name)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 746.0,
+                      -746.0, 1e308, -1e308, np.nan])
+    for q in (edges, edges[::-1].copy(), np.abs(edges),
+              np.append(np.abs(edges[4:]), 30.5), np.array(0.5),
+              np.array(-1e308), 0.25, -746.0, np.float64(3.0), np.array([])):
+        assert _typed_bits(spec.f_pair, q) == _typed_bits(
+            lambda v: (spec.f(v), spec.f_prime(v)), q), (name, q)
+        assert _typed_bits(spec.g_pair, q) == _typed_bits(
+            lambda v: (spec.g(v), spec.g_prime(v)), q), (name, q)
+
+
 def test_f_at_bf_computed_once():
     for name in SCALAR_PATH_FAMILIES:
         spec = losses.get_loss(name)
