@@ -591,13 +591,17 @@ def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
                     log_rho=log_rho1, clamped=clamped or state.clamped)
 
 
+# run_hat starts at rho = HAT_RHO0 and aims each step at HAT_DPHI of angle
+HAT_RHO0 = 1.0
+HAT_DPHI = 0.015
+
+
 def run_hat(*, order_L: float = 2.0, n_samples: int = 1, r0: float = 0.5,
-            psi0: float = 0.0, rho0: float = 1.0, r_stop: float = 0.992,
-            dphi_target: float = 0.015, max_steps: int = 100_000,
+            psi0: float = 0.0, r_stop: float = 0.992, max_steps: int = 100_000,
             record_every: int = 10, metric: str = "planar") -> list[dict]:
     """Integrate from psi(0)=psi0 until r reaches r_stop; emit records."""
     state = HatState(sigma=0.0, t=0.0, r=r0, psi=psi0,
-                     log_rho=math.log(rho0))
+                     log_rho=math.log(HAT_RHO0))
     records = []
 
     def push(st: HatState):
@@ -614,7 +618,7 @@ def run_hat(*, order_L: float = 2.0, n_samples: int = 1, r0: float = 0.5,
         dr, dpsi, _ = _hat_rhs(state.r, state.psi, order_L, metric)
         slope = 2.0 * state.r / (1.0 - state.r**2) ** 2
         dphi = dpsi + slope * dr
-        dsigma = dphi_target / max(abs(dphi), 1e-12)
+        dsigma = HAT_DPHI / max(abs(dphi), 1e-12)
         if abs(dr) > 0.0:
             dsigma = min(dsigma, 0.002 / abs(dr))
         state = hat_step(state, dsigma, order_L, n_samples, metric)

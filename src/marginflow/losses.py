@@ -229,15 +229,18 @@ def get_loss(name: str) -> LossSpec:
 
 # assumption validators
 
-def validate_b3(spec: LossSpec, grid: np.ndarray | None = None,
-                divergence_bound: float = 100.0) -> dict:
+# validate_b3 takes q = b_f + geomspace(*B3_GRID), and f'(q) q must pass
+# B3_DIVERGENCE
+B3_GRID = (1e-3, 1e3, 10_000)
+B3_DIVERGENCE = 100.0
+
+
+def validate_b3(spec: LossSpec) -> dict:
     """Grid checks of the loss-family assumptions as the dict {"loss",
     "ok", "clauses"}: one {"clause", "passed", "worst"} per check, with
     `worst` the value held against its bound, and `ok` iff all passed.
     Failures are reported, never raised."""
-    if grid is None:
-        grid = np.geomspace(1e-3, 1e3, 10_000)
-    q = spec.b_f + np.asarray(grid, dtype=np.float64)
+    q = spec.b_f + np.geomspace(*B3_GRID)
     clauses = []
 
     fp = spec.f_prime(q)
@@ -250,7 +253,7 @@ def validate_b3(spec: LossSpec, grid: np.ndarray | None = None,
     j = int(np.argmin(diffs - tol))
     clauses.append(_clause("fq_nondecreasing", np.all(diffs >= tol),
                            diffs[j]))
-    clauses.append(_clause("fq_diverges", fq[-1] > divergence_bound, fq[-1]))
+    clauses.append(_clause("fq_diverges", fq[-1] > B3_DIVERGENCE, fq[-1]))
 
     qr = np.linspace(spec.b_f + 0.1, 50.0, 500)
     back = spec.g(spec.f(qr))

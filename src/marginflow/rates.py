@@ -19,6 +19,8 @@ import numpy as np
 from .losses import LossSpec
 
 LOG10 = math.log(10.0)
+# the span of T past the burn-in cut that a diagnostic needs, in decades
+MIN_DECADES = 3.0
 
 
 def _log_T_of(rec) -> float:
@@ -66,7 +68,7 @@ def rate_ratios(trajectory, spec: LossSpec, order_L: float,
     return {"log10_T": log_T / LOG10,
             "ratio_loss": ratio_loss, "ratio_rho": ratio_rho,
             "log_ratio_loss": log_ratio_loss, "log_ratio_rho": log_ratio_rho,
-            "decades": decades, "inconclusive": decades < 3.0}
+            "decades": decades, "inconclusive": decades < MIN_DECADES}
 
 
 def bounded_ratio_verdict(diag: dict, window: float = 2.0,

@@ -223,6 +223,9 @@ def test_criterion_09_deep_loss_numerics(tmp_path):
     assert s["final"]["log10_loss"] <= -50.0
     assert s["final"]["epochs"] <= 500
     assert s["frame_equivalence"]["max_rel"] <= 1e-8
+    assert {k: c["bound"] for k, c in s["checks"].items()} == {
+        "log10_loss": -50.0, "non_finite_values": 0, "frame_max_rel": 1e-8}
+    assert s["checks"]["non_finite_values"]["worst"] == 0
     # re-read the emitted records: every value must be finite
     lines = (tmp_path / "deep_loss_50-seed0.jsonl").read_text().splitlines()
     for line in lines[1:]:

@@ -413,7 +413,8 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
 
 def test_run_flow_bound_monitors_match_stepwise_replay():
     cfg = runner.RunConfig.from_dict(readme_flow_config())
-    model, ds, spec, theta0 = runner._setup(cfg, 0)
+    model, ds, spec = cfg.model, cfg.dataset, cfg.loss
+    theta0 = runner._theta0(cfg, 0)
     o = cfg.options
     res = gradflow.run_flow(model, theta0, ds, spec,
                             target_log_inv_loss=o["target_log_inv_loss"],

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _setup,
-                               config_digest, emit_plot_data, load_config,
-                               run_scenario, write_csv, write_jsonl)
+from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _excess,
+                               _theta0, config_digest, emit_plot_data,
+                               load_config, run_scenario, write_csv,
+                               write_jsonl)
 
 from oracles import readme_flow_config
 
@@ -104,7 +105,7 @@ def test_config_checks_theta0_against_the_model():
     # ints stand for floats; the default model takes 18 parameters
     cfg = RunConfig.from_dict({"scenario": "flow_margin", "model": net,
                                "options": {"theta0": [1] * 12}})
-    assert _setup(cfg, 0)[3].tolist() == [1.0] * 12
+    assert _theta0(cfg, 0).tolist() == [1.0] * 12
     RunConfig.from_dict({"scenario": "gd_margin",
                          "options": {"theta0": [0.1] * 18}})
 
@@ -204,7 +205,7 @@ def test_shipped_configs_load_and_unread_keys_are_rejected(tmp_path):
     cfg = RunConfig.from_dict({"scenario": "flow_margin",
                                "model": {**net, "num_outputs": 4},
                                "dataset": three_class})
-    model, ds, _, theta0 = _setup(cfg, 0)
+    model, theta0 = cfg.model, _theta0(cfg, 0)
     assert model.num_outputs == 4 and theta0.shape == (model.param_count,)
 
 
@@ -403,7 +404,12 @@ def test_flow_margin_scenario_outputs(tmp_path):
     s = out.summaries[0]
     assert s["loss_validation"]["ok"]
     assert s["b_constants"]["b0"] > 0
-    assert s["monitor_stats"]["growth_within_tol_frac"] >= 0.95
+    assert {k: c["bound"] for k, c in s["checks"].items()} == {
+        "d_log_tilde": math.log1p(-1e-6), "growth_within_tol_frac": 0.95,
+        "nu_slack": -1e-9, "margin_slack": -1e-9, "upper_slack": -1e-6,
+        "sandwich_excess": 0.0}
+    assert all(c["ok"] for c in s["checks"].values())
+    assert s["checks"]["growth_within_tol_frac"]["worst"] >= 0.95
     assert (tmp_path / "flow_margin-seed4.jsonl").exists()
     recs = [json.loads(l) for l in
             (tmp_path / "flow_margin-seed4.jsonl").read_text().splitlines()]
@@ -421,6 +427,15 @@ def test_gd_margin_scenario_monotone_hat(tmp_path):
     out = run_scenario(cfg, out_dir=tmp_path)
     assert out.ok, out.failures
     assert out.summaries[0]["margin_series_len"] > 50
+    assert {k: c["bound"] for k, c in out.summaries[0]["checks"].items()} \
+        == {"s5_log_ratio": 1e-12, "hat_step": -1e-10,
+            "ordering_excess": 0.0, "rho_identity": 1e-9,
+            "euler_gap": 1e-12, "p2_lower": -1e-9, "p2_upper": -1e-9,
+            "p3_slack": -1e-9, "p4_slack": -1e-10, "grad_bound": -1e-9}
+    # the ordering's slack sits inside its terms, so its verdict is that
+    # of hat <= tilde + 1e-12 also where hat - tilde exceeds 1e-12
+    hat = 1.0 + 1e-12
+    assert hat - 1.0 > 1e-12 and _excess([(hat, 1.0 + 1e-12)]) == 0.0
 
 
 def test_linear_logistic_scenario_reports_svm_gap(tmp_path):
@@ -432,6 +447,8 @@ def test_linear_logistic_scenario_reports_svm_gap(tmp_path):
     assert out.ok, out.failures
     s = out.summaries[0]
     assert s["svm_angle_gap"] <= 0.02
+    assert s["checks"] == {"svm_angle_gap": {
+        "worst": s["svm_angle_gap"], "bound": 0.02, "ok": True}}
     assert s["kkt"]["delta"] <= s["kkt"]["delta_bound"]
     assert s["kkt"]["epsilon"] < 0.1
 
@@ -443,6 +460,11 @@ def test_mexican_hat_scenario_csv_columns(tmp_path):
     csv = (tmp_path / "mexican_hat-seed0-hat.csv").read_text().splitlines()
     assert csv[1] == "t,r,phi,psi,rho"
     assert len(csv) > 1000
+    checks = out.summaries[0]["checks"]
+    assert {k: c["bound"] for k, c in checks.items()} == {
+        "psi_max": 1e-3, "r_final": 0.99, "phi_gain": 4 * math.pi,
+        "clamped": False}
+    assert checks["r_final"]["worst"] == out.summaries[0]["hat"]["r_final"]
 
 
 def test_scenario_failure_is_reported_not_raised(tmp_path):
@@ -452,7 +474,9 @@ def test_scenario_failure_is_reported_not_raised(tmp_path):
         "options": {"phi_gain_min": 1e9}})
     out = run_scenario(cfg, out_dir=tmp_path)
     assert not out.ok
-    assert any("angle" in f or "radius" in f for f in out.failures)
+    [failure] = out.failures
+    assert failure.startswith("seed 0: phi_gain = ")
+    assert failure.endswith(", not >= 1000000000.0")
 
 
 def test_multi_seed_runs_write_separate_files(tmp_path):
@@ -649,6 +673,9 @@ def test_cli_rates(tmp_path, capsys):
     assert cli_main(["rates", "--config", str(p)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["rates"]["passed"]
+    assert {k: c["bound"] for k, c in summary["checks"].items()} == {
+        "decades": 3.0, "ratio_factor": 10.0, "rho_step_separated": 0.0}
+    assert summary["checks"]["decades"]["worst"] == summary["rates"]["decades"]
 
 
 def test_cli_hat_default_config(tmp_path, capsys):
@@ -674,7 +701,8 @@ def test_flow_margin_trains_quadratic_mlp_on_xor(tmp_path):
     final = out.summaries[0]["final"]
     assert final["x"] >= 10.0 and final["q_min"] > 0.0
     assert final["steps"] < 5000
-    assert out.summaries[0]["monitor_stats"]["growth_within_tol_frac"] == 1.0
+    assert out.summaries[0]["checks"]["growth_within_tol_frac"]["worst"] \
+        == 1.0
 
 
 def test_flow_3class_corpus_entry_passes(tmp_path):
@@ -683,9 +711,9 @@ def test_flow_3class_corpus_entry_passes(tmp_path):
     cfg = RunConfig.from_dict(_emit_outputs().CORPUS["flow_3class"][1])
     out = run_scenario(cfg, out_dir=tmp_path)
     assert out.ok, out.failures
-    stats = out.summaries[0]["monitor_stats"]
-    assert stats["growth_within_tol_frac"] == 1.0
-    assert stats["min_nu_slack"] > 0.0
+    checks = out.summaries[0]["checks"]
+    assert checks["growth_within_tol_frac"]["worst"] == 1.0
+    assert checks["nu_slack"]["worst"] > 0.0
 
 
 def test_gd_3class_corpus_entry_names_missing_margin_state(tmp_path):
@@ -707,7 +735,7 @@ def test_rates_on_gd_names_scheduler_stall():
         "alpha0": 0.1, "epochs": 300, "seed": 0})
     assert SCENARIOS["rates"](cfg, 0)["failures"] == [
         "scheduler stalled at epochs [222]",
-        "rate diagnostic inconclusive: 0.00 decades"]
+        "decades = 0.0, not >= 3.0"]
 
 
 def _cli_json(tmp_path, capsys, verb, raw):
@@ -835,8 +863,10 @@ def test_linear_logistic_unseparated_end_names_missing_certificate(
         tmp_path, capsys):
     code, report = _cli_json(tmp_path, capsys, "run", UNSEPARATED_END)
     assert code == 1
-    assert report["failures"][-1].startswith(
+    [named, gap] = report["failures"]
+    assert named.startswith(
         "seed 0: no KKT certificate: not separated at x = -2.20")
+    assert gap.startswith("seed 0: svm_angle_gap = 2.70")
     summary = json.loads(
         (tmp_path / "out" / "linear_logistic_2d-seed0.summary.json")
         .read_text())
