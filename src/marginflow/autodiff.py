@@ -1,17 +1,13 @@
 """Reverse-mode gradients of dense chains over float64 arrays.
 
-Every architecture in this package is a chain of bias-free dense
-layers, each followed by at most one elementwise activation (ReLU,
-LeakyReLU, square), described by the model's block table (`models.Block`):
-each dense layer's slice bounds and shape, and the forward op and
-derivative rule of the activation after it. `walk` runs that table and
-keeps one (layer input, weight view, pre-activation) record per dense
-layer; `backward` walks those records back into a flat gradient. No
-graph is built per call, no Hessians. `walk` also takes a stack of S
-parameter vectors, shaped (S, P): every array then gains a leading
-member axis, and matmul broadcasts the shared input batch against the S
-weights. Finiteness checks scan the bytes of the `np.isfinite` mask for
-a zero, a third of the time of a ufunc reduction on short arrays.
+Every model is a chain of bias-free dense layers, each followed by at
+most one elementwise activation (ReLU, LeakyReLU, square): its block
+table (`models.Block`). `layers` binds the table once to a parameter
+array (P,), or a stack (S, P) whose member axis every array then gains,
+and an input batch; `walk` runs it, keeping one record per dense layer,
+and `backward` walks the records back into a flat gradient, slicing
+nothing per call. Finiteness checks scan the bytes of the `np.isfinite`
+mask for a zero, a third of the time of a ufunc reduction.
 """
 
 from __future__ import annotations
@@ -49,17 +45,32 @@ def activation(kind: str, alpha: float = 0.0):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def walk(blocks: tuple, params: np.ndarray,
-         h: np.ndarray) -> tuple[np.ndarray, list]:
-    """(out, records) of a block table on the float64 (N, d) batch h:
-    out is (N, C) for one float64 parameter vector (P,), (S, N, C) for a
-    stack (S, P); every record's layer input but the first, the shared
-    batch, then carries the member axis too."""
+def layers(blocks: tuple, params: np.ndarray, h: np.ndarray) -> list:
+    """Per block, bound to params (P,) or (S, P) and the (N, d) batch h:
+    (weight view, its transpose, product, op, rule, gradient view), the
+    gradient views tiling one buffer, their `.base`. The product, of the
+    layer input and of its transpose, is `ndarray.dot` (matmul's bits
+    without its ufunc dispatch) for one vector on a C-contiguous input,
+    else matmul: a strided batch, where the two round apart, or a stack."""
     lead = params.shape[:-1]  # () or (S,)
+    grad = np.empty(params.shape)
+    dot = not lead and h.flags.c_contiguous
+    table = []
+    for start, stop, shape, _, act, rule in blocks:
+        w, g = (a[..., start:stop].reshape(lead + shape)
+                for a in (params, grad))
+        table.append((w, w.swapaxes(-1, -2),
+                      np.ndarray.dot if dot else np.matmul, act, rule, g))
+        dot = not lead  # later layer inputs are fresh C-contiguous arrays
+    return table
+
+
+def walk(table: list, h: np.ndarray) -> tuple[np.ndarray, list]:
+    """(out, records) of a layer table on its batch h: out (N, C), or
+    (S, N, C), and records (layer input, weight view, pre-activation)."""
     records = []
-    for start, stop, shape, _, act, _ in blocks:
-        w = params[..., start:stop].reshape(lead + shape)
-        z = h @ w
+    for w, _, product, act, _, _ in table:
+        z = product(h, w)
         records.append((h, w, z))
         h = z if act is None else act(z)
     if not _all_finite(h):
@@ -67,49 +78,24 @@ def walk(blocks: tuple, params: np.ndarray,
     return h, records
 
 
-def forward(blocks: tuple, params, x) -> tuple[np.ndarray, list]:
-    """`walk` on a batch (B, d) or a single sample (d,), a batch of one in
-    the records; the output is (B, C), squeezed to (B,) when C == 1 and
-    to a scalar for a single sample of a single-output model, after the
-    member axis S of a stack."""
-    params = np.asarray(params, dtype=np.float64)
-    h = np.asarray(x, dtype=np.float64)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
-    if h.shape[-1] != blocks[0].shape[0]:
-        raise ShapeError(f"op 'dense': expected input dim "
-                         f"{blocks[0].shape[0]}, got {h.shape}")
-    out, records = walk(blocks, params, h)
-    if out.shape[-1] == 1:
-        out = out[..., 0]
-    if single:
-        return (out[:, 0] if params.ndim > 1 else out[0]), records
-    return out, records
-
-
-def backward(blocks: tuple, records: list, seed: np.ndarray) -> np.ndarray:
-    """seed^T J as a flat parameter gradient, for the float64 (N, C)
-    adjoint `seed` of a `walk` over one parameter vector: per-sample and
-    per-class weights enter here, so one batched backward yields any
-    weighted sum of per-sample gradients. A non-finite seed raises
-    before any arithmetic; the input's adjoint is never formed."""
+def backward(table: list, records: list, seed: np.ndarray) -> np.ndarray:
+    """seed^T J as a fresh flat gradient, for the float64 (N, C) adjoint
+    `seed` of a `walk` over one parameter vector: one batched backward
+    gives any weighted sum of per-sample gradients. A non-finite seed
+    raises before any arithmetic; the input's adjoint is never formed."""
     if not _all_finite(seed):
         raise NonFiniteError("backward pass got a non-finite seed")
-    adj, parts = seed, []
-    for i in range(len(blocks) - 1, -1, -1):
-        rule = blocks[i].rule
-        h, w, z = records[i]
+    adj = seed
+    for i in range(len(table) - 1, -1, -1):
+        _, w_t, product, _, rule, g = table[i]
+        h, _, z = records[i]
         if rule is not None:
             adj = rule(z) * adj
-        # ndarray.dot skips matmul's ufunc dispatch; it keeps matmul's
-        # bits on a C-contiguous h, not on a strided batch (a column slice)
-        parts.append((h.T.dot(adj) if h.flags.c_contiguous
-                      else h.T @ adj).ravel())
+        product(h.T, adj, out=g)
         if i:
-            adj = adj.dot(w.T)
-    # + 0.0 turns -0.0 into 0.0, as zeros + it does
-    grad = (np.concatenate(parts[::-1]) if len(parts) > 1 else parts[0]) + 0.0
+            adj = adj.dot(w_t)
+    # + 0.0 copies it out and turns -0.0 into 0.0, as zeros + it does
+    grad = g.base + 0.0
     if not _all_finite(grad):
         raise NonFiniteError("backward pass produced non-finite gradient")
     return grad

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward, walk
+from .autodiff import NonFiniteError, backward, layers, walk
 from .datasets import Dataset
 from .gradflow import (PointEval, _bar_gamma, evaluate_point, is_separated,
                        log_tilde_margin)
@@ -53,13 +53,14 @@ def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     """
     if not dataset.is_binary:
         raise NotImplementedError("direct path exercises binary models")
-    phi, records = walk(model.blocks, theta, dataset.X)
+    table = layers(model.blocks, theta, dataset.X)
+    phi, records = walk(table, dataset.X)
     q = dataset.y_float * phi[:, 0]
     fq, fp = spec.f_pair(q)
     loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
     seed = loss * fp * dataset.y_float / dataset.n
-    grad = -backward(model.blocks, records, seed.reshape(-1, 1))
+    grad = -backward(table, records, seed.reshape(-1, 1))
     return theta - eta * grad
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward, walk
+from .autodiff import NonFiniteError, backward, layers, walk
 from .datasets import Dataset
 from .losses import LossSpec
 from .margin import _inv_loss_weights, score_gaps, soft_margins
@@ -27,65 +27,33 @@ from .models import HomogeneousModel
 
 class PointEval:
     """Loss, margins, and scaled gradient at one parameter point theta,
-    a flat float64 array.
+    a flat float64 array that it keeps, with their summaries; beta is
+    computed on first read."""
 
-    The summaries V, g_norm, beta, rho and unit are computed on first
-    read: the RK4 stages of a flow step read only x and G.
-    """
+    __slots__ = ("x", "G", "q", "q_eff", "weights", "fprime", "V", "theta",
+                 "g_norm", "rho", "unit", "_beta")
 
-    __slots__ = ("x", "q", "q_eff", "weights", "fprime", "G", "theta",
-                 "_wfp", "_qv", "_V", "_g_norm", "_beta", "_rho", "_unit")
-
-    def __init__(self, x: float, q: np.ndarray, q_eff: np.ndarray,
-                 weights: np.ndarray, fprime: np.ndarray, G: np.ndarray,
-                 theta: np.ndarray, wfp: np.ndarray, qv: np.ndarray):
+    def __init__(self, x, G, q, q_eff, weights, fprime, V, theta):
         self.x = x  # log(1/loss), sum convention
+        self.G = G  # exp(x) * (-grad loss)
         self.q = q  # hard margins
         self.q_eff = q_eff  # margins inside the loss (q_tilde multi-class)
         self.weights = weights  # softmax weights, sum to 1
         self.fprime = fprime  # f'(q_eff)
-        self.G = G  # exp(x) * (-grad loss)
+        self.V = V  # sum_n w_n f'(q_n) <theta, grad q_n> / L = <theta, G> / L
         self.theta = theta
-        self._wfp = wfp  # weights * fprime
-        self._qv = qv  # <theta, grad q_eff> / L per sample
-        self._V = self._g_norm = self._beta = self._rho = self._unit = None
-
-    @property
-    def V(self) -> float:
-        """sum_n w_n f'(q_n) <theta, grad q_n> / L, so that <theta, G> =
-        L V; nu = loss * V. Binary margins are L-homogeneous and the
-        inner term is q_n itself."""
-        if self._V is None:
-            self._V = float(np.add.reduce(self._wfp * self._qv))
-        return self._V
-
-    @property
-    def g_norm(self) -> float:
-        if self._g_norm is None:
-            self._g_norm = math.sqrt(self.G @ self.G)
-        return self._g_norm
-
-    @property
-    def rho(self) -> float:
-        """||theta||; where theta @ theta overflows, the norm is taken
-        again with theta scaled by its largest |entry|."""
-        if self._rho is None:
-            with np.errstate(over="ignore"):
-                self._rho = math.sqrt(self.theta @ self.theta)
-            if self._rho == math.inf:
-                m = float(np.max(np.abs(self.theta)))
-                u = self.theta / m
-                self._rho = m * math.sqrt(u @ u)
-        return self._rho
-
-    @property
-    def unit(self) -> np.ndarray:
-        """theta / rho; the zero vector has no direction and maps to
-        itself."""
-        if self._unit is None:
-            self._unit = (np.zeros_like(self.theta) if self.rho == 0.0
-                          else self.theta / self.rho)
-        return self._unit
+        self.g_norm = math.sqrt(G.dot(G))  # the bits of @, as in flow_step
+        # ||theta||, again on theta / max |entry| where theta @ theta overflows
+        with np.errstate(over="ignore"):
+            self.rho = math.sqrt(theta.dot(theta))
+        if self.rho == math.inf:
+            m = float(np.max(np.abs(theta)))
+            u = theta / m
+            self.rho = m * math.sqrt(u.dot(u))
+        # theta / rho; the zero vector has no direction and maps to itself
+        self.unit = (np.zeros_like(theta) if self.rho == 0.0
+                     else theta / self.rho)
+        self._beta = None
 
     @property
     def beta(self) -> float:
@@ -98,37 +66,74 @@ class PointEval:
         return self._beta
 
 
+class Evaluator:
+    """One run's (model, dataset, loss), bound once to the `layers` table
+    of a scratch parameter buffer `theta`. `stage` evaluates a point
+    formed there, `point` an owned array; both return fresh arrays."""
+
+    last = None  # the one `evaluator` returned last
+
+    def __init__(self, model, dataset, spec):
+        self.model, self.dataset, self.spec = model, dataset, spec
+        self.theta = np.empty(model.param_count)
+        self.layers = layers(model.blocks, self.theta, dataset.X)
+
+    def _run(self) -> tuple:
+        """(x, G, q, q_eff, weights, f', w f', qv) at the buffer, all O(1)."""
+        ds = self.dataset
+        phi, records = walk(self.layers, ds.X)
+        if ds.is_binary:
+            q = q_eff = ds.y_float * phi[:, 0]
+        else:
+            on, off = ds.label_masks(phi.shape[1])
+            gaps = score_gaps(phi, on, off)
+            q = np.min(gaps, axis=1)
+            q_eff = soft_margins(gaps)
+        fq, fp = self.spec.f_pair(q_eff)
+        x, w = _inv_loss_weights(fq)
+        wfp = w * fp
+        if ds.is_binary:
+            # matmul takes the stride-0 [:, None] view up to 0.7 us slower
+            seed = (wfp * ds.y_float).reshape(-1, 1)
+            qv = q_eff
+        else:
+            # per-sample split of grad q_tilde over the competing classes;
+            # each gap is L-homogeneous, so <theta, grad q_tilde> = L pi . s
+            pi = np.exp(q_eff[:, None] - gaps)
+            qv = np.sum(pi * gaps, axis=1)
+            seed = np.zeros(phi.shape)
+            seed[off] = (-wfp[:, None] * pi).ravel()
+            seed[on] = wfp
+        return (x, backward(self.layers, records, seed), q, q_eff, w, fp,
+                wfp, qv)
+
+    def stage(self, theta0, c, k) -> tuple[float, np.ndarray]:
+        """(x, G) at theta0 + c k, formed in the buffer in that order."""
+        np.multiply(k, c, out=self.theta)
+        self.theta += theta0
+        return self._run()[:2]
+
+    def point(self, theta: np.ndarray) -> PointEval:
+        np.copyto(self.theta, theta)
+        *out, wfp, qv = self._run()
+        return PointEval(*out, float(np.add.reduce(wfp * qv)), theta)
+
+
+def evaluator(model: HomogeneousModel, dataset: Dataset,
+              spec: LossSpec) -> Evaluator:
+    """The last evaluator while model, dataset and spec are the same
+    objects, else a new one: a run binds once behind `evaluate_point`."""
+    ev = Evaluator.last
+    if (ev is None or ev.model is not model or ev.dataset is not dataset
+            or ev.spec is not spec):
+        ev = Evaluator.last = Evaluator(model, dataset, spec)
+    return ev
+
+
 def evaluate_point(model: HomogeneousModel, theta: np.ndarray,
                    dataset: Dataset, spec: LossSpec) -> PointEval:
-    """One pass over the block table at the flat float64 array theta:
-    the forward walk, one `f_pair` call and one seeded backward; all
-    exponents stay O(1)."""
-    blocks = model.blocks
-    phi, records = walk(blocks, theta, dataset.X)
-    if dataset.is_binary:
-        q = q_eff = dataset.y_float * phi[:, 0]
-    else:
-        on, off = dataset.label_masks(phi.shape[1])
-        gaps = score_gaps(phi, on, off)
-        q = np.min(gaps, axis=1)
-        q_eff = soft_margins(gaps)
-    fq, fp = spec.f_pair(q_eff)
-    x, w = _inv_loss_weights(fq)
-    wfp = w * fp
-    if dataset.is_binary:
-        # matmul takes the stride-0 [:, None] view up to 0.7 us slower
-        seed = (wfp * dataset.y_float).reshape(-1, 1)
-        qv = q_eff
-    else:
-        # per-sample split of grad q_tilde over the competing classes;
-        # each gap is L-homogeneous, so <theta, grad q_tilde> = L pi . s
-        pi = np.exp(q_eff[:, None] - gaps)
-        qv = np.sum(pi * gaps, axis=1)
-        seed = np.zeros(phi.shape)
-        seed[off] = (-wfp[:, None] * pi).ravel()
-        seed[on] = wfp
-    return PointEval(x, q, q_eff, w, fp, backward(blocks, records, seed),
-                     theta, wfp, qv)
+    """The evaluation at the flat float64 array theta, which it keeps."""
+    return evaluator(model, dataset, spec).point(theta)
 
 
 def is_separated(ev: PointEval, spec: LossSpec) -> bool:
@@ -207,24 +212,22 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
         return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
     theta0, x0 = ev0.theta, ev0.x
+    stage = evaluator(model, dataset, spec).stage
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
     while True:
         try:
-            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * ev0.G,
-                                dataset, spec)
+            x2, g2 = stage(theta0, dt_scaled / 2, ev0.G)
             # u = 2k: a doubled factor and a halved dt keep the k form's bits
-            u2 = (2.0 * math.exp(min(x0 - e2.x, 50.0))) * e2.G
-            e3 = evaluate_point(model, theta0 + (dt_scaled / 4) * u2,
-                                dataset, spec)
-            u3 = (2.0 * math.exp(min(x0 - e3.x, 50.0))) * e3.G
-            e4 = evaluate_point(model, theta0 + (dt_scaled / 2) * u3,
-                                dataset, spec)
+            u2 = (2.0 * math.exp(min(x0 - x2, 50.0))) * g2
+            x3, g3 = stage(theta0, dt_scaled / 4, u2)
+            u3 = (2.0 * math.exp(min(x0 - x3, 50.0))) * g3
+            x4, g4 = stage(theta0, dt_scaled / 2, u3)
             # ((k1 + 2k2) + 2k3) + k4, in u2's buffer: k1 is ev0.G
             dtheta = u2
             dtheta += ev0.G
             dtheta += u3
-            dtheta += math.exp(min(x0 - e4.x, 50.0)) * e4.G
+            dtheta += math.exp(min(x0 - x4, 50.0)) * g4
             dtheta *= dt_scaled / 6.0
             ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
             dx = ev1.x - x0
@@ -558,8 +561,9 @@ def _hat_rhs(r: float, psi: float, order_L: float,
 
 
 def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
-             n_samples: int = 1, metric: str = "planar") -> HatState:
-    """One RK4 step in rescaled time; clamps and flags if r exits (0,1)."""
+             n_samples: int = 1, metric: str = "planar", k1=None) -> HatState:
+    """One RK4 step in rescaled time, k1 its slope at the state if given;
+    clamps and flags if r exits (0,1)."""
     # float arithmetic, one component at a time, in the order of the
     # vector form y0 + h * k; an oversized step overflows to inf and
     # clamps below rather than raising
@@ -569,7 +573,7 @@ def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
     def rhs(y):
         return _hat_rhs(y[0], y[1], order_L, metric)
 
-    k1 = rhs(y0)
+    k1 = rhs(y0) if k1 is None else k1
     k2 = rhs([y + half * k for y, k in zip(y0, k1)])
     k3 = rhs([y + half * k for y, k in zip(y0, k2)])
     k4 = rhs([y + dsigma * k for y, k in zip(y0, k3)])
@@ -615,13 +619,13 @@ def run_hat(*, order_L: float = 2.0, n_samples: int = 1, r0: float = 0.5,
 
     push(state)
     for step in range(1, max_steps + 1):
-        dr, dpsi, _ = _hat_rhs(state.r, state.psi, order_L, metric)
+        dr, dpsi, _ = k1 = _hat_rhs(state.r, state.psi, order_L, metric)
         slope = 2.0 * state.r / (1.0 - state.r**2) ** 2
         dphi = dpsi + slope * dr
         dsigma = HAT_DPHI / max(abs(dphi), 1e-12)
         if abs(dr) > 0.0:
             dsigma = min(dsigma, 0.002 / abs(dr))
-        state = hat_step(state, dsigma, order_L, n_samples, metric)
+        state = hat_step(state, dsigma, order_L, n_samples, metric, k1)
         if step % record_every == 0 or state.r >= r_stop:
             push(state)
         if state.r >= r_stop:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import activation, forward
+from .autodiff import ShapeError, activation, layers, walk
 
 
 class Block(NamedTuple):
@@ -58,7 +58,22 @@ class HomogeneousModel:
         return self.blocks[-1].stop
 
     def forward(self, theta, x) -> tuple[np.ndarray, list]:
-        return forward(self.blocks, theta, x)
+        """`walk` of theta (P,), or a stack (S, P), on a batch (B, d) or a
+        single sample (d,), a batch of one in the records; the output is
+        (B, C), squeezed to (B,) when C == 1 and to a scalar for a single
+        sample of a single-output model, after the member axis S."""
+        theta = np.asarray(theta, dtype=np.float64)
+        single = np.ndim(x) == 1
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if h.shape[-1] != self.blocks[0].shape[0]:
+            raise ShapeError(f"op 'dense': expected input dim "
+                             f"{self.blocks[0].shape[0]}, got {h.shape}")
+        out, records = walk(layers(self.blocks, theta, h), h)
+        if out.shape[-1] == 1:
+            out = out[..., 0]
+        if single:
+            return (out[:, 0] if theta.ndim > 1 else out[0]), records
+        return out, records
 
 
 def _dense_chain(name: str, dims: list[int], kind: str | None,

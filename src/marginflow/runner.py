@@ -326,12 +326,14 @@ def _result(records, b, failures: list, rows, csv=None, **summary) -> dict:
             "csv": csv or {}, "b": b}
 
 
-def _excess(pairs) -> float | None:
-    """The largest lhs - rhs over the pairs (lhs, rhs): at most 0 iff
-    every lhs <= rhs, as a float difference keeps the sign of the exact
-    one; None for no pairs, NaN where a term is NaN."""
-    d = np.fromiter((lhs - rhs for lhs, rhs in pairs), dtype=np.float64)
-    return float(np.max(d)) if d.size else None
+def _worst(series, pick=max) -> float | None:
+    """pick (max or min) of a series, the first of equal terms; None if
+    it is empty, NaN if any term is (min and max skip a NaN not first).
+    The max of lhs - rhs over pairs is at most 0 iff every lhs <= rhs,
+    as a float difference keeps the sign of the exact one."""
+    series = list(series)
+    return (math.nan if any(v != v for v in series)
+            else pick(series, default=None))
 
 
 def _theta0(cfg: RunConfig, seed: int) -> np.ndarray:
@@ -399,26 +401,23 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
 def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
     out, b, failures = _drive(cfg, seed)
     mon, state, L = out["monitors"], out["state"], cfg.model.order_L
-    d_tilde = np.asarray(mon["d_log_tilde"])
     growth = np.abs(np.asarray(mon["growth_residual"]))
     sandwich = None
     if cfg.loss.name == "exp":  # bar - log(N)/rho^L <= tilde <= bar
         log_n = math.log(cfg.dataset.n)
-        sandwich = _excess(
-            pair for r in out["records"] if "log_tilde" in r
+        sandwich = _worst(
+            d for r in out["records"] if "log_tilde" in r
             for tilde, bar in [(math.exp(r["log_tilde"]), r["bar_gamma"])]
-            for pair in [(bar - log_n / r["rho"] ** L - ORDER_TOL, tilde),
-                         (tilde, bar + ORDER_TOL)])
+            for d in [bar - log_n / r["rho"] ** L - ORDER_TOL - tilde,
+                      tilde - (bar + ORDER_TOL)])
     return _result(out["records"], b, failures, [
-        ("d_log_tilde", float(d_tilde.min()) if d_tilde.size else None,
-         operator.ge, math.log1p(-1e-6)),
+        ("d_log_tilde", _worst(mon["d_log_tilde"], min), operator.ge,
+         math.log1p(-1e-6)),
         ("growth_within_tol_frac", float(np.mean(growth <= GROWTH_TOL))
          if growth.size else None, operator.ge, 0.95),
-        ("nu_slack", min(mon["nu_slack"], default=None), operator.ge, -1e-9),
-        ("margin_slack", min(mon["margin_slack"], default=None),
-         operator.ge, -1e-9),
-        ("upper_slack", min(mon["upper_slack"], default=None),
-         operator.ge, -1e-6),
+        *((key, _worst(mon[key], min), operator.ge, -tol)
+          for key, tol in [("nu_slack", 1e-9), ("margin_slack", 1e-9),
+                           ("upper_slack", 1e-6)]),
         ("sandwich_excess", sandwich, operator.le, 0.0),
     ], final={
         "t": state.t, "steps": state.steps, "x": state.ev.x,
@@ -434,22 +433,20 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
         failures.append(f"scheduler stalled at epochs {res['flagged_epochs']}")
     hats = [math.exp(r["log_hat"]) for r in records if "log_hat" in r]
     return _result(records, b, failures, [
-        ("s5_log_ratio", max(mon["s5_log_ratio"], default=None),
-         operator.le, 1e-12),
-        ("hat_step", min((v - u for u, v in zip(hats, hats[1:])),
-                         default=None), operator.ge, -1e-10),
+        ("s5_log_ratio", _worst(mon["s5_log_ratio"]), operator.le, 1e-12),
+        ("hat_step", _worst((v - u for u, v in zip(hats, hats[1:])), min),
+         operator.ge, -1e-10),
         # hat <= tilde <= bar at each epoch
-        ("ordering_excess", _excess(
-            pair for r in records if "log_hat" in r and "log_tilde" in r
+        ("ordering_excess", _worst(
+            d for r in records if "log_hat" in r and "log_tilde" in r
             for tilde in [math.exp(r["log_tilde"])]
-            for pair in [(math.exp(r["log_hat"]), tilde + ORDER_TOL),
-                         (tilde, r["bar_gamma"] + ORDER_TOL)]),
+            for d in [math.exp(r["log_hat"]) - (tilde + ORDER_TOL),
+                      tilde - (r["bar_gamma"] + ORDER_TOL)]),
          operator.le, 0.0),
-        ("rho_identity", max(mon["rho_identity"], default=None),
-         operator.le, 1e-9),
-        ("euler_gap", max((abs(v) for v in mon["euler_gap"]), default=None),
+        ("rho_identity", _worst(mon["rho_identity"]), operator.le, 1e-9),
+        ("euler_gap", _worst(abs(v) for v in mon["euler_gap"]),
          operator.le, 1e-12),
-        *((key, min(mon[key], default=None), operator.ge, -tol)
+        *((key, _worst(mon[key], min), operator.ge, -tol)
           for key, tol in [("p2_lower", 1e-9), ("p2_upper", 1e-9),
                            ("p3_slack", 1e-9), ("p4_slack", 1e-10),
                            ("grad_bound", 1e-9)]),
@@ -502,8 +499,8 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
         ("ratio_factor", None if verdict["inconclusive"] else float(
             np.maximum(verdict["factor_loss"], verdict["factor_rho"])),
          operator.le, verdict.pop("bound_factor")),
-        ("rho_step_separated", min((v - u for u, v in zip(sep, sep[1:])),
-                                   default=None), operator.ge, 0.0),
+        ("rho_step_separated", _worst((v - u for u, v in zip(sep, sep[1:])),
+                                      min), operator.ge, 0.0),
     ], csv={"rates": (columns, list(zip(*(diag[c] for c in columns))))},
         rates={"decades": diag["decades"], **verdict})
 
@@ -560,7 +557,7 @@ def _scenario_deep_loss(cfg: RunConfig, seed: int) -> dict:
 def _scenario_mexican_hat(cfg: RunConfig, seed: int) -> dict:
     records = run_hat(metric=cfg.options["metric"],
                       record_every=cfg.options["record_every"])
-    hat = {"psi_max": max(abs(r["psi"]) for r in records),
+    hat = {"psi_max": _worst(abs(r["psi"]) for r in records),
            "r_final": records[-1]["r"],
            "phi_gain": records[-1]["phi"] - records[0]["phi"],
            "records": len(records)}

@@ -37,7 +37,8 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
-from marginflow.autodiff import NonFiniteError, ShapeError, backward
+from marginflow.autodiff import (NonFiniteError, ShapeError, backward, layers,
+                                 walk)
 from marginflow.gradflow import (FlowAbort, FlowState, HatState, StepInfo,
                                  _hat_rhs, evaluate_point, hat_value)
 from marginflow.kkt import NotSeparableError
@@ -86,6 +87,16 @@ def layers_of(model):
         if model.activation is not None and i < len(model.blocks) - 1:
             layers.append(Layer(model.activation, alpha=model.alpha))
     return tuple(layers)
+
+
+def walked(model, theta, x):
+    """(out, table, records) of `autodiff.walk` on x, a batch or a single
+    sample as a batch of one, over the layer table bound to theta; out
+    is (B, C), never squeezed."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    table = layers(model.blocks, np.asarray(theta, dtype=np.float64), h)
+    out, records = walk(table, h)
+    return out, table, records
 
 
 def unit(theta):
@@ -357,8 +368,9 @@ def eager_point_summaries(ev, theta, gaps=None):
 
 
 def hat_step_array(state, dsigma, order_L=2.0, n_samples=1,
-                   metric="planar"):
-    """The hat's RK4 step on a three-element numpy state vector."""
+                   metric="planar", k1=None):
+    """The hat's RK4 step on a three-element numpy state vector; it takes
+    every slope itself, so a caller's k1 is ignored."""
     y0 = np.array([state.r, state.psi, state.log_rho])
 
     def rhs(y):
@@ -467,11 +479,11 @@ def _euler_worst(model, theta, x, part, k):
     """Worst relative residual of <theta[part], grad[part] Phi_j> == k * Phi_j
     over the outputs j, one one-hot seeded backward each."""
     theta = np.asarray(theta, dtype=np.float64)
-    out, records = model.forward(theta, x)
-    out = np.atleast_1d(out)
+    out, table, records = walked(model, theta, x)
+    out = out[0]
     worst = 0.0
     for j, seed in enumerate(np.eye(out.size)):
-        grad = backward(model.blocks, records, seed[None])
+        grad = backward(table, records, seed[None])
         inner = float(theta[part] @ grad[part])
         worst = max(worst, abs(inner - k * out[j]) / (1.0 + abs(out[j])))
     return worst
@@ -526,8 +538,8 @@ def per_sample_grads(model, theta, X):
         raise ValueError("per_sample_grads expects a single-output model")
     grads = np.empty((X.shape[0], model.param_count))
     for n in range(X.shape[0]):
-        _, records = model.forward(theta, X[n])
-        grads[n] = backward(model.blocks, records, np.ones((1, 1)))
+        _, table, records = walked(model, theta, X[n])
+        grads[n] = backward(table, records, np.ones((1, 1)))
     return grads
 
 

@@ -7,7 +7,7 @@ import pytest
 from oracles import (adjoint_grad, adjoints, fd_grad, layers_of,
                      per_sample_grad_norms, per_sample_grads, plain_forward,
                      plain_preactivations, preactivations, rel_err,
-                     sample_smooth_probe, seeded_fd_grad)
+                     sample_smooth_probe, seeded_fd_grad, walked)
 
 from marginflow import autodiff, models
 
@@ -66,8 +66,8 @@ def test_gradients_match_finite_differences():
             continue
         theta = models.init_params(model, rng)
         x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
-        _, records = model.forward(theta, x)
-        grad = autodiff.backward(model.blocks, records, np.ones((1, 1)))
+        _, table, records = walked(model, theta, x)
+        grad = autodiff.backward(table, records, np.ones((1, 1)))
         ref = fd_grad(lambda t: float(model.forward(t, x)[0]), theta)
         assert rel_err(grad, ref) < 1e-7, model.name
 
@@ -81,9 +81,8 @@ def test_seeded_backward_is_weighted_sum():
         # (N,) seed for one output, (N, C) for several
         shape = (6,) if model.num_outputs == 1 else (6, model.num_outputs)
         seed = rng.standard_normal(shape)
-        _, records = model.forward(theta, X)
-        combined = autodiff.backward(model.blocks, records,
-                                     seed.reshape(6, -1))
+        _, table, records = walked(model, theta, X)
+        combined = autodiff.backward(table, records, seed.reshape(6, -1))
         ref = seeded_fd_grad(layers_of(model), theta, X, seed)
         assert rel_err(combined, ref) < 1e-7, model.name
         if model.num_outputs == 1:
@@ -99,8 +98,8 @@ def test_multi_output_seed_selects_class():
     for j in range(3):
         seed = np.zeros((1, 3))  # a single sample is a batch of one
         seed[0, j] = 1.0
-        _, records = model.forward(theta, x)
-        grad = autodiff.backward(model.blocks, records, seed)
+        _, table, records = walked(model, theta, x)
+        grad = autodiff.backward(table, records, seed)
         ref = fd_grad(lambda t: float(model.forward(t, x)[0][j]), theta)
         assert rel_err(grad, ref) < 1e-7
 
@@ -121,26 +120,25 @@ def test_nonfinite_forward_raises():
 def test_nonfinite_seed_raises():
     model = models.relu_mlp(3, [4])
     theta = models.init_params(model, np.random.default_rng(6))
-    _, records = model.forward(theta, np.ones((2, 3)))
+    _, table, records = walked(model, theta, np.ones((2, 3)))
     with np.errstate(invalid="ignore"):  # inf * 0 at dead units
         with pytest.raises(autodiff.NonFiniteError):
-            autodiff.backward(model.blocks, records,
-                              np.array([[1.0], [np.nan]]))
+            autodiff.backward(table, records, np.array([[1.0], [np.nan]]))
         with pytest.raises(autodiff.NonFiniteError):
-            autodiff.backward(model.blocks, records, np.full((2, 1), np.inf))
+            autodiff.backward(table, records, np.full((2, 1), np.inf))
 
 
 def test_nonfinite_seed_raises_before_arithmetic():
     # same dead-unit cache as above: inf * 0 there would warn first
     model = models.relu_mlp(3, [4])
     theta = models.init_params(model, np.random.default_rng(6))
-    _, records = model.forward(theta, np.ones((2, 3)))
+    _, table, records = walked(model, theta, np.ones((2, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in ([[np.inf], [np.inf]], [[-np.inf], [1.0]],
                      [[1.0], [np.nan]]):
             with pytest.raises(autodiff.NonFiniteError):
-                autodiff.backward(model.blocks, records, np.array(seed))
+                autodiff.backward(table, records, np.array(seed))
 
 
 def _same_bytes(a, b):
@@ -153,12 +151,12 @@ def test_member_axis_matches_single_forwards():
     for model in _model_zoo():
         stack = np.stack([models.init_params(model, rng) for _ in range(4)])
         X = rng.standard_normal((7, model.blocks[0].shape[0]))
-        out, records = autodiff.forward(model.blocks, stack, X)
+        out, records = model.forward(stack, X)
         seed = rng.standard_normal(out.shape[:2] + (model.num_outputs,))
         stacked = list(adjoints(model.blocks, records, seed))
         norms = (per_sample_grad_norms(model, records)
                  if model.num_outputs == 1 else None)
-        one_x, _ = autodiff.forward(model.blocks, stack, X[0])
+        one_x, _ = model.forward(stack, X[0])
         for s, theta in enumerate(stack):
             ref_out, ref = model.forward(theta, X)
             assert _same_bytes(out[s], ref_out), model.name
@@ -200,10 +198,11 @@ def test_backward_bits_match_adjoint_oracle():
         wide = rng.standard_normal((n, d + 2))
         for X in (rng.standard_normal((n, d)), wide[:, 1:-1],
                   np.asfortranarray(wide[:, 2:])):
-            out, records = autodiff.walk(model.blocks, theta, X)
+            table = autodiff.layers(model.blocks, theta, X)
+            out, records = autodiff.walk(table, X)
             for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
                          -np.abs(rng.standard_normal(out.shape))):
-                got = autodiff.backward(model.blocks, records, seed)
+                got = autodiff.backward(table, records, seed)
                 assert _same_bytes(got, adjoint_grad(
                     model.blocks, records, seed)), (model.name, X.strides)
 

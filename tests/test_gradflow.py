@@ -15,7 +15,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from marginflow import autodiff, datasets, gradflow, losses, models, runner
+from marginflow import (autodiff, datasets, gdtrain, gradflow, losses, models,
+                        runner)
 from marginflow.margin import score_gaps
 
 from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
@@ -128,35 +129,46 @@ def _point_outcome(fn, *args):
     return [_shape_bits(a) for a in out]
 
 
+def _stage_point(model, theta, dataset, spec):
+    """(x, G) of the bound evaluator's RK stage at theta + 0.0 theta,
+    formed in its buffer: theta itself, the sign of each zero included."""
+    return gradflow.evaluator(model, dataset, spec).stage(theta, 0.0, theta)
+
+
 @pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
 def test_evaluate_point_bits_match_layer_walk_oracle(loss):
     spec = losses.get_loss(loss)
+    spec3 = losses.get_loss("cross_entropy") if loss == "logistic" else spec
     rng = np.random.default_rng(21)
     base = datasets.two_gaussians(10, 3, separation=3.0, seed=4)
     # a zero row puts every first-layer unit at its kink
-    data = datasets.Dataset(np.vstack([base.X, np.zeros(3)]),
-                            np.append(base.y, 1))
-    cases = [(m, data, spec) for m in (
-        models.linear(3), models.deep_linear(3, [4, 3]),
-        models.relu_mlp(3, [6]), models.leaky_relu_mlp(3, [5], alpha=0.1),
-        models.quadratic_mlp(3, [4]))]
-    if loss == "logistic":
-        three = datasets.Dataset(data.X, np.arange(11) % 3)
-        cases.append((models.relu_mlp(3, [6], num_outputs=3), three,
-                      losses.get_loss("cross_entropy")))
+    X = np.vstack([base.X, np.zeros(3)])
+    labels = [(np.append(base.y, 1), 1, spec), (np.arange(11) % 3, 3, spec3)]
+    # inline rows keep X as a column slice: a strided batch
+    cases = [(build(c), data, spec_) for y, c, spec_ in labels
+             for data in (datasets.Dataset(X, y),
+                          datasets.from_rows(np.c_[X, y]))
+             for build in (lambda c: models.linear(3, c),
+                           lambda c: models.deep_linear(3, [4, 3], c),
+                           lambda c: models.relu_mlp(3, [6], c),
+                           lambda c: models.leaky_relu_mlp(3, [5], 0.1, c),
+                           lambda c: models.quadratic_mlp(3, [4], c))]
+    assert sum(not d.X.flags.c_contiguous for _, d, _ in cases) == 10
     raised = 0
     for model, data_, spec_ in cases:
         # the logistic guard branch (softplus underflow) needs |q| > 745
         for scale in (0.3, 1.0, 30.0, 1e3, 1e60, 1e120, 1e200):
             theta = models.init_params(model, rng, scale=scale)
             got = _point_outcome(gradflow.evaluate_point, model, theta, data_,
-                           spec_)
-            assert got == _point_outcome(two_call_point, model, theta, data_,
-                                   spec_), (model.name, scale)
+                                 spec_)
+            want = _point_outcome(two_call_point, model, theta, data_, spec_)
+            assert got == want, (model.name, scale)
+            stage = _point_outcome(_stage_point, model, theta, data_, spec_)
+            assert stage == (want if want is got else [want[0], want[4]])
             raised += got is autodiff.NonFiniteError
         stack = np.stack([models.init_params(model, rng)
                           for _ in range(4)])
-        out, cache = autodiff.forward(model.blocks, stack, data_.X)
+        out, cache = model.forward(stack, data_.X)
         ref_out, ref_cache = layer_walk_forward(layers_of(model), stack,
                                                 data_.X)
         assert _shape_bits(out) == _shape_bits(ref_out), model.name
@@ -164,6 +176,28 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
             assert _shape_bits(per_sample_grad_norms(model, cache)) == \
                 _shape_bits(layer_walk_grad_norms(ref_cache)), model.name
     assert raised >= len(cases)
+
+
+def test_kept_evaluations_do_not_move_after_later_steps(monkeypatch):
+    # RK stage points are formed in the bound evaluator's scratch buffer,
+    # so every state a consumer keeps must own its theta, G and x
+    spec, model, theta0, data = _relu_logistic_setup()
+    kept = []
+
+    def keep(ev):
+        kept.append((ev, ev.x, _shape_bits(ev.theta), _shape_bits(ev.G)))
+        return ev
+
+    for state, _ in gradflow.flow_states(model, theta0, data, spec,
+                                         step_tol=2e-3, max_steps=40):
+        keep(state.ev)
+    real = gdtrain.evaluate_point
+    monkeypatch.setattr(gdtrain, "evaluate_point",
+                        lambda *args: keep(real(*args)))
+    out = gdtrain.train_gd(model, theta0, data, spec, None, epochs=30)
+    assert len(kept) > 41 + 30 and any(ev is out["ev"] for ev, *_ in kept)
+    for ev, *bits in kept:
+        assert [ev.x, _shape_bits(ev.theta), _shape_bits(ev.G)] == bits
 
 
 def _nonfinite_points():
@@ -210,24 +244,24 @@ def test_nonfinite_evaluation_raises_and_is_a_rejected_trial(case,
         with pytest.raises(autodiff.NonFiniteError, match=message):
             gradflow.evaluate_point(model, theta, data, spec)
     # the same error from the first RK4 stage of a step: one halving
-    real = gradflow.evaluate_point
+    real = gradflow.Evaluator.stage
     calls = []
 
-    def first_stage_fails(*args):
+    def first_stage_fails(self, *args):
         calls.append(None)
         if len(calls) == 1:
             with np.errstate(all="ignore"):
-                return real(model, theta, data, spec)
-        return real(*args)
+                return gradflow.evaluate_point(model, theta, data, spec)
+        return real(self, *args)
 
     spec_, model_, theta0, data_ = _relu_logistic_setup()
     state = gradflow.init_flow(model_, theta0, data_, spec_)
     dt = gradflow.propose_dt_scaled(state.ev, 2e-3)
-    monkeypatch.setattr(gradflow, "evaluate_point", first_stage_fails)
+    monkeypatch.setattr(gradflow.Evaluator, "stage", first_stage_fails)
     _, info = gradflow.flow_step(model_, data_, spec_, state, dt,
                                  step_tol=2e-3)
     assert info.halvings == 1 and info.dt_scaled == dt / 2
-    assert len(calls) == 1 + 4  # the failed stage, then one full trial
+    assert len(calls) == 1 + 3  # the failed stage, then one trial's stages
 
 
 def test_point_eval_lazy_summaries_equal_eager_oracle():

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _excess,
-                               _theta0, config_digest, emit_plot_data,
+from marginflow import runner
+from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _theta0,
+                               _worst, config_digest, emit_plot_data,
                                load_config, run_scenario, write_csv,
                                write_jsonl)
 
@@ -435,7 +436,7 @@ def test_gd_margin_scenario_monotone_hat(tmp_path):
     # the ordering's slack sits inside its terms, so its verdict is that
     # of hat <= tilde + 1e-12 also where hat - tilde exceeds 1e-12
     hat = 1.0 + 1e-12
-    assert hat - 1.0 > 1e-12 and _excess([(hat, 1.0 + 1e-12)]) == 0.0
+    assert hat - 1.0 > 1e-12 and _worst([hat - (1.0 + 1e-12)]) == 0.0
 
 
 def test_linear_logistic_scenario_reports_svm_gap(tmp_path):
@@ -465,6 +466,49 @@ def test_mexican_hat_scenario_csv_columns(tmp_path):
         "psi_max": 1e-3, "r_final": 0.99, "phi_gain": 4 * math.pi,
         "clamped": False}
     assert checks["r_final"]["worst"] == out.summaries[0]["hat"]["r_final"]
+
+
+def test_a_nan_anywhere_in_a_series_fails_its_row(tmp_path, monkeypatch):
+    # Python's min and max return a NaN only when it comes first:
+    # min([1.0, nan]) is 1.0, so each series gets one NaN in its middle
+    def nan_inside(series):
+        series.insert(len(series) // 2, math.nan)
+
+    def patched(name, edit):
+        real = getattr(runner, name)
+
+        def run(*args, **kwargs):
+            out = real(*args, **kwargs)
+            edit(out)
+            return out
+        monkeypatch.setattr(runner, name, run)
+
+    flow_keys = ("nu_slack", "margin_slack", "upper_slack")
+    gd_keys = ("s5_log_ratio", "rho_identity", "euler_gap", "p2_lower",
+               "p2_upper", "p3_slack", "p4_slack", "grad_bound")
+    patched("run_flow", lambda out: [nan_inside(out["monitors"][k])
+                                     for k in flow_keys])
+    patched("train_gd", lambda out: [nan_inside(out["monitors"][k])
+                                     for k in gd_keys])
+    patched("run_hat", lambda recs: recs.insert(len(recs) // 2, {
+        **recs[len(recs) // 2], "psi": math.nan}))
+    runs = [(FLOW_RAW, flow_keys), ({
+        "scenario": "gd_margin", "loss": "exp",
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [4]},
+        "alpha0": 0.05, "epochs": 120, "seed": 1,
+        "options": {"n_sphere": 500, "n_curvature": 200}}, gd_keys),
+        ({"scenario": "mexican_hat", "seed": 0}, ("psi_max",))]
+    for raw, keys in runs:
+        out = run_scenario(RunConfig.from_dict(dict(raw)), out_dir=tmp_path)
+        checks = out.summaries[0]["checks"]
+        for key in keys:
+            assert math.isnan(checks[key]["worst"]), key
+            assert not checks[key]["ok"], key
+        assert len(out.failures) == len(keys)
+    # the first of equal terms, as min and max take it: a zero keeps its sign
+    assert math.copysign(1.0, _worst([0.0, -0.0], min)) == 1.0
+    assert math.copysign(1.0, _worst([-0.0, 0.0])) == -1.0
+    assert _worst([], min) is None
 
 
 def test_scenario_failure_is_reported_not_raised(tmp_path):
