@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward, layers, walk
+from .autodiff import NonFiniteError, backward, walk
 from .datasets import Dataset
-from .gradflow import (PointEval, _bar_gamma, evaluate_point, is_separated,
-                       log_tilde_margin)
+from .gradflow import (Evaluator, PointEval, _bar_gamma, evaluate_point,
+                       is_separated, log_tilde_margin)
 from .losses import LossDomainError, LossSpec
 from .models import HomogeneousModel
 
@@ -43,20 +43,21 @@ def gd_step(ev: PointEval, alpha: float) -> np.ndarray:
     return ev.theta + alpha * ev.G
 
 
-def gd_step_direct(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
-                   theta: np.ndarray, alpha: float) -> np.ndarray:
+def gd_step_direct(evaluator: Evaluator, theta: np.ndarray,
+                   alpha: float) -> np.ndarray:
     """theta - eta grad(mean loss), eta = alpha / mean loss, through
-    plain float64 and one forward, no frame.
+    plain float64 and one walk of the evaluator's table, no frame.
 
     Only valid while the mean loss stays above ~1e-290; used to check
     that the relative frame changes nothing but the arithmetic path.
     """
+    dataset, table = evaluator.dataset, evaluator.layers
     if not dataset.is_binary:
         raise NotImplementedError("direct path exercises binary models")
-    table = layers(model.blocks, theta, dataset.X)
+    np.copyto(evaluator.theta, theta)
     phi, records = walk(table, dataset.X)
     q = dataset.y_float * phi[:, 0]
-    fq, fp = spec.f_pair(q)
+    fq, fp = evaluator.spec.f_pair(q)
     loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
     seed = loss * fp * dataset.y_float / dataset.n
@@ -404,8 +405,8 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         raise ValueError(f"unknown mode {mode!r}")
     if alpha0 <= 0.0:
         raise ValueError("alpha must stay positive")
-    ev = evaluate_point(model, np.asarray(theta0, dtype=np.float64), dataset,
-                        spec)
+    evaluator = Evaluator(model, dataset, spec)
+    ev = evaluate_point(evaluator, np.asarray(theta0, dtype=np.float64))
     alpha = alpha0
     mstate: GdMarginState | None = None
     log_hat_prev = None
@@ -445,8 +446,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             a = min(a, cap)
             if last is None or last[1] != a:
                 try:
-                    last = (evaluate_point(model, gd_step(prev_ev, a),
-                                           dataset, spec), a)
+                    last = (evaluate_point(evaluator, gd_step(prev_ev, a)), a)
                 except NonFiniteError:  # overflowed: a rejected trial
                     last = (None, a)
             return (-math.inf if last[0] is None else last[0].x), last

@@ -68,17 +68,17 @@ class PointEval:
 
 class Evaluator:
     """One run's (model, dataset, loss), bound once to the `layers` table
-    of a scratch parameter buffer `theta`. `stage` evaluates a point
-    formed there, `point` an owned array; both return fresh arrays."""
-
-    last = None  # the one `evaluator` returned last
+    of a scratch parameter buffer `theta`. Each driver binds its own and
+    passes it on, so nothing outlives the run. `stage` evaluates a point
+    formed there, `evaluate_point` an owned array; both return fresh
+    arrays."""
 
     def __init__(self, model, dataset, spec):
         self.model, self.dataset, self.spec = model, dataset, spec
         self.theta = np.empty(model.param_count)
         self.layers = layers(model.blocks, self.theta, dataset.X)
 
-    def _run(self) -> tuple:
+    def run(self) -> tuple:
         """(x, G, q, q_eff, weights, f', w f', qv) at the buffer, all O(1)."""
         ds = self.dataset
         phi, records = walk(self.layers, ds.X)
@@ -111,29 +111,15 @@ class Evaluator:
         """(x, G) at theta0 + c k, formed in the buffer in that order."""
         np.multiply(k, c, out=self.theta)
         self.theta += theta0
-        return self._run()[:2]
-
-    def point(self, theta: np.ndarray) -> PointEval:
-        np.copyto(self.theta, theta)
-        *out, wfp, qv = self._run()
-        return PointEval(*out, float(np.add.reduce(wfp * qv)), theta)
+        return self.run()[:2]
 
 
-def evaluator(model: HomogeneousModel, dataset: Dataset,
-              spec: LossSpec) -> Evaluator:
-    """The last evaluator while model, dataset and spec are the same
-    objects, else a new one: a run binds once behind `evaluate_point`."""
-    ev = Evaluator.last
-    if (ev is None or ev.model is not model or ev.dataset is not dataset
-            or ev.spec is not spec):
-        ev = Evaluator.last = Evaluator(model, dataset, spec)
-    return ev
-
-
-def evaluate_point(model: HomogeneousModel, theta: np.ndarray,
-                   dataset: Dataset, spec: LossSpec) -> PointEval:
-    """The evaluation at the flat float64 array theta, which it keeps."""
-    return evaluator(model, dataset, spec).point(theta)
+def evaluate_point(evaluator: Evaluator, theta: np.ndarray) -> PointEval:
+    """The evaluation at the flat float64 array theta, which it keeps: a
+    module function, the one entry that per-call tracing wraps by name."""
+    np.copyto(evaluator.theta, theta)
+    *out, wfp, qv = evaluator.run()
+    return PointEval(*out, float(np.add.reduce(wfp * qv)), theta)
 
 
 def is_separated(ev: PointEval, spec: LossSpec) -> bool:
@@ -174,12 +160,6 @@ class FlowAbort(RuntimeError):
     """Step halving exhausted or non-finite values with no valid retreat."""
 
 
-def init_flow(model: HomogeneousModel, theta0, dataset: Dataset,
-              spec: LossSpec) -> FlowState:
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    return FlowState(0.0, evaluate_point(model, theta0, dataset, spec))
-
-
 def _bar_gamma(q_min: float, rho: float, order_L: float) -> float:
     """q_min / rho^L, taken in log space where rho^L overflows a float."""
     try:
@@ -198,21 +178,24 @@ def propose_dt_scaled(ev: PointEval, step_tol: float) -> float:
     return step_tol * max(1.0, abs(ev.x)) / ev.g_norm**2
 
 
-def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
-              state: FlowState, dt_scaled: float, step_tol: float = 1e-4,
-              max_halvings: int = 60) -> tuple[FlowState, StepInfo]:
+# rejected trials of one flow step before it aborts
+MAX_HALVINGS = 60
+
+
+def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
+              step_tol: float = 1e-4) -> tuple[FlowState, StepInfo]:
     """One adaptive RK4 step of d theta/dt = -grad loss.
 
     Acceptance: the change of x = log(1/loss) is at most
     step_tol * max(1, |x|) and never negative beyond 1e-9 (descent).
-    Rejected trials halve dt; stages that produce non-finite values
-    count as rejections.
+    Rejected trials halve dt, at most MAX_HALVINGS times; stages that
+    produce non-finite values count as rejections.
     """
     ev0 = state.ev
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
         return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
     theta0, x0 = ev0.theta, ev0.x
-    stage = evaluator(model, dataset, spec).stage
+    stage = evaluator.stage
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
     while True:
@@ -229,7 +212,7 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
             dtheta += u3
             dtheta += math.exp(min(x0 - x4, 50.0)) * g4
             dtheta *= dt_scaled / 6.0
-            ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
+            ev1 = evaluate_point(evaluator, theta0 + dtheta)
             dx = ev1.x - x0
             ok = abs(dx) <= cap and dx >= -1e-9
         except NonFiniteError:
@@ -238,8 +221,8 @@ def flow_step(model: HomogeneousModel, dataset: Dataset, spec: LossSpec,
         if ok:
             break
         halvings += 1
-        if halvings > max_halvings:
-            raise FlowAbort(f"step rejected {max_halvings} times at "
+        if halvings > MAX_HALVINGS:
+            raise FlowAbort(f"step rejected {MAX_HALVINGS} times at "
                             f"t={state.t}, x={x0}, last dx={dx}")
         dt_scaled /= 2.0
     # re-anchor the scale to the new x; steer |dx| toward 0.6 * cap
@@ -393,14 +376,15 @@ def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
     Yields (state, None) for the start, then (state, info) after every
     accepted `flow_step`. Ends at exact stationarity (zero gradient, so
     no step is possible) or once `max_steps` steps have been taken;
-    callers stop it at their own targets.
+    callers stop it at their own targets. One `Evaluator` serves the run.
     """
-    state = init_flow(model, theta0, dataset, spec)
+    evaluator = Evaluator(model, dataset, spec)
+    state = FlowState(0.0, evaluate_point(
+        evaluator, np.asarray(theta0, dtype=np.float64)))
     dt_scaled = propose_dt_scaled(state.ev, step_tol)
     yield state, None
     while state.steps < max_steps:
-        state, info = flow_step(model, dataset, spec, state, dt_scaled,
-                                step_tol=step_tol)
+        state, info = flow_step(evaluator, state, dt_scaled, step_tol)
         if info.dt_scaled == 0.0:
             return  # exactly stationary
         dt_scaled = info.next_dt_scaled

@@ -32,7 +32,7 @@ import yaml
 from .datasets import KINDS, Dataset, load_dataset
 from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
                       sphere_sups, train_gd)
-from .gradflow import (evaluate_point, flow_states, is_separated,
+from .gradflow import (Evaluator, evaluate_point, flow_states, is_separated,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import LossSpec, get_loss, validate_b3
@@ -508,17 +508,18 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
 def frame_equivalence_check(model, ds, spec, theta0, records) -> dict:
     """Replay a `train_gd` run's accepted epochs in the relative frame
     and through a plain float64 loop side by side, up to FRAME_X_STOP,
-    the window where the two must agree."""
+    the window where the two must agree, on one bound evaluator."""
+    evaluator = Evaluator(model, ds, spec)
     theta_rel = theta_dir = theta0
     max_rel = 0.0
     epochs = 0
     x_reached = None
     for rec in records:
-        ev = evaluate_point(model, theta_rel, ds, spec)
+        ev = evaluate_point(evaluator, theta_rel)
         if ev.x >= FRAME_X_STOP or rec["flagged"]:
             break
         theta_rel = gd_step(ev, rec["alpha"])
-        theta_dir = gd_step_direct(model, ds, spec, theta_dir, rec["alpha"])
+        theta_dir = gd_step_direct(evaluator, theta_dir, rec["alpha"])
         rel = (np.linalg.norm(theta_rel - theta_dir)
                / np.linalg.norm(theta_dir))
         max_rel = max(max_rel, float(rel))

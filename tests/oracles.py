@@ -39,8 +39,9 @@ from scipy.optimize import brentq
 
 from marginflow.autodiff import (NonFiniteError, ShapeError, backward, layers,
                                  walk)
-from marginflow.gradflow import (FlowAbort, FlowState, HatState, StepInfo,
-                                 _hat_rhs, evaluate_point, hat_value)
+from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
+                                 StepInfo, _hat_rhs, evaluate_point,
+                                 hat_value)
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.margin import score_gaps, soft_margins
@@ -170,22 +171,20 @@ def rk4_flow_step(model, dataset, spec, state, dt_scaled, step_tol,
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
         return state, StepInfo(0.0, 0.0, 0.0, 0.0, 0)
     theta0, x0 = ev0.theta, ev0.x
+    evaluator = Evaluator(model, dataset, spec)
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
     while True:
         try:
             k1 = ev0.G
-            e2 = evaluate_point(model, theta0 + (dt_scaled / 2) * k1,
-                                dataset, spec)
+            e2 = evaluate_point(evaluator, theta0 + (dt_scaled / 2) * k1)
             k2 = math.exp(min(x0 - e2.x, 50.0)) * e2.G
-            e3 = evaluate_point(model, theta0 + (dt_scaled / 2) * k2,
-                                dataset, spec)
+            e3 = evaluate_point(evaluator, theta0 + (dt_scaled / 2) * k2)
             k3 = math.exp(min(x0 - e3.x, 50.0)) * e3.G
-            e4 = evaluate_point(model, theta0 + dt_scaled * k3,
-                                dataset, spec)
+            e4 = evaluate_point(evaluator, theta0 + dt_scaled * k3)
             k4 = math.exp(min(x0 - e4.x, 50.0)) * e4.G
             dtheta = (dt_scaled / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ev1 = evaluate_point(model, theta0 + dtheta, dataset, spec)
+            ev1 = evaluate_point(evaluator, theta0 + dtheta)
             dx = ev1.x - x0
             ok = abs(dx) <= cap and dx >= -1e-9
         except NonFiniteError:

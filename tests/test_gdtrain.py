@@ -13,7 +13,7 @@ from marginflow.gdtrain import (GdMarginState, PhiCurve, ReframeError,
                                 estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
                                 loss_based_lr_epoch, sphere_sups, train_gd)
-from marginflow.gradflow import evaluate_point
+from marginflow.gradflow import Evaluator, evaluate_point
 from marginflow.losses import LossDomainError
 from marginflow.runner import frame_equivalence_check
 
@@ -47,24 +47,24 @@ def test_gd_step_by_hand():
     model = models.linear(2)
     ds = datasets.from_rows([[1.0, 2.0, 1]])
     w = np.array([0.1, -0.2])
-    ev = evaluate_point(model, w, ds, EXP)
+    ev = evaluate_point(Evaluator(model, ds, EXP), w)
     assert math.isclose(ev.x, -0.3, rel_tol=1e-15)
     w2 = gd_step(ev, 0.05)
     np.testing.assert_allclose(w2, [0.15, -0.1], rtol=1e-15)
     # same step through the plain float64 route, eta = alpha / loss
-    w3 = gd_step_direct(model, ds, EXP, w, 0.05)
+    w3 = gd_step_direct(Evaluator(model, ds, EXP), w, 0.05)
     np.testing.assert_allclose(w3, w2, rtol=1e-14)
 
 
 def test_gd_step_zero_keeps_theta():
     model, ds, theta0 = _toy()
-    w2 = gd_step(evaluate_point(model, theta0, ds, EXP), 0.0)
+    w2 = gd_step(evaluate_point(Evaluator(model, ds, EXP), theta0), 0.0)
     assert w2 is theta0
 
 
 def test_gd_step_reframe_error():
     model, ds, theta0 = _toy()
-    ev = evaluate_point(model, theta0, ds, EXP)
+    ev = evaluate_point(Evaluator(model, ds, EXP), theta0)
     for bad in (1e-301, 1e301):
         with pytest.raises(ReframeError):
             gd_step(ev, bad)
@@ -519,7 +519,7 @@ def test_log_kappa_once_per_epoch_start(monkeypatch):
     monkeypatch.setattr(gdtrain, "log_kappa", counted)
     cached = train_gd(model, theta0, ds, LOGISTIC, **kw)
     once = list(xs)
-    starts = {evaluate_point(model, theta0, ds, LOGISTIC).x} | {
+    starts = {evaluate_point(Evaluator(model, ds, LOGISTIC), theta0).x} | {
         r["log_inv_loss"] for r in cached["records"]}
     assert len(once) > 40 and len(set(once)) == len(once)
     assert set(once) <= starts

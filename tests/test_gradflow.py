@@ -7,8 +7,11 @@ radial dynamics on the conserved-phase manifold is a separable ODE
 cross-checked by quadrature.
 """
 
+import gc
+import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ def _smooth_theta(model, X, seed_start=0):
 def test_evaluate_point_gradient_binary_matches_fd():
     spec, model, _, data = _relu_logistic_setup()
     theta0 = _smooth_theta(model, data.X)
-    ev = gradflow.evaluate_point(model, theta0, data, spec)
+    ev = gradflow.evaluate_point(gradflow.Evaluator(model, data, spec), theta0)
 
     def total_loss(th):
         q = np.array([float(model.forward(th, x)[0])
@@ -76,7 +79,7 @@ def test_evaluate_point_gradient_multiclass_matches_fd():
     spec, model, data = _three_class_setup()
     X = data.X
     theta = _smooth_theta(model, X, seed_start=100)
-    ev = gradflow.evaluate_point(model, theta, data, spec)
+    ev = gradflow.evaluate_point(gradflow.Evaluator(model, data, spec), theta)
 
     def total_loss(th):
         out = np.stack([
@@ -107,7 +110,8 @@ def test_multiclass_v_satisfies_euler_identity():
     for seed in range(3):
         theta = models.init_params(model, np.random.default_rng(seed),
                                    scale=0.7)
-        ev = gradflow.evaluate_point(model, theta, data, spec)
+        ev = gradflow.evaluate_point(gradflow.Evaluator(model, data, spec),
+                                     theta)
         lhs = float(theta @ ev.G) / model.order_L
         assert abs(lhs - ev.V) <= 1e-12 * abs(lhs), seed
 
@@ -129,10 +133,19 @@ def _point_outcome(fn, *args):
     return [_shape_bits(a) for a in out]
 
 
-def _stage_point(model, theta, dataset, spec):
+def _stage_point(evaluator, theta):
     """(x, G) of the bound evaluator's RK stage at theta + 0.0 theta,
     formed in its buffer: theta itself, the sign of each zero included."""
-    return gradflow.evaluator(model, dataset, spec).stage(theta, 0.0, theta)
+    return evaluator.stage(theta, 0.0, theta)
+
+
+def _start(model, theta0, data, spec):
+    """A bound evaluator and the flow's start state at theta0, as
+    `flow_states` forms them."""
+    evaluator = gradflow.Evaluator(model, data, spec)
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    return evaluator, gradflow.FlowState(
+        0.0, gradflow.evaluate_point(evaluator, theta0))
 
 
 @pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
@@ -156,14 +169,14 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
     assert sum(not d.X.flags.c_contiguous for _, d, _ in cases) == 10
     raised = 0
     for model, data_, spec_ in cases:
+        evaluator = gradflow.Evaluator(model, data_, spec_)
         # the logistic guard branch (softplus underflow) needs |q| > 745
         for scale in (0.3, 1.0, 30.0, 1e3, 1e60, 1e120, 1e200):
             theta = models.init_params(model, rng, scale=scale)
-            got = _point_outcome(gradflow.evaluate_point, model, theta, data_,
-                                 spec_)
+            got = _point_outcome(gradflow.evaluate_point, evaluator, theta)
             want = _point_outcome(two_call_point, model, theta, data_, spec_)
             assert got == want, (model.name, scale)
-            stage = _point_outcome(_stage_point, model, theta, data_, spec_)
+            stage = _point_outcome(_stage_point, evaluator, theta)
             assert stage == (want if want is got else [want[0], want[4]])
             raised += got is autodiff.NonFiniteError
         stack = np.stack([models.init_params(model, rng)
@@ -240,9 +253,10 @@ def _nonfinite_points():
 def test_nonfinite_evaluation_raises_and_is_a_rejected_trial(case,
                                                              monkeypatch):
     _, model, theta, data, spec, message = case
+    bad = gradflow.Evaluator(model, data, spec)
     with np.errstate(all="ignore"):
         with pytest.raises(autodiff.NonFiniteError, match=message):
-            gradflow.evaluate_point(model, theta, data, spec)
+            gradflow.evaluate_point(bad, theta)
     # the same error from the first RK4 stage of a step: one halving
     real = gradflow.Evaluator.stage
     calls = []
@@ -251,15 +265,14 @@ def test_nonfinite_evaluation_raises_and_is_a_rejected_trial(case,
         calls.append(None)
         if len(calls) == 1:
             with np.errstate(all="ignore"):
-                return gradflow.evaluate_point(model, theta, data, spec)
+                return gradflow.evaluate_point(bad, theta)
         return real(self, *args)
 
     spec_, model_, theta0, data_ = _relu_logistic_setup()
-    state = gradflow.init_flow(model_, theta0, data_, spec_)
+    evaluator, state = _start(model_, theta0, data_, spec_)
     dt = gradflow.propose_dt_scaled(state.ev, 2e-3)
     monkeypatch.setattr(gradflow.Evaluator, "stage", first_stage_fails)
-    _, info = gradflow.flow_step(model_, data_, spec_, state, dt,
-                                 step_tol=2e-3)
+    _, info = gradflow.flow_step(evaluator, state, dt, step_tol=2e-3)
     assert info.halvings == 1 and info.dt_scaled == dt / 2
     assert len(calls) == 1 + 3  # the failed stage, then one trial's stages
 
@@ -274,7 +287,8 @@ def test_point_eval_lazy_summaries_equal_eager_oracle():
         model3, np.random.default_rng(s))) for s in range(6)]
     cases.append((spec, models.linear(2), data, np.zeros(2)))  # beta = 0
     for spec_, model_, data_, theta in cases:
-        ev = gradflow.evaluate_point(model_, theta.copy(), data_, spec_)
+        ev = gradflow.evaluate_point(gradflow.Evaluator(model_, data_, spec_),
+                                     theta.copy())
         # read in an order the flow never uses: beta pulls rho and g_norm
         got = (ev.beta, ev.V, ev.rho, ev.g_norm)
         gaps = None if data_.is_binary else score_gaps(
@@ -341,9 +355,9 @@ def test_zero_gradient_is_stationary():
     model = models.build_model("linear", input_dim=2)
     # one sample each label on the same input: gradients cancel at w.x=0
     data = datasets.from_rows([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
-    state = gradflow.init_flow(model, np.array([0.0, 1.0]), data, spec)
+    evaluator, state = _start(model, np.array([0.0, 1.0]), data, spec)
     assert state.ev.g_norm == 0.0
-    nxt, info = gradflow.flow_step(model, data, spec, state, dt_scaled=1.0)
+    nxt, info = gradflow.flow_step(evaluator, state, dt_scaled=1.0)
     assert nxt is state
     assert info.dt_scaled == 0.0
 
@@ -354,11 +368,11 @@ def test_zero_start_emits_no_warning():
     data = datasets.two_gaussians(n=6, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev = gradflow.evaluate_point(model, np.zeros(2), data, spec)
+        evaluator, state = _start(model, np.zeros(2), data, spec)
+        ev = gradflow.evaluate_point(evaluator, np.zeros(2))
         assert ev.rho == 0.0 and ev.beta == 0.0 and ev.g_norm > 0.0
-        state = gradflow.init_flow(model, np.zeros(2), data, spec)
         nxt, info = gradflow.flow_step(
-            model, data, spec, state, gradflow.propose_dt_scaled(ev, 1e-3),
+            evaluator, state, gradflow.propose_dt_scaled(ev, 1e-3),
             step_tol=1e-3)
     assert nxt.steps == 1 and nxt.ev.rho > 0.0
     # the zero vector has no direction, so the step moves theta_hat by 1
@@ -476,15 +490,14 @@ def test_run_flow_bound_monitors_match_stepwise_replay():
     assert np.array_equal(_bits(res["monitors"]["upper_slack"]), _bits(upper))
 
 
-def test_flow_step_descent_cap_and_halving():
+def test_flow_step_descent_cap_and_halving(monkeypatch):
     spec, model, theta0, data = _relu_logistic_setup()
-    state = gradflow.init_flow(model, theta0, data, spec)
+    evaluator, state = _start(model, theta0, data, spec)
     tol = 1e-3
     dt = gradflow.propose_dt_scaled(state.ev, tol)
     for _ in range(40):
         x0, rho0 = state.ev.x, state.ev.rho
-        state, info = gradflow.flow_step(model, data, spec, state, dt,
-                                         step_tol=tol)
+        state, info = gradflow.flow_step(evaluator, state, dt, step_tol=tol)
         dx = state.ev.x - x0
         assert dx >= -1e-9
         assert abs(dx) <= tol * max(1.0, abs(x0)) * (1.0 + 1e-12)
@@ -493,18 +506,20 @@ def test_flow_step_descent_cap_and_halving():
         dt = info.next_dt_scaled
     # a grossly oversized proposal must be halved, not accepted
     big = dt * 1e8
-    _, info = gradflow.flow_step(model, data, spec, state, big, step_tol=tol)
+    _, info = gradflow.flow_step(evaluator, state, big, step_tol=tol)
     assert info.halvings > 0
+    monkeypatch.setattr(gradflow, "MAX_HALVINGS", 1)
     with pytest.raises(gradflow.FlowAbort):
-        gradflow.flow_step(model, data, spec, state, big, step_tol=tol,
-                           max_halvings=1)
+        gradflow.flow_step(evaluator, state, big, step_tol=tol)
 
 
 def _step_bits(state, info):
     """Bits of theta, x and t of a state and of the float fields of its
-    step record, and the record's halvings."""
+    step record, and the record's halvings; a start state has no record."""
+    fields = () if info is None else info[:4]
     return (state.ev.theta.view(np.int64).tolist(),
-            _bits([state.ev.x, state.t, *info[:4]]).tolist(), info.halvings)
+            _bits([state.ev.x, state.t, *fields]).tolist(),
+            info and info.halvings)
 
 
 _STEP_FAMILIES = {
@@ -545,12 +560,60 @@ def test_flow_step_bits_match_rk4_oracle(family, loss, classes):
     assert steps == 200
     # a proposal 1e6 times too large is halved, on both sides alike
     with np.errstate(all="ignore"):
-        got = gradflow.flow_step(model, data, spec, prev, prev_dt * 1e6,
-                                 step_tol=tol)
+        got = gradflow.flow_step(gradflow.Evaluator(model, data, spec), prev,
+                                 prev_dt * 1e6, step_tol=tol)
         want = rk4_flow_step(model, data, spec, prev, prev_dt * 1e6, tol)
     assert np.array_equal(prev.ev.G.view(np.int64), prev_G)
     assert got[1].halvings > 0
     assert _step_bits(*got) == _step_bits(*want)
+
+
+def test_interleaved_runs_keep_their_single_run_bits():
+    # the README flow on two_gaussians and the linear_logistic_2d flow,
+    # advanced alternately in one process with a GD run between their
+    # steps: each run binds its own evaluator, so each gives the bits it
+    # gives alone
+    cfgs = [runner.RunConfig.from_dict(readme_flow_config()),
+            runner.RunConfig.from_dict({"scenario": "linear_logistic_2d"})]
+    runs = [(c.model, runner._theta0(c, 0), c.dataset, c.loss,
+             c.options["step_tol"]) for c in cfgs]
+    assert not runs[1][2].X.flags.c_contiguous  # inline rows: strided
+    steps = 80
+
+    def flow(model, theta0, ds, spec, tol):
+        return gradflow.flow_states(model, theta0, ds, spec, step_tol=tol)
+
+    def gd():
+        model, theta0, ds, spec, _ = runs[0]
+        out = gdtrain.train_gd(model, theta0, ds, spec, None, epochs=30)
+        return out["ev"].theta.view(np.int64).tolist(), out["records"]
+
+    alone = [[_step_bits(*s) for s in itertools.islice(flow(*r), steps)]
+             for r in runs]
+    gd_alone = gd()
+    flows, got = [flow(*r) for r in runs], [[], []]
+    for i in range(steps):
+        for states, out in zip(flows, got):
+            out.append(_step_bits(*next(states)))
+        if i == steps // 2:
+            gd_between = gd()
+    assert got == alone
+    assert gd_between == gd_alone
+
+
+@pytest.mark.parametrize("driver", ["run_flow", "train_gd"])
+def test_finished_run_keeps_no_model_or_dataset_alive(driver):
+    cfg = runner.RunConfig.from_dict(readme_flow_config())
+    refs = [weakref.ref(cfg.model), weakref.ref(cfg.dataset)]
+    args = (cfg.model, runner._theta0(cfg, 0), cfg.dataset, cfg.loss)
+    if driver == "run_flow":
+        res = gradflow.run_flow(*args, target_log_inv_loss=5.0,
+                                step_tol=cfg.options["step_tol"])
+    else:
+        res = gdtrain.train_gd(*args, None, epochs=30)
+    del res, cfg, args
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_flow_monitors_relu_logistic():

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginflow import datasets, losses, models
-from marginflow.gradflow import evaluate_point, flow_states, log_tilde_margin
+from marginflow.gradflow import (Evaluator, evaluate_point, flow_states,
+                                 log_tilde_margin)
 from marginflow.kkt import (NotSeparableError, build_certificate,
                             direction_gap_to_svm, svm_oracle)
 
@@ -38,8 +39,8 @@ def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3,
 
 def _cert(model, theta, ds, spec=EXP):
     """The certificate at theta, evaluated on ds."""
-    return build_certificate(model, evaluate_point(model, theta, ds, spec),
-                             ds, spec)
+    ev = evaluate_point(Evaluator(model, ds, spec), theta)
+    return build_certificate(model, ev, ds, spec)
 
 
 def _theta_scaled(model, theta, cert):
@@ -311,6 +312,14 @@ def test_direction_gap_basic_angles():
     assert math.isclose(gap, math.pi / 2.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
         direction_gap_to_svm(np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_direction_gap_resolves_tiny_angles():
+    # arccos of the cosine reads 0 below about 1.5e-8 rad
+    delta = 1e-10
+    v = np.array([math.cos(delta), math.sin(delta)])
+    gap = direction_gap_to_svm(np.array([1.0, 0.0]), v)
+    assert math.isclose(gap, delta, rel_tol=1e-6)
 
 
 def test_linear_flow_direction_approaches_svm():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from marginflow import datasets, losses, margin, models
-from marginflow.gradflow import evaluate_point, log_tilde_margin
+from marginflow.gradflow import Evaluator, evaluate_point, log_tilde_margin
 
 from oracles import effective_margins, margin_sandwich
 
@@ -39,7 +39,8 @@ def test_sample_margins_binary_sign():
     model = models.linear(2)
     theta = np.array([1.0, 0.0])
     data = datasets.Dataset(np.array([[2.0, 0.0], [2.0, 0.0]]), np.array([1, -1]))
-    q = evaluate_point(model, theta, data, losses.get_loss("exp")).q
+    spec = losses.get_loss("exp")
+    q = evaluate_point(Evaluator(model, data, spec), theta).q
     assert np.allclose(q, [2.0, -2.0])
 
 
@@ -51,7 +52,8 @@ def test_sample_margins_multiclass_gap():
     assert np.allclose(np.min(gaps, axis=1), [2.0])
     # the same scores from a one-input linear model: q is the worst gap
     model = models.linear(1, num_outputs=3)
-    ev = evaluate_point(model, phi[0], data, losses.get_loss("cross_entropy"))
+    spec = losses.get_loss("cross_entropy")
+    ev = evaluate_point(Evaluator(model, data, spec), phi[0])
     assert np.allclose(ev.q, [2.0])
 
 
@@ -92,7 +94,7 @@ def test_log_inv_loss_is_evaluate_point_x(num_outputs):
     data = datasets.Dataset(X, y)
     spec = losses.get_loss("logistic")
     x, _ = _x_and_weights(spec, effective_margins(model, theta, data))
-    assert x == evaluate_point(model, theta, data, spec).x
+    assert x == evaluate_point(Evaluator(model, data, spec), theta).x
 
 
 def test_log_inv_loss_single_and_symmetric():
@@ -116,7 +118,7 @@ def test_loss_weights_sum_to_one_even_deep():
     data = datasets.Dataset(np.array([[4000.0], [4001.0], [4002.0]]),
                             np.array([1, 1, 1]))
     # margins 2000, 2000.5 and 2001: loss ~ e^{-2000}
-    ev = evaluate_point(model, np.array([0.5]), data, spec)
+    ev = evaluate_point(Evaluator(model, data, spec), np.array([0.5]))
     x, w = ev.x, ev.weights
     assert np.isfinite(x) and x > 1999.0
     assert abs(w.sum() - 1.0) < 1e-12
@@ -126,10 +128,10 @@ def test_loss_weights_sum_to_one_even_deep():
 def test_smoothed_margin_exp_single_sample_equals_bar():
     model, theta, _, spec = _setup()
     data = datasets.Dataset(np.array([[1.0, 0.5, -0.2]]), np.array([1]))
-    ev = evaluate_point(model, theta, data, spec)
+    ev = evaluate_point(Evaluator(model, data, spec), theta)
     if ev.q[0] <= 0:
         theta = -theta
-        ev = evaluate_point(model, theta, data, spec)
+        ev = evaluate_point(Evaluator(model, data, spec), theta)
     tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
     bar = ev.q[0] / ev.rho**model.order_L
     assert abs(tilde - bar) < 1e-12 * max(1.0, abs(bar))
@@ -177,7 +179,7 @@ def test_sandwich_brackets_tilde_property(seed, loss):
     # point the weights at the positive-class mean, scaled to separate
     direction = (data.X * data.y[:, None]).mean(axis=0)
     theta = 6.0 * direction / np.linalg.norm(direction)
-    ev = evaluate_point(model, theta, data, spec)
+    ev = evaluate_point(Evaluator(model, data, spec), theta)
     if ev.x <= spec.f_at_bf + 0.05:
         return  # summed loss not yet below ell(b_f); property is vacuous
     # the sandwich lemma speaks about the margins inside the loss

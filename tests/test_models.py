@@ -17,7 +17,7 @@ from oracles import (block_euler_residual, euler_residual, fd_grad,
                      sample_smooth_probe)
 
 from marginflow import datasets, losses, models
-from marginflow.gradflow import evaluate_point
+from marginflow.gradflow import Evaluator, evaluate_point
 
 
 def _zoo():
@@ -121,10 +121,10 @@ def test_point_eval_rho_and_unit():
     spec = losses.get_loss("exp")
     model = models.linear(2)
     ds = datasets.from_rows([[1.0, 0.0, 1]])
-    ev = evaluate_point(model, np.array([3.0, 4.0]), ds, spec)
+    ev = evaluate_point(Evaluator(model, ds, spec), np.array([3.0, 4.0]))
     assert ev.rho == 5.0 and ev.rho is ev.rho
     assert np.allclose(ev.unit, [0.6, 0.8]) and ev.unit is ev.unit
-    zero = evaluate_point(model, np.zeros(2), ds, spec)
+    zero = evaluate_point(Evaluator(model, ds, spec), np.zeros(2))
     assert zero.rho == 0.0 and np.array_equal(zero.unit, [0.0, 0.0])
     # theta @ theta overflows although every entry is finite: the norm is
     # taken again on theta / max |theta_i|, with no warning
@@ -132,7 +132,7 @@ def test_point_eval_rho_and_unit():
     big = np.array([3e160, 4e160])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev = evaluate_point(model, big, ds, spec)
+        ev = evaluate_point(Evaluator(model, ds, spec), big)
         assert math.isclose(ev.rho, 5e160, rel_tol=1e-15)
         assert np.allclose(ev.unit, [0.6, 0.8], rtol=1e-15)
 
