@@ -3,8 +3,8 @@
 Every model is a chain of bias-free dense layers, each followed by at
 most one elementwise activation (ReLU, LeakyReLU, square): its block
 table (`models.Block`). `layers` binds the table once to a parameter
-array (P,), or a stack (S, P) whose member axis every array then gains,
-and an input batch; `walk` runs it, keeping one record per dense layer,
+array (P,), or a stack (S, P) whose member axis every array then gains;
+`walk` runs it on a C-contiguous batch, keeping one record per dense layer,
 and `backward` walks the records back into a flat gradient, slicing
 nothing per call. Finiteness checks scan the bytes of the `np.isfinite`
 mask for a zero, a third of the time of a ufunc reduction.
@@ -35,8 +35,9 @@ def activation(kind: str, alpha: float = 0.0):
     slope alpha there, so runs are reproducible at kinks.
     """
     if kind == "relu":
-        # a boolean mask multiplies as 1.0 / 0.0
-        return (lambda z: np.maximum(z, 0.0)), (lambda z: z > 0.0)
+        # a float mask: a bool one multiplies through a slower mixed loop
+        return ((lambda z: np.maximum(z, 0.0)),
+                (lambda z: np.greater(z, 0.0).astype(np.float64)))
     if kind == "leaky_relu":
         return ((lambda z: np.where(z > 0.0, z, alpha * z)),
                 (lambda z: np.where(z > 0.0, 1.0, alpha)))
@@ -45,23 +46,20 @@ def activation(kind: str, alpha: float = 0.0):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def layers(blocks: tuple, params: np.ndarray, h: np.ndarray) -> list:
-    """Per block, bound to params (P,) or (S, P) and the (N, d) batch h:
-    (weight view, its transpose, product, op, rule, gradient view), the
-    gradient views tiling one buffer, their `.base`. The product, of the
-    layer input and of its transpose, is `ndarray.dot` (matmul's bits
-    without its ufunc dispatch) for one vector on a C-contiguous input,
-    else matmul: a strided batch, where the two round apart, or a stack."""
+def layers(blocks: tuple, params: np.ndarray) -> list:
+    """Per block, bound to params (P,) or (S, P): (weight view, its
+    transpose, product, op, rule, gradient view), the gradient views
+    tiling one buffer, their `.base`. The product is `ndarray.dot`
+    (matmul's bits on C-contiguous inputs, without its ufunc dispatch)
+    for one vector, and matmul, which broadcasts, for a stack."""
     lead = params.shape[:-1]  # () or (S,)
     grad = np.empty(params.shape)
-    dot = not lead and h.flags.c_contiguous
+    product = np.matmul if lead else np.ndarray.dot
     table = []
     for start, stop, shape, _, act, rule in blocks:
         w, g = (a[..., start:stop].reshape(lead + shape)
                 for a in (params, grad))
-        table.append((w, w.swapaxes(-1, -2),
-                      np.ndarray.dot if dot else np.matmul, act, rule, g))
-        dot = not lead  # later layer inputs are fresh C-contiguous arrays
+        table.append((w, w.swapaxes(-1, -2), product, act, rule, g))
     return table
 
 
@@ -87,11 +85,11 @@ def backward(table: list, records: list, seed: np.ndarray) -> np.ndarray:
         raise NonFiniteError("backward pass got a non-finite seed")
     adj = seed
     for i in range(len(table) - 1, -1, -1):
-        _, w_t, product, _, rule, g = table[i]
+        _, w_t, _, _, rule, g = table[i]
         h, _, z = records[i]
         if rule is not None:
             adj = rule(z) * adj
-        product(h.T, adj, out=g)
+        h.T.dot(adj, out=g)
         if i:
             adj = adj.dot(w_t)
     # + 0.0 copies it out and turns -0.0 into 0.0, as zeros + it does

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,27 +15,29 @@ class IdxFormatError(ValueError):
     """Malformed IDX content; carries the byte offset of the problem."""
 
     def __init__(self, path, offset: int, message: str):
-        self.path = str(path)
         self.offset = offset
         super().__init__(f"{path}: byte {offset}: {message}")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs are N x d float64; labels are -1/+1 or class indices, also
-    kept as float64 in `y_float`."""
+    """X is N x d float64, C-contiguous: the kernel's one batch layout.
+    Labels are integers, -1/+1 or class indices, also float64 `y_float`."""
 
     X: np.ndarray
     y: np.ndarray
-    provenance: str = "unknown"
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
+        object.__setattr__(self, "X", np.ascontiguousarray(self.X, np.float64))
+        y = np.asarray(self.y, dtype=np.float64)
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ValueError(f"inputs must be (N, d) with N >= 1, got {self.X.shape}")
-        if self.y.shape != (self.X.shape[0],):
+        if y.shape != (self.X.shape[0],):
             raise ValueError("labels must be one per input row")
+        bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: label {y[bad[0]]} is not an integer")
+        object.__setattr__(self, "y", y.astype(np.int64))
         # cached: read on every loss/gradient evaluation
         object.__setattr__(
             self, "is_binary", bool(np.all(np.isin(self.y, (-1, 1)))))
@@ -67,7 +69,7 @@ def two_gaussians(n: int = 16, dim: int = 2, separation: float = 3.0,
     y = np.concatenate([np.ones(half), -np.ones(n - half)]).astype(np.int64)
     X = rng.standard_normal((n, dim))
     X[:, 0] += y * (separation / 2.0)
-    return Dataset(X, y, provenance=f"two_gaussians(n={n},seed={seed})")
+    return Dataset(X, y)
 
 
 def xor_points(n: int = 4, jitter: float = 0.0, seed: int = 0) -> Dataset:
@@ -79,7 +81,7 @@ def xor_points(n: int = 4, jitter: float = 0.0, seed: int = 0) -> Dataset:
     if jitter > 0.0:
         X = X + jitter * rng.standard_normal(X.shape)
     y = np.sign(X[:, 0] * X[:, 1]).astype(np.int64)
-    return Dataset(X, y, provenance=f"xor(n={n},seed={seed})")
+    return Dataset(X, y)
 
 
 def ring(n: int = 16, inner: float = 0.5, outer: float = 2.0,
@@ -91,7 +93,7 @@ def ring(n: int = 16, inner: float = 0.5, outer: float = 2.0,
     radius = np.where(y > 0, outer, inner) * (1.0 + 0.1 * rng.standard_normal(n))
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
     X = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return Dataset(X, y, provenance=f"ring(n={n},seed={seed})")
+    return Dataset(X, y)
 
 
 def from_rows(rows: list) -> Dataset:
@@ -99,12 +101,11 @@ def from_rows(rows: list) -> Dataset:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("need rows of at least one feature plus a label")
-    return Dataset(arr[:, :-1], arr[:, -1].astype(np.int64), "inline")
+    return Dataset(arr[:, :-1], arr[:, -1])
 
 
 def from_csv(path: str) -> Dataset:
-    ds = from_rows(np.loadtxt(path, delimiter=",", ndmin=2))
-    return replace(ds, provenance=f"csv:{path}")
+    return from_rows(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def read_idx(path) -> np.ndarray:
@@ -160,9 +161,8 @@ def from_idx(images_path: str, labels_path: str, count: int | None = None,
         a, b = classes
         keep = np.isin(y, (a, b))
         X, y = X[keep], np.where(y[keep] == b, 1, -1)
-    if count is not None:
-        X, y = X[:count], y[:count]
-    return Dataset(X, y, provenance=f"idx:{images_path}")
+    X, y = X[:count], y[:count]  # a count of None keeps every row
+    return Dataset(X, y)
 
 
 # a config's dataset `kind`, by builder; its parameters are the other keys

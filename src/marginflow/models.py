@@ -64,11 +64,11 @@ class HomogeneousModel:
         sample of a single-output model, after the member axis S."""
         theta = np.asarray(theta, dtype=np.float64)
         single = np.ndim(x) == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        h = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
         if h.shape[-1] != self.blocks[0].shape[0]:
             raise ShapeError(f"op 'dense': expected input dim "
                              f"{self.blocks[0].shape[0]}, got {h.shape}")
-        out, records = walk(layers(self.blocks, theta, h), h)
+        out, records = walk(layers(self.blocks, theta), h)
         if out.shape[-1] == 1:
             out = out[..., 0]
         if single:

@@ -94,8 +94,8 @@ def walked(model, theta, x):
     """(out, table, records) of `autodiff.walk` on x, a batch or a single
     sample as a batch of one, over the layer table bound to theta; out
     is (B, C), never squeezed."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    table = layers(model.blocks, np.asarray(theta, dtype=np.float64), h)
+    h = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
+    table = layers(model.blocks, np.asarray(theta, dtype=np.float64))
     out, records = walk(table, h)
     return out, table, records
 

