@@ -171,9 +171,7 @@ KINDS = {"csv": from_csv, "inline": from_rows, "idx": from_idx,
 
 
 def load_dataset(source) -> Dataset:
-    """Build a dataset from a config source: path string or kind dict."""
-    if isinstance(source, str):
-        return from_csv(source)
+    """Build a dataset from a config source, a kind dict."""
     kind = source.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown dataset source kind {kind!r}")

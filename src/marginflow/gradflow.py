@@ -181,10 +181,12 @@ def propose_dt_scaled(ev: PointEval, step_tol: float) -> float:
 
 # rejected trials of one flow step before it aborts
 MAX_HALVINGS = 60
+# accepted steps after which the flow's trajectory ends
+MAX_STEPS = 200_000
 
 
 def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
-              step_tol: float = 1e-4) -> tuple[FlowState, StepInfo]:
+              step_tol: float) -> tuple[FlowState, StepInfo]:
     """One adaptive RK4 step of d theta/dt = -grad loss.
 
     Acceptance: the change of x = log(1/loss) is at most
@@ -269,18 +271,6 @@ def margin_rate_slack(prev: PointEval, new: PointEval, info: StepInfo,
     return d_log_tilde - order_L * info.delta_theta_hat**2 / d_log_rho
 
 
-def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of each row of 9, in the order np.sum adds 9 numbers.
-
-    The grids of `LossUpperBound.update` are column-major, as
-    np.linspace(axis=1) returns them, and np.sum(axis=1) adds such rows
-    left to right, which differs in the last bit.
-    """
-    c = a.T
-    return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])) \
-        + c[8]
-
-
 class LossUpperBound:
     """Accumulates log G(1/loss) for the certified time bound.
 
@@ -318,7 +308,9 @@ class LossUpperBound:
         top_x = np.maximum.accumulate(np.concatenate(([self.x_last], xs)))
         grows = xs > top_x[:-1]
         a, b = top_x[:-1][grows], xs[grows]
-        v = np.linspace(a, b, 9, axis=1)
+        # row-major, so each row sums in np.sum's pairwise order;
+        # np.linspace(axis=1) returns a column-major grid
+        v = np.ascontiguousarray(np.linspace(a, b, 9, axis=1))
         fv = self._log_integrand(v)
         h = (b - a) / 8.0
         weights = np.repeat(h[:, None], 9, axis=1)
@@ -327,9 +319,9 @@ class LossUpperBound:
         terms = np.exp(fv - f_max[:, None])
         terms *= weights
         top = fv == f_max[:, None]
-        top_sum = _pairwise_row_sum(terms * top)
+        top_sum = np.add.reduce(terms * top, axis=1)
         terms[top] = 0.0
-        rest = _pairwise_row_sum(terms) / top_sum
+        rest = np.add.reduce(terms, axis=1) / top_sum
         seg = np.log1p(rest) + np.log(top_sum) + f_max
         running = np.logaddexp.accumulate(np.concatenate(([self.log_G], seg)))
         self.log_G = float(running[-1])
@@ -369,14 +361,13 @@ def _bound_monitors(monitors: dict, bound: LossUpperBound, spec: LossSpec,
 
 
 def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
-                spec: LossSpec, *, step_tol: float = 1e-4,
-                max_steps: int = 200_000,
+                spec: LossSpec, *, step_tol: float,
                 ) -> Iterator[tuple[FlowState, StepInfo | None]]:
     """The flow's trajectory, one accepted step at a time.
 
     Yields (state, None) for the start, then (state, info) after every
     accepted `flow_step`. Ends at exact stationarity (zero gradient, so
-    no step is possible) or once `max_steps` steps have been taken;
+    no step is possible) or once MAX_STEPS steps have been taken;
     callers stop it at their own targets. One `Evaluator` serves the run.
     """
     evaluator = Evaluator(model, dataset, spec)
@@ -384,7 +375,7 @@ def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
         evaluator, np.asarray(theta0, dtype=np.float64)))
     dt_scaled = propose_dt_scaled(state.ev, step_tol)
     yield state, None
-    while state.steps < max_steps:
+    while state.steps < MAX_STEPS:
         state, info = flow_step(evaluator, state, dt_scaled, step_tol)
         if info.dt_scaled == 0.0:
             return  # exactly stationary
@@ -393,8 +384,8 @@ def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
 
 
 def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
-             *, target_log_inv_loss: float, step_tol: float = 1e-4,
-             max_steps: int = 200_000, record_every: int = 1) -> dict:
+             *, target_log_inv_loss: float, step_tol: float,
+             record_every: int) -> dict:
     """Drive the flow until x reaches the target; collect per-step series.
 
     Returns a dict with the final state, per-step monitor series
@@ -427,7 +418,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         records.append(rec)
 
     for state, info in flow_states(model, theta0, dataset, spec,
-                                   step_tol=step_tol, max_steps=max_steps):
+                                   step_tol=step_tol):
         prev_lt = lt
         if lt is None and is_separated(state.ev, spec):
             lt = log_tilde_margin(state.ev, spec, model.order_L)
@@ -464,13 +455,13 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     }
 
 
-# Mexican hat: a smooth order-L model rho^L (1 - f(r, phi)) whose flow
-# direction circles forever. The planar hat flow preserves the spiral
-# phase psi = phi - 1/(1 - r^2); integration uses time rescaled by the
-# positive factor N e^{-h} rho^{L-2} s(r) (direction trajectories are
-# invariant under positive rescaling), since both the loss prefactor
-# and the envelope s(r) = exp(-1/(1-r^2)) collapse by hundreds of
-# orders along the run.
+# Mexican hat: a smooth order-L model rho^L (1 - f(r, phi)) of one
+# sample whose flow direction circles forever. The planar hat flow
+# preserves the spiral phase psi = phi - 1/(1 - r^2); integration uses
+# time rescaled by the positive factor e^{-h} rho^{L-2} s(r) (direction
+# trajectories are invariant under positive rescaling), since both the
+# loss prefactor and the envelope s(r) = exp(-1/(1-r^2)) collapse by
+# hundreds of orders along the run.
 #
 # State is carried in (r, psi) rather than (r, phi): the psi equation
 # collapses algebraically to
@@ -479,6 +470,18 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
 # coordinates destroy the invariant: psi = 0 is a difference of two
 # large terms whose perturbations grow like exp(4 sigma / eps^4) once
 # r > 0.62, so roundoff alone swamps the phase before r reaches 0.9.
+
+# the hat's order L; run_hat starts at rho = HAT_RHO0, r = HAT_R0 and
+# psi = HAT_PSI0, aims each step at HAT_DPHI of angle, and stops once r
+# reaches HAT_R_STOP or after HAT_MAX_STEPS steps
+HAT_L = 2.0
+HAT_RHO0 = 1.0
+HAT_R0 = 0.5
+HAT_PSI0 = 0.0
+HAT_R_STOP = 0.992
+HAT_MAX_STEPS = 100_000
+HAT_DPHI = 0.015
+
 
 @dataclass(frozen=True)
 class HatState:
@@ -519,8 +522,7 @@ def hat_value(r: float, psi: float) -> float:
     return math.exp(-1.0 / (1.0 - r**2)) * (1.0 - c * math.sin(psi))
 
 
-def _hat_rhs(r: float, psi: float, order_L: float,
-             metric: str) -> tuple[float, float, float]:
+def _hat_rhs(r: float, psi: float, metric: str) -> tuple[float, float, float]:
     """(dr, dpsi, dlogrho)/dsigma for the rescaled hat flow."""
     eps = 1.0 - r * r
     slope = 2.0 * r / eps**2  # d(1/eps)/dr
@@ -541,14 +543,14 @@ def _hat_rhs(r: float, psi: float, order_L: float,
     else:
         raise ValueError(f"unknown metric {metric!r}")
     one_minus_f = 1.0 - math.exp(-1.0 / eps) * (1.0 - c * sn)
-    dlogrho = order_L * one_minus_f * math.exp(min(1.0 / eps, 700.0))
+    dlogrho = HAT_L * one_minus_f * math.exp(min(1.0 / eps, 700.0))
     return dr, dpsi, dlogrho
 
 
-def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
-             n_samples: int = 1, metric: str = "planar", k1=None) -> HatState:
-    """One RK4 step in rescaled time, k1 its slope at the state if given;
-    clamps and flags if r exits (0,1)."""
+def hat_step(state: HatState, dsigma: float, metric: str,
+             k1: tuple) -> HatState:
+    """One RK4 step in rescaled time, k1 its slope at the state; clamps
+    and flags if r exits (0,1)."""
     # float arithmetic, one component at a time, in the order of the
     # vector form y0 + h * k; an oversized step overflows to inf and
     # clamps below rather than raising
@@ -556,9 +558,8 @@ def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
     half = dsigma / 2
 
     def rhs(y):
-        return _hat_rhs(y[0], y[1], order_L, metric)
+        return _hat_rhs(y[0], y[1], metric)
 
-    k1 = rhs(y0) if k1 is None else k1
     k2 = rhs([y + half * k for y, k in zip(y0, k1)])
     k3 = rhs([y + half * k for y, k in zip(y0, k2)])
     k4 = rhs([y + dsigma * k for y, k in zip(y0, k3)])
@@ -569,32 +570,25 @@ def hat_step(state: HatState, dsigma: float, order_L: float = 2.0,
     if not 0.0 < r1 < 1.0:
         r1 = min(max(r1, 1e-12), 1.0 - 1e-12)
         clamped = True
-    # physical dt/dsigma = e^{h}/(N rho^{L-2} s); overflows by design
-    h0 = math.exp(min(state.log_rho * order_L, 700.0)) * (
+    # physical dt/dsigma = e^{h}/(rho^{L-2} s); overflows by design
+    h0 = math.exp(min(state.log_rho * HAT_L, 700.0)) * (
         1.0 - hat_value(state.r, state.psi))
-    log_rate = (h0 - math.log(n_samples)
-                - (order_L - 2.0) * state.log_rho
+    log_rate = (h0 - (HAT_L - 2.0) * state.log_rho
                 + 1.0 / (1.0 - state.r**2))
     t1 = state.t + dsigma * math.exp(log_rate) if log_rate < 700.0 else math.inf
     return HatState(sigma=state.sigma + dsigma, t=t1, r=r1, psi=psi1,
                     log_rho=log_rho1, clamped=clamped or state.clamped)
 
 
-# run_hat starts at rho = HAT_RHO0 and aims each step at HAT_DPHI of angle
-HAT_RHO0 = 1.0
-HAT_DPHI = 0.015
-
-
-def run_hat(*, order_L: float = 2.0, n_samples: int = 1, r0: float = 0.5,
-            psi0: float = 0.0, r_stop: float = 0.992, max_steps: int = 100_000,
-            record_every: int = 10, metric: str = "planar") -> list[dict]:
-    """Integrate from psi(0)=psi0 until r reaches r_stop; emit records."""
-    state = HatState(sigma=0.0, t=0.0, r=r0, psi=psi0,
+def run_hat(*, record_every: int, metric: str) -> list[dict]:
+    """Integrate from the HAT_* start until r reaches HAT_R_STOP; emit
+    every record_every-th state's record and the last."""
+    state = HatState(sigma=0.0, t=0.0, r=HAT_R0, psi=HAT_PSI0,
                      log_rho=math.log(HAT_RHO0))
     records = []
 
     def push(st: HatState):
-        log10_h = (order_L * st.log_rho
+        log10_h = (HAT_L * st.log_rho
                    + math.log1p(-hat_value(st.r, st.psi))) / math.log(10.0)
         records.append({
             "sigma": st.sigma, "t": st.t, "r": st.r, "phi": st.phi,
@@ -603,16 +597,16 @@ def run_hat(*, order_L: float = 2.0, n_samples: int = 1, r0: float = 0.5,
         })
 
     push(state)
-    for step in range(1, max_steps + 1):
-        dr, dpsi, _ = k1 = _hat_rhs(state.r, state.psi, order_L, metric)
+    for step in range(1, HAT_MAX_STEPS + 1):
+        dr, dpsi, _ = k1 = _hat_rhs(state.r, state.psi, metric)
         slope = 2.0 * state.r / (1.0 - state.r**2) ** 2
         dphi = dpsi + slope * dr
         dsigma = HAT_DPHI / max(abs(dphi), 1e-12)
         if abs(dr) > 0.0:
             dsigma = min(dsigma, 0.002 / abs(dr))
-        state = hat_step(state, dsigma, order_L, n_samples, metric, k1)
-        if step % record_every == 0 or state.r >= r_stop:
+        state = hat_step(state, dsigma, metric, k1)
+        if step % record_every == 0 or state.r >= HAT_R_STOP:
             push(state)
-        if state.r >= r_stop:
+        if state.r >= HAT_R_STOP:
             break
     return records

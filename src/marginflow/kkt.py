@@ -102,16 +102,19 @@ def build_certificate(model: HomogeneousModel, ev: PointEval,
 # Hard-margin reference solver for the kernel view: with per-sample
 # feature vectors h_n (for networks, margin gradients at a frozen
 # direction), minimize ||w||^2/2 subject to y_n <w, h_n> >= 1.
+SVM_FEAS_TOL = 1e-9
+SVM_MULT_TOL = 1e-12
 
-def svm_oracle(features, labels, *, feas_tol: float = 1e-9,
-               mult_tol: float = 1e-12) -> tuple[np.ndarray, float]:
+
+def svm_oracle(features, labels) -> tuple[np.ndarray, float]:
     """Exact desk-scale solve by support-subset enumeration.
 
     For each candidate support set the equality-constrained problem is
     a linear solve on the Gram matrix; the first candidate whose
-    multipliers are nonnegative and whose solution is primal feasible
-    satisfies the full KKT system of a convex problem, hence is the
-    global optimum. Returns (w, geometric margin = 1/||w||).
+    multipliers are nonnegative (to SVM_MULT_TOL) and whose solution is
+    primal feasible (to SVM_FEAS_TOL) satisfies the full KKT system of a
+    convex problem, hence is the global optimum. Returns (w, geometric
+    margin = 1/||w||).
     """
     h = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
@@ -127,10 +130,10 @@ def svm_oracle(features, labels, *, feas_tol: float = 1e-9,
             mu, *_ = np.linalg.lstsq(g_s, np.ones(size), rcond=None)
             if not np.allclose(g_s @ mu, 1.0, atol=1e-8):
                 continue  # singular and inconsistent subset
-            if float(np.min(mu)) < -mult_tol:
+            if float(np.min(mu)) < -SVM_MULT_TOL:
                 continue
             w = z[s].T @ mu
-            if float(np.min(z @ w)) >= 1.0 - feas_tol:
+            if float(np.min(z @ w)) >= 1.0 - SVM_FEAS_TOL:
                 return w, 1.0 / float(np.linalg.norm(w))
     raise NotSeparableError(
         "no support subset satisfies KKT: data is not separable in "

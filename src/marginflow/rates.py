@@ -21,6 +21,10 @@ from .losses import LossSpec
 LOG10 = math.log(10.0)
 # the span of T past the burn-in cut that a diagnostic needs, in decades
 MIN_DECADES = 3.0
+# a verdict passes iff both ratios vary by at most VERDICT_BOUND over the
+# final VERDICT_WINDOW decades of T
+VERDICT_WINDOW = 2.0
+VERDICT_BOUND = 10.0
 
 
 def _log_T_of(rec) -> float:
@@ -71,18 +75,17 @@ def rate_ratios(trajectory, spec: LossSpec, order_L: float,
             "decades": decades, "inconclusive": decades < MIN_DECADES}
 
 
-def bounded_ratio_verdict(diag: dict, window: float = 2.0,
-                          bound_factor: float = 10.0) -> dict:
+def bounded_ratio_verdict(diag: dict) -> dict:
     """A dict: `passed` iff both ratio series of `diag` vary by at most
-    bound_factor over the final `window` decades of T, the spread
-    factors `factor_loss` and `factor_rho`, and the two arguments. An
+    VERDICT_BOUND over the final VERDICT_WINDOW decades of T, the spread
+    factors `factor_loss` and `factor_rho`, and the two constants. An
     inconclusive diagnostic, or a window wider than its span, gives an
     `inconclusive` verdict with NaN factors, which never passes."""
-    inconclusive = diag["inconclusive"] or window > diag["decades"]
+    inconclusive = diag["inconclusive"] or VERDICT_WINDOW > diag["decades"]
     factor_loss = factor_rho = math.nan
     if not inconclusive:
         log10_T = diag["log10_T"]
-        tail = log10_T >= log10_T[-1] - window
+        tail = log10_T >= log10_T[-1] - VERDICT_WINDOW
 
         def spread(log_series):
             width = float(np.max(log_series) - np.min(log_series))
@@ -91,8 +94,8 @@ def bounded_ratio_verdict(diag: dict, window: float = 2.0,
         factor_loss = spread(diag["log_ratio_loss"][tail])
         factor_rho = spread(diag["log_ratio_rho"][tail])
     # a NaN factor compares false
-    return {"passed": factor_loss <= bound_factor
-            and factor_rho <= bound_factor,
+    return {"passed": factor_loss <= VERDICT_BOUND
+            and factor_rho <= VERDICT_BOUND,
             "inconclusive": inconclusive, "factor_loss": factor_loss,
-            "factor_rho": factor_rho, "window": window,
-            "bound_factor": bound_factor}
+            "factor_rho": factor_rho, "window": VERDICT_WINDOW,
+            "bound_factor": VERDICT_BOUND}

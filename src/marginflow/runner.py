@@ -246,8 +246,8 @@ def write_jsonl(path: Path, cfg: RunConfig, seed: int, records) -> None:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 too, whose repr names its type
+        return repr(float(v))
     return str(v)
 
 

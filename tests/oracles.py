@@ -37,6 +37,7 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
+from marginflow import gradflow
 from marginflow.autodiff import (NonFiniteError, ShapeError, backward, layers,
                                  walk)
 from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
@@ -366,14 +367,13 @@ def eager_point_summaries(ev, theta, gaps=None):
     return V, g_norm, beta, rho
 
 
-def hat_step_array(state, dsigma, order_L=2.0, n_samples=1,
-                   metric="planar", k1=None):
+def hat_step_array(state, dsigma, metric, k1):
     """The hat's RK4 step on a three-element numpy state vector; it takes
     every slope itself, so a caller's k1 is ignored."""
     y0 = np.array([state.r, state.psi, state.log_rho])
 
     def rhs(y):
-        return np.array(_hat_rhs(float(y[0]), float(y[1]), order_L, metric))
+        return np.array(_hat_rhs(float(y[0]), float(y[1]), metric))
 
     with np.errstate(over="ignore"):
         k1 = rhs(y0)
@@ -386,10 +386,9 @@ def hat_step_array(state, dsigma, order_L=2.0, n_samples=1,
     if not 0.0 < r1 < 1.0:
         r1 = min(max(r1, 1e-12), 1.0 - 1e-12)
         clamped = True
-    h0 = math.exp(min(state.log_rho * order_L, 700.0)) * (
+    h0 = math.exp(min(state.log_rho * gradflow.HAT_L, 700.0)) * (
         1.0 - hat_value(state.r, state.psi))
-    log_rate = (h0 - math.log(n_samples)
-                - (order_L - 2.0) * state.log_rho
+    log_rate = (h0 - (gradflow.HAT_L - 2.0) * state.log_rho
                 + 1.0 / (1.0 - state.r**2))
     t1 = state.t + dsigma * math.exp(log_rate) if log_rate < 700.0 else math.inf
     return HatState(sigma=state.sigma + dsigma, t=t1, r=r1, psi=psi1,

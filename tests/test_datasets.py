@@ -213,7 +213,6 @@ def test_from_idx_count_mismatch(tmp_path):
 def test_load_dataset_dispatch(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2,1\n3,4,-1\n")
-    assert load_dataset(str(p)).n == 2
     assert load_dataset({"kind": "csv", "path": str(p)}).n == 2
     assert load_dataset({"kind": "inline",
                          "rows": [[0, 1, 1], [2, 3, -1]]}).n == 2
@@ -249,6 +248,22 @@ def test_idx_pair_runs_through_the_cli(tmp_path):
                     "images_path": str(_idx_images(tmp_path, pixels)),
                     "labels_path": str(_idx_labels(tmp_path, labels)),
                     "classes": [3, 8]},
+        "target_log_inv_loss": 5.0, "step_tol": 0.003, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "flow_margin-seed0.summary.json").read_text())
+    assert summary["failures"] == [] and summary["final"]["x"] >= 5.0
+
+
+def test_dataset_path_string_loads_and_runs(tmp_path):
+    # a config's dataset given as a string is the path of a CSV file
+    rows = [[2.2, 0.3, 1], [1.4, 1.1, 1], [-1.7, 0.4, -1], [-1.1, -1.0, -1]]
+    data = tmp_path / "d.csv"
+    data.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    config = tmp_path / "csv.yaml"
+    config.write_text(json.dumps({
+        "scenario": "flow_margin", "loss": "logistic",
+        "model": {"family": "linear", "input_dim": 2}, "dataset": str(data),
         "target_log_inv_loss": 5.0, "step_tol": 0.003, "seeds": [0]}))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0

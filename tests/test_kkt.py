@@ -5,6 +5,7 @@ certificate's q_min^{1/L}; the projected-gradient dual and the
 alignment-integral accumulator are test oracles (tests/oracles.py).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
 
 
-def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3,
-              max_steps=50_000):
-    """The first flow state with log(1/loss) at or past x_target."""
-    states = flow_states(model, theta0, ds, spec, step_tol=step_tol,
-                         max_steps=max_steps)
+def _state_at(model, ds, spec, theta0, x_target, step_tol=3e-3):
+    """The first flow state with log(1/loss) at or past x_target,
+    within 50,000 steps."""
+    states = itertools.islice(
+        flow_states(model, theta0, ds, spec, step_tol=step_tol), 50_001)
     state = next((s for s, _ in states if s.ev.x >= x_target), None)
     assert state is not None, "flow stalled before the target"
     return state

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from marginflow import datasets, losses, models
+from marginflow import datasets, losses, models, rates
 from marginflow.gdtrain import estimate_b_constants, train_gd
 from marginflow.gradflow import run_flow
 from marginflow.rates import bounded_ratio_verdict, rate_ratios
@@ -48,18 +48,20 @@ def test_exp_family_reduction():
     np.testing.assert_allclose(diag["ratio_loss"], manual, rtol=1e-10)
 
 
-def test_drifting_ratio_factor_matches_endpoints():
+def test_drifting_ratio_factor_matches_endpoints(monkeypatch):
     # loss = log T / T makes the L=1 ratio drift as log T, so the
     # trailing-window factor is the log-ratio of the window endpoints
     T = np.logspace(1.0, 7.0, 601)
     log_T = np.log(T)
     x = log_T - np.log(log_T)
     diag = rate_ratios(_records(T, x, log_T), EXP, 1.0, n_samples=2)
-    verdict = bounded_ratio_verdict(diag, window=3.0)
-    assert verdict["passed"]
+    monkeypatch.setattr(rates, "VERDICT_WINDOW", 3.0)
+    verdict = bounded_ratio_verdict(diag)
+    assert verdict["passed"] and verdict["window"] == 3.0
     assert math.isclose(verdict["factor_loss"],
                         math.log(1e7) / math.log(1e4), rel_tol=5e-3)
-    strict = bounded_ratio_verdict(diag, window=3.0, bound_factor=1.5)
+    monkeypatch.setattr(rates, "VERDICT_BOUND", 1.5)
+    strict = bounded_ratio_verdict(diag)
     assert not strict["passed"] and not strict["inconclusive"]
 
 
@@ -73,12 +75,13 @@ def test_short_span_is_inconclusive():
     assert math.isnan(verdict["factor_loss"])
 
 
-def test_window_wider_than_span_is_inconclusive():
+def test_window_wider_than_span_is_inconclusive(monkeypatch):
     T = np.logspace(1.0, 5.0, 100)
     log_T = np.log(T)
     diag = rate_ratios(_records(T, log_T, log_T), EXP, 1.0, n_samples=2)
     assert not diag["inconclusive"]
-    assert bounded_ratio_verdict(diag, window=6.0)["inconclusive"]
+    monkeypatch.setattr(rates, "VERDICT_WINDOW", 6.0)
+    assert bounded_ratio_verdict(diag)["inconclusive"]
 
 
 def test_burn_in_cut_drops_early_records():
@@ -103,7 +106,7 @@ def relu_flow():
     model = models.relu_mlp(2, [4])
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
     out = run_flow(model, theta0, ds, EXP, target_log_inv_loss=18.0,
-                   step_tol=2e-3)
+                   step_tol=2e-3, record_every=1)
     return model, ds, out
 
 
@@ -128,7 +131,7 @@ def test_rho_monotone_after_separation(relu_flow):
 def test_rho_ratio_within_factor_four(relu_flow):
     model, ds, out = relu_flow
     diag = rate_ratios(out["records"], EXP, model.order_L, ds.n)
-    verdict = bounded_ratio_verdict(diag, window=2.0)
+    verdict = bounded_ratio_verdict(diag)
     assert verdict["factor_rho"] <= 4.0
 
 
@@ -137,7 +140,8 @@ def test_linear_logistic_matches_inverse_time():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     out = run_flow(model, np.array([0.3, 0.05]), ds, LOGISTIC,
-                   target_log_inv_loss=30.0, step_tol=2e-3)
+                   target_log_inv_loss=30.0, step_tol=2e-3,
+                   record_every=1)
     diag = rate_ratios(out["records"], LOGISTIC, model.order_L, ds.n)
     rec = out["records"][-1]
     plain = math.exp(-rec["log_inv_loss"]) * rec["t"]

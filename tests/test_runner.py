@@ -722,6 +722,17 @@ def test_cli_rates(tmp_path, capsys):
     assert summary["checks"]["decades"]["worst"] == summary["rates"]["decades"]
 
 
+def test_rates_csv_cells_are_plain_numbers(tmp_path):
+    # a numpy float's own repr reads np.float64(1.1037457598376217)
+    # under numpy 2, which no CSV reader parses
+    run_scenario(RunConfig.from_dict(RATES_GD), out_dir=tmp_path)
+    lines = (tmp_path / "rates-seed0-rates.csv").read_text().splitlines()
+    cells = [cell for row in lines[2:] for cell in row.split(",")]
+    assert len(cells) > 100
+    for cell in cells:
+        float(cell)  # a ValueError on np.float64(...)
+
+
 def test_cli_hat_default_config(tmp_path, capsys):
     assert cli_main(["hat", "--out", str(tmp_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
