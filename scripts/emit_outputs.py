@@ -105,6 +105,21 @@ CORPUS = {
                   "num_outputs": 3},
         "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
         "epochs": 60, "seeds": [0]}),
+    # unguarded exp descent on two points until the scheduler stalls
+    # with alpha near 1e300: a named stall, no traceback
+    "gd_alpha_past_1e300": ("run", {
+        "scenario": "gd_margin", "loss": "exp",
+        "model": {"family": "linear", "input_dim": 2},
+        "dataset": {"kind": "inline", "rows": [[2, 1, 1], [-1, 0.5, -1]]},
+        "alpha0": 0.1, "epochs": 6000, "seeds": [0],
+        "options": {"s5_guard": False}}),
+    # class labels: no plain float64 replay, a named failure
+    "deep_loss_3class": ("run", {
+        "scenario": "deep_loss_50", "loss": "cross_entropy",
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6],
+                  "num_outputs": 3},
+        "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
+        "epochs": 20, "seeds": [0]}),
     "flow_deep_linear_exp_cubed": ("run", {
         "scenario": "flow_margin", "loss": "exp_cubed",
         "model": {"family": "deep_linear", "input_dim": 2, "widths": [3]},

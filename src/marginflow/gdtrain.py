@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,17 +28,11 @@ R_DOWN = 2.0 ** (1.0 / 10.0)
 MAX_RETRIES = 60
 
 
-class ReframeError(RuntimeError):
-    """Relative step left float range."""
-
-
 def gd_step(ev: PointEval, alpha: float) -> np.ndarray:
     """One descent step theta' = theta + alpha G from ev, the evaluation
     at theta: exactly theta - eta grad(loss) for eta = alpha / loss."""
     if alpha == 0.0:
         return ev.theta
-    if not 1e-300 <= alpha <= 1e300:
-        raise ReframeError(f"alpha={alpha} outside [1e-300, 1e300]")
     return ev.theta + alpha * ev.G
 
 
@@ -210,7 +203,6 @@ def _log_kappa_h(spec: LossSpec, us: np.ndarray, order_L: float):
             - 2.0 * np.log(spec.g_prime(us)))
 
 
-@lru_cache(maxsize=64)
 def _kappa_peak(spec: LossSpec, order_L: float) -> float:
     """u_kappa to 1e-13: h at 64 inner points, then in the best's gaps."""
     lo, hi = spec.f_at_bf, spec.f_at_bf + 60.0
@@ -221,7 +213,8 @@ def _kappa_peak(spec: LossSpec, order_L: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
+def log_kappa(spec: LossSpec, x: float, order_L: float,
+              u_kappa: float) -> float:
     """log of the (S5) smoothness scale sup_{u >= x} e^{-u} u^c / g'(u)^2,
     c = 2 - 2/L: h(max(x, u_kappa)), h(u) = -u + c log u - 2 log g'(u).
 
@@ -230,10 +223,11 @@ def log_kappa(spec: LossSpec, x: float, order_L: float) -> float:
     exp_cubed (g' = u^(-2/3)/3), so u_kappa = c + 4/3; 2(1 - v/(e^v - 1)),
     v = e^-u, for logistic and cross_entropy (g' = v e^v/(e^v - 1)), which
     falls as v does, so u_kappa is the root of h', or f(b_f) where h' < 0
-    (L = 1). `_kappa_peak` searches [f(b_f), f(b_f) + 60] once per (spec, L)
-    and never takes h at an end, where exp at L = 1 has 0 log 0; h is taken
-    by array ufuncs, as numpy's scalar ones can differ in the last bit."""
-    us = np.array([max(x, _kappa_peak(spec, order_L))])
+    (L = 1). `_kappa_peak` finds u_kappa in [f(b_f), f(b_f) + 60] once per
+    margin state and never takes h at an end, where exp at L = 1 has 0 log 0;
+    h is taken by array ufuncs, as numpy's scalar ones can differ in the
+    last bit."""
+    us = np.array([max(x, u_kappa)])
     return float(_log_kappa_h(spec, us, order_L)[0])
 
 
@@ -286,8 +280,8 @@ B_CHUNK_FLOATS = 2**14
 
 
 def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
-                         rng: np.random.Generator, n_sphere: int = 10_000,
-                         n_curvature: int = 1_000) -> BConstants:
+                         rng: np.random.Generator, n_sphere: int,
+                         n_curvature: int) -> BConstants:
     """B0 and B1 from sphere_sups; B2 the largest of n_curvature central
     second differences, along and from random unit vectors."""
     if not dataset.is_binary:
@@ -318,35 +312,6 @@ def estimate_b_constants(model: HomogeneousModel, dataset: Dataset,
                       n_curvature=n_curvature)
 
 
-class GdMarginState(PhiCurve):
-    """The margin curve at t0 and C_eta, set by make_margin_state."""
-
-    clamped = False
-    # (x, log_kappa(x)) of the last call: an epoch's guard cap, its (S5)
-    # log ratio and its grad_bound monitor all ask at the epoch start x
-    _kappa = (None, None)
-
-    def log_kappa(self, x: float) -> float:
-        if self._kappa[0] != x:
-            self._kappa = (x, log_kappa(self.spec, x, self.order_L))
-        return self._kappa[1]
-
-    def log_h(self, x: float) -> float:
-        """log of the (S5) learning-rate ceiling mu / (C_eta kappa)."""
-        return math.log(self.mu(x)) - math.log(self.c_eta) - self.log_kappa(x)
-
-    def log_gamma_hat(self, x: float, log_rho: float) -> float:
-        """log(e^{phi} / rho^L), clamped under the smoothed margin."""
-        log_g = float(np.log(self.spec.g(x)))
-        val = log_g + self.correction(x) - self.order_L * log_rho
-        log_tilde = log_g - self.order_L * log_rho
-        if val > log_tilde:
-            if val - log_tilde > 1e-12:
-                self.clamped = True
-            val = log_tilde
-        return val
-
-
 class MarginStateError(ValueError):
     """The margin anchor at the separated start leaves float64 range."""
 
@@ -364,28 +329,48 @@ def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
             * r * m)
 
 
-def make_margin_state(model: HomogeneousModel, ev: PointEval, spec: LossSpec,
-                      b: BConstants) -> GdMarginState:
-    """The margin anchor at ev, the first separated evaluation, on the
-    run's B-constants b. Raises MarginStateError when gamma_hat0 =
-    e^{phi(x0)} / rho0^L is too small for C_eta to be formed in float64."""
-    L, x0, rho0 = model.order_L, ev.x, ev.rho
-    state = GdMarginState(spec, L, x0)
-    log_hat0 = state.log_gamma_hat(x0, math.log(rho0))  # T(x0) < 0: no clamp
-    try:
-        state.c_eta = _c_eta(spec, L, b, rho0, x0, math.exp(log_hat0))
-    except (ZeroDivisionError, OverflowError):
-        raise MarginStateError(
-            f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
-            f"gamma_hat0 underflows, so C_eta has no float64 value"
-        ) from None
-    return state
+class GdMarginState(PhiCurve):
+    """The (S5) state of a descent run, anchored at ev, its first
+    separated evaluation, on its B-constants b: the margin curve at
+    u0 = ev.x, C_eta and the turning point u_kappa of log_kappa. Raises
+    MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is too small
+    for C_eta to be formed in float64."""
+
+    def __init__(self, spec: LossSpec, order_L: float, ev: PointEval,
+                 b: BConstants):
+        x0, rho0 = ev.x, ev.rho
+        super().__init__(spec, order_L, x0)
+        self.clamped = False
+        log_hat0 = self.log_gamma_hat(x0, math.log(rho0))  # T < 0: no clamp
+        try:
+            self.c_eta = _c_eta(spec, order_L, b, rho0, x0, math.exp(log_hat0))
+        except (ZeroDivisionError, OverflowError):
+            raise MarginStateError(
+                f"log gamma_hat0 = {log_hat0:.6g} at separation x0 = {x0:.6g}: "
+                f"gamma_hat0 underflows, so C_eta has no float64 value"
+            ) from None
+        self.u_kappa = _kappa_peak(spec, self.order_L)
+
+    def log_h(self, x: float, log_kappa_x: float) -> float:
+        """log of the (S5) learning-rate ceiling mu / (C_eta kappa) at x."""
+        return math.log(self.mu(x)) - math.log(self.c_eta) - log_kappa_x
+
+    def log_gamma_hat(self, x: float, log_rho: float) -> float:
+        """log(e^{phi} / rho^L), clamped under the smoothed margin."""
+        log_g = float(np.log(self.spec.g(x)))
+        val = log_g + self.correction(x) - self.order_L * log_rho
+        log_tilde = log_g - self.order_L * log_rho
+        if val > log_tilde:
+            if val - log_tilde > 1e-12:
+                self.clamped = True
+            val = log_tilde
+        return val
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
              spec: LossSpec, b: BConstants | None, *, epochs: int,
-             alpha0: float = 0.1, mode: str = "loss_based",
-             s5_guard: bool = False, guard_safety: float = 0.5) -> dict:
+             alpha0: float, mode: str, s5_guard: bool,
+             guard_safety: float) -> dict:
     """Full-batch GD with the loss-based schedule and margin monitors.
 
     mode "loss_based" runs the accept-or-retry schedule; "constant_alpha"
@@ -395,11 +380,13 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     with b None (labels other than -1/+1) none is formed, so the run has
     no (S5) guard and no monitors. Monitor series start at the first
     separated epoch; entries conditioned on (S5) are only appended when
-    the step's log(eta / H) is not positive. A step whose forward pass
-    overflows is a rejected trial. The run ends with the message in
-    "abort" when the margin anchor cannot be formed at the first
-    separated epoch (MarginStateError), or when a constant-alpha step
-    overflows; otherwise "abort" is None.
+    the step's log(eta / H) is not positive; log kappa is taken at most
+    once per epoch start, for the guard cap, the (S5) ratio and the
+    grad_bound monitor alike. A step whose forward pass overflows is a
+    rejected trial. The run ends with the message in "abort" when the
+    margin anchor cannot be formed at the first separated epoch
+    (MarginStateError), or when a constant-alpha step overflows;
+    otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -424,7 +411,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         if (mstate is None and abort is None and b is not None
                 and ev.x > spec.f_at_bf + 1e-12):
             try:
-                mstate = make_margin_state(model, ev, spec, b)
+                mstate = GdMarginState(spec, model.order_L, ev, b)
             except MarginStateError as err:
                 abort = str(err)
                 return
@@ -436,8 +423,10 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             break  # the monitors have no anchor: end the run here
         prev_ev = ev
         cap = math.inf
+        log_k = None  # log kappa at the epoch start x, once taken
         if s5_guard and mstate is not None:
-            cap = guard_safety * math.exp(mstate.log_h(ev.x) - ev.x)
+            log_k = log_kappa(spec, ev.x, mstate.order_L, mstate.u_kappa)
+            cap = guard_safety * math.exp(mstate.log_h(ev.x, log_k) - ev.x)
 
         last = None  # once alpha passes the cap, retries repeat a step
 
@@ -477,7 +466,10 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         # tolerances; the unguarded schedule can race far beyond that
         if (mstate is not None and prev_ev.x >= mstate.u0 - 1e-12
                 and ev.x <= 1e6):
-            s5 = log_eta - mstate.log_h(prev_ev.x)
+            if log_k is None:
+                log_k = log_kappa(spec, prev_ev.x, mstate.order_L,
+                                  mstate.u_kappa)
+            s5 = log_eta - mstate.log_h(prev_ev.x, log_k)
             monitors["s5_log_ratio"].append(s5)
             theta_dot_g = float(prev_ev.theta @ prev_ev.G)
             drho2 = ev.rho**2 - prev_ev.rho**2
@@ -500,7 +492,7 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
                     - math.exp(prev_ev.x - ev.x))
             if prev_ev.g_norm > 0.0:
                 monitors["grad_bound"].append(
-                    math.log(2.0 * mstate.c_eta) + mstate.log_kappa(prev_ev.x)
+                    math.log(2.0 * mstate.c_eta) + log_k
                     - (2.0 * math.log(prev_ev.g_norm) - prev_ev.x))
             if ev.x >= mstate.u0 - 1e-12:  # constant mode can move back up
                 log_hat = mstate.log_gamma_hat(ev.x, math.log(ev.rho))

@@ -168,7 +168,8 @@ def test_criterion_07_rates_bounded_for_both_orders():
     # L = 1: step-capped descent on a linear model
     ds1 = from_rows([[2, 1, 1], [-1, 0.5, -1]])
     lin = build_model("linear", 2)
-    b = estimate_b_constants(lin, ds1, np.random.default_rng(0))
+    b = estimate_b_constants(lin, ds1, np.random.default_rng(0), 10_000,
+                             1_000)
     res = train_gd(lin, np.array([0.3, 0.05]), ds1, EXP, b, epochs=1_000,
                    alpha0=1.0, mode="loss_based", s5_guard=True,
                    guard_safety=0.9)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from marginflow import datasets, gdtrain, losses, models
-from marginflow.gdtrain import (GdMarginState, PhiCurve, ReframeError,
+from marginflow.gdtrain import (GdMarginState, PhiCurve,
                                 estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
                                 loss_based_lr_epoch, sphere_sups, train_gd)
@@ -32,7 +32,7 @@ def _toy():
     return model, ds, theta0
 
 
-def _b(model, ds, seed=0, n_sphere=10_000, n_curvature=1_000):
+def _b(model, ds, seed, n_sphere, n_curvature):
     """The B-constants a run at this seed and these draws passes in."""
     return estimate_b_constants(model, ds, np.random.default_rng(seed),
                                 n_sphere, n_curvature)
@@ -60,14 +60,6 @@ def test_gd_step_zero_keeps_theta():
     model, ds, theta0 = _toy()
     w2 = gd_step(evaluate_point(Evaluator(model, ds, EXP), theta0), 0.0)
     assert w2 is theta0
-
-
-def test_gd_step_reframe_error():
-    model, ds, theta0 = _toy()
-    ev = evaluate_point(Evaluator(model, ds, EXP), theta0)
-    for bad in (1e-301, 1e301):
-        with pytest.raises(ReframeError):
-            gd_step(ev, bad)
 
 
 # ------------------------------------------------------------ scheduler
@@ -115,15 +107,17 @@ def test_train_gd_rejects_nonpositive_alpha0():
     model, ds, theta0 = _toy()
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="alpha must stay positive"):
-            train_gd(model, theta0, ds, EXP, None, epochs=1, alpha0=bad)
+            train_gd(model, theta0, ds, EXP, None, epochs=1, alpha0=bad,
+                     mode="loss_based", s5_guard=False, guard_safety=0.5)
 
 
 # ------------------------------------------------------ frame equivalence
 
 def test_relative_frame_matches_direct_float64():
     model, ds, theta0 = _toy()
-    res = train_gd(model, theta0, ds, EXP, _b(model, ds), epochs=25,
-                   s5_guard=False)
+    res = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 10_000, 1_000),
+                   epochs=25, alpha0=0.1, mode="loss_based", s5_guard=False,
+                   guard_safety=0.5)
     frame = frame_equivalence_check(model, ds, EXP, theta0, res["records"])
     assert frame["epochs"] == 25
     assert frame["x_reached"] < 575.0  # loss above 1e-250 throughout
@@ -288,10 +282,13 @@ def test_phi_curve_domain_errors():
 def test_log_kappa_exp_closed_form():
     # past the interior peak at u = 2 - 2/L the sup sits at the left
     # endpoint: kappa = e^{-u} u^{2-2/L} exactly
-    assert abs(log_kappa(EXP, 5.0, 2.0) - (-5.0 + math.log(5.0))) < 1e-12
-    assert abs(log_kappa(EXP, 3.0, 1.0) - (-3.0)) < 1e-12
+    def at(x, L):
+        return log_kappa(EXP, x, L, gdtrain._kappa_peak(EXP, L))
+
+    assert abs(at(5.0, 2.0) - (-5.0 + math.log(5.0))) < 1e-12
+    assert abs(at(3.0, 1.0) - (-3.0)) < 1e-12
     # before the peak the sup saturates at e^{(2-2/L)(log(2-2/L)-1)}
-    assert abs(log_kappa(EXP, 0.05, 2.0) - (-1.0)) < 1e-3
+    assert abs(at(0.05, 2.0) - (-1.0)) < 1e-3
 
 
 @pytest.mark.parametrize("name", sorted(losses._REGISTRY))
@@ -309,7 +306,7 @@ def test_log_kappa_is_the_sup_from_its_turning_point(name):
             x = float(x)
             us = np.linspace(x, x + 60.0, 200_001)
             h = -us + c * np.log(us) - 2.0 * np.log(spec.g_prime(us))
-            got = log_kappa(spec, x, L)
+            got = log_kappa(spec, x, L, peak)
             assert float(np.max(h)) - 1e-14 <= got <= np.max(h) + 1e-6, \
                 (name, L, x)
             if x >= peak:
@@ -327,27 +324,35 @@ def test_log_kappa_matches_scalar_optimizer():
 
         best = min(minimize_scalar(neg, bounds=(x, x + 60.0),
                                    method="bounded").fun, neg(x))
-        assert abs(log_kappa(spec, x, L) - (-best)) < 2e-3
+        got = log_kappa(spec, x, L, gdtrain._kappa_peak(spec, L))
+        assert abs(got - (-best)) < 2e-3
 
 
-def _manual_margin_state(c_eta=2.0):
-    ms = GdMarginState(EXP, 2.0, 1.0)
-    ms.c_eta = c_eta
-    return ms
+def _manual_margin_state():
+    # w2 w1 x with w1 = (1, 0), w2 = 1 on the one point x = (1, 0), y = +1:
+    # margin 1, so the state is anchored at u0 = log(1/loss) = 1, L = 2
+    model = models.deep_linear(2, [1])
+    ds = datasets.from_rows([[1.0, 0.0, 1]])
+    ev = evaluate_point(Evaluator(model, ds, EXP), np.array([1.0, 0.0, 1.0]))
+    return GdMarginState(EXP, model.order_L, ev,
+                         _b(model, ds, 0, 10_000, 1_000))
 
 
 def test_check_s5_examples():
     # the (S5) check is the log ratio log(eta) - log H(x); negative is
     # headroom
     ms = _manual_margin_state()
+    assert ms.u0 == 1.0 and ms.order_L == 2.0
     # closed-form ceiling at log-loss -100, L=2:
     # log H = log(u0/200) - log C_eta - (log kappa = -100 + log 100)
-    log_h = math.log(1.0 / 200.0) - math.log(2.0) + 100.0 - math.log(100.0)
-    assert abs(ms.log_h(100.0) - log_h) < 1e-10
-    assert -1000.0 - ms.log_h(100.0) <= 0.0  # eta -> 0 always passes
-    at_cap = log_h - ms.log_h(100.0)
+    log_h = (math.log(1.0 / 200.0) - math.log(ms.c_eta) + 100.0
+             - math.log(100.0))
+    log_h100 = ms.log_h(100.0, log_kappa(EXP, 100.0, 2.0, ms.u_kappa))
+    assert abs(log_h100 - log_h) < 1e-10
+    assert -1000.0 - log_h100 <= 0.0  # eta -> 0 always passes
+    at_cap = log_h - log_h100
     assert at_cap <= 0.0 and abs(at_cap) < 1e-10
-    doubled = log_h + math.log(2.0) - ms.log_h(100.0)
+    doubled = log_h + math.log(2.0) - log_h100
     assert doubled > 0.0
     assert math.isclose(math.exp(doubled), 2.0, rel_tol=1e-9)
 
@@ -484,7 +489,8 @@ def test_train_gd_guarded_monitors(name, epochs):
     model, ds, theta0 = _toy()
     spec = losses.get_loss(name)
     out = train_gd(model, theta0, ds, spec, _b(model, ds, 0, 1500, 200),
-                   epochs=epochs, alpha0=0.1, s5_guard=True)
+                   epochs=epochs, alpha0=0.1, mode="loss_based",
+                   s5_guard=True, guard_safety=0.5)
     mon = out["monitors"]
     assert not out["flagged_epochs"]
     assert len(mon["p3_slack"]) > 50
@@ -506,32 +512,22 @@ def test_train_gd_guarded_monitors(name, epochs):
 
 def test_log_kappa_once_per_epoch_start(monkeypatch):
     # an epoch's guard cap, (S5) log ratio and grad_bound all ask for
-    # kappa at the epoch start x; the grid runs once per such x
+    # kappa at the epoch start x; log_kappa runs once per such x
     model, ds, theta0 = _toy()
-    kw = dict(b=_b(model, ds, 0, 300, 50), epochs=60, alpha0=0.1,
-              s5_guard=True)
     xs = []
 
-    def counted(spec, x, order_L):
+    def counted(spec, x, order_L, u_kappa):
         xs.append(x)
-        return log_kappa(spec, x, order_L)
+        return log_kappa(spec, x, order_L, u_kappa)
 
     monkeypatch.setattr(gdtrain, "log_kappa", counted)
-    cached = train_gd(model, theta0, ds, LOGISTIC, **kw)
-    once = list(xs)
+    out = train_gd(model, theta0, ds, LOGISTIC, _b(model, ds, 0, 300, 50),
+                   epochs=60, alpha0=0.1, mode="loss_based", s5_guard=True,
+                   guard_safety=0.5)
     starts = {evaluate_point(Evaluator(model, ds, LOGISTIC), theta0).x} | {
-        r["log_inv_loss"] for r in cached["records"]}
-    assert len(once) > 40 and len(set(once)) == len(once)
-    assert set(once) <= starts
-
-    xs.clear()
-    monkeypatch.setattr(GdMarginState, "log_kappa",
-                        lambda self, x: gdtrain.log_kappa(self.spec, x,
-                                                          self.order_L))
-    bypassed = train_gd(model, theta0, ds, LOGISTIC, **kw)
-    assert set(xs) == set(once) and len(xs) > 2 * len(once)
-    assert cached["records"] == bypassed["records"]
-    assert cached["monitors"] == bypassed["monitors"]
+        r["log_inv_loss"] for r in out["records"]}
+    assert len(xs) > 40 and len(set(xs)) == len(xs)
+    assert set(xs) <= starts
 
 
 def test_guarded_retries_evaluate_each_step_once(monkeypatch):
@@ -554,7 +550,8 @@ def test_guarded_retries_evaluate_each_step_once(monkeypatch):
     monkeypatch.setattr(gdtrain, "gd_step", step)
     monkeypatch.setattr(gdtrain, "evaluate_point", evaluate)
     out = train_gd(model, theta0, ds, LOGISTIC, _b(model, ds, 11, 2_000, 500),
-                   epochs=400, alpha0=0.05, s5_guard=True, guard_safety=0.5)
+                   epochs=400, alpha0=0.05, mode="loss_based", s5_guard=True,
+                   guard_safety=0.5)
     assert out["flagged_epochs"] == [16]
     assert [r["retries"] for r in out["records"]] == [0] * 16 + [61]
     assert out["alpha"].hex() == "0x1.b6ff97d080a53p-8"
@@ -566,7 +563,8 @@ def test_guarded_retries_evaluate_each_step_once(monkeypatch):
 def test_train_gd_unguarded_races_to_tiny_loss():
     model, ds, theta0 = _toy()
     out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 500, 50),
-                   epochs=120, alpha0=0.1)
+                   epochs=120, alpha0=0.1, mode="loss_based", s5_guard=False,
+                   guard_safety=0.5)
     last = out["records"][-1]
     assert last["log10_loss"] < -500.0
     assert not out["flagged_epochs"]
@@ -582,7 +580,8 @@ def test_train_gd_unguarded_races_to_tiny_loss():
 def test_train_gd_gamma_hat_clamp_flag():
     model, ds, theta0 = _toy()
     out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
-                   epochs=40, alpha0=0.1, s5_guard=True)
+                   epochs=40, alpha0=0.1, mode="loss_based", s5_guard=True,
+                   guard_safety=0.5)
     ms = out["margin_state"]
     assert not ms.clamped
     # force a rounding-scale overshoot: the value clamps silently
@@ -602,7 +601,8 @@ def test_train_gd_gamma_hat_clamp_flag():
 def test_train_gd_constant_alpha_mode():
     model, ds, theta0 = _toy()
     out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
-                   epochs=30, alpha0=0.02, mode="constant_alpha")
+                   epochs=30, alpha0=0.02, mode="constant_alpha",
+                   s5_guard=False, guard_safety=0.5)
     assert all(r["alpha"] == 0.02 for r in out["records"])
     assert out["records"][-1]["log_inv_loss"] > out["records"][0]["log_inv_loss"]
 
@@ -610,13 +610,15 @@ def test_train_gd_constant_alpha_mode():
 def test_train_gd_rejects_unknown_mode():
     model, ds, theta0 = _toy()
     with pytest.raises(ValueError):
-        train_gd(model, theta0, ds, EXP, None, epochs=1, mode="cyclic")
+        train_gd(model, theta0, ds, EXP, None, epochs=1, alpha0=0.1,
+                 mode="cyclic", s5_guard=False, guard_safety=0.5)
 
 
 def test_train_gd_deterministic():
     model, ds, theta0 = _toy()
     runs = [train_gd(model, theta0, ds, EXP, _b(model, ds, 7, 300, 50),
-                     epochs=60, alpha0=0.1, s5_guard=True)
+                     epochs=60, alpha0=0.1, mode="loss_based", s5_guard=True,
+                     guard_safety=0.5)
             for _ in range(2)]
     np.testing.assert_array_equal(runs[0]["ev"].theta, runs[1]["ev"].theta)
     assert runs[0]["records"][-1] == runs[1]["records"][-1]

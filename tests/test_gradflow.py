@@ -204,7 +204,9 @@ def test_kept_evaluations_do_not_move_after_later_steps(monkeypatch):
     real = gdtrain.evaluate_point
     monkeypatch.setattr(gdtrain, "evaluate_point",
                         lambda *args: keep(real(*args)))
-    out = gdtrain.train_gd(model, theta0, data, spec, None, epochs=30)
+    out = gdtrain.train_gd(model, theta0, data, spec, None, epochs=30,
+                           alpha0=0.1, mode="loss_based", s5_guard=False,
+                           guard_safety=0.5)
     assert len(kept) > 41 + 30 and any(ev is out["ev"] for ev, *_ in kept)
     for ev, *bits in kept:
         assert [ev.x, _shape_bits(ev.theta), _shape_bits(ev.G)] == bits
@@ -579,7 +581,9 @@ def test_interleaved_runs_keep_their_single_run_bits():
 
     def gd():
         model, theta0, ds, spec, _ = runs[0]
-        out = gdtrain.train_gd(model, theta0, ds, spec, None, epochs=30)
+        out = gdtrain.train_gd(model, theta0, ds, spec, None, epochs=30,
+                               alpha0=0.1, mode="loss_based",
+                               s5_guard=False, guard_safety=0.5)
         return out["ev"].theta.view(np.int64).tolist(), out["records"]
 
     alone = [[_step_bits(*s) for s in itertools.islice(flow(*r), steps)]
@@ -598,17 +602,22 @@ def test_interleaved_runs_keep_their_single_run_bits():
 @pytest.mark.parametrize("driver", ["run_flow", "train_gd"])
 def test_finished_run_keeps_no_model_or_dataset_alive(driver):
     cfg = runner.RunConfig.from_dict(readme_flow_config())
-    refs = [weakref.ref(cfg.model), weakref.ref(cfg.dataset)]
+    refs = [weakref.ref(v) for v in (cfg.model, cfg.dataset, cfg.loss)]
     args = (cfg.model, runner._theta0(cfg, 0), cfg.dataset, cfg.loss)
     if driver == "run_flow":
         res = gradflow.run_flow(*args, target_log_inv_loss=5.0,
                                 step_tol=cfg.options["step_tol"],
                                 record_every=1)
-    else:
-        res = gdtrain.train_gd(*args, None, epochs=30)
+    else:  # a guarded run that forms its margin state
+        b = gdtrain.estimate_b_constants(cfg.model, cfg.dataset,
+                                         np.random.default_rng(0), 500, 100)
+        res = gdtrain.train_gd(*args, b, epochs=30, alpha0=0.1,
+                               mode="loss_based", s5_guard=True,
+                               guard_safety=0.5)
+        assert res["margin_state"] is not None
     del res, cfg, args
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_flow_monitors_relu_logistic():

@@ -154,9 +154,11 @@ def test_guarded_descent_rate_bounded():
     # on the predicted schedule; far larger steps would not
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
-    b = estimate_b_constants(model, ds, np.random.default_rng(0))
+    b = estimate_b_constants(model, ds, np.random.default_rng(0), 10_000,
+                             1_000)
     res = train_gd(model, np.array([0.3, 0.05]), ds, EXP, b, epochs=1000,
-                   alpha0=1.0, s5_guard=True, guard_safety=0.9)
+                   alpha0=1.0, mode="loss_based", s5_guard=True,
+                   guard_safety=0.9)
     diag = rate_ratios(res["records"], EXP, model.order_L, ds.n)
     assert diag["decades"] >= 3.0
     verdict = bounded_ratio_verdict(diag)

@@ -782,6 +782,33 @@ def test_gd_3class_corpus_entry_names_missing_margin_state(tmp_path):
     assert out.summaries[0]["final"]["epochs"] == cfg.options["epochs"]
 
 
+def test_gd_alpha_past_1e300_corpus_entry_names_the_stall(tmp_path, capsys):
+    # unguarded exp descent on two points grows alpha past 1e300; the
+    # step is taken as any other, and the run ends in a named stall
+    # where a range check on alpha once raised out of the CLI
+    code, report = _cli_json(tmp_path, capsys, "run", _emit_outputs().CORPUS[
+        "gd_alpha_past_1e300"][1])
+    assert code == 1
+    assert report["failures"][0] == \
+        "seed 0: scheduler stalled at epochs [5126]"
+
+
+def test_deep_loss_3class_corpus_entry_names_missing_frame_check(
+        tmp_path, capsys):
+    # class labels: the plain float64 replay takes -1/+1 labels only, so
+    # the frame check is skipped by name instead of raising
+    code, report = _cli_json(tmp_path, capsys, "run", _emit_outputs().CORPUS[
+        "deep_loss_3class"][1])
+    assert code == 1
+    assert report["failures"] == [
+        "seed 0: no (S5) margin state: the B-constants need binary labels",
+        "seed 0: no frame check: the labels are not -1/+1"]
+    summary = json.loads(Path(report["files"][1]).read_text())
+    assert summary["frame_equivalence"] is None
+    assert summary["checks"]["frame_max_rel"] == {
+        "worst": None, "bound": 1e-8, "ok": True}
+
+
 def test_rates_on_gd_names_scheduler_stall():
     # a dead-ReLU start (||G|| ~ 7.6e-15): the scheduler grows alpha to
     # ~3e10 and train_gd flags epoch 222, which the verdict leaves out
