@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import NonFiniteError, backward, walk
 from .datasets import Dataset
-from .gradflow import (Evaluator, PointEval, _bar_gamma, evaluate_point,
-                       is_separated, log_tilde_margin)
+from .gradflow import (MONITOR_CHUNK, Evaluator, PointEval, _bar_gamma,
+                       evaluate_point, log_tilde_margin)
 from .losses import LossDomainError, LossSpec
 from .models import HomogeneousModel
 
@@ -129,8 +129,7 @@ class PhiCurve:
     lambda = g'/g and mu(u) = u0/(2u). F dips at most once before
     climbing like e^u, so M is F(u0) up to the recovery point u_star
     and equals F beyond; past u_star the integrand reduces to
-    -2 lambda mu (1 + lambda/L). Increments are accumulated so
-    successive evaluations at growing u stay exactly consistent.
+    -2 lambda mu (1 + lambda/L).
     """
 
     def __init__(self, spec: LossSpec, order_L: float, u0: float):
@@ -140,7 +139,6 @@ class PhiCurve:
         self.spec, self.order_L, self.u0 = spec, float(order_L), float(u0)
         self._log_f0 = self._log_F(self.u0)
         self.u_star = self._find_recovery()
-        self._cache_u = self._cache_t = None
 
     def _lam(self, u):
         g, g_prime = self.spec.g_pair(u)
@@ -181,21 +179,24 @@ class PhiCurve:
         return (_integrate(self._dip_integrand, a, m)
                 + _integrate(self._tail_integrand, m, b))
 
-    def correction(self, u: float) -> float:
-        """T(u) <= 0; the log-gap between gamma_hat and tilde margin."""
-        if u < self.u0 - 1e-9:
-            raise LossDomainError(
-                f"phi evaluated at u={u} above the anchor loss (u0={self.u0})")
-        u = max(u, self.u0)
-        if self._cache_u is None or u < self._cache_u:
-            t = self._removed(u, np.inf)
-        elif u == self._cache_u:
-            return self._cache_t
-        else:
-            # removed mass int_{cache}^{u} iota is accumulated exactly once
-            t = self._cache_t - self._removed(self._cache_u, u)
-        self._cache_u, self._cache_t = u, t
-        return t
+    def correction(self, us) -> list[float]:
+        """T(u) <= 0, the log-gap between gamma_hat and tilde margin, at
+        each u of us in turn: a u above the last subtracts the mass
+        removed between them, a repeat reuses T, and a u below it
+        (constant-alpha GD can move back up the loss) starts afresh."""
+        out, last = [], None
+        for u in us:
+            if u < self.u0 - 1e-9:
+                raise LossDomainError(f"phi evaluated at u={u} above the "
+                                      f"anchor loss (u0={self.u0})")
+            u = max(u, self.u0)
+            if last is None or u < last:
+                t = self._removed(u, np.inf)
+            elif u > last:
+                t -= self._removed(last, u)
+            out.append(t)
+            last = u
+        return out
 
 
 def _log_kappa_h(spec: LossSpec, us: np.ndarray, order_L: float):
@@ -213,10 +214,11 @@ def _kappa_peak(spec: LossSpec, order_L: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def log_kappa(spec: LossSpec, x: float, order_L: float,
-              u_kappa: float) -> float:
+def log_kappa(spec: LossSpec, xs, order_L: float,
+              u_kappa: float) -> np.ndarray:
     """log of the (S5) smoothness scale sup_{u >= x} e^{-u} u^c / g'(u)^2,
-    c = 2 - 2/L: h(max(x, u_kappa)), h(u) = -u + c log u - 2 log g'(u).
+    c = 2 - 2/L, at each x of the column xs: h(max(x, u_kappa)),
+    h(u) = -u + c log u - 2 log g'(u).
 
     h is concave: h' = -1 + c/u - 2 (log g')' falls for L >= 1 (c >= 0),
     as the last term does: 0 for exp (g' = 1), so u_kappa = c; 4/(3u) for
@@ -226,9 +228,9 @@ def log_kappa(spec: LossSpec, x: float, order_L: float,
     (L = 1). `_kappa_peak` finds u_kappa in [f(b_f), f(b_f) + 60] once per
     margin state and never takes h at an end, where exp at L = 1 has 0 log 0;
     h is taken by array ufuncs, as numpy's scalar ones can differ in the
-    last bit."""
-    us = np.array([max(x, u_kappa)])
-    return float(_log_kappa_h(spec, us, order_L)[0])
+    last bit, so one x is passed as a one-element column."""
+    us = np.maximum(np.asarray(xs, dtype=np.float64), u_kappa)
+    return _log_kappa_h(spec, us, order_L)
 
 
 @dataclass(frozen=True)
@@ -332,16 +334,17 @@ def _c_eta(spec: LossSpec, L: float, b: BConstants, rho0: float,
 class GdMarginState(PhiCurve):
     """The (S5) state of a descent run, anchored at ev, its first
     separated evaluation, on its B-constants b: the margin curve at
-    u0 = ev.x, C_eta and the turning point u_kappa of log_kappa. Raises
-    MarginStateError when gamma_hat0 = e^{phi(x0)} / rho0^L is too small
-    for C_eta to be formed in float64."""
+    u0 = ev.x, log gamma_hat0 = log(e^{phi(x0)} / rho0^L), C_eta and the
+    turning point u_kappa of log_kappa. Raises MarginStateError when
+    gamma_hat0 is too small for C_eta to be formed in float64."""
 
     def __init__(self, spec: LossSpec, order_L: float, ev: PointEval,
                  b: BConstants):
         x0, rho0 = ev.x, ev.rho
         super().__init__(spec, order_L, x0)
-        self.clamped = False
-        log_hat0 = self.log_gamma_hat(x0, math.log(rho0))  # T < 0: no clamp
+        [t0] = self.correction([x0])  # T < 0: the smoothed margin clamps none
+        self.log_hat0 = log_hat0 = (float(np.log(spec.g(x0))) + t0
+                                    - self.order_L * math.log(rho0))
         try:
             self.c_eta = _c_eta(spec, order_L, b, rho0, x0, math.exp(log_hat0))
         except (ZeroDivisionError, OverflowError):
@@ -355,16 +358,82 @@ class GdMarginState(PhiCurve):
         """log of the (S5) learning-rate ceiling mu / (C_eta kappa) at x."""
         return math.log(self.mu(x)) - math.log(self.c_eta) - log_kappa_x
 
-    def log_gamma_hat(self, x: float, log_rho: float) -> float:
-        """log(e^{phi} / rho^L), clamped under the smoothed margin."""
-        log_g = float(np.log(self.spec.g(x)))
-        val = log_g + self.correction(x) - self.order_L * log_rho
-        log_tilde = log_g - self.order_L * log_rho
-        if val > log_tilde:
-            if val - log_tilde > 1e-12:
-                self.clamped = True
-            val = log_tilde
-        return val
+
+def _gd_monitors(mstate: GdMarginState, spec: LossSpec, steps: list,
+                 mon: dict) -> bool:
+    """The margin monitors of a descent run after its loop, appended to
+    mon in step order. steps holds (record, row) per epoch from the
+    anchor on; row is None if the step is not monitored, else (x, rho,
+    theta . G, ||G||, V) at its start and (alpha, log eta, ||u_g||^2).
+    log gamma_hat is taken at each monitored end that reaches u0, T
+    carried from u0 along them; per MONITOR_CHUNK epochs one array pass
+    takes the records' log tilde and lambda and log kappa at the starts,
+    and each record gets its margin fields. Returns whether a log
+    gamma_hat, clamped under the smoothed margin, exceeded it by more
+    than 1e-12."""
+    L, u0, f_at_bf = mstate.order_L, mstate.u0, spec.f_at_bf
+    ends = [rec["log_inv_loss"] for rec, row in steps
+            if row is not None and rec["log_inv_loss"] >= u0 - 1e-12]
+    ts = iter(mstate.correction([u0, *ends])[1:])
+    log_gs = iter(np.log(spec.g(np.array(ends))).tolist())
+    log_hat_prev, clamped = mstate.log_hat0, False
+    for i in range(0, len(steps), MONITOR_CHUNK):
+        chunk = steps[i:i + MONITOR_CHUNK]
+        seps = [rec for rec, _ in chunk if rec["log_inv_loss"] > f_at_bf]
+        log_tildes = iter(log_tilde_margin(
+            [rec["log_inv_loss"] for rec in seps],
+            [rec["rho"] for rec in seps], spec, L))
+        starts = np.array([row[0] for _, row in chunk if row is not None])
+        lams = iter(mstate._lam(starts).tolist())
+        log_ks = iter(log_kappa(spec, starts, L, mstate.u_kappa).tolist())
+        for rec, row in chunk:
+            x1, rho1 = rec["log_inv_loss"], rec["rho"]
+            s5 = None  # log(eta / H), the (S5) ratio; negative is headroom
+            if row is not None:
+                x0, rho0, tg, g_norm, v0, c, log_eta, ug2 = row
+                log_k, lam, mu = next(log_ks), next(lams), mstate.mu(x0)
+                s5 = log_eta - mstate.log_h(x0, log_k)
+                mon["s5_log_ratio"].append(s5)
+                drho2 = rho1**2 - rho0**2
+                predicted = 2.0 * c * tg + c**2 * g_norm**2
+                scale = max(abs(drho2), abs(predicted), 1e-300)
+                mon["rho_identity"].append(abs(drho2 - predicted) / scale)
+                mon["euler_gap"].append(
+                    (tg / L - v0) / max(abs(tg) / L, 1e-300))
+                mon["p2_lower"].append((drho2 - 2.0 * c * L * v0) / scale)
+                if s5 <= 0.0:
+                    mon["p2_upper"].append(
+                        (2.0 * c * tg * (1.0 + lam * mu / L) - drho2) / scale)
+                    mon["p3_slack"].append(
+                        1.0 - (1.0 - mu) * c * g_norm**2 - math.exp(x0 - x1))
+                if g_norm > 0.0:
+                    mon["grad_bound"].append(
+                        math.log(2.0 * mstate.c_eta) + log_k
+                        - (2.0 * math.log(g_norm) - x0))
+                if x1 >= u0 - 1e-12:  # constant mode can move back up
+                    log_g, log_rho = next(log_gs), math.log(rho1)
+                    log_hat = log_g + next(ts) - L * log_rho
+                    log_tilde = log_g - L * log_rho
+                    if log_hat > log_tilde:
+                        clamped |= log_hat - log_tilde > 1e-12
+                        log_hat = log_tilde
+                    if log_hat_prev is not None and s5 <= 0.0:
+                        mon["p4_slack"].append(
+                            log_hat - log_hat_prev - L * rho0**2 * ug2
+                            / tg**2 * (math.log(rho1) - math.log(rho0)))
+                    log_hat_prev = log_hat
+                else:
+                    log_hat_prev = None
+            if x1 > f_at_bf:
+                log_tilde = next(log_tildes)
+                if log_tilde > -math.inf:
+                    rec["log_tilde"] = log_tilde
+                if log_hat_prev is not None:
+                    rec["log_hat"] = log_hat_prev
+                rec["bar_gamma"] = _bar_gamma(rec["q_min"], rho1, L)
+            if s5 is not None:
+                rec["s5_log_ratio"] = s5
+    return clamped
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -378,15 +447,13 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     every step is taken in the frame of its epoch start). The margin
     state is anchored at the first separated epoch on the B-constants b;
     with b None (labels other than -1/+1) none is formed, so the run has
-    no (S5) guard and no monitors. Monitor series start at the first
-    separated epoch; entries conditioned on (S5) are only appended when
-    the step's log(eta / H) is not positive; log kappa is taken at most
-    once per epoch start, for the guard cap, the (S5) ratio and the
-    grad_bound monitor alike. A step whose forward pass overflows is a
-    rejected trial. The run ends with the message in "abort" when the
-    margin anchor cannot be formed at the first separated epoch
-    (MarginStateError), or when a constant-alpha step overflows;
-    otherwise "abort" is None.
+    no (S5) guard and no monitors. The loop reads no margin but the
+    guard's log kappa; the monitors from the anchor on, and "clamped",
+    are taken after it (`_gd_monitors`). A step whose forward pass
+    overflows is a rejected trial. The run ends with the message in
+    "abort" when the margin anchor cannot be formed at the first
+    separated epoch (MarginStateError), or when a constant-alpha step
+    overflows; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -396,26 +463,20 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     ev = evaluate_point(evaluator, np.asarray(theta0, dtype=np.float64))
     alpha = alpha0
     mstate: GdMarginState | None = None
-    log_hat_prev = None
     log_sum_eta = -math.inf
     records: list[dict] = []
-    monitors: dict[str, list] = {
-        "rho_identity": [], "p2_lower": [], "p2_upper": [], "p3_slack": [],
-        "p4_slack": [], "grad_bound": [], "s5_log_ratio": [], "euler_gap": [],
-    }
+    steps: list[tuple] = []  # (record, row or None) from the anchor on
     flagged_epochs: list[int] = []
     abort = None
 
     def maybe_separate():
-        nonlocal mstate, log_hat_prev, abort
+        nonlocal mstate, abort
         if (mstate is None and abort is None and b is not None
                 and ev.x > spec.f_at_bf + 1e-12):
             try:
                 mstate = GdMarginState(spec, model.order_L, ev, b)
             except MarginStateError as err:
                 abort = str(err)
-                return
-            log_hat_prev = mstate.log_gamma_hat(ev.x, math.log(ev.rho))
 
     maybe_separate()
     for epoch in range(epochs):
@@ -423,9 +484,9 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             break  # the monitors have no anchor: end the run here
         prev_ev = ev
         cap = math.inf
-        log_k = None  # log kappa at the epoch start x, once taken
         if s5_guard and mstate is not None:
-            log_k = log_kappa(spec, ev.x, mstate.order_L, mstate.u_kappa)
+            log_k = float(log_kappa(spec, [ev.x], mstate.order_L,
+                                    mstate.u_kappa)[0])
             cap = guard_safety * math.exp(mstate.log_h(ev.x, log_k) - ev.x)
 
         last = None  # once alpha passes the cap, retries repeat a step
@@ -434,9 +495,11 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             nonlocal last
             a = min(a, cap)
             if last is None or last[1] != a:
-                try:
-                    last = (evaluate_point(evaluator, gd_step(prev_ev, a)), a)
-                except NonFiniteError:  # overflowed: a rejected trial
+                try:  # an overflow is a rejected trial, not a warning
+                    with np.errstate(over="ignore"):
+                        last = (evaluate_point(evaluator,
+                                               gd_step(prev_ev, a)), a)
+                except NonFiniteError:
                     last = (None, a)
             return (-math.inf if last[0] is None else last[0].x), last
 
@@ -460,53 +523,6 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         log_eta = math.log(c) + prev_ev.x
         log_sum_eta = float(np.logaddexp(log_sum_eta, log_eta))
         maybe_separate()
-
-        s5 = None  # log(eta / H), the (S5) ratio; negative is headroom
-        # past x ~ 1e6 the ulp of log-scale quantities swamps the monitor
-        # tolerances; the unguarded schedule can race far beyond that
-        if (mstate is not None and prev_ev.x >= mstate.u0 - 1e-12
-                and ev.x <= 1e6):
-            if log_k is None:
-                log_k = log_kappa(spec, prev_ev.x, mstate.order_L,
-                                  mstate.u_kappa)
-            s5 = log_eta - mstate.log_h(prev_ev.x, log_k)
-            monitors["s5_log_ratio"].append(s5)
-            theta_dot_g = float(prev_ev.theta @ prev_ev.G)
-            drho2 = ev.rho**2 - prev_ev.rho**2
-            predicted = 2.0 * c * theta_dot_g + c**2 * prev_ev.g_norm**2
-            scale = max(abs(drho2), abs(predicted), 1e-300)
-            monitors["rho_identity"].append(abs(drho2 - predicted) / scale)
-            gap = theta_dot_g / model.order_L - prev_ev.V
-            monitors["euler_gap"].append(
-                gap / max(abs(theta_dot_g) / model.order_L, 1e-300))
-            monitors["p2_lower"].append(
-                (drho2 - 2.0 * c * model.order_L * prev_ev.V) / scale)
-            lam = float(mstate._lam(prev_ev.x))
-            mu = mstate.mu(prev_ev.x)
-            if s5 <= 0.0:
-                monitors["p2_upper"].append(
-                    (2.0 * c * theta_dot_g
-                     * (1.0 + lam * mu / model.order_L) - drho2) / scale)
-                monitors["p3_slack"].append(
-                    1.0 - (1.0 - mu) * c * prev_ev.g_norm**2
-                    - math.exp(prev_ev.x - ev.x))
-            if prev_ev.g_norm > 0.0:
-                monitors["grad_bound"].append(
-                    math.log(2.0 * mstate.c_eta) + log_k
-                    - (2.0 * math.log(prev_ev.g_norm) - prev_ev.x))
-            if ev.x >= mstate.u0 - 1e-12:  # constant mode can move back up
-                log_hat = mstate.log_gamma_hat(ev.x, math.log(ev.rho))
-                if log_hat_prev is not None and s5 <= 0.0:
-                    u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
-                        * prev_ev.theta
-                    rhs = (model.order_L * prev_ev.rho**2
-                           * float(u_g @ u_g) / theta_dot_g**2
-                           * (math.log(ev.rho) - math.log(prev_ev.rho)))
-                    monitors["p4_slack"].append(log_hat - log_hat_prev - rhs)
-                log_hat_prev = log_hat
-            else:
-                log_hat_prev = None
-
         rec = {
             "epoch": epoch,
             "alpha": c,
@@ -519,23 +535,31 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             "log_sum_eta": log_sum_eta,
             "beta": ev.beta,
         }
-        if mstate is not None and is_separated(ev, spec):
-            log_tilde = log_tilde_margin(ev, spec, model.order_L)
-            if log_tilde > -math.inf:
-                rec["log_tilde"] = log_tilde
-            if log_hat_prev is not None:
-                rec["log_hat"] = log_hat_prev
-            rec["bar_gamma"] = _bar_gamma(rec["q_min"], ev.rho,
-                                          model.order_L)
-        if s5 is not None:
-            rec["s5_log_ratio"] = s5
         records.append(rec)
+        if mstate is None:
+            continue
+        row = None
+        # past x ~ 1e6 the ulp of log-scale quantities swamps the monitor
+        # tolerances; the unguarded schedule can race far beyond that
+        if prev_ev.x >= mstate.u0 - 1e-12 and ev.x <= 1e6:
+            theta_dot_g = float(prev_ev.theta @ prev_ev.G)
+            u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) * prev_ev.theta
+            row = (prev_ev.x, prev_ev.rho, theta_dot_g, prev_ev.g_norm,
+                   prev_ev.V, c, log_eta, float(u_g @ u_g))
+        steps.append((rec, row))
+    monitors: dict[str, list] = {
+        "rho_identity": [], "p2_lower": [], "p2_upper": [], "p3_slack": [],
+        "p4_slack": [], "grad_bound": [], "s5_log_ratio": [], "euler_gap": [],
+    }
+    clamped = mstate is not None and _gd_monitors(mstate, spec, steps,
+                                                  monitors)
     return {
         "ev": ev,
         "alpha": alpha,
         "records": records,
         "monitors": monitors,
         "margin_state": mstate,
+        "clamped": clamped,
         "flagged_epochs": flagged_epochs,
         "log_sum_eta": log_sum_eta,
         "abort": abort,

@@ -128,11 +128,13 @@ def is_separated(ev: PointEval, spec: LossSpec) -> bool:
     return ev.x > spec.f_at_bf
 
 
-def log_tilde_margin(ev: PointEval, spec: LossSpec, order_L: float) -> float:
-    g = float(spec.g(ev.x))
-    if g <= 0.0:  # x can sit within one ulp of the separation threshold
-        return -math.inf
-    return math.log(g) - order_L * math.log(ev.rho)
+def log_tilde_margin(xs, rhos, spec: LossSpec, order_L: float) -> list[float]:
+    """log g(x) - L log rho per state of the columns (xs, rhos): one g
+    call on xs, then math.log per state; -inf where g(x) <= 0, as x can
+    sit within one ulp of the separation threshold."""
+    gs = spec.g(np.asarray(xs, dtype=np.float64)).tolist()
+    return [-math.inf if g <= 0.0 else math.log(g) - order_L * math.log(rho)
+            for g, rho in zip(gs, rhos)]
 
 
 def nu_lower_slack(xs: np.ndarray, vs, spec: LossSpec) -> list[float]:
@@ -254,21 +256,18 @@ def weight_growth_residual(prev: PointEval, new: PointEval,
     return abs(lhs - rhs) / abs(rhs)
 
 
-def margin_rate_slack(prev: PointEval, new: PointEval, info: StepInfo,
-                      d_log_tilde: float, order_L: float) -> float:
-    """d log(tilde margin) minus its certified lower bound, per step.
-
-    d_log_tilde is log_tilde_margin at `new` minus that at `prev`. The
-    bound integrates L (d log rho/dt)^{-1} ||d theta_hat/dt||^2 by the
-    trapezoid rule, which telescopes to L ||delta theta_hat||^2 /
-    delta log rho over the step.
-    """
-    d_log_rho = math.log(new.rho) - math.log(prev.rho)
-    if info.delta_theta_hat == 0.0:
+def margin_rate_slack(d_log_tilde: float, rho0: float, rho1: float,
+                      delta_theta_hat: float, order_L: float) -> float:
+    """d log(tilde margin) minus its certified lower bound over a step
+    that takes rho from rho0 to rho1 and theta_hat by delta_theta_hat:
+    L (d log rho/dt)^{-1} ||d theta_hat/dt||^2 by the trapezoid rule,
+    which telescopes to L ||delta theta_hat||^2 / delta log rho."""
+    d_log_rho = math.log(rho1) - math.log(rho0)
+    if delta_theta_hat == 0.0:
         return d_log_tilde
     if d_log_rho <= 0.0:
         return math.inf  # rho must grow once separated; flagged upstream
-    return d_log_tilde - order_L * info.delta_theta_hat**2 / d_log_rho
+    return d_log_tilde - order_L * delta_theta_hat**2 / d_log_rho
 
 
 class LossUpperBound:
@@ -336,28 +335,56 @@ class LossUpperBound:
                 for lg, t in zip(log_G.tolist(), ts.tolist())]
 
 
-# states per array pass of the bound monitors; bounds the (chunk, 9)
-# integrand grids of a long run
+# states per array pass of the monitors after a run's loop; bounds the
+# (chunk, 9) integrand grids of a long run
 MONITOR_CHUNK = 512
 
 
-def _bound_monitors(monitors: dict, bound: LossUpperBound, spec: LossSpec,
-                    xs: list, vs: list, ts: list) -> None:
-    """Append the nu and loss upper bound slacks of the separated states
-    (x, V, t) to `monitors`, MONITOR_CHUNK states per array pass.
-
-    Both bounds are checks on the finished trajectory, so `run_flow`
-    computes them after its step loop. The loss upper bound skips
-    states whose t has overflowed to inf.
-    """
-    for i in range(0, len(xs), MONITOR_CHUNK):
-        x = np.array(xs[i:i + MONITOR_CHUNK])
-        t = np.array(ts[i:i + MONITOR_CHUNK])
-        monitors["nu_slack"] += nu_lower_slack(x, vs[i:i + MONITOR_CHUNK],
-                                               spec)
+def _bound_monitors(monitors: dict, records: list, spec: LossSpec,
+                    order_L: float, first: int | None,
+                    cols: list) -> float | None:
+    """The margin and bound monitors of a flow run after its loop, for the
+    states from step `first`, the first separated one, on (none when
+    `first` is None): cols holds (x, rho, t, V, ||delta theta_hat|| of
+    the step into it) per state. Per MONITOR_CHUNK states, one array
+    pass takes their log tilde, adds log_tilde and bar_gamma to their
+    records, and appends to `monitors` the four slacks of each state
+    whose predecessor is separated. The loss upper bound is anchored at
+    the first state and skips a t that has overflowed to inf. Returns
+    log_tilde0, the first finite log tilde of a separated state, else
+    None."""
+    recs = {rec["step"]: rec for rec in records}
+    bound = log_tilde0 = None
+    prev = None  # (log tilde, rho, separated) of the previous state
+    for i in range(0, len(cols), MONITOR_CHUNK):
+        xs, rhos, ts, vs, d_hats = zip(*cols[i:i + MONITOR_CHUNK])
+        lts = log_tilde_margin(xs, rhos, spec, order_L)
+        if bound is None:
+            bound = LossUpperBound(spec, order_L, xs[0], lts[0], ts[0])
+        watched = []
+        for k, (x, rho, lt, d_hat) in enumerate(zip(xs, rhos, lts, d_hats)):
+            watched.append(prev is not None and prev[2])
+            if watched[-1]:
+                d = lt - prev[0]
+                monitors["margin_slack"].append(
+                    margin_rate_slack(d, prev[1], rho, d_hat, order_L))
+                monitors["d_log_tilde"].append(d)
+            separated = x > spec.f_at_bf
+            if log_tilde0 is None and math.isfinite(lt) and separated:
+                log_tilde0 = lt
+            rec = recs.get(first + i + k)
+            if rec is not None:
+                rec["log_tilde"] = lt
+                rec["bar_gamma"] = _bar_gamma(rec["q_min"], rho, order_L)
+            prev = lt, rho, separated
+        x = np.array(xs)[watched]
+        t = np.array(ts)[watched]
+        monitors["nu_slack"] += nu_lower_slack(
+            x, [v for v, w in zip(vs, watched) if w], spec)
         finite = np.isfinite(t)
         monitors["upper_slack"] += bound.slack(bound.update(x[finite]),
                                                t[finite])
+    return log_tilde0
 
 
 def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -391,62 +418,42 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     Returns a dict with the final state, per-step monitor series
     (activated after separation), trajectory records suitable for
     serialization, and `log_tilde0`, the certificate anchor: the first
-    finite log smoothed margin of a separated state, else None.
+    finite log smoothed margin of a separated state, else None. Past
+    the growth residual, margins are read after the loop, from scalars
+    the loop keeps per state (`_bound_monitors`).
     """
     records = []
     monitors = {k: [] for k in ("growth_residual", "margin_slack",
                                 "nu_slack", "d_log_tilde", "upper_slack")}
-    bound = None
-    lt = None  # log tilde margin of the current state, once separated
-    log_tilde0 = None
-    xs, vs, ts = [], [], []  # separated states for the bound monitors
+    first = None  # step of the first separated state
+    cols = []  # (x, rho, t, V, ||delta theta_hat||) per state from first on
 
     def record(st: FlowState):
-        rec = {
-            "t": st.t,
-            "step": st.steps,
-            "log_inv_loss": st.ev.x,
-            "rho": st.ev.rho,
-            "q_min": float(np.minimum.reduce(st.ev.q)),
-            "beta": st.ev.beta,
-            "nu_rel": st.ev.V,
-        }
-        if lt is not None:
-            rec["log_tilde"] = lt
-            rec["bar_gamma"] = _bar_gamma(rec["q_min"], st.ev.rho,
-                                          model.order_L)
-        records.append(rec)
+        records.append({"t": st.t, "step": st.steps, "log_inv_loss": st.ev.x,
+                        "rho": st.ev.rho,
+                        "q_min": float(np.minimum.reduce(st.ev.q)),
+                        "beta": st.ev.beta, "nu_rel": st.ev.V})
 
     for state, info in flow_states(model, theta0, dataset, spec,
                                    step_tol=step_tol):
-        prev_lt = lt
-        if lt is None and is_separated(state.ev, spec):
-            lt = log_tilde_margin(state.ev, spec, model.order_L)
-            bound = LossUpperBound(spec, model.order_L, state.ev.x, lt,
-                                   state.t)
-        elif lt is not None:
-            lt = log_tilde_margin(state.ev, spec, model.order_L)
-            if is_separated(prev, spec):
+        ev = state.ev
+        if first is None and is_separated(ev, spec):
+            first = state.steps
+        if first is not None:
+            if state.steps > first and is_separated(prev, spec):
                 monitors["growth_residual"].append(
-                    weight_growth_residual(prev, state.ev, info,
-                                           model.order_L))
-                monitors["margin_slack"].append(margin_rate_slack(
-                    prev, state.ev, info, lt - prev_lt, model.order_L))
-                monitors["d_log_tilde"].append(lt - prev_lt)
-                xs.append(state.ev.x)
-                vs.append(state.ev.V)
-                ts.append(state.t)
-        if (log_tilde0 is None and lt is not None and math.isfinite(lt)
-                and is_separated(state.ev, spec)):
-            log_tilde0 = lt
+                    weight_growth_residual(prev, ev, info, model.order_L))
+            cols.append((ev.x, ev.rho, state.t, ev.V,
+                         0.0 if info is None else info.delta_theta_hat))
         if state.steps % record_every == 0:
             record(state)
-        if state.ev.x >= target_log_inv_loss:
+        if ev.x >= target_log_inv_loss:
             break
-        prev = state.ev
+        prev = ev
     if records[-1]["step"] != state.steps:
         record(state)
-    _bound_monitors(monitors, bound, spec, xs, vs, ts)
+    log_tilde0 = _bound_monitors(monitors, records, spec, model.order_L,
+                                 first, cols)
     return {
         "state": state,
         "records": records,

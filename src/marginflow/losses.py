@@ -63,10 +63,7 @@ class LossSpec:
 # exponential loss: f = g = identity
 
 def _exp_pair(q):
-    """(q + 0.0, ones): f and f', and g and g', from one call; a float
-    gives numpy scalars, so division by zero still warns."""
-    if isinstance(q, float):
-        return np.float64(q) + 0.0, np.float64(1.0)
+    """(q + 0.0, ones): f and f', and g and g', from one call."""
     q = _as_f64(q)
     ones = np.empty(q.shape)
     ones.fill(1.0)  # half the time of np.ones, a Python-level function
@@ -117,25 +114,10 @@ def _logistic_series(u):
     return u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
 
 
-def _logistic_g_scalar(x: float):
-    u = np.exp(-min(x, 745.0))  # min keeps a NaN x as np.minimum does
-    if x > 30.0:
-        return x - np.log1p(_logistic_series(u))
-    return -np.log(np.expm1(u))
-
-
-def _logistic_g_prime_scalar(x: float):
-    u = np.exp(-min(x, 745.0))
-    if x > 30.0:
-        return np.exp(u) / (1.0 + _logistic_series(u))
-    return u * np.exp(u) / np.expm1(u)
-
-
 def _logistic_g_pair(x):
     """(g(x), g'(x)) with g(x) = -log(e^{e^{-x}} - 1) on [-log log 2, inf)
     and g'(x) = u e^u / (e^u - 1), u = e^{-x}, which falls to 1; past
     x = 30, -log(expm1(u)) = x - log1p(u/2 + u^2/6 + u^3/24)."""
-    x = _as_f64(x)
     u = np.exp(-np.minimum(x, 745.0))
     tail = x > 30.0
     series = _logistic_series(u)
@@ -145,27 +127,15 @@ def _logistic_g_pair(x):
             np.where(tail, e / (1.0 + series), u * e / em1))
 
 
-def _with_domain_check(fn, scalar_fn, f_at_bf, name):
-    """fn behind the domain check x >= f(b_f) - 1e-9; NaN passes.
-
-    A float (np.float64 included) goes to scalar_fn, which computes
-    only the branch that fn's np.where would select, with the same
-    ufuncs in the same order, so both paths agree bit for bit
-    (tests/test_losses.py); a one-number call, such as a flow state's
-    smoothed margin or a bisection step, then skips the array round trip.
-    """
-    lo = f_at_bf - 1e-9
-
+def _with_domain_check(fn, f_at_bf, name):
+    """fn on float64 arrays behind the domain check x >= f(b_f) - 1e-9;
+    NaN passes."""
     def checked(x):
-        if isinstance(x, float):
-            if not x < lo:
-                return scalar_fn(x)
-        else:
-            x = _as_f64(x)
-            if not np.any(x < lo):
-                return fn(x)
-        raise LossDomainError(
-            f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}")
+        x = _as_f64(x)
+        if np.any(x < f_at_bf - 1e-9):
+            raise LossDomainError(
+                f"{name}: argument {np.min(x)} below f(b_f) = {f_at_bf}")
+        return fn(x)
 
     return checked
 
@@ -176,14 +146,10 @@ def make_logistic(name: str = "logistic") -> LossSpec:
         f=lambda q: _logistic_f_pair(q)[0],
         f_prime=lambda q: _logistic_f_pair(q)[1],
         g=_with_domain_check(lambda x: _logistic_g_pair(x)[0],
-                             _logistic_g_scalar, _LOGISTIC_F_AT_BF, name),
+                             _LOGISTIC_F_AT_BF, name),
         g_prime=_with_domain_check(lambda x: _logistic_g_pair(x)[1],
-                                   _logistic_g_prime_scalar,
                                    _LOGISTIC_F_AT_BF, name),
-        g_pair=_with_domain_check(
-            _logistic_g_pair, lambda x: (_logistic_g_scalar(x),
-                                         _logistic_g_prime_scalar(x)),
-            _LOGISTIC_F_AT_BF, name),
+        g_pair=_with_domain_check(_logistic_g_pair, _LOGISTIC_F_AT_BF, name),
         b_f=0.0, K=2.0, b_g=2.0, p=1.0, f_pair=_logistic_f_pair)
 
 
@@ -200,16 +166,16 @@ def make_exp_cubed() -> LossSpec:
         return np.cbrt(np.maximum(x, 0.0))  # np.maximum keeps -0.0
 
     def g_prime(x):
-        # c * c: a scalar's ** 2 calls pow, an array's squares by
-        # multiplication, so both paths give the same bits
+        # c * c: for one number c is a numpy scalar, whose ** 2 calls
+        # pow, while an array's squares by multiplication
         c = np.cbrt(np.maximum(x, 0.0))
         with np.errstate(divide="ignore"):
             return 1.0 / (3.0 * (c * c))
 
     return LossSpec(
         name="exp_cubed", f=f, f_prime=f_prime,
-        g=_with_domain_check(g, g, 0.0, "exp_cubed"),
-        g_prime=_with_domain_check(g_prime, g_prime, 0.0, "exp_cubed"),
+        g=_with_domain_check(g, 0.0, "exp_cubed"),
+        g_prime=_with_domain_check(g_prime, 0.0, "exp_cubed"),
         b_f=0.0, K=4.0, b_g=1.0, p=2.0)
 
 

@@ -657,7 +657,8 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
     for state, _ in flow_states(model, _theta0(cfg, seed), ds, spec,
                                 step_tol=cfg.options["step_tol"]):
         if anchor is None and is_separated(state.ev, spec):
-            lt = log_tilde_margin(state.ev, spec, model.order_L)
+            [lt] = log_tilde_margin([state.ev.x], [state.ev.rho], spec,
+                                    model.order_L)
             anchor = lt if math.isfinite(lt) else None
         while targets and state.ev.x >= targets[0]:
             x_target = targets.pop(0)

@@ -9,9 +9,12 @@ kink-free probes run the engine one sample at a time; the margin
 sandwich, the alignment-integral accumulator, the projected-gradient SVM
 dual and the root-finding loss wrapper are second routes to quantities
 the package computes another way. The stepwise bound monitors evaluate
-the flow's nu and loss upper bounds one state at a time, as the
-package's batched monitors must reproduce bit for bit. The layer-walk
-kernel and the two-call point evaluation are the dense-chain forward,
+the flow's nu and loss upper bounds one state at a time, and the
+stepwise drivers take every margin monitor of a flow or a descent run
+inside its step loop, with one-number loss calls and a one-slot cache
+of the margin curve's T: the package's batched monitors must reproduce
+their bits. The layer-walk kernel and the two-call point evaluation
+are the dense-chain forward,
 backward and `evaluate_point` written over a layer list of their own
 (`layers_of`, rebuilt from a model's blocks, activation kind and slope,
 with each activation coded here rather than taken from the blocks),
@@ -37,7 +40,7 @@ import numpy as np
 import yaml
 from scipy.optimize import brentq
 
-from marginflow import gradflow
+from marginflow import gdtrain, gradflow
 from marginflow.autodiff import (NonFiniteError, ShapeError, backward, layers,
                                  walk)
 from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
@@ -690,6 +693,277 @@ class StepwiseLossUpperBound:
         if t <= self.t0:
             return math.inf
         return self.log_G - self.log_rhs_scale - math.log(t - self.t0)
+
+
+# The margin monitors one state at a time, inside the step loop: every
+# loss read is a one-number call and the margin curve's T comes from a
+# one-slot cache. The post-loop passes of `run_flow` and `train_gd` must
+# reproduce these bits.
+
+def record_fields(records):
+    """Each record's keys in order, with the bits of its float values."""
+    return [[(k, np.float64(v).view(np.int64).item()
+              if isinstance(v, float) else v) for k, v in rec.items()]
+            for rec in records]
+
+
+def stepwise_log_tilde(spec, x, rho, order_L):
+    """log g(x) - L log rho at one state; -inf where g(x) <= 0."""
+    g = float(spec.g(x))
+    if g <= 0.0:
+        return -math.inf
+    return math.log(g) - order_L * math.log(rho)
+
+
+class StepwiseFlowMonitors:
+    """The flow's margin and bound monitors as its step loop took them,
+    one state (x, rho, t, V, ||delta theta_hat||) per `push`, from the
+    first separated state on; `push` returns the state's log tilde."""
+
+    def __init__(self, spec, order_L):
+        self.spec, self.order_L = spec, order_L
+        self.monitors = {k: [] for k in ("margin_slack", "nu_slack",
+                                         "d_log_tilde", "upper_slack")}
+        self.bound = self.log_tilde0 = self.prev = None
+
+    def push(self, x, rho, t, V, d_hat):
+        spec, L, mon = self.spec, self.order_L, self.monitors
+        lt = stepwise_log_tilde(spec, x, rho, L)
+        if self.bound is None:
+            self.bound = StepwiseLossUpperBound(spec, L, x, lt, t)
+        elif self.prev[2] > spec.f_at_bf:
+            prev_lt, prev_rho = self.prev[:2]
+            d = lt - prev_lt
+            d_log_rho = math.log(rho) - math.log(prev_rho)
+            if d_hat == 0.0:
+                slack = d
+            elif d_log_rho <= 0.0:
+                slack = math.inf
+            else:
+                slack = d - L * d_hat**2 / d_log_rho
+            mon["margin_slack"].append(slack)
+            mon["d_log_tilde"].append(d)
+            mon["nu_slack"].append(stepwise_nu_lower_slack(x, V, spec))
+            if math.isfinite(t):
+                self.bound.update(x)
+                mon["upper_slack"].append(self.bound.slack(t))
+        if (self.log_tilde0 is None and math.isfinite(lt)
+                and x > spec.f_at_bf):
+            self.log_tilde0 = lt
+        self.prev = lt, rho, x
+        return lt
+
+
+def stepwise_run_flow(model, theta0, dataset, spec, *, target_log_inv_loss,
+                      step_tol, record_every):
+    """`run_flow`'s result with every monitor taken inside the step loop."""
+    L = model.order_L
+    records = []
+    growth = []
+    stepwise = StepwiseFlowMonitors(spec, L)
+    lt = prev = None
+
+    def record(st):
+        rec = {"t": st.t, "step": st.steps, "log_inv_loss": st.ev.x,
+               "rho": st.ev.rho, "q_min": float(np.min(st.ev.q)),
+               "beta": st.ev.beta, "nu_rel": st.ev.V}
+        if lt is not None:
+            rec["log_tilde"] = lt
+            rec["bar_gamma"] = gradflow._bar_gamma(rec["q_min"], st.ev.rho, L)
+        records.append(rec)
+
+    for state, info in gradflow.flow_states(model, theta0, dataset, spec,
+                                            step_tol=step_tol):
+        ev = state.ev
+        if lt is not None or gradflow.is_separated(ev, spec):
+            if lt is not None and gradflow.is_separated(prev, spec):
+                growth.append(gradflow.weight_growth_residual(prev, ev, info,
+                                                              L))
+            lt = stepwise.push(ev.x, ev.rho, state.t, ev.V,
+                               0.0 if info is None else info.delta_theta_hat)
+        if state.steps % record_every == 0:
+            record(state)
+        if ev.x >= target_log_inv_loss:
+            break
+        prev = ev
+    if records[-1]["step"] != state.steps:
+        record(state)
+    return {"state": state, "records": records,
+            "monitors": {"growth_residual": growth, **stepwise.monitors},
+            "log_tilde0": stepwise.log_tilde0}
+
+
+class OneSlotCorrection:
+    """The margin curve's T one u per call, kept in a one-slot cache: a
+    larger u adds the mass removed since the cached one, the same u
+    reuses it and a smaller one integrates its tail afresh."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.u = self.t = None
+
+    def __call__(self, u):
+        curve = self.curve
+        if u < curve.u0 - 1e-9:
+            raise LossDomainError(f"phi evaluated at u={u} above the anchor "
+                                  f"loss (u0={curve.u0})")
+        u = max(u, curve.u0)
+        if self.u is None or u < self.u:
+            t = curve._removed(u, np.inf)
+        elif u == self.u:
+            return self.t
+        else:
+            t = self.t - curve._removed(self.u, u)
+        self.u, self.t = u, t
+        return t
+
+
+def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
+                      mode, s5_guard, guard_safety):
+    """`train_gd`'s result with every monitor, log kappa, lambda, log
+    gamma_hat and log tilde taken at its epoch inside the step loop."""
+    L = model.order_L
+    evaluator = Evaluator(model, dataset, spec)
+    ev = evaluate_point(evaluator, np.asarray(theta0, dtype=np.float64))
+    alpha, log_sum_eta = alpha0, -math.inf
+    mstate = correction = log_hat_prev = abort = None
+    clamped = False
+    records, flagged_epochs = [], []
+    monitors = {k: [] for k in (
+        "rho_identity", "p2_lower", "p2_upper", "p3_slack", "p4_slack",
+        "grad_bound", "s5_log_ratio", "euler_gap")}
+
+    def one_log_kappa(x):
+        return float(gdtrain.log_kappa(spec, [x], mstate.order_L,
+                                       mstate.u_kappa)[0])
+
+    def log_gamma_hat(x, log_rho):
+        nonlocal clamped
+        log_g = float(np.log(spec.g(x)))
+        val = log_g + correction(x) - mstate.order_L * log_rho
+        log_tilde = log_g - mstate.order_L * log_rho
+        if val > log_tilde:
+            clamped |= val - log_tilde > 1e-12
+            val = log_tilde
+        return val
+
+    def maybe_separate():
+        nonlocal mstate, correction, log_hat_prev, abort
+        if (mstate is None and abort is None and b is not None
+                and ev.x > spec.f_at_bf + 1e-12):
+            try:
+                mstate = gdtrain.GdMarginState(spec, L, ev, b)
+            except gdtrain.MarginStateError as err:
+                abort = str(err)
+                return
+            correction = OneSlotCorrection(mstate)
+            correction(ev.x)  # the anchor's own T, as its constructor took it
+            log_hat_prev = log_gamma_hat(ev.x, math.log(ev.rho))
+
+    maybe_separate()
+    for epoch in range(epochs):
+        if abort is not None:
+            break
+        prev_ev, cap, log_k = ev, math.inf, None
+        if s5_guard and mstate is not None:
+            log_k = one_log_kappa(ev.x)
+            cap = guard_safety * math.exp(mstate.log_h(ev.x, log_k) - ev.x)
+        last = None
+
+        def trial(a):
+            nonlocal last
+            a = min(a, cap)
+            if last is None or last[1] != a:
+                try:
+                    with np.errstate(over="ignore"):
+                        last = (evaluate_point(evaluator,
+                                               gdtrain.gd_step(prev_ev, a)), a)
+                except NonFiniteError:
+                    last = (None, a)
+            return (-math.inf if last[0] is None else last[0].x), last
+
+        if mode == "loss_based":
+            alpha, accepted, outcome = gdtrain.loss_based_lr_epoch(
+                alpha, ev.x, trial)
+            if outcome.flagged:
+                flagged_epochs.append(epoch)
+                records.append({"epoch": epoch, "flagged": True,
+                                "alpha": alpha, "retries": outcome.retries,
+                                "log_inv_loss": ev.x})
+                break
+        else:
+            accepted = trial(alpha)[1]
+            outcome = gdtrain.EpochOutcome(0, False)
+            if accepted[0] is None:
+                abort = f"alpha = {alpha:.6g} overflowed at epoch {epoch}"
+                break
+
+        ev, c = accepted
+        log_eta = math.log(c) + prev_ev.x
+        log_sum_eta = float(np.logaddexp(log_sum_eta, log_eta))
+        maybe_separate()
+        s5 = None
+        if (mstate is not None and prev_ev.x >= mstate.u0 - 1e-12
+                and ev.x <= 1e6):
+            if log_k is None:
+                log_k = one_log_kappa(prev_ev.x)
+            s5 = log_eta - mstate.log_h(prev_ev.x, log_k)
+            monitors["s5_log_ratio"].append(s5)
+            theta_dot_g = float(prev_ev.theta @ prev_ev.G)
+            drho2 = ev.rho**2 - prev_ev.rho**2
+            predicted = 2.0 * c * theta_dot_g + c**2 * prev_ev.g_norm**2
+            scale = max(abs(drho2), abs(predicted), 1e-300)
+            monitors["rho_identity"].append(abs(drho2 - predicted) / scale)
+            gap = theta_dot_g / L - prev_ev.V
+            monitors["euler_gap"].append(
+                gap / max(abs(theta_dot_g) / L, 1e-300))
+            monitors["p2_lower"].append(
+                (drho2 - 2.0 * c * L * prev_ev.V) / scale)
+            lam = float(mstate._lam(prev_ev.x))
+            mu = mstate.mu(prev_ev.x)
+            if s5 <= 0.0:
+                monitors["p2_upper"].append(
+                    (2.0 * c * theta_dot_g * (1.0 + lam * mu / L) - drho2)
+                    / scale)
+                monitors["p3_slack"].append(
+                    1.0 - (1.0 - mu) * c * prev_ev.g_norm**2
+                    - math.exp(prev_ev.x - ev.x))
+            if prev_ev.g_norm > 0.0:
+                monitors["grad_bound"].append(
+                    math.log(2.0 * mstate.c_eta) + log_k
+                    - (2.0 * math.log(prev_ev.g_norm) - prev_ev.x))
+            if ev.x >= mstate.u0 - 1e-12:
+                log_hat = log_gamma_hat(ev.x, math.log(ev.rho))
+                if log_hat_prev is not None and s5 <= 0.0:
+                    u_g = prev_ev.G - (theta_dot_g / prev_ev.rho**2) \
+                        * prev_ev.theta
+                    rhs = (L * prev_ev.rho**2 * float(u_g @ u_g)
+                           / theta_dot_g**2
+                           * (math.log(ev.rho) - math.log(prev_ev.rho)))
+                    monitors["p4_slack"].append(log_hat - log_hat_prev - rhs)
+                log_hat_prev = log_hat
+            else:
+                log_hat_prev = None
+
+        rec = {"epoch": epoch, "alpha": c, "retries": outcome.retries,
+               "flagged": False, "log_inv_loss": ev.x,
+               "log10_loss": -ev.x / math.log(10.0), "rho": ev.rho,
+               "q_min": float(np.min(ev.q)), "log_sum_eta": log_sum_eta,
+               "beta": ev.beta}
+        if mstate is not None and gradflow.is_separated(ev, spec):
+            log_tilde = stepwise_log_tilde(spec, ev.x, ev.rho, L)
+            if log_tilde > -math.inf:
+                rec["log_tilde"] = log_tilde
+            if log_hat_prev is not None:
+                rec["log_hat"] = log_hat_prev
+            rec["bar_gamma"] = gradflow._bar_gamma(rec["q_min"], ev.rho, L)
+        if s5 is not None:
+            rec["s5_log_ratio"] = s5
+        records.append(rec)
+    return {"ev": ev, "alpha": alpha, "records": records,
+            "monitors": monitors, "margin_state": mstate,
+            "clamped": clamped, "flagged_epochs": flagged_epochs,
+            "log_sum_eta": log_sum_eta, "abort": abort}
 
 
 # The dense-chain kernel and the point evaluation over a layer list

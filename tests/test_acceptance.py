@@ -212,7 +212,8 @@ def test_criterion_08_kkt_trends(flow_runs):
         while state.ev.x < x_target:
             state, _ = next(states)
         if anchor is None:
-            anchor = log_tilde_margin(state.ev, EXP, model.order_L)
+            [anchor] = log_tilde_margin([state.ev.x], [state.ev.rho], EXP,
+                                        model.order_L)
         cert = build_certificate(model, state.ev, ds, EXP,
                                  log_tilde_t0=anchor)
         assert cert["delta"] <= cert["delta_bound"]

@@ -17,9 +17,9 @@ from marginflow.gradflow import Evaluator, evaluate_point
 from marginflow.losses import LossDomainError
 from marginflow.runner import frame_equivalence_check
 
-from oracles import (LOGISTIC_PHI_CORRECTION, MP_LAMBDA,
-                     lambda_from_log_inv_loss, per_draw_b_constants,
-                     rank_one_net, recovery_point, sampled_sphere_sups)
+from oracles import (LOGISTIC_PHI_CORRECTION, MP_LAMBDA, OneSlotCorrection,
+                     per_draw_b_constants, rank_one_net, record_fields,
+                     recovery_point, sampled_sphere_sups, stepwise_train_gd)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -134,7 +134,7 @@ def test_phi_curve_exp_closed_form(order_L, u0):
     curve = PhiCurve(EXP, order_L, u0)
     for U in [curve.u_star + 0.3, curve.u_star + 8.0, 120.0]:
         expected = -u0 * (1.0 / U + 1.0 / (2.0 * order_L * U * U))
-        assert abs(PhiCurve(EXP, order_L, u0).correction(U)
+        assert abs(PhiCurve(EXP, order_L, u0).correction([U])[0]
                    - expected) < 1e-10
     if curve.u_star > u0 + 1e-9:
         f0 = math.exp(curve._log_f0)
@@ -143,7 +143,7 @@ def test_phi_curve_exp_closed_form(order_L, u0):
             expected = (math.log(us / U)
                         + f0 * (math.exp(-us) - math.exp(-U))
                         - u0 * (1.0 / us + 1.0 / (2.0 * order_L * us * us)))
-            assert abs(PhiCurve(EXP, order_L, u0).correction(U)
+            assert abs(PhiCurve(EXP, order_L, u0).correction([U])[0]
                        - expected) < 1e-10
 
 
@@ -159,53 +159,55 @@ def test_phi_curve_exp_recovery_point():
 
 def test_phi_curve_logistic_frozen_oracle():
     for order_L, u0, point, expected in LOGISTIC_PHI_CORRECTION:
-        got = PhiCurve(LOGISTIC, order_L, u0).correction(point)
+        [got] = PhiCurve(LOGISTIC, order_L, u0).correction([point])
         assert abs(got - expected) < 5e-13, (order_L, u0, point)
 
 
 def test_phi_curve_incremental_consistency():
+    # one call walks the sequence, each step adding the mass removed
+    # since the last u; every value stays within 1e-13 of its own tail
     points = [1.5, 2.0, 3.7, 10.0, 80.0, 400.0]
     curve = PhiCurve(EXP, 2.0, 1.5)
-    walked = [curve.correction(u) for u in points]
-    fresh = [PhiCurve(EXP, 2.0, 1.5).correction(u) for u in points]
+    walked = curve.correction(points)
+    fresh = [curve.correction([u])[0] for u in points]
     assert max(abs(a - b) for a, b in zip(walked, fresh)) < 1e-13
-    # out-of-order query falls back to the from-scratch path
-    assert abs(curve.correction(2.0) - fresh[1]) < 1e-13
+    # a u that falls restarts from its own tail integral, a repeat
+    # keeps the running value
+    again = curve.correction([*points, 2.0, 2.0])
+    assert again[:-2] == walked and again[-2:] == [fresh[1]] * 2
 
 
 def test_phi_curve_correction_shape():
     # negative, increasing, vanishing: gamma_hat trails tilde from below
     curve = PhiCurve(LOGISTIC, 2.0, 2.0)
-    ts = [curve.correction(u) for u in [2.0, 3.0, 6.0, 20.0, 100.0, 1000.0]]
+    ts = curve.correction([2.0, 3.0, 6.0, 20.0, 100.0, 1000.0])
     assert all(t < 0.0 for t in ts)
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert ts[-1] > -3e-3
 
 
-class _ArrayPathCurve(PhiCurve):
-    """PhiCurve whose lambda hands g and g' 0-d arrays (the array path)."""
-
-    def _lam(self, u):
-        return lambda_from_log_inv_loss(self.spec, u)
-
-
 @pytest.mark.parametrize("name,u0", [("exp", 0.05), ("logistic", 0.6),
                                      ("exp_cubed", 0.5)])
 def test_phi_curve_scalar_path_equals_array_path(name, u0):
-    # the bisection hands log F floats, which take the losses' scalar
-    # path; neither u_star nor the increments may move by a bit
+    # T over a whole sequence in one call, as the descent pass takes it,
+    # has the bits of one call per u through a one-slot cache, as the
+    # step loop took it: repeats, a fall below the last u and a u within
+    # the slack below u0 included
     spec = losses.get_loss(name)
-    curve, oracle = PhiCurve(spec, 2.0, u0), _ArrayPathCurve(spec, 2.0, u0)
-    assert curve.u_star == oracle.u_star > u0
+    curve = PhiCurve(spec, 2.0, u0)
     s = curve.u_star
-    us = [u0, u0 + 0.3, (u0 + s) / 2.0, s + 0.5, s + 3.0, 40.0, 300.0]
-    assert [curve.correction(u) for u in us] == [oracle.correction(u)
-                                                 for u in us]
+    assert s > u0
+    us = [u0, u0, u0 + 0.3, (u0 + s) / 2.0, s + 0.5, s + 0.5, u0 + 0.3,
+          s + 3.0, u0 - 5e-10, 40.0, 300.0]
+    one_slot = OneSlotCorrection(curve)
+    want = [one_slot(u) for u in us]
+    assert np.array_equal(np.array(curve.correction(us)).view(np.int64),
+                          np.array(want).view(np.int64))
 
 
 def test_logistic_g_pair_is_g_prime_over_g_bit_for_bit():
     # lambda = g'/g from one pass over a correction walk's nodes, and at
-    # the floats the GD monitors and the bisection hand it
+    # the one numbers the bisection hands it
     nodes = []
     real = LOGISTIC.g_pair
 
@@ -214,8 +216,7 @@ def test_logistic_g_pair_is_g_prime_over_g_bit_for_bit():
         return real(u)
 
     curve = PhiCurve(dataclasses.replace(LOGISTIC, g_pair=recorded), 2.0, 0.6)
-    for u in np.linspace(0.6, 40.0, 60):
-        curve.correction(float(u))
+    curve.correction(np.linspace(0.6, 40.0, 60).tolist())
     arrays = [u for u in nodes if u.ndim]
     assert len(arrays) > 50 and len(nodes) > len(arrays)
     for u in nodes:
@@ -272,7 +273,7 @@ def test_recovery_point_matches_brentq(name, u0, order_L):
 def test_phi_curve_domain_errors():
     curve = PhiCurve(EXP, 2.0, 1.5)
     with pytest.raises(LossDomainError):
-        curve.correction(1.0)
+        curve.correction([1.0])
     with pytest.raises(LossDomainError):
         PhiCurve(LOGISTIC, 2.0, 0.2)  # below the separability threshold
 
@@ -283,7 +284,7 @@ def test_log_kappa_exp_closed_form():
     # past the interior peak at u = 2 - 2/L the sup sits at the left
     # endpoint: kappa = e^{-u} u^{2-2/L} exactly
     def at(x, L):
-        return log_kappa(EXP, x, L, gdtrain._kappa_peak(EXP, L))
+        return log_kappa(EXP, [x], L, gdtrain._kappa_peak(EXP, L))[0]
 
     assert abs(at(5.0, 2.0) - (-5.0 + math.log(5.0))) < 1e-12
     assert abs(at(3.0, 1.0) - (-3.0)) < 1e-12
@@ -306,7 +307,7 @@ def test_log_kappa_is_the_sup_from_its_turning_point(name):
             x = float(x)
             us = np.linspace(x, x + 60.0, 200_001)
             h = -us + c * np.log(us) - 2.0 * np.log(spec.g_prime(us))
-            got = log_kappa(spec, x, L, peak)
+            [got] = log_kappa(spec, [x], L, peak)
             assert float(np.max(h)) - 1e-14 <= got <= np.max(h) + 1e-6, \
                 (name, L, x)
             if x >= peak:
@@ -324,7 +325,7 @@ def test_log_kappa_matches_scalar_optimizer():
 
         best = min(minimize_scalar(neg, bounds=(x, x + 60.0),
                                    method="bounded").fun, neg(x))
-        got = log_kappa(spec, x, L, gdtrain._kappa_peak(spec, L))
+        [got] = log_kappa(spec, [x], L, gdtrain._kappa_peak(spec, L))
         assert abs(got - (-best)) < 2e-3
 
 
@@ -347,7 +348,7 @@ def test_check_s5_examples():
     # log H = log(u0/200) - log C_eta - (log kappa = -100 + log 100)
     log_h = (math.log(1.0 / 200.0) - math.log(ms.c_eta) + 100.0
              - math.log(100.0))
-    log_h100 = ms.log_h(100.0, log_kappa(EXP, 100.0, 2.0, ms.u_kappa))
+    log_h100 = ms.log_h(100.0, log_kappa(EXP, [100.0], 2.0, ms.u_kappa)[0])
     assert abs(log_h100 - log_h) < 1e-10
     assert -1000.0 - log_h100 <= 0.0  # eta -> 0 always passes
     at_cap = log_h - log_h100
@@ -504,30 +505,38 @@ def test_train_gd_guarded_monitors(name, epochs):
     assert min(b - a for a, b in zip(hats, hats[1:])) > -1e-10  # never falls
     assert min(mon["grad_bound"]) > -1e-9
     assert max(mon["s5_log_ratio"]) <= math.log(0.5) + 1e-9
-    ms = out["margin_state"]
-    assert ms is not None and not ms.clamped
+    assert out["margin_state"] is not None and not out["clamped"]
     last = out["records"][-1]
     assert last["log_hat"] < last["log_tilde"]
 
 
 def test_log_kappa_once_per_epoch_start(monkeypatch):
-    # an epoch's guard cap, (S5) log ratio and grad_bound all ask for
-    # kappa at the epoch start x; log_kappa runs once per such x
+    # the guard cap takes log kappa at each guarded epoch's start x, a
+    # one-element column; the (S5) log ratio and grad_bound take it after
+    # the loop, one column of the monitored starts per MONITOR_CHUNK
     model, ds, theta0 = _toy()
-    xs = []
+    columns = []
 
-    def counted(spec, x, order_L, u_kappa):
-        xs.append(x)
-        return log_kappa(spec, x, order_L, u_kappa)
+    def counted(spec, xs, order_L, u_kappa):
+        columns.append(np.asarray(xs, dtype=np.float64).tolist())
+        return log_kappa(spec, xs, order_L, u_kappa)
 
     monkeypatch.setattr(gdtrain, "log_kappa", counted)
+    monkeypatch.setattr(gdtrain, "MONITOR_CHUNK", 16)
     out = train_gd(model, theta0, ds, LOGISTIC, _b(model, ds, 0, 300, 50),
                    epochs=60, alpha0=0.1, mode="loss_based", s5_guard=True,
                    guard_safety=0.5)
-    starts = {evaluate_point(Evaluator(model, ds, LOGISTIC), theta0).x} | {
-        r["log_inv_loss"] for r in out["records"]}
-    assert len(xs) > 40 and len(set(xs)) == len(xs)
-    assert set(xs) <= starts
+    x0 = evaluate_point(Evaluator(model, ds, LOGISTIC), theta0).x
+    records = out["records"]
+    starts = [x0] + [r["log_inv_loss"] for r in records]
+    # the state is anchored at the end of this epoch
+    anchored = next(i for i, r in enumerate(records) if "bar_gamma" in r)
+    guarded = starts[anchored + 1:-1]
+    monitored = [[x for x, r in zip(starts[i:i + 16], records[i:i + 16])
+                  if "s5_log_ratio" in r]
+                 for i in range(anchored, len(records), 16)]
+    assert len(guarded) > 40 and sum(map(len, monitored)) > 40
+    assert columns == [[x] for x in guarded] + monitored
 
 
 def test_guarded_retries_evaluate_each_step_once(monkeypatch):
@@ -577,25 +586,27 @@ def test_train_gd_unguarded_races_to_tiny_loss():
     assert len(out["monitors"]["s5_log_ratio"]) <= n_trusted
 
 
-def test_train_gd_gamma_hat_clamp_flag():
+def test_train_gd_gamma_hat_clamp_flag(monkeypatch):
     model, ds, theta0 = _toy()
-    out = train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
-                   epochs=40, alpha0=0.1, mode="loss_based", s5_guard=True,
-                   guard_safety=0.5)
-    ms = out["margin_state"]
-    assert not ms.clamped
-    # force a rounding-scale overshoot: the value clamps silently
-    ms.correction = lambda u: 5e-13
-    ev = out["ev"]
-    log_rho = math.log(ev.rho)
-    clamped_val = ms.log_gamma_hat(ev.x, log_rho)
-    assert clamped_val == (math.log(float(EXP.g(ev.x)))
-                           - ms.order_L * log_rho)
-    assert not ms.clamped
-    # a larger violation raises the flag
-    ms.correction = lambda u: 1e-9
-    ms.log_gamma_hat(ev.x, log_rho)
-    assert ms.clamped
+
+    def run():
+        return train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
+                        epochs=40, alpha0=0.1, mode="loss_based",
+                        s5_guard=True, guard_safety=0.5)
+
+    assert not run()["clamped"]
+    for t, flagged in ((5e-13, False), (1e-9, True)):
+        # force T above 0: log gamma_hat is clamped to the smoothed
+        # margin, and only an overshoot past 1e-12 raises the flag
+        monkeypatch.setattr(PhiCurve, "correction",
+                            lambda self, us, t=t: [t] * len(us))
+        out = run()
+        assert out["clamped"] == flagged
+        hats = [r for r in out["records"] if "s5_log_ratio" in r]
+        assert len(hats) > 20
+        for r in hats:
+            log_g = np.log(EXP.g(np.array([r["log_inv_loss"]])))[0]
+            assert r["log_hat"] == log_g - 2.0 * math.log(r["rho"])
 
 
 def test_train_gd_constant_alpha_mode():
@@ -622,3 +633,99 @@ def test_train_gd_deterministic():
             for _ in range(2)]
     np.testing.assert_array_equal(runs[0]["ev"].theta, runs[1]["ev"].theta)
     assert runs[0]["records"][-1] == runs[1]["records"][-1]
+
+
+# ------------------------------------------- monitors against the replay
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _toy_at(seed):
+    model, ds, _ = _toy()
+    theta0 = models.init_params(model, np.random.default_rng(seed), scale=0.7)
+    return model, ds, theta0, _b(model, ds, 0, 300, 50)
+
+
+def _linear_pair():
+    model = models.linear(2)
+    ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
+    return model, ds, np.array([0.3, 0.1]), _b(model, ds, 0, 300, 50)
+
+
+def _flagged():
+    model = models.relu_mlp(2, [6])
+    ds = datasets.two_gaussians(12, 2, separation=3.0, seed=5)
+    theta0 = models.init_params(model, np.random.default_rng(11), scale=0.7)
+    return model, ds, theta0, _b(model, ds, 11, 2_000, 500)
+
+
+def _abort():
+    from marginflow import runner
+    cfg = runner.RunConfig.from_dict({
+        "scenario": "gd_margin", "loss": "logistic", "alpha0": 0.05,
+        "epochs": 400, "seeds": [13]})
+    model, ds = cfg.model, cfg.dataset
+    return model, ds, runner._theta0(cfg, 13), _b(
+        model, ds, 13, cfg.options["n_sphere"], cfg.options["n_curvature"])
+
+
+# (setup, loss, keywords of train_gd)
+_REPLAYED = {
+    "guarded_logistic": (lambda: _toy_at(3), LOGISTIC, dict(
+        epochs=120, alpha0=0.1, mode="loss_based", s5_guard=True)),
+    "unguarded_exp_past_1e6": (_linear_pair, EXP, dict(
+        epochs=150, alpha0=0.1, mode="loss_based", s5_guard=False)),
+    "constant_alpha_moving_back": (lambda: _toy_at(3), LOGISTIC, dict(
+        epochs=150, alpha0=1.0, mode="constant_alpha", s5_guard=False)),
+    "constant_alpha_below_anchor": (lambda: _toy_at(4), LOGISTIC, dict(
+        epochs=150, alpha0=1.5, mode="constant_alpha", s5_guard=False)),
+    "flagged_epoch": (_flagged, LOGISTIC, dict(
+        epochs=400, alpha0=0.05, mode="loss_based", s5_guard=True)),
+    "margin_state_abort": (_abort, LOGISTIC, dict(
+        epochs=400, alpha0=0.05, mode="loss_based", s5_guard=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPLAYED))
+def test_train_gd_monitors_bits_match_stepwise_replay(case, monkeypatch):
+    # the post-loop pass, in chunks of 7 epochs, against every monitor,
+    # log kappa, lambda, log gamma_hat (T from a one-slot cache) and log
+    # tilde taken at its epoch inside the step loop
+    monkeypatch.setattr(gdtrain, "MONITOR_CHUNK", 7)
+    setup, spec, kw = _REPLAYED[case]
+    model, ds, theta0, b = setup()
+    got = train_gd(model, theta0, ds, spec, b, guard_safety=0.5, **kw)
+    want = stepwise_train_gd(model, theta0, ds, spec, b, guard_safety=0.5,
+                             **kw)
+    assert record_fields(got["records"]) == record_fields(want["records"])
+    assert list(got["monitors"]) == list(want["monitors"])
+    for key, series in want["monitors"].items():
+        assert np.array_equal(_bits(got["monitors"][key]), _bits(series)), key
+    for key in ("clamped", "flagged_epochs", "abort"):
+        assert got[key] == want[key]
+    assert _bits([got["alpha"], got["log_sum_eta"]]).tolist() == _bits(
+        [want["alpha"], want["log_sum_eta"]]).tolist()
+    # each case reaches the branch it is named for
+    records, ms = got["records"], got["margin_state"]
+    xs = [r["log_inv_loss"] for r in records]
+    monitored = [r for r in records if "s5_log_ratio" in r]
+    if case == "margin_state_abort":
+        assert got["abort"] and ms is None and not monitored
+    elif case == "flagged_epoch":
+        assert got["flagged_epochs"] == [16] and "bar_gamma" in records[15]
+    elif case == "unguarded_exp_past_1e6":
+        late = [r for r in records if r["log_inv_loss"] > 1e6]
+        assert len(monitored) > 50 and len(late) > 20
+        assert all("log_hat" in r for r in late)
+    elif case == "constant_alpha_moving_back":
+        # x falls, and T restarts from a smaller u
+        assert len(monitored) > 20 and any(
+            b < a for a, b in zip(xs, xs[1:]) if b >= ms.u0)
+    elif case == "constant_alpha_below_anchor":
+        # a monitored step ends below u0, so the next record has no
+        # log gamma_hat until one is taken again
+        assert any(r["log_inv_loss"] < ms.u0 for r in monitored)
+        assert any("bar_gamma" in r and "log_hat" not in r for r in records)
+    else:
+        assert len(monitored) > 100 and len(got["monitors"]["p4_slack"]) > 100

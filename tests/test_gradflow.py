@@ -22,11 +22,12 @@ from marginflow import (autodiff, datasets, gdtrain, gradflow, losses, models,
                         runner)
 from marginflow.margin import score_gaps
 
-from oracles import (StepwiseLossUpperBound, eager_point_summaries, fd_grad,
-                     hat_step_array, layer_walk_forward, layer_walk_grad_norms,
-                     layers_of, per_sample_grad_norms, preactivations,
-                     readme_flow_config, rk4_flow_step,
-                     stepwise_nu_lower_slack, two_call_point)
+from oracles import (StepwiseFlowMonitors, StepwiseLossUpperBound,
+                     eager_point_summaries, fd_grad, hat_step_array,
+                     layer_walk_forward, layer_walk_grad_norms, layers_of,
+                     per_sample_grad_norms, preactivations,
+                     readme_flow_config, record_fields, rk4_flow_step,
+                     stepwise_run_flow, two_call_point)
 
 
 def _relu_logistic_setup():
@@ -302,21 +303,24 @@ def test_run_flow_one_log_tilde_per_state(monkeypatch):
     calls = []
     real = gradflow.log_tilde_margin
 
-    def counted(ev, spec_, order_L):
-        calls.append(ev.x)
-        return real(ev, spec_, order_L)
+    def counted(xs, rhos, spec_, order_L):
+        calls.append(list(xs))
+        return real(xs, rhos, spec_, order_L)
 
     monkeypatch.setattr(gradflow, "log_tilde_margin", counted)
+    monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 16)
     res = gradflow.run_flow(model, theta0, data, spec,
                             target_log_inv_loss=2.0, step_tol=2e-3,
                             record_every=1)
     recs = res["records"]
     sep = [r for r in recs if "log_tilde" in r]
     assert recs[0]["step"] == 0 and "log_tilde" not in recs[0]
-    assert 10 < len(sep) < len(recs)
-    # record_every = 1: one record and one log tilde per state from
-    # separation on, each taken at that state's x
-    assert calls == [r["log_inv_loss"] for r in sep]
+    assert 32 < len(sep) < len(recs)
+    # record_every = 1: one record per state, and after the loop one
+    # batched log tilde call per MONITOR_CHUNK states from separation on,
+    # which takes each state's x once
+    xs = [r["log_inv_loss"] for r in sep]
+    assert calls == [xs[i:i + 16] for i in range(0, len(xs), 16)]
     lt = [r["log_tilde"] for r in sep]
     assert res["monitors"]["d_log_tilde"] == [b - a for a, b in zip(lt, lt[1:])]
 
@@ -432,59 +436,83 @@ def test_batched_loss_upper_bound_bits_match_stepwise(loss, order_L):
 
 @pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
 def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
-    # several chunks, and t overflowing to inf for the last states
+    # several chunks; a state at the separation threshold, whose successor
+    # is not watched; zero moves of theta_hat and of rho; t overflowing to
+    # inf for the last states; records every seventh state from `first`
     monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 64)
     spec = losses.get_loss(loss)
     rng = np.random.default_rng(3)
-    x0 = spec.f_at_bf + 0.2
-    xs = _x_sequence(rng, x0, 300)
-    vs = rng.uniform(0.5, 40.0, xs.size)
+    xs = _x_sequence(rng, spec.f_at_bf + 0.2, 300)
+    xs[100] = spec.f_at_bf
+    rhos = 1.0 + np.cumsum(rng.exponential(0.01, xs.size))
+    rhos[200] = rhos[199]
     ts = 1.0 + np.cumsum(rng.exponential(1.0, xs.size))
     ts[-40:] = math.inf
-    bound = gradflow.LossUpperBound(spec, 2.0, x0, -0.4, t0=1.0)
-    mon = {"nu_slack": [], "upper_slack": []}
-    gradflow._bound_monitors(mon, bound, spec, list(xs), list(vs), list(ts))
-    oracle = StepwiseLossUpperBound(spec, 2.0, x0, -0.4, t0=1.0)
-    nu, upper = [], []
-    for x, v, t in zip(xs.tolist(), vs.tolist(), ts.tolist()):
-        nu.append(stepwise_nu_lower_slack(x, v, spec))
-        if math.isfinite(t):
-            oracle.update(x)
-            upper.append(oracle.slack(t))
-    assert len(upper) == xs.size - 40
-    assert np.array_equal(_bits(mon["nu_slack"]), _bits(nu))
-    assert np.array_equal(_bits(mon["upper_slack"]), _bits(upper))
+    vs = rng.uniform(0.5, 40.0, xs.size)
+    d_hats = rng.exponential(1e-3, xs.size)
+    d_hats[[5, 6]] = 0.0
+    cols = list(zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats))))
+    first = 9
+    records = [{"step": step, "q_min": 0.1 * step, "rho": 1.0}
+               for step in range(2, first + xs.size, 7)]
+    mon = {k: [] for k in ("margin_slack", "nu_slack", "d_log_tilde",
+                           "upper_slack")}
+    log_tilde0 = gradflow._bound_monitors(mon, records, spec, 2.0, first,
+                                          cols)
+    oracle = StepwiseFlowMonitors(spec, 2.0)
+    lts = [oracle.push(*state) for state in cols]
+    assert len(oracle.monitors["upper_slack"]) == xs.size - 42
+    assert list(mon) == list(oracle.monitors)
+    for key, series in oracle.monitors.items():
+        assert np.array_equal(_bits(mon[key]), _bits(series)), key
+    assert _bits(log_tilde0) == _bits(oracle.log_tilde0)
+    for rec in records:
+        k = rec["step"] - first
+        if k < 0:
+            assert list(rec) == ["step", "q_min", "rho"]
+            continue
+        assert list(rec) == ["step", "q_min", "rho", "log_tilde", "bar_gamma"]
+        assert _bits(rec["log_tilde"]) == _bits(lts[k])
+        assert rec["bar_gamma"] == gradflow._bar_gamma(rec["q_min"], rhos[k],
+                                                       2.0)
+
+
+def _assert_flow_matches_stepwise(res, want):
+    assert record_fields(res["records"]) == record_fields(want["records"])
+    assert list(res["monitors"]) == list(want["monitors"])
+    for key, series in want["monitors"].items():
+        assert np.array_equal(_bits(res["monitors"][key]), _bits(series)), key
+    assert _bits(res["log_tilde0"]) == _bits(want["log_tilde0"])
 
 
 def test_run_flow_bound_monitors_match_stepwise_replay():
     cfg = runner.RunConfig.from_dict(readme_flow_config())
     model, ds, spec = cfg.model, cfg.dataset, cfg.loss
     theta0 = runner._theta0(cfg, 0)
-    o = cfg.options
-    res = gradflow.run_flow(model, theta0, ds, spec,
-                            target_log_inv_loss=o["target_log_inv_loss"],
-                            step_tol=o["step_tol"],
-                            record_every=o["record_every"])
-    # the monitors as the step loop computed them, state by state
-    nu, upper = [], []
-    bound = prev = None
-    for state, _ in gradflow.flow_states(model, theta0, ds, spec,
-                                         step_tol=o["step_tol"]):
-        if bound is None and gradflow.is_separated(state.ev, spec):
-            lt = gradflow.log_tilde_margin(state.ev, spec, model.order_L)
-            bound = StepwiseLossUpperBound(spec, model.order_L, state.ev.x,
-                                           lt, state.t)
-        elif bound is not None and gradflow.is_separated(prev, spec):
-            nu.append(stepwise_nu_lower_slack(state.ev.x, state.ev.V, spec))
-            if math.isfinite(state.t):
-                bound.update(state.ev.x)
-                upper.append(bound.slack(state.t))
-        if state.ev.x >= o["target_log_inv_loss"]:
-            break
-        prev = state.ev
-    assert len(upper) > 1000
-    assert np.array_equal(_bits(res["monitors"]["nu_slack"]), _bits(nu))
-    assert np.array_equal(_bits(res["monitors"]["upper_slack"]), _bits(upper))
+    kw = {k: cfg.options[k] for k in ("target_log_inv_loss", "step_tol",
+                                      "record_every")}
+    res = gradflow.run_flow(model, theta0, ds, spec, **kw)
+    # every monitor and margin field as the step loop took them
+    want = stepwise_run_flow(model, theta0, ds, spec, **kw)
+    assert len(want["monitors"]["upper_slack"]) > 1000
+    _assert_flow_matches_stepwise(res, want)
+
+
+@pytest.mark.parametrize("loss", ["exp", "logistic"])
+def test_run_flow_margin_monitors_match_stepwise_replay(loss, monkeypatch):
+    # records every third state and passes of 16 states, on a run that
+    # separates after its start
+    monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 16)
+    _, model, theta0, data = _relu_logistic_setup()
+    spec = losses.get_loss(loss)
+    kw = dict(target_log_inv_loss=3.0, step_tol=2e-3, record_every=3)
+    res = gradflow.run_flow(model, theta0, data, spec, **kw)
+    want = stepwise_run_flow(model, theta0, data, spec, **kw)
+    recs = res["records"]
+    assert "log_tilde" not in recs[0] and "log_tilde" in recs[-1]
+    assert len(want["monitors"]["margin_slack"]) > 64
+    assert recs[-1]["step"] % 3  # the final state, off the record grid
+    _assert_flow_matches_stepwise(res, want)
 
 
 def test_flow_step_descent_cap_and_halving(monkeypatch):

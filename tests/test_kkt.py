@@ -164,7 +164,8 @@ def test_certificate_trend_and_bounds_two_point_linear():
         while state.ev.x < x_target:
             state, _ = next(states)
         if anchor is None:
-            anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
+            [anchor] = log_tilde_margin([state.ev.x], [state.ev.rho],
+                                        LOGISTIC, model.order_L)
         certs.append(build_certificate(
             model, state.ev, ds, LOGISTIC, log_tilde_t0=anchor, b1=b1))
     eps = [c["epsilon"] for c in certs]
@@ -222,7 +223,8 @@ def test_certificate_delta_bound_needs_b1_for_logistic():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     state = _state_at(model, ds, LOGISTIC, np.array([0.3, 0.05]), 8.0)
-    anchor = log_tilde_margin(state.ev, LOGISTIC, model.order_L)
+    [anchor] = log_tilde_margin([state.ev.x], [state.ev.rho], LOGISTIC,
+                                model.order_L)
     with pytest.raises(ValueError, match="b1"):
         build_certificate(model, state.ev, ds, LOGISTIC, log_tilde_t0=anchor)
 
@@ -232,7 +234,8 @@ def test_certificate_exp_bounds_without_b1():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     state = _state_at(model, ds, EXP, np.array([0.3, 0.05]), 8.0)
-    anchor = log_tilde_margin(state.ev, EXP, model.order_L)
+    [anchor] = log_tilde_margin([state.ev.x], [state.ev.rho], EXP,
+                                model.order_L)
     cert = build_certificate(model, state.ev, ds, EXP, log_tilde_t0=anchor)
     assert cert["delta_bound"] is not None
     assert cert["delta"] <= cert["delta_bound"]
@@ -247,13 +250,15 @@ def test_beta2_integral_bound_along_flow():
     states = flow_states(model, theta0, ds, EXP, step_tol=1e-3)
     state = next(s for s, _ in states if s.ev.x >= 1.0)
     acc = Beta2Accumulator(order_L=model.order_L)
-    log_tilde_start = log_tilde_margin(state.ev, EXP, model.order_L)
+    [log_tilde_start] = log_tilde_margin([state.ev.x], [state.ev.rho], EXP,
+                                         model.order_L)
     while state.ev.x < 40.0:
         prev = state.ev
         state, _ = next(states)
         acc.update(prev.beta, math.log(state.ev.rho) - math.log(prev.rho))
     assert acc.total >= 0.0
-    log_tilde_end = log_tilde_margin(state.ev, EXP, model.order_L)
+    [log_tilde_end] = log_tilde_margin([state.ev.x], [state.ev.rho], EXP,
+                                       model.order_L)
     assert acc.bound_slack(log_tilde_start, log_tilde_end) >= 0.0
 
 

@@ -79,42 +79,6 @@ def test_lambda_of_loss():
         lambda_of_loss(logi, np.exp(-logi.f_at_bf))
 
 
-SCALAR_PATH_FAMILIES = ("exp", "logistic", "cross_entropy", "exp_cubed")
-
-
-def _outcome(fn, x):
-    """The bits of fn(x), or the message of the LossDomainError it raised."""
-    try:
-        return np.float64(fn(x)).view(np.int64)
-    except losses.LossDomainError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("name", SCALAR_PATH_FAMILIES)
-def test_scalar_path_bit_equal_to_array_path(name):
-    # a float (np.float64 included) takes the scalar branch; it must give
-    # the array path's bits, branch switches and domain slack included
-    spec = losses.get_loss(name)
-    fb = spec.f_at_bf
-    edges = [30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0),
-             745.0, 746.0, 1e300, fb, fb - 0.5e-9, np.nan]
-    if fb == 0.0:
-        edges += [0.0, -0.0]
-    xs = np.concatenate([fb + np.geomspace(1e-12, 1e6 - fb, 100_000),
-                         np.linspace(fb, 40.0, 20_000), edges])
-    for fn in (spec.g, spec.g_prime):
-        want = np.asarray(fn(xs), dtype=np.float64).view(np.int64)
-        for cast in (float, np.float64):
-            got = np.array([_outcome(fn, cast(v)) for v in xs])
-            bad = np.flatnonzero(got != want)
-            assert bad.size == 0, (fn, cast, xs[bad[:5]])
-        # below the slack both paths raise the same error (exp checks none)
-        for v in (fb - 2e-9, fb - 1.0, -1e300, -np.inf):
-            want = _outcome(fn, np.array(v))
-            assert _outcome(fn, v) == want == _outcome(fn, np.float64(v))
-            assert isinstance(want, str) or name == "exp"
-
-
 def _typed_bits(pair, q):
     """Type, dtype, shape and bytes of each half of pair(q), or the
     message of the domain error it raises."""
@@ -140,10 +104,24 @@ def test_pairs_bits_match_the_two_functions(name):
             lambda v: (spec.f(v), spec.f_prime(v)), q), (name, q)
         assert _typed_bits(spec.g_pair, q) == _typed_bits(
             lambda v: (spec.g(v), spec.g_prime(v)), q), (name, q)
+    # one number, a float or an np.float64, takes the bits of a 0-d array
+    # and, below f(b_f) - 1e-9, raises the message of a one-element
+    # column; NaN, +-0.0 and a point within the slack are checked too
+    fb = spec.f_at_bf
+    for v in (fb - 2e-9, fb - 1.0, -1e300, -np.inf, fb - 0.5e-9, np.nan,
+              0.0, -0.0):
+        for pair in (spec.g_pair, lambda u: (spec.g(u), spec.g_prime(u))):
+            want = _typed_bits(pair, np.array(v))
+            assert _typed_bits(pair, v) == want, (name, v)
+            assert _typed_bits(pair, np.float64(v)) == want, (name, v)
+            below = name != "exp" and v < fb - 1e-9  # exp checks none
+            assert isinstance(want, str) == below, (name, v)
+            if below:
+                assert want == _typed_bits(pair, np.array([v]))
 
 
 def test_f_at_bf_computed_once():
-    for name in SCALAR_PATH_FAMILIES:
+    for name in sorted(losses._REGISTRY):
         spec = losses.get_loss(name)
         calls = []
         counted = losses.LossSpec(

@@ -5,8 +5,6 @@ margin are checked where the package produces them: `evaluate_point`,
 `margin._inv_loss_weights` and `gradflow.log_tilde_margin`.
 """
 
-from types import SimpleNamespace
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -132,7 +130,7 @@ def test_smoothed_margin_exp_single_sample_equals_bar():
     if ev.q[0] <= 0:
         theta = -theta
         ev = evaluate_point(Evaluator(model, data, spec), theta)
-    tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
+    tilde = np.exp(log_tilde_margin([ev.x], [ev.rho], spec, model.order_L)[0])
     bar = ev.q[0] / ev.rho**model.order_L
     assert abs(tilde - bar) < 1e-12 * max(1.0, abs(bar))
 
@@ -140,16 +138,15 @@ def test_smoothed_margin_exp_single_sample_equals_bar():
 def test_smoothed_margin_logistic_closed_form():
     # loss 0.1, rho 2, L 2: gamma_tilde = -log(e^{0.1} - 1)/4
     spec = losses.make_logistic()
-    point = SimpleNamespace(x=-np.log(0.1), rho=2.0)
+    [log_tilde] = log_tilde_margin([-np.log(0.1)], [2.0], spec, 2.0)
     expected = -np.log(np.expm1(0.1)) / 4.0
-    assert abs(np.exp(log_tilde_margin(point, spec, 2.0)) - expected) < 1e-12
+    assert abs(np.exp(log_tilde) - expected) < 1e-12
 
 
 def test_smoothed_margin_domain_error_before_separation():
     spec = losses.make_logistic()
-    point = SimpleNamespace(x=0.1, rho=np.sqrt(3.0))
     with pytest.raises(losses.LossDomainError):
-        log_tilde_margin(point, spec, 2.0)
+        log_tilde_margin([0.1], [np.sqrt(3.0)], spec, 2.0)
 
 
 def test_sandwich_exp_form_and_single_sample():
@@ -186,6 +183,6 @@ def test_sandwich_brackets_tilde_property(seed, loss):
     low, bar = margin_sandwich(spec, float(np.min(ev.q_eff)), ev.x, ev.rho,
                                model.order_L, data.n)
     assert bar == float(np.min(ev.q)) / ev.rho**model.order_L
-    tilde = np.exp(log_tilde_margin(ev, spec, model.order_L))
+    tilde = np.exp(log_tilde_margin([ev.x], [ev.rho], spec, model.order_L)[0])
     assert low <= tilde + 1e-12
     assert tilde <= bar + 1e-12

@@ -563,7 +563,6 @@ def test_gd_const_optimizer_monotone_loss(tmp_path):
 
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gd_step_that_overflows_is_a_rejected_trial(tmp_path):
     # unguarded loss-based GD on the README net grows alpha until a step
     # overflows the forward pass: a rejected trial, so the schedule
