@@ -125,6 +125,17 @@ CORPUS = {
         "model": {"family": "deep_linear", "input_dim": 2, "widths": [3]},
         "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
         "seeds": [0]}),
+    # the square and LeakyReLU activations and the xor data, which no
+    # benchmark job runs
+    "flow_quadratic_xor": ("run", {
+        "scenario": "flow_margin", "loss": "exp",
+        "model": {"family": "quadratic_mlp", "input_dim": 2, "widths": [4]},
+        "dataset": {"kind": "xor", "n": 8, "jitter": 0.1, "seed": 0},
+        "target_log_inv_loss": 8.0, "record_every": 10, "seeds": [0]}),
+    "flow_leaky_relu": ("run", {
+        "scenario": "flow_margin", "loss": "exp",
+        "model": {"family": "leaky_relu_mlp", "input_dim": 2, "widths": [6]},
+        "target_log_inv_loss": 8.0, "record_every": 10, "seeds": [0]}),
     # the spherical metric does not conserve the phase: fails its checks
     "hat_spherical": ("run", {
         "scenario": "mexican_hat", "record_every": 10, "seeds": [0],

@@ -15,10 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when an input batch does not fit the first dense layer."""
-
-
 class NonFiniteError(FloatingPointError):
     """Raised when a forward or backward pass produces non-finite values."""
 

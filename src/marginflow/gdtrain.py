@@ -366,7 +366,9 @@ def _gd_monitors(mstate: GdMarginState, spec: LossSpec, steps: list,
     anchor on; row is None if the step is not monitored, else (x, rho,
     theta . G, ||G||, V) at its start and (alpha, log eta, ||u_g||^2).
     log gamma_hat is taken at each monitored end that reaches u0, T
-    carried from u0 along them; per MONITOR_CHUNK epochs one array pass
+    carried from u0 along them, and a record holds the one at its end:
+    gamma_hat0 for a first record that ends at the anchor, none for any
+    other unmonitored record. Per MONITOR_CHUNK epochs one array pass
     takes the records' log tilde and lambda and log kappa at the starts,
     and each record gets its margin fields. Returns whether a log
     gamma_hat, clamped under the smoothed margin, exceeded it by more
@@ -424,6 +426,9 @@ def _gd_monitors(mstate: GdMarginState, spec: LossSpec, steps: list,
                     log_hat_prev = log_hat
                 else:
                     log_hat_prev = None
+            elif rec is not steps[0][0] or x1 != u0:
+                # unmonitored, and not the anchor's own epoch: no gamma_hat
+                log_hat_prev = None
             if x1 > f_at_bf:
                 log_tilde = next(log_tildes)
                 if log_tilde > -math.inf:

@@ -194,7 +194,8 @@ def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
     Acceptance: the change of x = log(1/loss) is at most
     step_tol * max(1, |x|) and never negative beyond 1e-9 (descent).
     Rejected trials halve dt, at most MAX_HALVINGS times; stages that
-    produce non-finite values count as rejections.
+    produce non-finite values count as rejections, and the trials run
+    with numpy's overflow and invalid-value warnings off.
     """
     ev0 = state.ev
     if ev0.g_norm == 0.0 or dt_scaled == 0.0:
@@ -203,33 +204,36 @@ def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
     stage = evaluator.stage
     cap = step_tol * max(1.0, abs(x0))
     halvings = 0
-    while True:
-        try:
-            x2, g2 = stage(theta0, dt_scaled / 2, ev0.G)
-            # u = 2k: a doubled factor and a halved dt keep the k form's bits
-            u2 = (2.0 * math.exp(min(x0 - x2, 50.0))) * g2
-            x3, g3 = stage(theta0, dt_scaled / 4, u2)
-            u3 = (2.0 * math.exp(min(x0 - x3, 50.0))) * g3
-            x4, g4 = stage(theta0, dt_scaled / 2, u3)
-            # ((k1 + 2k2) + 2k3) + k4, in u2's buffer: k1 is ev0.G
-            dtheta = u2
-            dtheta += ev0.G
-            dtheta += u3
-            dtheta += math.exp(min(x0 - x4, 50.0)) * g4
-            dtheta *= dt_scaled / 6.0
-            ev1 = evaluate_point(evaluator, theta0 + dtheta)
-            dx = ev1.x - x0
-            ok = abs(dx) <= cap and dx >= -1e-9
-        except NonFiniteError:
-            ok = False
-            dx = math.nan
-        if ok:
-            break
-        halvings += 1
-        if halvings > MAX_HALVINGS:
-            raise FlowAbort(f"step rejected {MAX_HALVINGS} times at "
-                            f"t={state.t}, x={x0}, last dx={dx}")
-        dt_scaled /= 2.0
+    # an overflowing trial is a rejected one, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
+                x2, g2 = stage(theta0, dt_scaled / 2, ev0.G)
+                # u = 2k: a doubled factor and a halved dt keep the k
+                # form's bits
+                u2 = (2.0 * math.exp(min(x0 - x2, 50.0))) * g2
+                x3, g3 = stage(theta0, dt_scaled / 4, u2)
+                u3 = (2.0 * math.exp(min(x0 - x3, 50.0))) * g3
+                x4, g4 = stage(theta0, dt_scaled / 2, u3)
+                # ((k1 + 2k2) + 2k3) + k4, in u2's buffer: k1 is ev0.G
+                dtheta = u2
+                dtheta += ev0.G
+                dtheta += u3
+                dtheta += math.exp(min(x0 - x4, 50.0)) * g4
+                dtheta *= dt_scaled / 6.0
+                ev1 = evaluate_point(evaluator, theta0 + dtheta)
+                dx = ev1.x - x0
+                ok = abs(dx) <= cap and dx >= -1e-9
+            except NonFiniteError:
+                ok = False
+                dx = math.nan
+            if ok:
+                break
+            halvings += 1
+            if halvings > MAX_HALVINGS:
+                raise FlowAbort(f"step rejected {MAX_HALVINGS} times at "
+                                f"t={state.t}, x={x0}, last dx={dx}")
+            dt_scaled /= 2.0
     # re-anchor the scale to the new x; steer |dx| toward 0.6 * cap
     gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
     nxt = dt_scaled * math.exp(x0 - ev1.x) * gain

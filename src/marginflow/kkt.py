@@ -76,7 +76,7 @@ def build_certificate(model: HomogeneousModel, ev: PointEval,
         tilde0 = math.exp(log_tilde_t0)
         eps_bound = (math.sqrt(2.0) / tilde0 ** (1.0 / order_L)
                      * math.sqrt(one_minus_beta))
-        if spec.K is not None and spec.b_g is not None and ev.x >= spec.b_g:
+        if ev.x >= spec.b_g:
             if spec.K == 1.0:
                 growth = 1.0
             else:

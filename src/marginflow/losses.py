@@ -1,7 +1,7 @@
 """Exponential-tail loss families: ell(q) = exp(-f(q)) with inverse g.
 
-Each family carries the pair (f, g) plus the tail constants (K, b_g, p)
-used by the discrete-time margin machinery. Trajectories reach losses
+Each family is two functions, (f, f') and (g, g'), plus the tail
+constants (K, b_g, p) used by the discrete-time margin machinery. Trajectories reach losses
 around 1e-800, so every function of the loss has a log-domain entry
 point taking x = log(1/loss) directly; the loss value itself is never
 required once it would underflow.
@@ -28,32 +28,32 @@ def _as_f64(q):
 class LossSpec:
     """One loss family; immutable and freely shareable across workers.
 
-    f and f_prime are defined on all of R; g and g_prime only on
-    [f(b_f), inf), the range where f is invertible. f_pair(q) returns
-    (f(q), f'(q)) and g_pair(x) (g(x), g'(x)) bit for bit, sharing their
-    common work; a spec built without one calls the two functions. K,
-    b_g, p are the tail-comparability constants; None when not
-    established.
+    A family is two functions: f_pair(q) returns (f(q), f'(q)), on all
+    of R, and g_pair(x) (g(x), g'(x)), only on [f(b_f), inf), the range
+    where f is invertible. f, f_prime, g and g_prime are their halves,
+    fields only so that span tracing (perfbench/spans.py) can swap them.
+    K, b_g, p are the tail-comparability constants.
     """
 
     name: str
-    f: Callable
-    f_prime: Callable
-    g: Callable
-    g_prime: Callable
+    f_pair: Callable
+    g_pair: Callable
     b_f: float
-    K: float | None = None
-    b_g: float | None = None
-    p: float | None = None
-    f_pair: Callable | None = None
-    g_pair: Callable | None = None
+    K: float
+    b_g: float
+    p: float
+    f: Callable | None = None
+    f_prime: Callable | None = None
+    g: Callable | None = None
+    g_prime: Callable | None = None
 
     def __post_init__(self):
-        for pair, a, b in (("f_pair", self.f, self.f_prime),
-                           ("g_pair", self.g, self.g_prime)):
-            if getattr(self, pair) is None:
-                object.__setattr__(self, pair,
-                                   lambda v, a=a, b=b: (a(v), b(v)))
+        for pair, halves in ((self.f_pair, ("f", "f_prime")),
+                             (self.g_pair, ("g", "g_prime"))):
+            for i, half in enumerate(halves):
+                if getattr(self, half) is None:
+                    object.__setattr__(self, half,
+                                       lambda v, pair=pair, i=i: pair(v)[i])
 
     @cached_property
     def f_at_bf(self) -> float:
@@ -71,10 +71,8 @@ def _exp_pair(q):
 
 
 def make_exponential() -> LossSpec:
-    ident, ones = (lambda q: _exp_pair(q)[0]), (lambda q: _exp_pair(q)[1])
-    return LossSpec(name="exp", f=ident, f_prime=ones, g=ident, g_prime=ones,
-                    b_f=0.0, K=1.0, b_g=0.0, p=0.0, f_pair=_exp_pair,
-                    g_pair=_exp_pair)
+    return LossSpec("exp", _exp_pair, _exp_pair, b_f=0.0, K=1.0, b_g=0.0,
+                    p=0.0)
 
 
 # logistic loss: ell(q) = log(1 + e^{-q})
@@ -141,16 +139,9 @@ def _with_domain_check(fn, f_at_bf, name):
 
 
 def make_logistic(name: str = "logistic") -> LossSpec:
-    return LossSpec(
-        name=name,
-        f=lambda q: _logistic_f_pair(q)[0],
-        f_prime=lambda q: _logistic_f_pair(q)[1],
-        g=_with_domain_check(lambda x: _logistic_g_pair(x)[0],
-                             _LOGISTIC_F_AT_BF, name),
-        g_prime=_with_domain_check(lambda x: _logistic_g_pair(x)[1],
-                                   _LOGISTIC_F_AT_BF, name),
-        g_pair=_with_domain_check(_logistic_g_pair, _LOGISTIC_F_AT_BF, name),
-        b_f=0.0, K=2.0, b_g=2.0, p=1.0, f_pair=_logistic_f_pair)
+    g_pair = _with_domain_check(_logistic_g_pair, _LOGISTIC_F_AT_BF, name)
+    return LossSpec(name, _logistic_f_pair, g_pair, b_f=0.0, K=2.0, b_g=2.0,
+                    p=1.0)
 
 
 # cubed-exponent loss: ell(q) = e^{-q^3}; in-family with b_f = 0.
@@ -158,25 +149,23 @@ def make_logistic(name: str = "logistic") -> LossSpec:
 # t in [1/2, 1), and g' is decreasing so its clause holds with K = 1;
 # hence K = 4 = 2^2, p = 2, and any b_g > 0 works (we fix 1).
 
+def _exp_cubed_f_pair(q):
+    q = _as_f64(q)
+    return q ** 3, 3.0 * q ** 2
+
+
+def _exp_cubed_g_pair(x):
+    """(cbrt(x), 1 / (3 cbrt(x)^2)) on x >= 0; np.maximum keeps -0.0, and
+    c * c, unlike a numpy scalar's ** 2, calls no pow."""
+    c = np.cbrt(np.maximum(x, 0.0))
+    with np.errstate(divide="ignore"):
+        return c, 1.0 / (3.0 * (c * c))
+
+
 def make_exp_cubed() -> LossSpec:
-    f = lambda q: _as_f64(q) ** 3
-    f_prime = lambda q: 3.0 * _as_f64(q) ** 2
-
-    def g(x):
-        return np.cbrt(np.maximum(x, 0.0))  # np.maximum keeps -0.0
-
-    def g_prime(x):
-        # c * c: for one number c is a numpy scalar, whose ** 2 calls
-        # pow, while an array's squares by multiplication
-        c = np.cbrt(np.maximum(x, 0.0))
-        with np.errstate(divide="ignore"):
-            return 1.0 / (3.0 * (c * c))
-
-    return LossSpec(
-        name="exp_cubed", f=f, f_prime=f_prime,
-        g=_with_domain_check(g, 0.0, "exp_cubed"),
-        g_prime=_with_domain_check(g_prime, 0.0, "exp_cubed"),
-        b_f=0.0, K=4.0, b_g=1.0, p=2.0)
+    g_pair = _with_domain_check(_exp_cubed_g_pair, 0.0, "exp_cubed")
+    return LossSpec("exp_cubed", _exp_cubed_f_pair, g_pair, b_f=0.0, K=4.0,
+                    b_g=1.0, p=2.0)
 
 
 _REGISTRY = {
@@ -226,8 +215,7 @@ def validate_b3(spec: LossSpec) -> dict:
     rel = np.abs(back - qr) / np.maximum(np.abs(qr), 1.0)
     clauses.append(_clause("g_roundtrip", np.max(rel) <= 1e-10, np.max(rel)))
 
-    if spec.K is not None and spec.b_g is not None:
-        clauses.append(_check_b34(spec))
+    clauses.append(_check_b34(spec))
 
     return {"loss": spec.name, "ok": all(c["passed"] for c in clauses),
             "clauses": clauses}

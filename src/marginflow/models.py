@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ShapeError, activation, layers, walk
+from .autodiff import activation, layers, walk
 
 
 class Block(NamedTuple):
@@ -58,22 +58,10 @@ class HomogeneousModel:
         return self.blocks[-1].stop
 
     def forward(self, theta, x) -> tuple[np.ndarray, list]:
-        """`walk` of theta (P,), or a stack (S, P), on a batch (B, d) or a
-        single sample (d,), a batch of one in the records; the output is
-        (B, C), squeezed to (B,) when C == 1 and to a scalar for a single
-        sample of a single-output model, after the member axis S."""
-        theta = np.asarray(theta, dtype=np.float64)
-        single = np.ndim(x) == 1
-        h = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
-        if h.shape[-1] != self.blocks[0].shape[0]:
-            raise ShapeError(f"op 'dense': expected input dim "
-                             f"{self.blocks[0].shape[0]}, got {h.shape}")
-        out, records = walk(layers(self.blocks, theta), h)
-        if out.shape[-1] == 1:
-            out = out[..., 0]
-        if single:
-            return (out[:, 0] if theta.ndim > 1 else out[0]), records
-        return out, records
+        """`walk` of theta (P,), or a stack (S, P), on a C-contiguous
+        float64 batch x (B, d): the output (B, C), or (S, B, C), and the
+        records."""
+        return walk(layers(self.blocks, theta), x)
 
 
 def _dense_chain(name: str, dims: list[int], kind: str | None,

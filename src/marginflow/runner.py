@@ -346,8 +346,9 @@ def _theta0(cfg: RunConfig, seed: int) -> np.ndarray:
 
 def _drive(cfg: RunConfig, seed: int):
     """(result, B-constants, failures) of the configured optimizer's run
-    from `_theta0`: `run_flow`'s result, or `train_gd`'s with its abort
-    and missing margin state as failures.
+    from `_theta0`: `run_flow`'s result, with a stop short of the target
+    (stationary, or out of steps) as a failure, or `train_gd`'s with its
+    abort and missing margin state as failures.
 
     The B-constants are drawn before the run starts, None for labels
     other than -1/+1. Descent draws from the seed itself and the flow
@@ -362,10 +363,13 @@ def _drive(cfg: RunConfig, seed: int):
         b = estimate_b_constants(model, ds, rng, o["n_sphere"],
                                  o["n_curvature"])
     if flow:
-        return run_flow(model, theta0, ds, spec,
-                        target_log_inv_loss=o["target_log_inv_loss"],
-                        step_tol=o["step_tol"],
-                        record_every=o["record_every"]), b, []
+        target = o["target_log_inv_loss"]
+        out = run_flow(model, theta0, ds, spec, target_log_inv_loss=target,
+                       step_tol=o["step_tol"], record_every=o["record_every"])
+        state = out["state"]
+        return out, b, [] if state.ev.x >= target else [
+            f"flow stopped at x = {state.ev.x} after {state.steps} steps, "
+            f"short of its target x >= {target}"]
     res = train_gd(
         model, theta0, ds, spec, b, epochs=o["epochs"], alpha0=o["alpha0"],
         mode=("constant_alpha" if cfg.optimizer == "gd_const"

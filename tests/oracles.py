@@ -41,8 +41,7 @@ import yaml
 from scipy.optimize import brentq
 
 from marginflow import gdtrain, gradflow
-from marginflow.autodiff import (NonFiniteError, ShapeError, backward, layers,
-                                 walk)
+from marginflow.autodiff import NonFiniteError, backward, layers, walk
 from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
                                  StepInfo, _hat_rhs, evaluate_point,
                                  hat_value)
@@ -254,7 +253,7 @@ def sampled_sphere_sups(model, dataset, rng, n_sphere, witness=None,
         if start == 0 and witness is not None:
             draws[0] = unit(witness)
         phi, records = model.forward(draws, dataset.X)
-        b0 = max(b0, float(np.max(dataset.y * phi)))
+        b0 = max(b0, float(np.max(dataset.y * phi[..., 0])))
         b1 = max(b1, float(np.max(per_sample_grad_norms(model, records))))
     return b0, b1
 
@@ -455,9 +454,9 @@ def recovery_point(spec, order_L, u0, hi):
 def effective_margins(model, theta, dataset):
     """Margins the loss sums over, from one forward: q binary, q_tilde
     multi-class."""
-    phi = np.atleast_1d(model.forward(theta, dataset.X)[0])
+    phi = model.forward(theta, dataset.X)[0]
     if dataset.is_binary:
-        return dataset.y * phi
+        return dataset.y * phi[:, 0]
     return soft_margins(score_gaps(phi, *dataset.label_masks(phi.shape[1])))
 
 
@@ -470,8 +469,8 @@ def homogeneity_check(model, theta, x, alpha):
     overflow for deep quadratic nets.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    base = np.atleast_1d(model.forward(theta, x)[0])
-    scaled = np.atleast_1d(model.forward(alpha * theta, x)[0])
+    base = walked(model, theta, x)[0]
+    scaled = walked(model, alpha * theta, x)[0]
     resid = np.abs(scaled - alpha**model.order_L * base) / (1.0 + np.abs(base))
     return float(np.max(resid))
 
@@ -505,7 +504,7 @@ def block_euler_residual(model, theta, x, block_i):
 
 def preactivations(model, theta, x):
     """Values entering each kinked nonlinearity; used to avoid kink probes."""
-    _, records = model.forward(theta, x)
+    _, _, records = walked(model, theta, x)
     outputs = iter(z for _, _, z in records)  # one per dense layer
     pre = []
     for layer in layers_of(model):
@@ -607,8 +606,9 @@ def svm_dual_projected_gradient(features, labels, *, iters=100_000,
     return w, 1.0 / float(np.linalg.norm(w))
 
 
-def make_custom(name, f, f_prime, b_f=0.0, K=None, b_g=None, p=None):
-    """Wrap a user (f, f') pair; g is obtained by bracketed root finding.
+def make_custom(name, f, f_prime, b_f, K, b_g, p):
+    """Wrap a user (f, f') pair and its tail constants; g is obtained by
+    bracketed root finding.
 
     Bisection tolerance 1e-12 relative. g' comes from the inverse rule
     g'(x) = 1/f'(g(x)).
@@ -625,19 +625,15 @@ def make_custom(name, f, f_prime, b_f=0.0, K=None, b_g=None, p=None):
                 raise LossDomainError(f"{name}: g({x}) bracket expansion failed")
         return float(brentq(lambda q: f(q) - x, b_f, hi, rtol=1e-12, maxiter=200))
 
-    def g(x):
+    def g_pair(x):
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < f_at_bf - 1e-9):
             raise LossDomainError(f"{name}: g below f(b_f) = {f_at_bf}")
-        return np.vectorize(g_scalar, otypes=[np.float64])(x) + 0.0
+        g = np.vectorize(g_scalar, otypes=[np.float64])(x) + 0.0
+        return g, 1.0 / f_prime(g)
 
-    def g_prime(x):
-        return 1.0 / f_prime(g(x))
-
-    return LossSpec(
-        name=name, f=f, f_prime=f_prime, g=g, g_prime=g_prime,
-        b_f=b_f, K=K, b_g=b_g, p=p,
-    )
+    return LossSpec(name, lambda q: (f(q), f_prime(q)), g_pair, b_f=b_f, K=K,
+                    b_g=b_g, p=p)
 
 
 # The flow's bound monitors one state at a time, nu through scalar
@@ -901,6 +897,7 @@ def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
         ev, c = accepted
         log_eta = math.log(c) + prev_ev.x
         log_sum_eta = float(np.logaddexp(log_sum_eta, log_eta))
+        anchored = mstate is not None
         maybe_separate()
         s5 = None
         if (mstate is not None and prev_ev.x >= mstate.u0 - 1e-12
@@ -944,6 +941,8 @@ def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
                 log_hat_prev = log_hat
             else:
                 log_hat_prev = None
+        elif anchored:  # an unmonitored end past the anchor: no gamma_hat
+            log_hat_prev = None
 
         rec = {"epoch": epoch, "alpha": c, "retries": outcome.retries,
                "flagged": False, "log_inv_loss": ev.x,
@@ -1008,7 +1007,7 @@ def layer_walk_forward(graph, params, x):
         kind = layer.kind
         if kind == "dense":
             if h.shape[-1] != layer.in_dim:
-                raise ShapeError(f"op 'dense': expected input dim "
+                raise ValueError(f"op 'dense': expected input dim "
                                  f"{layer.in_dim}, got {h.shape}")
             w = params[..., layer.offset:layer.offset
                        + layer.in_dim * layer.out_dim]

@@ -28,7 +28,7 @@ from marginflow.runner import LINEAR_2D_ROWS, RunConfig, run_scenario
 
 from oracles import (Beta2Accumulator, euler_residual, fd_grad,
                      homogeneity_check, per_sample_grads, rel_err,
-                     sample_smooth_probe)
+                     sample_smooth_probe, walked)
 
 EXP = get_loss("exp")
 LOGISTIC = get_loss("logistic")
@@ -125,7 +125,7 @@ def test_criterion_04_validators_and_fd_gradients():
         for _ in range(100):
             x = sample_smooth_probe(model, theta, rng, kink_tol=1e-3)
             analytic = per_sample_grads(model, theta, x)[0]
-            numeric = fd_grad(lambda t: float(model.forward(t, x)[0]),
+            numeric = fd_grad(lambda t: float(walked(model, t, x)[0][0, 0]),
                               theta)
             assert rel_err(analytic, numeric) <= 1e-5
 

@@ -717,7 +717,8 @@ def test_train_gd_monitors_bits_match_stepwise_replay(case, monkeypatch):
     elif case == "unguarded_exp_past_1e6":
         late = [r for r in records if r["log_inv_loss"] > 1e6]
         assert len(monitored) > 50 and len(late) > 20
-        assert all("log_hat" in r for r in late)
+        # unmonitored past 1e6: no record there holds a (stale) gamma_hat
+        assert not any("log_hat" in r for r in late)
     elif case == "constant_alpha_moving_back":
         # x falls, and T restarts from a smaller u
         assert len(monitored) > 20 and any(

@@ -345,7 +345,6 @@ def test_deep_linear_effective_predictor_approaches_svm():
                              [-2.0, 1.7, -1]])
     theta0 = models.init_params(model, np.random.default_rng(11), scale=0.8)
     state = _state_at(model, ds, LOGISTIC, theta0, 120.0)
-    w_eff = np.array([float(model.forward(state.ev.theta, e)[0])
-                      for e in np.eye(2)])
+    w_eff = model.forward(state.ev.theta, np.eye(2))[0][:, 0]
     w_star, _ = svm_oracle(ds.X, ds.y)
     assert direction_gap_to_svm(w_eff, w_star) <= 0.05

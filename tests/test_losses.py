@@ -125,8 +125,8 @@ def test_f_at_bf_computed_once():
         spec = losses.get_loss(name)
         calls = []
         counted = losses.LossSpec(
-            name, lambda q: calls.append(q) or spec.f(q), spec.f_prime,
-            spec.g, spec.g_prime, spec.b_f)
+            name, lambda q: calls.append(q) or spec.f_pair(q), spec.g_pair,
+            spec.b_f, spec.K, spec.b_g, spec.p)
         assert counted.f_at_bf == float(spec.f(spec.b_f))
         assert counted.f_at_bf == counted.f_at_bf and len(calls) == 1
 
@@ -207,11 +207,13 @@ def test_validate_b3_builtin_families():
 
 
 def test_validate_b3_catches_polynomial_tail():
-    # f(q) = log(1+q) has f'(q)q -> 1, so the divergence clause must fail
-    bad = make_custom(
-        "poly_tail", lambda q: np.log1p(np.maximum(q, 0.0)),
-        lambda q: 1.0 / (1.0 + np.maximum(q, 0.0)),
-    )
+    # f(q) = log(1+q) has f'(q)q -> 1, so the divergence clause must fail;
+    # no tail constants fit it, so it takes logistic's
+    bad = losses.LossSpec(
+        "poly_tail",
+        lambda q: (np.log1p(np.maximum(q, 0.0)),
+                   1.0 / (1.0 + np.maximum(q, 0.0))),
+        lambda x: (np.expm1(x), np.exp(x)), b_f=0.0, K=2.0, b_g=2.0, p=1.0)
     report = losses.validate_b3(bad)
     assert not report["ok"]
     assert any(c["clause"] == "fq_diverges"
@@ -234,8 +236,10 @@ def test_exp_cubed_constants():
 
 
 def test_custom_loss_bisection_inverse():
+    # f'(y)/f'(ty) = 1/t <= 2 and g' decreasing: K = 2 = 2^p, p = 1
     quad = make_custom("exp_sq", lambda q: np.asarray(q, float) ** 2,
-                              lambda q: 2.0 * np.asarray(q, float))
+                       lambda q: 2.0 * np.asarray(q, float), b_f=0.0, K=2.0,
+                       b_g=1.0, p=1.0)
     assert abs(float(quad.g(4.0)) - 2.0) < 1e-11
     assert abs(float(quad.g_prime(4.0)) - 0.25) < 1e-10
     xs = np.array([0.5, 2.0, 9.0])

@@ -153,7 +153,8 @@ def test_per_sample_grads_match_fd():
     X = rng.standard_normal((4, 3))
     grads = per_sample_grads(model, theta, X)
     for n in range(4):
-        ref = fd_grad(lambda t: float(model.forward(t, X[n])[0]), theta)
+        ref = fd_grad(lambda t: float(model.forward(t, X[n:n + 1])[0][0, 0]),
+                      theta)
         assert rel_err(grads[n], ref) < 1e-7
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from marginflow.cli import main as cli_main
-from marginflow import runner
+from marginflow import gradflow, runner
 from marginflow.runner import (SCENARIOS, SETUPS, RunConfig, _theta0,
                                _worst, config_digest, emit_plot_data,
                                load_config, run_scenario, write_csv,
@@ -600,6 +600,19 @@ def test_cli_run_exit_codes(tmp_path, capsys):
         "options": {"phi_gain_min": 1e9}}))
     rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "b")])
     assert rc == 1
+
+
+def test_cli_run_fails_a_flow_short_of_its_target(tmp_path, capsys,
+                                                  monkeypatch):
+    # this flow takes more steps than the cap to reach x = 8
+    monkeypatch.setattr(gradflow, "MAX_STEPS", 2_000)
+    p = tmp_path / "cfg.yaml"
+    p.write_text(json.dumps(FLOW_RAW))
+    rc = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [failure] = json.loads(capsys.readouterr().out)["failures"]
+    assert failure.startswith("seed 4: flow stopped at x = ")
+    assert failure.endswith(" after 2000 steps, short of its target x >= 8.0")
 
 
 def test_cli_run_reports_underflowing_margin_anchor(tmp_path, capsys):
