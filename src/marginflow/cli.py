@@ -26,7 +26,6 @@ def _add_config(p: argparse.ArgumentParser, required: bool = True):
                    help="YAML or JSON run configuration")
     p.add_argument("--seed", type=int, default=None,
                    help="override the configured seed list with one seed")
-    p.add_argument("--out", default=None, help="override the output dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="margin dynamics experiments for homogeneous models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    _add_config(sub.add_parser("run", help="execute a scenario config"))
+    run = sub.add_parser("run", help="execute a scenario config")
+    _add_config(run)
 
     p = sub.add_parser("validate-loss", help="check loss family conditions")
     p.add_argument("--loss", nargs="+", default=["exp", "logistic"],
@@ -46,8 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(sub.add_parser(
         "rates", help="loss and norm rate diagnostic for a run"))
 
-    p = sub.add_parser("hat", help="run the rotating counterexample")
-    _add_config(p, required=False)
+    hat = sub.add_parser("hat", help="run the rotating counterexample")
+    _add_config(hat, required=False)
+    # only the verbs that write files take an output directory
+    for p in (run, hat):
+        p.add_argument("--out", default=None, help="override the output dir")
     return parser
 
 

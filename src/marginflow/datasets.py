@@ -44,17 +44,6 @@ class Dataset:
         if not self.is_binary and np.any(self.y < 0):
             raise ValueError("class labels must be -1/+1 or nonnegative indices")
         object.__setattr__(self, "y_float", self.y.astype(np.float64))
-        object.__setattr__(self, "_label_masks", {})
-
-    def label_masks(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """(on, off): the (N, c) masks of each row's label entry and of
-        its c - 1 other entries, built once per class count c."""
-        masks = self._label_masks.get(c)
-        if masks is None:
-            on = np.zeros((self.n, c), dtype=bool)
-            on[np.arange(self.n), self.y] = True
-            masks = self._label_masks[c] = (on, ~on)
-        return masks
 
     @property
     def n(self) -> int:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, backward, walk
 from .datasets import Dataset
-from .gradflow import (MONITOR_CHUNK, Evaluator, PointEval, _bar_gamma,
-                       evaluate_point, log_tilde_margin)
+from .gradflow import Evaluator, PointEval, evaluate_point, margin_fields
 from .losses import LossDomainError, LossSpec
 from .models import HomogeneousModel
 
@@ -342,7 +341,7 @@ class GdMarginState(PhiCurve):
                  b: BConstants):
         x0, rho0 = ev.x, ev.rho
         super().__init__(spec, order_L, x0)
-        [t0] = self.correction([x0])  # T < 0: the smoothed margin clamps none
+        [t0] = self.correction([x0])  # T <= 0: gamma_hat0 <= tilde0
         self.log_hat0 = log_hat0 = (float(np.log(spec.g(x0))) + t0
                                     - self.order_L * math.log(rho0))
         try:
@@ -360,85 +359,65 @@ class GdMarginState(PhiCurve):
 
 
 def _gd_monitors(mstate: GdMarginState, spec: LossSpec, steps: list,
-                 mon: dict) -> bool:
+                 mon: dict) -> None:
     """The margin monitors of a descent run after its loop, appended to
     mon in step order. steps holds (record, row) per epoch from the
     anchor on; row is None if the step is not monitored, else (x, rho,
     theta . G, ||G||, V) at its start and (alpha, log eta, ||u_g||^2).
-    log gamma_hat is taken at each monitored end that reaches u0, T
-    carried from u0 along them, and a record holds the one at its end:
-    gamma_hat0 for a first record that ends at the anchor, none for any
-    other unmonitored record. Per MONITOR_CHUNK epochs one array pass
-    takes the records' log tilde and lambda and log kappa at the starts,
-    and each record gets its margin fields. Returns whether a log
-    gamma_hat, clamped under the smoothed margin, exceeded it by more
-    than 1e-12."""
-    L, u0, f_at_bf = mstate.order_L, mstate.u0, spec.f_at_bf
+    One array call each takes lambda and log kappa at the monitored
+    starts. log gamma_hat is taken at each monitored end that reaches
+    u0, T carried from u0 along them, and a record holds the one at its
+    end as `log_hat`: gamma_hat0 for a first record that ends at the
+    anchor, none for any other unmonitored record. A monitored record
+    also holds its (S5) ratio as `s5_log_ratio`."""
+    L, u0 = mstate.order_L, mstate.u0
     ends = [rec["log_inv_loss"] for rec, row in steps
             if row is not None and rec["log_inv_loss"] >= u0 - 1e-12]
     ts = iter(mstate.correction([u0, *ends])[1:])
     log_gs = iter(np.log(spec.g(np.array(ends))).tolist())
-    log_hat_prev, clamped = mstate.log_hat0, False
-    for i in range(0, len(steps), MONITOR_CHUNK):
-        chunk = steps[i:i + MONITOR_CHUNK]
-        seps = [rec for rec, _ in chunk if rec["log_inv_loss"] > f_at_bf]
-        log_tildes = iter(log_tilde_margin(
-            [rec["log_inv_loss"] for rec in seps],
-            [rec["rho"] for rec in seps], spec, L))
-        starts = np.array([row[0] for _, row in chunk if row is not None])
-        lams = iter(mstate._lam(starts).tolist())
-        log_ks = iter(log_kappa(spec, starts, L, mstate.u_kappa).tolist())
-        for rec, row in chunk:
-            x1, rho1 = rec["log_inv_loss"], rec["rho"]
-            s5 = None  # log(eta / H), the (S5) ratio; negative is headroom
-            if row is not None:
-                x0, rho0, tg, g_norm, v0, c, log_eta, ug2 = row
-                log_k, lam, mu = next(log_ks), next(lams), mstate.mu(x0)
-                s5 = log_eta - mstate.log_h(x0, log_k)
-                mon["s5_log_ratio"].append(s5)
-                drho2 = rho1**2 - rho0**2
-                predicted = 2.0 * c * tg + c**2 * g_norm**2
-                scale = max(abs(drho2), abs(predicted), 1e-300)
-                mon["rho_identity"].append(abs(drho2 - predicted) / scale)
-                mon["euler_gap"].append(
-                    (tg / L - v0) / max(abs(tg) / L, 1e-300))
-                mon["p2_lower"].append((drho2 - 2.0 * c * L * v0) / scale)
-                if s5 <= 0.0:
-                    mon["p2_upper"].append(
-                        (2.0 * c * tg * (1.0 + lam * mu / L) - drho2) / scale)
-                    mon["p3_slack"].append(
-                        1.0 - (1.0 - mu) * c * g_norm**2 - math.exp(x0 - x1))
-                if g_norm > 0.0:
-                    mon["grad_bound"].append(
-                        math.log(2.0 * mstate.c_eta) + log_k
-                        - (2.0 * math.log(g_norm) - x0))
-                if x1 >= u0 - 1e-12:  # constant mode can move back up
-                    log_g, log_rho = next(log_gs), math.log(rho1)
-                    log_hat = log_g + next(ts) - L * log_rho
-                    log_tilde = log_g - L * log_rho
-                    if log_hat > log_tilde:
-                        clamped |= log_hat - log_tilde > 1e-12
-                        log_hat = log_tilde
-                    if log_hat_prev is not None and s5 <= 0.0:
-                        mon["p4_slack"].append(
-                            log_hat - log_hat_prev - L * rho0**2 * ug2
-                            / tg**2 * (math.log(rho1) - math.log(rho0)))
-                    log_hat_prev = log_hat
-                else:
-                    log_hat_prev = None
-            elif rec is not steps[0][0] or x1 != u0:
+    starts = np.array([row[0] for _, row in steps if row is not None])
+    lams = iter(mstate._lam(starts).tolist())
+    log_ks = iter(log_kappa(spec, starts, L, mstate.u_kappa).tolist())
+    log_hat_prev = mstate.log_hat0
+    for rec, row in steps:
+        x1, rho1 = rec["log_inv_loss"], rec["rho"]
+        if row is None:
+            if rec is not steps[0][0] or x1 != u0:
                 # unmonitored, and not the anchor's own epoch: no gamma_hat
                 log_hat_prev = None
-            if x1 > f_at_bf:
-                log_tilde = next(log_tildes)
-                if log_tilde > -math.inf:
-                    rec["log_tilde"] = log_tilde
-                if log_hat_prev is not None:
-                    rec["log_hat"] = log_hat_prev
-                rec["bar_gamma"] = _bar_gamma(rec["q_min"], rho1, L)
-            if s5 is not None:
-                rec["s5_log_ratio"] = s5
-    return clamped
+        else:
+            x0, rho0, tg, g_norm, v0, c, log_eta, ug2 = row
+            log_k, lam, mu = next(log_ks), next(lams), mstate.mu(x0)
+            s5 = log_eta - mstate.log_h(x0, log_k)  # negative is headroom
+            mon["s5_log_ratio"].append(s5)
+            rec["s5_log_ratio"] = s5
+            drho2 = rho1**2 - rho0**2
+            predicted = 2.0 * c * tg + c**2 * g_norm**2
+            scale = max(abs(drho2), abs(predicted), 1e-300)
+            mon["rho_identity"].append(abs(drho2 - predicted) / scale)
+            mon["euler_gap"].append(
+                (tg / L - v0) / max(abs(tg) / L, 1e-300))
+            mon["p2_lower"].append((drho2 - 2.0 * c * L * v0) / scale)
+            if s5 <= 0.0:
+                mon["p2_upper"].append(
+                    (2.0 * c * tg * (1.0 + lam * mu / L) - drho2) / scale)
+                mon["p3_slack"].append(
+                    1.0 - (1.0 - mu) * c * g_norm**2 - math.exp(x0 - x1))
+            if g_norm > 0.0:
+                mon["grad_bound"].append(
+                    math.log(2.0 * mstate.c_eta) + log_k
+                    - (2.0 * math.log(g_norm) - x0))
+            if x1 >= u0 - 1e-12:  # constant mode can move back up
+                log_hat = next(log_gs) + next(ts) - L * math.log(rho1)
+                if log_hat_prev is not None and s5 <= 0.0:
+                    mon["p4_slack"].append(
+                        log_hat - log_hat_prev - L * rho0**2 * ug2
+                        / tg**2 * (math.log(rho1) - math.log(rho0)))
+                log_hat_prev = log_hat
+            else:
+                log_hat_prev = None
+        if log_hat_prev is not None:
+            rec["log_hat"] = log_hat_prev
 
 
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -453,8 +432,9 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     state is anchored at the first separated epoch on the B-constants b;
     with b None (labels other than -1/+1) none is formed, so the run has
     no (S5) guard and no monitors. The loop reads no margin but the
-    guard's log kappa; the monitors from the anchor on, and "clamped",
-    are taken after it (`_gd_monitors`). A step whose forward pass
+    guard's log kappa; the monitors from the anchor on are taken after
+    it (`_gd_monitors`), and the records' margins, with or without a
+    margin state, by `margin_fields`. A step whose forward pass
     overflows is a rejected trial. The run ends with the message in
     "abort" when the margin anchor cannot be formed at the first
     separated epoch (MarginStateError), or when a constant-alpha step
@@ -556,15 +536,15 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
         "rho_identity": [], "p2_lower": [], "p2_upper": [], "p3_slack": [],
         "p4_slack": [], "grad_bound": [], "s5_log_ratio": [], "euler_gap": [],
     }
-    clamped = mstate is not None and _gd_monitors(mstate, spec, steps,
-                                                  monitors)
+    if mstate is not None:
+        _gd_monitors(mstate, spec, steps, monitors)
+    margin_fields(records, spec, model.order_L)
     return {
         "ev": ev,
         "alpha": alpha,
         "records": records,
         "monitors": monitors,
         "margin_state": mstate,
-        "clamped": clamped,
         "flagged_epochs": flagged_epochs,
         "log_sum_eta": log_sum_eta,
         "abort": abort,

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import NonFiniteError, backward, layers, walk
 from .datasets import Dataset
 from .losses import LossSpec
-from .margin import _inv_loss_weights, score_gaps, soft_margins
+from .margin import _inv_loss_weights, label_masks, score_gaps, soft_margins
 from .models import HomogeneousModel
 
 
@@ -68,15 +68,18 @@ class PointEval:
 
 class Evaluator:
     """One run's (model, dataset, loss), bound once to the `layers` table
-    of a scratch parameter buffer `theta`. Each driver binds its own and
+    of a scratch parameter buffer `theta` and, for class labels, to the
+    label masks of the model's outputs. Each driver binds its own and
     passes it on, so nothing outlives the run. `stage` evaluates a point
     formed there, `evaluate_point` an owned array; both return fresh
     arrays."""
 
     def __init__(self, model, dataset, spec):
-        self.model, self.dataset, self.spec = model, dataset, spec
+        self.dataset, self.spec = dataset, spec
         self.theta = np.empty(model.param_count)
         self.layers = layers(model.blocks, self.theta)
+        self.masks = (None if dataset.is_binary
+                      else label_masks(dataset.y, model.num_outputs))
 
     def run(self) -> tuple:
         """(x, G, q, q_eff, weights, f', w f', None or (pi, gaps)), O(1)."""
@@ -85,7 +88,7 @@ class Evaluator:
         if ds.is_binary:
             q = q_eff = ds.y_float * phi[:, 0]
         else:
-            on, off = ds.label_masks(phi.shape[1])
+            on, off = self.masks
             gaps = score_gaps(phi, on, off)
             q = np.min(gaps, axis=1)
             q_eff = soft_margins(gaps)
@@ -246,20 +249,6 @@ def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
     return FlowState(state.t + dt, ev1, state.steps + 1), info
 
 
-def weight_growth_residual(prev: PointEval, new: PointEval,
-                           info: StepInfo, order_L: float) -> float:
-    """Relative residual of d(rho^2)/dt == 2 L nu across one step.
-
-    Both sides carry a factor exp(-x0) which cancels: the left side is
-    delta_rho_sq / dt_scaled, the right the trapezoid of 2 L V e^{x0-x}.
-    """
-    lhs = info.delta_rho_sq / info.dt_scaled
-    rhs = order_L * (prev.V + math.exp(prev.x - new.x) * new.V)
-    if rhs == 0.0:
-        return math.inf
-    return abs(lhs - rhs) / abs(rhs)
-
-
 def margin_rate_slack(d_log_tilde: float, rho0: float, rho1: float,
                       delta_theta_hat: float, order_L: float) -> float:
     """d log(tilde margin) minus its certified lower bound over a step
@@ -339,48 +328,63 @@ class LossUpperBound:
                 for lg, t in zip(log_G.tolist(), ts.tolist())]
 
 
-# states per array pass of the monitors after a run's loop; bounds the
-# (chunk, 9) integrand grids of a long run
+# states or records per array pass of the margin reads after a run's
+# loop; bounds the (chunk, 9) integrand grids of a long run
 MONITOR_CHUNK = 512
 
 
-def _bound_monitors(monitors: dict, records: list, spec: LossSpec,
-                    order_L: float, first: int | None,
+def margin_fields(records: list, spec: LossSpec, order_L: float) -> None:
+    """Give each unflagged record, flow or descent, with x beyond f(b_f)
+    its `log_tilde`, where finite, and `bar_gamma` from its x, rho and
+    q_min: one `log_tilde_margin` call per MONITOR_CHUNK such records."""
+    seps = [rec for rec in records if not rec.get("flagged")
+            and rec["log_inv_loss"] > spec.f_at_bf]
+    for i in range(0, len(seps), MONITOR_CHUNK):
+        chunk = seps[i:i + MONITOR_CHUNK]
+        lts = log_tilde_margin([rec["log_inv_loss"] for rec in chunk],
+                               [rec["rho"] for rec in chunk], spec, order_L)
+        for rec, lt in zip(chunk, lts):
+            if lt > -math.inf:
+                rec["log_tilde"] = lt
+            rec["bar_gamma"] = _bar_gamma(rec["q_min"], rec["rho"], order_L)
+
+
+def _bound_monitors(monitors: dict, spec: LossSpec, order_L: float,
                     cols: list) -> float | None:
-    """The margin and bound monitors of a flow run after its loop, for the
-    states from step `first`, the first separated one, on (none when
-    `first` is None): cols holds (x, rho, t, V, ||delta theta_hat|| of
-    the step into it) per state. Per MONITOR_CHUNK states, one array
-    pass takes their log tilde, adds log_tilde and bar_gamma to their
-    records, and appends to `monitors` the four slacks of each state
-    whose predecessor is separated. The loss upper bound is anchored at
-    the first state and skips a t that has overflowed to inf. Returns
-    log_tilde0, the first finite log tilde of a separated state, else
-    None."""
-    recs = {rec["step"]: rec for rec in records}
+    """The invariant monitors of a flow run after its loop, for the states
+    from the first separated one on: cols holds (x, rho, t, V,
+    ||delta theta_hat||, delta rho^2 / dt_scaled) per state, the last two
+    of the step into it. Per MONITOR_CHUNK states, one array pass takes
+    their log tilde and appends to `monitors` the five series of each
+    state whose predecessor is separated. The growth residual is that of
+    d(rho^2)/dt == 2 L nu, both sides over exp(-x0): delta rho^2 /
+    dt_scaled against the trapezoid of 2 L V e^{x0-x}. The loss upper
+    bound is anchored at the first state and skips a t that has
+    overflowed to inf. Returns log_tilde0, the first finite log tilde of
+    a separated state, else None."""
     bound = log_tilde0 = None
-    prev = None  # (log tilde, rho, separated) of the previous state
+    prev = None  # (x, rho, V, log tilde) of the previous state
     for i in range(0, len(cols), MONITOR_CHUNK):
-        xs, rhos, ts, vs, d_hats = zip(*cols[i:i + MONITOR_CHUNK])
+        xs, rhos, ts, vs, d_hats, rates = zip(*cols[i:i + MONITOR_CHUNK])
         lts = log_tilde_margin(xs, rhos, spec, order_L)
         if bound is None:
             bound = LossUpperBound(spec, order_L, xs[0], lts[0], ts[0])
         watched = []
-        for k, (x, rho, lt, d_hat) in enumerate(zip(xs, rhos, lts, d_hats)):
-            watched.append(prev is not None and prev[2])
+        for x, rho, v, lt, d_hat, rate in zip(xs, rhos, vs, lts, d_hats,
+                                              rates):
+            watched.append(prev is not None and prev[0] > spec.f_at_bf)
             if watched[-1]:
-                d = lt - prev[0]
+                x0, rho0, v0, lt0 = prev
+                rhs = order_L * (v0 + math.exp(x0 - x) * v)
+                monitors["growth_residual"].append(
+                    math.inf if rhs == 0.0 else abs(rate - rhs) / abs(rhs))
+                d = lt - lt0
                 monitors["margin_slack"].append(
-                    margin_rate_slack(d, prev[1], rho, d_hat, order_L))
+                    margin_rate_slack(d, rho0, rho, d_hat, order_L))
                 monitors["d_log_tilde"].append(d)
-            separated = x > spec.f_at_bf
-            if log_tilde0 is None and math.isfinite(lt) and separated:
+            if log_tilde0 is None and math.isfinite(lt) and x > spec.f_at_bf:
                 log_tilde0 = lt
-            rec = recs.get(first + i + k)
-            if rec is not None:
-                rec["log_tilde"] = lt
-                rec["bar_gamma"] = _bar_gamma(rec["q_min"], rho, order_L)
-            prev = lt, rho, separated
+            prev = x, rho, v, lt
         x = np.array(xs)[watched]
         t = np.array(ts)[watched]
         monitors["nu_slack"] += nu_lower_slack(
@@ -422,15 +426,15 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     Returns a dict with the final state, per-step monitor series
     (activated after separation), trajectory records suitable for
     serialization, and `log_tilde0`, the certificate anchor: the first
-    finite log smoothed margin of a separated state, else None. Past
-    the growth residual, margins are read after the loop, from scalars
-    the loop keeps per state (`_bound_monitors`).
+    finite log smoothed margin of a separated state, else None. The loop
+    keeps plain scalars per state from the first separated one on; the
+    monitors (`_bound_monitors`) and the records' margins
+    (`margin_fields`) are read after it.
     """
     records = []
     monitors = {k: [] for k in ("growth_residual", "margin_slack",
                                 "nu_slack", "d_log_tilde", "upper_slack")}
-    first = None  # step of the first separated state
-    cols = []  # (x, rho, t, V, ||delta theta_hat||) per state from first on
+    cols = []  # _bound_monitors' scalars per state from the first separated
 
     def record(st: FlowState):
         records.append({"t": st.t, "step": st.steps, "log_inv_loss": st.ev.x,
@@ -441,23 +445,18 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
     for state, info in flow_states(model, theta0, dataset, spec,
                                    step_tol=step_tol):
         ev = state.ev
-        if first is None and is_separated(ev, spec):
-            first = state.steps
-        if first is not None:
-            if state.steps > first and is_separated(prev, spec):
-                monitors["growth_residual"].append(
-                    weight_growth_residual(prev, ev, info, model.order_L))
-            cols.append((ev.x, ev.rho, state.t, ev.V,
-                         0.0 if info is None else info.delta_theta_hat))
+        if cols or is_separated(ev, spec):
+            step = ((0.0, 0.0) if info is None else
+                    (info.delta_theta_hat, info.delta_rho_sq / info.dt_scaled))
+            cols.append((ev.x, ev.rho, state.t, ev.V, *step))
         if state.steps % record_every == 0:
             record(state)
         if ev.x >= target_log_inv_loss:
             break
-        prev = ev
     if records[-1]["step"] != state.steps:
         record(state)
-    log_tilde0 = _bound_monitors(monitors, records, spec, model.order_L,
-                                 first, cols)
+    log_tilde0 = _bound_monitors(monitors, spec, model.order_L, cols)
+    margin_fields(records, spec, model.order_L)
     return {
         "state": state,
         "records": records,

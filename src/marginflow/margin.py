@@ -12,9 +12,17 @@ import math
 import numpy as np
 
 
+def label_masks(y: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(on, off): the (N, c) masks of each class label y_n's entry and of
+    its c - 1 other entries."""
+    on = np.zeros((y.size, c), dtype=bool)
+    on[np.arange(y.size), y] = True
+    return on, ~on
+
+
 def score_gaps(phi: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Multi-class gaps s_nj = Phi_{y_n} - Phi_j for j != y_n, as (N, C-1);
-    on and off are the label masks of `Dataset.label_masks`."""
+    on and off are the masks of `label_masks`."""
     n, c = phi.shape
     return phi[on][:, None] - phi[off].reshape(n, c - 1)
 

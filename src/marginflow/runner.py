@@ -197,8 +197,7 @@ class RunConfig:
         return cls(
             raw=raw, scenario=scenario, model=model, loss=loss,
             dataset=dataset, optimizer=optimizer, seeds=tuple(seeds),
-            # the output directory is the one env-var override
-            out_dir=os.environ.get("MARGINFLOW_OUT", top["out_dir"]),
+            out_dir=top["out_dir"],
             options=options)
 
 

@@ -47,7 +47,7 @@ from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
                                  hat_value)
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
-from marginflow.margin import score_gaps, soft_margins
+from marginflow.margin import label_masks, score_gaps, soft_margins
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -457,7 +457,8 @@ def effective_margins(model, theta, dataset):
     phi = model.forward(theta, dataset.X)[0]
     if dataset.is_binary:
         return dataset.y * phi[:, 0]
-    return soft_margins(score_gaps(phi, *dataset.label_masks(phi.shape[1])))
+    return soft_margins(score_gaps(phi, *label_masks(dataset.y,
+                                                     phi.shape[1])))
 
 
 # Homogeneity self-checks, one sample and one output at a time.
@@ -711,24 +712,43 @@ def stepwise_log_tilde(spec, x, rho, order_L):
     return math.log(g) - order_L * math.log(rho)
 
 
+def weight_growth_residual(x0, v0, x1, v1, delta_rho_sq, dt_scaled,
+                           order_L):
+    """Relative residual of d(rho^2)/dt == 2 L nu across one step from
+    (x0, V0) to (x1, V1).
+
+    Both sides carry a factor exp(-x0) which cancels: the left side is
+    delta_rho_sq / dt_scaled, the right the trapezoid of 2 L V e^{x0-x}.
+    """
+    lhs = delta_rho_sq / dt_scaled
+    rhs = order_L * (v0 + math.exp(x0 - x1) * v1)
+    if rhs == 0.0:
+        return math.inf
+    return abs(lhs - rhs) / abs(rhs)
+
+
 class StepwiseFlowMonitors:
-    """The flow's margin and bound monitors as its step loop took them,
-    one state (x, rho, t, V, ||delta theta_hat||) per `push`, from the
-    first separated state on; `push` returns the state's log tilde."""
+    """The flow's invariant monitors as its step loop took them, one state
+    (x, rho, t, V, ||delta theta_hat||, delta rho^2, dt_scaled) per
+    `push`, the last three of the step into it, from the first separated
+    state on; `push` returns the state's log tilde."""
 
     def __init__(self, spec, order_L):
         self.spec, self.order_L = spec, order_L
-        self.monitors = {k: [] for k in ("margin_slack", "nu_slack",
-                                         "d_log_tilde", "upper_slack")}
+        self.monitors = {k: [] for k in ("growth_residual", "margin_slack",
+                                         "nu_slack", "d_log_tilde",
+                                         "upper_slack")}
         self.bound = self.log_tilde0 = self.prev = None
 
-    def push(self, x, rho, t, V, d_hat):
+    def push(self, x, rho, t, V, d_hat, delta_rho_sq, dt_scaled):
         spec, L, mon = self.spec, self.order_L, self.monitors
         lt = stepwise_log_tilde(spec, x, rho, L)
         if self.bound is None:
             self.bound = StepwiseLossUpperBound(spec, L, x, lt, t)
         elif self.prev[2] > spec.f_at_bf:
-            prev_lt, prev_rho = self.prev[:2]
+            prev_lt, prev_rho, prev_x, prev_v = self.prev
+            mon["growth_residual"].append(weight_growth_residual(
+                prev_x, prev_v, x, V, delta_rho_sq, dt_scaled, L))
             d = lt - prev_lt
             d_log_rho = math.log(rho) - math.log(prev_rho)
             if d_hat == 0.0:
@@ -746,7 +766,7 @@ class StepwiseFlowMonitors:
         if (self.log_tilde0 is None and math.isfinite(lt)
                 and x > spec.f_at_bf):
             self.log_tilde0 = lt
-        self.prev = lt, rho, x
+        self.prev = lt, rho, x, V
         return lt
 
 
@@ -755,38 +775,44 @@ def stepwise_run_flow(model, theta0, dataset, spec, *, target_log_inv_loss,
     """`run_flow`'s result with every monitor taken inside the step loop."""
     L = model.order_L
     records = []
-    growth = []
     stepwise = StepwiseFlowMonitors(spec, L)
-    lt = prev = None
+    watching = False
 
     def record(st):
         rec = {"t": st.t, "step": st.steps, "log_inv_loss": st.ev.x,
                "rho": st.ev.rho, "q_min": float(np.min(st.ev.q)),
                "beta": st.ev.beta, "nu_rel": st.ev.V}
-        if lt is not None:
-            rec["log_tilde"] = lt
-            rec["bar_gamma"] = gradflow._bar_gamma(rec["q_min"], st.ev.rho, L)
+        stepwise_margin_fields(rec, spec, L)
         records.append(rec)
 
     for state, info in gradflow.flow_states(model, theta0, dataset, spec,
                                             step_tol=step_tol):
         ev = state.ev
-        if lt is not None or gradflow.is_separated(ev, spec):
-            if lt is not None and gradflow.is_separated(prev, spec):
-                growth.append(gradflow.weight_growth_residual(prev, ev, info,
-                                                              L))
-            lt = stepwise.push(ev.x, ev.rho, state.t, ev.V,
-                               0.0 if info is None else info.delta_theta_hat)
+        watching = watching or gradflow.is_separated(ev, spec)
+        if watching:
+            step = ((0.0, 0.0, 1.0) if info is None else
+                    (info.delta_theta_hat, info.delta_rho_sq, info.dt_scaled))
+            stepwise.push(ev.x, ev.rho, state.t, ev.V, *step)
         if state.steps % record_every == 0:
             record(state)
         if ev.x >= target_log_inv_loss:
             break
-        prev = ev
     if records[-1]["step"] != state.steps:
         record(state)
     return {"state": state, "records": records,
-            "monitors": {"growth_residual": growth, **stepwise.monitors},
-            "log_tilde0": stepwise.log_tilde0}
+            "monitors": stepwise.monitors, "log_tilde0": stepwise.log_tilde0}
+
+
+def stepwise_margin_fields(rec, spec, order_L):
+    """A separated record's log tilde, where finite, and bar gamma, from
+    one-number loss calls."""
+    if rec["log_inv_loss"] > spec.f_at_bf:
+        log_tilde = stepwise_log_tilde(spec, rec["log_inv_loss"],
+                                       rec["rho"], order_L)
+        if log_tilde > -math.inf:
+            rec["log_tilde"] = log_tilde
+        rec["bar_gamma"] = gradflow._bar_gamma(rec["q_min"], rec["rho"],
+                                               order_L)
 
 
 class OneSlotCorrection:
@@ -823,7 +849,6 @@ def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
     ev = evaluate_point(evaluator, np.asarray(theta0, dtype=np.float64))
     alpha, log_sum_eta = alpha0, -math.inf
     mstate = correction = log_hat_prev = abort = None
-    clamped = False
     records, flagged_epochs = [], []
     monitors = {k: [] for k in (
         "rho_identity", "p2_lower", "p2_upper", "p3_slack", "p4_slack",
@@ -834,14 +859,8 @@ def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
                                        mstate.u_kappa)[0])
 
     def log_gamma_hat(x, log_rho):
-        nonlocal clamped
         log_g = float(np.log(spec.g(x)))
-        val = log_g + correction(x) - mstate.order_L * log_rho
-        log_tilde = log_g - mstate.order_L * log_rho
-        if val > log_tilde:
-            clamped |= val - log_tilde > 1e-12
-            val = log_tilde
-        return val
+        return log_g + correction(x) - mstate.order_L * log_rho
 
     def maybe_separate():
         nonlocal mstate, correction, log_hat_prev, abort
@@ -949,19 +968,15 @@ def stepwise_train_gd(model, theta0, dataset, spec, b, *, epochs, alpha0,
                "log10_loss": -ev.x / math.log(10.0), "rho": ev.rho,
                "q_min": float(np.min(ev.q)), "log_sum_eta": log_sum_eta,
                "beta": ev.beta}
-        if mstate is not None and gradflow.is_separated(ev, spec):
-            log_tilde = stepwise_log_tilde(spec, ev.x, ev.rho, L)
-            if log_tilde > -math.inf:
-                rec["log_tilde"] = log_tilde
-            if log_hat_prev is not None:
-                rec["log_hat"] = log_hat_prev
-            rec["bar_gamma"] = gradflow._bar_gamma(rec["q_min"], ev.rho, L)
         if s5 is not None:
             rec["s5_log_ratio"] = s5
+        if log_hat_prev is not None:
+            rec["log_hat"] = log_hat_prev
+        stepwise_margin_fields(rec, spec, L)
         records.append(rec)
     return {"ev": ev, "alpha": alpha, "records": records,
             "monitors": monitors, "margin_state": mstate,
-            "clamped": clamped, "flagged_epochs": flagged_epochs,
+            "flagged_epochs": flagged_epochs,
             "log_sum_eta": log_sum_eta, "abort": abort}
 
 

@@ -11,6 +11,7 @@ from marginflow.datasets import (KINDS, Dataset, IDX_MAGIC_IMAGES,
                                  IDX_MAGIC_LABELS, IdxFormatError, from_csv,
                                  from_idx, from_rows, load_dataset, read_idx,
                                  ring, two_gaussians, xor_points)
+from marginflow.margin import label_masks
 
 
 # -------------------------------------------------------------- container
@@ -27,13 +28,12 @@ def test_dataset_multiclass_labels():
     assert not ds.is_binary
 
 
-def test_dataset_label_masks_built_once_per_class_count():
+def test_label_masks_and_float_labels_of_class_labels():
     ds = Dataset(np.zeros((4, 2)), [0, 2, 1, 2])
-    on, off = ds.label_masks(3)
+    on, off = label_masks(ds.y, 3)
     assert np.array_equal(on, np.eye(3, dtype=bool)[[0, 2, 1, 2]])
     assert np.array_equal(off, ~on)
-    assert all(a is b for a, b in zip(ds.label_masks(3), (on, off)))
-    assert ds.label_masks(4)[0].shape == (4, 4)  # more outputs than labels
+    assert label_masks(ds.y, 4)[0].shape == (4, 4)  # more outputs than labels
     assert ds.y_float.dtype == np.float64
     assert np.array_equal(ds.y_float, [0.0, 2.0, 1.0, 2.0])
 

@@ -8,18 +8,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from marginflow import datasets, gdtrain, losses, models
+from marginflow import datasets, gdtrain, gradflow, losses, models
 from marginflow.gdtrain import (GdMarginState, PhiCurve,
                                 estimate_b_constants, gd_step,
                                 gd_step_direct, log_kappa,
                                 loss_based_lr_epoch, sphere_sups, train_gd)
 from marginflow.gradflow import Evaluator, evaluate_point
 from marginflow.losses import LossDomainError
-from marginflow.runner import frame_equivalence_check
+from marginflow.runner import (RunConfig, frame_equivalence_check,
+                               run_scenario)
 
 from oracles import (LOGISTIC_PHI_CORRECTION, MP_LAMBDA, OneSlotCorrection,
                      per_draw_b_constants, rank_one_net, record_fields,
-                     recovery_point, sampled_sphere_sups, stepwise_train_gd)
+                     recovery_point, sampled_sphere_sups, stepwise_log_tilde,
+                     stepwise_train_gd)
 
 EXP = losses.get_loss("exp")
 LOGISTIC = losses.get_loss("logistic")
@@ -505,7 +507,7 @@ def test_train_gd_guarded_monitors(name, epochs):
     assert min(b - a for a, b in zip(hats, hats[1:])) > -1e-10  # never falls
     assert min(mon["grad_bound"]) > -1e-9
     assert max(mon["s5_log_ratio"]) <= math.log(0.5) + 1e-9
-    assert out["margin_state"] is not None and not out["clamped"]
+    assert out["margin_state"] is not None
     last = out["records"][-1]
     assert last["log_hat"] < last["log_tilde"]
 
@@ -513,7 +515,7 @@ def test_train_gd_guarded_monitors(name, epochs):
 def test_log_kappa_once_per_epoch_start(monkeypatch):
     # the guard cap takes log kappa at each guarded epoch's start x, a
     # one-element column; the (S5) log ratio and grad_bound take it after
-    # the loop, one column of the monitored starts per MONITOR_CHUNK
+    # the loop, one column of all the monitored starts
     model, ds, theta0 = _toy()
     columns = []
 
@@ -522,7 +524,6 @@ def test_log_kappa_once_per_epoch_start(monkeypatch):
         return log_kappa(spec, xs, order_L, u_kappa)
 
     monkeypatch.setattr(gdtrain, "log_kappa", counted)
-    monkeypatch.setattr(gdtrain, "MONITOR_CHUNK", 16)
     out = train_gd(model, theta0, ds, LOGISTIC, _b(model, ds, 0, 300, 50),
                    epochs=60, alpha0=0.1, mode="loss_based", s5_guard=True,
                    guard_safety=0.5)
@@ -532,11 +533,9 @@ def test_log_kappa_once_per_epoch_start(monkeypatch):
     # the state is anchored at the end of this epoch
     anchored = next(i for i, r in enumerate(records) if "bar_gamma" in r)
     guarded = starts[anchored + 1:-1]
-    monitored = [[x for x, r in zip(starts[i:i + 16], records[i:i + 16])
-                  if "s5_log_ratio" in r]
-                 for i in range(anchored, len(records), 16)]
-    assert len(guarded) > 40 and sum(map(len, monitored)) > 40
-    assert columns == [[x] for x in guarded] + monitored
+    monitored = [x for x, r in zip(starts, records) if "s5_log_ratio" in r]
+    assert len(guarded) > 40 and len(monitored) > 40
+    assert columns == [[x] for x in guarded] + [monitored]
 
 
 def test_guarded_retries_evaluate_each_step_once(monkeypatch):
@@ -586,27 +585,45 @@ def test_train_gd_unguarded_races_to_tiny_loss():
     assert len(out["monitors"]["s5_log_ratio"]) <= n_trusted
 
 
-def test_train_gd_gamma_hat_clamp_flag(monkeypatch):
-    model, ds, theta0 = _toy()
+def test_gamma_hat_above_smoothed_margin_fails_ordering(tmp_path,
+                                                       monkeypatch):
+    # T = +1e-9 past the anchor puts log gamma_hat above the smoothed
+    # margin; nothing clamps it, so ordering_excess names the breach
+    real = PhiCurve.correction
+    monkeypatch.setattr(
+        PhiCurve, "correction", lambda self, us: (
+            real(self, us) if len(us) == 1 else [1e-9] * len(us)))
+    cfg = RunConfig.from_dict({"scenario": "gd_margin", "loss": "logistic",
+                               "alpha0": 0.05, "epochs": 120, "seeds": [0]})
+    outcome = run_scenario(cfg, out_dir=tmp_path)
+    checks = outcome.summaries[0]["checks"]
+    assert [k for k, c in checks.items() if not c["ok"]] == [
+        "ordering_excess"]
+    assert 1e-10 < checks["ordering_excess"]["worst"] < 1e-9
+    assert outcome.failures == [
+        f"seed 0: ordering_excess = {checks['ordering_excess']['worst']!r}"
+        ", not <= 0.0"]
 
-    def run():
-        return train_gd(model, theta0, ds, EXP, _b(model, ds, 0, 300, 50),
-                        epochs=40, alpha0=0.1, mode="loss_based",
-                        s5_guard=True, guard_safety=0.5)
 
-    assert not run()["clamped"]
-    for t, flagged in ((5e-13, False), (1e-9, True)):
-        # force T above 0: log gamma_hat is clamped to the smoothed
-        # margin, and only an overshoot past 1e-12 raises the flag
-        monkeypatch.setattr(PhiCurve, "correction",
-                            lambda self, us, t=t: [t] * len(us))
-        out = run()
-        assert out["clamped"] == flagged
-        hats = [r for r in out["records"] if "s5_log_ratio" in r]
-        assert len(hats) > 20
-        for r in hats:
-            log_g = np.log(EXP.g(np.array([r["log_inv_loss"]])))[0]
-            assert r["log_hat"] == log_g - 2.0 * math.log(r["rho"])
+def test_multiclass_descent_records_carry_margins():
+    # class labels form no margin state, yet every separated record holds
+    # the smoothed and normalized margins a flow record holds
+    model = models.relu_mlp(2, [6], num_outputs=3)
+    ds = datasets.from_rows([[2.0, 0.0, 0], [1.8, 0.4, 0], [-1.0, 1.7, 1],
+                             [-1.2, 1.5, 1], [-1.0, -1.7, 2],
+                             [-0.8, -1.9, 2]])
+    spec = losses.get_loss("cross_entropy")
+    theta0 = models.init_params(model, np.random.default_rng(0), scale=0.7)
+    out = train_gd(model, theta0, ds, spec, None, epochs=60, alpha0=0.1,
+                   mode="loss_based", s5_guard=True, guard_safety=0.5)
+    assert out["margin_state"] is None
+    sep = [r for r in out["records"] if r["log_inv_loss"] > spec.f_at_bf]
+    assert len(sep) == 48
+    for r in sep:
+        assert r["log_tilde"] == stepwise_log_tilde(
+            spec, r["log_inv_loss"], r["rho"], model.order_L)
+        assert r["bar_gamma"] == r["q_min"] / r["rho"] ** model.order_L
+        assert "log_hat" not in r and "s5_log_ratio" not in r
 
 
 def test_train_gd_constant_alpha_mode():
@@ -689,10 +706,10 @@ _REPLAYED = {
 
 @pytest.mark.parametrize("case", sorted(_REPLAYED))
 def test_train_gd_monitors_bits_match_stepwise_replay(case, monkeypatch):
-    # the post-loop pass, in chunks of 7 epochs, against every monitor,
-    # log kappa, lambda, log gamma_hat (T from a one-slot cache) and log
-    # tilde taken at its epoch inside the step loop
-    monkeypatch.setattr(gdtrain, "MONITOR_CHUNK", 7)
+    # the post-loop passes, the margin fields in chunks of 7 records,
+    # against every monitor, log kappa, lambda, log gamma_hat (T from a
+    # one-slot cache) and log tilde taken at its epoch inside the step loop
+    monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 7)
     setup, spec, kw = _REPLAYED[case]
     model, ds, theta0, b = setup()
     got = train_gd(model, theta0, ds, spec, b, guard_safety=0.5, **kw)
@@ -702,7 +719,7 @@ def test_train_gd_monitors_bits_match_stepwise_replay(case, monkeypatch):
     assert list(got["monitors"]) == list(want["monitors"])
     for key, series in want["monitors"].items():
         assert np.array_equal(_bits(got["monitors"][key]), _bits(series)), key
-    for key in ("clamped", "flagged_epochs", "abort"):
+    for key in ("flagged_epochs", "abort"):
         assert got[key] == want[key]
     assert _bits([got["alpha"], got["log_sum_eta"]]).tolist() == _bits(
         [want["alpha"], want["log_sum_eta"]]).tolist()
@@ -712,6 +729,8 @@ def test_train_gd_monitors_bits_match_stepwise_replay(case, monkeypatch):
     monitored = [r for r in records if "s5_log_ratio" in r]
     if case == "margin_state_abort":
         assert got["abort"] and ms is None and not monitored
+        # no margin state, yet the separated record has its margins
+        assert "bar_gamma" in records[-1] and "log_hat" not in records[-1]
     elif case == "flagged_epoch":
         assert got["flagged_epochs"] == [16] and "bar_gamma" in records[15]
     elif case == "unguarded_exp_past_1e6":

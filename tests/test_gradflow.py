@@ -20,14 +20,15 @@ from scipy.special import logsumexp
 
 from marginflow import (autodiff, datasets, gdtrain, gradflow, losses, models,
                         runner)
-from marginflow.margin import score_gaps
+from marginflow.margin import label_masks, score_gaps
 
 from oracles import (StepwiseFlowMonitors, StepwiseLossUpperBound,
                      eager_point_summaries, fd_grad, hat_step_array,
                      layer_walk_forward, layer_walk_grad_norms, layers_of,
                      per_sample_grad_norms, preactivations,
                      readme_flow_config, record_fields, rk4_flow_step,
-                     stepwise_run_flow, two_call_point)
+                     stepwise_margin_fields, stepwise_run_flow,
+                     two_call_point)
 
 
 def _relu_logistic_setup():
@@ -294,7 +295,7 @@ def test_point_eval_lazy_summaries_equal_eager_oracle():
         got = (ev.beta, ev.V, ev.rho, ev.g_norm)
         gaps = None if data_.is_binary else score_gaps(
             model_.forward(theta, data_.X)[0],
-            *data_.label_masks(model_.num_outputs))
+            *label_masks(data_.y, model_.num_outputs))
         want = eager_point_summaries(ev, theta, gaps)
         assert got == (want[2], want[0], want[3], want[1])
 
@@ -318,10 +319,12 @@ def test_run_flow_one_log_tilde_per_state(monkeypatch):
     assert recs[0]["step"] == 0 and "log_tilde" not in recs[0]
     assert 32 < len(sep) < len(recs)
     # record_every = 1: one record per state, and after the loop one
-    # batched log tilde call per MONITOR_CHUNK states from separation on,
-    # which takes each state's x once
+    # batched log tilde call per MONITOR_CHUNK states from separation on
+    # for the monitors, then one per MONITOR_CHUNK separated records for
+    # their fields: each takes a state's x once
     xs = [r["log_inv_loss"] for r in sep]
-    assert calls == [xs[i:i + 16] for i in range(0, len(xs), 16)]
+    chunks = [xs[i:i + 16] for i in range(0, len(xs), 16)]
+    assert calls == chunks + chunks
     lt = [r["log_tilde"] for r in sep]
     assert res["monitors"]["d_log_tilde"] == [b - a for a, b in zip(lt, lt[1:])]
 
@@ -439,7 +442,7 @@ def test_batched_loss_upper_bound_bits_match_stepwise(loss, order_L):
 def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
     # several chunks; a state at the separation threshold, whose successor
     # is not watched; zero moves of theta_hat and of rho; t overflowing to
-    # inf for the last states; records every seventh state from `first`
+    # inf for the last states
     monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 64)
     spec = losses.get_loss(loss)
     rng = np.random.default_rng(3)
@@ -452,30 +455,50 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
     vs = rng.uniform(0.5, 40.0, xs.size)
     d_hats = rng.exponential(1e-3, xs.size)
     d_hats[[5, 6]] = 0.0
-    cols = list(zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats))))
-    first = 9
-    records = [{"step": step, "q_min": 0.1 * step, "rho": 1.0}
-               for step in range(2, first + xs.size, 7)]
-    mon = {k: [] for k in ("margin_slack", "nu_slack", "d_log_tilde",
-                           "upper_slack")}
-    log_tilde0 = gradflow._bound_monitors(mon, records, spec, 2.0, first,
-                                          cols)
+    # delta rho^2 and dt_scaled of the step into each state
+    drho_sq = 2.0 * vs * rng.uniform(0.9, 1.1, xs.size)
+    dt_scaled = rng.uniform(0.5, 2.0, xs.size)
+    cols = list(zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats,
+                                            drho_sq / dt_scaled))))
+    mon = {k: [] for k in ("growth_residual", "margin_slack", "nu_slack",
+                           "d_log_tilde", "upper_slack")}
+    log_tilde0 = gradflow._bound_monitors(mon, spec, 2.0, cols)
     oracle = StepwiseFlowMonitors(spec, 2.0)
-    lts = [oracle.push(*state) for state in cols]
+    for state in zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats,
+                                            drho_sq, dt_scaled))):
+        oracle.push(*state)
     assert len(oracle.monitors["upper_slack"]) == xs.size - 42
+    assert len(oracle.monitors["growth_residual"]) == xs.size - 2
     assert list(mon) == list(oracle.monitors)
     for key, series in oracle.monitors.items():
         assert np.array_equal(_bits(mon[key]), _bits(series)), key
     assert _bits(log_tilde0) == _bits(oracle.log_tilde0)
-    for rec in records:
-        k = rec["step"] - first
-        if k < 0:
-            assert list(rec) == ["step", "q_min", "rho"]
-            continue
-        assert list(rec) == ["step", "q_min", "rho", "log_tilde", "bar_gamma"]
-        assert _bits(rec["log_tilde"]) == _bits(lts[k])
-        assert rec["bar_gamma"] == gradflow._bar_gamma(rec["q_min"], rhos[k],
-                                                       2.0)
+
+
+@pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
+def test_margin_fields_bits_match_stepwise(loss, monkeypatch):
+    # several chunks of records; a record at the separation threshold and
+    # records below it get none; a flagged record holds no rho and gets
+    # none; rho^L overflowing a float
+    monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 64)
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(5)
+    xs = _x_sequence(rng, spec.f_at_bf + 0.2, 300)
+    xs[:5] = spec.f_at_bf - rng.uniform(0.0, 1.0, 5)
+    xs[100] = spec.f_at_bf
+    rhos = 1.0 + np.cumsum(rng.exponential(0.01, xs.size))
+    rhos[-3:] = 1e160
+    records = [{"log_inv_loss": x, "rho": rho, "q_min": 0.1 * k}
+               for k, (x, rho) in enumerate(zip(xs.tolist(), rhos.tolist()))]
+    records.insert(150, {"flagged": True, "log_inv_loss": xs[149] + 1.0})
+    want = [dict(r) for r in records]
+    for rec in want:
+        if not rec.get("flagged"):
+            stepwise_margin_fields(rec, spec, 2.0)
+    gradflow.margin_fields(records, spec, 2.0)
+    assert record_fields(records) == record_fields(want)
+    assert sum("bar_gamma" in r for r in records) == xs.size - 6
+    assert records[-1]["bar_gamma"] > 0.0  # q_min / rho^L in log space
 
 
 def _assert_flow_matches_stepwise(res, want):

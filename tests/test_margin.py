@@ -45,7 +45,7 @@ def test_sample_margins_binary_sign():
 def test_sample_margins_multiclass_gap():
     phi = np.array([[5.0, 1.0, 3.0]])
     data = datasets.Dataset(np.array([[1.0]]), np.array([0]))
-    gaps = margin.score_gaps(phi, *data.label_masks(3))
+    gaps = margin.score_gaps(phi, *margin.label_masks(data.y, 3))
     assert np.allclose(gaps, [[4.0, 2.0]])
     assert np.allclose(np.min(gaps, axis=1), [2.0])
     # the same scores from a one-input linear model: q is the worst gap
@@ -62,7 +62,7 @@ def test_soft_margin_below_hard_margin():
     data = datasets.Dataset(rng.standard_normal((12, 4)),
                             rng.integers(0, 3, 12))
     phi, _ = model.forward(theta, data.X)
-    gaps = margin.score_gaps(phi, *data.label_masks(3))
+    gaps = margin.score_gaps(phi, *margin.label_masks(data.y, 3))
     q = np.min(gaps, axis=1)
     q_tilde = margin.soft_margins(gaps)
     assert np.all(q_tilde <= q + 1e-12)

@@ -304,11 +304,15 @@ def test_accepted_keys_per_run():
     }
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MARGINFLOW_OUT", str(tmp_path / "elsewhere"))
-    cfg = RunConfig.from_dict({"scenario": "mexican_hat",
-                               "out_dir": "ignored"})
-    assert cfg.out_dir == str(tmp_path / "elsewhere")
+def test_only_the_verbs_that_write_files_take_out(tmp_path, capsys):
+    # kkt-report and rates print their reports and write nothing
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"scenario": "rates"}))
+    for verb in ("kkt-report", "rates"):
+        with pytest.raises(SystemExit) as err:
+            cli_main([verb, "--config", str(p), "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_config_digest_is_order_insensitive():
