@@ -120,6 +120,12 @@ CORPUS = {
                   "num_outputs": 3},
         "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
         "epochs": 20, "seeds": [0]}),
+    # the README net from 1e-140 per entry: ||G|| scales like rho, so
+    # the first proposed step is ~1e277 and 60 halvings cannot shrink it
+    # into range; a named abort, no traceback
+    "flow_tiny_start": ("run", {
+        "scenario": "flow_margin", "seeds": [0],
+        "options": {"theta0": [1e-140] * 18}}),
     "flow_deep_linear_exp_cubed": ("run", {
         "scenario": "flow_margin", "loss": "exp_cubed",
         "model": {"family": "deep_linear", "input_dim": 2, "widths": [3]},

@@ -73,9 +73,11 @@ def walk(table: list, h: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def backward(table: list, records: list, seed: np.ndarray) -> np.ndarray:
-    """seed^T J as a fresh flat gradient, for the float64 (N, C) adjoint
-    `seed` of a `walk` over one parameter vector: one batched backward
-    gives any weighted sum of per-sample gradients. A non-finite seed
+    """seed^T J for the float64 (N, C) adjoint `seed` of a `walk` over one
+    parameter vector: one batched backward gives any weighted sum of
+    per-sample gradients. It is the table's gradient buffer, which the
+    next backward overwrites and which may hold -0.0: a caller that keeps
+    it takes G + 0.0, which also turns -0.0 into 0.0. A non-finite seed
     raises before any arithmetic; the input's adjoint is never formed."""
     if not _all_finite(seed):
         raise NonFiniteError("backward pass got a non-finite seed")
@@ -88,8 +90,6 @@ def backward(table: list, records: list, seed: np.ndarray) -> np.ndarray:
         h.T.dot(adj, out=g)
         if i:
             adj = adj.dot(w_t)
-    # + 0.0 copies it out and turns -0.0 into 0.0, as zeros + it does
-    grad = g.base + 0.0
-    if not _all_finite(grad):
+    if not _all_finite(g.base):
         raise NonFiniteError("backward pass produced non-finite gradient")
-    return grad
+    return g.base

@@ -53,7 +53,7 @@ def gd_step_direct(evaluator: Evaluator, theta: np.ndarray,
     loss = np.exp(-fq)
     eta = alpha / float(np.mean(loss))
     seed = loss * fp * dataset.y_float / dataset.n
-    grad = -backward(table, records, seed.reshape(-1, 1))
+    grad = -(backward(table, records, seed.reshape(-1, 1)) + 0.0)
     return theta - eta * grad
 
 
@@ -420,6 +420,7 @@ def _gd_monitors(mstate: GdMarginState, spec: LossSpec, steps: list,
             rec["log_hat"] = log_hat_prev
 
 
+@np.errstate(over="ignore")
 def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
              spec: LossSpec, b: BConstants | None, *, epochs: int,
              alpha0: float, mode: str, s5_guard: bool,
@@ -434,11 +435,11 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
     no (S5) guard and no monitors. The loop reads no margin but the
     guard's log kappa; the monitors from the anchor on are taken after
     it (`_gd_monitors`), and the records' margins, with or without a
-    margin state, by `margin_fields`. A step whose forward pass
-    overflows is a rejected trial. The run ends with the message in
-    "abort" when the margin anchor cannot be formed at the first
-    separated epoch (MarginStateError), or when a constant-alpha step
-    overflows; otherwise "abort" is None.
+    margin state, by `margin_fields`. No overflow warns: a step whose
+    forward pass overflows is a rejected trial, and rho may pass 1e154.
+    The run ends with the message in "abort" when the margin anchor
+    cannot be formed at the first separated epoch (MarginStateError), or
+    when a constant-alpha step overflows; otherwise "abort" is None.
     """
     if mode not in ("loss_based", "constant_alpha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -480,10 +481,8 @@ def train_gd(model: HomogeneousModel, theta0, dataset: Dataset,
             nonlocal last
             a = min(a, cap)
             if last is None or last[1] != a:
-                try:  # an overflow is a rejected trial, not a warning
-                    with np.errstate(over="ignore"):
-                        last = (evaluate_point(evaluator,
-                                               gd_step(prev_ev, a)), a)
+                try:
+                    last = (evaluate_point(evaluator, gd_step(prev_ev, a)), a)
                 except NonFiniteError:
                     last = (None, a)
             return (-math.inf if last[0] is None else last[0].x), last

@@ -26,11 +26,11 @@ from .models import HomogeneousModel
 
 
 class PointEval:
-    """Loss, margins, and scaled gradient at one parameter point theta,
-    a flat float64 array that it keeps, with their summaries; beta is
-    computed on first read."""
+    """Loss, margins, and scaled gradient at one parameter point theta, a
+    flat float64 array that it keeps, with their summaries; beta is taken
+    on first read. The builder holds off overflow warnings (rho > 1e154)."""
 
-    __slots__ = ("x", "G", "q", "q_eff", "weights", "fprime", "V", "theta",
+    __slots__ = ("x", "G", "q", "q_eff", "weights", "_fprime", "V", "theta",
                  "g_norm", "rho", "unit", "_beta")
 
     def __init__(self, x, G, q, q_eff, weights, fprime, V, theta):
@@ -39,13 +39,12 @@ class PointEval:
         self.q = q  # hard margins
         self.q_eff = q_eff  # margins inside the loss (q_tilde multi-class)
         self.weights = weights  # softmax weights, sum to 1
-        self.fprime = fprime  # f'(q_eff)
+        self._fprime = fprime  # f'(q_eff): an array, or exp's float 1.0
         self.V = V  # sum_n w_n f'(q_n) <theta, grad q_n> / L = <theta, G> / L
         self.theta = theta
         self.g_norm = math.sqrt(G.dot(G))  # the bits of @, as in flow_step
         # ||theta||, again on theta / max |entry| where theta @ theta overflows
-        with np.errstate(over="ignore"):
-            self.rho = math.sqrt(theta.dot(theta))
+        self.rho = math.sqrt(theta.dot(theta))
         if self.rho == math.inf:
             m = float(np.max(np.abs(theta)))
             u = theta / m
@@ -54,6 +53,10 @@ class PointEval:
         self.unit = (np.zeros_like(theta) if self.rho == 0.0
                      else theta / self.rho)
         self._beta = None
+
+    @property
+    def fprime(self) -> np.ndarray:  # (N,), read-only: exp's 1.0 broadcast
+        return np.broadcast_to(self._fprime, self.q_eff.shape)
 
     @property
     def beta(self) -> float:
@@ -71,8 +74,8 @@ class Evaluator:
     of a scratch parameter buffer `theta` and, for class labels, to the
     label masks of the model's outputs. Each driver binds its own and
     passes it on, so nothing outlives the run. `stage` evaluates a point
-    formed there, `evaluate_point` an owned array; both return fresh
-    arrays."""
+    formed there, G being the gradient buffer until the next evaluation;
+    `evaluate_point` evaluates an owned array into fresh arrays."""
 
     def __init__(self, model, dataset, spec):
         self.dataset, self.spec = dataset, spec
@@ -94,7 +97,7 @@ class Evaluator:
             q_eff = soft_margins(gaps)
         fq, fp = self.spec.f_pair(q_eff)
         x, w = _inv_loss_weights(fq)
-        wfp = w * fp
+        wfp = w if isinstance(fp, float) else w * fp  # w * 1.0 is w
         if ds.is_binary:
             # matmul takes the stride-0 [:, None] view up to 0.7 us slower
             seed = (wfp * ds.y_float).reshape(-1, 1)
@@ -110,25 +113,22 @@ class Evaluator:
                 wfp, split)
 
     def stage(self, theta0, c, k) -> tuple[float, np.ndarray]:
-        """(x, G) at theta0 + c k, formed in the buffer in that order."""
+        """(x, G) at theta0 + c k, formed in the buffer in that order; G is
+        the gradient buffer, valid until the next evaluation."""
         np.multiply(k, c, out=self.theta)
         self.theta += theta0
         return self.run()[:2]
 
 
 def evaluate_point(evaluator: Evaluator, theta: np.ndarray) -> PointEval:
-    """The evaluation at the flat float64 array theta, which it keeps: a
+    """The evaluation at the flat float64 array theta, which it keeps, its
+    G copied out of the gradient buffer by + 0.0 (-0.0 becomes 0.0): a
     module function, the one entry that per-call tracing wraps by name."""
     np.copyto(evaluator.theta, theta)
-    *out, wfp, split = evaluator.run()
+    x, G, *out, wfp, split = evaluator.run()
     # each gap is L-homogeneous, so <theta, grad q_tilde> = L pi . gaps
-    qv = out[3] if split is None else np.sum(np.multiply(*split), axis=1)
-    return PointEval(*out, float(np.add.reduce(wfp * qv)), theta)
-
-
-def is_separated(ev: PointEval, spec: LossSpec) -> bool:
-    """(B4): total loss below ell(b_f), i.e. x beyond f(b_f)."""
-    return ev.x > spec.f_at_bf
+    qv = out[1] if split is None else np.sum(np.multiply(*split), axis=1)
+    return PointEval(x, G + 0.0, *out, float(np.add.reduce(wfp * qv)), theta)
 
 
 def log_tilde_margin(xs, rhos, spec: LossSpec, order_L: float) -> list[float]:
@@ -226,12 +226,10 @@ def flow_step(evaluator: Evaluator, state: FlowState, dt_scaled: float,
                 dtheta *= dt_scaled / 6.0
                 ev1 = evaluate_point(evaluator, theta0 + dtheta)
                 dx = ev1.x - x0
-                ok = abs(dx) <= cap and dx >= -1e-9
+                if abs(dx) <= cap and dx >= -1e-9:
+                    break
             except NonFiniteError:
-                ok = False
                 dx = math.nan
-            if ok:
-                break
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise FlowAbort(f"step rejected {MAX_HALVINGS} times at "
@@ -276,11 +274,8 @@ class LossUpperBound:
 
     def __init__(self, spec: LossSpec, order_L: float, x0: float,
                  log_tilde0: float, t0: float):
-        self.spec = spec
-        self.order_L = order_L
-        self.x_last = x0
-        self.log_G = -math.inf
-        self.t0 = t0
+        self.spec, self.order_L, self.t0 = spec, order_L, t0
+        self.x_last, self.log_G = x0, -math.inf
         self.log_rhs_scale = (2.0 * math.log(order_L)
                               + (2.0 / order_L) * log_tilde0)
 
@@ -406,8 +401,9 @@ def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
     callers stop it at their own targets. One `Evaluator` serves the run.
     """
     evaluator = Evaluator(model, dataset, spec)
-    state = FlowState(0.0, evaluate_point(
-        evaluator, np.asarray(theta0, dtype=np.float64)))
+    with np.errstate(over="ignore"):  # rho past 1e154
+        state = FlowState(0.0, evaluate_point(
+            evaluator, np.asarray(theta0, dtype=np.float64)))
     dt_scaled = propose_dt_scaled(state.ev, step_tol)
     yield state, None
     while state.steps < MAX_STEPS:
@@ -425,10 +421,11 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
 
     Returns a dict with the final state, per-step monitor series
     (activated after separation), trajectory records suitable for
-    serialization, and `log_tilde0`, the certificate anchor: the first
-    finite log smoothed margin of a separated state, else None. The loop
-    keeps plain scalars per state from the first separated one on; the
-    monitors (`_bound_monitors`) and the records' margins
+    serialization, `log_tilde0`, the certificate anchor: the first
+    finite log smoothed margin of a separated state, else None, and
+    `abort`, the message of a `FlowAbort` that ended the run, else None.
+    The loop keeps plain scalars per state from the first separated one
+    on; the monitors (`_bound_monitors`) and the records' margins
     (`margin_fields`) are read after it.
     """
     records = []
@@ -442,17 +439,22 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                         "q_min": float(np.minimum.reduce(st.ev.q)),
                         "beta": st.ev.beta, "nu_rel": st.ev.V})
 
-    for state, info in flow_states(model, theta0, dataset, spec,
-                                   step_tol=step_tol):
-        ev = state.ev
-        if cols or is_separated(ev, spec):
-            step = ((0.0, 0.0) if info is None else
-                    (info.delta_theta_hat, info.delta_rho_sq / info.dt_scaled))
-            cols.append((ev.x, ev.rho, state.t, ev.V, *step))
-        if state.steps % record_every == 0:
-            record(state)
-        if ev.x >= target_log_inv_loss:
-            break
+    abort = None
+    try:
+        for state, info in flow_states(model, theta0, dataset, spec,
+                                       step_tol=step_tol):
+            ev = state.ev
+            if cols or ev.x > spec.f_at_bf:
+                step = ((0.0, 0.0) if info is None else
+                        (info.delta_theta_hat,
+                         info.delta_rho_sq / info.dt_scaled))
+                cols.append((ev.x, ev.rho, state.t, ev.V, *step))
+            if state.steps % record_every == 0:
+                record(state)
+            if ev.x >= target_log_inv_loss:
+                break
+    except FlowAbort as err:  # the run ends at its last accepted state
+        abort = f"flow aborted: {err}"
     if records[-1]["step"] != state.steps:
         record(state)
     log_tilde0 = _bound_monitors(monitors, spec, model.order_L, cols)
@@ -462,6 +464,7 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
         "records": records,
         "monitors": monitors,
         "log_tilde0": log_tilde0,
+        "abort": abort,
     }
 
 

@@ -30,9 +30,10 @@ class LossSpec:
 
     A family is two functions: f_pair(q) returns (f(q), f'(q)), on all
     of R, and g_pair(x) (g(x), g'(x)), only on [f(b_f), inf), the range
-    where f is invertible. f, f_prime, g and g_prime are their halves,
-    fields only so that span tracing (perfbench/spans.py) can swap them.
-    K, b_g, p are the tail-comparability constants.
+    where f is invertible; a derivative is an array, or the float 1.0
+    where it is identically 1 (exp). f, f_prime, g and g_prime are their
+    halves, fields only so that span tracing (perfbench/spans.py) can
+    swap them. K, b_g, p are the tail-comparability constants.
     """
 
     name: str
@@ -63,11 +64,8 @@ class LossSpec:
 # exponential loss: f = g = identity
 
 def _exp_pair(q):
-    """(q + 0.0, ones): f and f', and g and g', from one call."""
-    q = _as_f64(q)
-    ones = np.empty(q.shape)
-    ones.fill(1.0)  # half the time of np.ones, a Python-level function
-    return q + 0.0, ones
+    """(q + 0.0, 1.0): f and f', and g and g', from one call."""
+    return np.add(q, 0.0, dtype=np.float64), 1.0
 
 
 def make_exponential() -> LossSpec:

@@ -36,16 +36,15 @@ def soft_margins(gaps: np.ndarray) -> np.ndarray:
 def _inv_loss_weights(fq: np.ndarray) -> tuple[float, np.ndarray]:
     """(x, w) for loss = sum_n exp(-fq_n): x = -LSE(-fq), w = exp(x - fq).
 
-    The weights are formed as exp(m - fq) * exp(x - m) with m = min fq,
-    so every exponent stays O(1) however small the loss is. The
-    log-sum-exp is inline: scipy's `logsumexp` costs ~100-300us per
-    call on the short arrays of the flow's hot loop. The reductions call
-    the ufunc directly, which skips the ndarray method's Python wrapper
-    and gives the same bits.
+    With m = min fq, w is exp(m - fq) * exp(x - m), every exponent O(1)
+    however small the loss is, and x is -(log sum exp(m - fq) - m): the
+    bits of the log-sum-exp of -fq about its max -m, as negation is exact
+    and rounding sign-symmetric. The log-sum-exp is inline (scipy's
+    `logsumexp` costs ~100-300us per call on the flow's short arrays),
+    and the reductions call the ufunc, skipping ndarray's Python wrapper.
     """
-    neg_fq = -fq
-    neg_m = float(np.maximum.reduce(neg_fq))
-    w = np.exp(neg_fq - neg_m)
-    x = -(neg_m + math.log(float(np.add.reduce(w))))
-    w *= math.exp(x + neg_m)
+    m = float(np.minimum.reduce(fq))
+    w = np.exp(m - fq)
+    x = -(math.log(float(np.add.reduce(w))) - m)
+    w *= math.exp(x - m)
     return x, w

@@ -32,7 +32,7 @@ import yaml
 from .datasets import KINDS, Dataset, load_dataset
 from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
                       sphere_sups, train_gd)
-from .gradflow import (Evaluator, evaluate_point, flow_states, is_separated,
+from .gradflow import (Evaluator, evaluate_point, flow_states,
                        log_tilde_margin, run_flow, run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import LossSpec, get_loss, validate_b3
@@ -346,8 +346,8 @@ def _theta0(cfg: RunConfig, seed: int) -> np.ndarray:
 def _drive(cfg: RunConfig, seed: int):
     """(result, B-constants, failures) of the configured optimizer's run
     from `_theta0`: `run_flow`'s result, with a stop short of the target
-    (stationary, or out of steps) as a failure, or `train_gd`'s with its
-    abort and missing margin state as failures.
+    (an abort, stationary, or out of steps) as a failure, or `train_gd`'s
+    with its abort and missing margin state as failures.
 
     The B-constants are drawn before the run starts, None for labels
     other than -1/+1. Descent draws from the seed itself and the flow
@@ -366,9 +366,9 @@ def _drive(cfg: RunConfig, seed: int):
         out = run_flow(model, theta0, ds, spec, target_log_inv_loss=target,
                        step_tol=o["step_tol"], record_every=o["record_every"])
         state = out["state"]
-        return out, b, [] if state.ev.x >= target else [
+        return out, b, [] if state.ev.x >= target else [out["abort"] or (
             f"flow stopped at x = {state.ev.x} after {state.steps} steps, "
-            f"short of its target x >= {target}"]
+            f"short of its target x >= {target}")]
     res = train_gd(
         model, theta0, ds, spec, b, epochs=o["epochs"], alpha0=o["alpha0"],
         mode=("constant_alpha" if cfg.optimizer == "gd_const"
@@ -473,7 +473,7 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
             failures.append(f"no SVM reference: {err}")
         else:
             gap = direction_gap_to_svm(state.ev.theta, w_star)
-        if is_separated(state.ev, spec):
+        if state.ev.x > spec.f_at_bf:  # (B4)
             kkt = build_certificate(model, state.ev, ds, spec, b1=b.b1,
                                     log_tilde_t0=out["log_tilde0"])
             del kkt["lambdas"], kkt["rho"]
@@ -508,6 +508,7 @@ def _scenario_rates(cfg: RunConfig, seed: int) -> dict:
         rates={"decades": diag["decades"], **verdict})
 
 
+@np.errstate(over="ignore")  # rho past 1e154, as in train_gd
 def frame_equivalence_check(model, ds, spec, theta0, records) -> dict:
     """Replay a `train_gd` run's accepted epochs in the relative frame
     and through a plain float64 loop side by side, up to FRAME_X_STOP,
@@ -659,13 +660,13 @@ def kkt_report(cfg: RunConfig, seed: int) -> dict:
                for f in KKT_FRACTIONS]
     for state, _ in flow_states(model, _theta0(cfg, seed), ds, spec,
                                 step_tol=cfg.options["step_tol"]):
-        if anchor is None and is_separated(state.ev, spec):
+        if anchor is None and state.ev.x > spec.f_at_bf:
             [lt] = log_tilde_margin([state.ev.x], [state.ev.rho], spec,
                                     model.order_L)
             anchor = lt if math.isfinite(lt) else None
         while targets and state.ev.x >= targets[0]:
             x_target = targets.pop(0)
-            if not is_separated(state.ev, spec):
+            if not state.ev.x > spec.f_at_bf:
                 failures.append(f"checkpoint x >= {x_target}: not separated "
                                 f"at x = {state.ev.x}")
             else:

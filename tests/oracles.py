@@ -29,6 +29,11 @@ bit for bit. `rk4_flow_step` is the adaptive RK4 step in its textbook k
 form, every array formed afresh and the step's summaries as numpy
 scalars, with the same evaluations and controller: the states and step
 records that `flow_step` must reproduce bit for bit.
+`reference_flow_states` is the flow in its evaluation order before the
+lean step (exp's f' as an array of ones, the log-sum-exp of the negated
+copy -fq in `negated_inv_loss_weights`, G copied out of the gradient
+buffer at every evaluation and an errstate per state): `flow_states`
+must reproduce its states bit for bit.
 """
 
 import math
@@ -43,8 +48,8 @@ from scipy.optimize import brentq
 from marginflow import gdtrain, gradflow
 from marginflow.autodiff import NonFiniteError, backward, layers, walk
 from marginflow.gradflow import (Evaluator, FlowAbort, FlowState, HatState,
-                                 StepInfo, _hat_rhs, evaluate_point,
-                                 hat_value)
+                                 PointEval, StepInfo, _hat_rhs,
+                                 evaluate_point, hat_value)
 from marginflow.kkt import NotSeparableError
 from marginflow.losses import LossDomainError, LossSpec
 from marginflow.margin import label_masks, score_gaps, soft_margins
@@ -348,6 +353,13 @@ def logistic_f_prime(q):
     sig = np.where(q >= 0.0, u / (1.0 + u), 1.0 / (1.0 + u))
     safe = sp > 0.0
     return np.where(safe, sig / np.where(safe, sp, 1.0), 1.0)
+
+
+def exp_f_prime(q):
+    """The exponential loss's f' = 1 as an array of ones."""
+    ones = np.empty(np.shape(q))
+    ones.fill(1.0)
+    return ones
 
 
 def eager_point_summaries(ev, theta, gaps=None):
@@ -788,7 +800,7 @@ def stepwise_run_flow(model, theta0, dataset, spec, *, target_log_inv_loss,
     for state, info in gradflow.flow_states(model, theta0, dataset, spec,
                                             step_tol=step_tol):
         ev = state.ev
-        watching = watching or gradflow.is_separated(ev, spec)
+        watching = watching or ev.x > spec.f_at_bf
         if watching:
             step = ((0.0, 0.0, 1.0) if info is None else
                     (info.delta_theta_hat, info.delta_rho_sq, info.dt_scaled))
@@ -1078,7 +1090,9 @@ def layer_walk_grad_norms(cache):
     return np.sqrt(sq_norms)
 
 
-def _two_call_inv_loss_weights(fq):
+def negated_inv_loss_weights(fq):
+    """(x, w) of `margin._inv_loss_weights` in the form it had before it
+    dropped the negated copy: the log-sum-exp of -fq about its max."""
     neg_fq = -fq
     neg_m = float(neg_fq.max())
     w = np.exp(neg_fq - neg_m)
@@ -1092,6 +1106,8 @@ def two_call_point(model, theta, dataset, spec):
     the layer list with f and f' from two loss calls."""
     if spec.name in ("logistic", "cross_entropy"):
         f, f_prime = logistic_f, logistic_f_prime
+    elif spec.name == "exp":
+        f, f_prime = spec.f, exp_f_prime
     else:
         f, f_prime = spec.f, spec.f_prime
     phi, cache = layer_walk_forward(layers_of(model), theta, dataset.X)
@@ -1107,7 +1123,7 @@ def two_call_point(model, theta, dataset, spec):
         gaps = phi[rows, y][:, None] - phi[mask].reshape(n, c - 1)
         q = np.min(gaps, axis=1)
         q_eff = soft_margins(gaps)
-    x, w = _two_call_inv_loss_weights(f(q_eff))
+    x, w = negated_inv_loss_weights(f(q_eff))
     fp = f_prime(q_eff)
     wfp = w * fp
     if dataset.is_binary:
@@ -1121,3 +1137,98 @@ def two_call_point(model, theta, dataset, spec):
         seed[rows, y] = wfp
     G = layer_walk_backward(cache, seed)
     return x, q, w, fp, G, float(np.sum(wfp * qv))
+
+
+def _reference_run(table, dataset, spec, masks):
+    """(x, G, q, q_eff, w, f', w f', None or (pi, gaps)) of the bound
+    table in the evaluation order of the flow's evaluator before its
+    lean step: exp's f' as an array of ones multiplied into w, the
+    log-sum-exp of the negated copy -fq, and G copied out of the
+    gradient buffer with + 0.0 at every evaluation, RK stages included."""
+    phi, records = walk(table, dataset.X)
+    if dataset.is_binary:
+        q = q_eff = dataset.y_float * phi[:, 0]
+    else:
+        on, off = masks
+        gaps = score_gaps(phi, on, off)
+        q = np.min(gaps, axis=1)
+        q_eff = soft_margins(gaps)
+    fq, fp = spec.f_pair(q_eff)
+    if spec.name == "exp":
+        fp = exp_f_prime(q_eff)
+    x, w = negated_inv_loss_weights(fq)
+    wfp = w * fp
+    if dataset.is_binary:
+        seed = (wfp * dataset.y_float).reshape(-1, 1)
+        split = None
+    else:
+        pi = np.exp(q_eff[:, None] - gaps)
+        split = pi, gaps
+        seed = np.zeros(phi.shape)
+        seed[off] = (-wfp[:, None] * pi).ravel()
+        seed[on] = wfp
+    G = backward(table, records, seed) + 0.0
+    return x, G, q, q_eff, w, fp, wfp, split
+
+
+def reference_flow_states(model, theta0, dataset, spec, step_tol):
+    """`flow_states` in the evaluation order before its lean step: every
+    evaluation runs `_reference_run` on a table bound to its own buffer,
+    and every `PointEval` is built inside an errstate of its own. Yields
+    (t, x, theta, G) per state, the start included; it stops where the
+    package's flow does, but for MAX_STEPS."""
+    buf = np.empty(model.param_count)
+    table = layers(model.blocks, buf)
+    masks = (None if dataset.is_binary
+             else label_masks(dataset.y, model.num_outputs))
+
+    def point(theta):
+        np.copyto(buf, theta)
+        x, G, q, q_eff, w, fp, wfp, split = _reference_run(
+            table, dataset, spec, masks)
+        qv = q_eff if split is None else np.sum(np.multiply(*split), axis=1)
+        with np.errstate(over="ignore"):
+            return PointEval(x, G, q, q_eff, w, fp,
+                             float(np.add.reduce(wfp * qv)), theta)
+
+    def stage(theta0, c, k):
+        np.multiply(k, c, out=buf)
+        np.add(buf, theta0, out=buf)
+        return _reference_run(table, dataset, spec, masks)[:2]
+
+    t, ev = 0.0, point(np.asarray(theta0, dtype=np.float64))
+    dt_scaled = gradflow.propose_dt_scaled(ev, step_tol)
+    while True:
+        yield t, ev.x, ev.theta, ev.G
+        if ev.g_norm == 0.0 or dt_scaled == 0.0:
+            return
+        theta0, x0 = ev.theta, ev.x
+        cap = step_tol * max(1.0, abs(x0))
+        halvings = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                try:
+                    x2, g2 = stage(theta0, dt_scaled / 2, ev.G)
+                    u2 = (2.0 * math.exp(min(x0 - x2, 50.0))) * g2
+                    x3, g3 = stage(theta0, dt_scaled / 4, u2)
+                    u3 = (2.0 * math.exp(min(x0 - x3, 50.0))) * g3
+                    x4, g4 = stage(theta0, dt_scaled / 2, u3)
+                    dtheta = u2
+                    dtheta += ev.G
+                    dtheta += u3
+                    dtheta += math.exp(min(x0 - x4, 50.0)) * g4
+                    dtheta *= dt_scaled / 6.0
+                    ev1 = point(theta0 + dtheta)
+                    dx = ev1.x - x0
+                    if abs(dx) <= cap and dx >= -1e-9:
+                        break
+                except NonFiniteError:
+                    dx = math.nan
+                halvings += 1
+                if halvings > gradflow.MAX_HALVINGS:
+                    raise FlowAbort(f"step rejected at x={x0}")
+                dt_scaled /= 2.0
+        gain = min(2.0, max(0.5, 0.6 * cap / max(abs(dx), cap / 100.0)))
+        t += dt_scaled * math.exp(x0) if x0 < 700.0 else math.inf
+        dt_scaled = dt_scaled * math.exp(x0 - ev1.x) * gain
+        ev = ev1

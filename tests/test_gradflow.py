@@ -26,7 +26,8 @@ from oracles import (StepwiseFlowMonitors, StepwiseLossUpperBound,
                      eager_point_summaries, fd_grad, hat_step_array,
                      layer_walk_forward, layer_walk_grad_norms, layers_of,
                      per_sample_grad_norms, preactivations,
-                     readme_flow_config, record_fields, rk4_flow_step,
+                     readme_flow_config, record_fields,
+                     reference_flow_states, rk4_flow_step,
                      stepwise_margin_fields, stepwise_run_flow,
                      two_call_point)
 
@@ -135,9 +136,13 @@ def _point_outcome(fn, *args):
 
 
 def _stage_point(evaluator, theta):
-    """(x, G) of the bound evaluator's RK stage at theta + 0.0 theta,
-    formed in its buffer: theta itself, the sign of each zero included."""
-    return evaluator.stage(theta, 0.0, theta)
+    """(x, G + 0.0) of the bound evaluator's RK stage at theta + 0.0 theta,
+    formed in its buffer: theta itself, the sign of each zero included.
+    The stage's G is the evaluator's gradient buffer, which may hold
+    -0.0; + 0.0 is the copy that `evaluate_point` takes."""
+    x, G = evaluator.stage(theta, 0.0, theta)
+    assert G is evaluator.layers[0][5].base
+    return x, G + 0.0
 
 
 def _start(model, theta0, data, spec):
@@ -581,6 +586,54 @@ def test_overflowing_trials_emit_no_warning():
     assert halvings > 0
 
 
+def test_runs_leave_numpy_error_state_as_they_found_it(monkeypatch):
+    # evaluations hold numpy's overflow warning off in with-blocks and
+    # decorators, one per flow step or per run, none across a yield; each
+    # driver below leaves np.geterr() as it was, under the suite's
+    # error::RuntimeWarning
+    before = np.geterr()
+    spec, model, theta0, data = _relu_logistic_setup()
+    for _ in itertools.islice(gradflow.flow_states(
+            model, theta0, data, spec, step_tol=2e-3), 50):
+        assert np.geterr() == before  # as seen between the steps
+    # run_flow abandons its flow_states generator at the target
+    out = gradflow.run_flow(model, theta0, data, spec, target_log_inv_loss=3.0,
+                            step_tol=2e-3, record_every=10)
+    gc.collect()
+    assert out["abort"] is None and np.geterr() == before
+    # a FlowAbort raised out of a step's trials
+    out = gradflow.run_flow(model, np.full(model.param_count, 1e-140), data,
+                            spec, target_log_inv_loss=3.0, step_tol=2e-3,
+                            record_every=10)
+    assert out["abort"].startswith("flow aborted: step rejected 60 times")
+    assert np.geterr() == before
+    # unguarded exp descent on the README net: overflowing trials are
+    # rejected, and rho passes 1e154 while theta @ theta overflows
+    cfg = runner.RunConfig.from_dict({
+        "scenario": "gd_margin", "loss": "exp", "alpha0": 0.1,
+        "epochs": 3000, "seed": 0, "options": {"s5_guard": False}})
+    rejected = []
+    real = gdtrain.evaluate_point
+
+    def counted(*args):
+        try:
+            return real(*args)
+        except autodiff.NonFiniteError:
+            rejected.append(args)
+            raise
+
+    monkeypatch.setattr(gdtrain, "evaluate_point", counted)
+    theta0 = runner._theta0(cfg, 0)
+    out = gdtrain.train_gd(cfg.model, theta0, cfg.dataset, cfg.loss, None,
+                           epochs=3000, alpha0=0.1, mode="loss_based",
+                           s5_guard=False, guard_safety=0.5)
+    assert rejected and 1e154 < out["ev"].rho < math.inf
+    assert np.geterr() == before
+    frame = runner.frame_equivalence_check(cfg.model, cfg.dataset, cfg.loss,
+                                           theta0, out["records"])
+    assert frame["epochs"] > 0 and np.geterr() == before
+
+
 def _step_bits(state, info):
     """Bits of theta, x and t of a state and of the float fields of its
     step record, and the record's halvings; a start state has no record."""
@@ -634,6 +687,38 @@ def test_flow_step_bits_match_rk4_oracle(family, loss, classes):
     assert np.array_equal(prev.ev.G.view(np.int64), prev_G)
     assert got[1].halvings > 0
     assert _step_bits(*got) == _step_bits(*want)
+
+
+@pytest.mark.parametrize("family, loss", [
+    *((family, loss) for family in sorted(_STEP_FAMILIES)
+      for loss in ("exp", "logistic", "exp_cubed")),
+    ("relu_mlp", "cross_entropy")])
+def test_flow_states_bits_match_reference_evaluation_order(family, loss):
+    # 200 steps of each family on binary labels, and of the relu net on
+    # three classes: x, t, theta and G of every state, the start
+    # included, as the evaluation order before the lean step gave them
+    # (exp's ones, the negated log-sum-exp, a fresh G per stage and an
+    # errstate per state)
+    classes = 3 if loss == "cross_entropy" else 2
+    spec = losses.get_loss(loss)
+    rng = np.random.default_rng(17)
+    labels = np.arange(12) % classes
+    X = rng.normal(size=(12, 3)) + 2.0 * np.eye(3)[labels]
+    if classes == 2:
+        labels = 2 * labels - 1
+    data = datasets.Dataset(X, labels)
+    model = _STEP_FAMILIES[family](1 if classes == 2 else classes)
+    theta0 = models.init_params(model, rng, scale=0.7)
+    got = [(st.t, st.ev.x, st.ev.theta, st.ev.G) for st, _ in
+           itertools.islice(gradflow.flow_states(model, theta0, data, spec,
+                                                 step_tol=2e-3), 201)]
+    want = list(itertools.islice(reference_flow_states(
+        model, theta0, data, spec, 2e-3), 201))
+    assert len(got) == len(want) == 201
+    for (t, x, theta, G), ref in zip(got, want):
+        assert _bits([t, x]).tolist() == _bits(ref[:2]).tolist()
+        assert np.array_equal(theta.view(np.int64), ref[2].view(np.int64))
+        assert np.array_equal(G.view(np.int64), ref[3].view(np.int64))
 
 
 def test_interleaved_runs_keep_their_single_run_bits():

@@ -15,7 +15,8 @@ from scipy.special import logsumexp
 from marginflow import datasets, losses, margin, models
 from marginflow.gradflow import Evaluator, evaluate_point, log_tilde_margin
 
-from oracles import effective_margins, margin_sandwich
+from oracles import (effective_margins, margin_sandwich,
+                     negated_inv_loss_weights)
 
 mp.mp.dps = 50
 
@@ -108,6 +109,26 @@ def test_log_inv_loss_matches_compensated_oracle():
     ref = -mp.log(mp.fsum(mp.log(1 + mp.e**(-mp.mpf(q))) for q in qs))
     got, _ = _x_and_weights(spec, qs)
     assert abs(got - float(ref)) < 1e-12
+
+
+def test_inv_loss_weights_bits_match_negated_form():
+    # the log-sum-exp about min fq gives the bits of the one about the max
+    # of -fq, the sign of a zero x included: fq = [log 2, log 2] puts
+    # log sum w exactly at m, where m - log sum w would give +0.0
+    rng = np.random.default_rng(23)
+    cases = [np.zeros(1), np.array([-0.0]), np.array([0.0, -0.0]),
+             np.full(2, np.log(2.0)), np.array([np.inf, 1.0]),
+             np.array([-np.inf, 1.0]), np.array([1e308, -1e308])]
+    cases += [scale * rng.standard_normal(n) for n in (1, 3, 12, 192)
+              for scale in (1e-3, 1.0, 40.0, 1e5)]
+    for fq in cases:
+        with np.errstate(all="ignore"):
+            got, want = margin._inv_loss_weights(fq), \
+                negated_inv_loss_weights(fq)
+        assert np.array_equal(np.asarray(got[0]).view(np.int64),
+                              np.asarray(want[0]).view(np.int64)), fq
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert str(margin._inv_loss_weights(np.full(2, np.log(2.0)))[0]) == "-0.0"
 
 
 def test_loss_weights_sum_to_one_even_deep():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from marginflow.cli import main as cli_main
 from marginflow import gradflow, runner
@@ -807,6 +808,26 @@ def test_gd_alpha_past_1e300_corpus_entry_names_the_stall(tmp_path, capsys):
     assert code == 1
     assert report["failures"][0] == \
         "seed 0: scheduler stalled at epochs [5126]"
+
+
+def test_flow_tiny_start_corpus_entry_names_the_abort(tmp_path, capsys):
+    # the README net from 1e-140 per entry: 60 halvings cannot shrink the
+    # first proposal into range, and the FlowAbort that once raised out
+    # of the CLI is a named failure; the run's files are still written.
+    # YAML as the corpus writes it: PyYAML reads json's 1e-140 as a string
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(_emit_outputs().CORPUS["flow_tiny_start"][1]))
+    code = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failure = ("flow aborted: step rejected 60 times at t=0.0, "
+               "x=-2.4849066497880004, last dx=0.6931471805599454")
+    assert report["failures"] == [f"seed 0: {failure}"]
+    assert [Path(f).name for f in report["files"][:2]] == [
+        "flow_margin-seed0.jsonl", "flow_margin-seed0.summary.json"]
+    summary = json.loads(Path(report["files"][1]).read_text())
+    assert summary["failures"] == [failure]
+    assert summary["final"]["steps"] == 0
 
 
 def test_deep_loss_3class_corpus_entry_names_missing_frame_check(
