@@ -157,6 +157,12 @@ CORPUS = {
     "kkt_init": ("kkt-report", {
         "scenario": "linear_logistic_2d", "loss": "exp",
         "target_log_inv_loss": 24.0, "step_tol": 0.003, "seeds": [3]}),
+    # flow_tiny_start's net on the linear data: the report's flow aborts
+    # before its first checkpoint, a named failure, no traceback
+    "kkt_tiny_start": ("kkt-report", {
+        "scenario": "linear_logistic_2d", "target_log_inv_loss": 10.0,
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6]},
+        "seeds": [0], "options": {"theta0": [1e-140] * 18}}),
     "rates_verb": ("rates", {
         "scenario": "rates", "loss": "exp", "target_log_inv_loss": 18.0,
         "step_tol": 0.002, "seeds": [1]}),

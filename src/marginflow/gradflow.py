@@ -344,21 +344,19 @@ def margin_fields(records: list, spec: LossSpec, order_L: float) -> None:
             rec["bar_gamma"] = _bar_gamma(rec["q_min"], rec["rho"], order_L)
 
 
-def _bound_monitors(monitors: dict, spec: LossSpec, order_L: float,
-                    cols: list) -> float | None:
-    """The invariant monitors of a flow run after its loop, for the states
-    from the first separated one on: cols holds (x, rho, t, V,
-    ||delta theta_hat||, delta rho^2 / dt_scaled) per state, the last two
-    of the step into it. Per MONITOR_CHUNK states, one array pass takes
-    their log tilde and appends to `monitors` the five series of each
-    state whose predecessor is separated. The growth residual is that of
-    d(rho^2)/dt == 2 L nu, both sides over exp(-x0): delta rho^2 /
-    dt_scaled against the trapezoid of 2 L V e^{x0-x}. The loss upper
-    bound is anchored at the first state and skips a t that has
-    overflowed to inf. Returns log_tilde0, the first finite log tilde of
-    a separated state, else None."""
-    bound = log_tilde0 = None
-    prev = None  # (x, rho, V, log tilde) of the previous state
+def bound_monitors(spec: LossSpec, order_L: float, cols: list) -> dict:
+    """The five invariant monitor series of a flow run, taken after its
+    loop for the states from the first separated one on: cols holds (x,
+    rho, t, V, ||delta theta_hat||, delta rho^2 / dt_scaled) per state,
+    the last two of the step into it. Per MONITOR_CHUNK states, one array
+    pass takes their log tilde and appends the series of each state whose
+    predecessor is separated. The growth residual is that of d(rho^2)/dt
+    == 2 L nu, both sides over exp(-x0): delta rho^2 / dt_scaled against
+    the trapezoid of 2 L V e^{x0-x}. The loss upper bound is anchored at
+    the first state and skips a t that has overflowed to inf."""
+    monitors = {k: [] for k in ("growth_residual", "margin_slack",
+                                "nu_slack", "d_log_tilde", "upper_slack")}
+    bound = prev = None  # prev: (x, rho, V, log tilde) of the last state
     for i in range(0, len(cols), MONITOR_CHUNK):
         xs, rhos, ts, vs, d_hats, rates = zip(*cols[i:i + MONITOR_CHUNK])
         lts = log_tilde_margin(xs, rhos, spec, order_L)
@@ -377,8 +375,6 @@ def _bound_monitors(monitors: dict, spec: LossSpec, order_L: float,
                 monitors["margin_slack"].append(
                     margin_rate_slack(d, rho0, rho, d_hat, order_L))
                 monitors["d_log_tilde"].append(d)
-            if log_tilde0 is None and math.isfinite(lt) and x > spec.f_at_bf:
-                log_tilde0 = lt
             prev = x, rho, v, lt
         x = np.array(xs)[watched]
         t = np.array(ts)[watched]
@@ -387,7 +383,7 @@ def _bound_monitors(monitors: dict, spec: LossSpec, order_L: float,
         finite = np.isfinite(t)
         monitors["upper_slack"] += bound.slack(bound.update(x[finite]),
                                                t[finite])
-    return log_tilde0
+    return monitors
 
 
 def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
@@ -415,23 +411,21 @@ def flow_states(model: HomogeneousModel, theta0, dataset: Dataset,
 
 
 def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
-             *, target_log_inv_loss: float, step_tol: float,
-             record_every: int) -> dict:
-    """Drive the flow until x reaches the target; collect per-step series.
+             *, targets, step_tol: float, record_every: int) -> dict:
+    """Drive the flow until x has reached each of `targets` in turn.
 
-    Returns a dict with the final state, per-step monitor series
-    (activated after separation), trajectory records suitable for
-    serialization, `log_tilde0`, the certificate anchor: the first
-    finite log smoothed margin of a separated state, else None, and
+    Returns a dict with the final `state`; `reached`, the first state at
+    or past each target reached, looked for from the state that reached
+    the one before (a state past several stands for each); trajectory
+    `records` suitable for serialization; `cols`,
+    `bound_monitors`' scalars per state from the first separated one on;
+    `log_tilde0`, the certificate anchor: the first finite log smoothed
+    margin of a separated state, taken in the loop, else None; and
     `abort`, the message of a `FlowAbort` that ended the run, else None.
-    The loop keeps plain scalars per state from the first separated one
-    on; the monitors (`_bound_monitors`) and the records' margins
-    (`margin_fields`) are read after it.
+    The records' margins (`margin_fields`) are read after the loop.
     """
-    records = []
-    monitors = {k: [] for k in ("growth_residual", "margin_slack",
-                                "nu_slack", "d_log_tilde", "upper_slack")}
-    cols = []  # _bound_monitors' scalars per state from the first separated
+    records, cols, reached, targets = [], [], [], list(targets)
+    log_tilde0 = None
 
     def record(st: FlowState):
         records.append({"t": st.t, "step": st.steps, "log_inv_loss": st.ev.x,
@@ -449,23 +443,23 @@ def run_flow(model: HomogeneousModel, theta0, dataset: Dataset, spec: LossSpec,
                         (info.delta_theta_hat,
                          info.delta_rho_sq / info.dt_scaled))
                 cols.append((ev.x, ev.rho, state.t, ev.V, *step))
+            if log_tilde0 is None and ev.x > spec.f_at_bf:
+                [lt] = log_tilde_margin([ev.x], [ev.rho], spec, model.order_L)
+                log_tilde0 = lt if math.isfinite(lt) else None
             if state.steps % record_every == 0:
                 record(state)
-            if ev.x >= target_log_inv_loss:
+            while targets and ev.x >= targets[0]:
+                targets.pop(0)
+                reached.append(state)
+            if not targets:
                 break
     except FlowAbort as err:  # the run ends at its last accepted state
         abort = f"flow aborted: {err}"
     if records[-1]["step"] != state.steps:
         record(state)
-    log_tilde0 = _bound_monitors(monitors, spec, model.order_L, cols)
     margin_fields(records, spec, model.order_L)
-    return {
-        "state": state,
-        "records": records,
-        "monitors": monitors,
-        "log_tilde0": log_tilde0,
-        "abort": abort,
-    }
+    return {"state": state, "reached": reached, "records": records,
+            "cols": cols, "log_tilde0": log_tilde0, "abort": abort}
 
 
 # Mexican hat: a smooth order-L model rho^L (1 - f(r, phi)) of one

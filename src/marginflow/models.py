@@ -32,22 +32,13 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class HomogeneousModel:
-    """A dense chain as its block table; `activation` names the kind
-    between the layers (None for a linear chain), `alpha` is the
-    LeakyReLU negative-side slope."""
+    """A dense chain as its block table; `alpha` is the LeakyReLU
+    negative-side slope, and `order_L` the sum of the block exponents."""
 
     name: str
     blocks: tuple[Block, ...]
-    activation: str | None
     alpha: float
     order_L: float
-
-    def __post_init__(self):
-        total = sum(b.k for b in self.blocks)
-        if abs(total - self.order_L) > 1e-12:
-            raise ValueError(
-                f"block exponents sum to {total}, expected order {self.order_L}"
-            )
 
     @property
     def num_outputs(self) -> int:
@@ -80,7 +71,7 @@ def _dense_chain(name: str, dims: list[int], kind: str | None,
         blocks.append(Block(start, stop, (dims[i], dims[i + 1]), k,
                             op if inner else None, rule if inner else None))
         start = stop
-    return HomogeneousModel(name, tuple(blocks), kind, alpha,
+    return HomogeneousModel(name, tuple(blocks), alpha,
                             sum(b.k for b in blocks))
 
 

@@ -30,10 +30,9 @@ import numpy as np
 import yaml
 
 from .datasets import KINDS, Dataset, load_dataset
-from .gdtrain import (estimate_b_constants, gd_step, gd_step_direct,
-                      sphere_sups, train_gd)
-from .gradflow import (Evaluator, evaluate_point, flow_states,
-                       log_tilde_margin, run_flow, run_hat)
+from .gdtrain import estimate_b_constants, gd_step, gd_step_direct, train_gd
+from .gradflow import (Evaluator, bound_monitors, evaluate_point, run_flow,
+                       run_hat)
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import LossSpec, get_loss, validate_b3
 from .models import FAMILIES, HomogeneousModel, build_model, init_params
@@ -202,8 +201,13 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    """The config in the file at `path`, read as JSON, else as YAML: a
+    YAML 1.1 float needs a dot, so PyYAML reads JSON's 3e-3 as a string."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)
+    except ValueError:
+        raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return RunConfig.from_dict(raw)
@@ -343,11 +347,12 @@ def _theta0(cfg: RunConfig, seed: int) -> np.ndarray:
     return init_params(cfg.model, np.random.default_rng(seed), scale=0.7)
 
 
-def _drive(cfg: RunConfig, seed: int):
+def _drive(cfg: RunConfig, seed: int, fractions=(1.0,)):
     """(result, B-constants, failures) of the configured optimizer's run
-    from `_theta0`: `run_flow`'s result, with a stop short of the target
-    (an abort, stationary, or out of steps) as a failure, or `train_gd`'s
-    with its abort and missing margin state as failures.
+    from `_theta0`: `run_flow`'s to the target times each of `fractions`,
+    with a stop short of one (an abort, stationary, or out of steps) as a
+    failure, or `train_gd`'s with its abort and missing margin state as
+    failures.
 
     The B-constants are drawn before the run starts, None for labels
     other than -1/+1. Descent draws from the seed itself and the flow
@@ -362,13 +367,13 @@ def _drive(cfg: RunConfig, seed: int):
         b = estimate_b_constants(model, ds, rng, o["n_sphere"],
                                  o["n_curvature"])
     if flow:
-        target = o["target_log_inv_loss"]
-        out = run_flow(model, theta0, ds, spec, target_log_inv_loss=target,
+        targets = [o["target_log_inv_loss"] * f for f in fractions]
+        out = run_flow(model, theta0, ds, spec, targets=targets,
                        step_tol=o["step_tol"], record_every=o["record_every"])
-        state = out["state"]
-        return out, b, [] if state.ev.x >= target else [out["abort"] or (
+        state, n = out["state"], len(out["reached"])
+        return out, b, [] if n == len(targets) else [out["abort"] or (
             f"flow stopped at x = {state.ev.x} after {state.steps} steps, "
-            f"short of its target x >= {target}")]
+            f"short of its target x >= {targets[n]}")]
     res = train_gd(
         model, theta0, ds, spec, b, epochs=o["epochs"], alpha0=o["alpha0"],
         mode=("constant_alpha" if cfg.optimizer == "gd_const"
@@ -403,7 +408,8 @@ def _summary(cfg: RunConfig, seed: int, result: dict) -> dict:
 
 def _scenario_flow_margin(cfg: RunConfig, seed: int) -> dict:
     out, b, failures = _drive(cfg, seed)
-    mon, state, L = out["monitors"], out["state"], cfg.model.order_L
+    state, L = out["state"], cfg.model.order_L
+    mon = bound_monitors(cfg.loss, L, out["cols"])
     growth = np.abs(np.asarray(mon["growth_residual"]))
     sandwich = None
     if cfg.loss.name == "exp":  # bar - log(N)/rho^L <= tilde <= bar
@@ -637,48 +643,29 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
 
 
 def kkt_report(cfg: RunConfig, seed: int) -> dict:
-    """Certificates at geometrically spaced checkpoints of a flow run.
-
-    The run is `run`'s on the same config, and the bounds are anchored
-    as there, at the first separated state, the start included. A
-    checkpoint is certified only once the run is separated, (B4). One
-    that the flow reaches before that, or never reaches (it stopped,
-    stationary or out of steps), is left out and named in `failures`, a
-    key present only when a checkpoint is missing; labels other than
-    -1/+1 get no certificate, and that failure.
-    """
-    model, ds, spec = cfg.model, cfg.dataset, cfg.loss
+    """Certificates at the KKT_FRACTIONS checkpoints of `run`'s flow on
+    the same config, anchored as there: one per checkpoint that the flow
+    reaches separated, (B4). A stop short of a checkpoint, and one
+    reached before separation, is named in `failures`, a key present
+    only when a checkpoint is missing; labels other than -1/+1 get no
+    flow and no certificate, and that failure."""
+    spec, target = cfg.loss, cfg.options["target_log_inv_loss"]
     report = {"config_sha256": config_digest(cfg.raw), "seed": seed,
               "loss": spec.name, "kkt": []}
-    if not ds.is_binary:
+    if not cfg.dataset.is_binary:
         report["failures"] = ["no KKT certificate: the labels are not -1/+1"]
         return report
-    b1 = sphere_sups(model, ds.X)[1]
-    anchor = None  # as run_flow's log_tilde0
+    out, b, stop = _drive(cfg, seed, KKT_FRACTIONS)
     failures = []
-    targets = [cfg.options["target_log_inv_loss"] * f
-               for f in KKT_FRACTIONS]
-    for state, _ in flow_states(model, _theta0(cfg, seed), ds, spec,
-                                step_tol=cfg.options["step_tol"]):
-        if anchor is None and state.ev.x > spec.f_at_bf:
-            [lt] = log_tilde_margin([state.ev.x], [state.ev.rho], spec,
-                                    model.order_L)
-            anchor = lt if math.isfinite(lt) else None
-        while targets and state.ev.x >= targets[0]:
-            x_target = targets.pop(0)
-            if not state.ev.x > spec.f_at_bf:
-                failures.append(f"checkpoint x >= {x_target}: not separated "
-                                f"at x = {state.ev.x}")
-            else:
-                cert = build_certificate(model, state.ev, ds, spec,
-                                         log_tilde_t0=anchor, b1=b1)
-                cert["x"] = cert.pop("log_inv_loss")
-                report["kkt"].append(cert)
-        if not targets:
-            break
-    else:
-        failures.append(f"flow stopped at x = {state.ev.x} before "
-                        f"checkpoint x >= {targets[0]}")
-    if failures:
-        report["failures"] = failures
+    for f, state in zip(KKT_FRACTIONS, out["reached"]):
+        if state.ev.x > spec.f_at_bf:
+            cert = build_certificate(cfg.model, state.ev, cfg.dataset, spec,
+                                     log_tilde_t0=out["log_tilde0"], b1=b.b1)
+            cert["x"] = cert.pop("log_inv_loss")
+            report["kkt"].append(cert)
+        else:
+            failures.append(f"checkpoint x >= {target * f}: not separated "
+                            f"at x = {state.ev.x}")
+    if failures or stop:
+        report["failures"] = failures + stop
     return report

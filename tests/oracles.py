@@ -16,7 +16,7 @@ of the margin curve's T: the package's batched monitors must reproduce
 their bits. The layer-walk kernel and the two-call point evaluation
 are the dense-chain forward,
 backward and `evaluate_point` written over a layer list of their own
-(`layers_of`, rebuilt from a model's blocks, activation kind and slope,
+(`layers_of`, rebuilt from a model's blocks, family and slope,
 with each activation coded here rather than taken from the blocks),
 with f and f' from two loss calls; the package must reproduce their
 bits too. The sphere sampler, with its per-sample gradient norms, is
@@ -87,14 +87,20 @@ class Layer:
     alpha: float = 0.0  # LeakyReLU negative-side slope
 
 
+# the activation between the layers of each family's chain
+FAMILY_ACTIVATION = {"linear": None, "deep_linear": None, "relu_mlp": "relu",
+                     "leaky_relu_mlp": "leaky_relu", "quadratic_mlp": "square"}
+
+
 def layers_of(model):
     """The model's chain as a layer list: each block a dense layer, each
-    inner block followed by the model's activation."""
+    inner block followed by its family's activation."""
+    kind = FAMILY_ACTIVATION[model.name]
     layers = []
     for i, block in enumerate(model.blocks):
         layers.append(Layer("dense", *block.shape, block.start))
-        if model.activation is not None and i < len(model.blocks) - 1:
-            layers.append(Layer(model.activation, alpha=model.alpha))
+        if kind is not None and i < len(model.blocks) - 1:
+            layers.append(Layer(kind, alpha=model.alpha))
     return tuple(layers)
 
 
@@ -782,9 +788,10 @@ class StepwiseFlowMonitors:
         return lt
 
 
-def stepwise_run_flow(model, theta0, dataset, spec, *, target_log_inv_loss,
-                      step_tol, record_every):
-    """`run_flow`'s result with every monitor taken inside the step loop."""
+def stepwise_run_flow(model, theta0, dataset, spec, *, targets, step_tol,
+                      record_every):
+    """`run_flow`'s result with every monitor taken inside the step loop;
+    it ends at the first state at or past every target."""
     L = model.order_L
     records = []
     stepwise = StepwiseFlowMonitors(spec, L)
@@ -807,7 +814,7 @@ def stepwise_run_flow(model, theta0, dataset, spec, *, target_log_inv_loss,
             stepwise.push(ev.x, ev.rho, state.t, ev.V, *step)
         if state.steps % record_every == 0:
             record(state)
-        if ev.x >= target_log_inv_loss:
+        if ev.x >= max(targets):
             break
     if records[-1]["step"] != state.steps:
         record(state)

@@ -17,8 +17,8 @@ import pytest
 from marginflow import gradflow
 from marginflow.datasets import from_rows, two_gaussians
 from marginflow.gdtrain import estimate_b_constants, train_gd
-from marginflow.gradflow import (flow_states, log_tilde_margin, run_flow,
-                                 run_hat)
+from marginflow.gradflow import (bound_monitors, flow_states,
+                                 log_tilde_margin, run_flow, run_hat)
 from marginflow.kkt import (build_certificate, direction_gap_to_svm,
                             svm_oracle)
 from marginflow.losses import get_loss, validate_b3
@@ -49,9 +49,10 @@ def flow_runs():
         for seed in FLOW_SEEDS:
             theta0 = init_params(model, np.random.default_rng(seed),
                                  scale=0.7)
-            outs.append(run_flow(model, theta0, ds, EXP,
-                                 target_log_inv_loss=12.0, step_tol=2e-3,
-                                 record_every=1))
+            out = run_flow(model, theta0, ds, EXP, targets=[12.0],
+                           step_tol=2e-3, record_every=1)
+            outs.append({**out, "monitors": bound_monitors(
+                EXP, model.order_L, out["cols"])})
     elapsed = time.perf_counter() - t0
     return {"outs": outs, "elapsed": elapsed, "model": model, "ds": ds}
 
@@ -157,8 +158,8 @@ def test_criterion_07_rates_bounded_for_both_orders():
     ds = two_gaussians(8, 2, separation=3.0, seed=5)
     model = build_model("relu_mlp", 2, [4])
     theta0 = init_params(model, np.random.default_rng(3), scale=0.7)
-    out = run_flow(model, theta0, ds, EXP, target_log_inv_loss=18.0,
-                   step_tol=2e-3, record_every=1)
+    out = run_flow(model, theta0, ds, EXP, targets=[18.0], step_tol=2e-3,
+                   record_every=1)
     diag = rate_ratios(out["records"], EXP, model.order_L, ds.n)
     assert diag["decades"] >= 3.0
     verdict = bounded_ratio_verdict(diag)

@@ -316,22 +316,25 @@ def test_run_flow_one_log_tilde_per_state(monkeypatch):
 
     monkeypatch.setattr(gradflow, "log_tilde_margin", counted)
     monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 16)
-    res = gradflow.run_flow(model, theta0, data, spec,
-                            target_log_inv_loss=2.0, step_tol=2e-3,
-                            record_every=1)
+    res = gradflow.run_flow(model, theta0, data, spec, targets=[2.0],
+                            step_tol=2e-3, record_every=1)
     recs = res["records"]
     sep = [r for r in recs if "log_tilde" in r]
     assert recs[0]["step"] == 0 and "log_tilde" not in recs[0]
     assert 32 < len(sep) < len(recs)
-    # record_every = 1: one record per state, and after the loop one
-    # batched log tilde call per MONITOR_CHUNK states from separation on
-    # for the monitors, then one per MONITOR_CHUNK separated records for
-    # their fields: each takes a state's x once
+    # record_every = 1: one record per state. The loop takes the anchor,
+    # one call at the first separated state, whose log tilde is finite;
+    # after it, one batched call per MONITOR_CHUNK separated records for
+    # their fields, and `bound_monitors` one per MONITOR_CHUNK states
+    # from separation on: each takes a state's x once
     xs = [r["log_inv_loss"] for r in sep]
     chunks = [xs[i:i + 16] for i in range(0, len(xs), 16)]
-    assert calls == chunks + chunks
+    assert calls == [xs[:1]] + chunks
+    assert res["log_tilde0"] == sep[0]["log_tilde"]
+    mon = gradflow.bound_monitors(spec, model.order_L, res["cols"])
+    assert calls == [xs[:1]] + chunks + chunks
     lt = [r["log_tilde"] for r in sep]
-    assert res["monitors"]["d_log_tilde"] == [b - a for a, b in zip(lt, lt[1:])]
+    assert mon["d_log_tilde"] == [b - a for a, b in zip(lt, lt[1:])]
 
 
 def _planar_hat_step(state, dsigma):
@@ -362,8 +365,7 @@ def test_flow_matches_single_sample_closed_form():
     model = models.build_model("linear", input_dim=2)
     data = datasets.from_rows([[3.0, 0.0, 1.0]])
     res = gradflow.run_flow(model, np.array([0.5, 0.0]), data, spec,
-                            target_log_inv_loss=30.0, step_tol=1e-3,
-                            record_every=1)
+                            targets=[30.0], step_tol=1e-3, record_every=1)
     st = res["state"]
     q_exact = math.log(math.exp(1.5) + 9.0 * st.t)
     assert abs(st.ev.q[0] - q_exact) <= 1e-6 * q_exact
@@ -465,9 +467,7 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
     dt_scaled = rng.uniform(0.5, 2.0, xs.size)
     cols = list(zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats,
                                             drho_sq / dt_scaled))))
-    mon = {k: [] for k in ("growth_residual", "margin_slack", "nu_slack",
-                           "d_log_tilde", "upper_slack")}
-    log_tilde0 = gradflow._bound_monitors(mon, spec, 2.0, cols)
+    mon = gradflow.bound_monitors(spec, 2.0, cols)
     oracle = StepwiseFlowMonitors(spec, 2.0)
     for state in zip(*(a.tolist() for a in (xs, rhos, ts, vs, d_hats,
                                             drho_sq, dt_scaled))):
@@ -477,7 +477,6 @@ def test_bound_monitors_bits_match_stepwise_replay(loss, monkeypatch):
     assert list(mon) == list(oracle.monitors)
     for key, series in oracle.monitors.items():
         assert np.array_equal(_bits(mon[key]), _bits(series)), key
-    assert _bits(log_tilde0) == _bits(oracle.log_tilde0)
 
 
 @pytest.mark.parametrize("loss", ["exp", "logistic", "exp_cubed"])
@@ -506,11 +505,12 @@ def test_margin_fields_bits_match_stepwise(loss, monkeypatch):
     assert records[-1]["bar_gamma"] > 0.0  # q_min / rho^L in log space
 
 
-def _assert_flow_matches_stepwise(res, want):
+def _assert_flow_matches_stepwise(res, want, spec, order_L):
     assert record_fields(res["records"]) == record_fields(want["records"])
-    assert list(res["monitors"]) == list(want["monitors"])
+    mon = gradflow.bound_monitors(spec, order_L, res["cols"])
+    assert list(mon) == list(want["monitors"])
     for key, series in want["monitors"].items():
-        assert np.array_equal(_bits(res["monitors"][key]), _bits(series)), key
+        assert np.array_equal(_bits(mon[key]), _bits(series)), key
     assert _bits(res["log_tilde0"]) == _bits(want["log_tilde0"])
 
 
@@ -518,13 +518,13 @@ def test_run_flow_bound_monitors_match_stepwise_replay():
     cfg = runner.RunConfig.from_dict(readme_flow_config())
     model, ds, spec = cfg.model, cfg.dataset, cfg.loss
     theta0 = runner._theta0(cfg, 0)
-    kw = {k: cfg.options[k] for k in ("target_log_inv_loss", "step_tol",
-                                      "record_every")}
+    kw = {"targets": [cfg.options["target_log_inv_loss"]],
+          **{k: cfg.options[k] for k in ("step_tol", "record_every")}}
     res = gradflow.run_flow(model, theta0, ds, spec, **kw)
     # every monitor and margin field as the step loop took them
     want = stepwise_run_flow(model, theta0, ds, spec, **kw)
     assert len(want["monitors"]["upper_slack"]) > 1000
-    _assert_flow_matches_stepwise(res, want)
+    _assert_flow_matches_stepwise(res, want, spec, model.order_L)
 
 
 @pytest.mark.parametrize("loss", ["exp", "logistic"])
@@ -534,14 +534,14 @@ def test_run_flow_margin_monitors_match_stepwise_replay(loss, monkeypatch):
     monkeypatch.setattr(gradflow, "MONITOR_CHUNK", 16)
     _, model, theta0, data = _relu_logistic_setup()
     spec = losses.get_loss(loss)
-    kw = dict(target_log_inv_loss=3.0, step_tol=2e-3, record_every=3)
+    kw = dict(targets=[3.0], step_tol=2e-3, record_every=3)
     res = gradflow.run_flow(model, theta0, data, spec, **kw)
     want = stepwise_run_flow(model, theta0, data, spec, **kw)
     recs = res["records"]
     assert "log_tilde" not in recs[0] and "log_tilde" in recs[-1]
     assert len(want["monitors"]["margin_slack"]) > 64
     assert recs[-1]["step"] % 3  # the final state, off the record grid
-    _assert_flow_matches_stepwise(res, want)
+    _assert_flow_matches_stepwise(res, want, spec, model.order_L)
 
 
 def test_flow_step_descent_cap_and_halving(monkeypatch):
@@ -597,13 +597,13 @@ def test_runs_leave_numpy_error_state_as_they_found_it(monkeypatch):
             model, theta0, data, spec, step_tol=2e-3), 50):
         assert np.geterr() == before  # as seen between the steps
     # run_flow abandons its flow_states generator at the target
-    out = gradflow.run_flow(model, theta0, data, spec, target_log_inv_loss=3.0,
+    out = gradflow.run_flow(model, theta0, data, spec, targets=[3.0],
                             step_tol=2e-3, record_every=10)
     gc.collect()
     assert out["abort"] is None and np.geterr() == before
     # a FlowAbort raised out of a step's trials
     out = gradflow.run_flow(model, np.full(model.param_count, 1e-140), data,
-                            spec, target_log_inv_loss=3.0, step_tol=2e-3,
+                            spec, targets=[3.0], step_tol=2e-3,
                             record_every=10)
     assert out["abort"].startswith("flow aborted: step rejected 60 times")
     assert np.geterr() == before
@@ -761,7 +761,7 @@ def test_finished_run_keeps_no_model_or_dataset_alive(driver):
     refs = [weakref.ref(v) for v in (cfg.model, cfg.dataset, cfg.loss)]
     args = (cfg.model, runner._theta0(cfg, 0), cfg.dataset, cfg.loss)
     if driver == "run_flow":
-        res = gradflow.run_flow(*args, target_log_inv_loss=5.0,
+        res = gradflow.run_flow(*args, targets=[5.0],
                                 step_tol=cfg.options["step_tol"],
                                 record_every=1)
     else:  # a guarded run that forms its margin state
@@ -778,10 +778,9 @@ def test_finished_run_keeps_no_model_or_dataset_alive(driver):
 
 def test_flow_monitors_relu_logistic():
     spec, model, theta0, data = _relu_logistic_setup()
-    res = gradflow.run_flow(model, theta0, data, spec,
-                            target_log_inv_loss=15.0, step_tol=3e-3,
-                            record_every=1)
-    mon = res["monitors"]
+    res = gradflow.run_flow(model, theta0, data, spec, targets=[15.0],
+                            step_tol=3e-3, record_every=1)
+    mon = gradflow.bound_monitors(spec, model.order_L, res["cols"])
     sep = [r for r in res["records"] if "log_tilde" in r]
     assert sep and sep[0]["t"] > 0.0  # separated after the start
     assert res["state"].ev.x >= 15.0
@@ -799,9 +798,8 @@ def test_flow_monitors_linear_exp():
     model = models.build_model("linear", input_dim=2)
     data = datasets.two_gaussians(n=8, separation=4.0, seed=2)
     res = gradflow.run_flow(model, np.array([0.3, 0.1]), data, spec,
-                            target_log_inv_loss=20.0, step_tol=3e-3,
-                            record_every=1)
-    mon = res["monitors"]
+                            targets=[20.0], step_tol=3e-3, record_every=1)
+    mon = gradflow.bound_monitors(spec, model.order_L, res["cols"])
     assert max(mon["growth_residual"]) <= 1e-3
     assert min(mon["margin_slack"]) >= -1e-9
     assert min(mon["nu_slack"]) >= -1e-12

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (block_euler_residual, euler_residual, fd_grad,
-                     homogeneity_check, per_sample_grad_norms,
-                     per_sample_grads, preactivations, rel_err,
-                     sample_smooth_probe)
+from oracles import (FAMILY_ACTIVATION, block_euler_residual,
+                     euler_residual, fd_grad, homogeneity_check,
+                     per_sample_grad_norms, per_sample_grads, preactivations,
+                     rel_err, sample_smooth_probe)
 
 from marginflow import datasets, losses, models
 from marginflow.gradflow import Evaluator, evaluate_point, flow_states
@@ -112,7 +112,7 @@ def test_blocks_tile_the_parameters(dims):
         assert (blocks[0].shape[0], model.num_outputs,
                 model.param_count) == (d, c, blocks[-1].stop), model.name
         assert model.param_count == sum(a * b for a, b in zip(dims, dims[1:]))
-        has_act = model.activation is not None
+        has_act = FAMILY_ACTIVATION[model.name] is not None
         assert [b.act is not None for b in blocks] == \
             [has_act] * (len(blocks) - 1) + [False], model.name
 
@@ -177,14 +177,3 @@ def test_build_model_dispatch():
     assert m.name == "relu_mlp" and m.order_L == 2.0
     with pytest.raises(ValueError):
         models.build_model("rbf", 4)
-
-
-def test_block_exponent_mismatch_rejected():
-    with pytest.raises(ValueError):
-        models.HomogeneousModel(
-            name="bad",
-            blocks=(models.Block(0, 2, (2, 1), 1.0, None, None),),
-            activation=None,
-            alpha=0.0,
-            order_L=2.0,
-        )

@@ -105,8 +105,8 @@ def relu_flow():
     ds = datasets.two_gaussians(8, 2, separation=3.0, seed=5)
     model = models.relu_mlp(2, [4])
     theta0 = models.init_params(model, np.random.default_rng(3), scale=0.7)
-    out = run_flow(model, theta0, ds, EXP, target_log_inv_loss=18.0,
-                   step_tol=2e-3, record_every=1)
+    out = run_flow(model, theta0, ds, EXP, targets=[18.0], step_tol=2e-3,
+                   record_every=1)
     return model, ds, out
 
 
@@ -140,8 +140,7 @@ def test_linear_logistic_matches_inverse_time():
     model = models.linear(2)
     ds = datasets.from_rows([[2.0, 1.0, 1], [-1.0, 0.5, -1]])
     out = run_flow(model, np.array([0.3, 0.05]), ds, LOGISTIC,
-                   target_log_inv_loss=30.0, step_tol=2e-3,
-                   record_every=1)
+                   targets=[30.0], step_tol=2e-3, record_every=1)
     diag = rate_ratios(out["records"], LOGISTIC, model.order_L, ds.n)
     rec = out["records"][-1]
     plain = math.exp(-rec["log_inv_loss"]) * rec["t"]

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from marginflow.cli import main as cli_main
 from marginflow import gradflow, runner
@@ -46,6 +45,20 @@ def test_config_round_trip_yaml_and_json(tmp_path):
     jsn = tmp_path / "run.json"
     jsn.write_text(json.dumps({"scenario": "mexican_hat", "seed": 3}))
     assert load_config(jsn).seeds == (3,)
+
+
+def test_json_config_reads_exponent_numbers_as_floats(tmp_path):
+    # PyYAML follows YAML 1.1, whose floats need a dot: it reads 3e-3 and
+    # 2e1 as strings, and the config was rejected. JSON text is read as
+    # JSON; in YAML, write 3.0e-3
+    p = tmp_path / "run.json"
+    p.write_text('{"scenario": "flow_margin", "step_tol": 3e-3, '
+                 '"target_log_inv_loss": 2.0}')
+    assert load_config(p).options["step_tol"] == 0.003
+    p.write_text('{"scenario": "flow_margin", "target_log_inv_loss": 2e1}')
+    assert load_config(p).options["target_log_inv_loss"] == 20.0
+    p.write_text("scenario: flow_margin\nstep_tol: 3.0e-3\n")
+    assert load_config(p).options["step_tol"] == 0.003
 
 
 def test_config_rejects_unknown_names(tmp_path):
@@ -491,8 +504,8 @@ def test_a_nan_anywhere_in_a_series_fails_its_row(tmp_path, monkeypatch):
     flow_keys = ("nu_slack", "margin_slack", "upper_slack")
     gd_keys = ("s5_log_ratio", "rho_identity", "euler_gap", "p2_lower",
                "p2_upper", "p3_slack", "p4_slack", "grad_bound")
-    patched("run_flow", lambda out: [nan_inside(out["monitors"][k])
-                                     for k in flow_keys])
+    patched("bound_monitors", lambda mon: [nan_inside(mon[k])
+                                           for k in flow_keys])
     patched("train_gd", lambda out: [nan_inside(out["monitors"][k])
                                      for k in gd_keys])
     patched("run_hat", lambda recs: recs.insert(len(recs) // 2, {
@@ -813,12 +826,9 @@ def test_gd_alpha_past_1e300_corpus_entry_names_the_stall(tmp_path, capsys):
 def test_flow_tiny_start_corpus_entry_names_the_abort(tmp_path, capsys):
     # the README net from 1e-140 per entry: 60 halvings cannot shrink the
     # first proposal into range, and the FlowAbort that once raised out
-    # of the CLI is a named failure; the run's files are still written.
-    # YAML as the corpus writes it: PyYAML reads json's 1e-140 as a string
-    p = tmp_path / "cfg.yaml"
-    p.write_text(yaml.safe_dump(_emit_outputs().CORPUS["flow_tiny_start"][1]))
-    code = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
-    report = json.loads(capsys.readouterr().out)
+    # of the CLI is a named failure; the run's files are still written
+    code, report = _cli_json(tmp_path, capsys, "run", _emit_outputs().CORPUS[
+        "flow_tiny_start"][1])
     assert code == 1
     failure = ("flow aborted: step rejected 60 times at t=0.0, "
                "x=-2.4849066497880004, last dx=0.6931471805599454")
@@ -1000,3 +1010,63 @@ def test_cli_kkt_report_skips_unseparated_checkpoints(tmp_path, capsys):
     assert len(report["failures"]) == 4
     assert report["failures"][0].startswith(
         "checkpoint x >= -0.625: not separated at x = -0.62")
+
+
+def test_kkt_tiny_start_corpus_entry_names_the_abort(tmp_path, capsys):
+    # flow_tiny_start's net on the linear data: kkt-report runs run's
+    # flow, so the FlowAbort that once raised out of the CLI is a named
+    # failure, before any checkpoint
+    code, report = _cli_json(tmp_path, capsys, "kkt-report", _emit_outputs(
+        ).CORPUS["kkt_tiny_start"][1])
+    assert code == 1 and report["kkt"] == []
+    assert report["failures"] == [
+        "flow aborted: step rejected 60 times at t=0.0, "
+        "x=-1.7129286210981713, last dx=0.6931471805599452"]
+
+
+@pytest.mark.parametrize("raw", [LINEAR_24, UNSEPARATED_END])
+def test_run_flow_reaches_each_target_in_turn(raw):
+    # the kkt-report checkpoints: for the negative target they decrease,
+    # and each is looked for from the state that reached the one before,
+    # so all four are the first state past -0.625
+    cfg = RunConfig.from_dict(raw)
+    targets = [cfg.options["target_log_inv_loss"] * f
+               for f in runner.KKT_FRACTIONS]
+    args = (cfg.model, _theta0(cfg, 0), cfg.dataset, cfg.loss)
+    out = gradflow.run_flow(*args, targets=targets,
+                            step_tol=cfg.options["step_tol"], record_every=1)
+    states = (s for s, _ in gradflow.flow_states(
+        *args, step_tol=cfg.options["step_tol"]))
+    state = next(states)
+    want = []
+    for target in targets:
+        while state.ev.x < target:
+            state = next(states)
+        want.append(state)
+
+    def bits(st):
+        return st.steps, st.ev.theta.view(np.int64).tolist(), \
+            np.float64(st.ev.x).view(np.int64)
+    assert [bits(s) for s in out["reached"]] == [bits(s) for s in want]
+    assert bits(out["state"]) == bits(want[-1])
+    assert len({s.steps for s in want}) == (4 if raw is LINEAR_24 else 1)
+
+
+def test_only_flow_margin_takes_the_bound_monitors(tmp_path, monkeypatch,
+                                                   capsys):
+    # the five flow monitors are read by flow_margin's checks alone
+    calls = []
+    real = runner.bound_monitors
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runner, "bound_monitors", counted)
+    run_scenario(RunConfig.from_dict(FLOW_RAW), out_dir=tmp_path)
+    assert len(calls) == 1
+    for raw in (LINEAR_24, {"scenario": "rates", "target_log_inv_loss": 8.0,
+                            "seed": 0}):
+        run_scenario(RunConfig.from_dict(raw), out_dir=tmp_path)
+    code, _ = _cli_json(tmp_path, capsys, "kkt-report", LINEAR_24)
+    assert code == 0 and len(calls) == 1
