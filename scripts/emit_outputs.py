@@ -163,6 +163,26 @@ CORPUS = {
         "scenario": "linear_logistic_2d", "target_log_inv_loss": 10.0,
         "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6]},
         "seeds": [0], "options": {"theta0": [1e-140] * 18}}),
+    # a start with q_min = -1.11 whose x already exceeds the negative
+    # target: every checkpoint is capped at the target, so the flow takes
+    # no step and no checkpoint is separated
+    "kkt_unseparated_end": ("kkt-report", {
+        "scenario": "linear_logistic_2d", "loss": "logistic", "seed": 0,
+        "target_log_inv_loss": -5.0, "options": {"theta0": [-0.5, 0.2]}}),
+    # class labels: the flow runs, and each checkpoint names why it has
+    # no certificate
+    "kkt_3class": ("kkt-report", {
+        "scenario": "linear_logistic_2d", "loss": "cross_entropy",
+        "model": {"family": "linear", "input_dim": 2, "num_outputs": 3},
+        "dataset": {"kind": "inline", "rows": THREE_CLASS_ROWS},
+        "target_log_inv_loss": 8.0, "step_tol": 0.003, "record_every": 10,
+        "seeds": [0]}),
+    # a ReLU net on the linear data: its parameters are no input-space
+    # direction, so the SVM angle gap is a named failure, no traceback
+    "linear_relu_run": ("run", {
+        "scenario": "linear_logistic_2d", "target_log_inv_loss": 10.0,
+        "model": {"family": "relu_mlp", "input_dim": 2, "widths": [6]},
+        "seeds": [0]}),
     "rates_verb": ("rates", {
         "scenario": "rates", "loss": "exp", "target_log_inv_loss": 18.0,
         "step_tol": 0.002, "seeds": [1]}),

@@ -1,12 +1,4 @@
-"""Command-line entry points.
-
-Verbs:
-  run            execute a configured scenario; exit 1 on any failure
-  validate-loss  print the clause report for one or more loss families
-  kkt-report     certificates at checkpoints along a configured run
-  rates          rate diagnostic plus bounded-ratio verdict
-  hat            integrate the rotating construction and write its CSV
-"""
+"""Command-line entry points: `run`, `validate-loss`, and the `VIEWS`."""
 
 from __future__ import annotations
 
@@ -16,16 +8,43 @@ import json
 import sys
 
 from .losses import get_loss, validate_b3
-from .runner import (KKT_FRACTIONS, RunConfig, SCENARIOS, _jsonable,
-                     _summary, config_digest, kkt_report, load_config,
-                     run_scenario)
+from .runner import (RunConfig, SCENARIOS, _summary, config_digest,
+                     load_config, run_scenario)
 
 
-def _add_config(p: argparse.ArgumentParser, required: bool = True):
+def _kkt_part(summary: dict) -> dict:
+    """The certified checkpoints, and any others as `failures`."""
+    entries = summary["checkpoints"]
+    report = {"config_sha256": summary["config_sha256"],
+              "seed": summary["seed"],
+              "loss": summary["loss_validation"]["loss"],
+              "kkt": [c for c in entries if isinstance(c, dict)]}
+    failures = [c for c in entries if isinstance(c, str)]
+    if failures:
+        report["failures"] = failures
+    return report
+
+
+# verb: (scenario, help, part, writes). A view runs its scenario at one
+# seed as `run` does, prints `part` of the summary (None: all of it) and
+# exits 1 when that names failures; one that writes `run`'s files takes
+# --out, and without --config runs the scenario's defaults
+VIEWS = {
+    "kkt-report": ("linear_logistic_2d", "optimality certificates along "
+                   "a run", _kkt_part, False),
+    "rates": ("rates", "loss and norm rate diagnostic for a run", None,
+              False),
+    "hat": ("mexican_hat", "run the rotating counterexample", None, True),
+}
+
+
+def _add_run_args(p: argparse.ArgumentParser, required: bool, writes: bool):
     p.add_argument("--config", required=required,
                    help="YAML or JSON run configuration")
     p.add_argument("--seed", type=int, default=None,
                    help="override the configured seed list with one seed")
+    if writes:  # only the verbs that write files take an output directory
+        p.add_argument("--out", default=None, help="override the output dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,38 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="margin dynamics experiments for homogeneous models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    run = sub.add_parser("run", help="execute a scenario config")
-    _add_config(run)
+    _add_run_args(sub.add_parser("run", help="execute a scenario config"),
+                required=True, writes=True)
 
     p = sub.add_parser("validate-loss", help="check loss family conditions")
     p.add_argument("--loss", nargs="+", default=["exp", "logistic"],
                    help="registered loss names")
 
-    _add_config(sub.add_parser(
-        "kkt-report", help="optimality certificates along a run"))
-    _add_config(sub.add_parser(
-        "rates", help="loss and norm rate diagnostic for a run"))
-
-    hat = sub.add_parser("hat", help="run the rotating counterexample")
-    _add_config(hat, required=False)
-    # only the verbs that write files take an output directory
-    for p in (run, hat):
-        p.add_argument("--out", default=None, help="override the output dir")
+    for verb, (_, help_, _, writes) in VIEWS.items():
+        _add_run_args(sub.add_parser(verb, help=help_), required=not writes,
+                    writes=writes)
     return parser
 
 
-def _load(args, scenario: str | None = None) -> tuple[RunConfig, int]:
-    """The config (the scenario's defaults without --config) and the
-    seed of a one-seed verb: --seed, else the first configured seed."""
-    cfg = (load_config(args.config) if args.config
-           else RunConfig.from_dict({"scenario": scenario}))
-    if scenario is not None and cfg.scenario != scenario:
-        raise SystemExit(f"{args.verb} expects a {scenario} config")
-    return cfg, cfg.seeds[0] if args.seed is None else args.seed
-
-
 def cmd_run(args) -> int:
-    cfg, _ = _load(args)
+    cfg = load_config(args.config)
     outcome = run_scenario(cfg, seed=args.seed, out_dir=args.out)
     report = {
         "scenario": cfg.scenario,
@@ -74,7 +76,7 @@ def cmd_run(args) -> int:
         "files": [str(p) for p in outcome.paths],
         "failures": outcome.failures,
     }
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if outcome.ok else 1
 
 
@@ -84,36 +86,24 @@ def cmd_validate_loss(args) -> int:
     return 0 if all(r["ok"] for r in reports) else 1
 
 
-def cmd_kkt_report(args) -> int:
-    cfg, seed = _load(args, "linear_logistic_2d")
-    report = kkt_report(cfg, seed)
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    # a flow that stopped short of the last checkpoint is a failure
-    return 0 if len(report["kkt"]) == len(KKT_FRACTIONS) else 1
+def cmd_view(args) -> int:
+    scenario, _, part, writes = VIEWS[args.verb]
+    cfg = (load_config(args.config) if args.config
+           else RunConfig.from_dict({"scenario": scenario}))
+    if cfg.scenario != scenario:
+        raise SystemExit(f"{args.verb} expects a {scenario} config")
+    seed = cfg.seeds[0] if args.seed is None else args.seed
+    if writes:
+        summary = run_scenario(cfg, seed=seed, out_dir=args.out).summaries[0]
+    else:
+        summary = _summary(cfg, seed, SCENARIOS[scenario](cfg, seed))
+    report = summary if part is None else part(summary)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 1 if report.get("failures") else 0
 
 
-def cmd_rates(args) -> int:
-    cfg, seed = _load(args, "rates")
-    result = SCENARIOS["rates"](cfg, seed)
-    print(json.dumps(_summary(cfg, seed, result), indent=2, sort_keys=True))
-    return 0 if not result["failures"] else 1
-
-
-def cmd_hat(args) -> int:
-    cfg, seed = _load(args, "mexican_hat")
-    outcome = run_scenario(cfg, seed=seed, out_dir=args.out)
-    print(json.dumps(_jsonable(outcome.summaries[0]), indent=2,
-                     sort_keys=True))
-    return 0 if outcome.ok else 1
-
-
-COMMANDS = {
-    "run": cmd_run,
-    "validate-loss": cmd_validate_loss,
-    "kkt-report": cmd_kkt_report,
-    "rates": cmd_rates,
-    "hat": cmd_hat,
-}
+COMMANDS = {"run": cmd_run, "validate-loss": cmd_validate_loss,
+            **dict.fromkeys(VIEWS, cmd_view)}
 
 
 # glibc's M_TRIM_THRESHOLD: by default it hands 128 KiB of free heap top

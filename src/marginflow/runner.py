@@ -36,10 +36,9 @@ from .gradflow import (Evaluator, bound_monitors, evaluate_point, run_flow,
 from .kkt import (build_certificate, direction_gap_to_svm, svm_oracle)
 from .losses import LossSpec, get_loss, validate_b3
 from .models import FAMILIES, HomogeneousModel, build_model, init_params
-from .rates import MIN_DECADES, bounded_ratio_verdict, rate_ratios
+from .rates import LOG10, MIN_DECADES, bounded_ratio_verdict, rate_ratios
 
-LOG10 = math.log(10.0)
-# kkt-report checkpoints, as fractions of the target log(1/loss)
+# the linear scenario's checkpoints, as fractions of its target x
 KKT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 # fixed 8-point separable set used by the linear scenario; margin 0.8
 # along the first axis
@@ -347,12 +346,12 @@ def _theta0(cfg: RunConfig, seed: int) -> np.ndarray:
     return init_params(cfg.model, np.random.default_rng(seed), scale=0.7)
 
 
-def _drive(cfg: RunConfig, seed: int, fractions=(1.0,)):
+def _drive(cfg: RunConfig, seed: int, targets=None):
     """(result, B-constants, failures) of the configured optimizer's run
-    from `_theta0`: `run_flow`'s to the target times each of `fractions`,
-    with a stop short of one (an abort, stationary, or out of steps) as a
-    failure, or `train_gd`'s with its abort and missing margin state as
-    failures.
+    from `_theta0`: `run_flow`'s to each of `targets` (by default the
+    config's target), with a stop short of one (an abort, stationary, or
+    out of steps) as a failure, or `train_gd`'s with its abort and
+    missing margin state as failures.
 
     The B-constants are drawn before the run starts, None for labels
     other than -1/+1. Descent draws from the seed itself and the flow
@@ -367,7 +366,7 @@ def _drive(cfg: RunConfig, seed: int, fractions=(1.0,)):
         b = estimate_b_constants(model, ds, rng, o["n_sphere"],
                                  o["n_curvature"])
     if flow:
-        targets = [o["target_log_inv_loss"] * f for f in fractions]
+        targets = targets or [o["target_log_inv_loss"]]
         out = run_flow(model, theta0, ds, spec, targets=targets,
                        step_tol=o["step_tol"], record_every=o["record_every"])
         state, n = out["state"], len(out["reached"])
@@ -466,12 +465,38 @@ def _scenario_gd_margin(cfg: RunConfig, seed: int) -> dict:
 
 
 def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
-    out, b, failures = _drive(cfg, seed)
-    model, ds, spec, state = cfg.model, cfg.dataset, cfg.loss, out["state"]
+    """The flow through the KKT_FRACTIONS checkpoints of its target, each
+    capped at the target, which a negative target's checkpoints exceed:
+    `checkpoints` holds each reached one's certificate, or why it has
+    none, then any stop short of the rest; `kkt` is the final state's,
+    the last checkpoint's when reached."""
+    model, ds, spec = cfg.model, cfg.dataset, cfg.loss
+    target = cfg.options["target_log_inv_loss"]
+    targets = [min(target * f, target) for f in KKT_FRACTIONS]
+    out, b, failures = _drive(cfg, seed, targets)
+    state = out["state"]
+
+    def certify(st) -> dict | str:
+        if not ds.is_binary:
+            return "the labels are not -1/+1"
+        if st.ev.x <= spec.f_at_bf:  # (B4)
+            return f"not separated at x = {st.ev.x}"
+        cert = build_certificate(model, st.ev, ds, spec, b1=b.b1,
+                                 log_tilde_t0=out["log_tilde0"])
+        cert["x"] = cert.pop("log_inv_loss")
+        return cert
+
+    certs = [certify(st) for st in out["reached"]]
+    final = certs[-1] if len(certs) == len(targets) else certify(state)
+    checkpoints = [c if isinstance(c, dict) else f"checkpoint x >= {t}: {c}"
+                   for t, c in zip(targets, certs)] + failures
     gap = svm_margin = kkt = None
     if not ds.is_binary:
-        failures += [f"no {what}: the labels are not -1/+1"
-                     for what in ("SVM reference", "KKT certificate")]
+        failures.append("no SVM reference: the labels are not -1/+1")
+    elif model.name != "linear":  # the SVM's direction is in input space
+        failures.append(f"no SVM angle gap: {model.name} is not linear")
+    elif state.ev.rho == 0.0:
+        failures.append("no SVM angle gap: the final theta has norm 0")
     else:
         try:
             w_star, svm_margin = svm_oracle(ds.X, ds.y)
@@ -479,16 +504,15 @@ def _scenario_linear_logistic_2d(cfg: RunConfig, seed: int) -> dict:
             failures.append(f"no SVM reference: {err}")
         else:
             gap = direction_gap_to_svm(state.ev.theta, w_star)
-        if state.ev.x > spec.f_at_bf:  # (B4)
-            kkt = build_certificate(model, state.ev, ds, spec, b1=b.b1,
-                                    log_tilde_t0=out["log_tilde0"])
-            del kkt["lambdas"], kkt["rho"]
-        else:
-            failures.append(
-                f"no KKT certificate: not separated at x = {state.ev.x}")
+    if isinstance(final, str):
+        failures.append(f"no KKT certificate: {final}")
+    else:
+        kkt = {**final, "log_inv_loss": final["x"]}
+        del kkt["lambdas"], kkt["rho"], kkt["x"]
     return _result(out["records"], b, failures,
                    [("svm_angle_gap", gap, operator.le, 0.02)],
                    svm_angle_gap=gap, svm_margin=svm_margin, kkt=kkt,
+                   checkpoints=checkpoints,
                    final={"t": state.t, "x": state.ev.x, "rho": state.ev.rho})
 
 
@@ -640,32 +664,3 @@ def run_scenario(cfg: RunConfig, seed: int | None = None,
         summaries.append(summary)
         failures.extend(f"seed {s}: {msg}" for msg in result["failures"])
     return RunOutcome(summaries=summaries, failures=failures, paths=paths)
-
-
-def kkt_report(cfg: RunConfig, seed: int) -> dict:
-    """Certificates at the KKT_FRACTIONS checkpoints of `run`'s flow on
-    the same config, anchored as there: one per checkpoint that the flow
-    reaches separated, (B4). A stop short of a checkpoint, and one
-    reached before separation, is named in `failures`, a key present
-    only when a checkpoint is missing; labels other than -1/+1 get no
-    flow and no certificate, and that failure."""
-    spec, target = cfg.loss, cfg.options["target_log_inv_loss"]
-    report = {"config_sha256": config_digest(cfg.raw), "seed": seed,
-              "loss": spec.name, "kkt": []}
-    if not cfg.dataset.is_binary:
-        report["failures"] = ["no KKT certificate: the labels are not -1/+1"]
-        return report
-    out, b, stop = _drive(cfg, seed, KKT_FRACTIONS)
-    failures = []
-    for f, state in zip(KKT_FRACTIONS, out["reached"]):
-        if state.ev.x > spec.f_at_bf:
-            cert = build_certificate(cfg.model, state.ev, cfg.dataset, spec,
-                                     log_tilde_t0=out["log_tilde0"], b1=b.b1)
-            cert["x"] = cert.pop("log_inv_loss")
-            report["kkt"].append(cert)
-        else:
-            failures.append(f"checkpoint x >= {target * f}: not separated "
-                            f"at x = {state.ev.x}")
-    if failures or stop:
-        report["failures"] = failures + stop
-    return report

@@ -34,6 +34,10 @@ lean step (exp's f' as an array of ones, the log-sum-exp of the negated
 copy -fq in `negated_inv_loss_weights`, G copied out of the gradient
 buffer at every evaluation and an errstate per state): `flow_states`
 must reproduce its states bit for bit.
+
+The late-phase asymptote takes the linear flow's limit w_hat log t +
+w_tilde from the support set of the projected-gradient SVM dual: a
+closed form that no part of the package computes.
 """
 
 import math
@@ -600,6 +604,21 @@ class Beta2Accumulator:
         return cap + tol - self.total
 
 
+def _dual_ascent(z, iters, tol):
+    """Projected gradient ascent on the box-free hard-margin dual
+    max sum(mu) - mu' G mu / 2, mu >= 0, with G the Gram matrix of the
+    signed features z; returns mu."""
+    gram = z @ z.T
+    step = 1.0 / float(np.linalg.norm(gram, 2))
+    mu = np.zeros(z.shape[0])
+    for _ in range(iters):
+        nxt = np.maximum(0.0, mu + step * (1.0 - gram @ mu))
+        if np.max(np.abs(nxt - mu)) < tol * max(1.0, float(np.max(nxt))):
+            return nxt
+        mu = nxt
+    return mu
+
+
 def svm_dual_projected_gradient(features, labels, *, iters=100_000,
                                 tol=1e-14):
     """Independent route to the SVM oracle's optimum: projected gradient
@@ -607,15 +626,7 @@ def svm_dual_projected_gradient(features, labels, *, iters=100_000,
     h = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
     z = y[:, None] * h
-    gram = z @ z.T
-    step = 1.0 / float(np.linalg.norm(gram, 2))
-    mu = np.zeros(h.shape[0])
-    for _ in range(iters):
-        nxt = np.maximum(0.0, mu + step * (1.0 - gram @ mu))
-        if float(np.max(np.abs(nxt - mu))) < tol * max(1.0, float(np.max(nxt))):
-            mu = nxt
-            break
-        mu = nxt
+    mu = _dual_ascent(z, iters, tol)
     w = z.T @ mu
     worst = float(np.min(z @ w))
     if worst < 0.5:  # dual diverges on infeasible data; catch it early
@@ -623,6 +634,22 @@ def svm_dual_projected_gradient(features, labels, *, iters=100_000,
             f"dual iterate is far from feasibility (min margin {worst}); "
             "data looks inseparable in feature space")
     return w, 1.0 / float(np.linalg.norm(w))
+
+
+def late_phase_asymptote(features, labels, support_tol=1e-8):
+    """(w_hat, w_tilde) of the linear flow's late phase on separable data
+    under an exp-tailed loss summed over samples: theta(t) = w_hat log t +
+    w_tilde + o(1) (Soudry et al., JMLR 19 (2018), Theorem 3). The support
+    set S is where the dual ascent leaves mu above support_tol; the duals
+    alpha then solve G_SS alpha = 1 exactly, w_hat = sum_S alpha_n z_n is
+    the hard-margin SVM solution, and w_tilde is the least-norm solution
+    of z_n . w_tilde = -log alpha_n on S."""
+    h = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    z = np.asarray(labels, dtype=np.float64)[:, None] * h
+    s = np.flatnonzero(_dual_ascent(z, 100_000, 1e-15) > support_tol)
+    alpha = np.linalg.solve(z[s] @ z[s].T, np.ones(s.size))
+    w_tilde, *_ = np.linalg.lstsq(z[s], -np.log(alpha), rcond=None)
+    return z[s].T @ alpha, w_tilde
 
 
 def make_custom(name, f, f_prime, b_f, K, b_g, p):

@@ -894,19 +894,22 @@ LINEAR_24 = {"scenario": "linear_logistic_2d", "target_log_inv_loss": 24.0,
              "step_tol": 0.003, "record_every": 10, "seeds": [0]}
 
 
-def test_run_and_kkt_report_of_one_config_give_one_certificate(
-        tmp_path, capsys):
-    # both read the scenario's defaults and anchor the bounds at the
-    # first separated state; before, `run` swapped in its own start and
-    # anchored at the first recorded separated state, and `kkt-report`
-    # kept exp and anchored at its first separated checkpoint
+def test_kkt_report_prints_the_checkpoints_that_run_writes(tmp_path, capsys):
+    # kkt-report is a view of run: its certificates are the checkpoints
+    # in the summary that run writes on the same config, value for value,
+    # and the summary's kkt is the last of them without its multipliers
     code, report = _cli_json(tmp_path, capsys, "kkt-report", LINEAR_24)
     assert code == 0 and report["loss"] == "logistic"
     out = run_scenario(RunConfig.from_dict(LINEAR_24), out_dir=tmp_path)
     assert out.ok, out.failures
-    kkt, last = out.summaries[0]["kkt"], report["kkt"][-1]
-    for key in ("epsilon", "delta", "q_min", "eps_bound", "delta_bound"):
-        assert kkt[key] == last[key], key
+    summary = json.loads(
+        (tmp_path / "linear_logistic_2d-seed0.summary.json").read_text())
+    assert len(report["kkt"]) == 4
+    assert report["kkt"] == summary["checkpoints"]
+    last = summary["checkpoints"][-1]
+    assert summary["kkt"] == {
+        **{k: v for k, v in last.items() if k not in ("lambdas", "rho", "x")},
+        "log_inv_loss": last["x"]}
 
 
 def test_certificate_ceilings_hold_once_beta_rounds_to_one(tmp_path, capsys):
@@ -975,10 +978,13 @@ def test_linear_3class_corpus_entry_names_missing_references(
         "seed 0: no SVM reference: the labels are not -1/+1",
         "seed 0: no KKT certificate: the labels are not -1/+1"]
     assert out.summaries[0]["kkt"] is None
+    # kkt-report runs the same flow, and each checkpoint names why it
+    # has no certificate
     code, report = _cli_json(tmp_path, capsys, "kkt-report", raw)
     assert code == 1 and report["kkt"] == []
     assert report["failures"] == [
-        "no KKT certificate: the labels are not -1/+1"]
+        f"checkpoint x >= {x}: the labels are not -1/+1"
+        for x in (1.0, 2.0, 4.0, 8.0)]
 
 
 # a start with q_min = -1.11 whose x already exceeds the target: the
@@ -1003,13 +1009,40 @@ def test_linear_logistic_unseparated_end_names_missing_certificate(
 
 
 def test_cli_kkt_report_skips_unseparated_checkpoints(tmp_path, capsys):
-    # every checkpoint target lies below f(b_f): none can be certified
+    # every checkpoint target lies below f(b_f): none can be certified.
+    # Each is capped at the target, so the flow takes no step, as in
+    # run; before, the report drove on to x = -0.625, above the target
     code, report = _cli_json(tmp_path, capsys, "kkt-report", UNSEPARATED_END)
     assert code == 1
     assert report["kkt"] == []
     assert len(report["failures"]) == 4
-    assert report["failures"][0].startswith(
-        "checkpoint x >= -0.625: not separated at x = -0.62")
+    for failure in report["failures"]:
+        assert failure.startswith(
+            "checkpoint x >= -5.0: not separated at x = -2.20")
+
+
+def test_linear_scenario_names_no_svm_gap_for_a_relu_net(tmp_path, capsys):
+    # the SVM is solved over input features, so its direction lives in
+    # input space and a ReLU net's parameters do not; before, run raised
+    # a numpy broadcast error out of direction_gap_to_svm
+    code, report = _cli_json(tmp_path, capsys, "run", _emit_outputs().CORPUS[
+        "linear_relu_run"][1])
+    assert code == 1
+    assert report["failures"] == [
+        "seed 0: no SVM angle gap: relu_mlp is not linear"]
+
+
+def test_linear_scenario_names_no_svm_gap_at_theta_zero(tmp_path, capsys):
+    # a linear start at theta = 0 whose x already exceeds the target: the
+    # flow takes no step, and the final theta has no direction; before,
+    # run raised "directions must be nonzero"
+    code, report = _cli_json(tmp_path, capsys, "run", {
+        **UNSEPARATED_END, "options": {"theta0": [0.0, 0.0]}})
+    assert code == 1
+    [gap, named] = report["failures"]
+    assert gap == "seed 0: no SVM angle gap: the final theta has norm 0"
+    assert named.startswith(
+        "seed 0: no KKT certificate: not separated at x = -1.71")
 
 
 def test_kkt_tiny_start_corpus_entry_names_the_abort(tmp_path, capsys):
